@@ -122,41 +122,11 @@ class ExperimentConfig:
         )
 
 
-_PARSERS = {
-    "mode": _parse_mode,
-    "seeds": _parse_int_list,
-    "output_dir": str,
-    "input_dim": int,
-    "classes": int,
-    "clients": int,
-    "samples_per_client": int,
-    "skew_strength": float,
-    "noise_std": float,
-    "dataset_seed": int,
-    "hidden_extractor": _parse_int_list,
-    "hidden_classifier": _parse_int_list,
-    "rounds": int,
-    "local_epochs": int,
-    "batch_size": int,
-    "mu_client": float,
-    "mu_server": float,
-    "learning_rate": float,
-    "weight_decay": float,
-    "enable_sfmc": _parse_bool,
-    "enable_cpgma": _parse_bool,
-    "sample_count": int,
-    "bank_capacity": int,
-    "eps_guard": float,
-    "optimizer": str,
-    "track_geometry": _parse_bool,
-    "stage_epochs": _parse_int_list,
-    "attack_layers": _parse_int_list,
-    "attack_epochs": int,
-    "attack_train_fraction": float,
-    "attack_learning_rate": float,
-}
-
-assert set(_PARSERS) == {f.name for f in fields(ExperimentConfig)}
+# one parser per key, chosen by the field's annotation
+_PARSE_BY_TYPE = {"int": int, "float": float, "bool": _parse_bool,
+                  "tuple": _parse_int_list, "str": str}
+_PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
+_PARSERS["mode"] = _parse_mode
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:

@@ -22,10 +22,10 @@ from .protocol import (
     KIND_PROTOTYPES,
     CommLedger,
     FeatureBank,
-    FeatureRecord,
-    serialize_features,
-    serialize_model,
-    serialize_prototypes,
+    FeatureBatch,
+    feature_blob_bytes,
+    model_blob_bytes,
+    prototype_blob_bytes,
 )
 
 
@@ -60,6 +60,9 @@ class FederationConfig:
             raise ValueError("batch_size >= 1 and sample_count >= 0 required")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("num_clients", "num_classes"):     # u16 fields of feature blobs
+            if getattr(self, name) > 0xFFFF:
+                raise ValueError(f"{name} must be <= 65535, got {getattr(self, name)}")
 
 
 @dataclass
@@ -124,16 +127,14 @@ def combine_losses(l_local: float, l_sfmc: float | None, l_cpgma: float | None,
 
 
 def compute_sfmc_loss(params: nn.Parameters, spec: nn.NetworkSpec,
-                      foreign: list[FeatureRecord]):
+                      foreign: FeatureBatch):
     """Mean cross-entropy of the classifier head on sampled foreign embeddings.
     Gradients exist only for classifier parameters; the extractor never sees
-    these records."""
+    these rows."""
     if not foreign:
         return 0.0, params.partition(spec.split_index)[1].zeros_like()
-    u = np.stack([rec.embedding for rec in foreign])
-    labels = np.asarray([rec.label for rec in foreign], dtype=np.int64)
-    logits, cache = nn.forward_classifier(params, spec, u)
-    loss, glogits = nn.softmax_cross_entropy(logits, labels)
+    logits, cache = nn.forward_classifier(params, spec, foreign.embeddings)
+    loss, glogits = nn.softmax_cross_entropy(logits, foreign.labels)
     grads, _ = nn.backward(params, spec, cache, glogits)
     return loss, grads
 
@@ -244,7 +245,7 @@ class LocalTrainStats:
 
 def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                 config: FederationConfig, epochs: int, rng: np.random.Generator,
-                foreign: list[FeatureRecord] | None = None,
+                foreign: FeatureBatch | None = None,
                 prototypes: np.ndarray | None = None,
                 round_tag: int = 0,
                 enable_sfmc: bool | None = None,
@@ -253,18 +254,17 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     """Mini-batch training of ``params`` in place for ``epochs`` epochs.
 
     During the final epoch every processed sample's embedding is recorded, one
-    feature batch per mini-batch, so the caller can upload them.
+    ``FeatureBatch`` per mini-batch, so the caller can upload them.
     Returns (feature_batches, stats).
     """
     if len(shard) == 0:
         raise ValueError("client shard is empty")
     enable_sfmc = config.enable_sfmc if enable_sfmc is None else enable_sfmc
     enable_cpgma = config.enable_cpgma if enable_cpgma is None else enable_cpgma
-    foreign = foreign or []
     opt_state = nn.AdamState(learning_rate=config.learning_rate,
                              weight_decay=config.weight_decay)
     stats = LocalTrainStats()
-    feature_batches: list[list[FeatureRecord]] = []
+    feature_batches: list[FeatureBatch] = []
     n = len(shard)
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -304,11 +304,8 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
             stats.sum_cpgma += breakdown.cpgma
             stats.batches += 1
             if final_epoch and collect_final_epoch:
-                feature_batches.append([
-                    FeatureRecord(embedding=u[j].copy(), label=int(yb[j]),
-                                  client_id=shard.client_id, round=round_tag)
-                    for j in range(len(idx))
-                ])
+                feature_batches.append(
+                    FeatureBatch.of_client(u.copy(), yb, shard.client_id, round_tag))
     return feature_batches, stats
 
 
@@ -320,7 +317,7 @@ def _merge_grads(a: nn.Parameters, b: nn.Parameters) -> nn.Parameters:
 
 def client_update(client: ClientState, server_params: nn.Parameters,
                   spec: nn.NetworkSpec, config: FederationConfig,
-                  foreign: list[FeatureRecord], prototypes: np.ndarray,
+                  foreign: FeatureBatch, prototypes: np.ndarray,
                   round_tag: int):
     """One ClientUpdate: adopt the broadcast model, train E local epochs, and
     return the updated parameters plus the final-epoch feature batches."""
@@ -341,20 +338,15 @@ def _sample_seed(config_seed: int, round_tag: int, client_id: int) -> int:
 
 
 def _server_feature_update(server: ServerState, uploads: dict, sizes: dict,
-                           config: FederationConfig,
-                           mu_client: float | None = None,
-                           mu_server: float | None = None) -> None:
+                           config: FederationConfig) -> None:
     """Bank insertion plus the two-level EMA, in client-id then batch order."""
-    mu_client = config.mu_client if mu_client is None else mu_client
-    mu_server = config.mu_server if mu_server is None else mu_server
     for cid in sorted(uploads):
         for batch in uploads[cid]:
             server.bank.insert(batch)
-            labels = np.asarray([r.label for r in batch])
-            embs = np.stack([r.embedding for r in batch])
-            for cls in np.unique(labels):
+            for cls in np.unique(batch.labels):
                 server.client_centers[cid, cls] = update_client_center(
-                    server.client_centers[cid, cls], embs[labels == cls], mu_client
+                    server.client_centers[cid, cls],
+                    batch.embeddings[batch.labels == cls], config.mu_client,
                 )
     ordered = sorted(sizes)
     for cls in range(config.num_classes):
@@ -362,8 +354,17 @@ def _server_feature_update(server: ServerState, uploads: dict, sizes: dict,
             server.prototypes[cls],
             [server.client_centers[cid, cls] for cid in ordered],
             [sizes[cid] for cid in ordered],
-            mu_server,
+            config.mu_server,
         )
+
+
+def _init_clients(config: FederationConfig, shards: list[ClientShard], spec: nn.NetworkSpec):
+    """The initial model, a client state per shard holding a copy, client sizes."""
+    if len(shards) != config.num_clients:
+        raise ValueError(f"expected {config.num_clients} shards, got {len(shards)}")
+    init = nn.init_params(spec, _derive_seed(config.seed, 0))
+    clients = {s.client_id: ClientState(s.client_id, s, init.copy()) for s in shards}
+    return init, clients, {cid: len(c.shard) for cid, c in clients.items()}
 
 
 def run_federation(config: FederationConfig, shards: list[ClientShard],
@@ -373,15 +374,8 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
     """Algorithm loop: T rounds of parallel client updates, server-side bank
     and prototype maintenance, and weighted aggregation. The reported metrics
     are invariant to ``client_order``."""
-    if len(shards) != config.num_clients:
-        raise ValueError(f"expected {config.num_clients} shards, got {len(shards)}")
     d = spec.embedding_dim
-    init = nn.init_params(spec, _derive_seed(config.seed, 0))
-    clients = {
-        s.client_id: ClientState(client_id=s.client_id, shard=s, params=init.copy())
-        for s in shards
-    }
-    sizes = {cid: len(c.shard) for cid, c in clients.items()}
+    init, clients, sizes = _init_clients(config, shards, spec)
     server = ServerState(
         params=init.copy(),
         prototypes=np.zeros((config.num_classes, d)),
@@ -394,44 +388,42 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
         raise ValueError("client_order must be a permutation of the client ids")
 
     feature_traffic = config.enable_sfmc or config.enable_cpgma
-    model_bytes = len(serialize_model(server.params))
+    model_bytes = model_blob_bytes(server.params)
+    prototype_bytes = prototype_blob_bytes(config.num_classes, d)
     metrics: list[dict] = []
     snapshots: dict[int, nn.Parameters] = {}
 
     for t in range(1, config.rounds + 1):
-        # broadcast phase: ledger entries in client-id order so the stream is
-        # independent of the processing order below
-        foreign: dict[int, list[FeatureRecord]] = {}
-        for cid in sorted(clients):
-            foreign[cid] = (
+        # the bank is unchanged until every client has trained, so a foreign
+        # sample is drawn just before its client trains; the ledger keeps its size
+        foreign_rows: dict[int, int] = {}
+        uploads: dict[int, list[FeatureBatch]] = {}
+        stats: dict[int, LocalTrainStats] = {}
+        for cid in order:
+            foreign = (
                 server.bank.sample(cid, config.sample_count,
                                    _sample_seed(config.seed, t, cid))
-                if config.enable_sfmc else []
+                if config.enable_sfmc else None
             )
+            foreign_rows[cid] = len(foreign) if foreign is not None else 0
+            _, uploads[cid], stats[cid] = client_update(
+                clients[cid], server.params, spec, config, foreign,
+                server.prototypes if config.enable_cpgma else None, t,
+            )
+
+        # broadcast, then upload entries in client-id order: independent of ``order``
+        for cid in sorted(clients):
             server.ledger.record(t, DOWN, KIND_MODEL, model_bytes, cid)
             if config.enable_sfmc:
                 server.ledger.record(t, DOWN, KIND_FEATURES,
-                                     len(serialize_features(foreign[cid])), cid)
+                                     feature_blob_bytes(foreign_rows[cid], d), cid)
             if config.enable_cpgma:
-                server.ledger.record(t, DOWN, KIND_PROTOTYPES,
-                                     len(serialize_prototypes(server.prototypes)), cid)
-
-        uploads: dict[int, list[list[FeatureRecord]]] = {}
-        stats: dict[int, LocalTrainStats] = {}
-        for cid in order:
-            _, batches, st = client_update(
-                clients[cid], server.params, spec, config, foreign[cid],
-                server.prototypes if config.enable_cpgma else None, t,
-            )
-            uploads[cid] = batches
-            stats[cid] = st
-
+                server.ledger.record(t, DOWN, KIND_PROTOTYPES, prototype_bytes, cid)
         for cid in sorted(clients):
             server.ledger.record(t, UP, KIND_MODEL, model_bytes, cid)
             if feature_traffic:
-                flat = [rec for batch in uploads[cid] for rec in batch]
-                server.ledger.record(t, UP, KIND_FEATURES,
-                                     len(serialize_features(flat)), cid)
+                rows = sum(len(batch) for batch in uploads[cid])
+                server.ledger.record(t, UP, KIND_FEATURES, feature_blob_bytes(rows, d), cid)
 
         if feature_traffic:
             _server_feature_update(server, uploads, sizes, config)
@@ -453,7 +445,7 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
             "mean_sfmc_loss": _mean(stats, "sum_sfmc"),
             "mean_cpgma_loss": _mean(stats, "sum_cpgma"),
             "hausdorff_mean": (
-                geometry.manifold_report(server.params, spec, shards)["mean_to_global"]
+                geometry.mean_to_global(server.params, spec, shards)
                 if config.track_geometry else None
             ),
             "up_bytes": server.ledger.total(round=t, direction=UP),
@@ -478,18 +470,16 @@ def _derive_seed(seed: int, tag: int) -> int:
 
 
 def one_shot_prototypes(uploads: dict, sizes: dict, num_classes: int, d: int) -> np.ndarray:
-    """Size-weighted cross-client class means, computed at once (no EMA)."""
+    """Size-weighted cross-client class means of each client's uploaded
+    FeatureBatch, computed at once (no EMA)."""
     protos = np.zeros((num_classes, d))
     for cls in range(num_classes):
         acc = np.zeros(d)
         total = 0.0
         for cid in sorted(uploads):
-            embs = [
-                rec.embedding for batch in uploads[cid] for rec in batch
-                if rec.label == cls
-            ]
-            if embs:
-                acc += sizes[cid] * np.mean(embs, axis=0)
+            embs = uploads[cid].embeddings[uploads[cid].labels == cls]
+            if len(embs):
+                acc += sizes[cid] * embs.mean(axis=0)
                 total += sizes[cid]
         if total > 0:
             protos[cls] = acc / total
@@ -506,27 +496,21 @@ def run_few_shot(config: FederationConfig, shards: list[ClientShard],
     stage_epochs = list(stage_epochs)
     if not stage_epochs or any(e < 1 for e in stage_epochs):
         raise ValueError("stage_epochs must be a nonempty list of positive ints")
-    if len(shards) != config.num_clients:
-        raise ValueError(f"expected {config.num_clients} shards, got {len(shards)}")
     d = spec.embedding_dim
-    init = nn.init_params(spec, _derive_seed(config.seed, 0))
-    clients = {
-        s.client_id: ClientState(client_id=s.client_id, shard=s, params=init.copy())
-        for s in shards
-    }
-    sizes = {cid: len(c.shard) for cid, c in clients.items()}
+    init, clients, sizes = _init_clients(config, shards, spec)
     ledger = CommLedger()
     bank = FeatureBank(config.bank_capacity)
     prototypes = np.zeros((config.num_classes, d))
-    foreign: dict[int, list[FeatureRecord]] = {cid: [] for cid in clients}
-    model_bytes = len(serialize_model(init))
+    foreign: dict[int, FeatureBatch | None] = dict.fromkeys(clients)
+    model_bytes = model_blob_bytes(init)
+    prototype_bytes = prototype_blob_bytes(config.num_classes, d)
     metrics: list[dict] = []
 
     num_comms = len(stage_epochs)
     server_params = init.copy()
     for stage, epochs in enumerate(stage_epochs, start=1):
         use_modules = stage > 1
-        uploads: dict[int, list[list[FeatureRecord]]] = {}
+        uploads: dict[int, list[FeatureBatch]] = {}
         stats: dict[int, LocalTrainStats] = {}
         for cid in sorted(clients):
             client = clients[cid]
@@ -535,7 +519,7 @@ def run_few_shot(config: FederationConfig, shards: list[ClientShard],
             )
             batches, st = local_train(
                 client.params, spec, client.shard, config, epochs, rng,
-                foreign=foreign[cid] if use_modules else [],
+                foreign=foreign[cid],
                 prototypes=prototypes if use_modules else None,
                 round_tag=stage,
                 enable_sfmc=config.enable_sfmc and use_modules,
@@ -552,21 +536,20 @@ def run_few_shot(config: FederationConfig, shards: list[ClientShard],
             [clients[cid].params for cid in ordered], [sizes[cid] for cid in ordered]
         )
         if not final_comm:
+            flat = {cid: FeatureBatch.concat(uploads[cid]) for cid in ordered}
             for cid in ordered:
-                flat = [rec for batch in uploads[cid] for rec in batch]
-                bank.insert(flat)
-                ledger.record(stage, UP, KIND_FEATURES, len(serialize_features(flat)), cid)
+                bank.insert(flat[cid])
+                ledger.record(stage, UP, KIND_FEATURES, feature_blob_bytes(len(flat[cid]), d), cid)
             # prototypes computed at once: mu_client = mu_server = 1
-            prototypes = one_shot_prototypes(uploads, sizes, config.num_classes, d)
+            prototypes = one_shot_prototypes(flat, sizes, config.num_classes, d)
             for cid in ordered:
                 foreign[cid] = bank.sample(
                     cid, config.sample_count, _sample_seed(config.seed, stage, cid)
                 )
                 ledger.record(stage, DOWN, KIND_MODEL, model_bytes, cid)
                 ledger.record(stage, DOWN, KIND_FEATURES,
-                              len(serialize_features(foreign[cid])), cid)
-                ledger.record(stage, DOWN, KIND_PROTOTYPES,
-                              len(serialize_prototypes(prototypes)), cid)
+                              feature_blob_bytes(len(foreign[cid]), d), cid)
+                ledger.record(stage, DOWN, KIND_PROTOTYPES, prototype_bytes, cid)
                 clients[cid].params = server_params.copy()
 
         row = {

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import directed_hausdorff
 
 from . import nn
 
@@ -28,13 +28,19 @@ def _as_points(cloud) -> np.ndarray:
     return pts
 
 
-def hausdorff_distance(a, b) -> float:
-    """Exact symmetric Hausdorff distance (max of both directed distances)."""
+def directed_distance(a, b) -> float:
+    """Exact directed Hausdorff distance: the largest distance from a point of
+    ``a`` to its nearest point of ``b``, by the early-break algorithm of Taha
+    & Hanbury (2015)."""
     pa, pb = _as_points(a), _as_points(b)
     if pa.shape[1] != pb.shape[1]:
         raise ValueError(f"dimension mismatch {pa.shape[1]} vs {pb.shape[1]}")
-    dm = cdist(pa, pb)
-    return float(max(dm.min(axis=1).max(), dm.min(axis=0).max()))
+    return float(directed_hausdorff(pa, pb)[0])
+
+
+def hausdorff_distance(a, b) -> float:
+    """Exact symmetric Hausdorff distance (max of both directed distances)."""
+    return max(directed_distance(a, b), directed_distance(b, a))
 
 
 def class_manifolds(params: nn.Parameters, spec: nn.NetworkSpec, shards):
@@ -55,13 +61,25 @@ def class_manifolds(params: nn.Parameters, spec: nn.NetworkSpec, shards):
     return per, global_clouds
 
 
+def _to_global(per: dict, global_clouds: dict) -> tuple[dict, float]:
+    # each client cloud is a subset of its global class cloud, so the symmetric
+    # distance is the one directed from the global cloud to the client cloud
+    to_global = {key: directed_distance(global_clouds[key[1]], pts) for key, pts in per.items()}
+    return to_global, float(np.mean(list(to_global.values()))) if to_global else 0.0
+
+
+def mean_to_global(params: nn.Parameters, spec: nn.NetworkSpec, shards) -> float:
+    """``manifold_report(...)["mean_to_global"]`` without the fragmentation."""
+    return _to_global(*class_manifolds(params, spec, shards))[1]
+
+
 def manifold_report(params: nn.Parameters, spec: nn.NetworkSpec, shards) -> dict:
-    """Per-(client, class) distance to the global manifold plus per-class
-    fragmentation (mean pairwise cross-client distance)."""
+    """Hausdorff distance of each (client, class) embedding cloud to its global
+    class cloud (``to_global``) and their mean, plus per-class fragmentation:
+    the mean pairwise distance between client clouds, a diagnostic that the
+    round loop does not compute."""
     per, global_clouds = class_manifolds(params, spec, shards)
-    to_global = {
-        key: hausdorff_distance(pts, global_clouds[key[1]]) for key, pts in per.items()
-    }
+    to_global, mean = _to_global(per, global_clouds)
     fragmentation = {}
     clients = sorted({cid for cid, _ in per})
     for cls in sorted(global_clouds):
@@ -71,12 +89,7 @@ def manifold_report(params: nn.Parameters, spec: nn.NetworkSpec, shards) -> dict
                 if (ci, cls) in per and (cj, cls) in per:
                     pairs.append(hausdorff_distance(per[(ci, cls)], per[(cj, cls)]))
         fragmentation[cls] = float(np.mean(pairs)) if pairs else 0.0
-    mean_to_global = float(np.mean(list(to_global.values()))) if to_global else 0.0
-    return {
-        "to_global": to_global,
-        "fragmentation": fragmentation,
-        "mean_to_global": mean_to_global,
-    }
+    return {"to_global": to_global, "fragmentation": fragmentation, "mean_to_global": mean}
 
 
 def collection_distance(clouds_a: dict, clouds_b: dict) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,14 +25,38 @@ KIND_FEATURES = "features"
 KIND_PROTOTYPES = "prototypes"
 
 
-@dataclass(frozen=True)
-class FeatureRecord:
-    """One labeled embedding as uploaded to the server."""
+@dataclass(frozen=True, eq=False)
+class FeatureBatch:
+    """Labeled embeddings as uploaded to the server, one row per sample.
+    Client id and round are per row because a bank sample mixes both."""
 
-    embedding: np.ndarray
-    label: int
-    client_id: int
-    round: int
+    embeddings: np.ndarray      # (n, d) float64
+    labels: np.ndarray          # (n,) int64
+    client_ids: np.ndarray      # (n,) int64
+    rounds: np.ndarray          # (n,) int64
+
+    @classmethod
+    def of_client(cls, embeddings: np.ndarray, labels, client_id: int, round: int) -> FeatureBatch:
+        n = len(embeddings)
+        return cls(embeddings, np.asarray(labels, dtype=np.int64),
+                   np.full(n, client_id, dtype=np.int64), np.full(n, round, dtype=np.int64))
+
+    @classmethod
+    def concat(cls, batches) -> FeatureBatch:
+        """Rows of ``batches`` in order; no batches give an empty (0, 0) batch."""
+        batches = list(batches)
+        if not batches:
+            return cls(np.zeros((0, 0)), *(np.zeros(0, dtype=np.int64) for _ in range(3)))
+        return cls(*(np.concatenate([getattr(b, c) for b in batches]) for c in _COLUMNS))
+
+    def take(self, rows) -> FeatureBatch:
+        return FeatureBatch(*(getattr(self, c)[rows] for c in _COLUMNS))
+
+    def __len__(self) -> int:
+        return self.embeddings.shape[0]
+
+
+_COLUMNS = ("embeddings", "labels", "client_ids", "rounds")
 
 
 class CorruptBlobError(ValueError):
@@ -116,37 +139,38 @@ def model_blob_bytes(params: Parameters) -> int:
 
 
 # ---------------------------------------------------------------------------
-# feature batches: 8-byte header (count, embedding width), then per record a
-# header (client_id u16, label u16, round u32) and float32 embedding.
+# feature batches: 8-byte header (count, embedding width; width 0 when empty),
+# then per row a header (client_id u16, label u16, round u32) and the float32
+# embedding.
 
-def serialize_features(records: list[FeatureRecord]) -> bytes:
-    width = len(records[0].embedding) if records else 0
-    parts = [struct.pack("<II", len(records), width)]
-    for rec in records:
-        if len(rec.embedding) != width:
-            raise CorruptBlobError("mixed embedding widths in one batch")
-        parts.append(struct.pack("<HHI", rec.client_id, rec.label, rec.round))
-        parts.append(np.asarray(rec.embedding, dtype="<f4").tobytes())
-    return b"".join(parts)
+_WIRE_IDS = (("client_ids", "<u2"), ("labels", "<u2"), ("rounds", "<u4"))
 
 
-def deserialize_features(blob: bytes) -> list[FeatureRecord]:
+def _wire_rows(width: int) -> np.dtype:
+    return np.dtype([*_WIRE_IDS, ("embeddings", "<f4", (width,))])
+
+
+def serialize_features(batch: FeatureBatch) -> bytes:
+    n, width = batch.embeddings.shape
+    rows = np.empty(n, dtype=_wire_rows(width))
+    for name, dtype in _WIRE_IDS:
+        values = getattr(batch, name)
+        if n and (values.min() < 0 or values.max() > np.iinfo(dtype).max):
+            raise ValueError(f"feature {name} out of range for {np.dtype(dtype)}")
+        rows[name] = values
+    rows["embeddings"] = batch.embeddings
+    return struct.pack("<II", n, width if n else 0) + rows.tobytes()
+
+
+def deserialize_features(blob: bytes) -> FeatureBatch:
     if len(blob) < 8:
         raise CorruptBlobError("feature blob shorter than header")
     count, width = struct.unpack_from("<II", blob, 0)
-    offset = 8
-    records = []
-    for _ in range(count):
-        if offset + 8 + 4 * width > len(blob):
-            raise CorruptBlobError("feature blob truncated")
-        cid, label, rnd = struct.unpack_from("<HHI", blob, offset)
-        offset += 8
-        emb = np.frombuffer(blob, dtype="<f4", count=width, offset=offset).astype(np.float64)
-        offset += 4 * width
-        records.append(FeatureRecord(embedding=emb, label=label, client_id=cid, round=rnd))
-    if offset != len(blob):
-        raise CorruptBlobError("trailing bytes after feature payload")
-    return records
+    if len(blob) != feature_blob_bytes(count, width):
+        raise CorruptBlobError("feature blob length does not match its header")
+    rows = np.frombuffer(blob, dtype=_wire_rows(width), count=count, offset=8)
+    return FeatureBatch(embeddings=rows["embeddings"].astype(np.float64),
+                        **{name: rows[name].astype(np.int64) for name, _ in _WIRE_IDS})
 
 
 def feature_blob_bytes(num_records: int, width: int) -> int:
@@ -178,42 +202,49 @@ def prototype_blob_bytes(num_classes: int, width: int) -> int:
 
 
 class FeatureBank:
-    """Server store of uploaded embeddings, FIFO-bounded per (client, class)."""
+    """Server store of uploaded embeddings: one ``FeatureBatch`` per (client,
+    class) slot, oldest row first, FIFO-bounded to ``capacity_per_slot`` rows."""
 
     def __init__(self, capacity_per_slot: int = 512):
         if capacity_per_slot < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity_per_slot
-        self._slots: dict[tuple[int, int], deque] = {}
+        self._slots: dict[tuple[int, int], FeatureBatch] = {}
 
-    def insert(self, records: list[FeatureRecord]) -> None:
-        for rec in records:
-            slot = self._slots.setdefault(
-                (rec.client_id, rec.label), deque(maxlen=self.capacity)
-            )
-            slot.append(rec)
+    def insert(self, batch: FeatureBatch) -> None:
+        for cid in np.unique(batch.client_ids).tolist():
+            of_client = batch.client_ids == cid
+            for label in np.unique(batch.labels[of_client]).tolist():
+                rows = batch.take(of_client & (batch.labels == label))
+                old = self._slots.get((cid, label))
+                if old is not None:
+                    rows = FeatureBatch.concat([old, rows])
+                self._slots[(cid, label)] = rows.take(slice(-self.capacity, None))
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._slots.values())
+        return sum(len(slot) for slot in self._slots.values())
 
-    def sample(self, requesting_client: int, per_client_count: int, seed: int) -> list[FeatureRecord]:
-        """Up to ``per_client_count`` records from each other client, without
-        replacement, never the requester's own uploads. Deterministic in seed."""
+    def sample(self, requesting_client: int, per_client_count: int, seed: int) -> FeatureBatch:
+        """Up to ``per_client_count`` rows from each other client, without
+        replacement, never the requester's own uploads. Deterministic in seed.
+        A client's pool is its slots concatenated in class order; the drawn
+        pool indices are sorted, so rows keep their pool order."""
         if per_client_count < 0:
             raise ValueError("sample count must be >= 0")
-        by_client: dict[int, list[FeatureRecord]] = {}
-        for (cid, _), slot in sorted(self._slots.items()):
-            if cid == requesting_client:
-                continue
-            by_client.setdefault(cid, []).extend(slot)
         rng = np.random.default_rng(seed)
-        sampled = []
-        for cid in sorted(by_client):
-            pool = by_client[cid]
-            take = min(per_client_count, len(pool))
-            idx = rng.choice(len(pool), size=take, replace=False)
-            sampled.extend(pool[i] for i in sorted(idx))
-        return sampled
+        parts = []
+        for cid in sorted({c for c, _ in self._slots if c != requesting_client}):
+            slots = [self._slots[key] for key in sorted(self._slots) if key[0] == cid]
+            sizes = [len(slot) for slot in slots]
+            ends = np.cumsum(sizes)
+            pool = int(ends[-1])
+            idx = np.sort(rng.choice(pool, size=min(per_client_count, pool), replace=False))
+            # index each slot with its share of the pool indices rather than
+            # building the pool
+            for slot, start, picked in zip(slots, ends - sizes,
+                                           np.split(idx, np.searchsorted(idx, ends[:-1]))):
+                parts.append(slot.take(picked - start))
+        return FeatureBatch.concat(parts)
 
 
 @dataclass(frozen=True)

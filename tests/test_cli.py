@@ -43,6 +43,17 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def test_run_rejects_u16_overflow(tmp_path, capsys):
+    # 65536 classes cannot be packed into a feature blob's u16 label field
+    path = tmp_path / "wide.cfg"
+    path.write_text("input_dim = 2\nclasses = 65536\nclients = 1\n"
+                    "samples_per_client = 65536\nseeds = 0\n")
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert "num_classes must be <= 65535" in err
+    assert "Traceback" not in err
+
+
 class TestGenerate:
     def test_writes_shards_and_manifest(self, cfg_path, tmp_path):
         out = tmp_path / "data"

@@ -25,7 +25,7 @@ from fedmp.federation import (
     update_client_center,
     update_global_prototype,
 )
-from fedmp.protocol import FeatureRecord
+from fedmp.protocol import FeatureBatch
 
 
 def small_spec(d0=4, k=3):
@@ -38,6 +38,15 @@ def small_federation(num_clients=3, n=12, d0=4, k=3, seed=0, skew=1.0):
         skew_strength=skew, noise_std=0.1, seed=seed,
     )
     return generate_federation(spec)
+
+
+class TestFederationConfig:
+    @pytest.mark.parametrize("name", ["num_clients", "num_classes"])
+    def test_u16_fields_bounded(self, name):
+        # feature blobs pack client ids and labels as u16
+        FederationConfig(**{name: 0xFFFF})
+        with pytest.raises(ValueError, match=name):
+            FederationConfig(**{name: 0x10000})
 
 
 class TestCombineLosses:
@@ -85,7 +94,7 @@ class TestSfmcLoss:
     def test_empty_sample_zero(self):
         spec = small_spec()
         params = nn.init_params(spec, 0)
-        loss, grads = compute_sfmc_loss(params, spec, [])
+        loss, grads = compute_sfmc_loss(params, spec, FeatureBatch.concat([]))
         assert loss == 0.0
         assert all(np.array_equal(grads[k], np.zeros_like(grads[k])) for k in grads.keys())
 
@@ -97,8 +106,8 @@ class TestSfmcLoss:
         params = nn.init_params(spec, 0)
         params[(1, "W")][:] = 0.0
         params[(1, "b")][:] = 0.0
-        rec = FeatureRecord(np.array([1.0, -2.0, 0.5]), 0, 1, 1)
-        loss, _ = compute_sfmc_loss(params, spec, [rec])
+        rec = FeatureBatch.of_client(np.array([[1.0, -2.0, 0.5]]), [0], 1, 1)
+        loss, _ = compute_sfmc_loss(params, spec, rec)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_mean_of_closed_forms(self):
@@ -110,10 +119,10 @@ class TestSfmcLoss:
             (0, "W"): np.eye(2), (0, "b"): np.zeros(2),
             (1, "W"): np.eye(2), (1, "b"): np.zeros(2),
         })
-        recs = [
-            FeatureRecord(np.array([1.0, 0.0]), 0, 1, 1),   # logits [1,0] -> ln(1+e^-1)
-            FeatureRecord(np.array([0.0, 0.0]), 0, 1, 1),   # logits [0,0] -> ln 2
-        ]
+        recs = FeatureBatch.of_client(np.array([
+            [1.0, 0.0],     # logits [1,0] -> ln(1+e^-1)
+            [0.0, 0.0],     # logits [0,0] -> ln 2
+        ]), [0, 0], 1, 1)
         loss, _ = compute_sfmc_loss(params, spec, recs)
         expected = 0.5 * (np.log(1 + np.exp(-1.0)) + np.log(2.0))
         assert loss == pytest.approx(expected, abs=1e-9)
@@ -121,7 +130,7 @@ class TestSfmcLoss:
     def test_gradients_classifier_only(self):
         spec = small_spec()
         params = nn.init_params(spec, 1)
-        recs = [FeatureRecord(np.ones(spec.embedding_dim), 0, 1, 1)]
+        recs = FeatureBatch.of_client(np.ones((1, spec.embedding_dim)), [0], 1, 1)
         _, grads = compute_sfmc_loss(params, spec, recs)
         assert all(k[0] >= spec.split_index for k in grads.keys())
 
@@ -129,7 +138,8 @@ class TestSfmcLoss:
         # finite-difference check of the gradient-isolation invariant
         spec = small_spec()
         params = nn.init_params(spec, 2)
-        recs = [FeatureRecord(np.arange(spec.embedding_dim, dtype=float), 1, 1, 1)]
+        recs = FeatureBatch.of_client(
+            np.arange(spec.embedding_dim, dtype=float)[None, :], [1], 1, 1)
         base, _ = compute_sfmc_loss(params, spec, recs)
         params[(0, "W")][0, 0] += 0.37
         after, _ = compute_sfmc_loss(params, spec, recs)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from fedmp import nn
 from fedmp.data import ClientShard
@@ -12,9 +13,11 @@ from fedmp.geometry import (
     PointCloud,
     class_manifolds,
     collection_distance,
+    directed_distance,
     hausdorff_distance,
     lemma1_harness,
     manifold_report,
+    mean_to_global,
     pca_project_2d,
 )
 
@@ -91,6 +94,50 @@ def test_hausdorff_axioms(seed, na, nb, nc):
     )
 
 
+def cdist_hausdorff(a, b):
+    """All-pairs reference: the full distance matrix, then both min-max."""
+    dm = cdist(a, b)
+    return float(max(dm.min(axis=1).max(), dm.min(axis=0).max()))
+
+
+def random_cloud(rng, n, dim, grid):
+    pts = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0)
+    # a coarse grid makes ties and duplicate points likely
+    return np.round(pts) if grid else pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    na=st.integers(1, 40),
+    nb=st.integers(1, 40),
+    dim=st.integers(1, 64),
+    grid=st.booleans(),
+)
+def test_hausdorff_equals_cdist_reference(seed, na, nb, dim, grid):
+    rng = np.random.default_rng(seed)
+    a, b = random_cloud(rng, na, dim, grid), random_cloud(rng, nb, dim, grid)
+    assert hausdorff_distance(a, b) == cdist_hausdorff(a, b)
+    assert directed_distance(a, b) == float(cdist(a, b).min(axis=1).max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 40),
+    extra=st.integers(0, 40),
+    dim=st.integers(1, 64),
+    grid=st.booleans(),
+)
+def test_subset_distance_is_directed_from_superset(seed, n, extra, dim, grid):
+    """For A within B, d_H(A, B) is the distance directed from B to A."""
+    rng = np.random.default_rng(seed)
+    b = random_cloud(rng, n + extra, dim, grid)
+    a = b[np.sort(rng.choice(n + extra, size=n, replace=False))]
+    assert directed_distance(a, b) == 0.0
+    assert hausdorff_distance(a, b) == directed_distance(b, a) == cdist_hausdorff(a, b)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 10), extra=st.integers(1, 6))
 def test_monotone_completion(seed, n, extra):
@@ -157,6 +204,15 @@ class TestManifoldReport:
         assert all(v == 0.0 for v in report["to_global"].values())
         assert all(v == 0.0 for v in report["fragmentation"].values())
         assert report["mean_to_global"] == 0.0
+
+    def test_to_global_matches_cdist_reference(self):
+        params, spec, shards = toy_federation(num_clients=3, seed=5)
+        per, global_clouds = class_manifolds(params, spec, shards)
+        report = manifold_report(params, spec, shards)
+        assert report["to_global"] == {
+            key: cdist_hausdorff(cloud, global_clouds[key[1]]) for key, cloud in per.items()
+        }
+        assert mean_to_global(params, spec, shards) == report["mean_to_global"]
 
     def test_pure_function_of_inputs(self):
         params, spec, shards = toy_federation(num_clients=2, seed=9)

@@ -14,7 +14,7 @@ from fedmp.protocol import (
     CommLedger,
     CorruptBlobError,
     FeatureBank,
-    FeatureRecord,
+    FeatureBatch,
     deserialize_features,
     deserialize_model,
     deserialize_prototypes,
@@ -83,44 +83,67 @@ class TestModelBlob:
             deserialize_model(serialize_model(params), other_spec)
 
 
-class TestFeatureBlob:
-    def records(self, n=5, width=4, seed=0):
-        rng = np.random.default_rng(seed)
-        return [
-            FeatureRecord(
-                embedding=rng.normal(size=width).astype(np.float32).astype(np.float64),
-                label=int(rng.integers(0, 3)),
-                client_id=int(rng.integers(0, 10)),
-                round=int(rng.integers(1, 100)),
-            )
-            for _ in range(n)
-        ]
+def random_batch(n=5, width=4, seed=0, clients=10):
+    """Mixed-client batch whose embeddings are exact in float32."""
+    rng = np.random.default_rng(seed)
+    return FeatureBatch(
+        embeddings=rng.normal(size=(n, width)).astype(np.float32).astype(np.float64),
+        labels=rng.integers(0, 3, size=n),
+        client_ids=rng.integers(0, clients, size=n),
+        rounds=rng.integers(1, 100, size=n),
+    )
 
+
+def assert_same_batch(a, b):
+    assert len(a) == len(b)
+    for name in ("embeddings", "labels", "client_ids", "rounds"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestFeatureBlob:
     def test_round_trip(self):
-        recs = self.records()
-        out = deserialize_features(serialize_features(recs))
-        assert len(out) == len(recs)
-        for a, b in zip(recs, out):
-            assert np.array_equal(a.embedding, b.embedding)
-            assert (a.label, a.client_id, a.round) == (b.label, b.client_id, b.round)
+        batch = random_batch()
+        assert_same_batch(deserialize_features(serialize_features(batch)), batch)
 
     def test_length_formula(self):
-        recs = self.records(n=7, width=9)
-        assert len(serialize_features(recs)) == feature_blob_bytes(7, 9)
+        batch = random_batch(n=7, width=9)
+        assert len(serialize_features(batch)) == feature_blob_bytes(7, 9)
         assert feature_blob_bytes(7, 9) == 8 + 7 * (8 + 4 * 9)
 
     def test_empty_batch(self):
-        assert deserialize_features(serialize_features([])) == []
+        blob = serialize_features(FeatureBatch.concat([]))
+        assert blob == bytes(8)     # count 0, width 0
+        assert len(deserialize_features(blob)) == 0
 
     def test_mixed_widths_rejected(self):
-        recs = self.records(n=2, width=3) + self.records(n=1, width=4)
-        with pytest.raises(CorruptBlobError):
-            serialize_features(recs)
+        with pytest.raises(ValueError):
+            FeatureBatch.concat([random_batch(n=2, width=3), random_batch(n=1, width=4)])
 
     def test_truncation_rejected(self):
-        blob = serialize_features(self.records())
+        blob = serialize_features(random_batch())
         with pytest.raises(CorruptBlobError):
             deserialize_features(blob[:-1])
+        with pytest.raises(CorruptBlobError):
+            deserialize_features(blob + b"\0")
+
+    def test_u16_fields_out_of_range_rejected(self):
+        batch = random_batch(n=2)
+        for name in ("client_ids", "labels"):
+            values = getattr(batch, name).copy()
+            values[1] = 0x10000
+            bad = FeatureBatch(**{**batch.__dict__, name: values})
+            with pytest.raises(ValueError, match=name.rstrip("s")):
+                serialize_features(bad)
+
+    def test_bytes_match_per_record_layout(self):
+        # the wire layout written field by field, as a per-record serializer would
+        import struct
+        batch = random_batch(n=3, width=2)
+        expected = struct.pack("<II", 3, 2) + b"".join(
+            struct.pack("<HHI", int(c), int(y), int(r)) + e.astype("<f4").tobytes()
+            for e, y, c, r in zip(batch.embeddings, batch.labels, batch.client_ids, batch.rounds)
+        )
+        assert serialize_features(batch) == expected
 
 
 class TestPrototypeBlob:
@@ -141,36 +164,33 @@ class TestPrototypeBlob:
 @given(
     n=st.integers(0, 20),
     width=st.integers(1, 16),
+    clients=st.integers(1, 8),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_feature_round_trip_property(n, width, seed):
-    rng = np.random.default_rng(seed)
-    recs = [
-        FeatureRecord(
-            embedding=rng.normal(size=width).astype(np.float32).astype(np.float64),
-            label=int(rng.integers(0, 5)),
-            client_id=int(rng.integers(0, 8)),
-            round=int(rng.integers(1, 1000)),
-        )
-        for _ in range(n)
-    ]
-    blob = serialize_features(recs)
-    assert len(blob) == feature_blob_bytes(n, width if n else 0)
+def test_feature_round_trip_property(n, width, clients, seed):
+    batch = random_batch(n, width, seed, clients)
+    blob = serialize_features(batch)
+    assert len(blob) == feature_blob_bytes(n, width)
     out = deserialize_features(blob)
-    assert all(np.array_equal(a.embedding, b.embedding) for a, b in zip(recs, out))
+    if n:
+        assert_same_batch(out, batch)
+    else:
+        assert len(out) == 0 and blob == bytes(8)
 
 
 def make_records(client_id, n, label=0, width=4):
-    return [
-        FeatureRecord(np.full(width, float(i)), label, client_id, 1) for i in range(n)
-    ]
+    """Rows 0..n-1 of one client and class; row i's embedding is all i."""
+    return FeatureBatch.of_client(
+        np.repeat(np.arange(n, dtype=float)[:, None], width, axis=1),
+        np.full(n, label), client_id, 1,
+    )
 
 
 class TestFeatureBank:
     def test_exclusion_rule(self):
         bank = FeatureBank()
         bank.insert(make_records(client_id=3, n=10))
-        assert bank.sample(requesting_client=3, per_client_count=5, seed=0) == []
+        assert len(bank.sample(requesting_client=3, per_client_count=5, seed=0)) == 0
 
     def test_per_client_counting(self):
         bank = FeatureBank()
@@ -178,10 +198,8 @@ class TestFeatureBank:
         bank.insert(make_records(client_id=2, n=10))
         out = bank.sample(requesting_client=0, per_client_count=3, seed=0)
         assert len(out) == 6
-        counts = {}
-        for rec in out:
-            counts[rec.client_id] = counts.get(rec.client_id, 0) + 1
-        assert counts == {1: 3, 2: 3}
+        cids, counts = np.unique(out.client_ids, return_counts=True)
+        assert dict(zip(cids.tolist(), counts.tolist())) == {1: 3, 2: 3}
 
     def test_sparse_bank_returns_fewer(self):
         bank = FeatureBank()
@@ -194,20 +212,20 @@ class TestFeatureBank:
         bank.insert(make_records(client_id=1, n=50))
         a = bank.sample(0, 10, seed=42)
         b = bank.sample(0, 10, seed=42)
-        assert [r.embedding[0] for r in a] == [r.embedding[0] for r in b]
+        assert_same_batch(a, b)
 
     def test_without_replacement(self):
         bank = FeatureBank()
         bank.insert(make_records(client_id=1, n=20))
         out = bank.sample(0, 20, seed=7)
-        ids = [r.embedding[0] for r in out]
+        ids = out.embeddings[:, 0]
         assert len(set(ids)) == len(ids) == 20
 
     def test_fifo_eviction(self):
         bank = FeatureBank(capacity_per_slot=3)
         bank.insert(make_records(client_id=1, n=5))
         out = bank.sample(0, 10, seed=0)
-        assert sorted(r.embedding[0] for r in out) == [2.0, 3.0, 4.0]
+        assert sorted(out.embeddings[:, 0]) == [2.0, 3.0, 4.0]
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -226,9 +244,72 @@ def test_bank_sample_properties(per_client, counts, seed):
         bank.insert(make_records(client_id=cid, n=n))
     requester = 0
     out = bank.sample(requester, per_client, seed)
-    assert all(r.client_id != requester for r in out)
+    assert not np.any(out.client_ids == requester)
     expected = sum(min(per_client, n) for cid, n in enumerate(counts) if cid != requester)
     assert len(out) == expected
+
+
+class ListBank:
+    """Reference model of the bank: a list of (row id, label, client, round)
+    tuples per (client, class) slot."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.slots = {}
+
+    def insert(self, rows):
+        for row in rows:
+            slot = self.slots.setdefault((row[2], row[1]), [])
+            slot.append(row)
+            del slot[:-self.capacity]
+
+    def sample(self, requester, count, seed):
+        rng = np.random.default_rng(seed)
+        out = []
+        for cid in sorted({c for c, _ in self.slots if c != requester}):
+            pool = [row for key in sorted(self.slots) if key[0] == cid for row in self.slots[key]]
+            idx = rng.choice(len(pool), size=min(count, len(pool)), replace=False)
+            out += [pool[i] for i in sorted(idx)]
+        return out
+
+
+def as_rows(batch):
+    return list(zip([int(e[0]) for e in batch.embeddings], batch.labels.tolist(),
+                    batch.client_ids.tolist(), batch.rounds.tolist()))
+
+
+BANK_OPS = st.one_of(
+    st.tuples(st.just("insert"), st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 3)), max_size=12)),
+    st.tuples(st.just("sample"), st.integers(0, 4), st.integers(0, 6),
+              st.integers(0, 2**31 - 1)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.integers(1, 6), ops=st.lists(BANK_OPS, max_size=12))
+def test_bank_matches_list_reference(capacity, ops):
+    """Random insert/sample sequences against the list model: FIFO eviction,
+    exclusion of the requester, per-client counts and sorted-index order."""
+    bank, ref = FeatureBank(capacity), ListBank(capacity)
+    next_id = 0
+    for rnd, op in enumerate(ops, start=1):
+        if op[0] == "insert":
+            # mixed clients and classes; row ids make every embedding unique
+            rows = [(next_id + i, label, cid, rnd) for i, (label, cid) in enumerate(op[1])]
+            next_id += len(rows)
+            ids = np.array([r[0] for r in rows], dtype=float).reshape(-1, 1)
+            bank.insert(FeatureBatch(
+                np.repeat(ids, 3, axis=1),
+                *(np.array([r[k] for r in rows], dtype=np.int64) for k in (1, 2, 3)),
+            ))
+            ref.insert(rows)
+        else:
+            _, requester, count, seed = op
+            out = bank.sample(requester, count, seed)
+            assert as_rows(out) == ref.sample(requester, count, seed)
+            assert out.embeddings.dtype == np.float64
+        assert len(bank) == sum(len(slot) for slot in ref.slots.values())
 
 
 class TestCommLedger:
