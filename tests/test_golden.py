@@ -1,5 +1,6 @@
 """Golden digests: pinned SHA-256 of the metrics JSON, the ledger entries and
-the model blobs of three small fixed runs.
+the model blobs of four small fixed runs, and of the reports of a feature-
+inversion attack on one of them.
 
 Criterion 8 checks determinism inside one process; these digests check it
 across commits. A change that is meant to keep outputs bit for bit must leave
@@ -14,6 +15,7 @@ import json
 
 import pytest
 
+from fedmp import privacy
 from fedmp.config import ExperimentConfig
 from fedmp.data import generate_federation
 from fedmp.federation import run_federation, run_few_shot
@@ -66,6 +68,35 @@ def fedmp_run() -> dict:
     return _digests(result.metrics, result.ledger, [result.params])
 
 
+def sgd_run() -> dict:
+    # both modules on, plain SGD: partial gradients update only their slice
+    shards, global_test = _data(3)
+    cfg = SCALE_S.federation_config(3, mode="fedmp")
+    cfg.optimizer = "sgd"
+    cfg.track_geometry = False
+    result = run_federation(cfg, shards, SCALE_S.network_spec(), global_test)
+    return _digests(result.metrics, result.ledger, [result.params])
+
+
+def attack_run() -> dict:
+    # decoders train through adam_step with weight decay 0; the split-2
+    # decoder starts with a flatten layer
+    shards, global_test = _data(4)
+    spec = SCALE_S.network_spec()
+    cfg = SCALE_S.federation_config(4, mode="fedmp")
+    cfg.track_geometry = False
+    result = run_federation(cfg, shards, spec, global_test)
+    configs = [privacy.AttackConfig(split_index=layer, epochs=20, seed=4)
+               for layer in SCALE_S.attack_layers]
+    reports = privacy.attack_report(result.params, spec, shards, configs)
+    decoder, _ = privacy.train_decoder(result.params, spec, shards[0], configs[0])
+    return {
+        "reports": _sha(json.dumps([dataclasses.asdict(r) for r in reports],
+                                   sort_keys=True).encode()),
+        "decoder": _sha(serialize_model(decoder)),
+    }
+
+
 def fewshot_run() -> dict:
     shards, global_test = _data(2)
     cfg = SCALE_S.federation_config(2, mode="fewshot")
@@ -76,6 +107,10 @@ def fewshot_run() -> dict:
 
 
 GOLDEN = {
+    "attack": (attack_run, {
+        "reports": "24e41c32a7262df8a7df6c760ac88ec56d90e9508c41d3d004f92e1f18355de4",
+        "decoder": "da3d18b054c2872be056ac850649e0932f854522595766d8f53f83b78f4d4a74",
+    }),
     "fedavg": (fedavg_run, {
         "metrics": "1cef4fce21dad5aad1167ec44442a6cf2132740d91620ded98dca3b9336429c9",
         "ledger": "a3e226a821fc9a8025f4d21ef8b8a8d0e5c329193608a83d66c2103a4965ce7b",
@@ -85,6 +120,11 @@ GOLDEN = {
         "metrics": "6edc6e16cf1e7918dd14823271ca02fa2f96b5edacc94cb17e402c8a40c27bbb",
         "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
         "models": "8cb28ac451f47ad26a2546b54f9727e3edef7df97e5767681e3a089d139e2120",
+    }),
+    "sgd": (sgd_run, {
+        "metrics": "43ab99e78de2295c33b15be826edfb3ab54dbe9424606242cb436e500df56cef",
+        "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
+        "models": "ad031f72a697d87750507c1dd5d06f350462db538cde807fe62b2664356c0926",
     }),
     "fewshot": (fewshot_run, {
         "metrics": "bd9f3e808fcb441f49f3070bc109567ce44a8d73e5ab378bd761c0f2cf7f8d95",
