@@ -21,7 +21,7 @@ import numpy as np
 from . import geometry, nn, privacy
 from .config import ConfigError, ExperimentConfig, config_echo, load_config
 from .data import generate_federation, merge_shards, save_csv
-from .federation import run_federation, run_few_shot
+from .federation import FederationConfig, run_federation, run_few_shot
 from .protocol import deserialize_model, serialize_model
 
 
@@ -72,33 +72,38 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _run_one_seed(config: ExperimentConfig, seed: int):
-    """Returns (final_accuracy, metrics_rows, ledger, snapshots, extra_models)."""
-    shards, global_test = generate_federation(config.dataset_spec())
-    spec = config.network_spec()
+def _federation_config(config: ExperimentConfig, seed: int) -> FederationConfig:
+    """The seed's training config for ``config.mode``; raises on a bad mode or
+    value, so a run can check every seed before it generates any data."""
     mode = config.mode
     if mode == "centralized":
-        pooled = merge_shards(shards, client_id=0)
         fed = config.federation_config(seed, mode="fedavg")
         fed.num_clients = 1
-        result = run_federation(fed, [pooled], spec, global_test,
-                                snapshot_rounds=_snapshot_rounds(config.rounds))
-        return _federation_outputs(result, global_test)
-    if mode in ("fedavg", "fedmp"):
-        fed = config.federation_config(seed, mode=mode)
+        return fed
+    if mode in ("fedavg", "fedmp", "fewshot", "single"):
+        return config.federation_config(seed, mode=mode)
+    raise ConfigError(f"unknown mode {mode!r}")
+
+
+def _run_one_seed(config: ExperimentConfig, fed: FederationConfig, spec, federation):
+    """Train on ``federation`` (shards, global test set), which does not depend
+    on the run seed. Returns (final_accuracy, metrics_rows, ledger, snapshots,
+    extra_models)."""
+    shards, global_test = federation
+    mode = config.mode
+    if mode in ("centralized", "fedavg", "fedmp"):
+        if mode == "centralized":
+            shards = [merge_shards(shards, client_id=0)]
         result = run_federation(fed, shards, spec, global_test,
                                 snapshot_rounds=_snapshot_rounds(config.rounds))
         return _federation_outputs(result, global_test)
-    if mode in ("fewshot", "single"):
-        fed = config.federation_config(seed, mode=mode)
-        stage_epochs = config.stage_epochs if mode == "fewshot" else config.stage_epochs[:1]
-        result = run_few_shot(fed, shards, spec, global_test, stage_epochs=stage_epochs)
-        final = result.ensemble_accuracy if mode == "fewshot" else result.metrics[-1]["server_accuracy"]
-        return final, result.metrics, result.ledger, {}, {
-            "server": result.server_params,
-            **{f"client_{i}": p for i, p in enumerate(result.client_params)},
-        }
-    raise ConfigError(f"unknown mode {mode!r}")
+    stage_epochs = config.stage_epochs if mode == "fewshot" else config.stage_epochs[:1]
+    result = run_few_shot(fed, shards, spec, global_test, stage_epochs=stage_epochs)
+    final = result.ensemble_accuracy if mode == "fewshot" else result.metrics[-1]["server_accuracy"]
+    return final, result.metrics, result.ledger, {}, {
+        "server": result.server_params,
+        **{f"client_{i}": p for i, p in enumerate(result.client_params)},
+    }
 
 
 def _federation_outputs(result, global_test):
@@ -112,16 +117,19 @@ def _snapshot_rounds(rounds: int) -> tuple:
 
 def cmd_run(args) -> int:
     config = _load_experiment(args)
+    spec = config.network_spec()
+    feds = {seed: _federation_config(config, seed) for seed in config.seeds}
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    spec = config.network_spec()
-    _, global_test = generate_federation(config.dataset_spec())
+    federation = generate_federation(config.dataset_spec())
+    global_test = federation[1]
     files: list[Path] = []
     finals: dict[int, float] = {}
     curves: dict[int, list] = {}
 
     for seed in config.seeds:
-        final, metrics, ledger, snapshots, models = _run_one_seed(config, seed)
+        final, metrics, ledger, snapshots, models = _run_one_seed(
+            config, feds[seed], spec, federation)
         finals[seed] = final
 
         metrics_path = outdir / f"metrics_seed{seed}.jsonl"
@@ -193,18 +201,24 @@ ABLATION_VARIANTS = (
 
 def cmd_ablate(args) -> int:
     config = _load_experiment(args)
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    spec = config.network_spec()
+    variants = []
     for name, sfmc, cpgma in ABLATION_VARIANTS:
         variant = load_config(args.config) if args.config else ExperimentConfig()
         variant.mode = "fedmp" if (sfmc or cpgma) else "fedavg"
         variant.seeds = config.seeds
         variant.enable_sfmc = sfmc
         variant.enable_cpgma = cpgma
+        feds = {seed: _federation_config(variant, seed) for seed in variant.seeds}
+        variants.append((name, variant, feds))
+    outdir = Path(config.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    federation = generate_federation(config.dataset_spec())
+    rows = []
+    for name, variant, feds in variants:
         accs = []
         for seed in variant.seeds:
-            final, _, _, _, _ = _run_one_seed(variant, seed)
+            final, _, _, _, _ = _run_one_seed(variant, feds[seed], spec, federation)
             accs.append(final)
         rows.append((name, accs, float(np.mean(accs)), float(np.std(accs))))
     path = outdir / "ablation.csv"

@@ -135,7 +135,7 @@ def compute_sfmc_loss(params: nn.Parameters, spec: nn.NetworkSpec,
         return 0.0, params.partition(spec.split_index)[1].zeros_like()
     logits, cache = nn.forward_classifier(params, spec, foreign.embeddings)
     loss, glogits = nn.softmax_cross_entropy(logits, foreign.labels)
-    grads, _ = nn.backward(params, spec, cache, glogits)
+    grads, _ = nn.backward(params, spec, cache, glogits, input_grad=False)
     return loss, grads
 
 
@@ -172,7 +172,7 @@ def compute_cpgma_loss(params: nn.Parameters, spec: nn.NetworkSpec,
     """Prototype-alignment loss with gradients for the extractor only."""
     u, cache = nn.forward_extractor(params, spec, x)
     loss, grad_u = cpgma_embedding_grad(u, np.asarray(labels), prototypes, eps_guard)
-    grads, _ = nn.backward(params, spec, cache, grad_u)
+    grads, _ = nn.backward(params, spec, cache, grad_u, input_grad=False)
     return loss, grads
 
 
@@ -204,10 +204,13 @@ def aggregate_models(params_list: list[nn.Parameters], sizes) -> nn.Parameters:
     if len(sizes) != len(params_list):
         raise ValueError("sizes must match params_list")
     weights = sizes / sizes.sum()
-    out = params_list[0].zeros_like()
+    layout = params_list[0].layout
+    if any(params.layout is not layout for params in params_list):
+        raise ValueError("client models differ in structure")
+    total = np.zeros(layout.size)
     for w, params in zip(weights, params_list):
-        out.add_scaled(params, float(w))
-    return out
+        total += float(w) * params.vec
+    return nn.Parameters.over(total, layout)
 
 
 def evaluate_accuracy(params: nn.Parameters, spec: nn.NetworkSpec,
@@ -253,8 +256,9 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                 collect_final_epoch: bool = True):
     """Mini-batch training of ``params`` in place for ``epochs`` epochs.
 
-    During the final epoch every processed sample's embedding is recorded, one
-    ``FeatureBatch`` per mini-batch, so the caller can upload them.
+    With ``collect_final_epoch``, every sample's embedding in the final epoch
+    is recorded, one ``FeatureBatch`` per mini-batch, so the caller can upload
+    them.
     Returns (feature_batches, stats).
     """
     if len(shard) == 0:
@@ -265,6 +269,9 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                              weight_decay=config.weight_decay)
     stats = LocalTrainStats()
     feature_batches: list[FeatureBatch] = []
+    # every batch's two backwards rewrite all of it: the classifier and the
+    # extractor slices together cover the whole model
+    total_grads = params.zeros_like()
     n = len(shard)
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -276,9 +283,8 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
             u, cache_f = nn.forward_extractor(params, spec, xb)
             logits, cache_c = nn.forward_classifier(params, spec, u)
             l_local, glogits = nn.softmax_cross_entropy(logits, yb)
-            grads_c, grad_u = nn.backward(params, spec, cache_c, glogits)
-            grads_f, _ = nn.backward(params, spec, cache_f, grad_u)
-            total_grads = _merge_grads(grads_f, grads_c)
+            _, grad_u = nn.backward(params, spec, cache_c, glogits, out=total_grads)
+            nn.backward(params, spec, cache_f, grad_u, input_grad=False, out=total_grads)
 
             l_sfmc = sfmc_grads = None
             if enable_sfmc and foreign:
@@ -288,7 +294,8 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                 l_cpgma, grad_u_align = cpgma_embedding_grad(
                     u, yb, prototypes, config.eps_guard
                 )
-                cpgma_grads, _ = nn.backward(params, spec, cache_f, grad_u_align)
+                cpgma_grads, _ = nn.backward(params, spec, cache_f, grad_u_align,
+                                             input_grad=False)
 
             breakdown = combine_losses(
                 l_local, l_sfmc, l_cpgma, enable_sfmc, enable_cpgma, config.eps_guard
@@ -309,18 +316,13 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     return feature_batches, stats
 
 
-def _merge_grads(a: nn.Parameters, b: nn.Parameters) -> nn.Parameters:
-    merged = dict(a.values)
-    merged.update(b.values)
-    return nn.Parameters(merged)
-
-
 def client_update(client: ClientState, server_params: nn.Parameters,
                   spec: nn.NetworkSpec, config: FederationConfig,
                   foreign: FeatureBatch, prototypes: np.ndarray,
-                  round_tag: int):
+                  round_tag: int, collect_final_epoch: bool = True):
     """One ClientUpdate: adopt the broadcast model, train E local epochs, and
-    return the updated parameters plus the final-epoch feature batches."""
+    return the updated parameters plus the final-epoch feature batches (none
+    unless ``collect_final_epoch``)."""
     client.params = server_params.copy()
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=[config.seed, 1, round_tag, client.client_id])
@@ -328,6 +330,7 @@ def client_update(client: ClientState, server_params: nn.Parameters,
     batches, stats = local_train(
         client.params, spec, client.shard, config, config.local_epochs, rng,
         foreign=foreign, prototypes=prototypes, round_tag=round_tag,
+        collect_final_epoch=collect_final_epoch,
     )
     return client.params, batches, stats
 
@@ -409,6 +412,7 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
             _, uploads[cid], stats[cid] = client_update(
                 clients[cid], server.params, spec, config, foreign,
                 server.prototypes if config.enable_cpgma else None, t,
+                collect_final_epoch=feature_traffic,
             )
 
         # broadcast, then upload entries in client-id order: independent of ``order``
@@ -510,6 +514,7 @@ def run_few_shot(config: FederationConfig, shards: list[ClientShard],
     server_params = init.copy()
     for stage, epochs in enumerate(stage_epochs, start=1):
         use_modules = stage > 1
+        final_comm = stage == num_comms
         uploads: dict[int, list[FeatureBatch]] = {}
         stats: dict[int, LocalTrainStats] = {}
         for cid in sorted(clients):
@@ -524,11 +529,11 @@ def run_few_shot(config: FederationConfig, shards: list[ClientShard],
                 round_tag=stage,
                 enable_sfmc=config.enable_sfmc and use_modules,
                 enable_cpgma=config.enable_cpgma and use_modules,
+                collect_final_epoch=not final_comm,
             )
             uploads[cid] = batches
             stats[cid] = st
 
-        final_comm = stage == num_comms
         ordered = sorted(clients)
         for cid in ordered:
             ledger.record(stage, UP, KIND_MODEL, model_bytes, cid)

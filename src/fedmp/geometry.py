@@ -114,7 +114,7 @@ def _train_classifier_on_clouds(clouds: dict, num_classes: int, dim: int,
     for _ in range(steps):
         logits, cache = nn.forward_full(params, head, x)
         _, grad = nn.softmax_cross_entropy(logits, y)
-        grads, _ = nn.backward(params, head, cache, grad)
+        grads, _ = nn.backward(params, head, cache, grad, input_grad=False)
         nn.adam_step(params, grads, state)
     return params, head, (x, y)
 
@@ -149,9 +149,9 @@ def lemma1_harness(global_clouds: dict, near_clouds: dict, far_clouds: dict,
         for name, (params, head) in trained.items():
             logits, _ = nn.forward_full(params, head, gx)
             accs[name] = float((logits.argmax(axis=1) == gy).mean())
-        ref_vec = _flatten(trained["global"][0])
+        ref_vec = trained["global"][0].vec
         dist = {
-            name: float(np.linalg.norm(_flatten(p) - ref_vec))
+            name: float(np.linalg.norm(p.vec - ref_vec))
             for name, (p, _) in trained.items()
         }
         trials.append({"seed": seed, "accuracy": accs, "param_distance": dist,
@@ -164,10 +164,6 @@ def lemma1_harness(global_clouds: dict, near_clouds: dict, far_clouds: dict,
         "wins": wins,
         "passed": wins >= min(len(trials), 2) if len(trials) > 1 else wins == 1,
     }
-
-
-def _flatten(params: nn.Parameters) -> np.ndarray:
-    return np.concatenate([params[k].ravel() for k in params.keys()])
 
 
 def pca_project_2d(cloud) -> np.ndarray:

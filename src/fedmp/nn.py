@@ -105,51 +105,142 @@ def mlp_spec(input_dim: int, extractor_hidden, classifier_hidden, num_classes: i
     return NetworkSpec(layers=tuple(layers), split_index=split, num_classes=num_classes)
 
 
-class Parameters:
-    """Per-layer weight/bias tensors addressable by (layer index, kind)."""
+class _Layout:
+    """Where each (layer, kind) tensor sits in a flat float64 vector.
 
-    __slots__ = ("values",)
+    Keys are in sorted order, so the tensors of any layer range ``[start,
+    stop)`` form one contiguous slice. Layouts are interned by their keys and
+    shapes: every model of one structure shares one layout, which caches its
+    sub-layouts and the offsets of other layouts within it.
+    """
+
+    __slots__ = ("signature", "keys", "spans", "size", "_subs", "_offsets")
+
+    def __init__(self, signature: tuple):
+        self.signature = signature
+        self.keys = tuple(key for key, _ in signature)
+        self.spans = {}
+        offset = 0
+        for key, shape in signature:
+            size = int(np.prod(shape, dtype=np.int64))
+            self.spans[key] = (offset, offset + size, shape)
+            offset += size
+        self.size = offset
+        self._subs = {}
+        self._offsets = {}
+
+    def sub(self, start: int, stop: int | None) -> tuple["_Layout", int, int]:
+        """The layout of layers ``[start, stop)`` and its slice of the vector."""
+        found = self._subs.get((start, stop))
+        if found is None:
+            rows = [i for i, key in enumerate(self.keys)
+                    if start <= key[0] and (stop is None or key[0] < stop)]
+            lo = self.spans[self.keys[rows[0]]][0] if rows else 0
+            part = _layout(self.signature[rows[0]:rows[-1] + 1] if rows else ())
+            found = self._subs[(start, stop)] = (part, lo, lo + part.size)
+        return found
+
+    def offset_of(self, part: "_Layout") -> int:
+        """Where ``part``'s tensors start in this layout's vector; they must be
+        a contiguous run of this layout's tensors."""
+        found = self._offsets.get(part)
+        if found is None:
+            keys = part.keys
+            first = self.keys.index(keys[0]) if keys and keys[0] in self.spans else 0
+            if self.signature[first:first + len(keys)] != part.signature:
+                raise ShapeError(f"tensors {list(keys)} are not a run of {list(self.keys)}")
+            found = self._offsets[part] = self.spans[keys[0]][0] if keys else 0
+        return found
+
+    def views(self, vec: np.ndarray) -> dict:
+        return {key: vec[a:b].reshape(shape) for key, (a, b, shape) in self.spans.items()}
+
+
+_LAYOUTS: dict[tuple, _Layout] = {}
+
+
+def _layout(signature: tuple) -> _Layout:
+    found = _LAYOUTS.get(signature)
+    if found is None:
+        found = _LAYOUTS[signature] = _Layout(signature)
+    return found
+
+
+class Parameters:
+    """Per-layer weight/bias tensors addressable by (layer index, kind).
+
+    All tensors live in one contiguous float64 vector ``vec``, in sorted key
+    order; ``params[key]`` is a view of it, and assigning to a key writes into
+    that view. The views are made on first use: most gradient and optimizer
+    vectors are only ever used whole.
+    """
+
+    __slots__ = ("vec", "layout", "_views")
 
     def __init__(self, values: dict[tuple[int, str], np.ndarray]):
-        self.values = values
+        keys = sorted(values)
+        arrays = [np.asarray(values[k], dtype=np.float64) for k in keys]
+        layout = _layout(tuple((k, a.shape) for k, a in zip(keys, arrays)))
+        vec = np.concatenate([a.ravel() for a in arrays]) if arrays else np.zeros(0)
+        self._bind(vec, layout)
+
+    def _bind(self, vec: np.ndarray, layout: _Layout) -> None:
+        self.vec = vec
+        self.layout = layout
+        self._views = None
+
+    @classmethod
+    def over(cls, vec: np.ndarray, layout: _Layout) -> "Parameters":
+        """Parameters backed by ``vec`` itself (no copy)."""
+        params = cls.__new__(cls)
+        params._bind(vec, layout)
+        return params
 
     def __getitem__(self, key):
-        return self.values[key]
+        if self._views is None:
+            self._views = self.layout.views(self.vec)
+        return self._views[key]
 
     def __setitem__(self, key, value):
-        self.values[key] = value
+        view = self[key]
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != view.shape:
+            raise ShapeError(f"{key}: shape {value.shape} != {view.shape}")
+        view[...] = value
 
     def keys(self):
-        return sorted(self.values.keys())
+        return list(self.layout.keys)
 
     def copy(self) -> "Parameters":
-        return Parameters({k: v.copy() for k, v in self.values.items()})
+        return Parameters.over(self.vec.copy(), self.layout)
 
     def zeros_like(self) -> "Parameters":
-        return Parameters({k: np.zeros_like(v) for k, v in self.values.items()})
+        return Parameters.over(np.zeros(self.layout.size), self.layout)
 
     def allclose(self, other: "Parameters", **kw) -> bool:
-        return self.keys() == other.keys() and all(
-            np.allclose(self.values[k], other.values[k], **kw) for k in self.keys()
-        )
+        return self.layout is other.layout and bool(np.allclose(self.vec, other.vec, **kw))
 
     def equal(self, other: "Parameters") -> bool:
-        return self.keys() == other.keys() and all(
-            np.array_equal(self.values[k], other.values[k]) for k in self.keys()
-        )
+        return self.layout is other.layout and bool(np.array_equal(self.vec, other.vec))
 
     def count(self) -> int:
-        return sum(v.size for v in self.values.values())
+        return self.layout.size
 
     def add_scaled(self, other: "Parameters", scale: float) -> None:
-        for k in other.values:
-            self.values[k] += scale * other.values[k]
+        # only the slice ``other`` covers: adding 0.0 elsewhere would turn
+        # -0.0 into +0.0
+        lo = self.layout.offset_of(other.layout)
+        target = self.vec[lo:lo + other.layout.size]
+        target += scale * other.vec
+
+    def layers(self, start: int, stop: int | None) -> "Parameters":
+        """The tensors of layers ``[start, stop)``, sharing this vector."""
+        part, lo, hi = self.layout.sub(start, stop)
+        return Parameters.over(self.vec[lo:hi], part)
 
     def partition(self, split_index: int) -> tuple["Parameters", "Parameters"]:
         """Split into extractor and classifier halves by layer index."""
-        ext = {k: v for k, v in self.values.items() if k[0] < split_index}
-        cls = {k: v for k, v in self.values.items() if k[0] >= split_index}
-        return Parameters(ext), Parameters(cls)
+        return self.layers(0, split_index), self.layers(split_index, None)
 
 
 def init_params(spec: NetworkSpec, seed: int) -> Parameters:
@@ -171,11 +262,11 @@ def check_params(params: Parameters, spec: NetworkSpec) -> None:
         if layer[0] != AFFINE:
             continue
         _, n_in, n_out = layer
-        w = params.values.get((idx, "W"))
-        b = params.values.get((idx, "b"))
-        if w is None or w.shape != (n_in, n_out):
+        w = params.layout.spans.get((idx, "W"))
+        b = params.layout.spans.get((idx, "b"))
+        if w is None or w[2] != (n_in, n_out):
             raise ShapeError(f"layer {idx}: weight shape mismatch (want {(n_in, n_out)})")
-        if b is None or b.shape != (n_out,):
+        if b is None or b[2] != (n_out,):
             raise ShapeError(f"layer {idx}: bias shape mismatch (want {(n_out,)})")
 
 
@@ -208,30 +299,45 @@ def forward(params: Parameters, spec: NetworkSpec, x: np.ndarray,
     return out, cache
 
 
-def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray):
+def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
+             input_grad: bool = True, out: Parameters | None = None):
     """Reverse-mode pass over the layers recorded in ``cache``.
 
     Returns (grads, grad_input). ``grads`` only holds entries for the layers
     covered by the cache, so a classifier-only cache yields classifier-only
-    gradients (nothing flows into the extractor).
+    gradients (nothing flows into the extractor). They are written into one
+    vector, or into the matching slice of ``out`` (laid out like ``params``)
+    when given. With ``input_grad=False`` the gradient is not carried below the
+    first cached affine layer and ``grad_input`` is None.
     """
     grad = np.asarray(upstream, dtype=np.float64)
-    grads = {}
+    start, stop = (cache[0][0], cache[-1][0] + 1) if cache else (0, 0)
+    part, lo, hi = params.layout.sub(start, stop)
+    if out is None:
+        grads = out = Parameters.over(np.empty(hi - lo), part)
+    elif out.layout is params.layout:
+        grads = Parameters.over(out.vec[lo:hi], part)
+    else:
+        raise ShapeError("out must be laid out like params")
+    first = part.keys[0][0] if part.keys else None
     for entry in reversed(cache):
         idx, saved = entry
         kind = spec.layers[idx][0]
         if kind == AFFINE:
             x = saved
-            if grad.shape != (x.shape[0], params[(idx, "W")].shape[1]):
+            w = params[(idx, "W")]
+            if grad.shape != (x.shape[0], w.shape[1]):
                 raise ShapeError(f"layer {idx}: upstream gradient shape mismatch")
-            grads[(idx, "W")] = x.T @ grad
-            grads[(idx, "b")] = grad.sum(axis=0)
-            grad = grad @ params[(idx, "W")].T
+            np.matmul(x.T, grad, out=out[(idx, "W")])
+            grad.sum(axis=0, out=out[(idx, "b")])
+            if idx == first and not input_grad:
+                return grads, None
+            grad = grad @ w.T
         elif kind == RELU:
             grad = grad * (saved > 0.0)
         else:  # flatten
             grad = grad.reshape(saved)
-    return Parameters(grads), grad
+    return grads, grad
 
 
 def forward_extractor(params: Parameters, spec: NetworkSpec, x: np.ndarray):
@@ -294,35 +400,52 @@ class AdamState:
             self.v = params.zeros_like()
 
 
+def _checked_gradient(params: Parameters, grads: Parameters) -> tuple[np.ndarray, int]:
+    """``grads.vec`` checked for finiteness before anything is updated, and
+    where it starts in ``params.vec``."""
+    if not np.isfinite(grads.vec).all():
+        bad = next(k for k in grads.keys() if not np.isfinite(grads[k]).all())
+        raise ValueError(f"non-finite gradient at {bad}")
+    return grads.vec, params.layout.offset_of(grads.layout)
+
+
 def adam_step(params: Parameters, grads: Parameters, state: AdamState) -> None:
-    """One Adam update in place; weight decay enters as an additive L2 term."""
+    """One Adam update in place; weight decay enters as an additive L2 term.
+    Layers missing from ``grads`` get a zero gradient."""
+    g, lo = _checked_gradient(params, grads)
+    if g.size != params.vec.size:
+        full = np.zeros(params.vec.size)
+        full[lo:lo + g.size] = g
+        g = full
     state.ensure(params)
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for key in params.keys():
-        g = grads.values.get(key)
-        g = np.zeros_like(params[key]) if g is None else g
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient at {key}")
-        if state.weight_decay:
-            g = g + state.weight_decay * params[key]
-        state.m[key] = b1 * state.m[key] + (1 - b1) * g
-        state.v[key] = b2 * state.v[key] + (1 - b2) * g * g
-        m_hat = state.m[key] / (1 - b1**t)
-        v_hat = state.v[key] / (1 - b2**t)
-        params[key] -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    p, m, v = params.vec, state.m.vec, state.v.vec
+    if state.weight_decay:
+        g = g + state.weight_decay * p
+    # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g, in place
+    m *= b1
+    m += (1 - b1) * g
+    g2 = (1 - b2) * g
+    g2 *= g
+    v *= b2
+    v += g2
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += state.eps
+    m_hat *= state.learning_rate
+    m_hat /= v_hat
+    p -= m_hat
 
 
 def sgd_step(params: Parameters, grads: Parameters, state: AdamState) -> None:
-    """Plain SGD fallback sharing the AdamState hyperparameter container."""
+    """Plain SGD fallback sharing the AdamState hyperparameter container.
+    Only the layers present in ``grads`` are updated, weight decay included."""
+    g, lo = _checked_gradient(params, grads)
     state.step += 1
-    for key in params.keys():
-        g = grads.values.get(key)
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient at {key}")
-        if state.weight_decay:
-            g = g + state.weight_decay * params[key]
-        params[key] -= state.learning_rate * g
+    p = params.vec[lo:lo + g.size]
+    if state.weight_decay:
+        g = g + state.weight_decay * p
+    p -= state.learning_rate * g

@@ -94,7 +94,7 @@ def train_decoder(extractor_params: nn.Parameters, spec: nn.NetworkSpec,
             idx = order[start:start + config.batch_size]
             out, cache = nn.forward_full(dec_params, dec_spec, z_train[idx])
             grad = 2.0 * (out - x_train[idx]) / out.size
-            grads, _ = nn.backward(dec_params, dec_spec, cache, grad)
+            grads, _ = nn.backward(dec_params, dec_spec, cache, grad, input_grad=False)
             nn.adam_step(dec_params, grads, state)
     return dec_params, dec_spec
 

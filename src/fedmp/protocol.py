@@ -67,20 +67,13 @@ class CorruptBlobError(ValueError):
 # model blobs: 8-byte header (magic, tensor count), then per tensor an 8-byte
 # shape header (rows, cols as u32) and float32 payload in sorted key order.
 
-def _model_tensors(params: Parameters):
-    for key in params.keys():
-        arr = params[key]
-        if arr.ndim == 1:
-            yield key, 1, arr.shape[0], arr
-        else:
-            yield key, arr.shape[0], arr.shape[1], arr
-
-
 def serialize_model(params: Parameters) -> bytes:
-    parts = [struct.pack("<II", MODEL_MAGIC, len(params.keys()))]
-    for _, rows, cols, arr in _model_tensors(params):
+    payload = params.vec.astype("<f4")
+    parts = [struct.pack("<II", MODEL_MAGIC, len(params.layout.keys))]
+    for lo, hi, shape in params.layout.spans.values():
+        rows, cols = (1, shape[0]) if len(shape) == 1 else shape
         parts.append(struct.pack("<II", rows, cols))
-        parts.append(arr.astype("<f4").tobytes())
+        parts.append(payload[lo:hi].tobytes())
     return b"".join(parts)
 
 
@@ -135,7 +128,7 @@ def _reference_keys(spec: NetworkSpec):
 
 def model_blob_bytes(params: Parameters) -> int:
     """Closed-form length: 8 + sum over tensors of (8 + 4 * count)."""
-    return 8 + sum(8 + 4 * params[k].size for k in params.keys())
+    return 8 + 8 * len(params.layout.keys) + 4 * params.count()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from fedmp import cli
 from fedmp.cli import main
 from fedmp.config import ExperimentConfig
 from fedmp.data import generate_federation, merge_shards
@@ -52,6 +53,40 @@ def test_run_rejects_u16_overflow(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "num_classes must be <= 65535" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def generations(monkeypatch):
+    """Counts the federations the CLI generates."""
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return generate_federation(spec)
+
+    monkeypatch.setattr(cli, "generate_federation", counting)
+    return calls
+
+
+def test_run_validates_before_generating(tmp_path, capsys, generations):
+    path = tmp_path / "many.cfg"
+    path.write_text("input_dim = 2\nclasses = 2\nclients = 65536\n"
+                    "samples_per_client = 1\nseeds = 0, 1\n")
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "run")) == 1
+    assert "num_clients must be <= 65535" in capsys.readouterr().err
+    assert generations == []
+
+
+def test_run_generates_once_for_all_seeds(cfg_path, tmp_path, generations):
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "r")) == 0
+    assert len(generations) == 1
+    assert sorted(p.name for p in (tmp_path / "r").glob("metrics_seed*")) == [
+        "metrics_seed0.jsonl", "metrics_seed1.jsonl"]
+
+
+def test_ablate_generates_once(cfg_path, tmp_path, generations):
+    assert run_cli("ablate", "--config", str(cfg_path), "--out", str(tmp_path / "a")) == 0
+    assert len(generations) == 1
 
 
 class TestGenerate:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmp import nn
+from fedmp import federation, nn
 from fedmp.data import ClientShard, DatasetSpec, generate_federation
 from fedmp.federation import (
     FederationConfig,
@@ -390,6 +390,36 @@ class TestClientUpdate:
         state = nn.AdamState(learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay)
         nn.adam_step(ref, grads, state)
         assert got.equal(ref)
+
+    @pytest.mark.parametrize("sfmc,cpgma", [(False, False), (True, False), (False, True)])
+    def test_features_collected_only_when_read(self, monkeypatch, sfmc, cpgma):
+        # with both modules off nothing reads the final-epoch embeddings
+        returned = []
+
+        def spy(*args, **kwargs):
+            out = original(*args, **kwargs)
+            returned.append(out[1])
+            return out
+
+        original = federation.client_update
+        monkeypatch.setattr(federation, "client_update", spy)
+        shards, global_test = small_federation(num_clients=2)
+        cfg = FederationConfig(rounds=2, num_clients=2, local_epochs=1, num_classes=3,
+                               batch_size=4, seed=0, enable_sfmc=sfmc, enable_cpgma=cpgma,
+                               track_geometry=False)
+        run_federation(cfg, shards, small_spec(), global_test)
+        assert len(returned) == 4
+        rows = [sum(len(b) for b in batches) for batches in returned]
+        assert rows == ([0] * 4 if not (sfmc or cpgma) else [12] * 4)
+
+    def test_no_batches_when_not_collecting(self):
+        spec = small_spec()
+        server = nn.init_params(spec, 0)
+        client = ClientState(client_id=0, shard=self.shard(), params=server.copy())
+        cfg = self.config(enable_sfmc=False, enable_cpgma=False)
+        _, batches, _ = client_update(client, server, spec, cfg, [], None, 1,
+                                      collect_final_epoch=False)
+        assert batches == []
 
     def test_empty_shard_rejected(self):
         spec = small_spec()

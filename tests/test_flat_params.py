@@ -1,0 +1,355 @@
+"""The flat parameter vector against the per-tensor code it replaced.
+
+Every model is one contiguous float64 vector with a view per (layer, kind)
+tensor. The optimizers, aggregation and serialization run over the whole
+vector (or one slice of it), and must give the same bits as the per-key loops
+copied below as references. Comparisons are on raw bytes, so a -0.0 that
+turns into +0.0 fails them.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fedmp import nn, privacy
+from fedmp.federation import aggregate_models
+from fedmp.protocol import MODEL_MAGIC, deserialize_model, serialize_model
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_tensors(params: nn.Parameters, ref: dict) -> bool:
+    return params.keys() == sorted(ref) and all(same_bits(params[k], ref[k]) for k in ref)
+
+
+# ---------------------------------------------------------------------------
+# per-key references: the dict-of-tensors code the flat vector replaced
+
+
+class RefAdam:
+    def __init__(self, state: nn.AdamState):
+        self.hp = state
+        self.step = 0
+        self.m = self.v = None
+
+
+def reference_adam_step(params: dict, grads: dict, state: RefAdam) -> None:
+    hp = state.hp
+    if state.m is None:
+        state.m = {k: np.zeros_like(v) for k, v in params.items()}
+        state.v = {k: np.zeros_like(v) for k, v in params.items()}
+    state.step += 1
+    t = state.step
+    b1, b2 = hp.beta1, hp.beta2
+    for key in sorted(params):
+        g = grads.get(key)
+        g = np.zeros_like(params[key]) if g is None else g
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"non-finite gradient at {key}")
+        if hp.weight_decay:
+            g = g + hp.weight_decay * params[key]
+        state.m[key] = b1 * state.m[key] + (1 - b1) * g
+        state.v[key] = b2 * state.v[key] + (1 - b2) * g * g
+        m_hat = state.m[key] / (1 - b1**t)
+        v_hat = state.v[key] / (1 - b2**t)
+        params[key] -= hp.learning_rate * m_hat / (np.sqrt(v_hat) + hp.eps)
+
+
+def reference_sgd_step(params: dict, grads: dict, hp: nn.AdamState) -> None:
+    for key in sorted(params):
+        g = grads.get(key)
+        if g is None:
+            continue
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"non-finite gradient at {key}")
+        if hp.weight_decay:
+            g = g + hp.weight_decay * params[key]
+        params[key] -= hp.learning_rate * g
+
+
+def reference_aggregate(models: list[dict], sizes) -> dict:
+    sizes = np.asarray(sizes, dtype=np.float64)
+    weights = sizes / sizes.sum()
+    out = {k: np.zeros_like(v) for k, v in models[0].items()}
+    for w, model in zip(weights, models):
+        for k in model:
+            out[k] += float(w) * model[k]
+    return out
+
+
+def reference_serialize(params: nn.Parameters) -> bytes:
+    parts = [struct.pack("<II", MODEL_MAGIC, len(params.keys()))]
+    for key in params.keys():
+        arr = params[key]
+        rows, cols = (1, arr.shape[0]) if arr.ndim == 1 else arr.shape
+        parts.append(struct.pack("<II", rows, cols))
+        parts.append(arr.astype("<f4").tobytes())
+    return b"".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+@st.composite
+def networks(draw):
+    width = st.integers(1, 7)
+    spec = nn.mlp_spec(draw(width), draw(st.lists(width, min_size=1, max_size=2)),
+                       draw(st.lists(width, max_size=2)), draw(st.integers(2, 4)))
+    return spec, draw(st.integers(0, 2**31 - 1))
+
+
+def random_tensors(spec: nn.NetworkSpec, rng, layers) -> dict:
+    """Normal draws for the tensors of ``layers``, with some exact +0.0 and
+    -0.0 entries so sign-of-zero changes show."""
+    out = {}
+    params = nn.init_params(spec, 0)
+    for key in params.keys():
+        if key[0] not in layers:
+            continue
+        arr = rng.normal(size=params[key].shape)
+        arr[rng.random(arr.shape) < 0.15] = 0.0
+        arr[rng.random(arr.shape) < 0.15] = -0.0
+        out[key] = arr
+    return out
+
+
+COVERS = ("full", "classifier", "extractor")
+
+
+def covered_layers(spec: nn.NetworkSpec, cover: str) -> range:
+    n, split = len(spec.layers), spec.split_index
+    return {"full": range(n), "classifier": range(split, n), "extractor": range(split)}[cover]
+
+
+def as_grads(params: nn.Parameters, spec: nn.NetworkSpec, tensors: dict, cover: str):
+    """``tensors`` as a Parameters over the covered slice, the way backward
+    returns them."""
+    layers = covered_layers(spec, cover)
+    part = params.layers(layers.start, layers.stop).zeros_like()
+    for key, value in tensors.items():
+        part[key] = value
+    return part
+
+
+# ---------------------------------------------------------------------------
+# optimizers and aggregation
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=networks(), steps=st.integers(1, 4), decay=st.booleans(),
+       cover=st.sampled_from(COVERS))
+def test_adam_step_matches_per_key_reference(net, steps, decay, cover):
+    spec, seed = net
+    rng = np.random.default_rng(seed)
+    params = nn.init_params(spec, seed)
+    ref = {k: params[k].copy() for k in params.keys()}
+    state = nn.AdamState(learning_rate=1e-2, weight_decay=5e-3 if decay else 0.0)
+    ref_state = RefAdam(nn.AdamState(learning_rate=1e-2, weight_decay=state.weight_decay))
+    for _ in range(steps):
+        tensors = random_tensors(spec, rng, covered_layers(spec, cover))
+        nn.adam_step(params, as_grads(params, spec, tensors, cover), state)
+        reference_adam_step(ref, tensors, ref_state)
+    assert same_tensors(params, ref)
+    assert same_tensors(state.m, ref_state.m) and same_tensors(state.v, ref_state.v)
+    assert state.step == ref_state.step == steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=networks(), steps=st.integers(1, 4), decay=st.booleans(),
+       cover=st.sampled_from(COVERS))
+def test_sgd_step_matches_per_key_reference(net, steps, decay, cover):
+    spec, seed = net
+    rng = np.random.default_rng(seed)
+    params = nn.init_params(spec, seed)
+    ref = {k: params[k].copy() for k in params.keys()}
+    state = nn.AdamState(learning_rate=1e-1, weight_decay=5e-3 if decay else 0.0)
+    for _ in range(steps):
+        tensors = random_tensors(spec, rng, covered_layers(spec, cover))
+        nn.sgd_step(params, as_grads(params, spec, tensors, cover), state)
+        reference_sgd_step(ref, tensors, state)
+    assert same_tensors(params, ref)
+    assert state.step == steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=networks(), sizes=st.lists(st.integers(1, 500), min_size=1, max_size=4))
+def test_aggregate_matches_per_key_reference(net, sizes):
+    spec, seed = net
+    rng = np.random.default_rng(seed)
+    models = [random_tensors(spec, rng, range(len(spec.layers))) for _ in sizes]
+    got = aggregate_models([nn.Parameters(m) for m in models], sizes)
+    assert same_tensors(got, reference_aggregate(models, sizes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=networks(), cover=st.sampled_from(COVERS), scale=st.floats(-2, 2))
+def test_add_scaled_touches_only_the_covered_slice(net, cover, scale):
+    spec, seed = net
+    rng = np.random.default_rng(seed)
+    every = range(len(spec.layers))
+    base = random_tensors(spec, rng, every)
+    tensors = random_tensors(spec, rng, covered_layers(spec, cover))
+    params = nn.Parameters(base)
+    params.add_scaled(as_grads(params, spec, tensors, cover), scale)
+    ref = {k: v.copy() for k, v in base.items()}
+    for k in tensors:
+        ref[k] += scale * tensors[k]
+    assert same_tensors(params, ref)
+
+
+# ---------------------------------------------------------------------------
+# backward without the input gradient
+
+
+def decoder_spec():
+    # a leading flatten, as the inversion attack's decoders have
+    enc = nn.mlp_spec(5, (4,), (3,), 2)
+    return privacy.mirror_decoder_spec(enc, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=networks(), rows=st.integers(1, 9), part=st.sampled_from(("full", "extractor",
+                                                                     "classifier")))
+def test_backward_without_input_grad_same_param_grads(net, rows, part):
+    spec, seed = net
+    rng = np.random.default_rng(seed)
+    params = nn.init_params(spec, seed)
+    if part == "classifier":
+        out, cache = nn.forward_classifier(params, spec, rng.normal(size=(rows, spec.embedding_dim)))
+    elif part == "extractor":
+        out, cache = nn.forward_extractor(params, spec, rng.normal(size=(rows, spec.input_dim)))
+    else:
+        out, cache = nn.forward_full(params, spec, rng.normal(size=(rows, spec.input_dim)))
+    upstream = rng.normal(size=out.shape)
+    with_input, grad_in = nn.backward(params, spec, cache, upstream)
+    without, none = nn.backward(params, spec, cache, upstream, input_grad=False)
+    assert none is None and grad_in.shape == cache[0][1].shape
+    assert with_input.keys() == without.keys()
+    assert same_bits(with_input.vec, without.vec)
+
+
+def test_backward_without_input_grad_past_a_flatten():
+    spec = decoder_spec()
+    params = nn.init_params(spec, 3)
+    out, cache = nn.forward_full(params, spec, np.random.default_rng(3).normal(size=(6, 4)))
+    with_input, _ = nn.backward(params, spec, cache, np.ones_like(out))
+    without, none = nn.backward(params, spec, cache, np.ones_like(out), input_grad=False)
+    assert none is None and same_bits(with_input.vec, without.vec)
+
+
+def test_backward_writes_into_out_slices():
+    spec = nn.mlp_spec(4, (5,), (3,), 2)
+    params = nn.init_params(spec, 1)
+    x = np.random.default_rng(1).normal(size=(3, 4))
+    u, cache_f = nn.forward_extractor(params, spec, x)
+    logits, cache_c = nn.forward_classifier(params, spec, u)
+    out = params.zeros_like()
+    grads_c, grad_u = nn.backward(params, spec, cache_c, np.ones_like(logits), out=out)
+    grads_f, _ = nn.backward(params, spec, cache_f, grad_u, input_grad=False, out=out)
+    full, _ = nn.backward(params, spec, cache_f + cache_c, np.ones_like(logits))
+    assert same_bits(out.vec, full.vec)
+    assert np.shares_memory(grads_c.vec, out.vec) and np.shares_memory(grads_f.vec, out.vec)
+
+
+# ---------------------------------------------------------------------------
+# the vector and its views
+
+
+@settings(max_examples=30, deadline=None)
+@given(net=networks())
+def test_writes_through_keys_reach_vec(net):
+    spec, seed = net
+    rng = np.random.default_rng(seed)
+    params = nn.init_params(spec, seed)
+    for key in params.keys():
+        value = rng.normal(size=params[key].shape)
+        params[key] = value
+        lo = params.layout.spans[key][0]
+        assert same_bits(params.vec[lo:lo + value.size], value.ravel())
+        params[key] += 1.0
+        assert same_bits(params.vec[lo:lo + value.size], (value + 1.0).ravel())
+    before = params.vec.copy()
+    key = params.keys()[0]
+    with pytest.raises(nn.ShapeError):
+        params[key] = np.zeros(params[key].size + 1)
+    assert same_bits(params.vec, before)
+
+
+@settings(max_examples=30, deadline=None)
+@given(net=networks())
+def test_copy_does_not_alias(net):
+    spec, seed = net
+    params = nn.init_params(spec, seed)
+    before = params.vec.copy()
+    dup = params.copy()
+    assert not np.shares_memory(dup.vec, params.vec)
+    dup.vec += 1.0
+    for key in dup.keys():
+        dup[key] = np.zeros(dup[key].shape)
+    assert same_bits(params.vec, before)
+    assert dup.layout is params.layout
+
+
+@settings(max_examples=30, deadline=None)
+@given(net=networks())
+def test_layer_ranges_are_contiguous_views(net):
+    spec, seed = net
+    params = nn.init_params(spec, seed)
+    ext, cls = params.partition(spec.split_index)
+    assert all(k[0] < spec.split_index for k in ext.keys())
+    assert all(k[0] >= spec.split_index for k in cls.keys())
+    assert same_bits(np.concatenate([ext.vec, cls.vec]), params.vec)
+    assert np.shares_memory(ext.vec, params.vec) and np.shares_memory(cls.vec, params.vec)
+    # layouts are built once per structure and range
+    assert params.partition(spec.split_index)[1].layout is cls.layout
+    assert nn.init_params(spec, seed + 1).layout is params.layout
+
+
+@settings(max_examples=30, deadline=None)
+@given(net=networks())
+def test_dict_round_trips_through_model_blobs(net):
+    spec, seed = net
+    rng = np.random.default_rng(seed)
+    tensors = {k: v.astype(np.float32).astype(np.float64)
+               for k, v in random_tensors(spec, rng, range(len(spec.layers))).items()}
+    params = nn.Parameters(tensors)
+    blob = serialize_model(params)
+    assert blob == reference_serialize(params)
+    out = deserialize_model(blob, spec)
+    assert same_tensors(out, tensors)
+    assert same_bits(out.vec, params.vec)
+
+
+# ---------------------------------------------------------------------------
+# non-finite gradients
+
+
+@pytest.mark.parametrize("step", [nn.adam_step, nn.sgd_step])
+@pytest.mark.parametrize("cover", COVERS)
+def test_non_finite_gradient_changes_nothing(step, cover):
+    spec = nn.mlp_spec(3, (4,), (5,), 2)
+    params = nn.init_params(spec, 0)
+    state = nn.AdamState(learning_rate=1e-2)
+    rng = np.random.default_rng(0)
+    full = covered_layers(spec, "full")
+    step(params, as_grads(params, spec, random_tensors(spec, rng, full), "full"), state)
+    tensors = random_tensors(spec, rng, covered_layers(spec, cover))
+    first, later = sorted(tensors)[-2:]
+    tensors[first].flat[-1] = np.nan
+    tensors[later].flat[0] = np.inf
+    snapshot = params.vec.copy()
+    moments = [None if s is None else s.vec.copy() for s in (state.m, state.v)]
+    with pytest.raises(ValueError, match="non-finite") as err:
+        step(params, as_grads(params, spec, tensors, cover), state)
+    assert str(first) in str(err.value) and str(later) not in str(err.value)
+    assert same_bits(params.vec, snapshot)
+    assert state.step == 1
+    for s, before in zip((state.m, state.v), moments):
+        assert (s is None and before is None) or same_bits(s.vec, before)
