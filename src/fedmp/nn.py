@@ -9,6 +9,7 @@ fully deterministic given a seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +123,7 @@ class _Layout:
         self.spans = {}
         offset = 0
         for key, shape in signature:
-            size = int(np.prod(shape, dtype=np.int64))
+            size = math.prod(shape)
             self.spans[key] = (offset, offset + size, shape)
             offset += size
         self.size = offset
