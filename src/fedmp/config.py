@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .data import DatasetSpec
-from .federation import FederationConfig
+from .federation import OPTIMIZERS, FederationConfig
 from .nn import NetworkSpec, mlp_spec
 
 ENV_PREFIX = "FEDMP_"
@@ -38,11 +38,22 @@ def _parse_int_list(value: str) -> tuple:
     return tuple(int(v.strip()) for v in value.split(","))
 
 
-def _parse_mode(value: str) -> str:
-    v = value.strip().lower()
-    if v not in MODES:
-        raise ValueError(f"must be one of {MODES}")
-    return v
+def _parse_widths(value: str, allow_empty: bool) -> tuple:
+    widths = _parse_int_list(value)
+    if not widths and not allow_empty:
+        raise ValueError("needs at least one width")
+    if any(w < 1 for w in widths):
+        raise ValueError(f"widths must be positive, got {widths}")
+    return widths
+
+
+def _choice(options: tuple):
+    def parse(value: str) -> str:
+        v = value.strip().lower()
+        if v not in options:
+            raise ValueError(f"must be one of {options}")
+        return v
+    return parse
 
 
 @dataclass
@@ -126,7 +137,10 @@ class ExperimentConfig:
 _PARSE_BY_TYPE = {"int": int, "float": float, "bool": _parse_bool,
                   "tuple": _parse_int_list, "str": str}
 _PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
-_PARSERS["mode"] = _parse_mode
+_PARSERS["mode"] = _choice(MODES)
+_PARSERS["optimizer"] = _choice(OPTIMIZERS)
+_PARSERS["hidden_extractor"] = lambda value: _parse_widths(value, allow_empty=False)
+_PARSERS["hidden_classifier"] = lambda value: _parse_widths(value, allow_empty=True)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:

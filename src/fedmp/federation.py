@@ -29,6 +29,9 @@ from .protocol import (
 )
 
 
+OPTIMIZERS = ("adam", "sgd")
+
+
 @dataclass
 class FederationConfig:
     rounds: int = 30
@@ -58,7 +61,7 @@ class FederationConfig:
             raise ValueError("rounds, num_clients, local_epochs must be >= 1")
         if self.batch_size < 1 or self.sample_count < 0:
             raise ValueError("batch_size >= 1 and sample_count >= 0 required")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         for name in ("num_clients", "num_classes"):     # u16 fields of feature blobs
             if getattr(self, name) > 0xFFFF:
@@ -149,6 +152,12 @@ def cpgma_embedding_grad(u: np.ndarray, labels: np.ndarray, prototypes: np.ndarr
     """
     loss = 0.0
     grad_u = np.zeros_like(u)
+    # row norms and unit rows of the whole batch, once; in C order a row's
+    # norm does not depend on which other rows are reduced with it
+    u = np.ascontiguousarray(u)
+    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    np.maximum(norms, eps_guard, out=norms)
+    u_hat = u / norms
     for cls in np.unique(labels):
         p = prototypes[cls]
         p_norm = np.linalg.norm(p)
@@ -156,13 +165,15 @@ def cpgma_embedding_grad(u: np.ndarray, labels: np.ndarray, prototypes: np.ndarr
             continue
         p_hat = p / p_norm
         idx = np.flatnonzero(labels == cls)
-        uc = u[idx]
-        norms = np.maximum(np.linalg.norm(uc, axis=1, keepdims=True), eps_guard)
-        u_hat = uc / norms
-        cos = u_hat @ p_hat
+        uc_hat = u_hat[idx]
+        cos = uc_hat @ p_hat
         loss -= float(cos.mean())
         # d(-cos)/du = -(p_hat - cos * u_hat) / ||u||, averaged within the class
-        grad_u[idx] = -(p_hat[None, :] - cos[:, None] * u_hat) / norms / len(idx)
+        g = p_hat - cos[:, None] * uc_hat
+        np.negative(g, out=g)
+        g /= norms[idx]
+        g /= len(idx)
+        grad_u[idx] = g
     return loss, grad_u
 
 
@@ -342,10 +353,12 @@ def _sample_seed(config_seed: int, round_tag: int, client_id: int) -> int:
 
 def _server_feature_update(server: ServerState, uploads: dict, sizes: dict,
                            config: FederationConfig) -> None:
-    """Bank insertion plus the two-level EMA, in client-id then batch order."""
+    """Bank insertion plus the two-level EMA, in client-id then batch order.
+    Each client's batches enter the bank in one insert: a FIFO slot keeps the
+    same rows whether it is trimmed after each batch or after all of them."""
     for cid in sorted(uploads):
+        server.bank.insert(FeatureBatch.concat(uploads[cid]))
         for batch in uploads[cid]:
-            server.bank.insert(batch)
             for cls in np.unique(batch.labels):
                 server.client_centers[cid, cls] = update_client_center(
                     server.client_centers[cid, cls],

@@ -61,6 +61,10 @@ class NetworkSpec:
         width = None
         for idx, layer in enumerate(self.layers):
             if layer[0] == AFFINE:
+                if min(layer[1], layer[2]) < 1:
+                    raise ShapeError(
+                        f"layer {idx}: affine widths must be positive, got {layer[1]} -> {layer[2]}"
+                    )
                 if width is not None and layer[1] != width:
                     raise ShapeError(
                         f"layer {idx}: expects input width {layer[1]}, got {width}"
@@ -273,12 +277,21 @@ def check_params(params: Parameters, spec: NetworkSpec) -> None:
 
 def forward(params: Parameters, spec: NetworkSpec, x: np.ndarray,
             start: int = 0, stop: int | None = None):
-    """Run layers ``[start, stop)``; returns (output, cache) for backward."""
+    """Run layers ``[start, stop)``; returns (output, cache) for backward.
+
+    An affine entry of the cache holds the layer's input, a ReLU entry its
+    output (``h > 0`` exactly where ``z > 0``) and a flatten entry the input
+    shape. Arrays made here are reused in place: the bias is added into the
+    matmul result, and ReLU overwrites an array made by an earlier layer of
+    this call (never ``x``). So the returned output may itself be a cache
+    entry; callers must not write into it before ``backward`` has run.
+    """
     if stop is None:
         stop = len(spec.layers)
     out = np.asarray(x, dtype=np.float64)
     if out.ndim == 1:
         out = out[None, :]
+    owned = False           # is ``out`` an array this call made?
     cache = []
     for idx in range(start, stop):
         layer = spec.layers[idx]
@@ -290,10 +303,13 @@ def forward(params: Parameters, spec: NetworkSpec, x: np.ndarray,
                     f"layer {idx}: input width {out.shape[1]}, expected {n_in}"
                 )
             cache.append((idx, out))
-            out = out @ params[(idx, "W")] + params[(idx, "b")]
+            out = out @ params[(idx, "W")]
+            out += params[(idx, "b")]
+            owned = True
         elif kind == RELU:
+            out = np.maximum(out, 0.0, out=out if owned else None)
+            owned = True
             cache.append((idx, out))
-            out = np.maximum(out, 0.0)
         else:  # flatten
             cache.append((idx, out.shape))
             out = out.reshape(out.shape[0], -1)
@@ -310,8 +326,13 @@ def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
     vector, or into the matching slice of ``out`` (laid out like ``params``)
     when given. With ``input_grad=False`` the gradient is not carried below the
     first cached affine layer and ``grad_input`` is None.
+
+    Neither ``upstream`` nor any cache array is written, so one cache can be
+    run backward more than once; the ReLU mask is multiplied in place only
+    into gradients this call made.
     """
     grad = np.asarray(upstream, dtype=np.float64)
+    owned = False           # is ``grad`` an array this call made?
     start, stop = (cache[0][0], cache[-1][0] + 1) if cache else (0, 0)
     part, lo, hi = params.layout.sub(start, stop)
     if out is None:
@@ -334,8 +355,10 @@ def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
             if idx == first and not input_grad:
                 return grads, None
             grad = grad @ w.T
+            owned = True
         elif kind == RELU:
-            grad = grad * (saved > 0.0)
+            grad = np.multiply(grad, saved > 0.0, out=grad if owned else None)
+            owned = True
         else:  # flatten
             grad = grad.reshape(saved)
     return grads, grad
@@ -357,8 +380,7 @@ def forward_full(params: Parameters, spec: NetworkSpec, x: np.ndarray):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
+    e = np.exp(logits - _row_max(logits)[:, None])
     return e / e.sum(axis=1, keepdims=True)
 
 
@@ -373,13 +395,30 @@ def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray
         raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label out of range [0, {k})")
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = -log_probs[np.arange(n), labels].mean()
-    grad = np.exp(log_probs)
-    grad[np.arange(n), labels] -= 1.0
+    z = logits - _row_max(logits)[:, None]
+    # the row sum keeps its own reduction: its summation order sets the bits
+    lse = np.exp(z).sum(axis=1, keepdims=True)
+    np.log(lse, out=lse)
+    z -= lse                                    # log-probabilities
+    rows = np.arange(n)
+    loss = -z[rows, labels].mean()
+    grad = np.exp(z, out=z)
+    grad[rows, labels] -= 1.0
     grad /= n
     return float(loss), grad
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=1)``; narrow rows are taken column by column, since a few
+    long column passes beat many short row reductions. A maximum is exact in
+    any order (a tie of 0.0 and -0.0 may keep either, which changes no bit of
+    ``exp(a - max)``)."""
+    if a.shape[1] > 8:
+        return a.max(axis=1)
+    top = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(top, a[:, j], out=top)
+    return top
 
 
 @dataclass

@@ -240,7 +240,7 @@ class FeatureBank:
         return FeatureBatch.concat(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEntry:
     round: int
     direction: str

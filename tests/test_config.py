@@ -66,6 +66,23 @@ class TestParsing:
         cfg = parse_config_text("hidden_classifier =\n")
         assert cfg.hidden_classifier == ()
 
+    def test_unknown_optimizer_reports_file_and_line(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("rounds = 3\noptimizer = adamw\n")
+        with pytest.raises(ConfigError, match=rf"{path.name}: line 2: optimizer"):
+            load_config(path, environ={})
+        assert parse_config_text("optimizer = SGD\n").optimizer == "sgd"
+
+    def test_empty_extractor_rejected(self):
+        with pytest.raises(ConfigError, match="line 1: hidden_extractor"):
+            parse_config_text("hidden_extractor =\n")
+
+    def test_non_positive_hidden_widths_rejected(self):
+        with pytest.raises(ConfigError, match="line 2: hidden_extractor"):
+            parse_config_text("rounds = 3\nhidden_extractor = 0, -3\n")
+        with pytest.raises(ConfigError, match="line 1: hidden_classifier"):
+            parse_config_text("hidden_classifier = 16, 0\n")
+
 
 class TestEnvOverrides:
     def test_override_applies(self):
@@ -85,6 +102,10 @@ class TestEnvOverrides:
     def test_bad_env_value_rejected(self):
         with pytest.raises(ConfigError, match="FEDMP_ROUNDS"):
             apply_env_overrides(ExperimentConfig(), {ENV_PREFIX + "ROUNDS": "x"})
+
+    def test_bad_env_optimizer_rejected(self):
+        with pytest.raises(ConfigError, match="FEDMP_OPTIMIZER"):
+            apply_env_overrides(ExperimentConfig(), {ENV_PREFIX + "OPTIMIZER": "adamw"})
 
 
 class TestDerivedObjects:

@@ -25,7 +25,7 @@ from fedmp.federation import (
     update_client_center,
     update_global_prototype,
 )
-from fedmp.protocol import FeatureBatch
+from fedmp.protocol import FeatureBank, FeatureBatch
 
 
 def small_spec(d0=4, k=3):
@@ -456,6 +456,40 @@ class TestRunFederation:
         b = run_federation(cfg, shards, spec, global_test)
         assert a.metrics == b.metrics
         assert a.params.equal(b.params)
+
+    def test_bank_written_once_per_client_and_round(self, monkeypatch):
+        inserted = []
+        original = FeatureBank.insert
+        monkeypatch.setattr(FeatureBank, "insert",
+                            lambda bank, batch: inserted.append(len(batch)) or original(bank, batch))
+        shards, global_test = small_federation()
+        cfg = FederationConfig(rounds=2, num_clients=3, local_epochs=1, num_classes=3,
+                               batch_size=4, seed=0, track_geometry=False)
+        run_federation(cfg, shards, small_spec(), global_test)
+        # three 4-row mini-batches per client, inserted together
+        assert inserted == [12] * 6
+
+    def test_one_insert_keeps_the_per_batch_bank(self):
+        # FIFO slots trimmed once hold the rows that per-batch trimming keeps
+        rng = np.random.default_rng(0)
+        d, k = 3, 2
+        uploads = {cid: [FeatureBatch.of_client(rng.normal(size=(n, d)), rng.integers(0, k, n),
+                                                cid, 1) for n in (5, 4, 6)]
+                   for cid in (0, 1)}
+        cfg = FederationConfig(num_clients=2, num_classes=k, bank_capacity=4)
+        server = federation.ServerState(
+            params=nn.init_params(small_spec(), 0), prototypes=np.zeros((k, d)),
+            client_centers=np.zeros((2, k, d)), bank=FeatureBank(4), ledger=None)
+        federation._server_feature_update(server, uploads, {0: 15, 1: 15}, cfg)
+        reference = FeatureBank(4)
+        for cid in (0, 1):
+            for batch in uploads[cid]:
+                reference.insert(batch)
+        assert server.bank._slots.keys() == reference._slots.keys()
+        for key, slot in reference._slots.items():
+            got = server.bank._slots[key]
+            assert all(np.array_equal(getattr(got, c), getattr(slot, c))
+                       for c in ("embeddings", "labels", "client_ids", "rounds"))
 
     def test_client_order_irrelevant(self):
         shards, global_test = small_federation()

@@ -1,0 +1,326 @@
+"""The in-place training-step kernels against the code they replaced.
+
+``nn.forward`` adds the bias into the matmul result and applies ReLU in place
+on arrays it made, ``nn.backward`` multiplies the ReLU mask in place into
+gradients it made, ``nn.softmax_cross_entropy`` takes the row maximum column
+by column, and ``federation.cpgma_embedding_grad`` normalizes the batch once.
+Each must give the same bits as the reference copies below, the code as it
+was before; comparisons are on raw bytes, so a -0.0 that turns into +0.0
+fails them. The kernels must also never write into their callers' arrays.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fedmp import nn
+from fedmp.federation import cpgma_embedding_grad
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# references: the allocating code the in-place kernels replaced
+
+
+def reference_forward(params, spec, x, start=0, stop=None):
+    if stop is None:
+        stop = len(spec.layers)
+    out = np.asarray(x, dtype=np.float64)
+    if out.ndim == 1:
+        out = out[None, :]
+    cache = []
+    for idx in range(start, stop):
+        layer = spec.layers[idx]
+        kind = layer[0]
+        if kind == nn.AFFINE:
+            _, n_in, n_out = layer
+            if out.shape[1] != n_in:
+                raise nn.ShapeError(
+                    f"layer {idx}: input width {out.shape[1]}, expected {n_in}"
+                )
+            cache.append((idx, out))
+            out = out @ params[(idx, "W")] + params[(idx, "b")]
+        elif kind == nn.RELU:
+            cache.append((idx, out))
+            out = np.maximum(out, 0.0)
+        else:  # flatten
+            cache.append((idx, out.shape))
+            out = out.reshape(out.shape[0], -1)
+    return out, cache
+
+
+def reference_backward(params, spec, cache, upstream, input_grad=True, out=None):
+    grad = np.asarray(upstream, dtype=np.float64)
+    start, stop = (cache[0][0], cache[-1][0] + 1) if cache else (0, 0)
+    part, lo, hi = params.layout.sub(start, stop)
+    if out is None:
+        grads = out = nn.Parameters.over(np.empty(hi - lo), part)
+    elif out.layout is params.layout:
+        grads = nn.Parameters.over(out.vec[lo:hi], part)
+    else:
+        raise nn.ShapeError("out must be laid out like params")
+    first = part.keys[0][0] if part.keys else None
+    for entry in reversed(cache):
+        idx, saved = entry
+        kind = spec.layers[idx][0]
+        if kind == nn.AFFINE:
+            x = saved
+            w = params[(idx, "W")]
+            if grad.shape != (x.shape[0], w.shape[1]):
+                raise nn.ShapeError(f"layer {idx}: upstream gradient shape mismatch")
+            np.matmul(x.T, grad, out=out[(idx, "W")])
+            grad.sum(axis=0, out=out[(idx, "b")])
+            if idx == first and not input_grad:
+                return grads, None
+            grad = grad @ w.T
+        elif kind == nn.RELU:
+            grad = grad * (saved > 0.0)
+        else:  # flatten
+            grad = grad.reshape(saved)
+    return grads, grad
+
+
+def reference_softmax_cross_entropy(logits, labels):
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n, k = logits.shape
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    loss = -log_probs[np.arange(n), labels].mean()
+    grad = np.exp(log_probs)
+    grad[np.arange(n), labels] -= 1.0
+    grad /= n
+    return float(loss), grad
+
+
+def reference_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_cpgma_embedding_grad(u, labels, prototypes, eps_guard=1e-8):
+    loss = 0.0
+    grad_u = np.zeros_like(u)
+    for cls in np.unique(labels):
+        p = prototypes[cls]
+        p_norm = np.linalg.norm(p)
+        if p_norm < eps_guard:
+            continue
+        p_hat = p / p_norm
+        idx = np.flatnonzero(labels == cls)
+        uc = u[idx]
+        norms = np.maximum(np.linalg.norm(uc, axis=1, keepdims=True), eps_guard)
+        u_hat = uc / norms
+        cos = u_hat @ p_hat
+        loss -= float(cos.mean())
+        grad_u[idx] = -(p_hat[None, :] - cos[:, None] * u_hat) / norms / len(idx)
+    return loss, grad_u
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+def signed_normal(rng, shape, zeros=0.15) -> np.ndarray:
+    """Normal draws with some exact +0.0 and -0.0 entries."""
+    arr = rng.normal(size=shape)
+    arr[rng.random(shape) < zeros] = 0.0
+    arr[rng.random(shape) < zeros] = -0.0
+    return arr
+
+
+@st.composite
+def specs(draw):
+    """Affine layers with ReLU and flatten layers around them, including a
+    leading ReLU or flatten that acts on the caller's input."""
+    width = st.integers(1, 6)
+    extras = st.lists(st.sampled_from([nn.relu(), nn.flatten()]), max_size=2)
+    num_classes = draw(st.integers(1, 4))
+    layers = list(draw(extras))
+    n_in = draw(width)
+    for n_out in draw(st.lists(width, min_size=0, max_size=3)):
+        layers += [nn.affine(n_in, n_out), *draw(extras)]
+        n_in = n_out
+    layers.append(nn.affine(n_in, num_classes))
+    if len(layers) < 2:
+        layers.insert(0, nn.flatten())
+    split = draw(st.integers(1, len(layers) - 1))
+    return nn.NetworkSpec(layers=tuple(layers), split_index=split, num_classes=num_classes)
+
+
+def random_params(spec, rng) -> nn.Parameters:
+    params = nn.init_params(spec, 0)
+    params.vec[:] = signed_normal(rng, params.vec.shape)
+    return params
+
+
+def snapshot(cache) -> list:
+    return [(idx, saved.copy() if isinstance(saved, np.ndarray) else saved)
+            for idx, saved in cache]
+
+
+def unchanged(cache, saved_copies) -> bool:
+    return all(
+        same_bits(saved, copy) if isinstance(saved, np.ndarray) else saved == copy
+        for (_, saved), (_, copy) in zip(cache, saved_copies)
+    )
+
+
+# ---------------------------------------------------------------------------
+# forward and backward
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=specs(), seed=st.integers(0, 2**31 - 1), rows=st.integers(1, 5),
+       one_d=st.booleans(), input_grad=st.booleans(), use_out=st.booleans(),
+       data=st.data())
+def test_forward_backward_match_reference(spec, seed, rows, one_d, input_grad,
+                                          use_out, data):
+    rng = np.random.default_rng(seed)
+    n = len(spec.layers)
+    start = data.draw(st.integers(0, n - 1), label="start")
+    stop = data.draw(st.integers(start + 1, n), label="stop")
+    params = random_params(spec, rng)
+    width = spec.width_after(start)
+    x = signed_normal(rng, (width,) if one_d else (rows, width))
+    x_before = x.copy()
+
+    got, cache = nn.forward(params, spec, x, start, stop)
+    want, ref_cache = reference_forward(params, spec, x, start, stop)
+    assert same_bits(got, want)
+    assert same_bits(x, x_before)
+    assert len(cache) == len(ref_cache)
+
+    upstream = signed_normal(rng, want.shape)
+    upstream_before = upstream.copy()
+    cache_before = snapshot(cache)
+    base = signed_normal(rng, params.vec.shape)
+    out = nn.Parameters.over(base.copy(), params.layout) if use_out else None
+    ref_out = nn.Parameters.over(base.copy(), params.layout) if use_out else None
+    grads, grad_in = nn.backward(params, spec, cache, upstream, input_grad, out)
+    ref_grads, ref_grad_in = reference_backward(params, spec, ref_cache, upstream,
+                                                input_grad, ref_out)
+    assert grads.layout is ref_grads.layout and same_bits(grads.vec, ref_grads.vec)
+    if use_out:
+        assert same_bits(out.vec, ref_out.vec)
+    if ref_grad_in is None:
+        assert grad_in is None
+    else:
+        assert same_bits(grad_in, ref_grad_in)
+    assert same_bits(upstream, upstream_before)
+    assert unchanged(cache, cache_before)
+    assert same_bits(x, x_before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=specs(), seed=st.integers(0, 2**31 - 1), rows=st.integers(1, 6))
+def test_two_backwards_over_one_extractor_cache(spec, seed, rows):
+    """As in ``local_train``: the extractor cache serves the local backward
+    and then the CPGMA backward; both must see what fresh forwards give."""
+    rng = np.random.default_rng(seed)
+    params = random_params(spec, rng)
+    x = signed_normal(rng, (rows, spec.input_dim))
+    u, cache_f = nn.forward_extractor(params, spec, x)
+    logits, cache_c = nn.forward_classifier(params, spec, u)
+    total = params.zeros_like()
+    _, grad_u = nn.backward(params, spec, cache_c, signed_normal(rng, logits.shape),
+                            out=total)
+    nn.backward(params, spec, cache_f, grad_u, input_grad=False, out=total)
+    grad_align = signed_normal(rng, u.shape)
+    second, _ = nn.backward(params, spec, cache_f, grad_align, input_grad=False)
+
+    _, fresh_f = nn.forward_extractor(params, spec, x)
+    fresh_first, _ = nn.backward(params, spec, fresh_f, grad_u, input_grad=False)
+    _, fresh_f = nn.forward_extractor(params, spec, x)
+    fresh_second, _ = nn.backward(params, spec, fresh_f, grad_align, input_grad=False)
+    assert same_bits(total.layers(0, spec.split_index).vec, fresh_first.vec)
+    assert same_bits(second.vec, fresh_second.vec)
+
+
+def test_forward_output_is_the_last_relu_entry():
+    # the documented cache contract: no copy is made for the output
+    spec = nn.mlp_spec(3, (4,), (), 2)
+    params = nn.init_params(spec, 0)
+    u, cache = nn.forward_extractor(params, spec, np.ones((2, 3)))
+    assert cache[-1][1] is u
+
+
+# ---------------------------------------------------------------------------
+# softmax and cross-entropy
+
+
+@st.composite
+def logit_batches(draw):
+    """Logits drawn from a few values, so rows are full of ties and signed
+    zeros, plus some wide-range rows."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 12))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0]),
+                      st.floats(-50, 50))
+    logits = np.array(draw(st.lists(st.lists(value, min_size=k, max_size=k),
+                                    min_size=n, max_size=n)), dtype=np.float64)
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    return logits, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=logit_batches())
+def test_softmax_cross_entropy_matches_reference(batch):
+    logits, labels = batch
+    before = logits.copy()
+    loss, grad = nn.softmax_cross_entropy(logits, labels)
+    ref_loss, ref_grad = reference_softmax_cross_entropy(logits, labels)
+    assert same_bits(np.float64(loss), np.float64(ref_loss))
+    assert same_bits(grad, ref_grad)
+    assert same_bits(nn.softmax(logits), reference_softmax(logits))
+    assert same_bits(logits, before)
+
+
+# ---------------------------------------------------------------------------
+# CPGMA
+
+
+@st.composite
+def alignment_batches(draw):
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 70))
+    k = draw(st.integers(1, 6))
+    u = signed_normal(rng, (n, d))
+    u[rng.random(n) < 0.2] = 0.0                       # zero rows
+    u[rng.random(n) < 0.1] *= 1e-12                    # rows below eps_guard
+    present = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    labels = rng.choice(present, size=n)               # absent classes
+    prototypes = signed_normal(rng, (k, d))
+    prototypes[rng.random(k) < 0.3] = 0.0              # cold prototypes
+    prototypes[rng.random(k) < 0.15] *= 1e-10          # below the guard
+    return u, labels, prototypes
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=alignment_batches())
+def test_cpgma_embedding_grad_matches_reference(batch):
+    u, labels, prototypes = batch
+    u_before, p_before = u.copy(), prototypes.copy()
+    loss, grad = cpgma_embedding_grad(u, labels, prototypes)
+    ref_loss, ref_grad = reference_cpgma_embedding_grad(u, labels, prototypes)
+    assert same_bits(np.float64(loss), np.float64(ref_loss))
+    assert same_bits(grad, ref_grad)
+    assert same_bits(u, u_before) and same_bits(prototypes, p_before)
+
+
+def test_cpgma_embedding_grad_fortran_order_input():
+    rng = np.random.default_rng(0)
+    u = signed_normal(rng, (30, 64))
+    labels = rng.integers(0, 3, size=30)
+    prototypes = signed_normal(rng, (3, 64))
+    got = cpgma_embedding_grad(np.asfortranarray(u), labels, prototypes)
+    want = reference_cpgma_embedding_grad(np.asfortranarray(u), labels, prototypes)
+    assert same_bits(np.float64(got[0]), np.float64(want[0]))
+    assert same_bits(got[1], want[1])

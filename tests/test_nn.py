@@ -53,6 +53,15 @@ class TestNetworkSpec:
                 layers=(nn.affine(2, 3), nn.affine(5, 2)), split_index=1, num_classes=2
             )
 
+    def test_non_positive_affine_width_rejected(self):
+        with pytest.raises(nn.ShapeError, match="layer 0"):
+            nn.mlp_spec(16, (0,), (), 3)
+        with pytest.raises(nn.ShapeError, match="layer 2"):
+            nn.NetworkSpec(
+                layers=(nn.affine(2, 3), nn.relu(), nn.affine(3, -1)),
+                split_index=1, num_classes=-1,
+            )
+
     def test_mlp_spec_default_shape(self):
         spec = nn.mlp_spec(16, (64, 32), (16,), 3)
         assert spec.input_dim == 16
