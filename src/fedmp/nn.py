@@ -409,12 +409,10 @@ def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
-    """``a.max(axis=1)``; narrow rows are taken column by column, since a few
-    long column passes beat many short row reductions. A maximum is exact in
-    any order (a tie of 0.0 and -0.0 may keep either, which changes no bit of
+    """``a.max(axis=1)``, taken column by column, since a few long column
+    passes beat many short row reductions. A maximum is exact in any order (a
+    tie of 0.0 and -0.0 may keep either, which changes no bit of
     ``exp(a - max)``)."""
-    if a.shape[1] > 8:
-        return a.max(axis=1)
     top = a[:, 0].copy()
     for j in range(1, a.shape[1]):
         np.maximum(top, a[:, j], out=top)

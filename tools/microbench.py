@@ -14,8 +14,9 @@ network (16-d input, extractor (64), head (32, 16), 3 classes):
 One warm-up call sets how many calls make up one timed repeat (at least
 ``MIN_TIME`` seconds), and each figure is the median over ``--repeats``
 repeats of the time per call, in microseconds, measured with
-``time.perf_counter``. OpenBLAS is capped at one thread, as in ``perfbench``.
-The result is printed as one JSON line.
+``time.perf_counter``. OpenBLAS is capped at one thread, as in ``perfbench``,
+whose ``machine_record`` describes the host. The result is printed as one JSON
+line.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import sys
 import time
@@ -113,14 +113,6 @@ def time_call(fn, repeats: int) -> float:
     return statistics.median(samples)
 
 
-def machine_record() -> dict:
-    import numpy
-    import scipy
-    return {"nproc": os.cpu_count(), "python": platform.python_version(),
-            "numpy": numpy.__version__, "scipy": scipy.__version__,
-            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=7)
@@ -130,6 +122,8 @@ def main(argv=None) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import machine_record           # perfbench's record of the host
 
     results = {
         scale: {name: round(time_call(fn, args.repeats) * 1e6, 2)
@@ -137,7 +131,8 @@ def main(argv=None) -> int:
         for scale in SCALES
     }
     print(json.dumps({"unit": "us_per_call", "repeats": args.repeats,
-                      "machine": machine_record(), "results": results}))
+                      "machine": machine_record(os.getloadavg()),
+                      "results": results}))
     return 0
 
 
