@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 from .data import DatasetSpec
 from .federation import OPTIMIZERS, FederationConfig
-from .nn import NetworkSpec, mlp_spec
+from .nn import NetworkSpec, ShapeError, mlp_spec
 
 ENV_PREFIX = "FEDMP_"
 MODES = ("fedavg", "fedmp", "fewshot", "single", "centralized")
@@ -93,6 +94,8 @@ class ExperimentConfig:
     attack_epochs: int = 200
     attack_train_fraction: float = 0.5
     attack_learning_rate: float = 1e-2
+    # where each value was set: "<file>: line <n>" or "env FEDMP_<KEY>"
+    origins: ClassVar[dict] = {}
 
     def dataset_spec(self) -> DatasetSpec:
         return DatasetSpec(
@@ -143,8 +146,28 @@ _PARSERS["hidden_extractor"] = lambda value: _parse_widths(value, allow_empty=Fa
 _PARSERS["hidden_classifier"] = lambda value: _parse_widths(value, allow_empty=True)
 
 
-def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
+def _check_ranges(config: ExperimentConfig) -> ExperimentConfig:
+    """Reject values that only a later stage would trip over, naming the key
+    and where it was set."""
+    def fail(key: str, message: str):
+        raise ConfigError(f"{config.origins.get(key, 'default value')}: {key}: {message}")
+
+    for key in ("clients", "classes"):      # u16 fields of feature headers
+        if getattr(config, key) > 0xFFFF:
+            fail(key, f"num_{key} must be <= 65535, got {getattr(config, key)}")
+    try:
+        layers = len(config.network_spec().layers)
+    except ShapeError as exc:
+        raise ConfigError(f"network (input_dim, hidden widths, classes): {exc}") from None
+    for split in config.attack_layers:
+        if not 1 <= split <= layers:
+            fail("attack_layers", f"layer {split} outside 1..{layers}, the network's layers")
+    return config
+
+
+def _parse(text: str, source: str) -> ExperimentConfig:
     values: dict = {}
+    origins: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -155,28 +178,40 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         key = key.strip()
         if key not in _PARSERS:
             raise ConfigError(f"{source}: line {lineno}: unknown key {key!r}")
+        origins[key] = f"{source}: line {lineno}"
         try:
             values[key] = _PARSERS[key](value.strip())
         except ValueError as exc:
-            raise ConfigError(f"{source}: line {lineno}: {key}: {exc}") from None
-    return ExperimentConfig(**values)
+            raise ConfigError(f"{origins[key]}: {key}: {exc}") from None
+    config = ExperimentConfig(**values)
+    config.origins = origins
+    return config
+
+
+def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
+    return _check_ranges(_parse(text, source))
 
 
 def apply_env_overrides(config: ExperimentConfig, environ=None) -> ExperimentConfig:
     environ = os.environ if environ is None else environ
+    origins = dict(config.origins)
     for key in _PARSERS:
         env_key = ENV_PREFIX + key.upper()
         if env_key in environ:
+            origins[key] = f"env {env_key}"
             try:
                 setattr(config, key, _PARSERS[key](environ[env_key]))
             except ValueError as exc:
                 raise ConfigError(f"env {env_key}: {exc}") from None
-    return config
+    config.origins = origins
+    return _check_ranges(config)
 
 
 def load_config(path, environ=None) -> ExperimentConfig:
+    """The file's values, then the environment's; ranges are checked once
+    both are in, so an override can bring a file's value back into range."""
     with open(path) as fh:
-        config = parse_config_text(fh.read(), source=str(path))
+        config = _parse(fh.read(), source=str(path))
     return apply_env_overrides(config, environ)
 
 

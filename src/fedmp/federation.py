@@ -8,6 +8,7 @@ three-communication few-shot schedule with a final model ensemble.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,7 +120,7 @@ def combine_losses(l_local: float, l_sfmc: float | None, l_cpgma: float | None,
     magnitude ratio |local| / (|aux| + eps), so their contribution tracks the
     primary loss without flipping the sign of a negative auxiliary loss."""
     vals = [l_local, l_sfmc or 0.0, l_cpgma or 0.0]
-    if not np.all(np.isfinite(vals)):
+    if not all(math.isfinite(v) for v in vals):
         raise ValueError(f"non-finite loss inputs {vals}")
     l_sfmc = float(l_sfmc) if (enable_sfmc and l_sfmc is not None) else 0.0
     l_cpgma = float(l_cpgma) if (enable_cpgma and l_cpgma is not None) else 0.0
@@ -167,7 +168,7 @@ def cpgma_embedding_grad(u: np.ndarray, labels: np.ndarray, prototypes: np.ndarr
         idx = np.flatnonzero(labels == cls)
         uc_hat = u_hat[idx]
         cos = uc_hat @ p_hat
-        loss -= float(cos.mean())
+        loss -= float(cos.sum() / len(idx))      # what cos.mean() computes
         # d(-cos)/du = -(p_hat - cos * u_hat) / ||u||, averaged within the class
         g = p_hat - cos[:, None] * uc_hat
         np.negative(g, out=g)
@@ -280,8 +281,7 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                              weight_decay=config.weight_decay)
     stats = LocalTrainStats()
     feature_batches: list[FeatureBatch] = []
-    # every batch's two backwards rewrite all of it: the classifier and the
-    # extractor slices together cover the whole model
+    # every batch's local backward rewrites all of it
     total_grads = params.zeros_like()
     n = len(shard)
     for epoch in range(epochs):
@@ -291,29 +291,33 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
             idx = order[start:start + config.batch_size]
             xb, yb = shard.inputs[idx], shard.labels[idx]
 
+            # two forwards, so ``u`` is the extractor's output for any split;
+            # one backward over both caches does what a head backward and an
+            # extractor backward did, in the same operations and order
             u, cache_f = nn.forward_extractor(params, spec, xb)
             logits, cache_c = nn.forward_classifier(params, spec, u)
             l_local, glogits = nn.softmax_cross_entropy(logits, yb)
-            _, grad_u = nn.backward(params, spec, cache_c, glogits, out=total_grads)
-            nn.backward(params, spec, cache_f, grad_u, input_grad=False, out=total_grads)
+            nn.backward(params, spec, cache_f + cache_c, glogits, input_grad=False,
+                        out=total_grads)
 
             l_sfmc = sfmc_grads = None
             if enable_sfmc and foreign:
                 l_sfmc, sfmc_grads = compute_sfmc_loss(params, spec, foreign)
-            l_cpgma = cpgma_grads = None
+            l_cpgma = None
             if enable_cpgma and prototypes is not None:
                 l_cpgma, grad_u_align = cpgma_embedding_grad(
                     u, yb, prototypes, config.eps_guard
                 )
-                cpgma_grads, _ = nn.backward(params, spec, cache_f, grad_u_align,
-                                             input_grad=False)
 
             breakdown = combine_losses(
                 l_local, l_sfmc, l_cpgma, enable_sfmc, enable_cpgma, config.eps_guard
             )
             if sfmc_grads is not None and breakdown.weight_sfmc:
                 total_grads.add_scaled(sfmc_grads, breakdown.weight_sfmc)
-            if cpgma_grads is not None and breakdown.weight_cpgma:
+            if breakdown.weight_cpgma:
+                # 0 while every prototype is cold: no backward to discard
+                cpgma_grads, _ = nn.backward(params, spec, cache_f, grad_u_align,
+                                             input_grad=False)
                 total_grads.add_scaled(cpgma_grads, breakdown.weight_cpgma)
             _step(params, total_grads, opt_state, config.optimizer)
 

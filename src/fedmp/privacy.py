@@ -202,6 +202,10 @@ def attack_shard(extractor_params: nn.Parameters, spec: nn.NetworkSpec,
 def attack_report(extractor_params: nn.Parameters, spec: nn.NetworkSpec,
                   shards: list[ClientShard], configs: list[AttackConfig]) -> list[LeakageReport]:
     """One report per attacked layer, averaged across clients."""
+    for cfg in configs:
+        if not 1 <= cfg.split_index <= len(spec.layers):
+            raise ValueError(f"split_index {cfg.split_index} outside 1..{len(spec.layers)}, "
+                             f"the network's layers")
     normalize = unit_normalizer(shards)
     reports = []
     for cfg in configs:

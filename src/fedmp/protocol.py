@@ -225,18 +225,23 @@ class FeatureBank:
         if per_client_count < 0:
             raise ValueError("sample count must be >= 0")
         rng = np.random.default_rng(seed)
+        by_client: dict[int, list[FeatureBatch]] = {}
+        for key in sorted(self._slots):
+            if key[0] != requesting_client:
+                by_client.setdefault(key[0], []).append(self._slots[key])
         parts = []
-        for cid in sorted({c for c, _ in self._slots if c != requesting_client}):
-            slots = [self._slots[key] for key in sorted(self._slots) if key[0] == cid]
+        for slots in by_client.values():
             sizes = [len(slot) for slot in slots]
             ends = np.cumsum(sizes)
             pool = int(ends[-1])
             idx = np.sort(rng.choice(pool, size=min(per_client_count, pool), replace=False))
             # index each slot with its share of the pool indices rather than
-            # building the pool
-            for slot, start, picked in zip(slots, ends - sizes,
-                                           np.split(idx, np.searchsorted(idx, ends[:-1]))):
-                parts.append(slot.take(picked - start))
+            # building the pool; a slot with no share still gives a (0, d) part
+            cuts = np.searchsorted(idx, ends).tolist()
+            lo = 0
+            for slot, start, hi in zip(slots, (ends - sizes).tolist(), cuts):
+                parts.append(slot.take(idx[lo:hi] - start))
+                lo = hi
         return FeatureBatch.concat(parts)
 
 

@@ -196,6 +196,15 @@ class TestAttack:
         out.mkdir()
         assert run_cli("attack", "--config", str(cfg_path), "--out", str(out)) == 1
 
+    def test_attack_layer_outside_network(self, tmp_path, capsys):
+        # SMALL's network has 5 layers
+        path = tmp_path / "deep.cfg"
+        path.write_text(SMALL.replace("attack_layers = 1", "attack_layers = 9"))
+        assert run_cli("attack", "--config", str(path), "--out", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert "deep.cfg: line 16: attack_layers: layer 9 outside 1..5" in err
+        assert "Traceback" not in err
+
     def test_rows_per_seed_and_layer(self, cfg_path, tmp_path):
         out = tmp_path / "run"
         run_cli("run", "--config", str(cfg_path), "--out", str(out))

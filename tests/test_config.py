@@ -84,6 +84,48 @@ class TestParsing:
             parse_config_text("hidden_classifier = 16, 0\n")
 
 
+class TestRangesAtLoad:
+    """Values that only a later stage would trip over fail at load, naming
+    the key and where it was set."""
+
+    def test_attack_layers_outside_network(self):
+        # the default network has 7 layers
+        with pytest.raises(ConfigError, match="exp.cfg: line 2: attack_layers: layer 8 outside 1..7"):
+            parse_config_text("rounds = 3\nattack_layers = 2, 8\n", source="exp.cfg")
+        with pytest.raises(ConfigError, match="line 1: attack_layers: layer 0"):
+            parse_config_text("attack_layers = 0\n")
+        assert parse_config_text("attack_layers = 1, 7\n").attack_layers == (1, 7)
+
+    def test_default_attack_layers_against_a_shorter_network(self):
+        with pytest.raises(ConfigError, match="default value: attack_layers: layer 4 outside 1..3"):
+            parse_config_text("hidden_extractor = 8\nhidden_classifier =\n")
+
+    @pytest.mark.parametrize("key", ["clients", "classes"])
+    def test_u16_counts(self, key):
+        with pytest.raises(ConfigError, match=rf"line 2: {key}: num_{key} must be <= 65535"):
+            parse_config_text(f"rounds = 3\n{key} = 65536\n")
+        assert getattr(parse_config_text(f"{key} = 65535\n"), key) == 65535
+
+    def test_unbuildable_network(self):
+        with pytest.raises(ConfigError, match="network"):
+            parse_config_text("classes = 0\n")
+
+    def test_env_value_named(self):
+        with pytest.raises(ConfigError, match="env FEDMP_ATTACK_LAYERS: attack_layers"):
+            apply_env_overrides(ExperimentConfig(), {ENV_PREFIX + "ATTACK_LAYERS": "9"})
+        with pytest.raises(ConfigError, match="env FEDMP_CLIENTS: clients"):
+            apply_env_overrides(ExperimentConfig(), {ENV_PREFIX + "CLIENTS": "70000"})
+
+    def test_checked_after_env_overrides(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("hidden_classifier =\n")       # 3 layers; default attack (2, 4)
+        cfg = load_config(path, environ={ENV_PREFIX + "ATTACK_LAYERS": "2"})
+        assert cfg.attack_layers == (2,)
+        path.write_text("attack_layers = 6\n")          # 5 layers without hidden_classifier
+        with pytest.raises(ConfigError, match=rf"{path.name}: line 1: attack_layers: layer 6"):
+            load_config(path, environ={ENV_PREFIX + "HIDDEN_CLASSIFIER": ""})
+
+
 class TestEnvOverrides:
     def test_override_applies(self):
         cfg = apply_env_overrides(ExperimentConfig(), {ENV_PREFIX + "ROUNDS": "9"})

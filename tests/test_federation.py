@@ -421,6 +421,31 @@ class TestClientUpdate:
                                       collect_final_epoch=False)
         assert batches == []
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_backwards_per_mini_batch(self, monkeypatch, warm):
+        # one local backward over the whole network per mini-batch, plus an
+        # extractor-only CPGMA backward only once its weight is nonzero
+        spec = small_spec()
+        calls = []
+
+        def spy(params, spec, cache, *args, **kwargs):
+            calls.append((cache[0][0], cache[-1][0] + 1))
+            return original(params, spec, cache, *args, **kwargs)
+
+        original = nn.backward
+        monkeypatch.setattr(nn, "backward", spy)
+        prototypes = np.zeros((3, spec.embedding_dim))
+        if warm:
+            prototypes[1] = 1.0
+        shard = self.shard(12)
+        shard.labels[:] = 1                # so every batch holds the warm class
+        cfg = self.config(batch_size=4, enable_sfmc=False, enable_cpgma=True)
+        _, stats = local_train(nn.init_params(spec, 0), spec, shard, cfg, 2,
+                               np.random.default_rng(0), prototypes=prototypes)
+        assert stats.batches == 6
+        whole, extractor = (0, len(spec.layers)), (0, spec.split_index)
+        assert calls == ([whole, extractor] * 6 if warm else [whole] * 6)
+
     def test_empty_shard_rejected(self):
         spec = small_spec()
         empty = ClientShard(client_id=0, inputs=np.zeros((0, 4)),

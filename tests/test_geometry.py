@@ -124,6 +124,29 @@ def test_hausdorff_equals_cdist_reference(seed, na, nb, dim, grid):
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
+    na=st.integers(1, 40),
+    nb=st.integers(1, 40),
+    dim=st.integers(1, 64),
+    grid=st.booleans(),
+)
+def test_directed_distance_ignores_row_order(seed, na, nb, dim, grid):
+    """The max-min is exact whatever order scipy visits the rows in, and the
+    visit order is drawn without touching ``np.random``'s global state."""
+    rng = np.random.default_rng(seed)
+    a, b = random_cloud(rng, na, dim, grid), random_cloud(rng, nb, dim, grid)
+    before = np.random.get_state()
+    got = directed_distance(a, b)
+    after = np.random.get_state()
+    assert before[0] == after[0] and np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
+    assert got == float(cdist(a, b).min(axis=1).max())
+    assert directed_distance(a[rng.permutation(na)], b) == got
+    assert directed_distance(a, b[rng.permutation(nb)]) == got
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
     n=st.integers(1, 40),
     extra=st.integers(0, 40),
     dim=st.integers(1, 64),

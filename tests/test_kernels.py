@@ -10,7 +10,7 @@ fails them. The kernels must also never write into their callers' arrays.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedmp import nn
@@ -240,6 +240,47 @@ def test_two_backwards_over_one_extractor_cache(spec, seed, rows):
     fresh_second, _ = nn.backward(params, spec, fresh_f, grad_align, input_grad=False)
     assert same_bits(total.layers(0, spec.split_index).vec, fresh_first.vec)
     assert same_bits(second.vec, fresh_second.vec)
+
+
+# heads that start with a ReLU or a flatten, so the boundary between the two
+# caches falls right before a layer that is not affine
+RELU_HEAD = nn.NetworkSpec(
+    layers=(nn.affine(3, 4), nn.relu(), nn.affine(4, 2)), split_index=1, num_classes=2)
+FLATTEN_HEAD = nn.NetworkSpec(
+    layers=(nn.affine(3, 4), nn.relu(), nn.flatten(), nn.affine(4, 2)),
+    split_index=2, num_classes=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=specs(), seed=st.integers(0, 2**31 - 1), rows=st.integers(1, 6),
+       use_out=st.booleans())
+@example(spec=RELU_HEAD, seed=0, rows=3, use_out=False)
+@example(spec=RELU_HEAD, seed=1, rows=3, use_out=True)
+@example(spec=FLATTEN_HEAD, seed=0, rows=3, use_out=False)
+@example(spec=FLATTEN_HEAD, seed=1, rows=3, use_out=True)
+def test_one_backward_over_both_caches(spec, seed, rows, use_out):
+    """``local_train``'s local backward: one call over ``cache_f + cache_c``
+    gives the bits of a head backward followed by an extractor backward."""
+    rng = np.random.default_rng(seed)
+    params = random_params(spec, rng)
+    x = signed_normal(rng, (rows, spec.input_dim))
+    u, cache_f = nn.forward_extractor(params, spec, x)
+    logits, cache_c = nn.forward_classifier(params, spec, u)
+    glogits = signed_normal(rng, logits.shape)
+    base = signed_normal(rng, params.vec.shape)
+
+    out = nn.Parameters.over(base.copy(), params.layout) if use_out else None
+    one, grad_in = nn.backward(params, spec, cache_f + cache_c, glogits,
+                               input_grad=False, out=out)
+    two_out = nn.Parameters.over(base.copy(), params.layout) if use_out else None
+    head, grad_u = nn.backward(params, spec, cache_c, glogits, out=two_out)
+    extractor, _ = nn.backward(params, spec, cache_f, grad_u, input_grad=False,
+                               out=two_out)
+    assert grad_in is None
+    assert one.layout is params.layout
+    assert same_bits(one.vec, np.concatenate([extractor.vec, head.vec]))
+    if use_out:
+        assert same_bits(out.vec, two_out.vec)
 
 
 def test_forward_output_is_the_last_relu_entry():

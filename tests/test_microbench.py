@@ -11,7 +11,7 @@ PRIMITIVES = {
     "nn.forward.batch", "nn.backward.batch", "nn.forward.head", "nn.backward.head",
     "nn.softmax_cross_entropy.batch", "nn.softmax_cross_entropy.head", "nn.adam_step",
     "federation.cpgma_embedding_grad", "protocol.FeatureBank.insert",
-    "protocol.FeatureBank.sample", "geometry.directed_distance",
+    "protocol.FeatureBank.sample", "geometry.directed_distance", "geometry.mean_to_global",
 }
 
 

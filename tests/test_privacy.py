@@ -213,6 +213,14 @@ class TestAttackReport:
             assert -1.0 <= rep.max_ssim <= 1.0
             assert rep.min_l2 >= 0.0
 
+    @pytest.mark.parametrize("split", [0, 6])
+    def test_split_outside_network_rejected(self, split):
+        spec = nn.mlp_spec(6, (8,), (5,), 3)         # 5 layers
+        shards = [make_shard(n=24, dim=6)]
+        configs = [AttackConfig(split_index=1, epochs=2), AttackConfig(split_index=split)]
+        with pytest.raises(ValueError, match=rf"split_index {split} outside 1\.\.5"):
+            attack_report(nn.init_params(spec, 0), spec, shards, configs)
+
     def test_perfect_reconstruction_flags_risk(self):
         # feed originals through a normalizer as their own "reconstruction"
         shard = make_shard(n=10, dim=4, seed=2)

@@ -227,6 +227,14 @@ class TestFeatureBank:
         out = bank.sample(0, 10, seed=0)
         assert sorted(out.embeddings[:, 0]) == [2.0, 3.0, 4.0]
 
+    def test_zero_count_gives_empty_rows_of_full_width(self):
+        bank = FeatureBank()
+        bank.insert(FeatureBatch.concat([make_records(client_id=1, n=4, label=0),
+                                         make_records(client_id=1, n=3, label=2)]))
+        out = bank.sample(0, per_client_count=0, seed=0)
+        assert out.embeddings.shape == (0, 4)
+        assert all(getattr(out, c).shape == (0,) for c in ("labels", "client_ids", "rounds"))
+
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             FeatureBank(capacity_per_slot=0)

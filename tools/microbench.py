@@ -11,6 +11,10 @@ network (16-d input, extractor (64), head (32, 16), 3 classes):
 - ``M``: the same mini-batch, and 1,824 foreign rows through the 64-32-16-3
   head (20 clients x 96 rows), with a 20 x 500-row bank.
 
+``geometry.mean_to_global`` is the round's geometry phase: it embeds every
+client's rows (3 x 96 at S, 20 x 500 at M) and takes one directed Hausdorff
+distance per (client, class) cloud.
+
 One warm-up call sets how many calls make up one timed repeat (at least
 ``MIN_TIME`` seconds), and each figure is the median over ``--repeats``
 repeats of the time per call, in microseconds, measured with
@@ -42,6 +46,7 @@ def cases(scale: str) -> dict:
     import numpy as np
 
     from fedmp import geometry, nn
+    from fedmp.data import ClientShard
     from fedmp.federation import cpgma_embedding_grad
     from fedmp.protocol import FeatureBank, FeatureBatch
 
@@ -75,6 +80,8 @@ def cases(scale: str) -> dict:
     _, head_glogits = nn.softmax_cross_entropy(head_logits, foreign.labels)
 
     labels = np.concatenate([batch.labels for batch in uploads])
+    shards = [ClientShard(c, inputs[c * per_client:(c + 1) * per_client], batch.labels)
+              for c, batch in enumerate(uploads)]
     global_cloud = embeddings[labels == 0]
     client_cloud = uploads[0].embeddings[uploads[0].labels == 0]
 
@@ -95,6 +102,7 @@ def cases(scale: str) -> dict:
         "protocol.FeatureBank.sample": lambda: bank.sample(0, SAMPLE_COUNT, 0),
         "geometry.directed_distance": lambda: geometry.directed_distance(
             global_cloud, client_cloud),
+        "geometry.mean_to_global": lambda: geometry.mean_to_global(params, spec, shards),
     }
 
 
