@@ -1,5 +1,5 @@
 """Golden digests: pinned SHA-256 of the metrics JSON, the ledger entries and
-the model blobs of four small fixed runs, and of the reports of a feature-
+the model blobs of five small fixed runs, and of the reports of a feature-
 inversion attack on one of them.
 
 Criterion 8 checks determinism inside one process; these digests check it
@@ -78,6 +78,16 @@ def sgd_run() -> dict:
     return _digests(result.metrics, result.ledger, [result.params])
 
 
+def cpgma_run() -> dict:
+    # CPGMA alone: no foreign sample is sent, so nothing of SFMC runs
+    shards, global_test = _data(5)
+    cfg = SCALE_S.federation_config(5, mode="fedmp")
+    cfg.enable_sfmc = False
+    cfg.track_geometry = False
+    result = run_federation(cfg, shards, SCALE_S.network_spec(), global_test)
+    return _digests(result.metrics, result.ledger, [result.params])
+
+
 def attack_run() -> dict:
     # decoders train through adam_step with weight decay 0; the split-2
     # decoder starts with a flatten layer
@@ -110,6 +120,11 @@ GOLDEN = {
     "attack": (attack_run, {
         "reports": "24e41c32a7262df8a7df6c760ac88ec56d90e9508c41d3d004f92e1f18355de4",
         "decoder": "da3d18b054c2872be056ac850649e0932f854522595766d8f53f83b78f4d4a74",
+    }),
+    "cpgma": (cpgma_run, {
+        "metrics": "5b06b43cd98a1c6abd78d33c10f875c00338299460303421ef68094ce06777d7",
+        "ledger": "0738670b842e2911270050b8ae927369ac592bec6c32a0c7ed55be1550d08bc7",
+        "models": "cb663c7df3ed8b404948681fcb7f5cbefb85fccd398d5e5dedaeb91d41e8721f",
     }),
     "fedavg": (fedavg_run, {
         "metrics": "1cef4fce21dad5aad1167ec44442a6cf2132740d91620ded98dca3b9336429c9",
