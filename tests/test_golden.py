@@ -5,13 +5,21 @@ inversion attack on one of them.
 Criterion 8 checks determinism inside one process; these digests check it
 across commits. A change that is meant to keep outputs bit for bit must leave
 every digest here unchanged. A change that alters outputs on purpose re-pins
-them and says why. The digests were pinned with NumPy 2.4 on OpenBLAS; a
-different BLAS build may round matrix products differently.
+them and says why.
+
+Dot products and long reductions round differently on different OpenBLAS
+kernels, so the digests are kept in one table per kernel, keyed by the name
+the loaded OpenBLAS reports. The tables were pinned with NumPy 2.4 and its
+bundled OpenBLAS. A re-pin re-pins every table: run ``PIN_COMMAND`` once per
+kernel, with ``OPENBLAS_CORETYPE`` set to each kernel the CPU can run. A
+kernel with no table fails the test and names the command that pins it.
 """
 
 import dataclasses
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +28,9 @@ from fedmp.config import ExperimentConfig
 from fedmp.data import generate_federation
 from fedmp.federation import run_federation, run_few_shot
 from fedmp.protocol import serialize_model
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from blas_kernel import blas_kernel  # noqa: E402
 
 # the acceptance benchmark's network and hyperparameters (scale S)
 SCALE_S = ExperimentConfig(
@@ -116,40 +127,185 @@ def fewshot_run() -> dict:
     return _digests(metrics, result.ledger, [result.server_params, *result.client_params])
 
 
-GOLDEN = {
-    "attack": (attack_run, {
-        "reports": "24e41c32a7262df8a7df6c760ac88ec56d90e9508c41d3d004f92e1f18355de4",
-        "decoder": "da3d18b054c2872be056ac850649e0932f854522595766d8f53f83b78f4d4a74",
-    }),
-    "cpgma": (cpgma_run, {
-        "metrics": "5b06b43cd98a1c6abd78d33c10f875c00338299460303421ef68094ce06777d7",
-        "ledger": "0738670b842e2911270050b8ae927369ac592bec6c32a0c7ed55be1550d08bc7",
-        "models": "cb663c7df3ed8b404948681fcb7f5cbefb85fccd398d5e5dedaeb91d41e8721f",
-    }),
-    "fedavg": (fedavg_run, {
-        "metrics": "1cef4fce21dad5aad1167ec44442a6cf2132740d91620ded98dca3b9336429c9",
-        "ledger": "a3e226a821fc9a8025f4d21ef8b8a8d0e5c329193608a83d66c2103a4965ce7b",
-        "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
-    }),
-    "fedmp": (fedmp_run, {
-        "metrics": "6edc6e16cf1e7918dd14823271ca02fa2f96b5edacc94cb17e402c8a40c27bbb",
-        "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-        "models": "8cb28ac451f47ad26a2546b54f9727e3edef7df97e5767681e3a089d139e2120",
-    }),
-    "sgd": (sgd_run, {
-        "metrics": "43ab99e78de2295c33b15be826edfb3ab54dbe9424606242cb436e500df56cef",
-        "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-        "models": "ad031f72a697d87750507c1dd5d06f350462db538cde807fe62b2664356c0926",
-    }),
-    "fewshot": (fewshot_run, {
-        "metrics": "bd9f3e808fcb441f49f3070bc109567ce44a8d73e5ab378bd761c0f2cf7f8d95",
-        "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
-        "models": "47061ec20a69094e0561a1e80393a554e63d178ba55251ea4b73909d3e2542dd",
-    }),
+RUNS = {
+    "attack": attack_run,
+    "cpgma": cpgma_run,
+    "fedavg": fedavg_run,
+    "fedmp": fedmp_run,
+    "sgd": sgd_run,
+    "fewshot": fewshot_run,
 }
 
+# one table per OpenBLAS kernel, keyed by the name the kernel reports; pinned
+# with PIN_COMMAND, once per kernel the host can run
+GOLDEN = {
+    "SkylakeX": {
+        "attack": {
+            "reports": "24e41c32a7262df8a7df6c760ac88ec56d90e9508c41d3d004f92e1f18355de4",
+            "decoder": "da3d18b054c2872be056ac850649e0932f854522595766d8f53f83b78f4d4a74",
+        },
+        "cpgma": {
+            "metrics": "5b06b43cd98a1c6abd78d33c10f875c00338299460303421ef68094ce06777d7",
+            "ledger": "0738670b842e2911270050b8ae927369ac592bec6c32a0c7ed55be1550d08bc7",
+            "models": "cb663c7df3ed8b404948681fcb7f5cbefb85fccd398d5e5dedaeb91d41e8721f",
+        },
+        "fedavg": {
+            "metrics": "1cef4fce21dad5aad1167ec44442a6cf2132740d91620ded98dca3b9336429c9",
+            "ledger": "a3e226a821fc9a8025f4d21ef8b8a8d0e5c329193608a83d66c2103a4965ce7b",
+            "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
+        },
+        "fedmp": {
+            "metrics": "6edc6e16cf1e7918dd14823271ca02fa2f96b5edacc94cb17e402c8a40c27bbb",
+            "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
+            "models": "8cb28ac451f47ad26a2546b54f9727e3edef7df97e5767681e3a089d139e2120",
+        },
+        "fewshot": {
+            "metrics": "bd9f3e808fcb441f49f3070bc109567ce44a8d73e5ab378bd761c0f2cf7f8d95",
+            "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
+            "models": "47061ec20a69094e0561a1e80393a554e63d178ba55251ea4b73909d3e2542dd",
+        },
+        "sgd": {
+            "metrics": "43ab99e78de2295c33b15be826edfb3ab54dbe9424606242cb436e500df56cef",
+            "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
+            "models": "ad031f72a697d87750507c1dd5d06f350462db538cde807fe62b2664356c0926",
+        },
+    },
+    "Haswell": {
+        "attack": {
+            "reports": "e17f1cdc2d04d459ee87ae04af0759429dbb48f1708dd2c51cb102d659880fb6",
+            "decoder": "da3d18b054c2872be056ac850649e0932f854522595766d8f53f83b78f4d4a74",
+        },
+        "cpgma": {
+            "metrics": "5b06b43cd98a1c6abd78d33c10f875c00338299460303421ef68094ce06777d7",
+            "ledger": "0738670b842e2911270050b8ae927369ac592bec6c32a0c7ed55be1550d08bc7",
+            "models": "cb663c7df3ed8b404948681fcb7f5cbefb85fccd398d5e5dedaeb91d41e8721f",
+        },
+        "fedavg": {
+            "metrics": "1cef4fce21dad5aad1167ec44442a6cf2132740d91620ded98dca3b9336429c9",
+            "ledger": "a3e226a821fc9a8025f4d21ef8b8a8d0e5c329193608a83d66c2103a4965ce7b",
+            "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
+        },
+        "fedmp": {
+            "metrics": "d082188683ce18a078a1b189ac22e365823a4db527f90d9542b58ae49366b983",
+            "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
+            "models": "8cb28ac451f47ad26a2546b54f9727e3edef7df97e5767681e3a089d139e2120",
+        },
+        "fewshot": {
+            "metrics": "bd9f3e808fcb441f49f3070bc109567ce44a8d73e5ab378bd761c0f2cf7f8d95",
+            "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
+            "models": "47061ec20a69094e0561a1e80393a554e63d178ba55251ea4b73909d3e2542dd",
+        },
+        "sgd": {
+            "metrics": "588ee837b061efbb2572c1e128f21b0884144525b50b3d2ab5a4d87272ae40bc",
+            "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
+            "models": "ad031f72a697d87750507c1dd5d06f350462db538cde807fe62b2664356c0926",
+        },
+    },
+    "Sandybridge": {
+        "attack": {
+            "reports": "1998fad47087652b2c5b0888cfd85a35f89637bba0b39d05f4d7ea563a388b30",
+            "decoder": "da3d18b054c2872be056ac850649e0932f854522595766d8f53f83b78f4d4a74",
+        },
+        "cpgma": {
+            "metrics": "5b06b43cd98a1c6abd78d33c10f875c00338299460303421ef68094ce06777d7",
+            "ledger": "0738670b842e2911270050b8ae927369ac592bec6c32a0c7ed55be1550d08bc7",
+            "models": "cb663c7df3ed8b404948681fcb7f5cbefb85fccd398d5e5dedaeb91d41e8721f",
+        },
+        "fedavg": {
+            "metrics": "1cef4fce21dad5aad1167ec44442a6cf2132740d91620ded98dca3b9336429c9",
+            "ledger": "a3e226a821fc9a8025f4d21ef8b8a8d0e5c329193608a83d66c2103a4965ce7b",
+            "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
+        },
+        "fedmp": {
+            "metrics": "4f5a55698359915d02e3ca5fd8388448714d611d644b27dca348e0754927024a",
+            "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
+            "models": "8cb28ac451f47ad26a2546b54f9727e3edef7df97e5767681e3a089d139e2120",
+        },
+        "fewshot": {
+            "metrics": "bd9f3e808fcb441f49f3070bc109567ce44a8d73e5ab378bd761c0f2cf7f8d95",
+            "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
+            "models": "47061ec20a69094e0561a1e80393a554e63d178ba55251ea4b73909d3e2542dd",
+        },
+        "sgd": {
+            "metrics": "25f4a54adb82ab1e1ab566da83b36d606a3a7adb90f5ff20b7512dd6aba1ea7d",
+            "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
+            "models": "ad031f72a697d87750507c1dd5d06f350462db538cde807fe62b2664356c0926",
+        },
+    },
+    "Katmai": {
+        "attack": {
+            "reports": "163cffbd73f75127ada58aef2835718dee30d185cab8190cd6cacf55f20cb4cb",
+            "decoder": "da3d18b054c2872be056ac850649e0932f854522595766d8f53f83b78f4d4a74",
+        },
+        "cpgma": {
+            "metrics": "5b06b43cd98a1c6abd78d33c10f875c00338299460303421ef68094ce06777d7",
+            "ledger": "0738670b842e2911270050b8ae927369ac592bec6c32a0c7ed55be1550d08bc7",
+            "models": "cb663c7df3ed8b404948681fcb7f5cbefb85fccd398d5e5dedaeb91d41e8721f",
+        },
+        "fedavg": {
+            "metrics": "1cef4fce21dad5aad1167ec44442a6cf2132740d91620ded98dca3b9336429c9",
+            "ledger": "a3e226a821fc9a8025f4d21ef8b8a8d0e5c329193608a83d66c2103a4965ce7b",
+            "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
+        },
+        "fedmp": {
+            "metrics": "8de90c7e874002a7deb9b8f8b01a9a548985aa8af0365823c1569f169b2f1c0e",
+            "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
+            "models": "8cb28ac451f47ad26a2546b54f9727e3edef7df97e5767681e3a089d139e2120",
+        },
+        "fewshot": {
+            "metrics": "bd9f3e808fcb441f49f3070bc109567ce44a8d73e5ab378bd761c0f2cf7f8d95",
+            "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
+            "models": "47061ec20a69094e0561a1e80393a554e63d178ba55251ea4b73909d3e2542dd",
+        },
+        "sgd": {
+            "metrics": "43ab99e78de2295c33b15be826edfb3ab54dbe9424606242cb436e500df56cef",
+            "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
+            "models": "ad031f72a697d87750507c1dd5d06f350462db538cde807fe62b2664356c0926",
+        },
+    },
+}
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+PIN_COMMAND = "PYTHONPATH=src python tests/test_golden.py"
+
+
+def expected_digests(kernel: str | None) -> dict:
+    """The kernel's table; a kernel without one fails, it never skips."""
+    if kernel not in GOLDEN:
+        pytest.fail(
+            f"no golden digests for the OpenBLAS kernel {kernel!r} "
+            f"(pinned: {', '.join(sorted(GOLDEN))}); run `{PIN_COMMAND}` on "
+            f"this host and add the entry it prints to GOLDEN in tests/test_golden.py",
+            pytrace=False,
+        )
+    return GOLDEN[kernel]
+
+
+def format_entry(kernel: str | None, table: dict) -> str:
+    """One kernel's GOLDEN entry, as source."""
+    lines = [f'    "{kernel}": {{']
+    for name in sorted(table):
+        lines.append(f'        "{name}": {{')
+        lines += [f'            "{key}": "{digest}",' for key, digest in table[name].items()]
+        lines.append("        },")
+    lines.append("    },")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_golden_digests(name):
-    run, expected = GOLDEN[name]
-    assert run() == expected
+    expected = expected_digests(blas_kernel())[name]
+    assert RUNS[name]() == expected
+
+
+def test_unknown_kernel_fails_with_the_pin_command(monkeypatch):
+    monkeypatch.setitem(globals(), "blas_kernel", lambda: "NoSuchKernel")
+    with pytest.raises(pytest.fail.Exception) as failure:
+        test_golden_digests("fedavg")
+    message = str(failure.value)
+    assert "'NoSuchKernel'" in message and PIN_COMMAND in message
+
+
+if __name__ == "__main__":
+    # print this kernel's GOLDEN entry; OPENBLAS_CORETYPE=<kernel> selects
+    # another kernel this CPU can run
+    print(format_entry(blas_kernel(), {name: run() for name, run in RUNS.items()}))

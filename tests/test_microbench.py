@@ -23,6 +23,7 @@ def test_one_repeat_prints_one_json_line():
     assert len(lines) == 1
     result = json.loads(lines[0])
     assert result["repeats"] == 1 and result["unit"] == "us_per_call"
+    assert result["blas_kernel"]
     assert list(result["results"]) == ["S", "M"]
     for timings in result["results"].values():
         assert set(timings) == PRIMITIVES

@@ -19,8 +19,8 @@ One warm-up call sets how many calls make up one timed repeat (at least
 ``MIN_TIME`` seconds), and each figure is the median over ``--repeats``
 repeats of the time per call, in microseconds, measured with
 ``time.perf_counter``. OpenBLAS is capped at one thread, as in ``perfbench``,
-whose ``machine_record`` describes the host. The result is printed as one JSON
-line.
+whose ``machine_record`` describes the host; ``blas_kernel`` names the
+OpenBLAS kernel the products ran on. The result is printed as one JSON line.
 """
 
 from __future__ import annotations
@@ -133,6 +133,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from run import machine_record           # perfbench's record of the host
 
+    from blas_kernel import blas_kernel
+
     results = {
         scale: {name: round(time_call(fn, args.repeats) * 1e6, 2)
                 for name, fn in cases(scale).items()}
@@ -140,6 +142,7 @@ def main(argv=None) -> int:
     }
     print(json.dumps({"unit": "us_per_call", "repeats": args.repeats,
                       "machine": machine_record(os.getloadavg()),
+                      "blas_kernel": blas_kernel(),
                       "results": results}))
     return 0
 
