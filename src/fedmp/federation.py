@@ -271,12 +271,21 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     With ``collect_final_epoch``, every sample's embedding in the final epoch
     is recorded, one ``FeatureBatch`` per mini-batch, so the caller can upload
     them.
+
+    SFMC is stochastic: each mini-batch trains the head on as many rows of
+    ``foreign`` as it has local rows, drawn without replacement and kept in
+    sample order, or on all of ``foreign`` when it has no more rows than that.
+    The draws come from their own stream, so a run without SFMC draws nothing.
     Returns (feature_batches, stats).
     """
     if len(shard) == 0:
         raise ValueError("client shard is empty")
     enable_sfmc = config.enable_sfmc if enable_sfmc is None else enable_sfmc
     enable_cpgma = config.enable_cpgma if enable_cpgma is None else enable_cpgma
+    if enable_sfmc and foreign:
+        foreign_rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=[config.seed, 4, round_tag, shard.client_id])
+        )
     opt_state = nn.AdamState(learning_rate=config.learning_rate,
                              weight_decay=config.weight_decay)
     stats = LocalTrainStats()
@@ -302,7 +311,11 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
 
             l_sfmc = sfmc_grads = None
             if enable_sfmc and foreign:
-                l_sfmc, sfmc_grads = compute_sfmc_loss(params, spec, foreign)
+                drawn = foreign
+                if len(foreign) > len(idx):
+                    drawn = foreign.take(np.sort(
+                        foreign_rng.choice(len(foreign), len(idx), replace=False)))
+                l_sfmc, sfmc_grads = compute_sfmc_loss(params, spec, drawn)
             l_cpgma = None
             if enable_cpgma and prototypes is not None:
                 l_cpgma, grad_u_align = cpgma_embedding_grad(

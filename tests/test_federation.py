@@ -2,6 +2,8 @@
 combination, both auxiliary losses, the EMA updates, aggregation, client
 updates, the round loop, and the few-shot schedule."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from fedmp.federation import (
     update_client_center,
     update_global_prototype,
 )
-from fedmp.protocol import FeatureBank, FeatureBatch
+from fedmp.protocol import FeatureBank, FeatureBatch, serialize_model
 
 
 def small_spec(d0=4, k=3):
@@ -453,6 +455,91 @@ class TestClientUpdate:
         with pytest.raises(ValueError):
             local_train(nn.init_params(spec, 0), spec, empty, self.config(), 1,
                         np.random.default_rng(0))
+
+
+class TestStochasticSfmc:
+    """Each mini-batch trains the head on a fresh draw from the received
+    foreign sample, one foreign row per local row."""
+
+    def config(self, **kw):
+        base = dict(rounds=1, num_clients=1, local_epochs=2, num_classes=3,
+                    batch_size=4, learning_rate=1e-3, seed=0, enable_cpgma=False)
+        base.update(kw)
+        return FederationConfig(**base)
+
+    def shard(self, n):
+        rng = np.random.default_rng(0)
+        return ClientShard(client_id=0, inputs=rng.normal(size=(n, 4)),
+                           labels=(np.arange(n) % 3).astype(np.int64))
+
+    def foreign(self, n, d):
+        # column 0 holds the row's position in the sample, so a drawn row
+        # can be traced back to it
+        rng = np.random.default_rng(1)
+        embeddings = rng.normal(size=(n, d))
+        embeddings[:, 0] = np.arange(n)
+        return FeatureBatch(embeddings, rng.integers(0, 3, size=n),
+                            np.arange(n) % 5 + 1, np.arange(n) % 2 + 1)
+
+    def sfmc_calls(self, monkeypatch, shard, foreign, **kw):
+        calls = []
+
+        def spy(params, spec, batch):
+            calls.append(batch)
+            return original(params, spec, batch)
+
+        original = federation.compute_sfmc_loss
+        monkeypatch.setattr(federation, "compute_sfmc_loss", spy)
+        spec = small_spec()
+        local_train(nn.init_params(spec, 0), spec, shard, self.config(**kw), 2,
+                    np.random.default_rng(0), foreign=foreign, round_tag=1)
+        return calls
+
+    def test_each_step_draws_one_foreign_row_per_local_row(self, monkeypatch):
+        foreign = self.foreign(12, small_spec().embedding_dim)
+        calls = self.sfmc_calls(monkeypatch, self.shard(10), foreign)
+        # batches of 4, 4 and 2 rows in each of two epochs
+        assert [len(batch) for batch in calls] == [4, 4, 2] * 2
+        for batch in calls:
+            rows = batch.embeddings[:, 0].astype(np.int64)
+            assert np.all(np.diff(rows) > 0)          # distinct, in sample order
+            expected = foreign.take(rows)
+            for column in ("embeddings", "labels", "client_ids", "rounds"):
+                assert np.array_equal(getattr(batch, column), getattr(expected, column))
+        # the draws are fresh: the steps do not all see the same rows
+        assert len({tuple(b.embeddings[:, 0]) for b in calls}) > 1
+
+    @pytest.mark.parametrize("rows", [3, 4])
+    def test_sample_no_larger_than_the_batch_is_passed_whole(self, monkeypatch, rows):
+        foreign = self.foreign(rows, small_spec().embedding_dim)
+        calls = self.sfmc_calls(monkeypatch, self.shard(8), foreign)
+        assert len(calls) == 4 and all(batch is foreign for batch in calls)
+
+    def test_same_config_gives_identical_bytes(self):
+        shards, global_test = small_federation()
+        spec = small_spec()
+        # 16 foreign rows per client against 4-row batches: every step draws
+        cfg = FederationConfig(rounds=3, num_clients=3, local_epochs=2, num_classes=3,
+                               batch_size=4, learning_rate=1e-3, seed=5,
+                               sample_count=8, track_geometry=False)
+        runs = [run_federation(cfg, shards, spec, global_test) for _ in range(2)]
+        a, b = (json.dumps(r.metrics).encode() for r in runs)
+        assert a == b
+        assert runs[0].ledger.entries == runs[1].ledger.entries
+        assert serialize_model(runs[0].params) == serialize_model(runs[1].params)
+
+    def test_without_sfmc_the_sample_changes_nothing(self):
+        spec = small_spec()
+        shard = self.shard(10)
+        prototypes = np.random.default_rng(2).normal(size=(3, spec.embedding_dim))
+        cfg = self.config(enable_sfmc=False, enable_cpgma=True)
+        trained = []
+        for foreign in (self.foreign(30, spec.embedding_dim), None):
+            params = nn.init_params(spec, 0)
+            local_train(params, spec, shard, cfg, 2, np.random.default_rng(0),
+                        foreign=foreign, prototypes=prototypes, round_tag=1)
+            trained.append(params)
+        assert serialize_model(trained[0]) == serialize_model(trained[1])
 
 
 class TestRunFederation:
