@@ -141,8 +141,8 @@ RUNS = {
 GOLDEN = {
     "SkylakeX": {
         "attack": {
-            "reports": "24e41c32a7262df8a7df6c760ac88ec56d90e9508c41d3d004f92e1f18355de4",
-            "decoder": "da3d18b054c2872be056ac850649e0932f854522595766d8f53f83b78f4d4a74",
+            "reports": "14c0d040d0c9e619dc7071850b1d3948701a3353c91f3daaa77435fc9795f903",
+            "decoder": "0659f328f57eeaefd80a42b70b90c9176b6c89fad16941cd7cb15626a3443c6c",
         },
         "cpgma": {
             "metrics": "5b06b43cd98a1c6abd78d33c10f875c00338299460303421ef68094ce06777d7",
@@ -155,25 +155,25 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "6edc6e16cf1e7918dd14823271ca02fa2f96b5edacc94cb17e402c8a40c27bbb",
+            "metrics": "85f6c441985fc25bcc0f7da3767228228a40d2d1b9b8039a79f6052e42e6c9f2",
             "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "8cb28ac451f47ad26a2546b54f9727e3edef7df97e5767681e3a089d139e2120",
+            "models": "c05254583b0ecac0e7315948558ee1d97972314abacad5e11a49593e1d324485",
         },
         "fewshot": {
-            "metrics": "bd9f3e808fcb441f49f3070bc109567ce44a8d73e5ab378bd761c0f2cf7f8d95",
+            "metrics": "cd19d2f9273e02a9750ba1d8b91531ca5db6c20d61cf4e1751628ebb48927b2a",
             "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
-            "models": "47061ec20a69094e0561a1e80393a554e63d178ba55251ea4b73909d3e2542dd",
+            "models": "1cee7d03fede812c7a227da1c15616be5a7e89c6042250bfafe964b6d2d19c54",
         },
         "sgd": {
-            "metrics": "43ab99e78de2295c33b15be826edfb3ab54dbe9424606242cb436e500df56cef",
+            "metrics": "2eab8160a3bf2b6a7ee83488e90620ec65dbcac7acacf61316a86b772bd7025a",
             "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "ad031f72a697d87750507c1dd5d06f350462db538cde807fe62b2664356c0926",
+            "models": "46e56b512e01490f6227d4ba12aa90bbce7e5322d7e06a9360f31d55c05211f6",
         },
     },
     "Haswell": {
         "attack": {
-            "reports": "e17f1cdc2d04d459ee87ae04af0759429dbb48f1708dd2c51cb102d659880fb6",
-            "decoder": "da3d18b054c2872be056ac850649e0932f854522595766d8f53f83b78f4d4a74",
+            "reports": "efd30de530787cd3b9aebfedd6b71db897e0c4807f1d91976f4f394d59b6bde2",
+            "decoder": "0659f328f57eeaefd80a42b70b90c9176b6c89fad16941cd7cb15626a3443c6c",
         },
         "cpgma": {
             "metrics": "5b06b43cd98a1c6abd78d33c10f875c00338299460303421ef68094ce06777d7",
@@ -186,25 +186,25 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "d082188683ce18a078a1b189ac22e365823a4db527f90d9542b58ae49366b983",
+            "metrics": "76fb017270279583ab6c30a8319a091e714632d1a88bc6e346fd07c9bc3133bb",
             "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "8cb28ac451f47ad26a2546b54f9727e3edef7df97e5767681e3a089d139e2120",
+            "models": "c05254583b0ecac0e7315948558ee1d97972314abacad5e11a49593e1d324485",
         },
         "fewshot": {
-            "metrics": "bd9f3e808fcb441f49f3070bc109567ce44a8d73e5ab378bd761c0f2cf7f8d95",
+            "metrics": "adabe83f0910e09c18fa8a36801071177de9da96c1ee2f9940dfbf0ff83b55fb",
             "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
-            "models": "47061ec20a69094e0561a1e80393a554e63d178ba55251ea4b73909d3e2542dd",
+            "models": "1cee7d03fede812c7a227da1c15616be5a7e89c6042250bfafe964b6d2d19c54",
         },
         "sgd": {
-            "metrics": "588ee837b061efbb2572c1e128f21b0884144525b50b3d2ab5a4d87272ae40bc",
+            "metrics": "fad3bd8896145b094c71123de59404be0ab0b6e9269758837441c35f9a345d7d",
             "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "ad031f72a697d87750507c1dd5d06f350462db538cde807fe62b2664356c0926",
+            "models": "46e56b512e01490f6227d4ba12aa90bbce7e5322d7e06a9360f31d55c05211f6",
         },
     },
     "Sandybridge": {
         "attack": {
-            "reports": "1998fad47087652b2c5b0888cfd85a35f89637bba0b39d05f4d7ea563a388b30",
-            "decoder": "da3d18b054c2872be056ac850649e0932f854522595766d8f53f83b78f4d4a74",
+            "reports": "1953bcc50f4aa3dfc654b11ac5c0baac5c2fad639b8db4dc855e30efa467f6dc",
+            "decoder": "0659f328f57eeaefd80a42b70b90c9176b6c89fad16941cd7cb15626a3443c6c",
         },
         "cpgma": {
             "metrics": "5b06b43cd98a1c6abd78d33c10f875c00338299460303421ef68094ce06777d7",
@@ -217,25 +217,25 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "4f5a55698359915d02e3ca5fd8388448714d611d644b27dca348e0754927024a",
+            "metrics": "3a36353e6228d1cc0a9a59fc5585c1e37b9524df165cbb167bf49645c2b24077",
             "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "8cb28ac451f47ad26a2546b54f9727e3edef7df97e5767681e3a089d139e2120",
+            "models": "c05254583b0ecac0e7315948558ee1d97972314abacad5e11a49593e1d324485",
         },
         "fewshot": {
-            "metrics": "bd9f3e808fcb441f49f3070bc109567ce44a8d73e5ab378bd761c0f2cf7f8d95",
+            "metrics": "fa3bc9b303f963f47635f9a6c8c2c69ccce4e220fb549a8dc5e7c2bc2adb2d58",
             "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
-            "models": "47061ec20a69094e0561a1e80393a554e63d178ba55251ea4b73909d3e2542dd",
+            "models": "1cee7d03fede812c7a227da1c15616be5a7e89c6042250bfafe964b6d2d19c54",
         },
         "sgd": {
-            "metrics": "25f4a54adb82ab1e1ab566da83b36d606a3a7adb90f5ff20b7512dd6aba1ea7d",
+            "metrics": "0bfe2ba686b2b4c57d5977668183340729c0743ded453850662bbfe18461b273",
             "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "ad031f72a697d87750507c1dd5d06f350462db538cde807fe62b2664356c0926",
+            "models": "46e56b512e01490f6227d4ba12aa90bbce7e5322d7e06a9360f31d55c05211f6",
         },
     },
     "Katmai": {
         "attack": {
-            "reports": "163cffbd73f75127ada58aef2835718dee30d185cab8190cd6cacf55f20cb4cb",
-            "decoder": "da3d18b054c2872be056ac850649e0932f854522595766d8f53f83b78f4d4a74",
+            "reports": "86b177f07414e84b4f4d116b5122d8b1d6e216a2156e81a0cfef6eaa43969b48",
+            "decoder": "0659f328f57eeaefd80a42b70b90c9176b6c89fad16941cd7cb15626a3443c6c",
         },
         "cpgma": {
             "metrics": "5b06b43cd98a1c6abd78d33c10f875c00338299460303421ef68094ce06777d7",
@@ -248,19 +248,19 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "8de90c7e874002a7deb9b8f8b01a9a548985aa8af0365823c1569f169b2f1c0e",
+            "metrics": "3a36353e6228d1cc0a9a59fc5585c1e37b9524df165cbb167bf49645c2b24077",
             "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "8cb28ac451f47ad26a2546b54f9727e3edef7df97e5767681e3a089d139e2120",
+            "models": "c05254583b0ecac0e7315948558ee1d97972314abacad5e11a49593e1d324485",
         },
         "fewshot": {
-            "metrics": "bd9f3e808fcb441f49f3070bc109567ce44a8d73e5ab378bd761c0f2cf7f8d95",
+            "metrics": "fa3bc9b303f963f47635f9a6c8c2c69ccce4e220fb549a8dc5e7c2bc2adb2d58",
             "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
-            "models": "47061ec20a69094e0561a1e80393a554e63d178ba55251ea4b73909d3e2542dd",
+            "models": "1cee7d03fede812c7a227da1c15616be5a7e89c6042250bfafe964b6d2d19c54",
         },
         "sgd": {
-            "metrics": "43ab99e78de2295c33b15be826edfb3ab54dbe9424606242cb436e500df56cef",
+            "metrics": "0bfe2ba686b2b4c57d5977668183340729c0743ded453850662bbfe18461b273",
             "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "ad031f72a697d87750507c1dd5d06f350462db538cde807fe62b2664356c0926",
+            "models": "46e56b512e01490f6227d4ba12aa90bbce7e5322d7e06a9360f31d55c05211f6",
         },
     },
 }
