@@ -41,6 +41,11 @@ def directed_distance(a, b) -> float:
     pa, pb = _as_points(a), _as_points(b)
     if pa.shape[1] != pb.shape[1]:
         raise ValueError(f"dimension mismatch {pa.shape[1]} vs {pb.shape[1]}")
+    return _directed(pa, pb)
+
+
+def _directed(pa: np.ndarray, pb: np.ndarray) -> float:
+    # ``directed_distance`` on clouds already checked by ``_as_points``
     return float(directed_hausdorff(pa, pb, rng=np.random.default_rng(0))[0])
 
 
@@ -69,8 +74,10 @@ def class_manifolds(params: nn.Parameters, spec: nn.NetworkSpec, shards):
 
 def _to_global(per: dict, global_clouds: dict) -> tuple[dict, float]:
     # each client cloud is a subset of its global class cloud, so the symmetric
-    # distance is the one directed from the global cloud to the client cloud
-    to_global = {key: directed_distance(global_clouds[key[1]], pts) for key, pts in per.items()}
+    # distance is the one directed from the global cloud to the client cloud;
+    # every cloud is checked once, not once per distance it is part of
+    checked = {cls: _as_points(pts) for cls, pts in global_clouds.items()}
+    to_global = {key: _directed(checked[key[1]], _as_points(pts)) for key, pts in per.items()}
     return to_global, float(np.mean(list(to_global.values()))) if to_global else 0.0
 
 

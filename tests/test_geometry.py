@@ -237,6 +237,16 @@ class TestManifoldReport:
         }
         assert mean_to_global(params, spec, shards) == report["mean_to_global"]
 
+    @pytest.mark.parametrize("client", [0, 2])
+    def test_non_finite_embedding_rejected(self, client):
+        params, spec, shards = toy_federation(num_clients=3, seed=5)
+        shards[client].inputs[1, 0] = np.inf      # so that row embeds as inf
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                mean_to_global(params, spec, shards)
+            with pytest.raises(ValueError, match="non-finite"):
+                manifold_report(params, spec, shards)
+
     def test_pure_function_of_inputs(self):
         params, spec, shards = toy_federation(num_clients=2, seed=9)
         a = manifold_report(params, spec, shards)
