@@ -143,6 +143,14 @@ def compute_sfmc_loss(params: nn.Parameters, spec: nn.NetworkSpec,
     return loss, grads
 
 
+def draw_foreign(foreign: FeatureBatch, rows: int, rng: np.random.Generator) -> FeatureBatch:
+    """``rows`` distinct rows of ``foreign``, kept in sample order, or all of
+    ``foreign`` when it has no more rows than that."""
+    if len(foreign) <= rows:
+        return foreign
+    return foreign.take(np.sort(rng.choice(len(foreign), rows, replace=False)))
+
+
 def cpgma_embedding_grad(u: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
                          eps_guard: float = 1e-8):
     """Negated per-class mean cosine between embeddings and their prototype,
@@ -311,11 +319,8 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
 
             l_sfmc = sfmc_grads = None
             if enable_sfmc and foreign:
-                drawn = foreign
-                if len(foreign) > len(idx):
-                    drawn = foreign.take(np.sort(
-                        foreign_rng.choice(len(foreign), len(idx), replace=False)))
-                l_sfmc, sfmc_grads = compute_sfmc_loss(params, spec, drawn)
+                l_sfmc, sfmc_grads = compute_sfmc_loss(
+                    params, spec, draw_foreign(foreign, len(idx), foreign_rng))
             l_cpgma = None
             if enable_cpgma and prototypes is not None:
                 l_cpgma, grad_u_align = cpgma_embedding_grad(

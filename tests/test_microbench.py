@@ -10,7 +10,7 @@ SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "microbench.py"
 PRIMITIVES = {
     "nn.forward.batch", "nn.backward.batch", "nn.forward.head", "nn.backward.head",
     "nn.softmax_cross_entropy.batch", "nn.softmax_cross_entropy.head", "nn.adam_step",
-    "federation.cpgma_embedding_grad", "protocol.FeatureBank.insert",
+    "federation.cpgma_embedding_grad", "federation.draw_foreign", "protocol.FeatureBank.insert",
     "protocol.FeatureBank.sample", "geometry.directed_distance", "geometry.mean_to_global",
 }
 

@@ -6,10 +6,14 @@ Run it from the root of a source checkout; it imports ``fedmp`` from
 ``src/``. Each primitive is called on fixed inputs built from the acceptance
 network (16-d input, extractor (64), head (32, 16), 3 classes):
 
-- ``S``: a 64-row mini-batch, and 192 foreign rows for the SFMC head pass
-  (3 clients, 96 rows sampled from each other client);
-- ``M``: the same mini-batch, and 1,824 foreign rows through the 64-32-16-3
-  head (20 clients x 96 rows), with a 20 x 500-row bank.
+- ``S``: a 64-row mini-batch, and a foreign sample of 192 rows (3 clients,
+  96 rows sampled from each other client);
+- ``M``: the same mini-batch, a foreign sample of 1,824 rows (20 clients x 96
+  rows) and a 20 x 500-row bank.
+
+A local step's SFMC pass is ``federation.draw_foreign`` (64 of the sample's
+rows: ``choice``, ``sort``, ``take``) followed by the ``.head`` cases, the
+64-32-16-3 head's forward, cross-entropy and backward on the 64 drawn rows.
 
 ``geometry.mean_to_global`` is the round's geometry phase: it embeds every
 client's rows (3 x 96 at S, 20 x 500 at M) and takes one directed Hausdorff
@@ -47,7 +51,7 @@ def cases(scale: str) -> dict:
 
     from fedmp import geometry, nn
     from fedmp.data import ClientShard
-    from fedmp.federation import cpgma_embedding_grad
+    from fedmp.federation import cpgma_embedding_grad, draw_foreign
     from fedmp.protocol import FeatureBank, FeatureBatch
 
     clients, per_client = SCALES[scale]
@@ -76,8 +80,10 @@ def cases(scale: str) -> dict:
         for batch in uploads:
             bank.insert(batch)
     foreign = bank.sample(0, SAMPLE_COUNT, 0)
-    head_logits, head_cache = nn.forward_classifier(params, spec, foreign.embeddings)
-    _, head_glogits = nn.softmax_cross_entropy(head_logits, foreign.labels)
+    draw_rng = np.random.default_rng(0)
+    drawn = draw_foreign(foreign, BATCH, draw_rng)
+    head_logits, head_cache = nn.forward_classifier(params, spec, drawn.embeddings)
+    _, head_glogits = nn.softmax_cross_entropy(head_logits, drawn.labels)
 
     labels = np.concatenate([batch.labels for batch in uploads])
     shards = [ClientShard(c, inputs[c * per_client:(c + 1) * per_client], batch.labels)
@@ -90,12 +96,13 @@ def cases(scale: str) -> dict:
         "nn.forward.batch": lambda: nn.forward_full(params, spec, x),
         "nn.backward.batch": lambda: nn.backward(params, spec, cache, glogits,
                                                  input_grad=False),
-        "nn.forward.head": lambda: nn.forward_classifier(params, spec, foreign.embeddings),
+        "federation.draw_foreign": lambda: draw_foreign(foreign, BATCH, draw_rng),
+        "nn.forward.head": lambda: nn.forward_classifier(params, spec, drawn.embeddings),
         "nn.backward.head": lambda: nn.backward(params, spec, head_cache, head_glogits,
                                                 input_grad=False),
         "nn.softmax_cross_entropy.batch": lambda: nn.softmax_cross_entropy(logits, y),
         "nn.softmax_cross_entropy.head": lambda: nn.softmax_cross_entropy(
-            head_logits, foreign.labels),
+            head_logits, drawn.labels),
         "nn.adam_step": lambda: nn.adam_step(params, grads, state),
         "federation.cpgma_embedding_grad": lambda: cpgma_embedding_grad(u, y, prototypes),
         "protocol.FeatureBank.insert": lambda: bank.insert(uploads[0]),
