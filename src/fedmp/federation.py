@@ -280,10 +280,9 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     is recorded, one ``FeatureBatch`` per mini-batch, so the caller can upload
     them.
 
-    SFMC is stochastic: each mini-batch trains the head on as many rows of
-    ``foreign`` as it has local rows, drawn without replacement and kept in
-    sample order, or on all of ``foreign`` when it has no more rows than that.
-    The draws come from their own stream, so a run without SFMC draws nothing.
+    SFMC is stochastic: each mini-batch trains the head on ``draw_foreign``
+    of as many foreign rows as it has local rows. The draws come from their
+    own stream, so a run without SFMC draws nothing.
     Returns (feature_batches, stats).
     """
     if len(shard) == 0:
