@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, nn, privacy
-from .config import ConfigError, ExperimentConfig, config_echo, load_config
+from .config import MODES, ConfigError, ExperimentConfig, config_echo, load_config
 from .data import generate_federation, merge_shards, save_csv
 from .federation import FederationConfig, run_federation, run_few_shot
 from .protocol import deserialize_model, serialize_model
@@ -59,30 +60,13 @@ def cmd_generate(args) -> int:
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     shards, global_test = generate_federation(config.dataset_spec())
-    files = []
-    for shard in shards:
-        path = outdir / f"shard_{shard.client_id}.csv"
+    files = [outdir / f"shard_{shard.client_id}.csv" for shard in shards]
+    files.append(outdir / "global_test.csv")
+    for shard, path in zip([*shards, global_test], files):
         save_csv(shard, path)
-        files.append(path)
-    test_path = outdir / "global_test.csv"
-    save_csv(global_test, test_path)
-    files.append(test_path)
     _write_manifest(outdir, config, files)
     print(f"wrote {len(files)} dataset files to {outdir}")
     return 0
-
-
-def _federation_config(config: ExperimentConfig, seed: int) -> FederationConfig:
-    """The seed's training config for ``config.mode``; raises on a bad mode or
-    value, so a run can check every seed before it generates any data."""
-    mode = config.mode
-    if mode == "centralized":
-        fed = config.federation_config(seed, mode="fedavg")
-        fed.num_clients = 1
-        return fed
-    if mode in ("fedavg", "fedmp", "fewshot", "single"):
-        return config.federation_config(seed, mode=mode)
-    raise ConfigError(f"unknown mode {mode!r}")
 
 
 def _run_one_seed(config: ExperimentConfig, fed: FederationConfig, spec, federation):
@@ -95,8 +79,9 @@ def _run_one_seed(config: ExperimentConfig, fed: FederationConfig, spec, federat
         if mode == "centralized":
             shards = [merge_shards(shards, client_id=0)]
         result = run_federation(fed, shards, spec, global_test,
-                                snapshot_rounds=_snapshot_rounds(config.rounds))
-        return _federation_outputs(result, global_test)
+                                snapshot_rounds={1, max(1, config.rounds // 2), config.rounds})
+        return (result.metrics[-1]["global_test_accuracy"], result.metrics, result.ledger,
+                result.snapshots, {"server": result.params})
     stage_epochs = config.stage_epochs if mode == "fewshot" else config.stage_epochs[:1]
     result = run_few_shot(fed, shards, spec, global_test, stage_epochs=stage_epochs)
     final = result.ensemble_accuracy if mode == "fewshot" else result.metrics[-1]["server_accuracy"]
@@ -106,19 +91,10 @@ def _run_one_seed(config: ExperimentConfig, fed: FederationConfig, spec, federat
     }
 
 
-def _federation_outputs(result, global_test):
-    final = result.metrics[-1]["global_test_accuracy"]
-    return final, result.metrics, result.ledger, result.snapshots, {"server": result.params}
-
-
-def _snapshot_rounds(rounds: int) -> tuple:
-    return tuple(sorted({1, max(1, rounds // 2), rounds}))
-
-
 def cmd_run(args) -> int:
     config = _load_experiment(args)
     spec = config.network_spec()
-    feds = {seed: _federation_config(config, seed) for seed in config.seeds}
+    feds = {seed: config.federation_config(seed) for seed in config.seeds}
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     federation = generate_federation(config.dataset_spec())
@@ -204,12 +180,9 @@ def cmd_ablate(args) -> int:
     spec = config.network_spec()
     variants = []
     for name, sfmc, cpgma in ABLATION_VARIANTS:
-        variant = load_config(args.config) if args.config else ExperimentConfig()
-        variant.mode = "fedmp" if (sfmc or cpgma) else "fedavg"
-        variant.seeds = config.seeds
-        variant.enable_sfmc = sfmc
-        variant.enable_cpgma = cpgma
-        feds = {seed: _federation_config(variant, seed) for seed in variant.seeds}
+        variant = dataclasses.replace(config, mode="fedmp" if (sfmc or cpgma) else "fedavg",
+                                      enable_sfmc=sfmc, enable_cpgma=cpgma)
+        feds = {seed: variant.federation_config(seed) for seed in variant.seeds}
         variants.append((name, variant, feds))
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -254,17 +227,7 @@ def cmd_attack(args) -> int:
             params = deserialize_model(
                 (outdir / f"model_server_seed{seed}.bin").read_bytes(), spec
             )
-            configs = [
-                privacy.AttackConfig(
-                    split_index=layer,
-                    epochs=config.attack_epochs,
-                    train_fraction=config.attack_train_fraction,
-                    learning_rate=config.attack_learning_rate,
-                    seed=seed,
-                )
-                for layer in config.attack_layers
-            ]
-            for rep in privacy.attack_report(params, spec, shards, configs):
+            for rep in privacy.attack_report(params, spec, shards, config.attack_configs(seed)):
                 writer.writerow([
                     seed, rep.split_index, _fmt(rep.frechet),
                     _fmt(rep.max_ssim), _fmt(rep.min_l2), int(rep.risk),
@@ -312,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--seed", type=int, help="run a single seed instead of the config's list")
-        p.add_argument("--mode", help="override the configured mode")
+        p.add_argument("--mode", choices=MODES, help="override the configured mode")
         p.add_argument("--out", help="override the output directory")
         p.set_defaults(func=func)
     return parser

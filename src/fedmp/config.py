@@ -7,6 +7,7 @@ names are not used, so ``learning_rate`` becomes ``FEDMP_LEARNING_RATE``).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import ClassVar
@@ -14,6 +15,7 @@ from typing import ClassVar
 from .data import DatasetSpec
 from .federation import OPTIMIZERS, FederationConfig
 from .nn import NetworkSpec, ShapeError, mlp_spec
+from .privacy import AttackConfig
 
 ENV_PREFIX = "FEDMP_"
 MODES = ("fedavg", "fedmp", "fewshot", "single", "centralized")
@@ -39,13 +41,20 @@ def _parse_int_list(value: str) -> tuple:
     return tuple(int(v.strip()) for v in value.split(","))
 
 
-def _parse_widths(value: str, allow_empty: bool) -> tuple:
-    widths = _parse_int_list(value)
-    if not widths and not allow_empty:
-        raise ValueError("needs at least one width")
-    if any(w < 1 for w in widths):
-        raise ValueError(f"widths must be positive, got {widths}")
-    return widths
+def _parse_float(value: str) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {value.strip()!r}")
+    return v
+
+
+def _parse_positive(value: str, allow_empty: bool) -> tuple:
+    values = _parse_int_list(value)
+    if not values and not allow_empty:
+        raise ValueError("needs at least one value")
+    if any(v < 1 for v in values):
+        raise ValueError(f"values must be positive, got {values}")
+    return values
 
 
 def _choice(options: tuple):
@@ -85,7 +94,6 @@ class ExperimentConfig:
     enable_cpgma: bool = True
     sample_count: int = 64
     bank_capacity: int = 512
-    eps_guard: float = 1e-8
     optimizer: str = "adam"
     track_geometry: bool = True
     stage_epochs: tuple = (30, 60, 60)
@@ -113,48 +121,52 @@ class ExperimentConfig:
                         self.hidden_classifier, self.classes)
 
     def federation_config(self, seed: int, mode: str | None = None) -> FederationConfig:
+        """The seed's training config for ``mode`` (the configured one by
+        default). SFMC and CPGMA run only in fedmp and fewshot, and
+        centralized trains one client on the pooled data."""
         mode = mode or self.mode
-        modules = mode in ("fedmp", "fewshot", "single")
-        return FederationConfig(
-            rounds=self.rounds,
-            num_clients=self.clients,
-            local_epochs=self.local_epochs,
-            num_classes=self.classes,
-            batch_size=self.batch_size,
-            mu_client=self.mu_client,
-            mu_server=self.mu_server,
-            learning_rate=self.learning_rate,
-            weight_decay=self.weight_decay,
-            enable_sfmc=self.enable_sfmc and modules and mode != "single",
-            enable_cpgma=self.enable_cpgma and modules and mode != "single",
-            sample_count=self.sample_count,
-            bank_capacity=self.bank_capacity,
-            eps_guard=self.eps_guard,
-            seed=seed,
-            optimizer=self.optimizer,
-            track_geometry=self.track_geometry,
-        )
+        modules = mode in ("fedmp", "fewshot")
+        keys = {f.name for f in fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in fields(FederationConfig)
+                  if f.name in keys}
+        return FederationConfig(**{
+            **shared,
+            "num_clients": 1 if mode == "centralized" else self.clients,
+            "num_classes": self.classes,
+            "seed": seed,
+            "enable_sfmc": self.enable_sfmc and modules,
+            "enable_cpgma": self.enable_cpgma and modules,
+        })
+
+    def attack_configs(self, seed: int) -> list[AttackConfig]:
+        """One inversion attack per layer in ``attack_layers``."""
+        return [AttackConfig(split_index=layer, epochs=self.attack_epochs,
+                             train_fraction=self.attack_train_fraction,
+                             learning_rate=self.attack_learning_rate, seed=seed)
+                for layer in self.attack_layers]
 
 
 # one parser per key, chosen by the field's annotation
-_PARSE_BY_TYPE = {"int": int, "float": float, "bool": _parse_bool,
+_PARSE_BY_TYPE = {"int": int, "float": _parse_float, "bool": _parse_bool,
                   "tuple": _parse_int_list, "str": str}
 _PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
 _PARSERS["mode"] = _choice(MODES)
 _PARSERS["optimizer"] = _choice(OPTIMIZERS)
-_PARSERS["hidden_extractor"] = lambda value: _parse_widths(value, allow_empty=False)
-_PARSERS["hidden_classifier"] = lambda value: _parse_widths(value, allow_empty=True)
+_PARSERS["hidden_extractor"] = lambda value: _parse_positive(value, allow_empty=False)
+_PARSERS["hidden_classifier"] = lambda value: _parse_positive(value, allow_empty=True)
+_PARSERS["stage_epochs"] = _PARSERS["hidden_extractor"]
+
+# the config key of a library field, where the names differ
+_KEY_OF_FIELD = {"num_clients": "clients", "num_classes": "classes"}
 
 
 def _check_ranges(config: ExperimentConfig) -> ExperimentConfig:
     """Reject values that only a later stage would trip over, naming the key
-    and where it was set."""
+    and where it was set. The training, dataset and attack objects check
+    their own fields, each message starting with the field's name."""
     def fail(key: str, message: str):
         raise ConfigError(f"{config.origins.get(key, 'default value')}: {key}: {message}")
 
-    for key in ("clients", "classes"):      # u16 fields of feature headers
-        if getattr(config, key) > 0xFFFF:
-            fail(key, f"num_{key} must be <= 65535, got {getattr(config, key)}")
     try:
         layers = len(config.network_spec().layers)
     except ShapeError as exc:
@@ -162,7 +174,22 @@ def _check_ranges(config: ExperimentConfig) -> ExperimentConfig:
     for split in config.attack_layers:
         if not 1 <= split <= layers:
             fail("attack_layers", f"layer {split} outside 1..{layers}, the network's layers")
+    for build, prefix in ((lambda: config.federation_config(0), ""),
+                          (config.dataset_spec, ""),
+                          (lambda: config.attack_configs(0), "attack_")):
+        try:
+            build()
+        except ValueError as exc:
+            name = str(exc).split()[0]
+            fail(prefix + _KEY_OF_FIELD.get(name, name), str(exc))
     return config
+
+
+def _value(key: str, raw: str, origin: str):
+    try:
+        return _PARSERS[key](raw.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{origin}: {key}: {exc}") from None
 
 
 def _parse(text: str, source: str) -> ExperimentConfig:
@@ -179,10 +206,7 @@ def _parse(text: str, source: str) -> ExperimentConfig:
         if key not in _PARSERS:
             raise ConfigError(f"{source}: line {lineno}: unknown key {key!r}")
         origins[key] = f"{source}: line {lineno}"
-        try:
-            values[key] = _PARSERS[key](value.strip())
-        except ValueError as exc:
-            raise ConfigError(f"{origins[key]}: {key}: {exc}") from None
+        values[key] = _value(key, value, origins[key])
     config = ExperimentConfig(**values)
     config.origins = origins
     return config
@@ -199,10 +223,7 @@ def apply_env_overrides(config: ExperimentConfig, environ=None) -> ExperimentCon
         env_key = ENV_PREFIX + key.upper()
         if env_key in environ:
             origins[key] = f"env {env_key}"
-            try:
-                setattr(config, key, _PARSERS[key](environ[env_key]))
-            except ValueError as exc:
-                raise ConfigError(f"env {env_key}: {exc}") from None
+            setattr(config, key, _value(key, environ[env_key], origins[key]))
     config.origins = origins
     return _check_ranges(config)
 

@@ -1,4 +1,4 @@
-"""Synthetic feature-skew federation data plus CSV ingest/partition helpers.
+"""Synthetic feature-skew federation data and its CSV export.
 
 Every client draws labels from the same balanced label distribution, but sees
 inputs through a client-specific affine transform of a shared latent Gaussian
@@ -28,14 +28,14 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
-        if self.num_clients < 1:
-            raise ValueError("need at least 1 client")
+        # each message starts with the field it is about
+        for name, low in (("num_classes", 2), ("num_clients", 1),
+                          ("skew_strength", 0), ("noise_std", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.samples_per_client < self.num_classes:
-            raise ValueError("samples_per_client must cover every class")
-        if self.skew_strength < 0 or self.noise_std < 0:
-            raise ValueError("skew_strength and noise_std must be >= 0")
+            raise ValueError(f"samples_per_client must cover every class, got "
+                             f"{self.samples_per_client} for {self.num_classes} classes")
 
 
 @dataclass
@@ -120,66 +120,11 @@ def generate_federation(spec: DatasetSpec) -> tuple[list[ClientShard], ClientSha
     return shards, global_test
 
 
-def load_csv(path, has_header: bool = False, client_id: int = 0) -> ClientShard:
-    """Read rows of D0 feature columns plus one trailing integer label column."""
-    inputs, labels = [], []
-    width = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if has_header and lineno == 1:
-                continue
-            if not row:
-                continue
-            if width is None:
-                width = len(row)
-            if len(row) != width:
-                raise ValueError(f"{path}: line {lineno}: expected {width} columns")
-            try:
-                feats = [float(v) for v in row[:-1]]
-                label = int(row[-1])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: malformed value ({exc})") from None
-            inputs.append(feats)
-            labels.append(label)
-    if not inputs:
-        raise ValueError(f"{path}: no data rows")
-    return ClientShard(
-        client_id=client_id,
-        inputs=np.asarray(inputs, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64),
-    )
-
-
 def save_csv(shard: ClientShard, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for x, y in zip(shard.inputs, shard.labels):
             writer.writerow([format(v, ".17g") for v in x] + [int(y)])
-
-
-def partition_even(shard: ClientShard, num_clients: int, seed: int) -> list[ClientShard]:
-    """Stratified seeded split: sizes and per-class counts both differ by <= 1."""
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    rng = np.random.default_rng(seed)
-    buckets: list[list[int]] = [[] for _ in range(num_clients)]
-    cursor = 0
-    for cls in np.unique(shard.labels):
-        idx = np.flatnonzero(shard.labels == cls)
-        rng.shuffle(idx)
-        for i in idx:
-            buckets[cursor % num_clients].append(int(i))
-            cursor += 1
-    return [
-        ClientShard(
-            client_id=i,
-            inputs=shard.inputs[idx],
-            labels=shard.labels[idx],
-            skew_descriptor={"partition_of": shard.client_id},
-        )
-        for i, idx in enumerate(np.asarray(sorted(b), dtype=np.int64) for b in buckets)
-    ]
 
 
 def merge_shards(shards: list[ClientShard], client_id: int = 0) -> ClientShard:

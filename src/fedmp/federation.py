@@ -31,6 +31,7 @@ from .protocol import (
 
 
 OPTIMIZERS = ("adam", "sgd")
+EPS_GUARD = 1e-8             # keeps the adaptive weights and unit vectors finite
 
 
 @dataclass
@@ -48,22 +49,22 @@ class FederationConfig:
     enable_cpgma: bool = True
     sample_count: int = 64
     bank_capacity: int = 512
-    eps_guard: float = 1e-8
     seed: int = 0
     optimizer: str = "adam"
     track_geometry: bool = True
 
     def __post_init__(self):
-        if not 0 < self.mu_client <= 1:
-            raise ValueError("mu_client must be in (0, 1]")
-        if not 0 < self.mu_server <= 1:
-            raise ValueError("mu_server must be in (0, 1]")
-        if min(self.rounds, self.num_clients, self.local_epochs) < 1:
-            raise ValueError("rounds, num_clients, local_epochs must be >= 1")
-        if self.batch_size < 1 or self.sample_count < 0:
-            raise ValueError("batch_size >= 1 and sample_count >= 0 required")
+        # each message starts with the field it is about
+        for name in ("mu_client", "mu_server"):
+            if not 0 < getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in (0, 1]")
+        for name, low in (("rounds", 1), ("num_clients", 1), ("local_epochs", 1),
+                          ("batch_size", 1), ("bank_capacity", 1), ("sample_count", 0),
+                          ("learning_rate", 0), ("weight_decay", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise ValueError(f"optimizer {self.optimizer!r} is not one of {OPTIMIZERS}")
         for name in ("num_clients", "num_classes"):     # u16 fields of feature blobs
             if getattr(self, name) > 0xFFFF:
                 raise ValueError(f"{name} must be <= 65535, got {getattr(self, name)}")
@@ -77,23 +78,6 @@ class LossBreakdown:
     weight_sfmc: float
     weight_cpgma: float
     total: float
-
-
-@dataclass
-class ClientState:
-    client_id: int
-    shard: ClientShard
-    params: nn.Parameters
-    opt_state: nn.AdamState | None = None
-
-
-@dataclass
-class ServerState:
-    params: nn.Parameters
-    prototypes: np.ndarray                 # (K, d), zero-initialized
-    client_centers: np.ndarray             # (N, K, d), zero-initialized
-    bank: FeatureBank
-    ledger: CommLedger
 
 
 @dataclass
@@ -114,18 +98,17 @@ class FewShotResult:
 
 
 def combine_losses(l_local: float, l_sfmc: float | None, l_cpgma: float | None,
-                   enable_sfmc: bool = True, enable_cpgma: bool = True,
-                   eps_guard: float = 1e-8) -> LossBreakdown:
+                   eps_guard: float = EPS_GUARD) -> LossBreakdown:
     """Self-adaptive total loss: auxiliary terms are scaled by the detached
     magnitude ratio |local| / (|aux| + eps), so their contribution tracks the
-    primary loss without flipping the sign of a negative auxiliary loss."""
+    primary loss without flipping the sign of a negative auxiliary loss. A
+    module that is off passes ``None``."""
     vals = [l_local, l_sfmc or 0.0, l_cpgma or 0.0]
     if not all(math.isfinite(v) for v in vals):
         raise ValueError(f"non-finite loss inputs {vals}")
-    l_sfmc = float(l_sfmc) if (enable_sfmc and l_sfmc is not None) else 0.0
-    l_cpgma = float(l_cpgma) if (enable_cpgma and l_cpgma is not None) else 0.0
-    w_s = abs(l_local) / (abs(l_sfmc) + eps_guard) if enable_sfmc and l_sfmc != 0.0 else 0.0
-    w_c = abs(l_local) / (abs(l_cpgma) + eps_guard) if enable_cpgma and l_cpgma != 0.0 else 0.0
+    l_sfmc, l_cpgma = float(vals[1]), float(vals[2])
+    w_s = abs(l_local) / (abs(l_sfmc) + eps_guard) if l_sfmc != 0.0 else 0.0
+    w_c = abs(l_local) / (abs(l_cpgma) + eps_guard) if l_cpgma != 0.0 else 0.0
     total = l_local + w_s * l_sfmc + w_c * l_cpgma
     return LossBreakdown(l_local, l_sfmc, l_cpgma, w_s, w_c, float(total))
 
@@ -152,7 +135,7 @@ def draw_foreign(foreign: FeatureBatch, rows: int, rng: np.random.Generator) -> 
 
 
 def cpgma_embedding_grad(u: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
-                         eps_guard: float = 1e-8):
+                         eps_guard: float = EPS_GUARD):
     """Negated per-class mean cosine between embeddings and their prototype,
     plus the gradient with respect to the embeddings.
 
@@ -184,16 +167,6 @@ def cpgma_embedding_grad(u: np.ndarray, labels: np.ndarray, prototypes: np.ndarr
         g /= len(idx)
         grad_u[idx] = g
     return loss, grad_u
-
-
-def compute_cpgma_loss(params: nn.Parameters, spec: nn.NetworkSpec,
-                       x: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
-                       eps_guard: float = 1e-8):
-    """Prototype-alignment loss with gradients for the extractor only."""
-    u, cache = nn.forward_extractor(params, spec, x)
-    loss, grad_u = cpgma_embedding_grad(u, np.asarray(labels), prototypes, eps_guard)
-    grads, _ = nn.backward(params, spec, cache, grad_u, input_grad=False)
-    return loss, grads
 
 
 def update_client_center(center: np.ndarray, batch_class_features: np.ndarray,
@@ -251,13 +224,6 @@ def ensemble_predict(models: list[nn.Parameters], spec: nn.NetworkSpec,
     return probs.argmax(axis=1)
 
 
-def _step(params, grads, opt_state, optimizer):
-    if optimizer == "adam":
-        nn.adam_step(params, grads, opt_state)
-    else:
-        nn.sgd_step(params, grads, opt_state)
-
-
 @dataclass
 class LocalTrainStats:
     sum_local: float = 0.0
@@ -271,14 +237,13 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                 foreign: FeatureBatch | None = None,
                 prototypes: np.ndarray | None = None,
                 round_tag: int = 0,
-                enable_sfmc: bool | None = None,
-                enable_cpgma: bool | None = None,
                 collect_final_epoch: bool = True):
     """Mini-batch training of ``params`` in place for ``epochs`` epochs.
 
     With ``collect_final_epoch``, every sample's embedding in the final epoch
     is recorded, one ``FeatureBatch`` per mini-batch, so the caller can upload
-    them.
+    them. SFMC runs when it is enabled and ``foreign`` has rows, CPGMA when it
+    is enabled and ``prototypes`` are given.
 
     SFMC is stochastic: each mini-batch trains the head on ``draw_foreign``
     of as many foreign rows as it has local rows. The draws come from their
@@ -287,9 +252,9 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     """
     if len(shard) == 0:
         raise ValueError("client shard is empty")
-    enable_sfmc = config.enable_sfmc if enable_sfmc is None else enable_sfmc
-    enable_cpgma = config.enable_cpgma if enable_cpgma is None else enable_cpgma
-    if enable_sfmc and foreign:
+    sfmc = config.enable_sfmc and bool(foreign)
+    cpgma = config.enable_cpgma and prototypes is not None
+    if sfmc:
         foreign_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=[config.seed, 4, round_tag, shard.client_id])
         )
@@ -316,19 +281,14 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
             nn.backward(params, spec, cache_f + cache_c, glogits, input_grad=False,
                         out=total_grads)
 
-            l_sfmc = sfmc_grads = None
-            if enable_sfmc and foreign:
+            l_sfmc = sfmc_grads = l_cpgma = None
+            if sfmc:
                 l_sfmc, sfmc_grads = compute_sfmc_loss(
                     params, spec, draw_foreign(foreign, len(idx), foreign_rng))
-            l_cpgma = None
-            if enable_cpgma and prototypes is not None:
-                l_cpgma, grad_u_align = cpgma_embedding_grad(
-                    u, yb, prototypes, config.eps_guard
-                )
+            if cpgma:
+                l_cpgma, grad_u_align = cpgma_embedding_grad(u, yb, prototypes)
 
-            breakdown = combine_losses(
-                l_local, l_sfmc, l_cpgma, enable_sfmc, enable_cpgma, config.eps_guard
-            )
+            breakdown = combine_losses(l_local, l_sfmc, l_cpgma)
             if sfmc_grads is not None and breakdown.weight_sfmc:
                 total_grads.add_scaled(sfmc_grads, breakdown.weight_sfmc)
             if breakdown.weight_cpgma:
@@ -336,7 +296,8 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                 cpgma_grads, _ = nn.backward(params, spec, cache_f, grad_u_align,
                                              input_grad=False)
                 total_grads.add_scaled(cpgma_grads, breakdown.weight_cpgma)
-            _step(params, total_grads, opt_state, config.optimizer)
+            step = nn.adam_step if config.optimizer == "adam" else nn.sgd_step
+            step(params, total_grads, opt_state)
 
             stats.sum_local += breakdown.local
             stats.sum_sfmc += breakdown.sfmc
@@ -348,60 +309,78 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     return feature_batches, stats
 
 
-def client_update(client: ClientState, server_params: nn.Parameters,
-                  spec: nn.NetworkSpec, config: FederationConfig,
-                  foreign: FeatureBatch, prototypes: np.ndarray,
-                  round_tag: int, collect_final_epoch: bool = True):
-    """One ClientUpdate: adopt the broadcast model, train E local epochs, and
-    return the updated parameters plus the final-epoch feature batches (none
-    unless ``collect_final_epoch``)."""
-    client.params = server_params.copy()
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=[config.seed, 1, round_tag, client.client_id])
-    )
-    batches, stats = local_train(
-        client.params, spec, client.shard, config, config.local_epochs, rng,
-        foreign=foreign, prototypes=prototypes, round_tag=round_tag,
-        collect_final_epoch=collect_final_epoch,
-    )
-    return client.params, batches, stats
+def _derive_seed(seed: int, tag: int) -> int:
+    return int(np.random.SeedSequence(entropy=[seed, 0, tag]).generate_state(1)[0])
 
 
-def _sample_seed(config_seed: int, round_tag: int, client_id: int) -> int:
-    seq = np.random.SeedSequence(entropy=[config_seed, 2, round_tag, client_id])
-    return int(seq.generate_state(1)[0])
-
-
-def _server_feature_update(server: ServerState, uploads: dict, sizes: dict,
-                           config: FederationConfig) -> None:
-    """Bank insertion plus the two-level EMA, in client-id then batch order.
-    Each client's batches enter the bank in one insert: a FIFO slot keeps the
-    same rows whether it is trimmed after each batch or after all of them."""
-    for cid in sorted(uploads):
-        server.bank.insert(FeatureBatch.concat(uploads[cid]))
-        for batch in uploads[cid]:
-            for cls in np.unique(batch.labels):
-                server.client_centers[cid, cls] = update_client_center(
-                    server.client_centers[cid, cls],
-                    batch.embeddings[batch.labels == cls], config.mu_client,
-                )
-    ordered = sorted(sizes)
-    for cls in range(config.num_classes):
-        server.prototypes[cls] = update_global_prototype(
-            server.prototypes[cls],
-            [server.client_centers[cid, cls] for cid in ordered],
-            [sizes[cid] for cid in ordered],
-            config.mu_server,
-        )
-
-
-def _init_clients(config: FederationConfig, shards: list[ClientShard], spec: nn.NetworkSpec):
-    """The initial model, a client state per shard holding a copy, client sizes."""
+def _start(config: FederationConfig, shards: list[ClientShard], spec: nn.NetworkSpec):
+    """The initial model and the shards by client id."""
     if len(shards) != config.num_clients:
         raise ValueError(f"expected {config.num_clients} shards, got {len(shards)}")
-    init = nn.init_params(spec, _derive_seed(config.seed, 0))
-    clients = {s.client_id: ClientState(s.client_id, s, init.copy()) for s in shards}
-    return init, clients, {cid: len(c.shard) for cid, c in clients.items()}
+    return nn.init_params(spec, _derive_seed(config.seed, 0)), {s.client_id: s for s in shards}
+
+
+def _train(server_params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
+           config: FederationConfig, epochs: int, stream: int, t: int, **kw):
+    """A copy of the server model trained on ``shard``; the shuffle is seeded
+    by ``[seed, stream, t, client]``, stream 1 in rounds and 3 in few-shot
+    stages. Returns (params, feature_batches, stats)."""
+    params = server_params.copy()
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=[config.seed, stream, t, shard.client_id]))
+    batches, stats = local_train(params, spec, shard, config, epochs, rng, round_tag=t, **kw)
+    return params, batches, stats
+
+
+def _foreign(bank: FeatureBank, config: FederationConfig, t: int, cid: int) -> FeatureBatch:
+    """Client ``cid``'s foreign sample for round or stage ``t``."""
+    seq = np.random.SeedSequence(entropy=[config.seed, 2, t, cid])
+    return bank.sample(cid, config.sample_count, int(seq.generate_state(1)[0]))
+
+
+def _aggregate(trained: dict, shards: dict) -> nn.Parameters:
+    ordered = sorted(trained)
+    return aggregate_models([trained[cid] for cid in ordered], [len(shards[cid]) for cid in ordered])
+
+
+def _losses(stats: dict[int, LocalTrainStats]) -> dict:
+    """Mean per-batch losses, reduced in client-id order so they do not
+    depend on the order the clients trained in."""
+    ordered = [stats[cid] for cid in sorted(stats)]
+    batches = sum(st.batches for st in ordered)
+    return {
+        f"mean_{name}_loss":
+            sum(getattr(st, f"sum_{name}") for st in ordered) / batches if batches else 0.0
+        for name in ("local", "sfmc", "cpgma")
+    }
+
+
+def _traffic(ledger: CommLedger, t: int) -> dict:
+    return {"up_bytes": ledger.total(round=t, direction=UP),
+            "down_bytes": ledger.total(round=t, direction=DOWN)}
+
+
+def _server_feature_update(bank: FeatureBank, centers: np.ndarray, prototypes: np.ndarray,
+                           uploads: dict, shards: dict, config: FederationConfig) -> None:
+    """Bank insertion plus the two-level EMA of ``centers`` (N, K, d) and
+    ``prototypes`` (K, d), in place, in client-id then batch order. Each
+    client's batches enter the bank in one insert: a FIFO slot keeps the same
+    rows whether it is trimmed after each batch or after all of them."""
+    for cid in sorted(uploads):
+        bank.insert(FeatureBatch.concat(uploads[cid]))
+        for batch in uploads[cid]:
+            for cls in np.unique(batch.labels):
+                centers[cid, cls] = update_client_center(
+                    centers[cid, cls], batch.embeddings[batch.labels == cls], config.mu_client,
+                )
+    ordered = sorted(shards)
+    for cls in range(config.num_classes):
+        prototypes[cls] = update_global_prototype(
+            prototypes[cls],
+            [centers[cid, cls] for cid in ordered],
+            [len(shards[cid]) for cid in ordered],
+            config.mu_server,
+        )
 
 
 def run_federation(config: FederationConfig, shards: list[ClientShard],
@@ -412,20 +391,17 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
     and prototype maintenance, and weighted aggregation. The reported metrics
     are invariant to ``client_order``."""
     d = spec.embedding_dim
-    init, clients, sizes = _init_clients(config, shards, spec)
-    server = ServerState(
-        params=init.copy(),
-        prototypes=np.zeros((config.num_classes, d)),
-        client_centers=np.zeros((config.num_clients, config.num_classes, d)),
-        bank=FeatureBank(config.bank_capacity),
-        ledger=CommLedger(),
-    )
-    order = list(client_order) if client_order is not None else sorted(clients)
-    if sorted(order) != sorted(clients):
+    server, by_id = _start(config, shards, spec)
+    order = list(client_order) if client_order is not None else sorted(by_id)
+    if sorted(order) != sorted(by_id):
         raise ValueError("client_order must be a permutation of the client ids")
+    prototypes = np.zeros((config.num_classes, d))
+    centers = np.zeros((config.num_clients, config.num_classes, d))
+    bank = FeatureBank(config.bank_capacity)
+    ledger = CommLedger()
 
     feature_traffic = config.enable_sfmc or config.enable_cpgma
-    model_bytes = model_blob_bytes(server.params)
+    model_bytes = model_blob_bytes(server)
     prototype_bytes = prototype_blob_bytes(config.num_classes, d)
     metrics: list[dict] = []
     snapshots: dict[int, nn.Parameters] = {}
@@ -433,78 +409,49 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
     for t in range(1, config.rounds + 1):
         # the bank is unchanged until every client has trained, so a foreign
         # sample is drawn just before its client trains; the ledger keeps its size
-        foreign_rows: dict[int, int] = {}
-        uploads: dict[int, list[FeatureBatch]] = {}
-        stats: dict[int, LocalTrainStats] = {}
+        foreign_rows, trained, uploads, stats = {}, {}, {}, {}
         for cid in order:
-            foreign = (
-                server.bank.sample(cid, config.sample_count,
-                                   _sample_seed(config.seed, t, cid))
-                if config.enable_sfmc else None
-            )
+            foreign = _foreign(bank, config, t, cid) if config.enable_sfmc else None
             foreign_rows[cid] = len(foreign) if foreign is not None else 0
-            _, uploads[cid], stats[cid] = client_update(
-                clients[cid], server.params, spec, config, foreign,
-                server.prototypes if config.enable_cpgma else None, t,
+            trained[cid], uploads[cid], stats[cid] = _train(
+                server, spec, by_id[cid], config, config.local_epochs, 1, t,
+                foreign=foreign, prototypes=prototypes if config.enable_cpgma else None,
                 collect_final_epoch=feature_traffic,
             )
 
         # broadcast, then upload entries in client-id order: independent of ``order``
-        for cid in sorted(clients):
-            server.ledger.record(t, DOWN, KIND_MODEL, model_bytes, cid)
+        for cid in sorted(by_id):
+            ledger.record(t, DOWN, KIND_MODEL, model_bytes, cid)
             if config.enable_sfmc:
-                server.ledger.record(t, DOWN, KIND_FEATURES,
-                                     feature_blob_bytes(foreign_rows[cid], d), cid)
+                ledger.record(t, DOWN, KIND_FEATURES, feature_blob_bytes(foreign_rows[cid], d), cid)
             if config.enable_cpgma:
-                server.ledger.record(t, DOWN, KIND_PROTOTYPES, prototype_bytes, cid)
-        for cid in sorted(clients):
-            server.ledger.record(t, UP, KIND_MODEL, model_bytes, cid)
+                ledger.record(t, DOWN, KIND_PROTOTYPES, prototype_bytes, cid)
+        for cid in sorted(by_id):
+            ledger.record(t, UP, KIND_MODEL, model_bytes, cid)
             if feature_traffic:
                 rows = sum(len(batch) for batch in uploads[cid])
-                server.ledger.record(t, UP, KIND_FEATURES, feature_blob_bytes(rows, d), cid)
+                ledger.record(t, UP, KIND_FEATURES, feature_blob_bytes(rows, d), cid)
 
         if feature_traffic:
-            _server_feature_update(server, uploads, sizes, config)
-
-        ordered = sorted(clients)
-        server.params = aggregate_models(
-            [clients[cid].params for cid in ordered], [sizes[cid] for cid in ordered]
-        )
+            _server_feature_update(bank, centers, prototypes, uploads, by_id, config)
+        server = _aggregate(trained, by_id)
         if t in snapshot_rounds:
-            snapshots[t] = server.params.copy()
+            snapshots[t] = server.copy()
 
-        row = {
+        metrics.append({
             "round": t,
             "global_test_accuracy": (
-                evaluate_accuracy(server.params, spec, global_test.inputs, global_test.labels)
+                evaluate_accuracy(server, spec, global_test.inputs, global_test.labels)
                 if global_test is not None else None
             ),
-            "mean_local_loss": _mean(stats, "sum_local"),
-            "mean_sfmc_loss": _mean(stats, "sum_sfmc"),
-            "mean_cpgma_loss": _mean(stats, "sum_cpgma"),
+            **_losses(stats),
             "hausdorff_mean": (
-                geometry.mean_to_global(server.params, spec, shards)
-                if config.track_geometry else None
+                geometry.mean_to_global(server, spec, shards) if config.track_geometry else None
             ),
-            "up_bytes": server.ledger.total(round=t, direction=UP),
-            "down_bytes": server.ledger.total(round=t, direction=DOWN),
-        }
-        metrics.append(row)
+            **_traffic(ledger, t),
+        })
 
-    return RunResult(params=server.params, metrics=metrics,
-                     ledger=server.ledger, snapshots=snapshots)
-
-
-def _mean(stats: dict[int, LocalTrainStats], attr: str) -> float:
-    # reduce in client-id order so the result does not depend on the
-    # processing order of the round
-    total = sum(getattr(stats[cid], attr) for cid in sorted(stats))
-    batches = sum(stats[cid].batches for cid in sorted(stats))
-    return total / batches if batches else 0.0
-
-
-def _derive_seed(seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence(entropy=[seed, 0, tag]).generate_state(1)[0])
+    return RunResult(params=server, metrics=metrics, ledger=ledger, snapshots=snapshots)
 
 
 def one_shot_prototypes(uploads: dict, sizes: dict, num_classes: int, d: int) -> np.ndarray:
@@ -530,86 +477,61 @@ def run_few_shot(config: FederationConfig, shards: list[ClientShard],
     """Few-shot schedule: each stage is pure local training, each stage ends in
     one communication. Intermediate communications aggregate the model, exchange
     features, and compute prototypes one-shot; the final communication uploads
-    all client models for ensembling (and a last weighted average)."""
+    all client models for ensembling (and a last weighted average). Stage 1
+    has neither a foreign sample nor prototypes, so it runs neither module."""
     stage_epochs = list(stage_epochs)
     if not stage_epochs or any(e < 1 for e in stage_epochs):
         raise ValueError("stage_epochs must be a nonempty list of positive ints")
     d = spec.embedding_dim
-    init, clients, sizes = _init_clients(config, shards, spec)
+    server, by_id = _start(config, shards, spec)
     ledger = CommLedger()
     bank = FeatureBank(config.bank_capacity)
-    prototypes = np.zeros((config.num_classes, d))
-    foreign: dict[int, FeatureBatch | None] = dict.fromkeys(clients)
-    model_bytes = model_blob_bytes(init)
+    prototypes = None
+    foreign: dict[int, FeatureBatch | None] = dict.fromkeys(by_id)
+    model_bytes = model_blob_bytes(server)
     prototype_bytes = prototype_blob_bytes(config.num_classes, d)
     metrics: list[dict] = []
 
-    num_comms = len(stage_epochs)
-    server_params = init.copy()
     for stage, epochs in enumerate(stage_epochs, start=1):
-        use_modules = stage > 1
-        final_comm = stage == num_comms
-        uploads: dict[int, list[FeatureBatch]] = {}
-        stats: dict[int, LocalTrainStats] = {}
-        for cid in sorted(clients):
-            client = clients[cid]
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=[config.seed, 3, stage, cid])
-            )
-            batches, st = local_train(
-                client.params, spec, client.shard, config, epochs, rng,
-                foreign=foreign[cid],
-                prototypes=prototypes if use_modules else None,
-                round_tag=stage,
-                enable_sfmc=config.enable_sfmc and use_modules,
-                enable_cpgma=config.enable_cpgma and use_modules,
+        final_comm = stage == len(stage_epochs)
+        trained, uploads, stats = {}, {}, {}
+        for cid in sorted(by_id):
+            trained[cid], uploads[cid], stats[cid] = _train(
+                server, spec, by_id[cid], config, epochs, 3, stage,
+                foreign=foreign[cid], prototypes=prototypes,
                 collect_final_epoch=not final_comm,
             )
-            uploads[cid] = batches
-            stats[cid] = st
 
-        ordered = sorted(clients)
+        ordered = sorted(by_id)
         for cid in ordered:
             ledger.record(stage, UP, KIND_MODEL, model_bytes, cid)
-        server_params = aggregate_models(
-            [clients[cid].params for cid in ordered], [sizes[cid] for cid in ordered]
-        )
+        server = _aggregate(trained, by_id)
         if not final_comm:
             flat = {cid: FeatureBatch.concat(uploads[cid]) for cid in ordered}
             for cid in ordered:
                 bank.insert(flat[cid])
                 ledger.record(stage, UP, KIND_FEATURES, feature_blob_bytes(len(flat[cid]), d), cid)
             # prototypes computed at once: mu_client = mu_server = 1
-            prototypes = one_shot_prototypes(flat, sizes, config.num_classes, d)
+            prototypes = one_shot_prototypes(
+                flat, {cid: len(by_id[cid]) for cid in ordered}, config.num_classes, d)
             for cid in ordered:
-                foreign[cid] = bank.sample(
-                    cid, config.sample_count, _sample_seed(config.seed, stage, cid)
-                )
+                foreign[cid] = _foreign(bank, config, stage, cid)
                 ledger.record(stage, DOWN, KIND_MODEL, model_bytes, cid)
                 ledger.record(stage, DOWN, KIND_FEATURES,
                               feature_blob_bytes(len(foreign[cid]), d), cid)
                 ledger.record(stage, DOWN, KIND_PROTOTYPES, prototype_bytes, cid)
-                clients[cid].params = server_params.copy()
 
-        row = {
-            "stage": stage,
-            "epochs": epochs,
-            "mean_local_loss": _mean(stats, "sum_local"),
-            "mean_sfmc_loss": _mean(stats, "sum_sfmc"),
-            "mean_cpgma_loss": _mean(stats, "sum_cpgma"),
-            "up_bytes": ledger.total(round=stage, direction=UP),
-            "down_bytes": ledger.total(round=stage, direction=DOWN),
-        }
+        row = {"stage": stage, "epochs": epochs, **_losses(stats), **_traffic(ledger, stage)}
         if global_test is not None:
             row["server_accuracy"] = evaluate_accuracy(
-                server_params, spec, global_test.inputs, global_test.labels
+                server, spec, global_test.inputs, global_test.labels
             )
         metrics.append(row)
 
+    client_params = [trained[cid] for cid in sorted(trained)]
     ensemble_acc = None
-    client_params = [clients[cid].params for cid in sorted(clients)]
     if global_test is not None:
         preds = ensemble_predict(client_params, spec, global_test.inputs)
         ensemble_acc = float((preds == global_test.labels).mean())
-    return FewShotResult(client_params=client_params, server_params=server_params,
+    return FewShotResult(client_params=client_params, server_params=server,
                          metrics=metrics, ledger=ledger, ensemble_accuracy=ensemble_acc)

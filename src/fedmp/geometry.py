@@ -1,6 +1,7 @@
 """Manifold diagnostics: Hausdorff distances over embedding point clouds,
-per-client per-class manifold extraction, an empirical harness for the
-"closer manifold trains a closer classifier" claim, and 2-D PCA export."""
+per-client per-class manifold extraction with each client cloud's distance to
+its global class cloud (the round loop's ``hausdorff_mean``), and 2-D PCA
+export."""
 
 from __future__ import annotations
 
@@ -103,80 +104,6 @@ def manifold_report(params: nn.Parameters, spec: nn.NetworkSpec, shards) -> dict
                     pairs.append(hausdorff_distance(per[(ci, cls)], per[(cj, cls)]))
         fragmentation[cls] = float(np.mean(pairs)) if pairs else 0.0
     return {"to_global": to_global, "fragmentation": fragmentation, "mean_to_global": mean}
-
-
-def collection_distance(clouds_a: dict, clouds_b: dict) -> float:
-    """Mean over shared classes of the per-class Hausdorff distance."""
-    classes = sorted(set(clouds_a) & set(clouds_b))
-    if not classes:
-        raise ValueError("no shared classes between cloud collections")
-    return float(np.mean([hausdorff_distance(clouds_a[c], clouds_b[c]) for c in classes]))
-
-
-def _train_classifier_on_clouds(clouds: dict, num_classes: int, dim: int,
-                                seed: int, steps: int, learning_rate: float) -> nn.Parameters:
-    # small fixed head trained with full-batch Adam
-    head = nn.NetworkSpec(
-        layers=(nn.affine(dim, 16), nn.relu(), nn.affine(16, num_classes)),
-        split_index=2, num_classes=num_classes,
-    )
-    params = nn.init_params(head, seed)
-    state = nn.AdamState(learning_rate=learning_rate, weight_decay=0.0)
-    x = np.concatenate([clouds[c] for c in sorted(clouds)], axis=0)
-    y = np.concatenate([np.full(len(clouds[c]), c, dtype=np.int64) for c in sorted(clouds)])
-    for _ in range(steps):
-        logits, cache = nn.forward_full(params, head, x)
-        _, grad = nn.softmax_cross_entropy(logits, y)
-        grads, _ = nn.backward(params, head, cache, grad, input_grad=False)
-        nn.adam_step(params, grads, state)
-    return params, head, (x, y)
-
-
-def lemma1_harness(global_clouds: dict, near_clouds: dict, far_clouds: dict,
-                   num_classes: int, seeds=(0, 1, 2), steps: int = 200,
-                   learning_rate: float = 0.01) -> dict:
-    """Train identical classifiers on the global / near / far clouds and check
-    that the near-trained one generalizes at least as well as the far-trained
-    one on the global cloud, by majority vote over seeds."""
-    dim = next(iter(global_clouds.values())).shape[1]
-    d_near = collection_distance(near_clouds, global_clouds)
-    d_far = collection_distance(far_clouds, global_clouds)
-    if not d_near < d_far:
-        raise ValueError(
-            f"precondition violated: d_H(near, global)={d_near:.6g} "
-            f">= d_H(far, global)={d_far:.6g}"
-        )
-    trials = []
-    for seed in seeds:
-        trained = {}
-        for name, clouds in (("global", global_clouds), ("near", near_clouds), ("far", far_clouds)):
-            params, head, _ = _train_classifier_on_clouds(
-                clouds, num_classes, dim, seed, steps, learning_rate
-            )
-            trained[name] = (params, head)
-        gx = np.concatenate([global_clouds[c] for c in sorted(global_clouds)], axis=0)
-        gy = np.concatenate(
-            [np.full(len(global_clouds[c]), c, dtype=np.int64) for c in sorted(global_clouds)]
-        )
-        accs = {}
-        for name, (params, head) in trained.items():
-            logits, _ = nn.forward_full(params, head, gx)
-            accs[name] = float((logits.argmax(axis=1) == gy).mean())
-        ref_vec = trained["global"][0].vec
-        dist = {
-            name: float(np.linalg.norm(p.vec - ref_vec))
-            for name, (p, _) in trained.items()
-        }
-        trials.append({"seed": seed, "accuracy": accs, "param_distance": dist,
-                       "near_wins": accs["near"] >= accs["far"]})
-    wins = sum(t["near_wins"] for t in trials)
-    return {
-        "d_near": d_near,
-        "d_far": d_far,
-        "trials": trials,
-        "wins": wins,
-        "passed": wins >= min(len(trials), 2) if len(trials) > 1 else wins == 1,
-    }
 
 
 def pca_project_2d(cloud) -> np.ndarray:

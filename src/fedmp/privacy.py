@@ -99,12 +99,6 @@ def train_decoder(extractor_params: nn.Parameters, spec: nn.NetworkSpec,
     return dec_params, dec_spec
 
 
-def reconstruction_mse(dec_params: nn.Parameters, dec_spec: nn.NetworkSpec,
-                       z: np.ndarray, x: np.ndarray) -> float:
-    out, _ = nn.forward_full(dec_params, dec_spec, z)
-    return float(np.mean((out - x) ** 2))
-
-
 def ssim(x: np.ndarray, y: np.ndarray, dynamic_range: float = 1.0) -> float:
     """Global single-window SSIM with the standard constants."""
     x = np.asarray(x, dtype=np.float64)

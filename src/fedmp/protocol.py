@@ -77,21 +77,15 @@ def serialize_model(params: Parameters) -> bytes:
     return b"".join(parts)
 
 
-def deserialize_model(blob: bytes, spec: NetworkSpec | None = None) -> Parameters:
+def deserialize_model(blob: bytes, spec: NetworkSpec) -> Parameters:
     if len(blob) < 8:
         raise CorruptBlobError("model blob shorter than header")
     magic, count = struct.unpack_from("<II", blob, 0)
     if magic != MODEL_MAGIC:
         raise CorruptBlobError(f"bad model magic {magic:#x}")
-    if spec is not None:
-        template = list(_reference_keys(spec))
-        if count != len(template):
-            raise CorruptBlobError(f"tensor count {count} != expected {len(template)}")
-    else:
-        # keyless decode: tensors alternate weight/bias per synthetic layer index
-        template = [
-            ((i // 2, "W" if i % 2 == 0 else "b"), None) for i in range(count)
-        ]
+    template = list(_reference_keys(spec))
+    if count != len(template):
+        raise CorruptBlobError(f"tensor count {count} != expected {len(template)}")
     offset = 8
     values = {}
     for key, want_shape in template:
@@ -105,15 +99,14 @@ def deserialize_model(blob: bytes, spec: NetworkSpec | None = None) -> Parameter
             raise CorruptBlobError("model blob truncated in payload")
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).astype(np.float64)
         offset = end
-        shape = (cols,) if rows == 1 and (want_shape is None or len(want_shape) == 1) else (rows, cols)
-        if want_shape is not None and shape != want_shape:
+        shape = (cols,) if rows == 1 and len(want_shape) == 1 else (rows, cols)
+        if shape != want_shape:
             raise CorruptBlobError(f"tensor {key}: shape {shape} != spec {want_shape}")
         values[key] = arr.reshape(shape)
     if offset != len(blob):
         raise CorruptBlobError("trailing bytes after model payload")
     params = Parameters(values)
-    if spec is not None:
-        check_params(params, spec)
+    check_params(params, spec)
     return params
 
 

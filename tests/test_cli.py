@@ -8,7 +8,7 @@ import pytest
 
 from fedmp import cli
 from fedmp.cli import main
-from fedmp.config import ExperimentConfig
+from fedmp.config import MODES, ExperimentConfig
 from fedmp.data import generate_federation, merge_shards
 from fedmp.federation import run_federation
 from fedmp.protocol import serialize_model
@@ -234,6 +234,14 @@ class TestReport:
 
 
 class TestErrors:
+    def test_unknown_mode_names_the_choices(self, cfg_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--config", str(cfg_path), "--mode", "bogus")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert all(repr(mode) in err for mode in MODES)
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "nope.cfg")) == 1
 

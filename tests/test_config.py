@@ -1,9 +1,12 @@
 """Configuration file parsing, environment overrides, and mode mapping."""
 
+import re
+
 import pytest
 
 from fedmp.config import (
     ENV_PREFIX,
+    MODES,
     ConfigError,
     ExperimentConfig,
     apply_env_overrides,
@@ -11,6 +14,7 @@ from fedmp.config import (
     load_config,
     parse_config_text,
 )
+from fedmp.federation import FederationConfig
 
 
 class TestParsing:
@@ -104,11 +108,45 @@ class TestRangesAtLoad:
     def test_u16_counts(self, key):
         with pytest.raises(ConfigError, match=rf"line 2: {key}: num_{key} must be <= 65535"):
             parse_config_text(f"rounds = 3\n{key} = 65536\n")
-        assert getattr(parse_config_text(f"{key} = 65535\n"), key) == 65535
+        # enough samples per client to hold 65535 classes
+        text = f"{key} = 65535\nsamples_per_client = 65535\n"
+        assert getattr(parse_config_text(text), key) == 65535
 
     def test_unbuildable_network(self):
         with pytest.raises(ConfigError, match="network"):
             parse_config_text("classes = 0\n")
+
+    @pytest.mark.parametrize("line,key,message", [
+        ("mu_client = 2", "mu_client", "mu_client must be in (0, 1]"),
+        ("mu_server = 0", "mu_server", "mu_server must be in (0, 1]"),
+        ("rounds = 0", "rounds", "rounds must be >= 1"),
+        ("local_epochs = 0", "local_epochs", "local_epochs must be >= 1"),
+        ("clients = 0", "clients", "num_clients must be >= 1"),
+        ("batch_size = 0", "batch_size", "batch_size must be >= 1"),
+        ("bank_capacity = 0", "bank_capacity", "bank_capacity must be >= 1"),
+        ("sample_count = -1", "sample_count", "sample_count must be >= 0"),
+        ("learning_rate = -1", "learning_rate", "learning_rate must be >= 0"),
+        ("weight_decay = -0.5", "weight_decay", "weight_decay must be >= 0"),
+        ("classes = 1", "classes", "num_classes must be >= 2"),
+        ("samples_per_client = 1", "samples_per_client", "samples_per_client must cover"),
+        ("skew_strength = -1", "skew_strength", "skew_strength must be >= 0"),
+        ("noise_std = nan", "noise_std", "not a finite number"),
+        ("learning_rate = inf", "learning_rate", "not a finite number"),
+        ("stage_epochs = 2, 0", "stage_epochs", "values must be positive"),
+        ("stage_epochs =", "stage_epochs", "needs at least one value"),
+        ("attack_train_fraction = 1.5", "attack_train_fraction",
+         "train_fraction must be in (0, 1)"),
+        ("attack_epochs = -1", "attack_epochs", "epochs must be >= 0"),
+    ])
+    def test_bad_value_named_at_its_line(self, line, key, message):
+        pattern = re.escape(f"exp.cfg: line 2: {key}: {message}")
+        with pytest.raises(ConfigError, match=pattern):
+            parse_config_text(f"rounds = 3\n{line}\n", source="exp.cfg")
+
+    def test_library_check_named_by_env_variable(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "env FEDMP_BANK_CAPACITY: bank_capacity: bank_capacity must be >= 1")):
+            apply_env_overrides(ExperimentConfig(), {ENV_PREFIX + "BANK_CAPACITY": "0"})
 
     def test_env_value_named(self):
         with pytest.raises(ConfigError, match="env FEDMP_ATTACK_LAYERS: attack_layers"):
@@ -171,6 +209,31 @@ class TestDerivedObjects:
         cfg = ExperimentConfig(enable_sfmc=False)
         fed = cfg.federation_config(seed=0, mode="fedmp")
         assert not fed.enable_sfmc and fed.enable_cpgma
+
+    @pytest.mark.parametrize("mode,modules,clients", [
+        ("fedavg", False, 3), ("fedmp", True, 3), ("fewshot", True, 3),
+        ("single", False, 3), ("centralized", False, 1),
+    ])
+    def test_mode_mapping(self, mode, modules, clients):
+        # the modules run only in fedmp and fewshot; centralized is one client
+        assert mode in MODES
+        fed = ExperimentConfig(mode=mode).federation_config(seed=0)
+        assert (fed.enable_sfmc, fed.enable_cpgma) == (modules, modules)
+        assert fed.num_clients == clients
+        assert ExperimentConfig().federation_config(seed=0, mode=mode) == fed
+
+    def test_shared_fields_copied_by_name(self):
+        cfg = ExperimentConfig(
+            clients=4, classes=5, rounds=7, local_epochs=3, batch_size=5,
+            mu_client=0.25, mu_server=0.5, learning_rate=0.02, weight_decay=0.0,
+            sample_count=9, bank_capacity=11, optimizer="sgd", track_geometry=False,
+        )
+        assert cfg.federation_config(seed=2) == FederationConfig(
+            rounds=7, num_clients=4, local_epochs=3, num_classes=5, batch_size=5,
+            mu_client=0.25, mu_server=0.5, learning_rate=0.02, weight_decay=0.0,
+            sample_count=9, bank_capacity=11, seed=2, optimizer="sgd",
+            track_geometry=False,
+        )
 
     def test_seed_passed_through(self):
         assert ExperimentConfig().federation_config(seed=5).seed == 5

@@ -1,6 +1,6 @@
 """Unit tests for the federated training building blocks: the adaptive loss
-combination, both auxiliary losses, the EMA updates, aggregation, client
-updates, the round loop, and the few-shot schedule."""
+combination, both auxiliary losses, the EMA updates, aggregation, local
+training from a broadcast model, the round loop, and the few-shot schedule."""
 
 import json
 
@@ -14,10 +14,7 @@ from fedmp.data import ClientShard, DatasetSpec, generate_federation
 from fedmp.federation import (
     FederationConfig,
     aggregate_models,
-    client_update,
-    ClientState,
     combine_losses,
-    compute_cpgma_loss,
     compute_sfmc_loss,
     cpgma_embedding_grad,
     ensemble_predict,
@@ -54,19 +51,20 @@ class TestFederationConfig:
 class TestCombineLosses:
     def test_sfmc_only_hand_value(self):
         # l_local=2, l_sfmc=4 -> w_s = 2/4, L = 2 + (2/4)*4 = 4
-        out = combine_losses(2.0, 4.0, None, enable_cpgma=False, eps_guard=0.0)
+        out = combine_losses(2.0, 4.0, None, eps_guard=0.0)
         assert out.total == pytest.approx(4.0, abs=1e-9)
         # the scaled auxiliary term's forward value equals l_local
         assert out.weight_sfmc * out.sfmc == pytest.approx(2.0, abs=1e-9)
 
     def test_both_disabled_is_local(self):
-        out = combine_losses(1.7, 5.0, -0.4, enable_sfmc=False, enable_cpgma=False)
+        # a module that is off passes None
+        out = combine_losses(1.7, None, None)
         assert out.total == 1.7
         assert out.weight_sfmc == 0.0 and out.weight_cpgma == 0.0
 
     def test_negative_cpgma_sign_preserved(self):
         # l_local=2, l_cpgma=-0.5 -> w_c = 2/0.5 = 4, contribution -2, L = 0
-        out = combine_losses(2.0, None, -0.5, enable_sfmc=False, eps_guard=0.0)
+        out = combine_losses(2.0, None, -0.5, eps_guard=0.0)
         assert out.weight_cpgma == pytest.approx(4.0, abs=1e-9)
         assert out.total == pytest.approx(0.0, abs=1e-9)
 
@@ -88,7 +86,7 @@ class TestCombineLosses:
     def test_forward_law(self, l_local, l_aux):
         # whenever both losses are positive, the scaled auxiliary forward value
         # equals l_local up to the epsilon guard
-        out = combine_losses(l_local, l_aux, None, enable_cpgma=False)
+        out = combine_losses(l_local, l_aux, None)
         assert out.weight_sfmc * out.sfmc == pytest.approx(l_local, rel=1e-5)
 
 
@@ -201,12 +199,15 @@ class TestCpgmaLoss:
                 assert grad[i, j] == pytest.approx(num, abs=1e-7)
 
     def test_gradients_extractor_only(self):
+        # the alignment backward that local_train runs reaches the extractor only
         spec = small_spec()
         params = nn.init_params(spec, 3)
         x = np.random.default_rng(2).normal(size=(5, 4))
         labels = np.array([0, 1, 2, 0, 1])
         protos = np.random.default_rng(3).normal(size=(3, spec.embedding_dim))
-        _, grads = compute_cpgma_loss(params, spec, x, labels, protos)
+        u, cache = nn.forward_extractor(params, spec, x)
+        _, grad_u = cpgma_embedding_grad(u, labels, protos)
+        grads, _ = nn.backward(params, spec, cache, grad_u, input_grad=False)
         assert all(k[0] < spec.split_index for k in grads.keys())
 
 
@@ -356,18 +357,16 @@ class TestClientUpdate:
     def test_lr_zero_keeps_broadcast_params(self):
         spec = small_spec()
         server = nn.init_params(spec, 0)
-        client = ClientState(client_id=0, shard=self.shard(), params=server.copy())
         cfg = self.config(learning_rate=0.0, enable_sfmc=False, enable_cpgma=False)
-        params, batches, _ = client_update(client, server, spec, cfg, [], None, 1)
-        assert params.equal(server)
+        params, batches, _ = federation._train(server, spec, self.shard(), cfg, 2, 1, 1)
+        assert params.equal(server) and params is not server
         assert sum(len(b) for b in batches) == len(self.shard())
 
     def test_feature_collection_counts(self):
         spec = small_spec()
         server = nn.init_params(spec, 0)
-        client = ClientState(client_id=0, shard=self.shard(11), params=server.copy())
         cfg = self.config(enable_sfmc=False, enable_cpgma=False)
-        _, batches, _ = client_update(client, server, spec, cfg, [], None, 1)
+        _, batches, _ = federation._train(server, spec, self.shard(11), cfg, 2, 1, 1)
         # every sample contributes exactly one final-epoch record
         assert sum(len(b) for b in batches) == 11
 
@@ -378,8 +377,7 @@ class TestClientUpdate:
         shard = self.shard(4)
         cfg = self.config(local_epochs=1, batch_size=4,
                           enable_sfmc=False, enable_cpgma=False)
-        client = ClientState(client_id=0, shard=shard, params=server.copy())
-        got, _, _ = client_update(client, server, spec, cfg, [], None, 1)
+        got, _, _ = federation._train(server, spec, shard, cfg, 1, 1, 1)
 
         # oracle: replicate by hand with the same shuffle
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[cfg.seed, 1, 1, 0]))
@@ -400,11 +398,11 @@ class TestClientUpdate:
 
         def spy(*args, **kwargs):
             out = original(*args, **kwargs)
-            returned.append(out[1])
+            returned.append(out[0])
             return out
 
-        original = federation.client_update
-        monkeypatch.setattr(federation, "client_update", spy)
+        original = federation.local_train
+        monkeypatch.setattr(federation, "local_train", spy)
         shards, global_test = small_federation(num_clients=2)
         cfg = FederationConfig(rounds=2, num_clients=2, local_epochs=1, num_classes=3,
                                batch_size=4, seed=0, enable_sfmc=sfmc, enable_cpgma=cpgma,
@@ -417,10 +415,9 @@ class TestClientUpdate:
     def test_no_batches_when_not_collecting(self):
         spec = small_spec()
         server = nn.init_params(spec, 0)
-        client = ClientState(client_id=0, shard=self.shard(), params=server.copy())
         cfg = self.config(enable_sfmc=False, enable_cpgma=False)
-        _, batches, _ = client_update(client, server, spec, cfg, [], None, 1,
-                                      collect_final_epoch=False)
+        _, batches, _ = federation._train(server, spec, self.shard(), cfg, 2, 1, 1,
+                                          collect_final_epoch=False)
         assert batches == []
 
     @pytest.mark.parametrize("warm", [False, True])
@@ -589,17 +586,18 @@ class TestRunFederation:
                                                 cid, 1) for n in (5, 4, 6)]
                    for cid in (0, 1)}
         cfg = FederationConfig(num_clients=2, num_classes=k, bank_capacity=4)
-        server = federation.ServerState(
-            params=nn.init_params(small_spec(), 0), prototypes=np.zeros((k, d)),
-            client_centers=np.zeros((2, k, d)), bank=FeatureBank(4), ledger=None)
-        federation._server_feature_update(server, uploads, {0: 15, 1: 15}, cfg)
+        shards = {cid: ClientShard(cid, np.zeros((15, 1)), np.zeros(15, dtype=np.int64))
+                  for cid in (0, 1)}
+        bank = FeatureBank(4)
+        federation._server_feature_update(bank, np.zeros((2, k, d)), np.zeros((k, d)),
+                                          uploads, shards, cfg)
         reference = FeatureBank(4)
         for cid in (0, 1):
             for batch in uploads[cid]:
                 reference.insert(batch)
-        assert server.bank._slots.keys() == reference._slots.keys()
+        assert bank._slots.keys() == reference._slots.keys()
         for key, slot in reference._slots.items():
-            got = server.bank._slots[key]
+            got = bank._slots[key]
             assert all(np.array_equal(getattr(got, c), getattr(slot, c))
                        for c in ("embeddings", "labels", "client_ids", "rounds"))
 

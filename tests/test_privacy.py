@@ -18,11 +18,15 @@ from fedmp.privacy import (
     is_risk,
     l2_distance,
     mirror_decoder_spec,
-    reconstruction_mse,
     ssim,
     train_decoder,
     unit_normalizer,
 )
+
+
+def reconstruction_mse(dec_params, dec_spec, z, x) -> float:
+    out, _ = nn.forward_full(dec_params, dec_spec, z)
+    return float(np.mean((out - x) ** 2))
 
 
 class TestSsim:
