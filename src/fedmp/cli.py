@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, nn, privacy
-from .config import MODES, ConfigError, ExperimentConfig, config_echo, load_config
+from .config import MODES, ConfigError, ExperimentConfig, check_ranges, config_echo, load_config
 from .data import generate_federation, merge_shards, save_csv
 from .federation import FederationConfig, run_federation, run_few_shot
 from .protocol import deserialize_model, serialize_model
@@ -52,7 +52,8 @@ def _load_experiment(args) -> ExperimentConfig:
         config.seeds = (args.seed,)
     if args.out:
         config.output_dir = args.out
-    return config
+    # a value in range for the file's mode can be out of range for ``--mode``'s
+    return check_ranges(config)
 
 
 def cmd_generate(args) -> int:

@@ -160,7 +160,7 @@ _PARSERS["stage_epochs"] = _PARSERS["hidden_extractor"]
 _KEY_OF_FIELD = {"num_clients": "clients", "num_classes": "classes"}
 
 
-def _check_ranges(config: ExperimentConfig) -> ExperimentConfig:
+def check_ranges(config: ExperimentConfig) -> ExperimentConfig:
     """Reject values that only a later stage would trip over, naming the key
     and where it was set. The training, dataset and attack objects check
     their own fields, each message starting with the field's name."""
@@ -213,7 +213,7 @@ def _parse(text: str, source: str) -> ExperimentConfig:
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
-    return _check_ranges(_parse(text, source))
+    return check_ranges(_parse(text, source))
 
 
 def apply_env_overrides(config: ExperimentConfig, environ=None) -> ExperimentConfig:
@@ -225,7 +225,7 @@ def apply_env_overrides(config: ExperimentConfig, environ=None) -> ExperimentCon
             origins[key] = f"env {env_key}"
             setattr(config, key, _value(key, environ[env_key], origins[key]))
     config.origins = origins
-    return _check_ranges(config)
+    return check_ranges(config)
 
 
 def load_config(path, environ=None) -> ExperimentConfig:

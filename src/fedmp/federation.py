@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,38 +135,76 @@ def draw_foreign(foreign: FeatureBatch, rows: int, rng: np.random.Generator) -> 
     return foreign.take(np.sort(rng.choice(len(foreign), rows, replace=False)))
 
 
+class UnitPrototypes(NamedTuple):
+    """The prototypes at unit length, as ``cpgma_embedding_grad`` reads them."""
+
+    vectors: list          # per class its own (d,) array, or None while cold
+    rows: np.ndarray       # (K, d): the same values, zero rows for cold classes
+
+
+def unit_prototypes(prototypes: np.ndarray, eps_guard: float = EPS_GUARD) -> UnitPrototypes:
+    """Each class's prototype scaled to unit length; a prototype whose norm is
+    below ``eps_guard`` is cold. Every unit vector is its own ``p / p_norm``
+    array: on some OpenBLAS kernels a product's bits depend on where its
+    vector starts, so a row of one 2-D array would not reproduce them."""
+    vectors = []
+    rows = np.zeros(np.shape(prototypes))
+    for cls, p in enumerate(prototypes):
+        p_norm = np.linalg.norm(p)
+        if p_norm < eps_guard:
+            vectors.append(None)
+            continue
+        vectors.append(p / p_norm)
+        rows[cls] = vectors[-1]
+    return UnitPrototypes(vectors, rows)
+
+
 def cpgma_embedding_grad(u: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
-                         eps_guard: float = EPS_GUARD):
+                         eps_guard: float = EPS_GUARD, units: UnitPrototypes | None = None):
     """Negated per-class mean cosine between embeddings and their prototype,
     plus the gradient with respect to the embeddings.
 
     Classes absent from the batch, or whose prototype is still (near) zero,
-    contribute nothing (cold-start guard).
+    contribute nothing (cold-start guard). ``units`` is
+    ``unit_prototypes(prototypes, eps_guard)``, which a caller whose
+    prototypes stay fixed computes once.
     """
-    loss = 0.0
-    grad_u = np.zeros_like(u)
-    # row norms and unit rows of the whole batch, once; in C order a row's
-    # norm does not depend on which other rows are reduced with it
-    u = np.ascontiguousarray(u)
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    if units is None:
+        units = unit_prototypes(prototypes, eps_guard)
+    labels = np.asarray(labels)
+    counts = np.bincount(labels, minlength=len(units.vectors))
+    ends = np.cumsum(counts).tolist()
+    warm, cold = [], []
+    for cls, (count, end) in enumerate(zip(counts.tolist(), ends)):
+        if count:
+            (cold if units.vectors[cls] is None else warm).append((cls, end - count, end))
+    if not warm:
+        return 0.0, np.zeros_like(u)
+    # rows stable-sorted by label, so each class is one contiguous slice in
+    # its batch order; a product over such a slice has the bits of one over
+    # the class's gathered rows. In C order a row's norm does not depend on
+    # which other rows are reduced with it.
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    u_hat = u.take(order, axis=0)
+    norms = np.linalg.norm(u_hat, axis=1, keepdims=True)
     np.maximum(norms, eps_guard, out=norms)
-    u_hat = u / norms
-    for cls in np.unique(labels):
-        p = prototypes[cls]
-        p_norm = np.linalg.norm(p)
-        if p_norm < eps_guard:
-            continue
-        p_hat = p / p_norm
-        idx = np.flatnonzero(labels == cls)
-        uc_hat = u_hat[idx]
-        cos = uc_hat @ p_hat
-        loss -= float(cos.sum() / len(idx))      # what cos.mean() computes
-        # d(-cos)/du = -(p_hat - cos * u_hat) / ||u||, averaged within the class
-        g = p_hat - cos[:, None] * uc_hat
-        np.negative(g, out=g)
-        g /= norms[idx]
-        g /= len(idx)
-        grad_u[idx] = g
+    u_hat /= norms
+    cos = np.zeros(len(labels))
+    loss = 0.0
+    for cls, lo, hi in warm:
+        np.matmul(u_hat[lo:hi], units.vectors[cls], out=cos[lo:hi])
+        loss -= float(cos[lo:hi].sum() / (hi - lo))     # what cos.mean() computes
+    # d(-cos)/du = -(p_hat - cos * u_hat) / ||u||, averaged within the class
+    g = units.rows[sorted_labels]
+    g -= cos[:, None] * u_hat
+    np.negative(g, out=g)
+    g /= norms
+    g /= counts[sorted_labels][:, None]
+    for _, lo, hi in cold:
+        g[lo:hi] = 0.0
+    grad_u = np.empty_like(u)
+    grad_u[order] = g
     return loss, grad_u
 
 
@@ -253,7 +292,8 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     if len(shard) == 0:
         raise ValueError("client shard is empty")
     sfmc = config.enable_sfmc and bool(foreign)
-    cpgma = config.enable_cpgma and prototypes is not None
+    # the prototypes stay fixed while a client trains
+    units = unit_prototypes(prototypes) if config.enable_cpgma and prototypes is not None else None
     if sfmc:
         foreign_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=[config.seed, 4, round_tag, shard.client_id])
@@ -285,8 +325,8 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
             if sfmc:
                 l_sfmc, sfmc_grads = compute_sfmc_loss(
                     params, spec, draw_foreign(foreign, len(idx), foreign_rng))
-            if cpgma:
-                l_cpgma, grad_u_align = cpgma_embedding_grad(u, yb, prototypes)
+            if units is not None:
+                l_cpgma, grad_u_align = cpgma_embedding_grad(u, yb, prototypes, units=units)
 
             breakdown = combine_losses(l_local, l_sfmc, l_cpgma)
             if sfmc_grads is not None and breakdown.weight_sfmc:

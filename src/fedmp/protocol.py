@@ -188,53 +188,59 @@ def prototype_blob_bytes(num_classes: int, width: int) -> int:
 
 
 class FeatureBank:
-    """Server store of uploaded embeddings: one ``FeatureBatch`` per (client,
-    class) slot, oldest row first, FIFO-bounded to ``capacity_per_slot`` rows."""
+    """Server store of uploaded embeddings, FIFO-bounded to
+    ``capacity_per_slot`` rows per (client, class) slot. Each client's rows
+    sit in one ``FeatureBatch`` pool, slot by slot in class order, oldest row
+    first; each slot is a view of its client's pool, so every row is held once."""
 
     def __init__(self, capacity_per_slot: int = 512):
         if capacity_per_slot < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity_per_slot
+        self._pools: dict[int, FeatureBatch] = {}
         self._slots: dict[tuple[int, int], FeatureBatch] = {}
 
     def insert(self, batch: FeatureBatch) -> None:
         for cid in np.unique(batch.client_ids).tolist():
-            of_client = batch.client_ids == cid
-            for label in np.unique(batch.labels[of_client]).tolist():
-                rows = batch.take(of_client & (batch.labels == label))
-                old = self._slots.get((cid, label))
-                if old is not None:
-                    rows = FeatureBatch.concat([old, rows])
-                self._slots[(cid, label)] = rows.take(slice(-self.capacity, None))
+            # the client's new rows, stable-sorted so each class is one slice
+            idx = np.flatnonzero(batch.client_ids == cid)
+            rows = batch.take(idx[np.argsort(batch.labels[idx], kind="stable")])
+            labels, starts = np.unique(rows.labels, return_index=True)
+            new = {label: rows.take(slice(lo, hi)) for label, lo, hi in
+                   zip(labels.tolist(), starts.tolist(), [*starts[1:].tolist(), len(rows)])}
+            old = {label: slot for (c, label), slot in self._slots.items() if c == cid}
+            parts, sizes = [], {}
+            for label in sorted(old.keys() | new.keys()):
+                # the slot's last ``capacity`` rows: its new rows, then as many old ones as fit
+                room, kept = self.capacity, []
+                for part in (new.get(label), old.get(label)):
+                    if part is not None and room > 0:
+                        kept.insert(0, part.take(slice(max(len(part) - room, 0), None)))
+                        room -= len(kept[0])
+                parts += kept
+                sizes[label] = self.capacity - room
+            pool = self._pools[cid] = FeatureBatch.concat(parts)
+            lo = 0
+            for label, size in sizes.items():
+                self._slots[(cid, label)] = pool.take(slice(lo, lo + size))
+                lo += size
 
     def __len__(self) -> int:
-        return sum(len(slot) for slot in self._slots.values())
+        return sum(len(pool) for pool in self._pools.values())
 
     def sample(self, requesting_client: int, per_client_count: int, seed: int) -> FeatureBatch:
         """Up to ``per_client_count`` rows from each other client, without
         replacement, never the requester's own uploads. Deterministic in seed.
-        A client's pool is its slots concatenated in class order; the drawn
-        pool indices are sorted, so rows keep their pool order."""
+        The drawn pool indices are sorted, so rows keep their pool order."""
         if per_client_count < 0:
             raise ValueError("sample count must be >= 0")
         rng = np.random.default_rng(seed)
-        by_client: dict[int, list[FeatureBatch]] = {}
-        for key in sorted(self._slots):
-            if key[0] != requesting_client:
-                by_client.setdefault(key[0], []).append(self._slots[key])
         parts = []
-        for slots in by_client.values():
-            sizes = [len(slot) for slot in slots]
-            ends = np.cumsum(sizes)
-            pool = int(ends[-1])
-            idx = np.sort(rng.choice(pool, size=min(per_client_count, pool), replace=False))
-            # index each slot with its share of the pool indices rather than
-            # building the pool; a slot with no share still gives a (0, d) part
-            cuts = np.searchsorted(idx, ends).tolist()
-            lo = 0
-            for slot, start, hi in zip(slots, (ends - sizes).tolist(), cuts):
-                parts.append(slot.take(idx[lo:hi] - start))
-                lo = hi
+        for cid in sorted(self._pools):
+            if cid != requesting_client:
+                pool = self._pools[cid]
+                size = min(per_client_count, len(pool))
+                parts.append(pool.take(np.sort(rng.choice(len(pool), size=size, replace=False))))
         return FeatureBatch.concat(parts)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from fedmp import cli
 from fedmp.cli import main
-from fedmp.config import MODES, ExperimentConfig
+from fedmp.config import MODES, ExperimentConfig, load_config
 from fedmp.data import generate_federation, merge_shards
 from fedmp.federation import run_federation
 from fedmp.protocol import serialize_model
@@ -66,6 +66,20 @@ def generations(monkeypatch):
 
     monkeypatch.setattr(cli, "generate_federation", counting)
     return calls
+
+
+def test_mode_option_rechecks_the_file(tmp_path, capsys, generations):
+    # centralized trains one client, so 70000 clients load; fedmp cannot run them
+    path = tmp_path / "pooled.cfg"
+    path.write_text("mode = centralized\ninput_dim = 2\nclasses = 2\nclients = 70000\n"
+                    "samples_per_client = 2\nseeds = 0\n")
+    assert load_config(path).clients == 70000
+    assert run_cli("run", "--config", str(path), "--mode", "fedmp",
+                   "--out", str(tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: line 4: clients: num_clients must be <= 65535, got 70000" in err
+    assert "Traceback" not in err
+    assert generations == []
 
 
 def test_run_validates_before_generating(tmp_path, capsys, generations):

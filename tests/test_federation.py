@@ -445,6 +445,32 @@ class TestClientUpdate:
         whole, extractor = (0, len(spec.layers)), (0, spec.split_index)
         assert calls == ([whole, extractor] * 6 if warm else [whole] * 6)
 
+    @pytest.mark.parametrize("cpgma", [False, True])
+    def test_prototypes_normalized_once_per_call(self, monkeypatch, cpgma):
+        # the prototypes stay fixed while a client trains, so every
+        # mini-batch's CPGMA pass reads the unit prototypes made at the start
+        spec = small_spec()
+        made, passed = [], []
+
+        def spy_units(*args, **kwargs):
+            made.append(original_units(*args, **kwargs))
+            return made[-1]
+
+        def spy_grad(*args, **kwargs):
+            passed.append(kwargs.get("units"))
+            return original_grad(*args, **kwargs)
+
+        original_units, original_grad = federation.unit_prototypes, federation.cpgma_embedding_grad
+        monkeypatch.setattr(federation, "unit_prototypes", spy_units)
+        monkeypatch.setattr(federation, "cpgma_embedding_grad", spy_grad)
+        prototypes = np.random.default_rng(0).normal(size=(3, spec.embedding_dim))
+        cfg = self.config(batch_size=4, enable_sfmc=False, enable_cpgma=cpgma)
+        _, stats = local_train(nn.init_params(spec, 0), spec, self.shard(12), cfg, 2,
+                               np.random.default_rng(0), prototypes=prototypes)
+        assert stats.batches == 6
+        assert len(made) == int(cpgma)
+        assert passed == (made * 6 if cpgma else [])
+
     def test_empty_shard_rejected(self):
         spec = small_spec()
         empty = ClientShard(client_id=0, inputs=np.zeros((0, 4)),

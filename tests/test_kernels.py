@@ -3,7 +3,8 @@
 ``nn.forward`` adds the bias into the matmul result and applies ReLU in place
 on arrays it made, ``nn.backward`` multiplies the ReLU mask in place into
 gradients it made, ``nn.softmax_cross_entropy`` takes the row maximum column
-by column, and ``federation.cpgma_embedding_grad`` normalizes the batch once.
+by column, and ``federation.cpgma_embedding_grad`` normalizes the batch once
+and works on it sorted by label, one contiguous slice per class.
 Each must give the same bits as the reference copies below, the code as it
 was before; comparisons are on raw bytes, so a -0.0 that turns into +0.0
 fails them. The kernels must also never write into their callers' arrays.
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedmp import nn
-from fedmp.federation import cpgma_embedding_grad
+from fedmp.federation import cpgma_embedding_grad, unit_prototypes
 
 
 def same_bits(a, b) -> bool:
@@ -365,3 +366,25 @@ def test_cpgma_embedding_grad_fortran_order_input():
     want = reference_cpgma_embedding_grad(np.asfortranarray(u), labels, prototypes)
     assert same_bits(np.float64(got[0]), np.float64(want[0]))
     assert same_bits(got[1], want[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=alignment_batches(), half_width=st.integers(0, 40), cuts=st.integers(1, 4))
+def test_cpgma_units_made_once_match_units_made_per_call(batch, half_width, cuts):
+    """``local_train`` makes the unit prototypes once and passes them to every
+    mini-batch's call. At odd widths a unit prototype that is a row of a 2-D
+    array gives other bits on some kernels, so each must be its own array."""
+    u, labels, prototypes = batch
+    d = 2 * half_width + 1
+    rng = np.random.default_rng(d)
+    u = signed_normal(rng, (len(u), d))
+    prototypes = signed_normal(rng, (len(prototypes), d))
+    units = unit_prototypes(prototypes)
+    assert all(v is None or (v.base is None and v.flags.c_contiguous) for v in units.vectors)
+    for rows in np.array_split(np.arange(len(u)), cuts):
+        once = cpgma_embedding_grad(u[rows], labels[rows], prototypes, units=units)
+        per_call = cpgma_embedding_grad(u[rows], labels[rows], prototypes)
+        ref = reference_cpgma_embedding_grad(u[rows], labels[rows], prototypes)
+        for got in (once, per_call):
+            assert same_bits(np.float64(got[0]), np.float64(ref[0]))
+            assert same_bits(got[1], ref[1])

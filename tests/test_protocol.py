@@ -236,9 +236,52 @@ class TestFeatureBank:
         assert out.embeddings.shape == (0, 4)
         assert all(getattr(out, c).shape == (0,) for c in ("labels", "client_ids", "rounds"))
 
+    def test_no_other_client_gives_the_empty_batch(self):
+        bank = FeatureBank()
+        bank.insert(make_records(client_id=3, n=4))
+        out = bank.sample(requesting_client=3, per_client_count=5, seed=0)
+        assert out.embeddings.shape == (0, 0)
+        assert all(getattr(out, c).shape == (0,) for c in ("labels", "client_ids", "rounds"))
+        assert len(FeatureBank().sample(0, 5, seed=0)) == 0
+
+    def test_zero_count_from_several_clients(self):
+        bank = FeatureBank()
+        for cid in (1, 2):
+            bank.insert(FeatureBatch.concat([make_records(cid, n=4, label=0),
+                                             make_records(cid, n=3, label=2)]))
+        out = bank.sample(0, per_client_count=0, seed=0)
+        assert out.embeddings.shape == (0, 4)
+        assert all(getattr(out, c).shape == (0,) for c in ("labels", "client_ids", "rounds"))
+
+    def test_slots_are_views_of_their_client_pool(self):
+        bank = FeatureBank(capacity_per_slot=4)
+        for _ in range(3):
+            bank.insert(FeatureBatch.concat([make_records(1, n=3, label=2),
+                                             make_records(2, n=5, label=0),
+                                             make_records(1, n=2, label=0)]))
+            assert_one_copy(bank)
+        # slot by slot in class order, oldest row first, trimmed to capacity
+        assert bank._pools[1].labels.tolist() == [0] * 4 + [2] * 4
+        assert bank._pools[1].embeddings[:, 0].tolist() == [0, 1, 0, 1, 2, 0, 1, 2]
+        assert len(bank) == 12
+
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             FeatureBank(capacity_per_slot=0)
+
+
+def assert_one_copy(bank):
+    """Every slot is a view of its client's pool, and the slots, in class
+    order, make up the whole pool."""
+    for cid, pool in bank._pools.items():
+        keys = sorted(key for key in bank._slots if key[0] == cid)
+        assert sum(len(bank._slots[key]) for key in keys) == len(pool)
+        for key in keys:
+            slot = bank._slots[key]
+            for c in ("embeddings", "labels", "client_ids", "rounds"):
+                assert np.shares_memory(getattr(slot, c), getattr(pool, c)), (key, c)
+        assert_same_batch(FeatureBatch.concat([bank._slots[key] for key in keys]), pool)
+    assert {cid for cid, _ in bank._slots} == set(bank._pools)
 
 
 @settings(max_examples=30, deadline=None)
@@ -319,6 +362,7 @@ def test_bank_matches_list_reference(capacity, ops):
             assert as_rows(out) == ref.sample(requester, count, seed)
             assert out.embeddings.dtype == np.float64
         assert len(bank) == sum(len(slot) for slot in ref.slots.values())
+        assert_one_copy(bank)
 
 
 class TestCommLedger:

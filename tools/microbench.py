@@ -11,6 +11,11 @@ network (16-d input, extractor (64), head (32, 16), 3 classes):
 - ``M``: the same mini-batch, a foreign sample of 1,824 rows (20 clients x 96
   rows) and a 20 x 500-row bank.
 
+A local step's CPGMA pass is ``federation.cpgma_embedding_grad`` on the
+mini-batch's embeddings with the unit prototypes already computed:
+``local_train`` computes them once per call (``federation.unit_prototypes``,
+timed on its own), since the prototypes stay fixed while a client trains.
+
 A local step's SFMC pass is ``federation.draw_foreign`` (64 of the sample's
 rows: ``choice``, ``sort``, ``take``) followed by the ``.head`` cases, the
 64-32-16-3 head's forward, cross-entropy and backward on the 64 drawn rows.
@@ -51,7 +56,7 @@ def cases(scale: str) -> dict:
 
     from fedmp import geometry, nn
     from fedmp.data import ClientShard
-    from fedmp.federation import cpgma_embedding_grad, draw_foreign
+    from fedmp.federation import cpgma_embedding_grad, draw_foreign, unit_prototypes
     from fedmp.protocol import FeatureBank, FeatureBatch
 
     clients, per_client = SCALES[scale]
@@ -66,6 +71,7 @@ def cases(scale: str) -> dict:
     grads, _ = nn.backward(params, spec, cache, glogits, input_grad=False)
     u, _ = nn.forward_extractor(params, spec, x)
     prototypes = rng.normal(size=(3, spec.embedding_dim))
+    units = unit_prototypes(prototypes)
 
     # every client's final-epoch embeddings, as the bank holds them
     inputs = rng.normal(size=(clients * per_client, 16))
@@ -104,7 +110,9 @@ def cases(scale: str) -> dict:
         "nn.softmax_cross_entropy.head": lambda: nn.softmax_cross_entropy(
             head_logits, drawn.labels),
         "nn.adam_step": lambda: nn.adam_step(params, grads, state),
-        "federation.cpgma_embedding_grad": lambda: cpgma_embedding_grad(u, y, prototypes),
+        "federation.unit_prototypes": lambda: unit_prototypes(prototypes),
+        "federation.cpgma_embedding_grad": lambda: cpgma_embedding_grad(u, y, prototypes,
+                                                                        units=units),
         "protocol.FeatureBank.insert": lambda: bank.insert(uploads[0]),
         "protocol.FeatureBank.sample": lambda: bank.sample(0, SAMPLE_COUNT, 0),
         "geometry.directed_distance": lambda: geometry.directed_distance(
