@@ -5,12 +5,18 @@ export."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import directed_hausdorff
 
 from . import nn
+
+_UNIT = 2.0 ** -53                          # float64 unit roundoff
+_TINY = float(np.finfo(np.float64).tiny)    # smallest normal float64
+# Below about this many (row, point) pairs, one product over every pair costs
+# no more than the probe pass and its extra calls (measured on 64-d clouds).
+DENSE_PAIRS = 1 << 16
 
 
 @dataclass
@@ -21,7 +27,7 @@ class PointCloud:
 
 
 def _as_points(cloud) -> np.ndarray:
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
+    pts = np.asarray(cloud.points if isinstance(cloud, PointCloud) else cloud, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("point cloud must be a nonempty (n, d) array")
     if not np.all(np.isfinite(pts)):
@@ -31,28 +37,104 @@ def _as_points(cloud) -> np.ndarray:
 
 def directed_distance(a, b) -> float:
     """Exact directed Hausdorff distance: the largest distance from a point of
-    ``a`` to its nearest point of ``b``, by the early-break algorithm of Taha
-    & Hanbury (2015).
-
-    The algorithm shuffles the order in which it visits the points, which
-    cannot change the max-min it returns. A seeded ``Generator`` does the
-    shuffle: scipy's default seed builds a legacy ``RandomState`` on every
-    call, which costs more than the distance for clouds of about a hundred
-    points."""
+    ``a`` to its nearest point of ``b``, bit for bit as scipy's
+    ``directed_hausdorff`` returns it (see ``_directed_many``)."""
     pa, pb = _as_points(a), _as_points(b)
     if pa.shape[1] != pb.shape[1]:
         raise ValueError(f"dimension mismatch {pa.shape[1]} vs {pb.shape[1]}")
-    return _directed(pa, pb)
-
-
-def _directed(pa: np.ndarray, pb: np.ndarray) -> float:
-    # ``directed_distance`` on clouds already checked by ``_as_points``
-    return float(directed_hausdorff(pa, pb, rng=np.random.default_rng(0))[0])
+    return float(_directed_many(pa, pb, [len(pb)])[0])
 
 
 def hausdorff_distance(a, b) -> float:
     """Exact symmetric Hausdorff distance (max of both directed distances)."""
     return max(directed_distance(a, b), directed_distance(b, a))
+
+
+def _exact_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance of paired rows, ``sum_k (a_k - b_k)**2`` added in
+    ``k`` order, as scipy's loop adds it."""
+    diff = a - b
+    diff *= diff
+    return np.add.accumulate(diff, axis=1)[:, -1]
+
+
+def _spread(starts: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
+    """(clouds, k) row indices, ``k`` evenly spread over each cloud; a cloud
+    of fewer than ``k`` rows repeats some, which leaves every minimum alone."""
+    return (starts[:, None] + np.arange(k) * sizes[:, None] // k).ravel()
+
+
+def _products(b: np.ndarray, nb: np.ndarray, clouds: int, a2: np.ndarray) -> np.ndarray:
+    """``q[c, i, r] = |b_j|^2 - 2 b_j.a_r`` for the i-th row ``j`` of cloud
+    ``c``, where ``b`` holds ``clouds`` blocks of equal size and ``a2 = -2a``."""
+    q = b @ a2.T
+    q += nb[:, None]
+    return q.reshape(clouds, -1, len(a2))
+
+
+def _directed_many(a: np.ndarray, b: np.ndarray, sizes) -> np.ndarray:
+    """Directed Hausdorff distance from ``a`` to each cloud of ``b``, whose
+    consecutive blocks of ``sizes`` rows are the clouds.
+
+    Bit rule: each distance is ``sqrt(max_r min_j s(a_r, b_j))`` with ``s``
+    from ``_exact_sq``. Min, max and sqrt round once or not at all, so the
+    result is scipy's ``directed_hausdorff``, whose early break only skips
+    pairs that cannot change the max-min, to the last bit.
+
+    Only the pairs that may decide a distance are summed that way; the others
+    are ruled out by an estimate from one matrix product, ``e = |a_r|^2 + q``
+    with ``q = |b_j|^2 - 2 b_j.a_r``. With ``u = 2^-53``, the norms and the
+    product, summed in any order and with or without FMA, are within
+    ``d u (|a| + |b|)^2`` of the exact ``|a - b|^2``, scipy's ``s`` is within
+    ``(d + 2) u (|a| + |b|)^2`` of it, and the two adds that form ``e`` round
+    once each, so ``|e - s| <= (2d + 4) u (|a| + |b|)^2 <= (4d + 9) u N`` to
+    first order in ``du``, where ``N`` is the largest squared norm of ``a``
+    plus that of ``b``. The slack ``8 (d + 4) u N`` is over twice that, which
+    also covers the rounding of the comparisons below, and ``tiny`` covers
+    products that round below the normal range. So a row whose estimated
+    minimum is more than two slacks under the largest estimate cannot hold
+    the max, and a pair whose ``q`` is more than two slacks over its row's
+    least ``q`` cannot be the row's nearest point. All else is summed.
+
+    A row's minimum over a few probe rows of a cloud bounds its minimum over
+    the whole cloud from above. So when there are more than ``DENSE_PAIRS``
+    pairs, a first pass over ``isqrt(size)`` evenly spread probes per cloud
+    keeps only the rows that may reach the exact minimum of each cloud's most
+    likely row. When ``4N`` is not finite the product formula could overflow,
+    so every pair is summed and no row is dropped."""
+    sizes = np.asarray(sizes)
+    starts = np.cumsum(sizes) - sizes
+    m, most = len(sizes), int(sizes.max())
+    na = np.einsum("ij,ij->i", a, a)
+    nb = na if b is a else np.einsum("ij,ij->i", b, b)
+    scale = float(na.max()) + float(nb.max())
+    if not math.isfinite(4 * scale):
+        with np.errstate(over="ignore"):        # inf, as scipy returns it
+            return np.sqrt(np.max([np.minimum.reduceat(_exact_sq(row, b), starts)
+                                   for row in a], axis=0))
+    slack = 8 * (a.shape[1] + 4) * _UNIT * scale + _TINY
+    a2 = -2.0 * a
+    bf, nbf = b, nb                         # the clouds as blocks of ``most`` rows
+    if m * most != len(b):
+        full = _spread(starts, sizes, most)
+        bf, nbf = b[full], nb[full]
+    if len(a) * m * most > DENSE_PAIRS:
+        probe = _spread(starts, sizes, math.isqrt(most))
+        est = _products(b[probe], nb[probe], m, a2).min(axis=1) + na
+        top = np.unique(np.argmax(est, axis=1))
+        floor = (_products(bf, nbf, m, a2[top]).min(axis=1) + na[top]).max(axis=1, keepdims=True)
+        keep = np.flatnonzero((est >= floor - 2 * slack).any(axis=0))
+        a, a2, na = a[keep], a2[keep], na[keep]
+    q = _products(bf, nbf, m, a2)
+    qmin = q.min(axis=1)
+    est = qmin + na
+    rows = est >= est.max(axis=1, keepdims=True) - 2 * slack
+    # the pairs left: row r, padded row j of cloud c = j // most
+    j, r = np.divmod(np.flatnonzero(q <= np.where(rows, qmin + 2 * slack, -np.inf)[:, None, :]),
+                     len(a))
+    best = np.where(rows, np.inf, -np.inf)
+    np.minimum.at(best, (j // most, r), _exact_sq(a[r], bf[j]))
+    return np.sqrt(best.max(axis=1))
 
 
 def class_manifolds(params: nn.Parameters, spec: nn.NetworkSpec, shards):
@@ -76,9 +158,14 @@ def class_manifolds(params: nn.Parameters, spec: nn.NetworkSpec, shards):
 def _to_global(per: dict, global_clouds: dict) -> tuple[dict, float]:
     # each client cloud is a subset of its global class cloud, so the symmetric
     # distance is the one directed from the global cloud to the client cloud;
-    # every cloud is checked once, not once per distance it is part of
-    checked = {cls: _as_points(pts) for cls, pts in global_clouds.items()}
-    to_global = {key: _directed(checked[key[1]], _as_points(pts)) for key, pts in per.items()}
+    # class_manifolds stacks a class's client clouds in ``per``'s order, so
+    # the global cloud is also the block of its client clouds
+    dist = {}
+    for cls, pts in global_clouds.items():
+        g = _as_points(pts)
+        keys = [key for key in per if key[1] == cls]
+        dist.update(zip(keys, _directed_many(g, g, [len(per[key]) for key in keys]).tolist()))
+    to_global = {key: dist[key] for key in per}
     return to_global, float(np.mean(list(to_global.values()))) if to_global else 0.0
 
 

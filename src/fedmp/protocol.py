@@ -190,13 +190,15 @@ def prototype_blob_bytes(num_classes: int, width: int) -> int:
 class FeatureBank:
     """Server store of uploaded embeddings, FIFO-bounded to
     ``capacity_per_slot`` rows per (client, class) slot. Each client's rows
-    sit in one ``FeatureBatch`` pool, slot by slot in class order, oldest row
-    first; each slot is a view of its client's pool, so every row is held once."""
+    sit in one buffer, slot by slot in class order, oldest row first; the
+    client's pool is the buffer's filled head and each slot is a view of it,
+    so every row is held once."""
 
     def __init__(self, capacity_per_slot: int = 512):
         if capacity_per_slot < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity_per_slot
+        self._buffers: dict[int, FeatureBatch] = {}
         self._pools: dict[int, FeatureBatch] = {}
         self._slots: dict[tuple[int, int], FeatureBatch] = {}
 
@@ -206,24 +208,34 @@ class FeatureBank:
             idx = np.flatnonzero(batch.client_ids == cid)
             rows = batch.take(idx[np.argsort(batch.labels[idx], kind="stable")])
             labels, starts = np.unique(rows.labels, return_index=True)
-            new = {label: rows.take(slice(lo, hi)) for label, lo, hi in
-                   zip(labels.tolist(), starts.tolist(), [*starts[1:].tolist(), len(rows)])}
-            old = {label: slot for (c, label), slot in self._slots.items() if c == cid}
-            parts, sizes = [], {}
+            new = dict(zip(labels.tolist(), zip(starts.tolist(), [*starts[1:].tolist(), len(rows)])))
+            old = {label: len(slot) for (c, label), slot in self._slots.items() if c == cid}
+            # each slot keeps its last ``capacity`` rows: its old rows, then its new ones
+            moves, src_at, dst_at = [], 0, 0
             for label in sorted(old.keys() | new.keys()):
-                # the slot's last ``capacity`` rows: its new rows, then as many old ones as fit
-                room, kept = self.capacity, []
-                for part in (new.get(label), old.get(label)):
-                    if part is not None and room > 0:
-                        kept.insert(0, part.take(slice(max(len(part) - room, 0), None)))
-                        room -= len(kept[0])
-                parts += kept
-                sizes[label] = self.capacity - room
-            pool = self._pools[cid] = FeatureBatch.concat(parts)
-            lo = 0
-            for label, size in sizes.items():
-                self._slots[(cid, label)] = pool.take(slice(lo, lo + size))
-                lo += size
+                lo, hi = new.get(label, (0, 0))
+                fresh = min(hi - lo, self.capacity)
+                kept = min(old.get(label, 0), self.capacity - fresh)
+                src_at += old.get(label, 0)
+                moves.append((label, src_at - kept, dst_at, kept, hi - fresh, fresh))
+                dst_at += kept + fresh
+            src = dst = self._buffers.get(cid)
+            if src is None or len(src) < dst_at:
+                # a class new to the client: room for every class's full slot
+                dst = self._buffers[cid] = FeatureBatch(*(
+                    np.empty((self.capacity * len(moves), *col.shape[1:]), col.dtype)
+                    for col in (getattr(rows, c) for c in _COLUMNS)))
+            # slots only grow, so moving the last slot first never overwrites
+            # rows still to be moved
+            for _, src_lo, dst_lo, kept, new_lo, fresh in reversed(moves):
+                for c in _COLUMNS:
+                    col = getattr(dst, c)
+                    if kept:
+                        col[dst_lo:dst_lo + kept] = getattr(src, c)[src_lo:src_lo + kept]
+                    col[dst_lo + kept:dst_lo + kept + fresh] = getattr(rows, c)[new_lo:new_lo + fresh]
+            pool = self._pools[cid] = dst.take(slice(0, dst_at))
+            for label, _, lo, kept, _, fresh in moves:
+                self._slots[(cid, label)] = pool.take(slice(lo, lo + kept + fresh))
 
     def __len__(self) -> int:
         return sum(len(pool) for pool in self._pools.values())

@@ -1,13 +1,20 @@
 """Hausdorff distance, manifold extraction, the near/far classifier harness,
-and the PCA export. Brute-force oracles are inlined next to the assertions."""
+and the PCA export. Brute-force oracles are inlined next to the assertions;
+scipy, a test dependency only, is the reference for the NumPy kernel."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, directed_hausdorff
 
-from fedmp import nn
+from fedmp import geometry, nn
 from fedmp.data import ClientShard
 from fedmp.geometry import (
     PointCloud,
@@ -128,8 +135,8 @@ def test_hausdorff_equals_cdist_reference(seed, na, nb, dim, grid):
     grid=st.booleans(),
 )
 def test_directed_distance_ignores_row_order(seed, na, nb, dim, grid):
-    """The max-min is exact whatever order scipy visits the rows in, and the
-    visit order is drawn without touching ``np.random``'s global state."""
+    """The max-min is exact whatever order the rows come in, and taking it
+    leaves ``np.random``'s global state alone."""
     rng = np.random.default_rng(seed)
     a, b = random_cloud(rng, na, dim, grid), random_cloud(rng, nb, dim, grid)
     before = np.random.get_state()
@@ -157,6 +164,108 @@ def test_subset_distance_is_directed_from_superset(seed, n, extra, dim, grid):
     a = b[np.sort(rng.choice(n + extra, size=n, replace=False))]
     assert directed_distance(a, b) == 0.0
     assert hausdorff_distance(a, b) == directed_distance(b, a) == cdist_hausdorff(a, b)
+
+
+# The NumPy kernel against the scipy loop it replaced, compared on raw bytes.
+# Each cloud set is one from-cloud and several to-clouds stacked in one array.
+
+
+@st.composite
+def cloud_sets(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    dim = draw(st.sampled_from([1, 2, 3, 16, 64]))
+    sizes = draw(st.lists(st.integers(1, 24), min_size=1, max_size=4))
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["normal", "grid", "far", "huge", "one_huge", "superset"]))
+    b = rng.normal(size=(sum(sizes), dim)) * rng.uniform(0.1, 10.0)
+    a = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0)
+    if kind in ("grid", "superset"):
+        # a coarse grid makes duplicate rows and exactly tied distances likely
+        a, b = np.round(a), np.round(b)
+    if kind == "superset":
+        a = np.concatenate([a, b])[rng.permutation(n + len(b))]
+    elif kind == "far":
+        # far from the origin, where |a|^2 + |b|^2 - 2a.b cancels; at 1e8 its
+        # rounding is as large as the distances, and only the exact sums rank them
+        shift = rng.normal(size=dim) * draw(st.sampled_from([1e3, 1e8]))
+        a, b = a + shift, b + shift
+    elif kind == "huge":
+        # squares past float64's range: scipy's sums overflow to inf
+        a, b = a * 1e154, b * -1e154
+    elif kind == "one_huge":
+        a[rng.integers(n)] *= 1e200
+    return a, b, sizes
+
+
+def scipy_directed(a, b, sizes) -> np.ndarray:
+    ends = np.cumsum(sizes)
+    return np.array([directed_hausdorff(a, b[end - size:end])[0]
+                     for size, end in zip(sizes, ends)])
+
+
+def same_bits(x, y) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.filterwarnings("error")      # an overflow gives inf silently, as in scipy
+@settings(max_examples=300, deadline=None)
+@given(clouds=cloud_sets(), probe=st.booleans())
+@example(clouds=(np.zeros((1, 1)), np.zeros((1, 1)), [1]), probe=False)
+@example(clouds=(np.array([[0.0], [1e200]]), np.array([[-1e200], [1.0]]), [1, 1]), probe=True)
+@example(clouds=(np.array([[0.0], [2.0], [4.0]]), np.array([[1.0], [3.0], [5.0]]), [3]),
+         probe=True)
+def test_kernel_matches_scipy_bit_for_bit(clouds, probe):
+    """Every distance is scipy's to the last bit, on the dense path and with
+    the probe pass forced, and one call over several clouds equals one call
+    per cloud. Ties, one-row clouds, ``d = 1``, cancellation far from the
+    origin and sums that overflow to inf are all drawn."""
+    a, b, sizes = clouds
+    want = scipy_directed(a, b, sizes)
+    with mock.patch.object(geometry, "DENSE_PAIRS", 0 if probe else geometry.DENSE_PAIRS):
+        got = geometry._directed_many(a, b, sizes)
+        ends = np.cumsum(sizes)
+        each = np.concatenate([geometry._directed_many(a, b[end - size:end], [size])
+                               for size, end in zip(sizes, ends)])
+    assert same_bits(got, want)
+    assert same_bits(each, want)
+
+
+def test_kernel_probe_pass_on_real_sizes():
+    """A from-cloud of 600 rows to four clouds of 150 takes the probe pass
+    unforced, and still gives scipy's bits."""
+    rng = np.random.default_rng(11)
+    b = np.maximum(rng.normal(size=(600, 16)) @ rng.normal(size=(16, 64)), 0.0)
+    sizes = [150] * 4
+    assert len(b) * len(sizes) * max(sizes) > geometry.DENSE_PAIRS
+    assert same_bits(geometry._directed_many(b, b, sizes), scipy_directed(b, b, sizes))
+
+
+def test_accumulate_adds_left_to_right():
+    """The kernel's exact sums rely on ``np.add.accumulate`` along axis 1
+    adding each row's terms in column order, as a Python loop over floats
+    does, and not pairwise as ``np.sum`` does."""
+    rng = np.random.default_rng(5)
+    terms = rng.normal(size=(400, 64)) ** 2 * 10.0 ** rng.uniform(-8, 8, size=(400, 64))
+    for width in (1, 2, 7, 64):
+        x = np.ascontiguousarray(terms[:, :width])
+        loop = []
+        for row in x.tolist():
+            total = row[0]
+            for value in row[1:]:
+                total += value
+            loop.append(total)
+        assert same_bits(np.add.accumulate(x, axis=1)[:, -1], np.array(loop))
+    # the rows are ones where the order of addition shows in the bits
+    assert not same_bits(terms.sum(axis=1), np.add.accumulate(terms, axis=1)[:, -1])
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fedmp; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 @settings(max_examples=40, deadline=None)

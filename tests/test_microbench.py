@@ -25,7 +25,10 @@ def test_one_repeat_prints_one_json_line():
     result = json.loads(lines[0])
     assert result["repeats"] == 1 and result["unit"] == "us_per_call"
     assert result["blas_kernel"]
-    assert list(result["results"]) == ["S", "M"]
-    for timings in result["results"].values():
+    assert list(result["results"]) == ["import", "S", "M"]
+    assert list(result["results"]["import"]) == ["import fedmp"]
+    for scale in ("S", "M"):
+        timings = result["results"][scale]
         assert set(timings) == PRIMITIVES
         assert all(t > 0 for t in timings.values())
+    assert result["results"]["import"]["import fedmp"] > 0

@@ -4,6 +4,8 @@ Byte lengths are checked against the closed-form formulas computed
 independently of the serializers.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,6 +266,35 @@ class TestFeatureBank:
         assert bank._pools[1].labels.tolist() == [0] * 4 + [2] * 4
         assert bank._pools[1].embeddings[:, 0].tolist() == [0, 1, 0, 1, 2, 0, 1, 2]
         assert len(bank) == 12
+
+    def test_insert_into_a_full_bank_moves_rows_in_place(self):
+        """Once every slot is full, an insert evicts and appends inside the
+        client's one buffer: the pool keeps its memory, and the insert's
+        allocations peak near the size of the rows it adds, well under the
+        size of a second pool."""
+        bank = FeatureBank(capacity_per_slot=256)
+        batch = FeatureBatch.concat([make_records(1, n=64, label=c, width=64) for c in range(3)])
+        for _ in range(5):
+            bank.insert(batch)
+        before = bank._pools[1]
+        pool_bytes = sum(getattr(before, c).nbytes
+                         for c in ("embeddings", "labels", "client_ids", "rounds"))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            bank.insert(batch)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        after = bank._pools[1]
+        assert len(after) == len(before) == 3 * 256
+        assert np.shares_memory(before.embeddings, after.embeddings)
+        assert peak < pool_bytes / 2
+        assert_one_copy(bank)
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):

@@ -21,8 +21,15 @@ rows: ``choice``, ``sort``, ``take``) followed by the ``.head`` cases, the
 64-32-16-3 head's forward, cross-entropy and backward on the 64 drawn rows.
 
 ``geometry.mean_to_global`` is the round's geometry phase: it embeds every
-client's rows (3 x 96 at S, 20 x 500 at M) and takes one directed Hausdorff
-distance per (client, class) cloud.
+client's rows (3 x 96 at S, 20 x 500 at M) and takes the directed Hausdorff
+distance of each (client, class) cloud, in one kernel call per class.
+``geometry.directed_distance`` is one such distance, from a class's global
+cloud to one client's cloud.
+
+``import fedmp`` is timed apart from the scales: the median, over
+``IMPORT_PROBES`` fresh interpreters, of the time the import statement takes
+in each, as ``perfbench`` times its ``import`` step. It is reported under
+``results["import"]``.
 
 One warm-up call sets how many calls make up one timed repeat (at least
 ``MIN_TIME`` seconds), and each figure is the median over ``--repeats``
@@ -38,6 +45,7 @@ import argparse
 import json
 import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -48,6 +56,7 @@ SAMPLE_COUNT = 96
 BANK_CAPACITY = 512
 BATCH = 64
 MIN_TIME = 0.01
+IMPORT_PROBES = 5
 
 
 def cases(scale: str) -> dict:
@@ -136,6 +145,18 @@ def time_call(fn, repeats: int) -> float:
     return statistics.median(samples)
 
 
+def import_time(probes: int) -> float:
+    """Median seconds of ``import fedmp`` over ``probes`` fresh interpreters."""
+    code = ("import time; start = time.perf_counter(); import fedmp; "
+            "print(time.perf_counter() - start)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return statistics.median(
+        float(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout)
+        for _ in range(probes))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=7)
@@ -150,11 +171,12 @@ def main(argv=None) -> int:
 
     from blas_kernel import blas_kernel
 
-    results = {
+    results = {"import": {"import fedmp": round(import_time(IMPORT_PROBES) * 1e6, 2)}}
+    results.update({
         scale: {name: round(time_call(fn, args.repeats) * 1e6, 2)
                 for name, fn in cases(scale).items()}
         for scale in SCALES
-    }
+    })
     print(json.dumps({"unit": "us_per_call", "repeats": args.repeats,
                       "machine": machine_record(os.getloadavg()),
                       "blas_kernel": blas_kernel(),
