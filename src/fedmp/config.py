@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 from .data import DatasetSpec
-from .federation import OPTIMIZERS, FederationConfig
+from .federation import OPTIMIZERS, FederationConfig, TrainingConfig
 from .nn import NetworkSpec, ShapeError, mlp_spec
 from .privacy import AttackConfig
 
@@ -67,7 +67,7 @@ def _choice(options: tuple):
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(TrainingConfig):
     mode: str = "fedmp"
     seeds: tuple = (0, 1, 2)
     output_dir: str = "out"
@@ -82,20 +82,7 @@ class ExperimentConfig:
     # network
     hidden_extractor: tuple = (64, 32)
     hidden_classifier: tuple = (16,)
-    # federation
-    rounds: int = 30
-    local_epochs: int = 2
-    batch_size: int = 64
-    mu_client: float = 0.5
-    mu_server: float = 0.7
-    learning_rate: float = 1e-4
-    weight_decay: float = 5e-4
-    enable_sfmc: bool = True
-    enable_cpgma: bool = True
-    sample_count: int = 64
-    bank_capacity: int = 512
-    optimizer: str = "adam"
-    track_geometry: bool = True
+    # federation, besides the inherited training keys
     stage_epochs: tuple = (30, 60, 60)
     # privacy attack
     attack_layers: tuple = (2, 4)
@@ -126,11 +113,8 @@ class ExperimentConfig:
         centralized trains one client on the pooled data."""
         mode = mode or self.mode
         modules = mode in ("fedmp", "fewshot")
-        keys = {f.name for f in fields(self)}
-        shared = {f.name: getattr(self, f.name) for f in fields(FederationConfig)
-                  if f.name in keys}
         return FederationConfig(**{
-            **shared,
+            **{f.name: getattr(self, f.name) for f in fields(TrainingConfig)},
             "num_clients": 1 if mode == "centralized" else self.clients,
             "num_classes": self.classes,
             "seed": seed,

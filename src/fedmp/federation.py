@@ -36,11 +36,12 @@ EPS_GUARD = 1e-8             # keeps the adaptive weights and unit vectors finit
 
 
 @dataclass
-class FederationConfig:
+class TrainingConfig:
+    """The training settings. ``config.ExperimentConfig`` reads them as config
+    keys, and ``FederationConfig`` adds the run's shape and seed."""
+
     rounds: int = 30
-    num_clients: int = 3
     local_epochs: int = 2
-    num_classes: int = 3
     batch_size: int = 64
     mu_client: float = 0.5
     mu_server: float = 0.7
@@ -50,9 +51,15 @@ class FederationConfig:
     enable_cpgma: bool = True
     sample_count: int = 64
     bank_capacity: int = 512
-    seed: int = 0
     optimizer: str = "adam"
     track_geometry: bool = True
+
+
+@dataclass
+class FederationConfig(TrainingConfig):
+    num_clients: int = 3
+    num_classes: int = 3
+    seed: int = 0
 
     def __post_init__(self):
         # each message starts with the field it is about
@@ -95,11 +102,10 @@ class FewShotResult:
     server_params: nn.Parameters
     metrics: list[dict]
     ledger: CommLedger
-    ensemble_accuracy: float | None = None
+    ensemble_accuracy: float
 
 
-def combine_losses(l_local: float, l_sfmc: float | None, l_cpgma: float | None,
-                   eps_guard: float = EPS_GUARD) -> LossBreakdown:
+def combine_losses(l_local: float, l_sfmc: float | None, l_cpgma: float | None) -> LossBreakdown:
     """Self-adaptive total loss: auxiliary terms are scaled by the detached
     magnitude ratio |local| / (|aux| + eps), so their contribution tracks the
     primary loss without flipping the sign of a negative auxiliary loss. A
@@ -108,8 +114,8 @@ def combine_losses(l_local: float, l_sfmc: float | None, l_cpgma: float | None,
     if not all(math.isfinite(v) for v in vals):
         raise ValueError(f"non-finite loss inputs {vals}")
     l_sfmc, l_cpgma = float(vals[1]), float(vals[2])
-    w_s = abs(l_local) / (abs(l_sfmc) + eps_guard) if l_sfmc != 0.0 else 0.0
-    w_c = abs(l_local) / (abs(l_cpgma) + eps_guard) if l_cpgma != 0.0 else 0.0
+    w_s = abs(l_local) / (abs(l_sfmc) + EPS_GUARD) if l_sfmc != 0.0 else 0.0
+    w_c = abs(l_local) / (abs(l_cpgma) + EPS_GUARD) if l_cpgma != 0.0 else 0.0
     total = l_local + w_s * l_sfmc + w_c * l_cpgma
     return LossBreakdown(l_local, l_sfmc, l_cpgma, w_s, w_c, float(total))
 
@@ -123,8 +129,7 @@ def compute_sfmc_loss(params: nn.Parameters, spec: nn.NetworkSpec,
         return 0.0, params.partition(spec.split_index)[1].zeros_like()
     logits, cache = nn.forward_classifier(params, spec, foreign.embeddings)
     loss, glogits = nn.softmax_cross_entropy(logits, foreign.labels)
-    grads, _ = nn.backward(params, spec, cache, glogits, input_grad=False)
-    return loss, grads
+    return loss, nn.backward(params, spec, cache, glogits)
 
 
 def draw_foreign(foreign: FeatureBatch, rows: int, rng: np.random.Generator) -> FeatureBatch:
@@ -142,16 +147,16 @@ class UnitPrototypes(NamedTuple):
     rows: np.ndarray       # (K, d): the same values, zero rows for cold classes
 
 
-def unit_prototypes(prototypes: np.ndarray, eps_guard: float = EPS_GUARD) -> UnitPrototypes:
+def unit_prototypes(prototypes: np.ndarray) -> UnitPrototypes:
     """Each class's prototype scaled to unit length; a prototype whose norm is
-    below ``eps_guard`` is cold. Every unit vector is its own ``p / p_norm``
+    below ``EPS_GUARD`` is cold. Every unit vector is its own ``p / p_norm``
     array: on some OpenBLAS kernels a product's bits depend on where its
     vector starts, so a row of one 2-D array would not reproduce them."""
     vectors = []
     rows = np.zeros(np.shape(prototypes))
     for cls, p in enumerate(prototypes):
         p_norm = np.linalg.norm(p)
-        if p_norm < eps_guard:
+        if p_norm < EPS_GUARD:
             vectors.append(None)
             continue
         vectors.append(p / p_norm)
@@ -159,18 +164,14 @@ def unit_prototypes(prototypes: np.ndarray, eps_guard: float = EPS_GUARD) -> Uni
     return UnitPrototypes(vectors, rows)
 
 
-def cpgma_embedding_grad(u: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
-                         eps_guard: float = EPS_GUARD, units: UnitPrototypes | None = None):
+def cpgma_embedding_grad(u: np.ndarray, labels: np.ndarray, units: UnitPrototypes):
     """Negated per-class mean cosine between embeddings and their prototype,
     plus the gradient with respect to the embeddings.
 
-    Classes absent from the batch, or whose prototype is still (near) zero,
-    contribute nothing (cold-start guard). ``units`` is
-    ``unit_prototypes(prototypes, eps_guard)``, which a caller whose
-    prototypes stay fixed computes once.
+    ``units`` is ``unit_prototypes`` of the prototypes, which stay fixed while
+    a client trains. Classes absent from the batch, or whose prototype is
+    still (near) zero, contribute nothing (cold-start guard).
     """
-    if units is None:
-        units = unit_prototypes(prototypes, eps_guard)
     labels = np.asarray(labels)
     counts = np.bincount(labels, minlength=len(units.vectors))
     ends = np.cumsum(counts).tolist()
@@ -188,7 +189,7 @@ def cpgma_embedding_grad(u: np.ndarray, labels: np.ndarray, prototypes: np.ndarr
     sorted_labels = labels[order]
     u_hat = u.take(order, axis=0)
     norms = np.linalg.norm(u_hat, axis=1, keepdims=True)
-    np.maximum(norms, eps_guard, out=norms)
+    np.maximum(norms, EPS_GUARD, out=norms)
     u_hat /= norms
     cos = np.zeros(len(labels))
     loss = 0.0
@@ -318,24 +319,22 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
             u, cache_f = nn.forward_extractor(params, spec, xb)
             logits, cache_c = nn.forward_classifier(params, spec, u)
             l_local, glogits = nn.softmax_cross_entropy(logits, yb)
-            nn.backward(params, spec, cache_f + cache_c, glogits, input_grad=False,
-                        out=total_grads)
+            nn.backward(params, spec, cache_f + cache_c, glogits, out=total_grads)
 
             l_sfmc = sfmc_grads = l_cpgma = None
             if sfmc:
                 l_sfmc, sfmc_grads = compute_sfmc_loss(
                     params, spec, draw_foreign(foreign, len(idx), foreign_rng))
             if units is not None:
-                l_cpgma, grad_u_align = cpgma_embedding_grad(u, yb, prototypes, units=units)
+                l_cpgma, grad_u_align = cpgma_embedding_grad(u, yb, units)
 
             breakdown = combine_losses(l_local, l_sfmc, l_cpgma)
             if sfmc_grads is not None and breakdown.weight_sfmc:
                 total_grads.add_scaled(sfmc_grads, breakdown.weight_sfmc)
             if breakdown.weight_cpgma:
                 # 0 while every prototype is cold: no backward to discard
-                cpgma_grads, _ = nn.backward(params, spec, cache_f, grad_u_align,
-                                             input_grad=False)
-                total_grads.add_scaled(cpgma_grads, breakdown.weight_cpgma)
+                total_grads.add_scaled(nn.backward(params, spec, cache_f, grad_u_align),
+                                       breakdown.weight_cpgma)
             step = nn.adam_step if config.optimizer == "adam" else nn.sgd_step
             step(params, total_grads, opt_state)
 
@@ -409,7 +408,7 @@ def _server_feature_update(bank: FeatureBank, centers: np.ndarray, prototypes: n
     for cid in sorted(uploads):
         bank.insert(FeatureBatch.concat(uploads[cid]))
         for batch in uploads[cid]:
-            for cls in np.unique(batch.labels):
+            for cls in np.flatnonzero(np.bincount(batch.labels)):
                 centers[cid, cls] = update_client_center(
                     centers[cid, cls], batch.embeddings[batch.labels == cls], config.mu_client,
                 )
@@ -424,7 +423,7 @@ def _server_feature_update(bank: FeatureBank, centers: np.ndarray, prototypes: n
 
 
 def run_federation(config: FederationConfig, shards: list[ClientShard],
-                   spec: nn.NetworkSpec, global_test: ClientShard | None = None,
+                   spec: nn.NetworkSpec, global_test: ClientShard,
                    client_order: list[int] | None = None,
                    snapshot_rounds=()) -> RunResult:
     """Algorithm loop: T rounds of parallel client updates, server-side bank
@@ -480,10 +479,8 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
 
         metrics.append({
             "round": t,
-            "global_test_accuracy": (
-                evaluate_accuracy(server, spec, global_test.inputs, global_test.labels)
-                if global_test is not None else None
-            ),
+            "global_test_accuracy":
+                evaluate_accuracy(server, spec, global_test.inputs, global_test.labels),
             **_losses(stats),
             "hausdorff_mean": (
                 geometry.mean_to_global(server, spec, shards) if config.track_geometry else None
@@ -512,7 +509,7 @@ def one_shot_prototypes(uploads: dict, sizes: dict, num_classes: int, d: int) ->
 
 
 def run_few_shot(config: FederationConfig, shards: list[ClientShard],
-                 spec: nn.NetworkSpec, global_test: ClientShard | None = None,
+                 spec: nn.NetworkSpec, global_test: ClientShard,
                  stage_epochs=(30, 60, 60)) -> FewShotResult:
     """Few-shot schedule: each stage is pure local training, each stage ends in
     one communication. Intermediate communications aggregate the model, exchange
@@ -561,17 +558,14 @@ def run_few_shot(config: FederationConfig, shards: list[ClientShard],
                               feature_blob_bytes(len(foreign[cid]), d), cid)
                 ledger.record(stage, DOWN, KIND_PROTOTYPES, prototype_bytes, cid)
 
-        row = {"stage": stage, "epochs": epochs, **_losses(stats), **_traffic(ledger, stage)}
-        if global_test is not None:
-            row["server_accuracy"] = evaluate_accuracy(
-                server, spec, global_test.inputs, global_test.labels
-            )
-        metrics.append(row)
+        metrics.append({
+            "stage": stage, "epochs": epochs, **_losses(stats), **_traffic(ledger, stage),
+            "server_accuracy":
+                evaluate_accuracy(server, spec, global_test.inputs, global_test.labels),
+        })
 
     client_params = [trained[cid] for cid in sorted(trained)]
-    ensemble_acc = None
-    if global_test is not None:
-        preds = ensemble_predict(client_params, spec, global_test.inputs)
-        ensemble_acc = float((preds == global_test.labels).mean())
+    preds = ensemble_predict(client_params, spec, global_test.inputs)
+    ensemble_acc = float((preds == global_test.labels).mean())
     return FewShotResult(client_params=client_params, server_params=server,
                          metrics=metrics, ledger=ledger, ensemble_accuracy=ensemble_acc)

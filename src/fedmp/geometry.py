@@ -121,7 +121,7 @@ def _directed_many(a: np.ndarray, b: np.ndarray, sizes) -> np.ndarray:
     if len(a) * m * most > DENSE_PAIRS:
         probe = _spread(starts, sizes, math.isqrt(most))
         est = _products(b[probe], nb[probe], m, a2).min(axis=1) + na
-        top = np.unique(np.argmax(est, axis=1))
+        top = np.flatnonzero(np.bincount(np.argmax(est, axis=1)))
         floor = (_products(bf, nbf, m, a2[top]).min(axis=1) + na[top]).max(axis=1, keepdims=True)
         keep = np.flatnonzero((est >= floor - 2 * slack).any(axis=0))
         a, a2, na = a[keep], a2[keep], na[keep]
@@ -147,7 +147,7 @@ def class_manifolds(params: nn.Parameters, spec: nn.NetworkSpec, shards):
     global_parts: dict[int, list[np.ndarray]] = {}
     for shard in shards:
         u, _ = nn.forward_extractor(params, spec, shard.inputs)
-        for cls in np.unique(shard.labels):
+        for cls in np.flatnonzero(np.bincount(shard.labels)):
             pts = u[shard.labels == cls]
             per[(shard.client_id, int(cls))] = pts
             global_parts.setdefault(int(cls), []).append(pts)

@@ -262,19 +262,6 @@ def init_params(spec: NetworkSpec, seed: int) -> Parameters:
     return Parameters(values)
 
 
-def check_params(params: Parameters, spec: NetworkSpec) -> None:
-    for idx, layer in enumerate(spec.layers):
-        if layer[0] != AFFINE:
-            continue
-        _, n_in, n_out = layer
-        w = params.layout.spans.get((idx, "W"))
-        b = params.layout.spans.get((idx, "b"))
-        if w is None or w[2] != (n_in, n_out):
-            raise ShapeError(f"layer {idx}: weight shape mismatch (want {(n_in, n_out)})")
-        if b is None or b[2] != (n_out,):
-            raise ShapeError(f"layer {idx}: bias shape mismatch (want {(n_out,)})")
-
-
 def forward(params: Parameters, spec: NetworkSpec, x: np.ndarray,
             start: int = 0, stop: int | None = None):
     """Run layers ``[start, stop)``; returns (output, cache) for backward.
@@ -316,16 +303,16 @@ def forward(params: Parameters, spec: NetworkSpec, x: np.ndarray,
     return out, cache
 
 
-def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
-             input_grad: bool = True, out: Parameters | None = None):
-    """Reverse-mode pass over the layers recorded in ``cache``.
+def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray, *,
+             out: Parameters | None = None) -> Parameters:
+    """Reverse-mode pass over the layers recorded in ``cache``; returns the
+    parameter gradients.
 
-    Returns (grads, grad_input). ``grads`` only holds entries for the layers
-    covered by the cache, so a classifier-only cache yields classifier-only
-    gradients (nothing flows into the extractor). They are written into one
-    vector, or into the matching slice of ``out`` (laid out like ``params``)
-    when given. With ``input_grad=False`` the gradient is not carried below the
-    first cached affine layer and ``grad_input`` is None.
+    They only hold entries for the layers covered by the cache, so a
+    classifier-only cache yields classifier-only gradients (nothing flows into
+    the extractor). They are written into one vector, or into the matching
+    slice of ``out`` (laid out like ``params``) when given. The gradient is
+    not carried below the first cached affine layer.
 
     Neither ``upstream`` nor any cache array is written, so one cache can be
     run backward more than once; the ReLU mask is multiplied in place only
@@ -352,8 +339,8 @@ def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
                 raise ShapeError(f"layer {idx}: upstream gradient shape mismatch")
             np.matmul(x.T, grad, out=out[(idx, "W")])
             grad.sum(axis=0, out=out[(idx, "b")])
-            if idx == first and not input_grad:
-                return grads, None
+            if idx == first:
+                return grads
             grad = grad @ w.T
             owned = True
         elif kind == RELU:
@@ -361,7 +348,7 @@ def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
             owned = True
         else:  # flatten
             grad = grad.reshape(saved)
-    return grads, grad
+    return grads
 
 
 def forward_extractor(params: Parameters, spec: NetworkSpec, x: np.ndarray):
@@ -438,23 +425,20 @@ class AdamState:
             self.v = params.zeros_like()
 
 
-def _checked_gradient(params: Parameters, grads: Parameters) -> tuple[np.ndarray, int]:
-    """``grads.vec`` checked for finiteness before anything is updated, and
-    where it starts in ``params.vec``."""
+def _checked_gradient(params: Parameters, grads: Parameters) -> np.ndarray:
+    """``grads.vec``, checked to be laid out like ``params`` and finite
+    before anything is updated."""
+    if grads.layout is not params.layout:
+        raise ShapeError("gradient must be laid out like the model")
     if not np.isfinite(grads.vec).all():
         bad = next(k for k in grads.keys() if not np.isfinite(grads[k]).all())
         raise ValueError(f"non-finite gradient at {bad}")
-    return grads.vec, params.layout.offset_of(grads.layout)
+    return grads.vec
 
 
 def adam_step(params: Parameters, grads: Parameters, state: AdamState) -> None:
-    """One Adam update in place; weight decay enters as an additive L2 term.
-    Layers missing from ``grads`` get a zero gradient."""
-    g, lo = _checked_gradient(params, grads)
-    if g.size != params.vec.size:
-        full = np.zeros(params.vec.size)
-        full[lo:lo + g.size] = g
-        g = full
+    """One Adam update in place; weight decay enters as an additive L2 term."""
+    g = _checked_gradient(params, grads)
     state.ensure(params)
     state.step += 1
     t = state.step
@@ -479,11 +463,10 @@ def adam_step(params: Parameters, grads: Parameters, state: AdamState) -> None:
 
 
 def sgd_step(params: Parameters, grads: Parameters, state: AdamState) -> None:
-    """Plain SGD fallback sharing the AdamState hyperparameter container.
-    Only the layers present in ``grads`` are updated, weight decay included."""
-    g, lo = _checked_gradient(params, grads)
+    """Plain SGD fallback sharing the AdamState hyperparameter container."""
+    g = _checked_gradient(params, grads)
     state.step += 1
-    p = params.vec[lo:lo + g.size]
+    p = params.vec
     if state.weight_decay:
         g = g + state.weight_decay * p
     p -= state.learning_rate * g

@@ -17,6 +17,7 @@ from . import nn
 from .data import ClientShard
 
 L2_RISK_THRESHOLD = 0.1
+BATCH_SIZE = 64                      # decoder mini-batch rows
 
 
 @dataclass
@@ -25,9 +26,7 @@ class AttackConfig:
     epochs: int = 200
     train_fraction: float = 0.5
     learning_rate: float = 1e-2
-    batch_size: int = 64
     seed: int = 0
-    decoder_hidden: tuple | None = None   # defaults to the mirrored widths
 
     def __post_init__(self):
         if not 0 < self.train_fraction < 1:
@@ -53,20 +52,16 @@ def intercepted_features(params: nn.Parameters, spec: nn.NetworkSpec,
     return out
 
 
-def mirror_decoder_spec(spec: nn.NetworkSpec, split_index: int,
-                        hidden: tuple | None = None) -> nn.NetworkSpec:
+def mirror_decoder_spec(spec: nn.NetworkSpec, split_index: int) -> nn.NetworkSpec:
     """Decoder that walks the encoder's affine widths in reverse."""
     widths = [spec.input_dim]
     for layer in spec.layers[:split_index]:
         if layer[0] == nn.AFFINE:
             widths.append(layer[2])
-    rep = widths[-1]
-    if hidden is None:
-        hidden = tuple(reversed(widths[1:-1]))
     # leading flatten is a no-op that satisfies the spec's split constraint
     layers = [nn.flatten()]
-    w = rep
-    for h in hidden:
+    w = widths[-1]
+    for h in reversed(widths[1:-1]):
         layers += [nn.affine(w, h), nn.relu()]
         w = h
     layers.append(nn.affine(w, spec.input_dim))
@@ -84,18 +79,17 @@ def train_decoder(extractor_params: nn.Parameters, spec: nn.NetworkSpec,
         raise ValueError("degenerate train/held-out split")
     x_train = shard.inputs[:n_train]
     z_train = intercepted_features(extractor_params, spec, x_train, config.split_index)
-    dec_spec = mirror_decoder_spec(spec, config.split_index, config.decoder_hidden)
+    dec_spec = mirror_decoder_spec(spec, config.split_index)
     dec_params = nn.init_params(dec_spec, config.seed)
     state = nn.AdamState(learning_rate=config.learning_rate, weight_decay=0.0)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.seed, 7]))
     for _ in range(config.epochs):
         order = rng.permutation(n_train)
-        for start in range(0, n_train, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for start in range(0, n_train, BATCH_SIZE):
+            idx = order[start:start + BATCH_SIZE]
             out, cache = nn.forward_full(dec_params, dec_spec, z_train[idx])
             grad = 2.0 * (out - x_train[idx]) / out.size
-            grads, _ = nn.backward(dec_params, dec_spec, cache, grad, input_grad=False)
-            nn.adam_step(dec_params, grads, state)
+            nn.adam_step(dec_params, nn.backward(dec_params, dec_spec, cache, grad), state)
     return dec_params, dec_spec
 
 

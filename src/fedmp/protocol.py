@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import NetworkSpec, Parameters, check_params
+from .nn import NetworkSpec, Parameters
 
 MODEL_MAGIC = 0x464D5031  # "FMP1"
 
@@ -105,9 +105,7 @@ def deserialize_model(blob: bytes, spec: NetworkSpec) -> Parameters:
         values[key] = arr.reshape(shape)
     if offset != len(blob):
         raise CorruptBlobError("trailing bytes after model payload")
-    params = Parameters(values)
-    check_params(params, spec)
-    return params
+    return Parameters(values)
 
 
 def _reference_keys(spec: NetworkSpec):
@@ -203,12 +201,13 @@ class FeatureBank:
         self._slots: dict[tuple[int, int], FeatureBatch] = {}
 
     def insert(self, batch: FeatureBatch) -> None:
-        for cid in np.unique(batch.client_ids).tolist():
+        for cid in np.flatnonzero(np.bincount(batch.client_ids)).tolist():
             # the client's new rows, stable-sorted so each class is one slice
             idx = np.flatnonzero(batch.client_ids == cid)
             rows = batch.take(idx[np.argsort(batch.labels[idx], kind="stable")])
-            labels, starts = np.unique(rows.labels, return_index=True)
-            new = dict(zip(labels.tolist(), zip(starts.tolist(), [*starts[1:].tolist(), len(rows)])))
+            counts = np.bincount(rows.labels)
+            new = {label: (end - count, end) for label, (count, end)
+                   in enumerate(zip(counts.tolist(), np.cumsum(counts).tolist())) if count}
             old = {label: len(slot) for (c, label), slot in self._slots.items() if c == cid}
             # each slot keeps its last ``capacity`` rows: its old rows, then its new ones
             moves, src_at, dst_at = [], 0, 0

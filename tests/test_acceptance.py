@@ -141,7 +141,7 @@ def test_criterion_2_gradient_check():
         labels = rng.integers(0, k, size=4)
         logits, cache = nn.forward_full(params, spec, x)
         _, grad_logits = nn.softmax_cross_entropy(logits, labels)
-        grads, _ = nn.backward(params, spec, cache, grad_logits)
+        grads = nn.backward(params, spec, cache, grad_logits)
         h = 1e-5
         for key in grads.keys():
             flat = params[key].reshape(-1)

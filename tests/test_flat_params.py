@@ -2,8 +2,8 @@
 
 Every model is one contiguous float64 vector with a view per (layer, kind)
 tensor. The optimizers, aggregation and serialization run over the whole
-vector (or one slice of it), and must give the same bits as the per-key loops
-copied below as references. Comparisons are on raw bytes, so a -0.0 that
+vector, and ``add_scaled`` over one slice of it; each must give the same bits
+as the per-key loops copied below as references. Comparisons are on raw bytes, so a -0.0 that
 turns into +0.0 fails them.
 """
 
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmp import nn, privacy
+from fedmp import nn
 from fedmp.federation import aggregate_models
 from fedmp.protocol import MODEL_MAGIC, deserialize_model, serialize_model
 
@@ -143,9 +143,8 @@ def as_grads(params: nn.Parameters, spec: nn.NetworkSpec, tensors: dict, cover: 
 
 
 @settings(max_examples=60, deadline=None)
-@given(net=networks(), steps=st.integers(1, 4), decay=st.booleans(),
-       cover=st.sampled_from(COVERS))
-def test_adam_step_matches_per_key_reference(net, steps, decay, cover):
+@given(net=networks(), steps=st.integers(1, 4), decay=st.booleans())
+def test_adam_step_matches_per_key_reference(net, steps, decay):
     spec, seed = net
     rng = np.random.default_rng(seed)
     params = nn.init_params(spec, seed)
@@ -153,8 +152,8 @@ def test_adam_step_matches_per_key_reference(net, steps, decay, cover):
     state = nn.AdamState(learning_rate=1e-2, weight_decay=5e-3 if decay else 0.0)
     ref_state = RefAdam(nn.AdamState(learning_rate=1e-2, weight_decay=state.weight_decay))
     for _ in range(steps):
-        tensors = random_tensors(spec, rng, covered_layers(spec, cover))
-        nn.adam_step(params, as_grads(params, spec, tensors, cover), state)
+        tensors = random_tensors(spec, rng, range(len(spec.layers)))
+        nn.adam_step(params, nn.Parameters(tensors), state)
         reference_adam_step(ref, tensors, ref_state)
     assert same_tensors(params, ref)
     assert same_tensors(state.m, ref_state.m) and same_tensors(state.v, ref_state.v)
@@ -162,17 +161,16 @@ def test_adam_step_matches_per_key_reference(net, steps, decay, cover):
 
 
 @settings(max_examples=60, deadline=None)
-@given(net=networks(), steps=st.integers(1, 4), decay=st.booleans(),
-       cover=st.sampled_from(COVERS))
-def test_sgd_step_matches_per_key_reference(net, steps, decay, cover):
+@given(net=networks(), steps=st.integers(1, 4), decay=st.booleans())
+def test_sgd_step_matches_per_key_reference(net, steps, decay):
     spec, seed = net
     rng = np.random.default_rng(seed)
     params = nn.init_params(spec, seed)
     ref = {k: params[k].copy() for k in params.keys()}
     state = nn.AdamState(learning_rate=1e-1, weight_decay=5e-3 if decay else 0.0)
     for _ in range(steps):
-        tensors = random_tensors(spec, rng, covered_layers(spec, cover))
-        nn.sgd_step(params, as_grads(params, spec, tensors, cover), state)
+        tensors = random_tensors(spec, rng, range(len(spec.layers)))
+        nn.sgd_step(params, nn.Parameters(tensors), state)
         reference_sgd_step(ref, tensors, state)
     assert same_tensors(params, ref)
     assert state.step == steps
@@ -205,43 +203,7 @@ def test_add_scaled_touches_only_the_covered_slice(net, cover, scale):
 
 
 # ---------------------------------------------------------------------------
-# backward without the input gradient
-
-
-def decoder_spec():
-    # a leading flatten, as the inversion attack's decoders have
-    enc = nn.mlp_spec(5, (4,), (3,), 2)
-    return privacy.mirror_decoder_spec(enc, 2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(net=networks(), rows=st.integers(1, 9), part=st.sampled_from(("full", "extractor",
-                                                                     "classifier")))
-def test_backward_without_input_grad_same_param_grads(net, rows, part):
-    spec, seed = net
-    rng = np.random.default_rng(seed)
-    params = nn.init_params(spec, seed)
-    if part == "classifier":
-        out, cache = nn.forward_classifier(params, spec, rng.normal(size=(rows, spec.embedding_dim)))
-    elif part == "extractor":
-        out, cache = nn.forward_extractor(params, spec, rng.normal(size=(rows, spec.input_dim)))
-    else:
-        out, cache = nn.forward_full(params, spec, rng.normal(size=(rows, spec.input_dim)))
-    upstream = rng.normal(size=out.shape)
-    with_input, grad_in = nn.backward(params, spec, cache, upstream)
-    without, none = nn.backward(params, spec, cache, upstream, input_grad=False)
-    assert none is None and grad_in.shape == cache[0][1].shape
-    assert with_input.keys() == without.keys()
-    assert same_bits(with_input.vec, without.vec)
-
-
-def test_backward_without_input_grad_past_a_flatten():
-    spec = decoder_spec()
-    params = nn.init_params(spec, 3)
-    out, cache = nn.forward_full(params, spec, np.random.default_rng(3).normal(size=(6, 4)))
-    with_input, _ = nn.backward(params, spec, cache, np.ones_like(out))
-    without, none = nn.backward(params, spec, cache, np.ones_like(out), input_grad=False)
-    assert none is None and same_bits(with_input.vec, without.vec)
+# backward
 
 
 def test_backward_writes_into_out_slices():
@@ -251,10 +213,11 @@ def test_backward_writes_into_out_slices():
     u, cache_f = nn.forward_extractor(params, spec, x)
     logits, cache_c = nn.forward_classifier(params, spec, u)
     out = params.zeros_like()
-    grads_c, grad_u = nn.backward(params, spec, cache_c, np.ones_like(logits), out=out)
-    grads_f, _ = nn.backward(params, spec, cache_f, grad_u, input_grad=False, out=out)
-    full, _ = nn.backward(params, spec, cache_f + cache_c, np.ones_like(logits))
-    assert same_bits(out.vec, full.vec)
+    grads_c = nn.backward(params, spec, cache_c, np.ones_like(logits), out=out)
+    grads_f = nn.backward(params, spec, cache_f, np.ones_like(u), out=out)
+    assert same_bits(out.vec, np.concatenate([
+        nn.backward(params, spec, cache_f, np.ones_like(u)).vec,
+        nn.backward(params, spec, cache_c, np.ones_like(logits)).vec]))
     assert np.shares_memory(grads_c.vec, out.vec) and np.shares_memory(grads_f.vec, out.vec)
 
 
@@ -328,28 +291,52 @@ def test_dict_round_trips_through_model_blobs(net):
 
 
 # ---------------------------------------------------------------------------
-# non-finite gradients
+# rejected gradients
+
+
+def stepped_once(step):
+    """A small model and its optimizer state after one ``step``, so the
+    moments exist."""
+    spec = nn.mlp_spec(3, (4,), (5,), 2)
+    params = nn.init_params(spec, 0)
+    state = nn.AdamState(learning_rate=1e-2)
+    rng = np.random.default_rng(0)
+    step(params, nn.Parameters(random_tensors(spec, rng, covered_layers(spec, "full"))), state)
+    return spec, params, state, rng
+
+
+def assert_unchanged_after_one_step(params, state, snapshot, moments):
+    assert same_bits(params.vec, snapshot)
+    assert state.step == 1
+    for s, before in zip((state.m, state.v), moments):
+        assert (s is None and before is None) or same_bits(s.vec, before)
 
 
 @pytest.mark.parametrize("step", [nn.adam_step, nn.sgd_step])
 @pytest.mark.parametrize("cover", COVERS)
 def test_non_finite_gradient_changes_nothing(step, cover):
-    spec = nn.mlp_spec(3, (4,), (5,), 2)
-    params = nn.init_params(spec, 0)
-    state = nn.AdamState(learning_rate=1e-2)
-    rng = np.random.default_rng(0)
-    full = covered_layers(spec, "full")
-    step(params, as_grads(params, spec, random_tensors(spec, rng, full), "full"), state)
-    tensors = random_tensors(spec, rng, covered_layers(spec, cover))
-    first, later = sorted(tensors)[-2:]
+    """A NaN and an inf in the ``cover`` layers of a whole-model gradient."""
+    spec, params, state, rng = stepped_once(step)
+    tensors = random_tensors(spec, rng, covered_layers(spec, "full"))
+    first, later = sorted(k for k in tensors if k[0] in covered_layers(spec, cover))[-2:]
     tensors[first].flat[-1] = np.nan
     tensors[later].flat[0] = np.inf
     snapshot = params.vec.copy()
     moments = [None if s is None else s.vec.copy() for s in (state.m, state.v)]
     with pytest.raises(ValueError, match="non-finite") as err:
-        step(params, as_grads(params, spec, tensors, cover), state)
+        step(params, nn.Parameters(tensors), state)
     assert str(first) in str(err.value) and str(later) not in str(err.value)
-    assert same_bits(params.vec, snapshot)
-    assert state.step == 1
-    for s, before in zip((state.m, state.v), moments):
-        assert (s is None and before is None) or same_bits(s.vec, before)
+    assert_unchanged_after_one_step(params, state, snapshot, moments)
+
+
+@pytest.mark.parametrize("step", [nn.adam_step, nn.sgd_step])
+@pytest.mark.parametrize("cover", ("classifier", "extractor"))
+def test_partial_gradient_changes_nothing(step, cover):
+    """The optimizers take only a gradient laid out like the whole model."""
+    spec, params, state, rng = stepped_once(step)
+    tensors = random_tensors(spec, rng, covered_layers(spec, cover))
+    snapshot = params.vec.copy()
+    moments = [None if s is None else s.vec.copy() for s in (state.m, state.v)]
+    with pytest.raises(nn.ShapeError, match="laid out like the model"):
+        step(params, as_grads(params, spec, tensors, cover), state)
+    assert_unchanged_after_one_step(params, state, snapshot, moments)

@@ -387,8 +387,7 @@ def _train_classifier_on_clouds(clouds: dict, num_classes: int, dim: int,
     for _ in range(steps):
         logits, cache = nn.forward_full(params, head, x)
         _, grad = nn.softmax_cross_entropy(logits, y)
-        grads, _ = nn.backward(params, head, cache, grad, input_grad=False)
-        nn.adam_step(params, grads, state)
+        nn.adam_step(params, nn.backward(params, head, cache, grad), state)
     return params, head, (x, y)
 
 

@@ -80,7 +80,7 @@ def fedmp_run() -> dict:
 
 
 def sgd_run() -> dict:
-    # both modules on, plain SGD: partial gradients update only their slice
+    # both modules on, plain SGD over the whole-model gradient
     shards, global_test = _data(3)
     cfg = SCALE_S.federation_config(3, mode="fedmp")
     cfg.optimizer = "sgd"

@@ -149,9 +149,7 @@ class TestDecoder:
         # invertible case: a linear decoder can reach ~zero training MSE
         params, spec = self.identity_network(3)
         shard = make_shard(n=60, dim=3, seed=7)
-        cfg = AttackConfig(
-            split_index=1, epochs=300, learning_rate=3e-2, seed=0, decoder_hidden=()
-        )
+        cfg = AttackConfig(split_index=1, epochs=300, learning_rate=3e-2, seed=0)
         dec_params, dec_spec = train_decoder(params, spec, shard, cfg)
         n_train = int(len(shard) * cfg.train_fraction)
         z = intercepted_features(params, spec, shard.inputs[:n_train], 1)
@@ -178,8 +176,7 @@ class TestDecoder:
         rng = np.random.default_rng(11)
         inputs = rng.normal(size=(80, 2))
         shard = ClientShard(client_id=0, inputs=inputs, labels=np.zeros(80, dtype=np.int64))
-        cfg = AttackConfig(split_index=1, epochs=400, learning_rate=2e-2, seed=1,
-                           decoder_hidden=())
+        cfg = AttackConfig(split_index=1, epochs=400, learning_rate=2e-2, seed=1)
         dec_params, dec_spec = train_decoder(enc, enc_spec, shard, cfg)
         n_train = int(80 * cfg.train_fraction)
         x_train = inputs[:n_train]

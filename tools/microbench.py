@@ -77,7 +77,7 @@ def cases(scale: str) -> dict:
     y = rng.integers(0, 3, size=BATCH)
     logits, cache = nn.forward_full(params, spec, x)
     _, glogits = nn.softmax_cross_entropy(logits, y)
-    grads, _ = nn.backward(params, spec, cache, glogits, input_grad=False)
+    grads = nn.backward(params, spec, cache, glogits)
     u, _ = nn.forward_extractor(params, spec, x)
     prototypes = rng.normal(size=(3, spec.embedding_dim))
     units = unit_prototypes(prototypes)
@@ -109,19 +109,16 @@ def cases(scale: str) -> dict:
     state = nn.AdamState(learning_rate=3e-3, weight_decay=6e-3)
     return {
         "nn.forward.batch": lambda: nn.forward_full(params, spec, x),
-        "nn.backward.batch": lambda: nn.backward(params, spec, cache, glogits,
-                                                 input_grad=False),
+        "nn.backward.batch": lambda: nn.backward(params, spec, cache, glogits),
         "federation.draw_foreign": lambda: draw_foreign(foreign, BATCH, draw_rng),
         "nn.forward.head": lambda: nn.forward_classifier(params, spec, drawn.embeddings),
-        "nn.backward.head": lambda: nn.backward(params, spec, head_cache, head_glogits,
-                                                input_grad=False),
+        "nn.backward.head": lambda: nn.backward(params, spec, head_cache, head_glogits),
         "nn.softmax_cross_entropy.batch": lambda: nn.softmax_cross_entropy(logits, y),
         "nn.softmax_cross_entropy.head": lambda: nn.softmax_cross_entropy(
             head_logits, drawn.labels),
         "nn.adam_step": lambda: nn.adam_step(params, grads, state),
         "federation.unit_prototypes": lambda: unit_prototypes(prototypes),
-        "federation.cpgma_embedding_grad": lambda: cpgma_embedding_grad(u, y, prototypes,
-                                                                        units=units),
+        "federation.cpgma_embedding_grad": lambda: cpgma_embedding_grad(u, y, units),
         "protocol.FeatureBank.insert": lambda: bank.insert(uploads[0]),
         "protocol.FeatureBank.sample": lambda: bank.sample(0, SAMPLE_COUNT, 0),
         "geometry.directed_distance": lambda: geometry.directed_distance(
