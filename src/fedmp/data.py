@@ -9,7 +9,7 @@ identity, so 0 gives an IID control federation.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class ClientShard:
     client_id: int
     inputs: np.ndarray          # (M, D0) float64
     labels: np.ndarray          # (M,) int64
-    skew_descriptor: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -103,10 +102,7 @@ def generate_federation(spec: DatasetSpec) -> tuple[list[ClientShard], ClientSha
             z = centers[labels] + rng.normal(size=(len(labels), spec.input_dim))
             x = z @ a.T + b + spec.noise_std * rng.normal(size=z.shape)
             if collect:
-                shards.append(ClientShard(
-                    client_id=cid, inputs=x, labels=labels,
-                    skew_descriptor={"A": a, "b": b},
-                ))
+                shards.append(ClientShard(client_id=cid, inputs=x, labels=labels))
             else:
                 test_inputs.append(x)
                 test_labels.append(labels)
@@ -115,7 +111,6 @@ def generate_federation(spec: DatasetSpec) -> tuple[list[ClientShard], ClientSha
         client_id=-1,
         inputs=np.concatenate(test_inputs, axis=0),
         labels=np.concatenate(test_labels, axis=0),
-        skew_descriptor={"pooled": True},
     )
     return shards, global_test
 
@@ -132,5 +127,4 @@ def merge_shards(shards: list[ClientShard], client_id: int = 0) -> ClientShard:
         client_id=client_id,
         inputs=np.concatenate([s.inputs for s in shards], axis=0),
         labels=np.concatenate([s.labels for s in shards], axis=0),
-        skew_descriptor={"merged": [s.client_id for s in shards]},
     )

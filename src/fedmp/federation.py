@@ -406,7 +406,8 @@ def _server_feature_update(bank: FeatureBank, centers: np.ndarray, prototypes: n
     client's batches enter the bank in one insert: a FIFO slot keeps the same
     rows whether it is trimmed after each batch or after all of them."""
     for cid in sorted(uploads):
-        bank.insert(FeatureBatch.concat(uploads[cid]))
+        if config.enable_sfmc:          # nothing else samples the bank
+            bank.insert(FeatureBatch.concat(uploads[cid]))
         for batch in uploads[cid]:
             for cls in np.flatnonzero(np.bincount(batch.labels)):
                 centers[cid, cls] = update_client_center(
@@ -474,6 +475,7 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
         if feature_traffic:
             _server_feature_update(bank, centers, prototypes, uploads, by_id, config)
         server = _aggregate(trained, by_id)
+        del trained, uploads, foreign       # the rest of the round reads none of them
         if t in snapshot_rounds:
             snapshots[t] = server.copy()
 

@@ -17,13 +17,13 @@ _TINY = float(np.finfo(np.float64).tiny)    # smallest normal float64
 # Below about this many (row, point) pairs, one product over every pair costs
 # no more than the probe pass and its extra calls (measured on 64-d clouds).
 DENSE_PAIRS = 1 << 16
+# The most (row, point) pairs in one product, whatever the clouds' sizes.
+BLOCK_PAIRS = 1 << 16
 
 
 @dataclass
 class PointCloud:
     points: np.ndarray
-    label: int | None = None
-    client_id: int | None = None
 
 
 def _as_points(cloud) -> np.ndarray:
@@ -64,12 +64,20 @@ def _spread(starts: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
     return (starts[:, None] + np.arange(k) * sizes[:, None] // k).ravel()
 
 
-def _products(b: np.ndarray, nb: np.ndarray, clouds: int, a2: np.ndarray) -> np.ndarray:
-    """``q[c, i, r] = |b_j|^2 - 2 b_j.a_r`` for the i-th row ``j`` of cloud
-    ``c``, where ``b`` holds ``clouds`` blocks of equal size and ``a2 = -2a``."""
-    q = b @ a2.T
-    q += nb[:, None]
-    return q.reshape(clouds, -1, len(a2))
+def _blocks(rows: np.ndarray, per_row: int):
+    """``rows`` in blocks of at most ``BLOCK_PAIRS // per_row`` (at least one)."""
+    step = max(1, BLOCK_PAIRS // per_row)
+    return [rows[lo:lo + step] for lo in range(0, len(rows), step)]
+
+
+def _nearest(a, na, b, nb, starts, keep):
+    """Per block of the rows ``keep`` of ``a``: the rows, ``q[r, j] =
+    |b_j|^2 - 2 a_r.b_j``, its minimum over each cloud of ``b`` and that plus ``na``."""
+    for rows in _blocks(keep, len(b)):
+        q = (-2.0 * a[rows]) @ b.T
+        q += nb
+        qmin = np.minimum.reduceat(q, starts, axis=1)
+        yield rows, q, qmin, qmin + na[rows, None]
 
 
 def _directed_many(a: np.ndarray, b: np.ndarray, sizes) -> np.ndarray:
@@ -82,7 +90,7 @@ def _directed_many(a: np.ndarray, b: np.ndarray, sizes) -> np.ndarray:
     pairs that cannot change the max-min, to the last bit.
 
     Only the pairs that may decide a distance are summed that way; the others
-    are ruled out by an estimate from one matrix product, ``e = |a_r|^2 + q``
+    are ruled out by an estimate from matrix products, ``e = |a_r|^2 + q``
     with ``q = |b_j|^2 - 2 b_j.a_r``. With ``u = 2^-53``, the norms and the
     product, summed in any order and with or without FMA, are within
     ``d u (|a| + |b|)^2`` of the exact ``|a - b|^2``, scipy's ``s`` is within
@@ -92,16 +100,18 @@ def _directed_many(a: np.ndarray, b: np.ndarray, sizes) -> np.ndarray:
     plus that of ``b``. The slack ``8 (d + 4) u N`` is over twice that, which
     also covers the rounding of the comparisons below, and ``tiny`` covers
     products that round below the normal range. So a row whose estimated
-    minimum is more than two slacks under the largest estimate cannot hold
-    the max, and a pair whose ``q`` is more than two slacks over its row's
-    least ``q`` cannot be the row's nearest point. All else is summed.
+    minimum is more than two slacks under the floor (any row's estimate)
+    cannot hold the max, and a pair whose ``q`` is more than two slacks over
+    its row's least ``q`` cannot be the row's nearest point. All else is
+    summed. This holds however the products round, so they run over blocks
+    of query rows, and each block may raise the floor.
 
     A row's minimum over a few probe rows of a cloud bounds its minimum over
     the whole cloud from above. So when there are more than ``DENSE_PAIRS``
     pairs, a first pass over ``isqrt(size)`` evenly spread probes per cloud
-    keeps only the rows that may reach the exact minimum of each cloud's most
-    likely row. When ``4N`` is not finite the product formula could overflow,
-    so every pair is summed and no row is dropped."""
+    sets the floor at each cloud's most likely row and keeps only the rows
+    that may reach it. When ``4N`` is not finite the product formula could
+    overflow, so every pair is summed and no row is dropped."""
     sizes = np.asarray(sizes)
     starts = np.cumsum(sizes) - sizes
     m, most = len(sizes), int(sizes.max())
@@ -113,53 +123,53 @@ def _directed_many(a: np.ndarray, b: np.ndarray, sizes) -> np.ndarray:
             return np.sqrt(np.max([np.minimum.reduceat(_exact_sq(row, b), starts)
                                    for row in a], axis=0))
     slack = 8 * (a.shape[1] + 4) * _UNIT * scale + _TINY
-    a2 = -2.0 * a
-    bf, nbf = b, nb                         # the clouds as blocks of ``most`` rows
-    if m * most != len(b):
-        full = _spread(starts, sizes, most)
-        bf, nbf = b[full], nb[full]
+    keep, floor = np.arange(len(a)), np.full(m, -np.inf)
     if len(a) * m * most > DENSE_PAIRS:
-        probe = _spread(starts, sizes, math.isqrt(most))
-        est = _products(b[probe], nb[probe], m, a2).min(axis=1) + na
+        k = math.isqrt(most)
+        probe = _spread(starts, sizes, k)
+        bp, nbp = b[probe], nb[probe, None]
+        est = np.empty((m, len(a)))
+        for rows in _blocks(keep, m * k):
+            est[:, rows] = (bp @ (-2.0 * a[rows]).T + nbp).reshape(m, k, -1).min(axis=1)
+        est += na
         top = np.flatnonzero(np.bincount(np.argmax(est, axis=1)))
-        floor = (_products(bf, nbf, m, a2[top]).min(axis=1) + na[top]).max(axis=1, keepdims=True)
-        keep = np.flatnonzero((est >= floor - 2 * slack).any(axis=0))
-        a, a2, na = a[keep], a2[keep], na[keep]
-    q = _products(bf, nbf, m, a2)
-    qmin = q.min(axis=1)
-    est = qmin + na
-    rows = est >= est.max(axis=1, keepdims=True) - 2 * slack
-    # the pairs left: row r, padded row j of cloud c = j // most
-    j, r = np.divmod(np.flatnonzero(q <= np.where(rows, qmin + 2 * slack, -np.inf)[:, None, :]),
-                     len(a))
-    best = np.where(rows, np.inf, -np.inf)
-    np.minimum.at(best, (j // most, r), _exact_sq(a[r], bf[j]))
-    return np.sqrt(best.max(axis=1))
+        floor = np.concatenate([e for *_, e in _nearest(a, na, b, nb, starts, top)]).max(axis=0)
+        keep = np.flatnonzero((est >= floor[:, None] - 2 * slack).any(axis=0))
+    cloud, best = np.repeat(np.arange(m), sizes), np.full(m, -np.inf)
+    for rows, q, qmin, est in _nearest(a, na, b, nb, starts, keep):
+        floor = np.maximum(floor, est.max(axis=0))
+        near = np.where(est >= floor - 2 * slack, qmin + 2 * slack, -np.inf)
+        # the pairs left: row ``rows[r]``, point j of cloud ``cloud[j]``
+        r, j = np.divmod(np.flatnonzero(q <= np.repeat(near, sizes, axis=1)), len(b))
+        least = np.where(near > -np.inf, np.inf, -np.inf)
+        np.minimum.at(least, (r, cloud[j]), _exact_sq(a[rows[r]], b[j]))
+        np.maximum(best, least.max(axis=0), out=best)
+    return np.sqrt(best)
 
 
 def class_manifolds(params: nn.Parameters, spec: nn.NetworkSpec, shards):
     """Embed every shard with the current extractor.
 
     Returns (per, global): per[(client_id, class)] and global[class], where the
-    global cloud is the multiset union across clients.
-    """
-    per: dict[tuple[int, int], np.ndarray] = {}
-    global_parts: dict[int, list[np.ndarray]] = {}
+    global cloud is the multiset union across clients in shard order, sized
+    from the label counts; each client cloud is a view of its part of it."""
+    totals = np.bincount(np.concatenate([np.zeros(0, np.intp)] + [s.labels for s in shards]))
+    global_clouds = {cls: np.empty((totals[cls], spec.embedding_dim))
+                     for cls in np.flatnonzero(totals).tolist()}
+    per, filled = {}, np.zeros_like(totals)
     for shard in shards:
         u, _ = nn.forward_extractor(params, spec, shard.inputs)
-        for cls in np.flatnonzero(np.bincount(shard.labels)):
-            pts = u[shard.labels == cls]
-            per[(shard.client_id, int(cls))] = pts
-            global_parts.setdefault(int(cls), []).append(pts)
-    global_clouds = {c: np.concatenate(v, axis=0) for c, v in global_parts.items()}
+        for cls in np.flatnonzero(np.bincount(shard.labels)).tolist():
+            rows = shard.labels == cls
+            part = global_clouds[cls][filled[cls]:filled[cls] + np.count_nonzero(rows)]
+            per[(shard.client_id, cls)] = np.compress(rows, u, axis=0, out=part)
+            filled[cls] += len(part)
     return per, global_clouds
 
 
 def _to_global(per: dict, global_clouds: dict) -> tuple[dict, float]:
-    # each client cloud is a subset of its global class cloud, so the symmetric
-    # distance is the one directed from the global cloud to the client cloud;
-    # class_manifolds stacks a class's client clouds in ``per``'s order, so
-    # the global cloud is also the block of its client clouds
+    # each client cloud is a block of its global class cloud, in ``per``'s order,
+    # so the symmetric distance is the one directed from the global cloud
     dist = {}
     for cls, pts in global_clouds.items():
         g = _as_points(pts)

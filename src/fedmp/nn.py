@@ -222,12 +222,6 @@ class Parameters:
     def zeros_like(self) -> "Parameters":
         return Parameters.over(np.zeros(self.layout.size), self.layout)
 
-    def allclose(self, other: "Parameters", **kw) -> bool:
-        return self.layout is other.layout and bool(np.allclose(self.vec, other.vec, **kw))
-
-    def equal(self, other: "Parameters") -> bool:
-        return self.layout is other.layout and bool(np.array_equal(self.vec, other.vec))
-
     def count(self) -> int:
         return self.layout.size
 

@@ -5,6 +5,7 @@ import pytest
 
 from fedmp.data import (
     DatasetSpec,
+    _client_transform,
     generate_federation,
     merge_shards,
     save_csv,
@@ -101,9 +102,11 @@ class TestGenerateFederation:
         assert np.array_equal(ta.inputs, tb.inputs)
 
     def test_transform_invertible(self):
-        shards, _ = generate_federation(spec(skew_strength=2.0))
-        for shard in shards:
-            a = shard.skew_descriptor["A"]
+        # each client's transform, drawn first from the stream its shard uses
+        s = spec(skew_strength=2.0)
+        for cid in range(s.num_clients):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=[s.seed, 1, cid]))
+            a, _ = _client_transform(s.input_dim, s.skew_strength, rng)
             assert np.isfinite(np.linalg.cond(a))
             assert np.linalg.cond(a) < 1e6
 

@@ -5,6 +5,7 @@ scipy, a test dependency only, is the reference for the NumPy kernel."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -208,20 +209,26 @@ def same_bits(x, y) -> bool:
 
 
 @pytest.mark.filterwarnings("error")      # an overflow gives inf silently, as in scipy
-@settings(max_examples=300, deadline=None)
-@given(clouds=cloud_sets(), probe=st.booleans())
-@example(clouds=(np.zeros((1, 1)), np.zeros((1, 1)), [1]), probe=False)
-@example(clouds=(np.array([[0.0], [1e200]]), np.array([[-1e200], [1.0]]), [1, 1]), probe=True)
+@settings(max_examples=400, deadline=None)
+@given(clouds=cloud_sets(), probe=st.booleans(), one_row_blocks=st.booleans())
+@example(clouds=(np.zeros((1, 1)), np.zeros((1, 1)), [1]), probe=False, one_row_blocks=False)
+@example(clouds=(np.array([[0.0], [1e200]]), np.array([[-1e200], [1.0]]), [1, 1]), probe=True,
+         one_row_blocks=False)
 @example(clouds=(np.array([[0.0], [2.0], [4.0]]), np.array([[1.0], [3.0], [5.0]]), [3]),
-         probe=True)
-def test_kernel_matches_scipy_bit_for_bit(clouds, probe):
+         probe=True, one_row_blocks=False)
+@example(clouds=(np.array([[0.0], [2.0], [4.0]]), np.array([[1.0], [3.0], [5.0]]), [3]),
+         probe=True, one_row_blocks=True)
+def test_kernel_matches_scipy_bit_for_bit(clouds, probe, one_row_blocks):
     """Every distance is scipy's to the last bit, on the dense path and with
     the probe pass forced, and one call over several clouds equals one call
     per cloud. Ties, one-row clouds, ``d = 1``, cancellation far from the
-    origin and sums that overflow to inf are all drawn."""
+    origin and sums that overflow to inf are all drawn. With the smallest
+    block budget each product covers one query row, so the floor rises block
+    by block."""
     a, b, sizes = clouds
     want = scipy_directed(a, b, sizes)
-    with mock.patch.object(geometry, "DENSE_PAIRS", 0 if probe else geometry.DENSE_PAIRS):
+    with mock.patch.object(geometry, "DENSE_PAIRS", 0 if probe else geometry.DENSE_PAIRS), \
+            mock.patch.object(geometry, "BLOCK_PAIRS", 1 if one_row_blocks else geometry.BLOCK_PAIRS):
         got = geometry._directed_many(a, b, sizes)
         ends = np.cumsum(sizes)
         each = np.concatenate([geometry._directed_many(a, b[end - size:end], [size])
@@ -238,6 +245,48 @@ def test_kernel_probe_pass_on_real_sizes():
     sizes = [150] * 4
     assert len(b) * len(sizes) * max(sizes) > geometry.DENSE_PAIRS
     assert same_bits(geometry._directed_many(b, b, sizes), scipy_directed(b, b, sizes))
+
+
+def scale_m_federation():
+    """The acceptance network at scale M: 20 clients x 500 rows, 3 classes."""
+    rng = np.random.default_rng(0)
+    shards = [ClientShard(c, rng.normal(size=(500, 16)), rng.integers(0, 3, size=500))
+              for c in range(20)]
+    spec = nn.mlp_spec(16, (64,), (32, 16), 3)
+    return nn.init_params(spec, 0), spec, shards
+
+
+def traced_peak(fn) -> int:
+    """``tracemalloc`` peak of one call, above what was allocated before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_mean_to_global_memory_is_the_clouds_plus_one_block():
+    """At scale M the geometry phase holds the class clouds, built one
+    shard's embeddings at a time, then the probe pass's (clouds, rows)
+    estimates and one block: its product, the per-pair thresholds and the
+    pair mask, under three blocks of float64 together. The unblocked kernel
+    held a 240 x 3,340 probe product, a padded copy of each global cloud and
+    a copy of every client cloud as well."""
+    block = 512 << 10                       # the most one product may hold
+    assert geometry.BLOCK_PAIRS * 8 <= block
+    params, spec, shards = scale_m_federation()
+    per, global_clouds = class_manifolds(params, spec, shards)
+    clouds = sum(cloud.nbytes for cloud in global_clouds.values())
+    estimates = max(len(cloud) for cloud in global_clouds.values()) * len(shards) * 8
+    del per, global_clouds
+    assert traced_peak(lambda: class_manifolds(params, spec, shards)) < clouds + 2 * block
+    assert traced_peak(lambda: mean_to_global(params, spec, shards)) < clouds + estimates + 3 * block
 
 
 def test_accumulate_adds_left_to_right():
@@ -307,6 +356,23 @@ class TestClassManifolds:
         per, global_clouds = class_manifolds(params, spec, shards)
         for cls, cloud in global_clouds.items():
             assert len(cloud) == len(per[(0, cls)]) + len(per[(1, cls)])
+
+    def test_client_clouds_are_views_in_shard_order(self):
+        """Each client cloud is a view of its class's global cloud, and the
+        views tile the global cloud in shard order, with no gap or overlap."""
+        params, spec, shards = toy_federation(num_clients=4, n=13, seed=2)
+        shards = [shards[i] for i in (2, 0, 3, 1)]
+        per, global_clouds = class_manifolds(params, spec, shards)
+        for cls, cloud in global_clouds.items():
+            row = 0
+            for shard in shards:
+                part = per[(shard.client_id, cls)]
+                assert np.shares_memory(part, cloud)
+                assert part.ctypes.data == cloud[row:].ctypes.data
+                u, _ = nn.forward_extractor(params, spec, shard.inputs)
+                assert same_bits(part, u[shard.labels == cls])
+                row += len(part)
+            assert row == len(cloud)
 
     def test_union_bounded_by_worst_pair(self):
         # M_i is a subset of the global cloud, so d_H(M_i, global) is the

@@ -20,6 +20,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -27,7 +28,7 @@ from fedmp import privacy
 from fedmp.config import ExperimentConfig
 from fedmp.data import generate_federation
 from fedmp.federation import run_federation, run_few_shot
-from fedmp.protocol import serialize_model
+from fedmp.protocol import FeatureBank, serialize_model
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from blas_kernel import blas_kernel  # noqa: E402
@@ -295,6 +296,19 @@ def format_entry(kernel: str | None, table: dict) -> str:
 def test_golden_digests(name):
     expected = expected_digests(blas_kernel())[name]
     assert RUNS[name]() == expected
+
+
+def test_cpgma_alone_never_fills_the_bank():
+    """Without SFMC nothing samples the bank, so a CPGMA-only run inserts
+    nothing into it; its centers, prototypes and ledger, and so its digests,
+    are those pinned above."""
+    with mock.patch.object(FeatureBank, "insert", autospec=True,
+                           side_effect=FeatureBank.insert) as insert:
+        digests = cpgma_run()
+        assert insert.call_count == 0
+        fedmp_run()
+        assert insert.call_count > 0        # the spy sees a run that samples the bank
+    assert digests == expected_digests(blas_kernel())["cpgma"]
 
 
 def test_unknown_kernel_fails_with_the_pin_command(monkeypatch):

@@ -32,3 +32,11 @@ def test_one_repeat_prints_one_json_line():
         assert set(timings) == PRIMITIVES
         assert all(t > 0 for t in timings.values())
     assert result["results"]["import"]["import fedmp"] > 0
+    # the geometry phase's tracemalloc peak: above the M class clouds
+    # (10,000 x 64 float64), and under them plus a few blocks of products
+    peaks = result["peak_bytes"]
+    assert list(peaks) == ["S", "M"]
+    assert all(list(peaks[scale]) == ["geometry.mean_to_global"] for scale in peaks)
+    assert 0 < peaks["S"]["geometry.mean_to_global"] < peaks["M"]["geometry.mean_to_global"]
+    clouds = 20 * 500 * 64 * 8
+    assert clouds < peaks["M"]["geometry.mean_to_global"] < clouds + (4 << 20)

@@ -10,6 +10,8 @@ import pytest
 
 from fedmp import nn
 
+from helpers import params_equal
+
 
 def single_affine_spec(n_in, n_out, split_before_last=True):
     """affine | split | affine(identity-susceptible) helper used repeatedly."""
@@ -255,7 +257,7 @@ class TestAdam:
         before = params.copy()
         state = nn.AdamState(learning_rate=0.1, weight_decay=0.0)
         nn.adam_step(params, params.zeros_like(), state)
-        assert params.equal(before)
+        assert params_equal(params, before)
         assert state.step == 1
         for key in params.keys():
             assert np.array_equal(state.m[key], np.zeros_like(params[key]))
@@ -268,7 +270,7 @@ class TestAdam:
         grads = params.copy()  # arbitrary nonzero gradient
         state = nn.AdamState(learning_rate=0.0, weight_decay=0.0)
         nn.adam_step(params, grads, state)
-        assert params.equal(before)
+        assert params_equal(params, before)
 
     def test_hand_evaluated_first_step(self):
         # scalar w=1, g=1, lr=0.1, wd=0 -> m_hat=1, v_hat=1, w = 1 - 0.1/(1+eps)
@@ -307,7 +309,7 @@ class TestAdam:
                 nn.adam_step(params, grads, state)
             return params
 
-        assert train().equal(train())
+        assert params_equal(train(), train())
 
 
 class TestSgd:

@@ -28,6 +28,8 @@ from fedmp.protocol import (
     serialize_prototypes,
 )
 
+from helpers import params_equal
+
 
 def random_params(seed=0):
     spec = nn.mlp_spec(5, (7,), (4,), 3)
@@ -57,7 +59,7 @@ class TestModelBlob:
             {k: params[k].astype(np.float32).astype(np.float64) for k in params.keys()}
         )
         out = deserialize_model(serialize_model(f32), spec)
-        assert out.equal(f32)
+        assert params_equal(out, f32)
 
     def test_truncated_rejected(self):
         params, spec = random_params()

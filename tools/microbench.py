@@ -24,7 +24,10 @@ rows: ``choice``, ``sort``, ``take``) followed by the ``.head`` cases, the
 client's rows (3 x 96 at S, 20 x 500 at M) and takes the directed Hausdorff
 distance of each (client, class) cloud, in one kernel call per class.
 ``geometry.directed_distance`` is one such distance, from a class's global
-cloud to one client's cloud.
+cloud to one client's cloud. Besides its time, the geometry phase's memory is
+reported under ``peak_bytes``: the ``tracemalloc`` peak of one
+``geometry.mean_to_global`` call at each scale, in bytes above what was
+allocated before the call (``tracemalloc`` sees NumPy's arrays).
 
 ``import fedmp`` is timed apart from the scales: the median, over
 ``IMPORT_PROBES`` fresh interpreters, of the time the import statement takes
@@ -37,6 +40,7 @@ repeats of the time per call, in microseconds, measured with
 ``time.perf_counter``. OpenBLAS is capped at one thread, as in ``perfbench``,
 whose ``machine_record`` describes the host; ``blas_kernel`` names the
 OpenBLAS kernel the products ran on. The result is printed as one JSON line.
+Tracing slows every allocation, so the peaks are taken after all timing.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +62,7 @@ BANK_CAPACITY = 512
 BATCH = 64
 MIN_TIME = 0.01
 IMPORT_PROBES = 5
+PEAK_CASES = ("geometry.mean_to_global",)
 
 
 def cases(scale: str) -> dict:
@@ -142,6 +148,17 @@ def time_call(fn, repeats: int) -> float:
     return statistics.median(samples)
 
 
+def peak_bytes(fn) -> int:
+    """``tracemalloc`` peak of one call, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def import_time(probes: int) -> float:
     """Median seconds of ``import fedmp`` over ``probes`` fresh interpreters."""
     code = ("import time; start = time.perf_counter(); import fedmp; "
@@ -169,15 +186,17 @@ def main(argv=None) -> int:
     from blas_kernel import blas_kernel
 
     results = {"import": {"import fedmp": round(import_time(IMPORT_PROBES) * 1e6, 2)}}
+    scales = {scale: cases(scale) for scale in SCALES}
     results.update({
-        scale: {name: round(time_call(fn, args.repeats) * 1e6, 2)
-                for name, fn in cases(scale).items()}
-        for scale in SCALES
+        scale: {name: round(time_call(fn, args.repeats) * 1e6, 2) for name, fn in fns.items()}
+        for scale, fns in scales.items()
     })
+    peaks = {scale: {name: peak_bytes(fns[name]) for name in PEAK_CASES}
+             for scale, fns in scales.items()}
     print(json.dumps({"unit": "us_per_call", "repeats": args.repeats,
                       "machine": machine_record(os.getloadavg()),
                       "blas_kernel": blas_kernel(),
-                      "results": results}))
+                      "results": results, "peak_bytes": peaks}))
     return 0
 
 
