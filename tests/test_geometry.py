@@ -5,7 +5,6 @@ scipy, a test dependency only, is the reference for the NumPy kernel."""
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -26,6 +25,8 @@ from fedmp.geometry import (
     mean_to_global,
     pca_project_2d,
 )
+
+from helpers import traced_peak
 
 
 def brute_hausdorff(a, b):
@@ -254,21 +255,6 @@ def scale_m_federation():
               for c in range(20)]
     spec = nn.mlp_spec(16, (64,), (32, 16), 3)
     return nn.init_params(spec, 0), spec, shards
-
-
-def traced_peak(fn) -> int:
-    """``tracemalloc`` peak of one call, above what was allocated before it."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 def test_mean_to_global_memory_is_the_clouds_plus_one_block():

@@ -4,8 +4,6 @@ Byte lengths are checked against the closed-form formulas computed
 independently of the serializers.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +26,7 @@ from fedmp.protocol import (
     serialize_prototypes,
 )
 
-from helpers import params_equal
+from helpers import params_equal, traced_peak
 
 
 def random_params(seed=0):
@@ -281,17 +279,7 @@ class TestFeatureBank:
         before = bank._pools[1]
         pool_bytes = sum(getattr(before, c).nbytes
                          for c in ("embeddings", "labels", "client_ids", "rounds"))
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            bank.insert(batch)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        peak = traced_peak(lambda: bank.insert(batch))
         after = bank._pools[1]
         assert len(after) == len(before) == 3 * 256
         assert np.shares_memory(before.embeddings, after.embeddings)
