@@ -188,7 +188,8 @@ def cpgma_embedding_grad(u: np.ndarray, labels: np.ndarray, units: UnitPrototype
     order = np.argsort(labels, kind="stable")
     sorted_labels = labels[order]
     u_hat = u.take(order, axis=0)
-    norms = np.linalg.norm(u_hat, axis=1, keepdims=True)
+    # what np.linalg.norm(u_hat, axis=1, keepdims=True) computes
+    norms = np.sqrt(np.add.reduce(u_hat * u_hat, axis=1, keepdims=True))
     np.maximum(norms, EPS_GUARD, out=norms)
     u_hat /= norms
     cos = np.zeros(len(labels))

@@ -316,10 +316,13 @@ def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
     owned = False           # is ``grad`` an array this call made?
     start, stop = (cache[0][0], cache[-1][0] + 1) if cache else (0, 0)
     part, lo, hi = params.layout.sub(start, stop)
+    # each tensor is written through a slice of ``vec``, with no views dict
     if out is None:
-        grads = out = Parameters.over(np.empty(hi - lo), part)
+        vec, spans = np.empty(hi - lo), part.spans
+        grads = Parameters.over(vec, part)
     elif out.layout is params.layout:
-        grads = Parameters.over(out.vec[lo:hi], part)
+        vec, spans = out.vec, params.layout.spans
+        grads = Parameters.over(vec[lo:hi], part)
     else:
         raise ShapeError("out must be laid out like params")
     first = part.keys[0][0] if part.keys else None
@@ -331,8 +334,10 @@ def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
             w = params[(idx, "W")]
             if grad.shape != (x.shape[0], w.shape[1]):
                 raise ShapeError(f"layer {idx}: upstream gradient shape mismatch")
-            np.matmul(x.T, grad, out=out[(idx, "W")])
-            grad.sum(axis=0, out=out[(idx, "b")])
+            a, b, shape = spans[(idx, "W")]
+            np.matmul(x.T, grad, out=vec[a:b].reshape(shape))
+            a, b, _ = spans[(idx, "b")]
+            grad.sum(axis=0, out=vec[a:b])
             if idx == first:
                 return grads
             grad = grad @ w.T

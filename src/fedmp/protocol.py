@@ -50,7 +50,8 @@ class FeatureBatch:
         return cls(*(np.concatenate([getattr(b, c) for b in batches]) for c in _COLUMNS))
 
     def take(self, rows) -> FeatureBatch:
-        return FeatureBatch(*(getattr(self, c)[rows] for c in _COLUMNS))
+        return FeatureBatch(self.embeddings[rows], self.labels[rows],
+                            self.client_ids[rows], self.rounds[rows])
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]

@@ -209,7 +209,10 @@ def same_bits(x, y) -> bool:
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-@pytest.mark.filterwarnings("error")      # an overflow gives inf silently, as in scipy
+# an overflow gives inf silently, as in scipy; only RuntimeWarning is an error,
+# so a failure report (hypothesis imports libcst, which warns on import) is
+# still printed
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(clouds=cloud_sets(), probe=st.booleans(), one_row_blocks=st.booleans())
 @example(clouds=(np.zeros((1, 1)), np.zeros((1, 1)), [1]), probe=False, one_row_blocks=False)
