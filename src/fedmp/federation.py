@@ -25,9 +25,11 @@ from .protocol import (
     CommLedger,
     FeatureBank,
     FeatureBatch,
-    feature_blob_bytes,
+    deserialize_features,
+    deserialize_prototypes,
     model_blob_bytes,
-    prototype_blob_bytes,
+    serialize_features,
+    serialize_prototypes,
 )
 
 
@@ -212,12 +214,14 @@ def cpgma_embedding_grad(u: np.ndarray, labels: np.ndarray, units: UnitPrototype
 
 def update_client_center(center: np.ndarray, batch_class_features: np.ndarray,
                          mu_client: float) -> np.ndarray:
-    """EMA of a client's per-class batch means; empty batches are a no-op."""
+    """EMA of a client's per-class batch means; empty batches are a no-op.
+    The mean runs in float64 whatever the rows' dtype."""
     if not 0 < mu_client <= 1:
         raise ValueError("mu_client must be in (0, 1]")
     if batch_class_features.size == 0:
         return center
-    return (1.0 - mu_client) * center + mu_client * batch_class_features.mean(axis=0)
+    mean = batch_class_features.mean(axis=0, dtype=np.float64)
+    return (1.0 - mu_client) * center + mu_client * mean
 
 
 def update_global_prototype(prototype: np.ndarray, centers, sizes,
@@ -282,9 +286,10 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     """Mini-batch training of ``params`` in place for ``epochs`` epochs.
 
     With ``collect_final_epoch``, every sample's embedding in the final epoch
-    is recorded, one ``FeatureBatch`` per mini-batch, so the caller can upload
-    them. SFMC runs when it is enabled and ``foreign`` has rows, CPGMA when it
-    is enabled and ``prototypes`` are given.
+    is recorded as the float32 it is uploaded as, one ``FeatureBatch`` per
+    mini-batch, so the caller can upload them. SFMC runs when it is enabled
+    and ``foreign`` has rows, CPGMA when it is enabled and ``prototypes`` are
+    given.
 
     SFMC is stochastic: each mini-batch trains the head on ``draw_foreign``
     of as many foreign rows as it has local rows. The draws come from their
@@ -345,7 +350,7 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
             stats.batches += 1
             if final_epoch and collect_final_epoch:
                 feature_batches.append(
-                    FeatureBatch.of_client(u.copy(), yb, shard.client_id, round_tag))
+                    FeatureBatch.of_client(u.astype(np.float32), yb, shard.client_id, round_tag))
     return feature_batches, stats
 
 
@@ -364,18 +369,30 @@ def _train(server_params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShar
            config: FederationConfig, epochs: int, stream: int, t: int, **kw):
     """A copy of the server model trained on ``shard``; the shuffle is seeded
     by ``[seed, stream, t, client]``, stream 1 in rounds and 3 in few-shot
-    stages. Returns (params, feature_batches, stats)."""
+    stages. Returns (params, upload, stats): the upload is the final epoch's
+    rows as one feature blob, or None when none were collected."""
     params = server_params.copy()
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=[config.seed, stream, t, shard.client_id]))
     batches, stats = local_train(params, spec, shard, config, epochs, rng, round_tag=t, **kw)
-    return params, batches, stats
+    upload = serialize_features(FeatureBatch.concat(batches)) if batches else None
+    return params, upload, stats
 
 
-def _foreign(bank: FeatureBank, config: FederationConfig, t: int, cid: int) -> FeatureBatch:
-    """Client ``cid``'s foreign sample for round or stage ``t``."""
+def _foreign(bank: FeatureBank, config: FederationConfig, t: int,
+             cid: int) -> tuple[FeatureBatch, int]:
+    """Client ``cid``'s foreign sample for round or stage ``t``, as the
+    client decodes it, and the length of its blob."""
     seq = np.random.SeedSequence(entropy=[config.seed, 2, t, cid])
-    return bank.sample(cid, config.sample_count, int(seq.generate_state(1)[0]))
+    blob = serialize_features(bank.sample(cid, config.sample_count, int(seq.generate_state(1)[0])))
+    return deserialize_features(blob), len(blob)
+
+
+def _broadcast(prototypes: np.ndarray) -> tuple[np.ndarray, int]:
+    """The prototypes as every client decodes them, and the length of their
+    blob, encoded once per round or stage."""
+    blob = serialize_prototypes(prototypes)
+    return deserialize_prototypes(blob), len(blob)
 
 
 def _aggregate(trained: dict, shards: dict) -> nn.Parameters:
@@ -403,13 +420,17 @@ def _traffic(ledger: CommLedger, t: int) -> dict:
 def _server_feature_update(bank: FeatureBank, centers: np.ndarray, prototypes: np.ndarray,
                            uploads: dict, shards: dict, config: FederationConfig) -> None:
     """Bank insertion plus the two-level EMA of ``centers`` (N, K, d) and
-    ``prototypes`` (K, d), in place, in client-id then batch order. Each
-    client's batches enter the bank in one insert: a FIFO slot keeps the same
-    rows whether it is trimmed after each batch or after all of them."""
+    ``prototypes`` (K, d), in place, in client-id then batch order.
+    ``uploads`` maps each client to its feature blob, decoded here once. Its
+    rows enter the bank in one insert: a FIFO slot keeps the same rows whether
+    it is trimmed after each mini-batch or after all of them. The centers
+    take one EMA step per mini-batch, every ``batch_size`` rows."""
     for cid in sorted(uploads):
+        rows = deserialize_features(uploads[cid])
         if config.enable_sfmc:          # nothing else samples the bank
-            bank.insert(FeatureBatch.concat(uploads[cid]))
-        for batch in uploads[cid]:
+            bank.insert(rows)
+        for start in range(0, len(rows), config.batch_size):
+            batch = rows.take(slice(start, start + config.batch_size))
             for cls in np.flatnonzero(np.bincount(batch.labels)):
                 centers[cid, cls] = update_client_center(
                     centers[cid, cls], batch.embeddings[batch.labels == cls], config.mu_client,
@@ -443,35 +464,33 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
 
     feature_traffic = config.enable_sfmc or config.enable_cpgma
     model_bytes = model_blob_bytes(server)
-    prototype_bytes = prototype_blob_bytes(config.num_classes, d)
     metrics: list[dict] = []
     snapshots: dict[int, nn.Parameters] = {}
 
     for t in range(1, config.rounds + 1):
         # the bank is unchanged until every client has trained, so a foreign
         # sample is drawn just before its client trains; the ledger keeps its size
-        foreign_rows, trained, uploads, stats = {}, {}, {}, {}
+        received, prototype_bytes = _broadcast(prototypes) if config.enable_cpgma else (None, 0)
+        foreign, foreign_bytes, trained, uploads, stats = None, {}, {}, {}, {}
         for cid in order:
-            foreign = _foreign(bank, config, t, cid) if config.enable_sfmc else None
-            foreign_rows[cid] = len(foreign) if foreign is not None else 0
+            if config.enable_sfmc:
+                foreign, foreign_bytes[cid] = _foreign(bank, config, t, cid)
             trained[cid], uploads[cid], stats[cid] = _train(
                 server, spec, by_id[cid], config, config.local_epochs, 1, t,
-                foreign=foreign, prototypes=prototypes if config.enable_cpgma else None,
-                collect_final_epoch=feature_traffic,
+                foreign=foreign, prototypes=received, collect_final_epoch=feature_traffic,
             )
 
         # broadcast, then upload entries in client-id order: independent of ``order``
         for cid in sorted(by_id):
             ledger.record(t, DOWN, KIND_MODEL, model_bytes, cid)
             if config.enable_sfmc:
-                ledger.record(t, DOWN, KIND_FEATURES, feature_blob_bytes(foreign_rows[cid], d), cid)
+                ledger.record(t, DOWN, KIND_FEATURES, foreign_bytes[cid], cid)
             if config.enable_cpgma:
                 ledger.record(t, DOWN, KIND_PROTOTYPES, prototype_bytes, cid)
         for cid in sorted(by_id):
             ledger.record(t, UP, KIND_MODEL, model_bytes, cid)
             if feature_traffic:
-                rows = sum(len(batch) for batch in uploads[cid])
-                ledger.record(t, UP, KIND_FEATURES, feature_blob_bytes(rows, d), cid)
+                ledger.record(t, UP, KIND_FEATURES, len(uploads[cid]), cid)
 
         if feature_traffic:
             _server_feature_update(bank, centers, prototypes, uploads, by_id, config)
@@ -496,7 +515,7 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
 
 def one_shot_prototypes(uploads: dict, sizes: dict, num_classes: int, d: int) -> np.ndarray:
     """Size-weighted cross-client class means of each client's uploaded
-    FeatureBatch, computed at once (no EMA)."""
+    FeatureBatch, computed at once (no EMA), in float64."""
     protos = np.zeros((num_classes, d))
     for cls in range(num_classes):
         acc = np.zeros(d)
@@ -504,7 +523,7 @@ def one_shot_prototypes(uploads: dict, sizes: dict, num_classes: int, d: int) ->
         for cid in sorted(uploads):
             embs = uploads[cid].embeddings[uploads[cid].labels == cls]
             if len(embs):
-                acc += sizes[cid] * embs.mean(axis=0)
+                acc += sizes[cid] * embs.mean(axis=0, dtype=np.float64)
                 total += sizes[cid]
         if total > 0:
             protos[cls] = acc / total
@@ -526,10 +545,9 @@ def run_few_shot(config: FederationConfig, shards: list[ClientShard],
     server, by_id = _start(config, shards, spec)
     ledger = CommLedger()
     bank = FeatureBank(config.bank_capacity)
-    prototypes = None
+    prototypes = None           # as the clients decoded them
     foreign: dict[int, FeatureBatch | None] = dict.fromkeys(by_id)
     model_bytes = model_blob_bytes(server)
-    prototype_bytes = prototype_blob_bytes(config.num_classes, d)
     metrics: list[dict] = []
 
     for stage, epochs in enumerate(stage_epochs, start=1):
@@ -547,18 +565,17 @@ def run_few_shot(config: FederationConfig, shards: list[ClientShard],
             ledger.record(stage, UP, KIND_MODEL, model_bytes, cid)
         server = _aggregate(trained, by_id)
         if not final_comm:
-            flat = {cid: FeatureBatch.concat(uploads[cid]) for cid in ordered}
+            flat = {cid: deserialize_features(uploads[cid]) for cid in ordered}
             for cid in ordered:
                 bank.insert(flat[cid])
-                ledger.record(stage, UP, KIND_FEATURES, feature_blob_bytes(len(flat[cid]), d), cid)
+                ledger.record(stage, UP, KIND_FEATURES, len(uploads[cid]), cid)
             # prototypes computed at once: mu_client = mu_server = 1
-            prototypes = one_shot_prototypes(
-                flat, {cid: len(by_id[cid]) for cid in ordered}, config.num_classes, d)
+            prototypes, prototype_bytes = _broadcast(one_shot_prototypes(
+                flat, {cid: len(by_id[cid]) for cid in ordered}, config.num_classes, d))
             for cid in ordered:
-                foreign[cid] = _foreign(bank, config, stage, cid)
+                foreign[cid], foreign_bytes = _foreign(bank, config, stage, cid)
                 ledger.record(stage, DOWN, KIND_MODEL, model_bytes, cid)
-                ledger.record(stage, DOWN, KIND_FEATURES,
-                              feature_blob_bytes(len(foreign[cid]), d), cid)
+                ledger.record(stage, DOWN, KIND_FEATURES, foreign_bytes, cid)
                 ledger.record(stage, DOWN, KIND_PROTOTYPES, prototype_bytes, cid)
 
         metrics.append({

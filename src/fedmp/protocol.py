@@ -1,9 +1,12 @@
 """Wire formats, the server-side feature bank, and exact byte accounting.
 
-All blobs are little-endian. Model payloads are 32-bit floats (the byte
-convention the ledger reports), while in-memory training state stays float64;
-the simulator moves state by direct copy and uses these blobs for accounting
-and on-disk artifacts.
+All blobs are little-endian, and every float in them is a 32-bit float.
+Embeddings and prototypes travel as blobs: a run encodes each upload, foreign
+sample and prototype broadcast, the receiver decodes it, and the ledger bills
+the blob's length. Decoded embeddings stay float32, as the bank stores them;
+arithmetic upcasts them to float64 first. Models still move by direct copy,
+so training state stays float64; model blobs serve accounting and on-disk
+artifacts.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ class FeatureBatch:
     """Labeled embeddings as uploaded to the server, one row per sample.
     Client id and round are per row because a bank sample mixes both."""
 
-    embeddings: np.ndarray      # (n, d) float64
+    embeddings: np.ndarray      # (n, d) float32, the wire format; math upcasts it
     labels: np.ndarray          # (n,) int64
     client_ids: np.ndarray      # (n,) int64
     rounds: np.ndarray          # (n,) int64
@@ -46,7 +49,7 @@ class FeatureBatch:
         """Rows of ``batches`` in order; no batches give an empty (0, 0) batch."""
         batches = list(batches)
         if not batches:
-            return cls(np.zeros((0, 0)), *(np.zeros(0, dtype=np.int64) for _ in range(3)))
+            return cls(np.zeros((0, 0), np.float32), *(np.zeros(0, np.int64) for _ in range(3)))
         return cls(*(np.concatenate([getattr(b, c) for b in batches]) for c in _COLUMNS))
 
     def take(self, rows) -> FeatureBatch:
@@ -126,36 +129,41 @@ def model_blob_bytes(params: Parameters) -> int:
 # ---------------------------------------------------------------------------
 # feature batches: 8-byte header (count, embedding width; width 0 when empty),
 # then per row a header (client_id u16, label u16, round u32) and the float32
-# embedding.
+# embedding. So a row is ``2 + width`` little-endian 4-byte words: the ids
+# word ``client_id | label << 16``, the round, then the embedding.
 
-_WIRE_IDS = (("client_ids", "<u2"), ("labels", "<u2"), ("rounds", "<u4"))
-
-
-def _wire_rows(width: int) -> np.dtype:
-    return np.dtype([*_WIRE_IDS, ("embeddings", "<f4", (width,))])
+_WORD = np.dtype("<u4")
+_FLOAT = np.dtype("<f4")
+_WIRE_IDS = tuple((name, np.dtype(dtype), np.iinfo(dtype).max)
+                  for name, dtype in (("client_ids", "<u2"), ("labels", "<u2"), ("rounds", "<u4")))
 
 
 def serialize_features(batch: FeatureBatch) -> bytes:
     n, width = batch.embeddings.shape
-    rows = np.empty(n, dtype=_wire_rows(width))
-    for name, dtype in _WIRE_IDS:
+    for name, dtype, top in _WIRE_IDS:
         values = getattr(batch, name)
-        if n and (values.min() < 0 or values.max() > np.iinfo(dtype).max):
-            raise ValueError(f"feature {name} out of range for {np.dtype(dtype)}")
-        rows[name] = values
-    rows["embeddings"] = batch.embeddings
-    return struct.pack("<II", n, width if n else 0) + rows.tobytes()
+        if n and (values.min() < 0 or values.max() > top):
+            raise ValueError(f"feature {name} out of range for {dtype}")
+    words = np.empty(2 + n * (2 + width), _WORD)
+    words[:2] = n, width if n else 0
+    rows = words[2:].reshape(n, 2 + width)
+    rows[:, 0] = batch.client_ids | batch.labels << 16
+    rows[:, 1] = batch.rounds
+    rows[:, 2:].view(_FLOAT)[...] = batch.embeddings
+    return words.tobytes()
 
 
 def deserialize_features(blob: bytes) -> FeatureBatch:
+    """The batch a blob holds, its embeddings float32 as sent."""
     if len(blob) < 8:
         raise CorruptBlobError("feature blob shorter than header")
     count, width = struct.unpack_from("<II", blob, 0)
     if len(blob) != feature_blob_bytes(count, width):
         raise CorruptBlobError("feature blob length does not match its header")
-    rows = np.frombuffer(blob, dtype=_wire_rows(width), count=count, offset=8)
-    return FeatureBatch(embeddings=rows["embeddings"].astype(np.float64),
-                        **{name: rows[name].astype(np.int64) for name, _ in _WIRE_IDS})
+    rows = np.frombuffer(blob, _WORD, count=count * (2 + width), offset=8).reshape(count, 2 + width)
+    ids = rows[:, 0]
+    return FeatureBatch(rows[:, 2:].view(_FLOAT).astype(np.float32), (ids >> 16).astype(np.int64),
+                        (ids & 0xFFFF).astype(np.int64), rows[:, 1].astype(np.int64))
 
 
 def feature_blob_bytes(num_records: int, width: int) -> int:
@@ -191,7 +199,8 @@ class FeatureBank:
     ``capacity_per_slot`` rows per (client, class) slot. Each client's rows
     sit in one buffer, slot by slot in class order, oldest row first; the
     client's pool is the buffer's filled head and each slot is a view of it,
-    so every row is held once."""
+    so every row is held once. Embeddings are held as float32, the wire
+    format; rows inserted as float64 are rounded as the encoder rounds them."""
 
     def __init__(self, capacity_per_slot: int = 512):
         if capacity_per_slot < 1:
@@ -222,9 +231,10 @@ class FeatureBank:
             src = dst = self._buffers.get(cid)
             if src is None or len(src) < dst_at:
                 # a class new to the client: room for every class's full slot
-                dst = self._buffers[cid] = FeatureBatch(*(
-                    np.empty((self.capacity * len(moves), *col.shape[1:]), col.dtype)
-                    for col in (getattr(rows, c) for c in _COLUMNS)))
+                size = self.capacity * len(moves)
+                dst = self._buffers[cid] = FeatureBatch(
+                    np.empty((size, rows.embeddings.shape[1]), np.float32),
+                    *(np.empty(size, np.int64) for _ in range(3)))
             # slots only grow, so moving the last slot first never overwrites
             # rows still to be moved
             for _, src_lo, dst_lo, kept, new_lo, fresh in reversed(moves):

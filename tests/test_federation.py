@@ -26,7 +26,14 @@ from fedmp.federation import (
     update_client_center,
     update_global_prototype,
 )
-from fedmp.protocol import FeatureBank, FeatureBatch, serialize_model
+from fedmp.protocol import (
+    FeatureBank,
+    FeatureBatch,
+    deserialize_features,
+    feature_blob_bytes,
+    serialize_features,
+    serialize_model,
+)
 
 from helpers import params_equal
 
@@ -366,17 +373,19 @@ class TestClientUpdate:
         spec = small_spec()
         server = nn.init_params(spec, 0)
         cfg = self.config(learning_rate=0.0, enable_sfmc=False, enable_cpgma=False)
-        params, batches, _ = federation._train(server, spec, self.shard(), cfg, 2, 1, 1)
+        params, upload, _ = federation._train(server, spec, self.shard(), cfg, 2, 1, 1)
         assert params_equal(params, server) and params is not server
-        assert sum(len(b) for b in batches) == len(self.shard())
+        assert len(deserialize_features(upload)) == len(self.shard())
 
     def test_feature_collection_counts(self):
         spec = small_spec()
         server = nn.init_params(spec, 0)
         cfg = self.config(enable_sfmc=False, enable_cpgma=False)
-        _, batches, _ = federation._train(server, spec, self.shard(11), cfg, 2, 1, 1)
-        # every sample contributes exactly one final-epoch record
-        assert sum(len(b) for b in batches) == 11
+        _, upload, _ = federation._train(server, spec, self.shard(11), cfg, 2, 1, 1)
+        # every sample contributes exactly one final-epoch record, in one blob
+        assert len(upload) == feature_blob_bytes(11, spec.embedding_dim)
+        rows = deserialize_features(upload)
+        assert len(rows) == 11 and rows.embeddings.dtype == np.float32
 
     def test_single_step_matches_reference(self):
         # E=1, one batch, modules off: equals one standalone Adam step
@@ -424,9 +433,9 @@ class TestClientUpdate:
         spec = small_spec()
         server = nn.init_params(spec, 0)
         cfg = self.config(enable_sfmc=False, enable_cpgma=False)
-        _, batches, _ = federation._train(server, spec, self.shard(), cfg, 2, 1, 1,
-                                          collect_final_epoch=False)
-        assert batches == []
+        _, upload, _ = federation._train(server, spec, self.shard(), cfg, 2, 1, 1,
+                                         collect_final_epoch=False)
+        assert upload is None
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_backwards_per_mini_batch(self, monkeypatch, warm):
@@ -613,27 +622,34 @@ class TestRunFederation:
         assert inserted == [12] * 6
 
     def test_one_insert_keeps_the_per_batch_bank(self):
-        # FIFO slots trimmed once hold the rows that per-batch trimming keeps
+        # FIFO slots trimmed once hold the rows that per-batch trimming keeps,
+        # as the float32 the blob carried; the centers step once per batch
         rng = np.random.default_rng(0)
-        d, k = 3, 2
-        uploads = {cid: [FeatureBatch.of_client(rng.normal(size=(n, d)), rng.integers(0, k, n),
-                                                cid, 1) for n in (5, 4, 6)]
+        d, k, mu = 3, 2, 0.5
+        batches = {cid: [FeatureBatch.of_client(rng.normal(size=(n, d)).astype(np.float32),
+                                                rng.integers(0, k, n), cid, 1) for n in (5, 5, 4)]
                    for cid in (0, 1)}
-        cfg = FederationConfig(num_clients=2, num_classes=k, bank_capacity=4)
-        shards = {cid: ClientShard(cid, np.zeros((15, 1)), np.zeros(15, dtype=np.int64))
+        uploads = {cid: serialize_features(FeatureBatch.concat(b)) for cid, b in batches.items()}
+        cfg = FederationConfig(num_clients=2, num_classes=k, bank_capacity=4, batch_size=5,
+                               mu_client=mu)
+        shards = {cid: ClientShard(cid, np.zeros((14, 1)), np.zeros(14, dtype=np.int64))
                   for cid in (0, 1)}
-        bank = FeatureBank(4)
-        federation._server_feature_update(bank, np.zeros((2, k, d)), np.zeros((k, d)),
-                                          uploads, shards, cfg)
-        reference = FeatureBank(4)
+        bank, centers = FeatureBank(4), np.zeros((2, k, d))
+        federation._server_feature_update(bank, centers, np.zeros((k, d)), uploads, shards, cfg)
+        reference, want = FeatureBank(4), np.zeros((2, k, d))
         for cid in (0, 1):
-            for batch in uploads[cid]:
+            for batch in batches[cid]:
                 reference.insert(batch)
+                for cls in np.unique(batch.labels):
+                    rows = batch.embeddings[batch.labels == cls].astype(np.float64)
+                    want[cid, cls] = (1 - mu) * want[cid, cls] + mu * rows.mean(axis=0)
         assert bank._slots.keys() == reference._slots.keys()
         for key, slot in reference._slots.items():
             got = bank._slots[key]
+            assert got.embeddings.dtype == np.float32
             assert all(np.array_equal(getattr(got, c), getattr(slot, c))
                        for c in ("embeddings", "labels", "client_ids", "rounds"))
+        assert centers.tobytes() == want.tobytes()
 
     def test_client_order_irrelevant(self):
         shards, global_test = small_federation()

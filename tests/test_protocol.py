@@ -4,6 +4,8 @@ Byte lengths are checked against the closed-form formulas computed
 independently of the serializers.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,9 +273,10 @@ class TestFeatureBank:
         """Once every slot is full, an insert evicts and appends inside the
         client's one buffer: the pool keeps its memory, and the insert's
         allocations peak near the size of the rows it adds, well under the
-        size of a second pool."""
+        size of a second pool. The rows are float32, as a decoded upload's."""
         bank = FeatureBank(capacity_per_slot=256)
         batch = FeatureBatch.concat([make_records(1, n=64, label=c, width=64) for c in range(3)])
+        batch = dataclasses.replace(batch, embeddings=batch.embeddings.astype(np.float32))
         for _ in range(5):
             bank.insert(batch)
         before = bank._pools[1]
@@ -381,7 +384,7 @@ def test_bank_matches_list_reference(capacity, ops):
             _, requester, count, seed = op
             out = bank.sample(requester, count, seed)
             assert as_rows(out) == ref.sample(requester, count, seed)
-            assert out.embeddings.dtype == np.float64
+            assert out.embeddings.dtype == np.float32
         assert len(bank) == sum(len(slot) for slot in ref.slots.values())
         assert_one_copy(bank)
 
