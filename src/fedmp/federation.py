@@ -220,7 +220,9 @@ def update_client_center(center: np.ndarray, batch_class_features: np.ndarray,
         raise ValueError("mu_client must be in (0, 1]")
     if batch_class_features.size == 0:
         return center
-    mean = batch_class_features.mean(axis=0, dtype=np.float64)
+    # what .mean(axis=0, dtype=np.float64) computes, without its dispatch
+    mean = np.add.reduce(batch_class_features, axis=0, dtype=np.float64)
+    mean /= len(batch_class_features)
     return (1.0 - mu_client) * center + mu_client * mean
 
 
@@ -430,10 +432,11 @@ def _server_feature_update(bank: FeatureBank, centers: np.ndarray, prototypes: n
         if config.enable_sfmc:          # nothing else samples the bank
             bank.insert(rows)
         for start in range(0, len(rows), config.batch_size):
-            batch = rows.take(slice(start, start + config.batch_size))
-            for cls in np.flatnonzero(np.bincount(batch.labels)):
+            stop = start + config.batch_size
+            embeddings, labels = rows.embeddings[start:stop], rows.labels[start:stop]
+            for cls in np.flatnonzero(np.bincount(labels)):
                 centers[cid, cls] = update_client_center(
-                    centers[cid, cls], batch.embeddings[batch.labels == cls], config.mu_client,
+                    centers[cid, cls], embeddings[labels == cls], config.mu_client,
                 )
     ordered = sorted(shards)
     for cls in range(config.num_classes):

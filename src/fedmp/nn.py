@@ -379,7 +379,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray
         raise ValueError("batch must be nonempty")
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
-    if labels.min() < 0 or labels.max() >= k:
+    # one unsigned max: as uint64 a negative label reads as a huge one
+    if np.maximum.reduce(labels.view(np.uint64)) >= k:
         raise ValueError(f"label out of range [0, {k})")
     z = logits - _row_max(logits)[:, None]
     # the row sum keeps its own reduction: its summation order sets the bits
