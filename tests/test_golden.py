@@ -142,13 +142,13 @@ RUNS = {
 GOLDEN = {
     "SkylakeX": {
         "attack": {
-            "reports": "14c0d040d0c9e619dc7071850b1d3948701a3353c91f3daaa77435fc9795f903",
-            "decoder": "0659f328f57eeaefd80a42b70b90c9176b6c89fad16941cd7cb15626a3443c6c",
+            "reports": "6642651665533c200711706e586d1a13179fbff7d75c7bd0f9f70c0f34043b99",
+            "decoder": "6a04382ca2155df23d9f66864133bc3be29d7c27959406973523e0643bf2b320",
         },
         "cpgma": {
-            "metrics": "5b06b43cd98a1c6abd78d33c10f875c00338299460303421ef68094ce06777d7",
+            "metrics": "86743db6b7a3c95b3e69d86d83b4726dce3f5c272397bdd3a800e344053c63ff",
             "ledger": "0738670b842e2911270050b8ae927369ac592bec6c32a0c7ed55be1550d08bc7",
-            "models": "cb663c7df3ed8b404948681fcb7f5cbefb85fccd398d5e5dedaeb91d41e8721f",
+            "models": "9bc3b8a5d21e2186a5560502a8e770e626c4c4aae6c47e0ff6495c4c53591bb6",
         },
         "fedavg": {
             "metrics": "1cef4fce21dad5aad1167ec44442a6cf2132740d91620ded98dca3b9336429c9",
@@ -156,30 +156,30 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "85f6c441985fc25bcc0f7da3767228228a40d2d1b9b8039a79f6052e42e6c9f2",
+            "metrics": "4eda4e590e3389f87afeabc1aa30f0bce1e255577ae50c80210c73009108b35f",
             "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "c05254583b0ecac0e7315948558ee1d97972314abacad5e11a49593e1d324485",
+            "models": "94563f7bec0289dba498c991c59c7a54cfca98044cda51b18d79451716edb429",
         },
         "fewshot": {
-            "metrics": "cd19d2f9273e02a9750ba1d8b91531ca5db6c20d61cf4e1751628ebb48927b2a",
+            "metrics": "4ad506ed25369a574beee17c25e2c09cd93cd788580c2c8d691f385386fd2382",
             "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
-            "models": "1cee7d03fede812c7a227da1c15616be5a7e89c6042250bfafe964b6d2d19c54",
+            "models": "0c50c5f079d04f288ef309a5e5f04901698c7b8a7bddc89e62fcb1f3c05313e5",
         },
         "sgd": {
-            "metrics": "2eab8160a3bf2b6a7ee83488e90620ec65dbcac7acacf61316a86b772bd7025a",
+            "metrics": "a52cbcf8cee9b056cdd8da43aa8292268572ea988a8343860fbaf1908bdc0027",
             "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "46e56b512e01490f6227d4ba12aa90bbce7e5322d7e06a9360f31d55c05211f6",
+            "models": "538866d5ccb1c45f1e87461943c3b03bd0115afec7616f04f4c27aab8844cfd9",
         },
     },
     "Haswell": {
         "attack": {
-            "reports": "efd30de530787cd3b9aebfedd6b71db897e0c4807f1d91976f4f394d59b6bde2",
-            "decoder": "0659f328f57eeaefd80a42b70b90c9176b6c89fad16941cd7cb15626a3443c6c",
+            "reports": "548dbb7f2b262a2c81a556d68f2396dd344c11978b45b60e52fa7101fa262582",
+            "decoder": "6a04382ca2155df23d9f66864133bc3be29d7c27959406973523e0643bf2b320",
         },
         "cpgma": {
-            "metrics": "5b06b43cd98a1c6abd78d33c10f875c00338299460303421ef68094ce06777d7",
+            "metrics": "1f16c01ba1576b912d7cfd8f8738c60bb4e913a92d2886767111d17a3f41d6e8",
             "ledger": "0738670b842e2911270050b8ae927369ac592bec6c32a0c7ed55be1550d08bc7",
-            "models": "cb663c7df3ed8b404948681fcb7f5cbefb85fccd398d5e5dedaeb91d41e8721f",
+            "models": "9bc3b8a5d21e2186a5560502a8e770e626c4c4aae6c47e0ff6495c4c53591bb6",
         },
         "fedavg": {
             "metrics": "1cef4fce21dad5aad1167ec44442a6cf2132740d91620ded98dca3b9336429c9",
@@ -187,30 +187,30 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "76fb017270279583ab6c30a8319a091e714632d1a88bc6e346fd07c9bc3133bb",
+            "metrics": "17b2008d73b575358f9030d472f7ba16198c32048f2a68b080d719e2c8d92350",
             "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "c05254583b0ecac0e7315948558ee1d97972314abacad5e11a49593e1d324485",
+            "models": "94563f7bec0289dba498c991c59c7a54cfca98044cda51b18d79451716edb429",
         },
         "fewshot": {
-            "metrics": "adabe83f0910e09c18fa8a36801071177de9da96c1ee2f9940dfbf0ff83b55fb",
+            "metrics": "4ad506ed25369a574beee17c25e2c09cd93cd788580c2c8d691f385386fd2382",
             "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
-            "models": "1cee7d03fede812c7a227da1c15616be5a7e89c6042250bfafe964b6d2d19c54",
+            "models": "0c50c5f079d04f288ef309a5e5f04901698c7b8a7bddc89e62fcb1f3c05313e5",
         },
         "sgd": {
-            "metrics": "fad3bd8896145b094c71123de59404be0ab0b6e9269758837441c35f9a345d7d",
+            "metrics": "a52cbcf8cee9b056cdd8da43aa8292268572ea988a8343860fbaf1908bdc0027",
             "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "46e56b512e01490f6227d4ba12aa90bbce7e5322d7e06a9360f31d55c05211f6",
+            "models": "538866d5ccb1c45f1e87461943c3b03bd0115afec7616f04f4c27aab8844cfd9",
         },
     },
     "Sandybridge": {
         "attack": {
-            "reports": "1953bcc50f4aa3dfc654b11ac5c0baac5c2fad639b8db4dc855e30efa467f6dc",
-            "decoder": "0659f328f57eeaefd80a42b70b90c9176b6c89fad16941cd7cb15626a3443c6c",
+            "reports": "617a3ca20ad3c866cc8b9a150123cfca754eb074898d5dd8d41a11860e244394",
+            "decoder": "6a04382ca2155df23d9f66864133bc3be29d7c27959406973523e0643bf2b320",
         },
         "cpgma": {
-            "metrics": "5b06b43cd98a1c6abd78d33c10f875c00338299460303421ef68094ce06777d7",
+            "metrics": "b2fc931e79ff64dbe4db2e470099d75dafc4fbfe3008b953fc0f75eccc3cf977",
             "ledger": "0738670b842e2911270050b8ae927369ac592bec6c32a0c7ed55be1550d08bc7",
-            "models": "cb663c7df3ed8b404948681fcb7f5cbefb85fccd398d5e5dedaeb91d41e8721f",
+            "models": "9bc3b8a5d21e2186a5560502a8e770e626c4c4aae6c47e0ff6495c4c53591bb6",
         },
         "fedavg": {
             "metrics": "1cef4fce21dad5aad1167ec44442a6cf2132740d91620ded98dca3b9336429c9",
@@ -218,30 +218,30 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "3a36353e6228d1cc0a9a59fc5585c1e37b9524df165cbb167bf49645c2b24077",
+            "metrics": "4583f94072f64449801f07c59a104f2942eb832328d11af1bec350c5eca98fa3",
             "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "c05254583b0ecac0e7315948558ee1d97972314abacad5e11a49593e1d324485",
+            "models": "94563f7bec0289dba498c991c59c7a54cfca98044cda51b18d79451716edb429",
         },
         "fewshot": {
-            "metrics": "fa3bc9b303f963f47635f9a6c8c2c69ccce4e220fb549a8dc5e7c2bc2adb2d58",
+            "metrics": "67d5ded541633ea6cc23bf74f4b62184134e8f067e91ba60139a15924c710f49",
             "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
-            "models": "1cee7d03fede812c7a227da1c15616be5a7e89c6042250bfafe964b6d2d19c54",
+            "models": "0c50c5f079d04f288ef309a5e5f04901698c7b8a7bddc89e62fcb1f3c05313e5",
         },
         "sgd": {
-            "metrics": "0bfe2ba686b2b4c57d5977668183340729c0743ded453850662bbfe18461b273",
+            "metrics": "2900303063e70fea20fe778abd6e8ed0661e355d4fa170ccafd6c46e325c866c",
             "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "46e56b512e01490f6227d4ba12aa90bbce7e5322d7e06a9360f31d55c05211f6",
+            "models": "538866d5ccb1c45f1e87461943c3b03bd0115afec7616f04f4c27aab8844cfd9",
         },
     },
     "Katmai": {
         "attack": {
-            "reports": "86b177f07414e84b4f4d116b5122d8b1d6e216a2156e81a0cfef6eaa43969b48",
-            "decoder": "0659f328f57eeaefd80a42b70b90c9176b6c89fad16941cd7cb15626a3443c6c",
+            "reports": "4f66ace4cf5c16b5436f185364149f60d354d4ef7ecad036746880485d6caef6",
+            "decoder": "6a04382ca2155df23d9f66864133bc3be29d7c27959406973523e0643bf2b320",
         },
         "cpgma": {
-            "metrics": "5b06b43cd98a1c6abd78d33c10f875c00338299460303421ef68094ce06777d7",
+            "metrics": "3b44645ceed1c8c923c1f2fadda4a37dbc1ccd1b5ac5e85fae8220cae3cec9aa",
             "ledger": "0738670b842e2911270050b8ae927369ac592bec6c32a0c7ed55be1550d08bc7",
-            "models": "cb663c7df3ed8b404948681fcb7f5cbefb85fccd398d5e5dedaeb91d41e8721f",
+            "models": "9bc3b8a5d21e2186a5560502a8e770e626c4c4aae6c47e0ff6495c4c53591bb6",
         },
         "fedavg": {
             "metrics": "1cef4fce21dad5aad1167ec44442a6cf2132740d91620ded98dca3b9336429c9",
@@ -249,19 +249,19 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "3a36353e6228d1cc0a9a59fc5585c1e37b9524df165cbb167bf49645c2b24077",
+            "metrics": "cb36539ed4d0d6115b6ed67d568f81da9c6a4985e4c7309b39c9a724df5bdcfc",
             "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "c05254583b0ecac0e7315948558ee1d97972314abacad5e11a49593e1d324485",
+            "models": "94563f7bec0289dba498c991c59c7a54cfca98044cda51b18d79451716edb429",
         },
         "fewshot": {
-            "metrics": "fa3bc9b303f963f47635f9a6c8c2c69ccce4e220fb549a8dc5e7c2bc2adb2d58",
+            "metrics": "67d5ded541633ea6cc23bf74f4b62184134e8f067e91ba60139a15924c710f49",
             "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
-            "models": "1cee7d03fede812c7a227da1c15616be5a7e89c6042250bfafe964b6d2d19c54",
+            "models": "0c50c5f079d04f288ef309a5e5f04901698c7b8a7bddc89e62fcb1f3c05313e5",
         },
         "sgd": {
-            "metrics": "0bfe2ba686b2b4c57d5977668183340729c0743ded453850662bbfe18461b273",
+            "metrics": "1372dbfd7de0f6f9e72c5b1dbcdd9cd4d894bda9af3c4165af0e668598ea3168",
             "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "46e56b512e01490f6227d4ba12aa90bbce7e5322d7e06a9360f31d55c05211f6",
+            "models": "538866d5ccb1c45f1e87461943c3b03bd0115afec7616f04f4c27aab8844cfd9",
         },
     },
 }
