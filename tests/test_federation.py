@@ -2,6 +2,7 @@
 combination, both auxiliary losses, the EMA updates, aggregation, local
 training from a broadcast model, the round loop, and the few-shot schedule."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from fedmp.federation import (
     cpgma_embedding_grad,
     ensemble_predict,
     local_train,
+    one_shot_prototypes,
     run_federation,
     run_few_shot,
     unit_prototypes,
@@ -27,6 +29,9 @@ from fedmp.federation import (
     update_global_prototype,
 )
 from fedmp.protocol import (
+    DOWN,
+    KIND_FEATURES,
+    KIND_PROTOTYPES,
     FeatureBank,
     FeatureBatch,
     deserialize_features,
@@ -105,7 +110,26 @@ class TestCombineLosses:
         assert out.weight_sfmc * out.sfmc == pytest.approx(l_local, rel=1e-5)
 
 
+def float32_rows(rng, n, d, k=3, client_id=1):
+    """Labeled float32 rows, as a decoded blob holds them, and the same rows
+    upcast to float64."""
+    rows = FeatureBatch.of_client(rng.normal(size=(n, d)).astype(np.float32),
+                                  rng.integers(0, k, n), client_id, 1)
+    return rows, dataclasses.replace(rows, embeddings=rows.embeddings.astype(np.float64))
+
+
 class TestSfmcLoss:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 200), seed=st.integers(0, 2**31 - 1))
+    def test_float32_rows_give_the_bits_of_upcast_rows(self, n, seed):
+        # the head pass upcasts decoded rows before its first product, so its
+        # loss and gradients are those of the rows upcast first
+        spec = nn.mlp_spec(16, (64,), (32, 16), 3)
+        params = nn.init_params(spec, seed % 1000)
+        rows, upcast = float32_rows(np.random.default_rng(seed), n, spec.embedding_dim)
+        (l32, g32), (l64, g64) = (compute_sfmc_loss(params, spec, b) for b in (rows, upcast))
+        assert l32 == l64 and g32.vec.tobytes() == g64.vec.tobytes()
+
     def test_empty_sample_zero(self):
         spec = small_spec()
         params = nn.init_params(spec, 0)
@@ -245,6 +269,27 @@ class TestEmaUpdates:
     def test_invalid_mu(self):
         with pytest.raises(ValueError):
             update_client_center(np.zeros(2), np.ones((1, 2)), 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), d=st.integers(1, 81), seed=st.integers(0, 2**31 - 1))
+    def test_float32_rows_average_in_float64(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        rows, upcast = float32_rows(rng, n, d)
+        center = rng.normal(size=d)
+        got = update_client_center(center, rows.embeddings, 0.3)
+        assert got.dtype == np.float64
+        assert got.tobytes() == update_client_center(center, upcast.embeddings, 0.3).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 200), min_size=1, max_size=5),
+           d=st.integers(1, 81), seed=st.integers(0, 2**31 - 1))
+    def test_one_shot_prototypes_average_float32_rows_in_float64(self, sizes, d, seed):
+        rng = np.random.default_rng(seed)
+        pairs = {cid: float32_rows(rng, n, d, client_id=cid) for cid, n in enumerate(sizes)}
+        weights = dict(enumerate(sizes))
+        got = one_shot_prototypes({cid: p[0] for cid, p in pairs.items()}, weights, 3, d)
+        want = one_shot_prototypes({cid: p[1] for cid, p in pairs.items()}, weights, 3, d)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     def test_prototype_weighted_mean(self):
         # mu=1, sizes 100/300, centers [1,0] and [0,1] -> [0.25, 0.75]
@@ -739,3 +784,55 @@ class TestFewShot:
         last = result.ledger.rounds()[-1]
         assert result.ledger.total(round=last, kind=protocol.KIND_FEATURES) == 0
         assert result.ledger.total(round=last, direction=protocol.DOWN) == 0
+
+
+class TestBlobLedger:
+    """Each feature and prototype ledger entry is the length of a blob its
+    receiver decoded: an upload decoded by the server, a foreign sample
+    decoded by its client, or a prototype broadcast decoded once per round
+    or stage and received by every client."""
+
+    @staticmethod
+    def spy(monkeypatch) -> dict:
+        decoded = {KIND_FEATURES: [], KIND_PROTOTYPES: []}
+        for kind, name in ((KIND_FEATURES, "deserialize_features"),
+                           (KIND_PROTOTYPES, "deserialize_prototypes")):
+            def decode(blob, original=getattr(federation, name), kind=kind):
+                decoded[kind].append(len(blob))
+                return original(blob)
+            monkeypatch.setattr(federation, name, decode)
+        return decoded
+
+    @staticmethod
+    def check(ledger, decoded, prototype_rounds):
+        features = sorted(e.byte_count for e in ledger.entries if e.kind == KIND_FEATURES)
+        assert features == sorted(decoded[KIND_FEATURES])
+        assert len(decoded[KIND_PROTOTYPES]) == len(prototype_rounds)
+        for t, length in zip(prototype_rounds, decoded[KIND_PROTOTYPES]):
+            sent = [e for e in ledger.entries if e.kind == KIND_PROTOTYPES and e.round == t]
+            assert len(sent) == 3 and all(e.byte_count == length and e.direction == DOWN
+                                          for e in sent)
+        assert {e.round for e in ledger.entries if e.kind == KIND_PROTOTYPES} == set(prototype_rounds)
+
+    @pytest.mark.parametrize("sfmc,cpgma", [(True, True), (True, False), (False, True),
+                                            (False, False)])
+    def test_federation_rounds(self, monkeypatch, sfmc, cpgma):
+        decoded = self.spy(monkeypatch)
+        shards, global_test = small_federation()
+        # small slots and samples, so foreign samples differ in size
+        cfg = FederationConfig(rounds=3, num_clients=3, local_epochs=1, num_classes=3,
+                               batch_size=4, seed=0, bank_capacity=2, sample_count=5,
+                               enable_sfmc=sfmc, enable_cpgma=cpgma, track_geometry=False)
+        result = run_federation(cfg, shards, small_spec(), global_test)
+        self.check(result.ledger, decoded, [1, 2, 3] if cpgma else [])
+        assert len(decoded[KIND_FEATURES]) == 3 * 3 * ((sfmc or cpgma) + sfmc)
+
+    def test_few_shot_stages(self, monkeypatch):
+        decoded = self.spy(monkeypatch)
+        shards, global_test = small_federation()
+        cfg = FederationConfig(rounds=1, num_clients=3, local_epochs=1, num_classes=3,
+                               batch_size=4, seed=0, bank_capacity=2, sample_count=5,
+                               track_geometry=False)
+        result = run_few_shot(cfg, shards, small_spec(), global_test, stage_epochs=(2, 3, 3))
+        self.check(result.ledger, decoded, [1, 2])
+        assert len(decoded[KIND_FEATURES]) == 2 * 3 * 2

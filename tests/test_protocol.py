@@ -5,6 +5,7 @@ independently of the serializers.
 """
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -108,7 +109,16 @@ def assert_same_batch(a, b):
 class TestFeatureBlob:
     def test_round_trip(self):
         batch = random_batch()
-        assert_same_batch(deserialize_features(serialize_features(batch)), batch)
+        out = deserialize_features(serialize_features(batch))
+        assert_same_batch(out, batch)
+        assert out.embeddings.dtype == np.float32
+        assert all(getattr(out, c).dtype == np.int64 for c in ("labels", "client_ids", "rounds"))
+
+    def test_embeddings_are_rounded_as_astype_rounds(self):
+        batch = random_batch(n=6, width=5)
+        batch = dataclasses.replace(batch, embeddings=np.random.default_rng(3).normal(size=(6, 5)))
+        out = deserialize_features(serialize_features(batch))
+        assert out.embeddings.tobytes() == batch.embeddings.astype(np.float32).tobytes()
 
     def test_length_formula(self):
         batch = random_batch(n=7, width=9)
@@ -142,7 +152,6 @@ class TestFeatureBlob:
 
     def test_bytes_match_per_record_layout(self):
         # the wire layout written field by field, as a per-record serializer would
-        import struct
         batch = random_batch(n=3, width=2)
         expected = struct.pack("<II", 3, 2) + b"".join(
             struct.pack("<HHI", int(c), int(y), int(r)) + e.astype("<f4").tobytes()
@@ -157,7 +166,8 @@ class TestPrototypeBlob:
         blob = serialize_prototypes(protos.astype(np.float64))
         assert len(blob) == prototype_blob_bytes(3, 8)
         out = deserialize_prototypes(blob)
-        assert np.array_equal(out, protos.astype(np.float64))
+        # prototypes decode to float64: unit_prototypes and the cosine use them as is
+        assert out.dtype == np.float64 and np.array_equal(out, protos.astype(np.float64))
 
     def test_length_mismatch_rejected(self):
         blob = serialize_prototypes(np.zeros((2, 4)))
@@ -177,10 +187,65 @@ def test_feature_round_trip_property(n, width, clients, seed):
     blob = serialize_features(batch)
     assert len(blob) == feature_blob_bytes(n, width)
     out = deserialize_features(blob)
+    assert out.embeddings.dtype == np.float32
     if n:
         assert_same_batch(out, batch)
     else:
         assert len(out) == 0 and blob == bytes(8)
+
+
+def structured_serialize(batch):
+    """The feature encoder written with a structured dtype, one field per
+    wire column: the reference for the word-view encoder's bytes and errors."""
+    n, width = batch.embeddings.shape
+    rows = np.empty(n, np.dtype([("client_ids", "<u2"), ("labels", "<u2"), ("rounds", "<u4"),
+                                 ("embeddings", "<f4", (width,))]))
+    for name, dtype in (("client_ids", "<u2"), ("labels", "<u2"), ("rounds", "<u4")):
+        values = getattr(batch, name)
+        if n and (values.min() < 0 or values.max() > np.iinfo(dtype).max):
+            raise ValueError(f"feature {name} out of range for {np.dtype(dtype)}")
+        rows[name] = values
+    rows["embeddings"] = batch.embeddings
+    return struct.pack("<II", n, width if n else 0) + rows.tobytes()
+
+
+ID_TOPS = {"client_ids": 0xFFFF, "labels": 0xFFFF, "rounds": 0xFFFFFFFF}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(0, 2000),
+    width=st.integers(1, 81),
+    seed=st.integers(0, 2**31 - 1),
+    scale=st.sampled_from([1.0, 1e-40, 1e39, 1e300]),
+    special=st.booleans(),
+    bad=st.one_of(st.none(), st.tuples(st.sampled_from(sorted(ID_TOPS)), st.booleans())),
+)
+def test_word_view_encoder_matches_structured_encoder(n, width, seed, scale, special, bad):
+    """Byte for byte, and the same error for an id out of its wire range.
+    Ids span their whole range; embeddings are float64 at scales that round
+    to float32 subnormals, overflow to inf, or carry NaN and infinities."""
+    rng = np.random.default_rng(seed)
+    embeddings = rng.normal(size=(n, width)) * scale
+    if special and n:
+        embeddings.flat[rng.integers(embeddings.size, size=3)] = [np.nan, np.inf, -np.inf]
+    ids = {name: rng.integers(0, top, size=n, endpoint=True) for name, top in ID_TOPS.items()}
+    if bad is not None and n:
+        name, below = bad
+        ids[name][rng.integers(n)] = -1 if below else ID_TOPS[name] + 1
+    batch = FeatureBatch(embeddings, ids["labels"], ids["client_ids"], ids["rounds"])
+    try:
+        want = structured_serialize(batch)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{err}$"):
+            serialize_features(batch)
+        assert bad is not None
+        return
+    assert serialize_features(batch) == want
+    out = deserialize_features(want)
+    assert out.embeddings.tobytes() == embeddings.astype(np.float32).tobytes()
+    assert all(np.array_equal(getattr(out, name), ids[name]) for name in ID_TOPS)
 
 
 def make_records(client_id, n, label=0, width=4):
@@ -292,6 +357,24 @@ class TestFeatureBank:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             FeatureBank(capacity_per_slot=0)
+
+    def test_full_m_bank_holds_float32(self):
+        """A bank shaped as at scale M (20 clients, 3 classes, 512 rows per
+        slot, 64-d), every slot full: its embeddings are float32, so filling
+        it peaks near 7.9 MB of them plus the int64 id columns, well under
+        the 15.7 MB the same rows take as float64."""
+        clients, classes, capacity, width = 20, 3, 512, 64
+        uploads = [FeatureBatch.concat([make_records(cid, n=capacity, label=c, width=width)
+                                        for c in range(classes)]) for cid in range(clients)]
+        uploads = [dataclasses.replace(b, embeddings=b.embeddings.astype(np.float32))
+                   for b in uploads]
+        bank = FeatureBank(capacity)
+        peak = traced_peak(lambda: [bank.insert(batch) for batch in uploads])
+        rows = clients * classes * capacity
+        assert len(bank) == rows
+        assert all(pool.embeddings.dtype == np.float32 for pool in bank._pools.values())
+        float32, ids = rows * width * 4, rows * 3 * 8
+        assert float32 < peak < float32 + ids + (1 << 20) < rows * width * 8
 
 
 def assert_one_copy(bank):
