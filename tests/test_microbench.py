@@ -13,6 +13,8 @@ PRIMITIVES = {
     "federation.unit_prototypes", "federation.cpgma_embedding_grad",
     "federation.draw_foreign", "protocol.FeatureBank.insert",
     "protocol.FeatureBank.sample", "geometry.directed_distance", "geometry.mean_to_global",
+    *(f"protocol.{codec}_features.{blob}" for codec in ("serialize", "deserialize")
+      for blob in ("upload", "foreign", "round")),
 }
 
 
@@ -36,7 +38,13 @@ def test_one_repeat_prints_one_json_line():
     # (10,000 x 64 float64), and under them plus a few blocks of products
     peaks = result["peak_bytes"]
     assert list(peaks) == ["S", "M"]
-    assert all(list(peaks[scale]) == ["geometry.mean_to_global"] for scale in peaks)
+    assert all(list(peaks[scale]) == ["geometry.mean_to_global", "protocol.FeatureBank.full"]
+               for scale in peaks)
     assert 0 < peaks["S"]["geometry.mean_to_global"] < peaks["M"]["geometry.mean_to_global"]
     clouds = 20 * 500 * 64 * 8
     assert clouds < peaks["M"]["geometry.mean_to_global"] < clouds + (4 << 20)
+    # a full bank (20 x 3 x 512 rows of 64 at M) holds float32 embeddings:
+    # above their 7.9 MB, under the 15.7 MB the rows take as float64
+    rows = 20 * 3 * 512
+    assert rows * 64 * 4 < peaks["M"]["protocol.FeatureBank.full"] < rows * 64 * 8
+    assert 0 < peaks["S"]["protocol.FeatureBank.full"] < peaks["M"]["protocol.FeatureBank.full"]

@@ -20,14 +20,24 @@ A local step's SFMC pass is ``federation.draw_foreign`` (64 of the sample's
 rows: ``choice``, ``sort``, ``take``) followed by the ``.head`` cases, the
 64-32-16-3 head's forward, cross-entropy and backward on the 64 drawn rows.
 
+The feature codecs, ``protocol.serialize_features`` and
+``deserialize_features``, are timed on the blobs a round sends: ``.upload``
+is one client's final-epoch rows (96 at S, 500 at M), ``.foreign`` a foreign
+sample (192 at S, 1,824 at M) and ``.round`` every client's upload, one blob
+each (3 x 96 rows at S, 20 x 500 = 10,000 at M). As in a run, the rows are
+float32.
+
 ``geometry.mean_to_global`` is the round's geometry phase: it embeds every
 client's rows (3 x 96 at S, 20 x 500 at M) and takes the directed Hausdorff
 distance of each (client, class) cloud, in one kernel call per class.
 ``geometry.directed_distance`` is one such distance, from a class's global
-cloud to one client's cloud. Besides its time, the geometry phase's memory is
-reported under ``peak_bytes``: the ``tracemalloc`` peak of one
-``geometry.mean_to_global`` call at each scale, in bytes above what was
-allocated before the call (``tracemalloc`` sees NumPy's arrays).
+cloud to one client's cloud. Memory is reported under ``peak_bytes``: the
+``tracemalloc`` peak of one call at each scale, in bytes above what was
+allocated before the call (``tracemalloc`` sees NumPy's arrays), of
+``geometry.mean_to_global`` and of ``protocol.FeatureBank.full``, which fills
+a new bank until every (client, class) slot holds ``BANK_CAPACITY`` rows: at
+M, 20 x 3 x 512 float32 rows of 64. The latter is a memory figure only and
+is not timed.
 
 ``import fedmp`` is timed apart from the scales: the median, over
 ``IMPORT_PROBES`` fresh interpreters, of the time the import statement takes
@@ -62,7 +72,8 @@ BANK_CAPACITY = 512
 BATCH = 64
 MIN_TIME = 0.01
 IMPORT_PROBES = 5
-PEAK_CASES = ("geometry.mean_to_global",)
+PEAK_CASES = ("geometry.mean_to_global", "protocol.FeatureBank.full")
+UNTIMED = {"protocol.FeatureBank.full"}
 
 
 def cases(scale: str) -> dict:
@@ -72,7 +83,12 @@ def cases(scale: str) -> dict:
     from fedmp import geometry, nn
     from fedmp.data import ClientShard
     from fedmp.federation import cpgma_embedding_grad, draw_foreign, unit_prototypes
-    from fedmp.protocol import FeatureBank, FeatureBatch
+    from fedmp.protocol import (
+        FeatureBank,
+        FeatureBatch,
+        deserialize_features,
+        serialize_features,
+    )
 
     clients, per_client = SCALES[scale]
     rng = np.random.default_rng(0)
@@ -88,19 +104,25 @@ def cases(scale: str) -> dict:
     prototypes = rng.normal(size=(3, spec.embedding_dim))
     units = unit_prototypes(prototypes)
 
-    # every client's final-epoch embeddings, as the bank holds them
+    # every client's final-epoch embeddings, as float32 as they are uploaded
     inputs = rng.normal(size=(clients * per_client, 16))
     embeddings, _ = nn.forward_extractor(params, spec, inputs)
-    uploads = [FeatureBatch.of_client(embeddings[c * per_client:(c + 1) * per_client],
-                                      rng.integers(0, 3, size=per_client), c, 1)
-               for c in range(clients)]
-    bank = FeatureBank(BANK_CAPACITY)
-    # fill every (client, class) slot, so each timed insert evicts as many
-    # rows as it adds, as in the later rounds of a run
-    for _ in range(2 * -(-3 * BANK_CAPACITY // per_client)):
-        for batch in uploads:
-            bank.insert(batch)
+    uploads = [FeatureBatch.of_client(
+        embeddings[c * per_client:(c + 1) * per_client].astype(np.float32),
+        rng.integers(0, 3, size=per_client), c, 1) for c in range(clients)]
+
+    def fill(bank):
+        # every (client, class) slot full, so each further insert evicts as
+        # many rows as it adds, as in the later rounds of a run
+        for _ in range(2 * -(-3 * BANK_CAPACITY // per_client)):
+            for batch in uploads:
+                bank.insert(batch)
+        return bank
+
+    bank = fill(FeatureBank(BANK_CAPACITY))
     foreign = bank.sample(0, SAMPLE_COUNT, 0)
+    blobs = {"upload": serialize_features(uploads[0]), "foreign": serialize_features(foreign)}
+    round_blobs = [serialize_features(batch) for batch in uploads]
     draw_rng = np.random.default_rng(0)
     drawn = draw_foreign(foreign, BATCH, draw_rng)
     head_logits, head_cache = nn.forward_classifier(params, spec, drawn.embeddings)
@@ -110,7 +132,7 @@ def cases(scale: str) -> dict:
     shards = [ClientShard(c, inputs[c * per_client:(c + 1) * per_client], batch.labels)
               for c, batch in enumerate(uploads)]
     global_cloud = embeddings[labels == 0]
-    client_cloud = uploads[0].embeddings[uploads[0].labels == 0]
+    client_cloud = embeddings[:per_client][uploads[0].labels == 0]
 
     state = nn.AdamState(learning_rate=3e-3, weight_decay=6e-3)
     return {
@@ -127,6 +149,14 @@ def cases(scale: str) -> dict:
         "federation.cpgma_embedding_grad": lambda: cpgma_embedding_grad(u, y, units),
         "protocol.FeatureBank.insert": lambda: bank.insert(uploads[0]),
         "protocol.FeatureBank.sample": lambda: bank.sample(0, SAMPLE_COUNT, 0),
+        "protocol.FeatureBank.full": lambda: fill(FeatureBank(BANK_CAPACITY)),
+        "protocol.serialize_features.upload": lambda: serialize_features(uploads[0]),
+        "protocol.serialize_features.foreign": lambda: serialize_features(foreign),
+        "protocol.serialize_features.round": lambda: [serialize_features(b) for b in uploads],
+        "protocol.deserialize_features.upload": lambda: deserialize_features(blobs["upload"]),
+        "protocol.deserialize_features.foreign": lambda: deserialize_features(blobs["foreign"]),
+        "protocol.deserialize_features.round": lambda: [deserialize_features(b)
+                                                        for b in round_blobs],
         "geometry.directed_distance": lambda: geometry.directed_distance(
             global_cloud, client_cloud),
         "geometry.mean_to_global": lambda: geometry.mean_to_global(params, spec, shards),
@@ -188,7 +218,8 @@ def main(argv=None) -> int:
     results = {"import": {"import fedmp": round(import_time(IMPORT_PROBES) * 1e6, 2)}}
     scales = {scale: cases(scale) for scale in SCALES}
     results.update({
-        scale: {name: round(time_call(fn, args.repeats) * 1e6, 2) for name, fn in fns.items()}
+        scale: {name: round(time_call(fn, args.repeats) * 1e6, 2)
+                for name, fn in fns.items() if name not in UNTIMED}
         for scale, fns in scales.items()
     })
     peaks = {scale: {name: peak_bytes(fns[name]) for name in PEAK_CASES}
