@@ -402,15 +402,18 @@ def _aggregate(trained: dict, shards: dict) -> nn.Parameters:
     return aggregate_models([trained[cid] for cid in ordered], [len(shards[cid]) for cid in ordered])
 
 
+# (metrics key, LocalTrainStats field); every metrics row shares these key strings
+_LOSS_KEYS = tuple((f"mean_{name}_loss", f"sum_{name}") for name in ("local", "sfmc", "cpgma"))
+
+
 def _losses(stats: dict[int, LocalTrainStats]) -> dict:
     """Mean per-batch losses, reduced in client-id order so they do not
     depend on the order the clients trained in."""
     ordered = [stats[cid] for cid in sorted(stats)]
     batches = sum(st.batches for st in ordered)
     return {
-        f"mean_{name}_loss":
-            sum(getattr(st, f"sum_{name}") for st in ordered) / batches if batches else 0.0
-        for name in ("local", "sfmc", "cpgma")
+        key: sum(getattr(st, attr) for st in ordered) / batches if batches else 0.0
+        for key, attr in _LOSS_KEYS
     }
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -275,37 +276,67 @@ class LedgerEntry:
     client_id: int
 
 
-@dataclass
-class CommLedger:
-    """Append-only exact byte log of every client/server transfer."""
+_DIRECTIONS = (UP, DOWN)
+_KINDS = (KIND_MODEL, KIND_FEATURES, KIND_PROTOTYPES)
+_FIELDS = 5                     # round, direction, kind, byte_count, client_id
 
-    entries: list[LedgerEntry] = field(default_factory=list)
+
+def _index(names: tuple, name: str | None) -> int | None:
+    """``name``'s index in ``names``, -1 (matches no entry) if absent, None for None."""
+    if name is None:
+        return None
+    return names.index(name) if name in names else -1
+
+
+class CommLedger:
+    """Append-only exact byte log of every client/server transfer.
+
+    The log is one array of 64-bit integers, five per entry (direction and
+    kind as indices into their constants): 40 bytes an entry, where a
+    ``LedgerEntry`` with its list slot and byte count costs about 110. A run's results keep
+    their ledgers, so a run of many rounds keeps thousands of entries.
+    ``entries`` builds the ``LedgerEntry`` objects on each read."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self) -> None:
+        self._log = array("q")
 
     def record(self, round: int, direction: str, kind: str, byte_count: int, client_id: int) -> None:
-        if direction not in (UP, DOWN):
+        if direction not in _DIRECTIONS:
             raise ValueError(f"bad direction {direction!r}")
-        if kind not in (KIND_MODEL, KIND_FEATURES, KIND_PROTOTYPES):
+        if kind not in _KINDS:
             raise ValueError(f"bad kind {kind!r}")
         if byte_count < 0:
             raise ValueError("byte_count must be >= 0")
-        self.entries.append(LedgerEntry(round, direction, kind, byte_count, client_id))
+        # built whole first, so a value that is not a 64-bit integer logs nothing
+        self._log.extend(array("q", (round, _DIRECTIONS.index(direction), _KINDS.index(kind),
+                                     byte_count, client_id)))
+
+    def _rows(self):
+        log = self._log
+        for r, d, k, b, c in zip(*(log[i::_FIELDS] for i in range(_FIELDS))):
+            yield r, _DIRECTIONS[d], _KINDS[k], b, c
+
+    @property
+    def entries(self) -> list[LedgerEntry]:
+        return [LedgerEntry(*row) for row in self._rows()]
 
     def total(self, round: int | None = None, direction: str | None = None,
               kind: str | None = None, client_id: int | None = None) -> int:
-        return sum(
-            e.byte_count for e in self.entries
-            if (round is None or e.round == round)
-            and (direction is None or e.direction == direction)
-            and (kind is None or e.kind == kind)
-            and (client_id is None or e.client_id == client_id)
-        )
+        rows = np.array(self._log, dtype=np.int64).reshape(-1, _FIELDS)    # a copy
+        keep = np.ones(len(rows), dtype=bool)
+        for col, value in ((0, round), (1, _index(_DIRECTIONS, direction)),
+                           (2, _index(_KINDS, kind)), (4, client_id)):
+            if value is not None:
+                keep &= rows[:, col] == value
+        return sum(rows[keep, 3].tolist())     # Python ints: exact at any size
 
     def rounds(self) -> list[int]:
-        return sorted({e.round for e in self.entries})
+        return sorted(set(self._log[0::_FIELDS]))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "direction", "kind", "bytes", "client_id"])
-            for e in self.entries:
-                writer.writerow([e.round, e.direction, e.kind, e.byte_count, e.client_id])
+            writer.writerows(self._rows())

@@ -491,7 +491,43 @@ class TestCommLedger:
         assert ledger.total(round=1) == 110
         assert ledger.total(kind=protocol.KIND_MODEL) == 200
         assert ledger.total(client_id=0) == 110
+        assert ledger.total(round=1, direction=protocol.DOWN) == 0
+        assert ledger.total(direction="sideways") == 0
         assert ledger.rounds() == [1, 2]
+
+    def test_entries_read_back_in_order(self):
+        rows = [(1, protocol.DOWN, protocol.KIND_PROTOTYPES, 520, 2),
+                (1, protocol.UP, protocol.KIND_FEATURES, 2**40, 0),
+                (2, protocol.DOWN, protocol.KIND_MODEL, 0, 1)]
+        ledger = CommLedger()
+        for row in rows:
+            ledger.record(*row)
+        assert [dataclasses.astuple(e) for e in ledger.entries] == rows
+        assert all(type(v) is int for e in ledger.entries
+                   for v in (e.round, e.byte_count, e.client_id))
+        assert ledger.total() == 520 + 2**40
+        assert type(ledger.total()) is int
+
+    def test_value_out_of_range_logs_nothing(self):
+        ledger = CommLedger()
+        ledger.record(1, protocol.UP, protocol.KIND_MODEL, 100, 0)
+        with pytest.raises(TypeError):
+            ledger.record(2, protocol.UP, protocol.KIND_MODEL, 10.5, 0)
+        with pytest.raises(OverflowError):
+            ledger.record(2, protocol.UP, protocol.KIND_MODEL, 2**63, 0)
+        assert ledger.entries == [protocol.LedgerEntry(1, protocol.UP, protocol.KIND_MODEL, 100, 0)]
+
+    def test_entries_are_kept_compactly(self):
+        # results keep their ledgers: an S gate unit holds about 4,000 entries
+        ledger = CommLedger()
+
+        def fill():
+            for i in range(4000):
+                ledger.record(1 + i // 150, protocol.UP, protocol.KIND_FEATURES, 10**6 + i, i % 3)
+
+        # a LedgerEntry object with its list slot and byte count took about 120 B
+        assert traced_peak(fill) < 4000 * 64
+        assert len(ledger.entries) == 4000
 
     def test_invalid_entries_rejected(self):
         ledger = CommLedger()
