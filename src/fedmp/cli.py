@@ -50,6 +50,7 @@ def _load_experiment(args) -> ExperimentConfig:
         config.mode = args.mode
     if args.seed is not None:
         config.seeds = (args.seed,)
+        config.origins = {**config.origins, "seeds": "--seed"}
     if args.out:
         config.output_dir = args.out
     # a value in range for the file's mode can be out of range for ``--mode``'s

@@ -141,7 +141,7 @@ _PARSERS["hidden_classifier"] = lambda value: _parse_positive(value, allow_empty
 _PARSERS["stage_epochs"] = _PARSERS["hidden_extractor"]
 
 # the config key of a library field, where the names differ
-_KEY_OF_FIELD = {"num_clients": "clients", "num_classes": "classes"}
+_KEY_OF_FIELD = {"num_clients": "clients", "num_classes": "classes", "seed": "dataset_seed"}
 
 
 def check_ranges(config: ExperimentConfig) -> ExperimentConfig:
@@ -158,6 +158,8 @@ def check_ranges(config: ExperimentConfig) -> ExperimentConfig:
     for split in config.attack_layers:
         if not 1 <= split <= layers:
             fail("attack_layers", f"layer {split} outside 1..{layers}, the network's layers")
+    if not config.seeds or min(config.seeds) < 0 or len(set(config.seeds)) < len(config.seeds):
+        fail("seeds", f"needs distinct non-negative integers, got {list(config.seeds)}")
     for build, prefix in ((lambda: config.federation_config(0), ""),
                           (config.dataset_spec, ""),
                           (lambda: config.attack_configs(0), "attack_")):

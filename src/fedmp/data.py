@@ -30,7 +30,7 @@ class DatasetSpec:
     def __post_init__(self):
         # each message starts with the field it is about
         for name, low in (("num_classes", 2), ("num_clients", 1),
-                          ("skew_strength", 0), ("noise_std", 0)):
+                          ("skew_strength", 0), ("noise_std", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.samples_per_client < self.num_classes:

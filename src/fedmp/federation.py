@@ -125,10 +125,10 @@ def combine_losses(l_local: float, l_sfmc: float | None, l_cpgma: float | None) 
 def compute_sfmc_loss(params: nn.Parameters, spec: nn.NetworkSpec,
                       foreign: FeatureBatch):
     """Mean cross-entropy of the classifier head on sampled foreign embeddings.
-    Gradients exist only for classifier parameters; the extractor never sees
-    these rows."""
+    The gradient is laid out like the whole model with +0.0 in the extractor's
+    tensors; the extractor never sees these rows."""
     if not foreign:
-        return 0.0, params.partition(spec.split_index)[1].zeros_like()
+        return 0.0, params.zeros_like()
     logits, cache = nn.forward_classifier(params, spec, foreign.embeddings)
     loss, glogits = nn.softmax_cross_entropy(logits, foreign.labels)
     return loss, nn.backward(params, spec, cache, glogits)

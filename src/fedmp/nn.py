@@ -111,18 +111,14 @@ def mlp_spec(input_dim: int, extractor_hidden, classifier_hidden, num_classes: i
 
 
 class _Layout:
-    """Where each (layer, kind) tensor sits in a flat float64 vector.
-
-    Keys are in sorted order, so the tensors of any layer range ``[start,
-    stop)`` form one contiguous slice. Layouts are interned by their keys and
-    shapes: every model of one structure shares one layout, which caches its
-    sub-layouts and the offsets of other layouts within it.
+    """Where each (layer, kind) tensor sits in a flat float64 vector, in
+    sorted key order. Layouts are interned by their keys and shapes: every
+    model of one structure shares one layout.
     """
 
-    __slots__ = ("signature", "keys", "spans", "size", "_subs", "_offsets")
+    __slots__ = ("keys", "spans", "size")
 
     def __init__(self, signature: tuple):
-        self.signature = signature
         self.keys = tuple(key for key, _ in signature)
         self.spans = {}
         offset = 0
@@ -131,31 +127,6 @@ class _Layout:
             self.spans[key] = (offset, offset + size, shape)
             offset += size
         self.size = offset
-        self._subs = {}
-        self._offsets = {}
-
-    def sub(self, start: int, stop: int | None) -> tuple["_Layout", int, int]:
-        """The layout of layers ``[start, stop)`` and its slice of the vector."""
-        found = self._subs.get((start, stop))
-        if found is None:
-            rows = [i for i, key in enumerate(self.keys)
-                    if start <= key[0] and (stop is None or key[0] < stop)]
-            lo = self.spans[self.keys[rows[0]]][0] if rows else 0
-            part = _layout(self.signature[rows[0]:rows[-1] + 1] if rows else ())
-            found = self._subs[(start, stop)] = (part, lo, lo + part.size)
-        return found
-
-    def offset_of(self, part: "_Layout") -> int:
-        """Where ``part``'s tensors start in this layout's vector; they must be
-        a contiguous run of this layout's tensors."""
-        found = self._offsets.get(part)
-        if found is None:
-            keys = part.keys
-            first = self.keys.index(keys[0]) if keys and keys[0] in self.spans else 0
-            if self.signature[first:first + len(keys)] != part.signature:
-                raise ShapeError(f"tensors {list(keys)} are not a run of {list(self.keys)}")
-            found = self._offsets[part] = self.spans[keys[0]][0] if keys else 0
-        return found
 
     def views(self, vec: np.ndarray) -> dict:
         return {key: vec[a:b].reshape(shape) for key, (a, b, shape) in self.spans.items()}
@@ -226,20 +197,9 @@ class Parameters:
         return self.layout.size
 
     def add_scaled(self, other: "Parameters", scale: float) -> None:
-        # only the slice ``other`` covers: adding 0.0 elsewhere would turn
-        # -0.0 into +0.0
-        lo = self.layout.offset_of(other.layout)
-        target = self.vec[lo:lo + other.layout.size]
-        target += scale * other.vec
-
-    def layers(self, start: int, stop: int | None) -> "Parameters":
-        """The tensors of layers ``[start, stop)``, sharing this vector."""
-        part, lo, hi = self.layout.sub(start, stop)
-        return Parameters.over(self.vec[lo:hi], part)
-
-    def partition(self, split_index: int) -> tuple["Parameters", "Parameters"]:
-        """Split into extractor and classifier halves by layer index."""
-        return self.layers(0, split_index), self.layers(split_index, None)
+        if other.layout is not self.layout:
+            raise ShapeError("add_scaled needs a vector laid out like this one")
+        self.vec += scale * other.vec
 
 
 def init_params(spec: NetworkSpec, seed: int) -> Parameters:
@@ -300,13 +260,13 @@ def forward(params: Parameters, spec: NetworkSpec, x: np.ndarray,
 def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray, *,
              out: Parameters | None = None) -> Parameters:
     """Reverse-mode pass over the layers recorded in ``cache``; returns the
-    parameter gradients.
+    parameter gradients, laid out like ``params``.
 
-    They only hold entries for the layers covered by the cache, so a
-    classifier-only cache yields classifier-only gradients (nothing flows into
-    the extractor). They are written into one vector, or into the matching
-    slice of ``out`` (laid out like ``params``) when given. The gradient is
-    not carried below the first cached affine layer.
+    Only the tensors of the cached layers are written, so a classifier-only
+    cache leaves the extractor's tensors alone (nothing flows into it). They
+    are written into ``out`` when given, whose other tensors keep their
+    values, or else into a fresh vector whose other tensors are +0.0. The
+    gradient is not carried below the first cached affine layer.
 
     Neither ``upstream`` nor any cache array is written, so one cache can be
     run backward more than once; the ReLU mask is multiplied in place only
@@ -314,18 +274,13 @@ def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
     """
     grad = np.asarray(upstream, dtype=np.float64)
     owned = False           # is ``grad`` an array this call made?
-    start, stop = (cache[0][0], cache[-1][0] + 1) if cache else (0, 0)
-    part, lo, hi = params.layout.sub(start, stop)
-    # each tensor is written through a slice of ``vec``, with no views dict
     if out is None:
-        vec, spans = np.empty(hi - lo), part.spans
-        grads = Parameters.over(vec, part)
-    elif out.layout is params.layout:
-        vec, spans = out.vec, params.layout.spans
-        grads = Parameters.over(vec[lo:hi], part)
-    else:
+        out = params.zeros_like()
+    elif out.layout is not params.layout:
         raise ShapeError("out must be laid out like params")
-    first = part.keys[0][0] if part.keys else None
+    # each tensor is written through a slice of ``vec``, with no views dict
+    vec, spans = out.vec, params.layout.spans
+    first = next((idx for idx, _ in cache if spec.layers[idx][0] == AFFINE), None)
     for entry in reversed(cache):
         idx, saved = entry
         kind = spec.layers[idx][0]
@@ -339,7 +294,7 @@ def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
             a, b, _ = spans[(idx, "b")]
             grad.sum(axis=0, out=vec[a:b])
             if idx == first:
-                return grads
+                return out
             grad = grad @ w.T
             owned = True
         elif kind == RELU:
@@ -347,7 +302,7 @@ def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
             owned = True
         else:  # flatten
             grad = grad.reshape(saved)
-    return grads
+    return out
 
 
 def forward_extractor(params: Parameters, spec: NetworkSpec, x: np.ndarray):

@@ -151,6 +151,8 @@ def serialize_features(batch: FeatureBatch) -> bytes:
     rows[:, 0] = batch.client_ids | batch.labels << 16
     rows[:, 1] = batch.rounds
     rows[:, 2:].view(_FLOAT)[...] = batch.embeddings
+    if not np.isfinite(rows[:, 2:].view(_FLOAT)).all():
+        raise ValueError("feature embeddings hold a value that is not finite as float32")
     return words.tobytes()
 
 
@@ -176,7 +178,10 @@ def feature_blob_bytes(num_records: int, width: int) -> int:
 
 def serialize_prototypes(prototypes: np.ndarray) -> bytes:
     protos = np.asarray(prototypes, dtype=np.float64)
-    return struct.pack("<II", protos.shape[0], protos.shape[1]) + protos.astype("<f4").tobytes()
+    payload = protos.astype(_FLOAT)
+    if not np.isfinite(payload).all():
+        raise ValueError("prototypes hold a value that is not finite as float32")
+    return struct.pack("<II", protos.shape[0], protos.shape[1]) + payload.tobytes()
 
 
 def deserialize_prototypes(blob: bytes) -> np.ndarray:

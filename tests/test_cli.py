@@ -82,6 +82,20 @@ def test_mode_option_rechecks_the_file(tmp_path, capsys, generations):
     assert generations == []
 
 
+@pytest.mark.parametrize("seeds,argv,message", [
+    ("1, 1", (), "line 2: seeds: needs distinct non-negative integers, got [1, 1]"),
+    ("1", ("--seed", "-1"), "--seed: seeds: needs distinct non-negative integers, got [-1]"),
+])
+def test_bad_seeds_fail_before_generating(tmp_path, capsys, generations, seeds, argv, message):
+    path = tmp_path / "seeds.cfg"
+    path.write_text(f"input_dim = 2\nseeds = {seeds}\n")
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "run"), *argv) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert generations == []
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_validates_before_generating(tmp_path, capsys, generations):
     path = tmp_path / "many.cfg"
     path.write_text("input_dim = 2\nclasses = 2\nclients = 65536\n"

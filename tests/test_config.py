@@ -137,6 +137,10 @@ class TestRangesAtLoad:
         ("attack_train_fraction = 1.5", "attack_train_fraction",
          "train_fraction must be in (0, 1)"),
         ("attack_epochs = -1", "attack_epochs", "epochs must be >= 0"),
+        ("seeds =", "seeds", "needs distinct non-negative integers, got []"),
+        ("seeds = 1, 1", "seeds", "needs distinct non-negative integers, got [1, 1]"),
+        ("seeds = 0, -1", "seeds", "needs distinct non-negative integers, got [0, -1]"),
+        ("dataset_seed = -2", "dataset_seed", "seed must be >= 0, got -2"),
     ])
     def test_bad_value_named_at_its_line(self, line, key, message):
         pattern = re.escape(f"exp.cfg: line 2: {key}: {message}")
@@ -147,6 +151,16 @@ class TestRangesAtLoad:
         with pytest.raises(ConfigError, match=re.escape(
                 "env FEDMP_BANK_CAPACITY: bank_capacity: bank_capacity must be >= 1")):
             apply_env_overrides(ExperimentConfig(), {ENV_PREFIX + "BANK_CAPACITY": "0"})
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("SEEDS", "", "seeds: needs distinct non-negative integers, got []"),
+        ("SEEDS", "3,3", "seeds: needs distinct non-negative integers, got [3, 3]"),
+        ("SEEDS", "-1", "seeds: needs distinct non-negative integers, got [-1]"),
+        ("DATASET_SEED", "-2", "dataset_seed: seed must be >= 0, got -2"),
+    ])
+    def test_seed_named_by_env_variable(self, key, value, message):
+        with pytest.raises(ConfigError, match=re.escape(f"env {ENV_PREFIX}{key}: {message}")):
+            apply_env_overrides(ExperimentConfig(), {ENV_PREFIX + key: value})
 
     def test_env_value_named(self):
         with pytest.raises(ConfigError, match="env FEDMP_ATTACK_LAYERS: attack_layers"):

@@ -47,6 +47,13 @@ def small_spec(d0=4, k=3):
     return nn.mlp_spec(d0, (6,), (5,), k)
 
 
+def assert_exactly_zero(grads: nn.Parameters, layers) -> None:
+    """The tensors of ``layers`` are +0.0, sign bit clear."""
+    for key in grads.keys():
+        if key[0] in layers:
+            assert grads[key].tobytes() == np.zeros(grads[key].shape).tobytes(), key
+
+
 def small_federation(num_clients=3, n=12, d0=4, k=3, seed=0, skew=1.0):
     spec = DatasetSpec(
         input_dim=d0, num_classes=k, samples_per_client=n, num_clients=num_clients,
@@ -135,7 +142,8 @@ class TestSfmcLoss:
         params = nn.init_params(spec, 0)
         loss, grads = compute_sfmc_loss(params, spec, FeatureBatch.concat([]))
         assert loss == 0.0
-        assert all(np.array_equal(grads[k], np.zeros_like(grads[k])) for k in grads.keys())
+        assert grads.layout is params.layout
+        assert_exactly_zero(grads, range(len(spec.layers)))
 
     def test_uniform_logits_ln2(self):
         # zeroed classifier on K=2 gives uniform logits -> ln 2
@@ -171,7 +179,8 @@ class TestSfmcLoss:
         params = nn.init_params(spec, 1)
         recs = FeatureBatch.of_client(np.ones((1, spec.embedding_dim)), [0], 1, 1)
         _, grads = compute_sfmc_loss(params, spec, recs)
-        assert all(k[0] >= spec.split_index for k in grads.keys())
+        assert grads.layout is params.layout
+        assert_exactly_zero(grads, range(spec.split_index))
 
     def test_extractor_perturbation_leaves_loss(self):
         # finite-difference check of the gradient-isolation invariant
@@ -247,7 +256,8 @@ class TestCpgmaLoss:
         u, cache = nn.forward_extractor(params, spec, x)
         _, grad_u = cpgma_embedding_grad(u, labels, unit_prototypes(protos))
         grads = nn.backward(params, spec, cache, grad_u)
-        assert all(k[0] < spec.split_index for k in grads.keys())
+        assert grads.layout is params.layout
+        assert_exactly_zero(grads, range(spec.split_index, len(spec.layers)))
 
 
 class TestEmaUpdates:

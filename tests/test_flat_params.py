@@ -1,10 +1,13 @@
 """The flat parameter vector against the per-tensor code it replaced.
 
 Every model is one contiguous float64 vector with a view per (layer, kind)
-tensor. The optimizers, aggregation and serialization run over the whole
-vector, and ``add_scaled`` over one slice of it; each must give the same bits
-as the per-key loops copied below as references. Comparisons are on raw bytes, so a -0.0 that
-turns into +0.0 fails them.
+tensor. The optimizers, aggregation, ``add_scaled`` and serialization run over
+the whole vector; each must give the same bits as the per-key loops copied
+below as references. Comparisons are on raw bytes, so a -0.0 that turns into
++0.0 fails them. Every gradient is laid out like the whole model, so
+``local_train`` adds an auxiliary gradient over the whole vector where it
+once added only the slice of the layers the gradient covered; both give the
+same parameter bits.
 """
 
 import struct
@@ -15,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmp import nn
-from fedmp.federation import aggregate_models
-from fedmp.protocol import MODEL_MAGIC, deserialize_model, serialize_model
+from fedmp.data import ClientShard
+from fedmp.federation import FederationConfig, aggregate_models, local_train
+from fedmp.protocol import MODEL_MAGIC, FeatureBatch, deserialize_model, serialize_model
 
 
 def same_bits(a, b) -> bool:
@@ -128,16 +132,6 @@ def covered_layers(spec: nn.NetworkSpec, cover: str) -> range:
     return {"full": range(n), "classifier": range(split, n), "extractor": range(split)}[cover]
 
 
-def as_grads(params: nn.Parameters, spec: nn.NetworkSpec, tensors: dict, cover: str):
-    """``tensors`` as a Parameters over the covered slice, the way backward
-    returns them."""
-    layers = covered_layers(spec, cover)
-    part = params.layers(layers.start, layers.stop).zeros_like()
-    for key, value in tensors.items():
-        part[key] = value
-    return part
-
-
 # ---------------------------------------------------------------------------
 # optimizers and aggregation
 
@@ -187,19 +181,30 @@ def test_aggregate_matches_per_key_reference(net, sizes):
 
 
 @settings(max_examples=40, deadline=None)
-@given(net=networks(), cover=st.sampled_from(COVERS), scale=st.floats(-2, 2))
-def test_add_scaled_touches_only_the_covered_slice(net, cover, scale):
+@given(net=networks(), scale=st.floats(-2, 2))
+def test_add_scaled_matches_per_key_reference(net, scale):
     spec, seed = net
     rng = np.random.default_rng(seed)
     every = range(len(spec.layers))
     base = random_tensors(spec, rng, every)
-    tensors = random_tensors(spec, rng, covered_layers(spec, cover))
+    tensors = random_tensors(spec, rng, every)
     params = nn.Parameters(base)
-    params.add_scaled(as_grads(params, spec, tensors, cover), scale)
+    params.add_scaled(nn.Parameters(tensors), scale)
     ref = {k: v.copy() for k, v in base.items()}
     for k in tensors:
         ref[k] += scale * tensors[k]
     assert same_tensors(params, ref)
+
+
+@pytest.mark.parametrize("cover", ("classifier", "extractor"))
+def test_add_scaled_rejects_another_layout(cover):
+    spec = nn.mlp_spec(3, (4,), (5,), 2)
+    params = nn.init_params(spec, 0)
+    before = params.vec.copy()
+    part = random_tensors(spec, np.random.default_rng(0), covered_layers(spec, cover))
+    with pytest.raises(nn.ShapeError, match="laid out like"):
+        params.add_scaled(nn.Parameters(part), 1.0)
+    assert same_bits(params.vec, before)
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +212,32 @@ def test_add_scaled_touches_only_the_covered_slice(net, cover, scale):
 
 
 def test_backward_writes_into_out_slices():
+    """Only the cached layers' tensors are written: into ``out``, whose other
+    tensors keep their values, or into a fresh vector with +0.0 elsewhere."""
     spec = nn.mlp_spec(4, (5,), (3,), 2)
     params = nn.init_params(spec, 1)
     x = np.random.default_rng(1).normal(size=(3, 4))
     u, cache_f = nn.forward_extractor(params, spec, x)
     logits, cache_c = nn.forward_classifier(params, spec, u)
-    out = params.zeros_like()
-    grads_c = nn.backward(params, spec, cache_c, np.ones_like(logits), out=out)
-    grads_f = nn.backward(params, spec, cache_f, np.ones_like(u), out=out)
-    assert same_bits(out.vec, np.concatenate([
-        nn.backward(params, spec, cache_f, np.ones_like(u)).vec,
-        nn.backward(params, spec, cache_c, np.ones_like(logits)).vec]))
-    assert np.shares_memory(grads_c.vec, out.vec) and np.shares_memory(grads_f.vec, out.vec)
+    head = nn.backward(params, spec, cache_c, np.ones_like(logits))
+    extractor = nn.backward(params, spec, cache_f, np.ones_like(u))
+    sentinel = np.full(params.count(), -7.25)
+    out = nn.Parameters.over(sentinel.copy(), params.layout)
+    assert nn.backward(params, spec, cache_c, np.ones_like(logits), out=out) is out
+    for key in out.keys():
+        want = head[key] if key[0] >= spec.split_index else np.full(out[key].shape, -7.25)
+        assert same_bits(out[key], want)
+    assert nn.backward(params, spec, cache_f, np.ones_like(u), out=out) is out
+    for key in out.keys():
+        assert same_bits(out[key], (head if key[0] >= spec.split_index else extractor)[key])
+    for grads, cached in ((head, range(spec.split_index, len(spec.layers))),
+                          (extractor, range(spec.split_index))):
+        assert grads.layout is params.layout
+        assert all(same_bits(grads[k], np.zeros(grads[k].shape))
+                   for k in grads.keys() if k[0] not in cached)
+    head_only = nn.Parameters({k: head[k] for k in head.keys() if k[0] >= spec.split_index})
+    with pytest.raises(nn.ShapeError, match="laid out like params"):
+        nn.backward(params, spec, cache_c, np.ones_like(logits), out=head_only)
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +276,8 @@ def test_copy_does_not_alias(net):
     for key in dup.keys():
         dup[key] = np.zeros(dup[key].shape)
     assert same_bits(params.vec, before)
+    # layouts are built once per structure
     assert dup.layout is params.layout
-
-
-@settings(max_examples=30, deadline=None)
-@given(net=networks())
-def test_layer_ranges_are_contiguous_views(net):
-    spec, seed = net
-    params = nn.init_params(spec, seed)
-    ext, cls = params.partition(spec.split_index)
-    assert all(k[0] < spec.split_index for k in ext.keys())
-    assert all(k[0] >= spec.split_index for k in cls.keys())
-    assert same_bits(np.concatenate([ext.vec, cls.vec]), params.vec)
-    assert np.shares_memory(ext.vec, params.vec) and np.shares_memory(cls.vec, params.vec)
-    # layouts are built once per structure and range
-    assert params.partition(spec.split_index)[1].layout is cls.layout
     assert nn.init_params(spec, seed + 1).layout is params.layout
 
 
@@ -338,5 +344,89 @@ def test_partial_gradient_changes_nothing(step, cover):
     snapshot = params.vec.copy()
     moments = [None if s is None else s.vec.copy() for s in (state.m, state.v)]
     with pytest.raises(nn.ShapeError, match="laid out like the model"):
-        step(params, as_grads(params, spec, tensors, cover), state)
+        step(params, nn.Parameters(tensors), state)
     assert_unchanged_after_one_step(params, state, snapshot, moments)
+
+
+# ---------------------------------------------------------------------------
+# whole-vector gradient adds in local training
+
+
+class SliceAdds:
+    """``backward`` and ``add_scaled`` as they were when a gradient held only
+    the tensors of the cached layers, so an auxiliary gradient was added into
+    its own slice of ``total_grads`` alone."""
+
+    def __init__(self):
+        self.covers = []            # (gradient, first layer, stop layer)
+        self.backward = nn.backward
+
+    def tagged_backward(self, params, spec, cache, upstream, *, out=None):
+        grads = self.backward(params, spec, cache, upstream, out=out)
+        if out is None:
+            self.covers.append((grads, cache[0][0], cache[-1][0] + 1))
+        return grads
+
+    def add_scaled(self, total, other, scale):
+        start, stop = next((a, b) for grads, a, b in self.covers if grads is other)
+        spans = [total.layout.spans[k] for k in total.keys() if start <= k[0] < stop]
+        lo, hi = spans[0][0], spans[-1][1]
+        target = total.vec[lo:hi]
+        target += scale * other.vec[lo:hi]
+
+
+def train_client(optimizer, weight_decay, seed, batch_size, slice_adds=None):
+    """One ``local_train`` call with SFMC and CPGMA both at work; with
+    ``slice_adds``, through the slice add it replaced."""
+    spec = nn.mlp_spec(4, (6,), (5,), 3)
+    rng = np.random.default_rng(seed)
+    shard = ClientShard(client_id=0, inputs=rng.normal(size=(10, 4)),
+                        labels=(np.arange(10) % 3).astype(np.int64))
+    foreign = FeatureBatch.of_client(rng.normal(size=(9, spec.embedding_dim)),
+                                     rng.integers(0, 3, size=9), 1, 1)
+    prototypes = rng.normal(size=(3, spec.embedding_dim))
+    config = FederationConfig(rounds=1, num_clients=1, local_epochs=2, num_classes=3,
+                              batch_size=batch_size, learning_rate=1e-2, seed=seed,
+                              optimizer=optimizer, weight_decay=weight_decay)
+    params = nn.init_params(spec, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        if slice_adds is not None:
+            patch.setattr(nn, "backward", slice_adds.tagged_backward)
+            patch.setattr(nn.Parameters, "add_scaled",
+                          lambda total, other, scale: slice_adds.add_scaled(total, other, scale))
+        local_train(params, spec, shard, config, 2, np.random.default_rng(seed),
+                    foreign=foreign, prototypes=prototypes, round_tag=1)
+    return params
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("weight_decay", [0.0, 6e-3])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), batch_size=st.integers(1, 4))
+def test_whole_vector_adds_give_the_bits_of_slice_adds(optimizer, weight_decay, seed,
+                                                       batch_size):
+    slice_adds = SliceAdds()
+    sliced = train_client(optimizer, weight_decay, seed, batch_size, slice_adds)
+    assert slice_adds.covers
+    whole = train_client(optimizer, weight_decay, seed, batch_size)
+    assert same_bits(whole.vec, sliced.vec)
+
+
+@pytest.mark.parametrize("step", [nn.adam_step, nn.sgd_step])
+@pytest.mark.parametrize("weight_decay", [0.0, 6e-3])
+def test_sign_of_a_zero_gradient_changes_no_parameter_bit(step, weight_decay):
+    """Where the two adds differ, the whole-vector add of a +0.0 may turn a
+    -0.0 of ``total_grads`` into +0.0. No parameter is ever -0.0, and for
+    either sign of a zero gradient both optimizers give the same bits."""
+    spec = nn.mlp_spec(3, (4,), (5,), 2)
+    rng = np.random.default_rng(3)
+    states = [nn.AdamState(learning_rate=1e-2, weight_decay=weight_decay) for _ in "ab"]
+    models = [nn.init_params(spec, 0) for _ in "ab"]
+    for _ in range(4):
+        grads = nn.Parameters(random_tensors(spec, rng, covered_layers(spec, "full")))
+        flipped = grads.copy()
+        flipped.vec[grads.vec == 0.0] *= -1.0
+        assert not same_bits(flipped.vec, grads.vec)
+        for model, g, state in zip(models, (grads, flipped), states):
+            step(model, g, state)
+        assert same_bits(models[0].vec, models[1].vec)

@@ -9,6 +9,7 @@ SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "microbench.py"
 
 PRIMITIVES = {
     "nn.forward.batch", "nn.backward.batch", "nn.forward.head", "nn.backward.head",
+    "nn.backward.extractor", "nn.Parameters.add_scaled",
     "nn.softmax_cross_entropy.batch", "nn.softmax_cross_entropy.head", "nn.adam_step",
     "federation.unit_prototypes", "federation.cpgma_embedding_grad",
     "federation.draw_foreign", "protocol.FeatureBank.insert",

@@ -192,7 +192,10 @@ class TestBackward:
         u = np.random.default_rng(1).normal(size=(3, 6))
         out, cache = nn.forward_classifier(params, spec, u)
         grads = nn.backward(params, spec, cache, np.ones_like(out))
-        assert all(key[0] >= spec.split_index for key in grads.keys())
+        assert grads.layout is params.layout
+        for key in grads.keys():
+            if key[0] < spec.split_index:       # exactly +0.0, sign bit clear
+                assert grads[key].tobytes() == np.zeros(grads[key].shape).tobytes()
 
     def test_mismatched_upstream_rejected(self):
         spec = nn.mlp_spec(3, (4,), (), 2)

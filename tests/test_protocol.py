@@ -159,6 +159,16 @@ class TestFeatureBlob:
         )
         assert serialize_features(batch) == expected
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf])
+    def test_value_not_finite_as_float32_rejected(self, value):
+        # 1e39 is finite as float64 but beyond float32's range
+        batch = random_batch(n=3, width=4)
+        embeddings = batch.embeddings.astype(np.float64)
+        embeddings[1, 2] = value
+        with pytest.raises(ValueError, match="not finite as float32"):
+            serialize_features(dataclasses.replace(batch, embeddings=embeddings))
+
 
 class TestPrototypeBlob:
     def test_round_trip_and_length(self):
@@ -168,6 +178,14 @@ class TestPrototypeBlob:
         out = deserialize_prototypes(blob)
         # prototypes decode to float64: unit_prototypes and the cosine use them as is
         assert out.dtype == np.float64 and np.array_equal(out, protos.astype(np.float64))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf])
+    def test_value_not_finite_as_float32_rejected(self, value):
+        protos = np.ones((3, 4))
+        protos[2, 1] = value
+        with pytest.raises(ValueError, match="not finite as float32"):
+            serialize_prototypes(protos)
 
     def test_length_mismatch_rejected(self):
         blob = serialize_prototypes(np.zeros((2, 4)))
@@ -206,6 +224,8 @@ def structured_serialize(batch):
             raise ValueError(f"feature {name} out of range for {np.dtype(dtype)}")
         rows[name] = values
     rows["embeddings"] = batch.embeddings
+    if not np.isfinite(rows["embeddings"]).all():
+        raise ValueError("feature embeddings hold a value that is not finite as float32")
     return struct.pack("<II", n, width if n else 0) + rows.tobytes()
 
 
@@ -223,9 +243,10 @@ ID_TOPS = {"client_ids": 0xFFFF, "labels": 0xFFFF, "rounds": 0xFFFFFFFF}
     bad=st.one_of(st.none(), st.tuples(st.sampled_from(sorted(ID_TOPS)), st.booleans())),
 )
 def test_word_view_encoder_matches_structured_encoder(n, width, seed, scale, special, bad):
-    """Byte for byte, and the same error for an id out of its wire range.
-    Ids span their whole range; embeddings are float64 at scales that round
-    to float32 subnormals, overflow to inf, or carry NaN and infinities."""
+    """Byte for byte, and the same error for an id out of its wire range or
+    an embedding that is not finite as float32. Ids span their whole range;
+    embeddings are float64 at scales that round to float32 subnormals,
+    overflow to inf, or carry NaN and infinities."""
     rng = np.random.default_rng(seed)
     embeddings = rng.normal(size=(n, width)) * scale
     if special and n:
@@ -240,7 +261,7 @@ def test_word_view_encoder_matches_structured_encoder(n, width, seed, scale, spe
     except ValueError as err:
         with pytest.raises(ValueError, match=f"^{err}$"):
             serialize_features(batch)
-        assert bad is not None
+        assert bad is not None or not np.isfinite(embeddings.astype(np.float32)).all()
         return
     assert serialize_features(batch) == want
     out = deserialize_features(want)

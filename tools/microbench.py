@@ -16,9 +16,14 @@ mini-batch's embeddings with the unit prototypes already computed:
 ``local_train`` computes them once per call (``federation.unit_prototypes``,
 timed on its own), since the prototypes stay fixed while a client trains.
 
+``nn.backward.extractor`` is the backward that CPGMA's embedding gradient
+then takes through the extractor's cache.
+
 A local step's SFMC pass is ``federation.draw_foreign`` (64 of the sample's
 rows: ``choice``, ``sort``, ``take``) followed by the ``.head`` cases, the
 64-32-16-3 head's forward, cross-entropy and backward on the 64 drawn rows.
+``nn.Parameters.add_scaled`` adds that head gradient, scaled, into a
+gradient of the whole model, as ``local_train`` adds each auxiliary one.
 
 The feature codecs, ``protocol.serialize_features`` and
 ``deserialize_features``, are timed on the blobs a round sends: ``.upload``
@@ -100,9 +105,10 @@ def cases(scale: str) -> dict:
     logits, cache = nn.forward_full(params, spec, x)
     _, glogits = nn.softmax_cross_entropy(logits, y)
     grads = nn.backward(params, spec, cache, glogits)
-    u, _ = nn.forward_extractor(params, spec, x)
+    u, cache_f = nn.forward_extractor(params, spec, x)
     prototypes = rng.normal(size=(3, spec.embedding_dim))
     units = unit_prototypes(prototypes)
+    _, grad_align = cpgma_embedding_grad(u, y, units)
 
     # every client's final-epoch embeddings, as float32 as they are uploaded
     inputs = rng.normal(size=(clients * per_client, 16))
@@ -127,6 +133,8 @@ def cases(scale: str) -> dict:
     drawn = draw_foreign(foreign, BATCH, draw_rng)
     head_logits, head_cache = nn.forward_classifier(params, spec, drawn.embeddings)
     _, head_glogits = nn.softmax_cross_entropy(head_logits, drawn.labels)
+    head_grads = nn.backward(params, spec, head_cache, head_glogits)
+    total_grads = grads.copy()
 
     labels = np.concatenate([batch.labels for batch in uploads])
     shards = [ClientShard(c, inputs[c * per_client:(c + 1) * per_client], batch.labels)
@@ -141,6 +149,8 @@ def cases(scale: str) -> dict:
         "federation.draw_foreign": lambda: draw_foreign(foreign, BATCH, draw_rng),
         "nn.forward.head": lambda: nn.forward_classifier(params, spec, drawn.embeddings),
         "nn.backward.head": lambda: nn.backward(params, spec, head_cache, head_glogits),
+        "nn.backward.extractor": lambda: nn.backward(params, spec, cache_f, grad_align),
+        "nn.Parameters.add_scaled": lambda: total_grads.add_scaled(head_grads, 0.37),
         "nn.softmax_cross_entropy.batch": lambda: nn.softmax_cross_entropy(logits, y),
         "nn.softmax_cross_entropy.head": lambda: nn.softmax_cross_entropy(
             head_logits, drawn.labels),
