@@ -20,7 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, nn, privacy
-from .config import MODES, ConfigError, ExperimentConfig, check_ranges, config_echo, load_config
+from .config import (
+    MODES,
+    ConfigError,
+    ExperimentConfig,
+    apply_env_overrides,
+    check_ranges,
+    config_echo,
+    load_config,
+)
 from .data import generate_federation, merge_shards, save_csv
 from .federation import FederationConfig, run_federation, run_few_shot
 from .protocol import deserialize_model, serialize_model
@@ -45,7 +53,7 @@ def _write_manifest(outdir: Path, config: ExperimentConfig, files: list[Path]) -
 
 
 def _load_experiment(args) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else ExperimentConfig()
+    config = load_config(args.config) if args.config else apply_env_overrides(ExperimentConfig())
     if args.mode:
         config.mode = args.mode
     if args.seed is not None:

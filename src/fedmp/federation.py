@@ -35,6 +35,7 @@ from .protocol import (
 
 OPTIMIZERS = ("adam", "sgd")
 EPS_GUARD = 1e-8             # keeps the adaptive weights and unit vectors finite
+EVAL_ROWS = 1024             # rows per forward when a whole set is scored
 
 
 @dataclass
@@ -253,10 +254,40 @@ def aggregate_models(params_list: list[nn.Parameters], sizes) -> nn.Parameters:
     return nn.Parameters.over(total, layout)
 
 
+def _logit_blocks(params: nn.Parameters, spec: nn.NetworkSpec, x: np.ndarray):
+    """(rows, logits) for consecutive blocks of the rows of ``x``, so scoring
+    a whole set holds one block's activations at a time, not the set's.
+
+    Bit rule: each block starts at a multiple of ``EVAL_ROWS``, so each row
+    keeps its place within every BLAS kernel's row tiles, and a one-row tail
+    joins the block before it, since a one-row product goes through gemv and
+    rounds differently. The logits are then the whole set's, bit for bit,
+    wherever each layer's product takes the same BLAS path in a block as over
+    the whole set: OpenBLAS's SkylakeX kernel has a small-matrix path for
+    products of at most 10^6 multiply-adds, and with more than one thread a
+    product may be split at a row that is not a multiple of the row tile."""
+    x = np.atleast_2d(x)
+    n = len(x)
+    if n == 0:
+        raise ValueError("cannot score an empty set of rows")
+    stops = [*range(EVAL_ROWS, n, EVAL_ROWS), n]
+    if n > 1 and n % EVAL_ROWS == 1:
+        del stops[-2]
+    start = 0
+    for stop in stops:
+        # the cache is not kept, so the next block's forward can reuse its memory
+        yield slice(start, stop), nn.forward_full(params, spec, x[start:stop])[0]
+        start = stop
+
+
 def evaluate_accuracy(params: nn.Parameters, spec: nn.NetworkSpec,
                       inputs: np.ndarray, labels: np.ndarray) -> float:
-    logits, _ = nn.forward_full(params, spec, inputs)
-    return float((logits.argmax(axis=1) == np.asarray(labels)).mean())
+    """The fraction of rows whose largest logit is their label."""
+    labels = np.asarray(labels)
+    correct = 0
+    for rows, logits in _logit_blocks(params, spec, inputs):
+        correct += int(np.count_nonzero(logits.argmax(axis=1) == labels[rows]))
+    return correct / len(labels)       # the bits of the whole set's ``.mean()``
 
 
 def ensemble_predict(models: list[nn.Parameters], spec: nn.NetworkSpec,
@@ -266,8 +297,8 @@ def ensemble_predict(models: list[nn.Parameters], spec: nn.NetworkSpec,
         raise ValueError("ensemble needs at least one model")
     probs = np.zeros((np.atleast_2d(x).shape[0], spec.num_classes))
     for params in models:
-        logits, _ = nn.forward_full(params, spec, x)
-        probs += nn.softmax(logits)
+        for rows, logits in _logit_blocks(params, spec, x):
+            probs[rows] += nn.softmax(logits)
     return probs.argmax(axis=1)
 
 
@@ -360,10 +391,13 @@ def _derive_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence(entropy=[seed, 0, tag]).generate_state(1)[0])
 
 
-def _start(config: FederationConfig, shards: list[ClientShard], spec: nn.NetworkSpec):
+def _start(config: FederationConfig, shards: list[ClientShard], spec: nn.NetworkSpec,
+           global_test: ClientShard):
     """The initial model and the shards by client id."""
     if len(shards) != config.num_clients:
         raise ValueError(f"expected {config.num_clients} shards, got {len(shards)}")
+    if len(global_test) == 0:
+        raise ValueError("global_test is empty: there is nothing to score the model on")
     return nn.init_params(spec, _derive_seed(config.seed, 0)), {s.client_id: s for s in shards}
 
 
@@ -459,7 +493,7 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
     and prototype maintenance, and weighted aggregation. The reported metrics
     are invariant to ``client_order``."""
     d = spec.embedding_dim
-    server, by_id = _start(config, shards, spec)
+    server, by_id = _start(config, shards, spec, global_test)
     order = list(client_order) if client_order is not None else sorted(by_id)
     if sorted(order) != sorted(by_id):
         raise ValueError("client_order must be a permutation of the client ids")
@@ -548,7 +582,7 @@ def run_few_shot(config: FederationConfig, shards: list[ClientShard],
     if not stage_epochs or any(e < 1 for e in stage_epochs):
         raise ValueError("stage_epochs must be a nonempty list of positive ints")
     d = spec.embedding_dim
-    server, by_id = _start(config, shards, spec)
+    server, by_id = _start(config, shards, spec, global_test)
     ledger = CommLedger()
     bank = FeatureBank(config.bank_capacity)
     prototypes = None           # as the clients decoded them

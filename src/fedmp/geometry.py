@@ -147,41 +147,75 @@ def _directed_many(a: np.ndarray, b: np.ndarray, sizes) -> np.ndarray:
     return np.sqrt(best)
 
 
-def class_manifolds(params: nn.Parameters, spec: nn.NetworkSpec, shards):
-    """Embed every shard with the current extractor.
+def _client_keys(shards) -> list:
+    """(client_id, class) of every client cloud: shard order, then class order."""
+    return [(shard.client_id, cls) for shard in shards
+            for cls in np.flatnonzero(np.bincount(shard.labels)).tolist()]
 
-    Returns (per, global): per[(client_id, class)] and global[class], where the
-    global cloud is the multiset union across clients in shard order, sized
-    from the label counts; each client cloud is a view of its part of it."""
-    totals = np.bincount(np.concatenate([np.zeros(0, np.intp)] + [s.labels for s in shards]))
-    global_clouds = {cls: np.empty((totals[cls], spec.embedding_dim))
-                     for cls in np.flatnonzero(totals).tolist()}
-    per, filled = {}, np.zeros_like(totals)
+
+def _class_cloud(params: nn.Parameters, spec: nn.NetworkSpec, shards, cls: int, size: int):
+    """The global cloud of class ``cls`` (``size`` rows) and its client clouds.
+
+    Each shard that holds the class is embedded whole, and the class's rows
+    are written straight into the cloud, in shard order; embedding only those
+    rows would change bits on some BLAS kernels. Returns (cloud, parts) with
+    parts[(client_id, cls)] a view of that client's block of the cloud."""
+    cloud = np.empty((size, spec.embedding_dim))
+    parts, filled = {}, 0
     for shard in shards:
-        u, _ = nn.forward_extractor(params, spec, shard.inputs)
-        for cls in np.flatnonzero(np.bincount(shard.labels)).tolist():
-            rows = shard.labels == cls
-            part = global_clouds[cls][filled[cls]:filled[cls] + np.count_nonzero(rows)]
-            per[(shard.client_id, cls)] = np.compress(rows, u, axis=0, out=part)
-            filled[cls] += len(part)
-    return per, global_clouds
+        rows = shard.labels == cls
+        count = np.count_nonzero(rows)
+        if count:
+            u = nn.forward_extractor(params, spec, shard.inputs)[0]
+            part = cloud[filled:filled + count]
+            parts[(shard.client_id, cls)] = np.compress(rows, u, axis=0, out=part)
+            filled += count
+            del u           # so the next shard's embeddings can take its place
+    return cloud, parts
 
 
-def _to_global(per: dict, global_clouds: dict) -> tuple[dict, float]:
-    # each client cloud is a block of its global class cloud, in ``per``'s order,
-    # so the symmetric distance is the one directed from the global cloud
-    dist = {}
-    for cls, pts in global_clouds.items():
-        g = _as_points(pts)
-        keys = [key for key in per if key[1] == cls]
-        dist.update(zip(keys, _directed_many(g, g, [len(per[key]) for key in keys]).tolist()))
-    to_global = {key: dist[key] for key in per}
-    return to_global, float(np.mean(list(to_global.values()))) if to_global else 0.0
+def _class_sizes(shards) -> list:
+    """(class, rows across every shard) for each class some shard holds."""
+    totals = np.bincount(np.concatenate([np.zeros(0, np.intp)] + [s.labels for s in shards]))
+    return [(cls, int(totals[cls])) for cls in np.flatnonzero(totals).tolist()]
+
+
+def class_manifolds(params: nn.Parameters, spec: nn.NetworkSpec, shards):
+    """Embed every shard with the current extractor, once per class it holds
+    (``_class_cloud``).
+
+    Returns (per, global): per[(client_id, class)] in shard order, then class
+    order, and global[class] in class order, where the global cloud is the
+    multiset union across clients in shard order, sized from the label counts;
+    each client cloud is a view of its part of it."""
+    per, global_clouds = {}, {}
+    for cls, size in _class_sizes(shards):
+        global_clouds[cls], parts = _class_cloud(params, spec, shards, cls, size)
+        per.update(parts)
+    return {key: per[key] for key in _client_keys(shards)}, global_clouds
+
+
+def _to_global(cloud: np.ndarray, parts: dict) -> dict:
+    """Distance of each client cloud in ``parts``, a block of ``cloud`` in
+    ``parts``' order, to ``cloud``. Each is a subset of it, so the symmetric
+    distance is the one directed from the global cloud."""
+    g = _as_points(cloud)
+    return dict(zip(parts, _directed_many(g, g, [len(p) for p in parts.values()]).tolist()))
+
+
+def _mean(to_global: dict) -> float:
+    return float(np.mean(list(to_global.values()))) if to_global else 0.0
 
 
 def mean_to_global(params: nn.Parameters, spec: nn.NetworkSpec, shards) -> float:
-    """``manifold_report(...)["mean_to_global"]`` without the fragmentation."""
-    return _to_global(*class_manifolds(params, spec, shards))[1]
+    """``manifold_report(...)["mean_to_global"]`` without the fragmentation,
+    holding one class's global cloud at a time: each is built, measured and
+    dropped before the next (every shard is embedded once per class it holds)."""
+    dist = {}
+    for cls, size in _class_sizes(shards):
+        dist.update(_to_global(*_class_cloud(params, spec, shards, cls, size)))
+    # averaged in ``class_manifolds``' key order, which sets the sum's bits
+    return _mean({key: dist[key] for key in _client_keys(shards)})
 
 
 def manifold_report(params: nn.Parameters, spec: nn.NetworkSpec, shards) -> dict:
@@ -190,7 +224,10 @@ def manifold_report(params: nn.Parameters, spec: nn.NetworkSpec, shards) -> dict
     the mean pairwise distance between client clouds, a diagnostic that the
     round loop does not compute."""
     per, global_clouds = class_manifolds(params, spec, shards)
-    to_global, mean = _to_global(per, global_clouds)
+    dist = {}
+    for cls, cloud in global_clouds.items():
+        dist.update(_to_global(cloud, {key: part for key, part in per.items() if key[1] == cls}))
+    to_global = {key: dist[key] for key in per}
     fragmentation = {}
     clients = sorted({cid for cid, _ in per})
     for cls in sorted(global_clouds):
@@ -200,7 +237,8 @@ def manifold_report(params: nn.Parameters, spec: nn.NetworkSpec, shards) -> dict
                 if (ci, cls) in per and (cj, cls) in per:
                     pairs.append(hausdorff_distance(per[(ci, cls)], per[(cj, cls)]))
         fragmentation[cls] = float(np.mean(pairs)) if pairs else 0.0
-    return {"to_global": to_global, "fragmentation": fragmentation, "mean_to_global": mean}
+    return {"to_global": to_global, "fragmentation": fragmentation,
+            "mean_to_global": _mean(to_global)}
 
 
 def pca_project_2d(cloud) -> np.ndarray:

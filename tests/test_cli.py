@@ -55,6 +55,25 @@ def test_run_rejects_u16_overflow(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_env_overrides_apply_without_a_config_file(tmp_path, monkeypatch):
+    for key, value in {"ROUNDS": "1", "CLIENTS": "2", "SAMPLES_PER_CLIENT": "12",
+                       "SEEDS": "5", "TRACK_GEOMETRY": "false"}.items():
+        monkeypatch.setenv("FEDMP_" + key, value)
+    out = tmp_path / "run"
+    assert run_cli("run", "--mode", "fedavg", "--out", str(out)) == 0
+    echo = json.loads((out / "manifest.json").read_text())["config"]
+    assert (echo["rounds"], echo["clients"], echo["seeds"]) == (1, 2, [5])
+    assert [p.name for p in out.glob("metrics_seed*")] == ["metrics_seed5.jsonl"]
+
+
+def test_bad_env_value_fails_without_a_config_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FEDMP_ROUNDS", "0")
+    assert run_cli("run", "--mode", "fedavg", "--out", str(tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert "env FEDMP_ROUNDS: rounds:" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.fixture
 def generations(monkeypatch):
     """Counts the federations the CLI generates."""

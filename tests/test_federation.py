@@ -40,7 +40,7 @@ from fedmp.protocol import (
     serialize_model,
 )
 
-from helpers import params_equal
+from helpers import one_blas_thread, params_equal, traced_peak
 
 
 def small_spec(d0=4, k=3):
@@ -407,6 +407,104 @@ class TestEnsemble:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ensemble_predict([], small_spec(), np.zeros((1, 4)))
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestRowBlocks:
+    """A whole set is scored in blocks of ``EVAL_ROWS`` rows, with the bits
+    of one forward over the whole set on the networks the runs use."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.sampled_from([1, 2, 1023, 1024, 1025, 1026, 2049, 10001]),
+                       st.integers(1, 10001)),
+           split=st.sampled_from([1, 2]), seed=st.integers(0, 2**31 - 1))
+    def test_blocked_logits_are_the_whole_sets(self, n, split, seed):
+        """The network of every benchmark and of the default config (16, 64,
+        32, 16, 3), split after either hidden layer, at one BLAS thread."""
+        spec = nn.mlp_spec(16, (64, 32)[:split], (32, 16)[split - 1:], 3)
+        params = nn.init_params(spec, seed % 1000)
+        x = np.random.default_rng(seed).normal(size=(n, 16))
+        with one_blas_thread():
+            blocks = list(federation._logit_blocks(params, spec, x))
+            whole, _ = nn.forward_full(params, spec, x)
+        starts = [rows.start for rows, _ in blocks]
+        assert all(start % federation.EVAL_ROWS == 0 for start in starts)
+        assert [rows.stop for rows, _ in blocks] == [*starts[1:], n]
+        assert n == 1 or all(rows.stop - rows.start > 1 for rows, _ in blocks)
+        assert same_bits(np.concatenate([logits for _, logits in blocks]), whole)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2, 1023, 1024, 1025, 1026, 2049, 10001]),
+           d0=st.integers(1, 40), hidden=st.integers(1, 80), head=st.integers(1, 40),
+           k=st.integers(2, 12), seed=st.integers(0, 2**31 - 1))
+    def test_blocked_logits_of_any_widths_agree_to_rounding(self, n, d0, hidden, head, k, seed):
+        """At other widths a layer's product can take another OpenBLAS path
+        in a block than over the whole set: the SkylakeX kernel has a
+        small-matrix path for products of up to 10^6 multiply-adds, so at
+        widths (1, 25, 4, 2) and 10,001 rows the logits differ in their last
+        bits. They still agree to rounding, and so do the accuracies."""
+        spec = nn.mlp_spec(d0, (hidden,), (head,), k)
+        params = nn.init_params(spec, seed % 1000)
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(n, d0)), rng.integers(0, k, size=n)
+        blocked = np.concatenate([logits for _, logits in
+                                  federation._logit_blocks(params, spec, x)])
+        whole, _ = nn.forward_full(params, spec, x)
+        assert np.allclose(blocked, whole, rtol=1e-12, atol=1e-12)
+        assert federation.evaluate_accuracy(params, spec, x, y) == \
+            float((whole.argmax(axis=1) == y).mean())
+
+    @pytest.mark.parametrize("n", [1, 1025, 2049, 3000])
+    def test_accuracy_and_ensemble_match_the_whole_set(self, n):
+        spec = nn.mlp_spec(16, (64,), (32, 16), 3)
+        models = [nn.init_params(spec, seed) for seed in range(3)]
+        rng = np.random.default_rng(n)
+        x, y = rng.normal(size=(n, 16)), rng.integers(0, 3, size=n)
+        with one_blas_thread():
+            whole = [nn.forward_full(params, spec, x)[0] for params in models]
+            for params, logits in zip(models, whole):
+                want = float((logits.argmax(axis=1) == y).mean())
+                assert federation.evaluate_accuracy(params, spec, x, y).hex() == want.hex()
+            probs = np.zeros((n, 3))
+            for logits in whole:
+                probs += nn.softmax(logits)
+            assert np.array_equal(ensemble_predict(models, spec, x), probs.argmax(axis=1))
+
+    def test_accuracy_memory_is_one_block(self):
+        """10,000 rows at scale M: the largest block's activations (1,025
+        rows through layers 64, 32, 16 and 3 wide) and a little more; one
+        forward over every row held 9.3 MB."""
+        spec = nn.mlp_spec(16, (64,), (32, 16), 3)
+        params = nn.init_params(spec, 0)
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(10_000, 16)), rng.integers(0, 3, size=10_000)
+        block = (federation.EVAL_ROWS + 1) * (64 + 32 + 16 + 3) * 8
+        assert traced_peak(lambda: federation.evaluate_accuracy(params, spec, x, y)) \
+            < block + (256 << 10)
+
+    def test_empty_set_rejected(self):
+        spec = small_spec()
+        params = nn.init_params(spec, 0)
+        with pytest.raises(ValueError, match="empty"):
+            federation.evaluate_accuracy(params, spec, np.zeros((0, 4)), np.zeros(0, np.int64))
+        with pytest.raises(ValueError, match="empty"):
+            ensemble_predict([params], spec, np.zeros((0, 4)))
+
+    @pytest.mark.parametrize("run", [run_federation, run_few_shot])
+    def test_runs_reject_an_empty_test_set_before_training(self, run, monkeypatch):
+        shards, global_test = small_federation()
+        empty = ClientShard(global_test.client_id, global_test.inputs[:0], global_test.labels[:0])
+        cfg = FederationConfig(rounds=1, num_clients=3, num_classes=3, track_geometry=False)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before rejecting the test set")
+
+        monkeypatch.setattr(federation, "_train", no_training)
+        with pytest.raises(ValueError, match="global_test is empty"):
+            run(cfg, shards, small_spec(), empty)
 
 
 class TestClientUpdate:

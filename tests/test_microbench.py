@@ -12,7 +12,7 @@ PRIMITIVES = {
     "nn.backward.extractor", "nn.Parameters.add_scaled",
     "nn.softmax_cross_entropy.batch", "nn.softmax_cross_entropy.head", "nn.adam_step",
     "federation.unit_prototypes", "federation.cpgma_embedding_grad",
-    "federation.draw_foreign", "protocol.FeatureBank.insert",
+    "federation.draw_foreign", "federation.evaluate_accuracy", "protocol.FeatureBank.insert",
     "protocol.FeatureBank.sample", "geometry.directed_distance", "geometry.mean_to_global",
     *(f"protocol.{codec}_features.{blob}" for codec in ("serialize", "deserialize")
       for blob in ("upload", "foreign", "round")),
@@ -35,15 +35,21 @@ def test_one_repeat_prints_one_json_line():
         assert set(timings) == PRIMITIVES
         assert all(t > 0 for t in timings.values())
     assert result["results"]["import"]["import fedmp"] > 0
-    # the geometry phase's tracemalloc peak: above the M class clouds
-    # (10,000 x 64 float64), and under them plus a few blocks of products
     peaks = result["peak_bytes"]
     assert list(peaks) == ["S", "M"]
-    assert all(list(peaks[scale]) == ["geometry.mean_to_global", "protocol.FeatureBank.full"]
-               for scale in peaks)
+    assert all(list(peaks[scale]) == ["federation.evaluate_accuracy", "geometry.mean_to_global",
+                                      "protocol.FeatureBank.full"] for scale in peaks)
+    # scoring 10,000 rows at M holds one block's activations (1,024 rows
+    # through layers 64, 32, 16 and 3 wide), not the 9.3 MB of all rows'
+    block = 1024 * (64 + 32 + 16 + 3) * 8
+    assert 0 < peaks["S"]["federation.evaluate_accuracy"] < block
+    assert block < peaks["M"]["federation.evaluate_accuracy"] < block + (256 << 10)
+    # the geometry phase holds one class cloud at a time: above the
+    # smallest (about a third of the 10,000 x 64 float64 rows at M), under
+    # the clouds of every class together
     assert 0 < peaks["S"]["geometry.mean_to_global"] < peaks["M"]["geometry.mean_to_global"]
     clouds = 20 * 500 * 64 * 8
-    assert clouds < peaks["M"]["geometry.mean_to_global"] < clouds + (4 << 20)
+    assert clouds // 4 < peaks["M"]["geometry.mean_to_global"] < clouds
     # a full bank (20 x 3 x 512 rows of 64 at M) holds float32 embeddings:
     # above their 7.9 MB, under the 15.7 MB the rows take as float64
     rows = 20 * 3 * 512

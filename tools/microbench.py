@@ -32,13 +32,18 @@ sample (192 at S, 1,824 at M) and ``.round`` every client's upload, one blob
 each (3 x 96 rows at S, 20 x 500 = 10,000 at M). As in a run, the rows are
 float32.
 
+``federation.evaluate_accuracy`` scores a test set of every client's rows
+(3 x 96 = 288 at S, 20 x 500 = 10,000 at M), in blocks of at most 1,025 rows,
+as a round scores its global test set.
+
 ``geometry.mean_to_global`` is the round's geometry phase: it embeds every
 client's rows (3 x 96 at S, 20 x 500 at M) and takes the directed Hausdorff
-distance of each (client, class) cloud, in one kernel call per class.
-``geometry.directed_distance`` is one such distance, from a class's global
-cloud to one client's cloud. Memory is reported under ``peak_bytes``: the
-``tracemalloc`` peak of one call at each scale, in bytes above what was
-allocated before the call (``tracemalloc`` sees NumPy's arrays), of
+distance of each (client, class) cloud, one class at a time, in one kernel
+call per class. ``geometry.directed_distance`` is one such distance, from a
+class's global cloud to one client's cloud. Memory is reported under
+``peak_bytes``: the ``tracemalloc`` peak of one call at each scale, in bytes
+above what was allocated before the call (``tracemalloc`` sees NumPy's
+arrays), of ``federation.evaluate_accuracy``, of
 ``geometry.mean_to_global`` and of ``protocol.FeatureBank.full``, which fills
 a new bank until every (client, class) slot holds ``BANK_CAPACITY`` rows: at
 M, 20 x 3 x 512 float32 rows of 64. The latter is a memory figure only and
@@ -77,7 +82,8 @@ BANK_CAPACITY = 512
 BATCH = 64
 MIN_TIME = 0.01
 IMPORT_PROBES = 5
-PEAK_CASES = ("geometry.mean_to_global", "protocol.FeatureBank.full")
+PEAK_CASES = ("federation.evaluate_accuracy", "geometry.mean_to_global",
+              "protocol.FeatureBank.full")
 UNTIMED = {"protocol.FeatureBank.full"}
 
 
@@ -87,7 +93,12 @@ def cases(scale: str) -> dict:
 
     from fedmp import geometry, nn
     from fedmp.data import ClientShard
-    from fedmp.federation import cpgma_embedding_grad, draw_foreign, unit_prototypes
+    from fedmp.federation import (
+        cpgma_embedding_grad,
+        draw_foreign,
+        evaluate_accuracy,
+        unit_prototypes,
+    )
     from fedmp.protocol import (
         FeatureBank,
         FeatureBatch,
@@ -167,6 +178,7 @@ def cases(scale: str) -> dict:
         "protocol.deserialize_features.foreign": lambda: deserialize_features(blobs["foreign"]),
         "protocol.deserialize_features.round": lambda: [deserialize_features(b)
                                                         for b in round_blobs],
+        "federation.evaluate_accuracy": lambda: evaluate_accuracy(params, spec, inputs, labels),
         "geometry.directed_distance": lambda: geometry.directed_distance(
             global_cloud, client_cloud),
         "geometry.mean_to_global": lambda: geometry.mean_to_global(params, spec, shards),
