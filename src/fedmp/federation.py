@@ -38,6 +38,12 @@ EPS_GUARD = 1e-8             # keeps the adaptive weights and unit vectors finit
 EVAL_ROWS = 1024             # rows per forward when a whole set is scored
 
 
+class DivergenceError(ValueError):
+    """Local training met a non-finite loss or gradient. Raised by
+    ``local_train`` naming the epoch and batch; the round loops add the round
+    or few-shot stage, the client and the phase."""
+
+
 @dataclass
 class TrainingConfig:
     """The training settings. ``config.ExperimentConfig`` reads them as config
@@ -327,6 +333,8 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     SFMC is stochastic: each mini-batch trains the head on ``draw_foreign``
     of as many foreign rows as it has local rows. The draws come from their
     own stream, so a run without SFMC draws nothing.
+    A non-finite loss or gradient raises ``DivergenceError`` naming the
+    epoch and batch, before the step would write it into ``params``.
     Returns (feature_batches, stats).
     """
     if len(shard) == 0:
@@ -340,6 +348,7 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
         )
     opt_state = nn.AdamState(learning_rate=config.learning_rate,
                              weight_decay=config.weight_decay)
+    step = nn.adam_step if config.optimizer == "adam" else nn.sgd_step
     stats = LocalTrainStats()
     feature_batches: list[FeatureBatch] = []
     # every batch's local backward rewrites all of it
@@ -367,15 +376,18 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
             if units is not None:
                 l_cpgma, grad_u_align = cpgma_embedding_grad(u, yb, units)
 
-            breakdown = combine_losses(l_local, l_sfmc, l_cpgma)
-            if sfmc_grads is not None and breakdown.weight_sfmc:
-                total_grads.add_scaled(sfmc_grads, breakdown.weight_sfmc)
-            if breakdown.weight_cpgma:
-                # 0 while every prototype is cold: no backward to discard
-                total_grads.add_scaled(nn.backward(params, spec, cache_f, grad_u_align),
-                                       breakdown.weight_cpgma)
-            step = nn.adam_step if config.optimizer == "adam" else nn.sgd_step
-            step(params, total_grads, opt_state)
+            try:        # both raise ValueError on a non-finite loss or gradient
+                breakdown = combine_losses(l_local, l_sfmc, l_cpgma)
+                if sfmc_grads is not None and breakdown.weight_sfmc:
+                    total_grads.add_scaled(sfmc_grads, breakdown.weight_sfmc)
+                if breakdown.weight_cpgma:
+                    # 0 while every prototype is cold: no backward to discard
+                    total_grads.add_scaled(nn.backward(params, spec, cache_f, grad_u_align),
+                                           breakdown.weight_cpgma)
+                step(params, total_grads, opt_state)
+            except ValueError as err:
+                raise DivergenceError(f"epoch {epoch + 1}, batch "
+                                      f"{start // config.batch_size + 1}: {err}") from err
 
             stats.sum_local += breakdown.local
             stats.sum_sfmc += breakdown.sfmc
@@ -406,11 +418,17 @@ def _train(server_params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShar
     """A copy of the server model trained on ``shard``; the shuffle is seeded
     by ``[seed, stream, t, client]``, stream 1 in rounds and 3 in few-shot
     stages. Returns (params, upload, stats): the upload is the final epoch's
-    rows as one feature blob, or None when none were collected."""
+    rows as one feature blob, or None when none were collected. A
+    ``DivergenceError`` names the round or stage, the client and the phase."""
     params = server_params.copy()
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=[config.seed, stream, t, shard.client_id]))
-    batches, stats = local_train(params, spec, shard, config, epochs, rng, round_tag=t, **kw)
+    try:
+        batches, stats = local_train(params, spec, shard, config, epochs, rng, round_tag=t, **kw)
+    except DivergenceError as err:
+        where = "round" if stream == 1 else "few-shot stage"
+        raise DivergenceError(f"{where} {t}, client {shard.client_id}, local training, "
+                              f"{err}") from err
     upload = serialize_features(FeatureBatch.concat(batches)) if batches else None
     return params, upload, stats
 

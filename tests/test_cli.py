@@ -74,6 +74,19 @@ def test_bad_env_value_fails_without_a_config_file(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("mode, where", [("fedmp", "round 1"), ("fewshot", "few-shot stage 1")])
+def test_diverging_run_names_round_client_and_phase(tmp_path, capsys, mode, where):
+    path = tmp_path / "exp.cfg"
+    path.write_text(SMALL.replace("learning_rate = 0.001", "learning_rate = 1e300")
+                    .replace("seeds = 0, 1", "seeds = 0"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("run", "--config", str(path), "--mode", mode, "--out", str(tmp_path / "run"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}, client 0, local training, epoch ")
+    assert "non-finite" in err and "Traceback" not in err
+
+
 @pytest.fixture
 def generations(monkeypatch):
     """Counts the federations the CLI generates."""

@@ -650,6 +650,39 @@ class TestClientUpdate:
                         np.random.default_rng(0))
 
 
+    def test_non_finite_loss_names_epoch_and_batch(self):
+        spec = small_spec()
+        params = nn.init_params(spec, 0)
+        params[(0, "b")][0] = np.nan
+        before = params.vec.copy()
+        with pytest.raises(federation.DivergenceError,
+                           match=r"^epoch 1, batch 1: non-finite loss inputs \[nan"):
+            local_train(params, spec, self.shard(12), self.config(batch_size=4), 2,
+                        np.random.default_rng(0))
+        # the step that would have written it was not taken
+        assert before.tobytes() == params.vec.tobytes()
+
+    def test_non_finite_gradient_names_epoch_and_batch(self, monkeypatch):
+        # a finite loss whose gradient overflows from the fourth batch on
+        spec = small_spec()
+        calls = []
+
+        def overflowing(params, spec, cache, upstream, *, out=None):
+            grads = original(params, spec, cache, upstream, out=out)
+            calls.append(None)
+            if len(calls) >= 4:
+                grads[(0, "W")][0, 0] = np.inf
+            return grads
+
+        original = nn.backward
+        monkeypatch.setattr(nn, "backward", overflowing)
+        cfg = self.config(batch_size=4, enable_sfmc=False, enable_cpgma=False)
+        with pytest.raises(federation.DivergenceError,
+                           match=r"^epoch 2, batch 1: non-finite gradient at \(0, 'W'\)"):
+            local_train(nn.init_params(spec, 0), spec, self.shard(12), cfg, 2,
+                        np.random.default_rng(0))
+
+
 class TestStochasticSfmc:
     """Each mini-batch trains the head on a fresh draw from the received
     foreign sample, one foreign row per local row."""

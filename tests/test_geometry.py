@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, directed_hausdorff
 
 from fedmp import geometry, nn
-from fedmp.data import ClientShard
+from fedmp.data import ClientShard, DatasetSpec, generate_federation
 from fedmp.geometry import (
     PointCloud,
     class_manifolds,
@@ -249,6 +249,66 @@ def test_kernel_probe_pass_on_real_sizes():
     sizes = [150] * 4
     assert len(b) * len(sizes) * max(sizes) > geometry.DENSE_PAIRS
     assert same_bits(geometry._directed_many(b, b, sizes), scipy_directed(b, b, sizes))
+
+
+def trained_like_class_cloud(seed):
+    """One class's global cloud shaped as an M round builds it: 20 client
+    clouds of 150-184 ReLU embeddings (64-d, about 3,340 rows in all), each
+    client's rows clustered round its own shifted center, so that the probe
+    pass leaves each cloud a few candidate rows, as on a trained model."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(150, 185, size=20).tolist()
+    weights, center = rng.normal(size=(16, 64)), rng.normal(size=16)
+    parts = [np.maximum((center + 0.5 * rng.normal(size=16)
+                         + 0.3 * rng.normal(size=(size, 16))) @ weights, 0.0) for size in sizes]
+    return np.concatenate(parts), sizes
+
+
+def spy_settle(monkeypatch) -> list:
+    """(clouds, rows, points) of every ``geometry._settle`` call."""
+    calls, settle = [], geometry._settle
+
+    def spy(a, na, b, nb, sizes, rows, floor, slack):
+        calls.append((len(sizes), len(rows), len(b)))
+        return settle(a, na, b, nb, sizes, rows, floor, slack)
+
+    monkeypatch.setattr(geometry, "_settle", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_per_cloud_pass_matches_scipy_on_a_trained_like_cloud(monkeypatch, seed):
+    """Above ``DENSE_PAIRS``, each client cloud settles its candidate rows
+    against its own points alone, in blocks of at most two rows here, and
+    every distance is still scipy's to the last bit."""
+    g, sizes = trained_like_class_cloud(seed)
+    assert len(g) * len(sizes) * max(sizes) > geometry.DENSE_PAIRS
+    monkeypatch.setattr(geometry, "BLOCK_PAIRS", 2 * max(sizes))
+    calls = spy_settle(monkeypatch)
+    got = geometry._directed_many(g, g, sizes)
+    assert same_bits(got, scipy_directed(g, g, sizes))
+    # the floor: a few top rows against every cloud; then one call per cloud
+    (clouds, top, points), *per_cloud = calls
+    assert (clouds, points) == (len(sizes), len(g)) and 1 <= top <= len(sizes)
+    assert [(c, b) for c, _, b in per_cloud] == [(1, size) for size in sizes]
+    rows = [r for _, r, _ in per_cloud]
+    assert sum(r > 2 for r in rows) >= len(sizes) // 2       # several blocks
+    assert sum(rows) < len(g) * len(sizes) // 20                # few candidates
+
+
+def test_gate_sized_clouds_take_one_product(monkeypatch):
+    """The acceptance gate's class clouds (3 clients x 96 rows) are under
+    ``DENSE_PAIRS``: each class is one product of all its rows against all
+    its client clouds, with no probe pass."""
+    shards, _ = generate_federation(DatasetSpec(
+        input_dim=16, num_classes=3, samples_per_client=96, num_clients=3,
+        skew_strength=2.0, noise_std=0.1, seed=0))
+    spec = nn.mlp_spec(16, (64,), (32, 16), 3)
+    calls = spy_settle(monkeypatch)
+    mean_to_global(nn.init_params(spec, 0), spec, shards)
+    sizes = [size for _, size in geometry._class_sizes(shards)]
+    assert calls == [(3, size, size) for size in sizes]
+    assert all(size * 3 * size <= geometry.DENSE_PAIRS for size in sizes)
 
 
 def scale_m_federation():

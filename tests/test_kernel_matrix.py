@@ -1,5 +1,6 @@
 """Smoke test of the per-kernel test runner, ``tools/kernel_matrix.py``."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,16 +15,23 @@ def run(*argv):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_one_target_under_a_non_default_kernel():
-    # Prescott runs on any x86-64 CPU, and OpenBLAS reports it as Katmai
+def test_one_target_under_a_non_default_kernel(monkeypatch):
+    # Prescott runs on any x86-64 CPU, and OpenBLAS reports it as Katmai;
+    # one line at the default thread count, then one at one thread, and a
+    # count set by the caller does not leak into the default run
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     proc = run("--kernels", "Prescott", TARGET)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    [line] = proc.stdout.splitlines()
-    assert line.startswith("Prescott (Katmai): pass: 1 passed")
+    default, one = proc.stdout.splitlines()
+    threads = default.split(", threads ")[1].split(")")[0]
+    assert default.startswith(f"Prescott (Katmai, threads {threads}): pass: 1 passed")
+    assert int(threads) > 1 or len(os.sched_getaffinity(0)) == 1
+    assert one.startswith("Prescott (Katmai, threads 1): pass: 1 passed")
 
 
 def test_a_failing_kernel_fails_the_run():
     proc = run("--kernels", "Prescott", "tests/test_kernels.py::no_such_test")
     assert proc.returncode == 1
-    [line] = proc.stdout.splitlines()
-    assert line.startswith("Prescott (Katmai): FAIL: ")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("Prescott (Katmai, ") and ": FAIL: " in line for line in lines)

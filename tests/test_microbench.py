@@ -13,7 +13,7 @@ PRIMITIVES = {
     "nn.softmax_cross_entropy.batch", "nn.softmax_cross_entropy.head", "nn.adam_step",
     "federation.unit_prototypes", "federation.cpgma_embedding_grad",
     "federation.draw_foreign", "federation.evaluate_accuracy", "protocol.FeatureBank.insert",
-    "protocol.FeatureBank.sample", "geometry.directed_distance", "geometry.mean_to_global",
+    "protocol.FeatureBank.sample", "geometry._directed_many", "geometry.mean_to_global",
     *(f"protocol.{codec}_features.{blob}" for codec in ("serialize", "deserialize")
       for blob in ("upload", "foreign", "round")),
 }

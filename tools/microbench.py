@@ -39,11 +39,15 @@ as a round scores its global test set.
 ``geometry.mean_to_global`` is the round's geometry phase: it embeds every
 client's rows (3 x 96 at S, 20 x 500 at M) and takes the directed Hausdorff
 distance of each (client, class) cloud, one class at a time, in one kernel
-call per class. ``geometry.directed_distance`` is one such distance, from a
-class's global cloud to one client's cloud. Memory is reported under
-``peak_bytes``: the ``tracemalloc`` peak of one call at each scale, in bytes
-above what was allocated before the call (``tracemalloc`` sees NumPy's
-arrays), of ``federation.evaluate_accuracy``, of
+call per class. ``geometry._directed_many`` is that call for class 0, from
+the class's global cloud to each of its client clouds: 3 clouds of about 32
+rows at S, under ``DENSE_PAIRS``, and 20 of about 167 at M, over it. The
+network is untrained, so the kernel keeps more candidate rows than on a
+trained one.
+
+Memory is reported under ``peak_bytes``: the ``tracemalloc`` peak of one
+call at each scale, in bytes above what was allocated before the call
+(``tracemalloc`` sees NumPy's arrays), of ``federation.evaluate_accuracy``, of
 ``geometry.mean_to_global`` and of ``protocol.FeatureBank.full``, which fills
 a new bank until every (client, class) slot holds ``BANK_CAPACITY`` rows: at
 M, 20 x 3 x 512 float32 rows of 64. The latter is a memory figure only and
@@ -150,8 +154,8 @@ def cases(scale: str) -> dict:
     labels = np.concatenate([batch.labels for batch in uploads])
     shards = [ClientShard(c, inputs[c * per_client:(c + 1) * per_client], batch.labels)
               for c, batch in enumerate(uploads)]
-    global_cloud = embeddings[labels == 0]
-    client_cloud = embeddings[:per_client][uploads[0].labels == 0]
+    cloud, parts = geometry._class_cloud(params, spec, shards, 0, int(np.sum(labels == 0)))
+    sizes = [len(part) for part in parts.values()]
 
     state = nn.AdamState(learning_rate=3e-3, weight_decay=6e-3)
     return {
@@ -179,8 +183,7 @@ def cases(scale: str) -> dict:
         "protocol.deserialize_features.round": lambda: [deserialize_features(b)
                                                         for b in round_blobs],
         "federation.evaluate_accuracy": lambda: evaluate_accuracy(params, spec, inputs, labels),
-        "geometry.directed_distance": lambda: geometry.directed_distance(
-            global_cloud, client_cloud),
+        "geometry._directed_many": lambda: geometry._directed_many(cloud, cloud, sizes),
         "geometry.mean_to_global": lambda: geometry.mean_to_global(params, spec, shards),
     }
 
