@@ -88,16 +88,6 @@ class FederationConfig(TrainingConfig):
 
 
 @dataclass
-class LossBreakdown:
-    local: float
-    sfmc: float
-    cpgma: float
-    weight_sfmc: float
-    weight_cpgma: float
-    total: float
-
-
-@dataclass
 class RunResult:
     params: nn.Parameters
     metrics: list[dict]
@@ -114,28 +104,28 @@ class FewShotResult:
     ensemble_accuracy: float
 
 
-def combine_losses(l_local: float, l_sfmc: float | None, l_cpgma: float | None) -> LossBreakdown:
-    """Self-adaptive total loss: auxiliary terms are scaled by the detached
-    magnitude ratio |local| / (|aux| + eps), so their contribution tracks the
-    primary loss without flipping the sign of a negative auxiliary loss. A
-    module that is off passes ``None``."""
+def combine_losses(l_local: float, l_sfmc: float | None,
+                   l_cpgma: float | None) -> tuple[float, float]:
+    """The self-adaptive weights ``(w_s, w_c)``: the total loss is
+    ``l_local + w_s * l_sfmc + w_c * l_cpgma``, each auxiliary term scaled by
+    the detached magnitude ratio |local| / (|aux| + eps), so its contribution
+    tracks the primary loss without flipping the sign of a negative auxiliary
+    loss. A module that is off passes ``None`` or 0.0 and gets weight 0."""
     vals = [l_local, l_sfmc or 0.0, l_cpgma or 0.0]
     if not all(math.isfinite(v) for v in vals):
         raise ValueError(f"non-finite loss inputs {vals}")
     l_sfmc, l_cpgma = float(vals[1]), float(vals[2])
     w_s = abs(l_local) / (abs(l_sfmc) + EPS_GUARD) if l_sfmc != 0.0 else 0.0
     w_c = abs(l_local) / (abs(l_cpgma) + EPS_GUARD) if l_cpgma != 0.0 else 0.0
-    total = l_local + w_s * l_sfmc + w_c * l_cpgma
-    return LossBreakdown(l_local, l_sfmc, l_cpgma, w_s, w_c, float(total))
+    return w_s, w_c
 
 
 def compute_sfmc_loss(params: nn.Parameters, spec: nn.NetworkSpec,
                       foreign: FeatureBatch):
     """Mean cross-entropy of the classifier head on sampled foreign embeddings.
     The gradient is laid out like the whole model with +0.0 in the extractor's
-    tensors; the extractor never sees these rows."""
-    if not foreign:
-        return 0.0, params.zeros_like()
+    tensors; the extractor never sees these rows. An empty ``foreign``
+    raises ``ValueError``."""
     logits, cache = nn.forward_classifier(params, spec, foreign.embeddings)
     loss, glogits = nn.softmax_cross_entropy(logits, foreign.labels)
     return loss, nn.backward(params, spec, cache, glogits)
@@ -308,14 +298,6 @@ def ensemble_predict(models: list[nn.Parameters], spec: nn.NetworkSpec,
     return probs.argmax(axis=1)
 
 
-@dataclass
-class LocalTrainStats:
-    sum_local: float = 0.0
-    sum_sfmc: float = 0.0
-    sum_cpgma: float = 0.0
-    batches: int = 0
-
-
 def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                 config: FederationConfig, epochs: int, rng: np.random.Generator,
                 foreign: FeatureBatch | None = None,
@@ -335,7 +317,9 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     own stream, so a run without SFMC draws nothing.
     A non-finite loss or gradient raises ``DivergenceError`` naming the
     epoch and batch, before the step would write it into ``params``.
-    Returns (feature_batches, stats).
+    Returns (feature_batches, tally): the sums over the mini-batches of the
+    local, SFMC and CPGMA losses (0.0 where a module did not run), then the
+    number of mini-batches, as ``[l_local, l_sfmc, l_cpgma, batches]``.
     """
     if len(shard) == 0:
         raise ValueError("client shard is empty")
@@ -349,7 +333,7 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     opt_state = nn.AdamState(learning_rate=config.learning_rate,
                              weight_decay=config.weight_decay)
     step = nn.adam_step if config.optimizer == "adam" else nn.sgd_step
-    stats = LocalTrainStats()
+    tally = [0.0, 0.0, 0.0, 0]
     feature_batches: list[FeatureBatch] = []
     # every batch's local backward rewrites all of it
     total_grads = params.zeros_like()
@@ -369,7 +353,7 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
             l_local, glogits = nn.softmax_cross_entropy(logits, yb)
             nn.backward(params, spec, cache_f + cache_c, glogits, out=total_grads)
 
-            l_sfmc = sfmc_grads = l_cpgma = None
+            l_sfmc = l_cpgma = 0.0
             if sfmc:
                 l_sfmc, sfmc_grads = compute_sfmc_loss(
                     params, spec, draw_foreign(foreign, len(idx), foreign_rng))
@@ -377,26 +361,25 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                 l_cpgma, grad_u_align = cpgma_embedding_grad(u, yb, units)
 
             try:        # both raise ValueError on a non-finite loss or gradient
-                breakdown = combine_losses(l_local, l_sfmc, l_cpgma)
-                if sfmc_grads is not None and breakdown.weight_sfmc:
-                    total_grads.add_scaled(sfmc_grads, breakdown.weight_sfmc)
-                if breakdown.weight_cpgma:
+                w_s, w_c = combine_losses(l_local, l_sfmc, l_cpgma)
+                if w_s:         # nonzero only after an SFMC pass
+                    total_grads.add_scaled(sfmc_grads, w_s)
+                if w_c:
                     # 0 while every prototype is cold: no backward to discard
-                    total_grads.add_scaled(nn.backward(params, spec, cache_f, grad_u_align),
-                                           breakdown.weight_cpgma)
+                    total_grads.add_scaled(nn.backward(params, spec, cache_f, grad_u_align), w_c)
                 step(params, total_grads, opt_state)
             except ValueError as err:
                 raise DivergenceError(f"epoch {epoch + 1}, batch "
                                       f"{start // config.batch_size + 1}: {err}") from err
 
-            stats.sum_local += breakdown.local
-            stats.sum_sfmc += breakdown.sfmc
-            stats.sum_cpgma += breakdown.cpgma
-            stats.batches += 1
+            tally[0] += l_local
+            tally[1] += l_sfmc
+            tally[2] += l_cpgma
+            tally[3] += 1
             if final_epoch and collect_final_epoch:
                 feature_batches.append(
                     FeatureBatch.of_client(u.astype(np.float32), yb, shard.client_id, round_tag))
-    return feature_batches, stats
+    return feature_batches, tally
 
 
 def _derive_seed(seed: int, tag: int) -> int:
@@ -406,8 +389,13 @@ def _derive_seed(seed: int, tag: int) -> int:
 def _start(config: FederationConfig, shards: list[ClientShard], spec: nn.NetworkSpec,
            global_test: ClientShard):
     """The initial model and the shards by client id."""
-    if len(shards) != config.num_clients:
-        raise ValueError(f"expected {config.num_clients} shards, got {len(shards)}")
+    ids = sorted(s.client_id for s in shards)
+    if ids != list(range(config.num_clients)):
+        raise ValueError(f"client ids must be 0..{config.num_clients - 1} "
+                         f"(num_clients = {config.num_clients}), got {ids}")
+    if config.num_classes != spec.num_classes:
+        raise ValueError(f"num_classes is {config.num_classes}, "
+                         f"but the network has {spec.num_classes} classes")
     if len(global_test) == 0:
         raise ValueError("global_test is empty: there is nothing to score the model on")
     return nn.init_params(spec, _derive_seed(config.seed, 0)), {s.client_id: s for s in shards}
@@ -417,20 +405,20 @@ def _train(server_params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShar
            config: FederationConfig, epochs: int, stream: int, t: int, **kw):
     """A copy of the server model trained on ``shard``; the shuffle is seeded
     by ``[seed, stream, t, client]``, stream 1 in rounds and 3 in few-shot
-    stages. Returns (params, upload, stats): the upload is the final epoch's
+    stages. Returns (params, upload, tally): the upload is the final epoch's
     rows as one feature blob, or None when none were collected. A
     ``DivergenceError`` names the round or stage, the client and the phase."""
     params = server_params.copy()
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=[config.seed, stream, t, shard.client_id]))
     try:
-        batches, stats = local_train(params, spec, shard, config, epochs, rng, round_tag=t, **kw)
+        batches, tally = local_train(params, spec, shard, config, epochs, rng, round_tag=t, **kw)
     except DivergenceError as err:
         where = "round" if stream == 1 else "few-shot stage"
         raise DivergenceError(f"{where} {t}, client {shard.client_id}, local training, "
                               f"{err}") from err
     upload = serialize_features(FeatureBatch.concat(batches)) if batches else None
-    return params, upload, stats
+    return params, upload, tally
 
 
 def _foreign(bank: FeatureBank, config: FederationConfig, t: int,
@@ -454,18 +442,18 @@ def _aggregate(trained: dict, shards: dict) -> nn.Parameters:
     return aggregate_models([trained[cid] for cid in ordered], [len(shards[cid]) for cid in ordered])
 
 
-# (metrics key, LocalTrainStats field); every metrics row shares these key strings
-_LOSS_KEYS = tuple((f"mean_{name}_loss", f"sum_{name}") for name in ("local", "sfmc", "cpgma"))
+# every metrics row shares these key strings
+_LOSS_KEYS = tuple(f"mean_{name}_loss" for name in ("local", "sfmc", "cpgma"))
 
 
-def _losses(stats: dict[int, LocalTrainStats]) -> dict:
-    """Mean per-batch losses, reduced in client-id order so they do not
-    depend on the order the clients trained in."""
-    ordered = [stats[cid] for cid in sorted(stats)]
-    batches = sum(st.batches for st in ordered)
+def _losses(tallies: dict) -> dict:
+    """Mean per-batch losses of the clients' ``local_train`` tallies, reduced
+    in client-id order so they do not depend on the order they trained in."""
+    ordered = [tallies[cid] for cid in sorted(tallies)]
+    batches = sum(tally[3] for tally in ordered)
     return {
-        key: sum(getattr(st, attr) for st in ordered) / batches if batches else 0.0
-        for key, attr in _LOSS_KEYS
+        key: sum(tally[i] for tally in ordered) / batches if batches else 0.0
+        for i, key in enumerate(_LOSS_KEYS)
     }
 
 
@@ -529,11 +517,11 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
         # the bank is unchanged until every client has trained, so a foreign
         # sample is drawn just before its client trains; the ledger keeps its size
         received, prototype_bytes = _broadcast(prototypes) if config.enable_cpgma else (None, 0)
-        foreign, foreign_bytes, trained, uploads, stats = None, {}, {}, {}, {}
+        foreign, foreign_bytes, trained, uploads, tallies = None, {}, {}, {}, {}
         for cid in order:
             if config.enable_sfmc:
                 foreign, foreign_bytes[cid] = _foreign(bank, config, t, cid)
-            trained[cid], uploads[cid], stats[cid] = _train(
+            trained[cid], uploads[cid], tallies[cid] = _train(
                 server, spec, by_id[cid], config, config.local_epochs, 1, t,
                 foreign=foreign, prototypes=received, collect_final_epoch=feature_traffic,
             )
@@ -561,7 +549,7 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
             "round": t,
             "global_test_accuracy":
                 evaluate_accuracy(server, spec, global_test.inputs, global_test.labels),
-            **_losses(stats),
+            **_losses(tallies),
             "hausdorff_mean": (
                 geometry.mean_to_global(server, spec, shards) if config.track_geometry else None
             ),
@@ -610,9 +598,9 @@ def run_few_shot(config: FederationConfig, shards: list[ClientShard],
 
     for stage, epochs in enumerate(stage_epochs, start=1):
         final_comm = stage == len(stage_epochs)
-        trained, uploads, stats = {}, {}, {}
+        trained, uploads, tallies = {}, {}, {}
         for cid in sorted(by_id):
-            trained[cid], uploads[cid], stats[cid] = _train(
+            trained[cid], uploads[cid], tallies[cid] = _train(
                 server, spec, by_id[cid], config, epochs, 3, stage,
                 foreign=foreign[cid], prototypes=prototypes,
                 collect_final_epoch=not final_comm,
@@ -637,7 +625,7 @@ def run_few_shot(config: FederationConfig, shards: list[ClientShard],
                 ledger.record(stage, DOWN, KIND_PROTOTYPES, prototype_bytes, cid)
 
         metrics.append({
-            "stage": stage, "epochs": epochs, **_losses(stats), **_traffic(ledger, stage),
+            "stage": stage, "epochs": epochs, **_losses(tallies), **_traffic(ledger, stage),
             "server_accuracy":
                 evaluate_accuracy(server, spec, global_test.inputs, global_test.labels),
         })

@@ -1,6 +1,8 @@
 """Wire formats, the server-side feature bank, and exact byte accounting.
 
 All blobs are little-endian, and every float in them is a 32-bit float.
+Every encoder raises ``ValueError`` for a value that is not finite as
+float32, so no blob carries NaN or an infinity.
 Embeddings and prototypes travel as blobs: a run encodes each upload, foreign
 sample and prototype broadcast, the receiver decodes it, and the ledger bills
 the blob's length. Decoded embeddings stay float32, as the bank stores them;
@@ -74,6 +76,8 @@ class CorruptBlobError(ValueError):
 
 def serialize_model(params: Parameters) -> bytes:
     payload = params.vec.astype("<f4")
+    if not np.isfinite(payload).all():
+        raise ValueError("model parameters hold a value that is not finite as float32")
     parts = [struct.pack("<II", MODEL_MAGIC, len(params.layout.keys))]
     for lo, hi, shape in params.layout.spans.values():
         rows, cols = (1, shape[0]) if len(shape) == 1 else shape

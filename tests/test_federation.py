@@ -74,36 +74,31 @@ class TestFederationConfig:
 class TestCombineLosses:
     def test_sfmc_only_hand_value(self):
         # l_local=2, l_sfmc=4 -> w_s = 2/(4+eps), L = 2 + w_s*4, about 4
-        out = combine_losses(2.0, 4.0, None)
-        assert out.weight_sfmc == 2.0 / (4.0 + EPS_GUARD)
-        assert out.total == 2.0 + out.weight_sfmc * 4.0
-        assert out.total == pytest.approx(4.0, abs=1e-8)
+        w_s, w_c = combine_losses(2.0, 4.0, None)
+        assert w_s == 2.0 / (4.0 + EPS_GUARD) and w_c == 0.0
+        assert 2.0 + w_s * 4.0 == pytest.approx(4.0, abs=1e-8)
         # the scaled auxiliary term's forward value is l_local, less the guard's share
-        assert out.weight_sfmc * out.sfmc == pytest.approx(2.0, abs=1e-8)
+        assert w_s * 4.0 == pytest.approx(2.0, abs=1e-8)
 
     def test_both_disabled_is_local(self):
         # a module that is off passes None
-        out = combine_losses(1.7, None, None)
-        assert out.total == 1.7
-        assert out.weight_sfmc == 0.0 and out.weight_cpgma == 0.0
+        assert combine_losses(1.7, None, None) == (0.0, 0.0)
 
     def test_negative_cpgma_sign_preserved(self):
         # l_local=2, l_cpgma=-0.5 -> w_c = 2/(0.5+eps), about 4, contribution
         # about -2, L about 0
-        out = combine_losses(2.0, None, -0.5)
-        assert out.weight_cpgma == 2.0 / (0.5 + EPS_GUARD)
-        assert out.total == 2.0 + out.weight_cpgma * -0.5
-        assert out.total == pytest.approx(0.0, abs=1e-7)
+        w_s, w_c = combine_losses(2.0, None, -0.5)
+        assert w_s == 0.0 and w_c == 2.0 / (0.5 + EPS_GUARD)
+        assert 2.0 + w_c * -0.5 == pytest.approx(0.0, abs=1e-7)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            combine_losses(float("nan"), 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^non-finite loss inputs \[nan, 0.0, 0.0\]$"):
+            combine_losses(float("nan"), None, None)
         with pytest.raises(ValueError):
             combine_losses(1.0, float("inf"), 1.0)
 
     def test_zero_auxiliary_contributes_nothing(self):
-        out = combine_losses(3.0, 0.0, 0.0)
-        assert out.total == 3.0
+        assert combine_losses(3.0, 0.0, 0.0) == (0.0, 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -112,9 +107,11 @@ class TestCombineLosses:
     )
     def test_forward_law(self, l_local, l_aux):
         # whenever both losses are positive, the scaled auxiliary forward value
-        # equals l_local up to the epsilon guard
-        out = combine_losses(l_local, l_aux, None)
-        assert out.weight_sfmc * out.sfmc == pytest.approx(l_local, rel=1e-5)
+        # equals l_local up to the epsilon guard, for either module
+        w_s, _ = combine_losses(l_local, l_aux, None)
+        _, w_c = combine_losses(l_local, None, l_aux)
+        assert w_s == w_c
+        assert w_s * l_aux == pytest.approx(l_local, rel=1e-5)
 
 
 def float32_rows(rng, n, d, k=3, client_id=1):
@@ -137,13 +134,11 @@ class TestSfmcLoss:
         (l32, g32), (l64, g64) = (compute_sfmc_loss(params, spec, b) for b in (rows, upcast))
         assert l32 == l64 and g32.vec.tobytes() == g64.vec.tobytes()
 
-    def test_empty_sample_zero(self):
+    def test_empty_sample_rejected(self):
+        # local_train runs the head pass only on a drawn sample, never empty
         spec = small_spec()
-        params = nn.init_params(spec, 0)
-        loss, grads = compute_sfmc_loss(params, spec, FeatureBatch.concat([]))
-        assert loss == 0.0
-        assert grads.layout is params.layout
-        assert_exactly_zero(grads, range(len(spec.layers)))
+        with pytest.raises(ValueError):
+            compute_sfmc_loss(nn.init_params(spec, 0), spec, FeatureBatch.concat([]))
 
     def test_uniform_logits_ln2(self):
         # zeroed classifier on K=2 gives uniform logits -> ln 2
@@ -609,9 +604,9 @@ class TestClientUpdate:
         shard = self.shard(12)
         shard.labels[:] = 1                # so every batch holds the warm class
         cfg = self.config(batch_size=4, enable_sfmc=False, enable_cpgma=True)
-        _, stats = local_train(nn.init_params(spec, 0), spec, shard, cfg, 2,
+        _, tally = local_train(nn.init_params(spec, 0), spec, shard, cfg, 2,
                                np.random.default_rng(0), prototypes=prototypes)
-        assert stats.batches == 6
+        assert tally[3] == 6
         whole, extractor = (0, len(spec.layers)), (0, spec.split_index)
         assert calls == ([whole, extractor] * 6 if warm else [whole] * 6)
 
@@ -635,9 +630,9 @@ class TestClientUpdate:
         monkeypatch.setattr(federation, "cpgma_embedding_grad", spy_grad)
         prototypes = np.random.default_rng(0).normal(size=(3, spec.embedding_dim))
         cfg = self.config(batch_size=4, enable_sfmc=False, enable_cpgma=cpgma)
-        _, stats = local_train(nn.init_params(spec, 0), spec, self.shard(12), cfg, 2,
+        _, tally = local_train(nn.init_params(spec, 0), spec, self.shard(12), cfg, 2,
                                np.random.default_rng(0), prototypes=prototypes)
-        assert stats.batches == 6
+        assert tally[3] == 6
         assert len(made) == int(cpgma)
         assert passed == (made * 6 if cpgma else [])
 
@@ -875,6 +870,35 @@ class TestRunFederation:
                 "mean_cpgma_loss", "hausdorff_mean", "up_bytes", "down_bytes",
             }
             assert row["up_bytes"] > 0 and row["down_bytes"] > 0
+
+
+class TestRunShape:
+    """Both loops check the run's shape before anything trains: the shards'
+    client ids are exactly 0..num_clients-1, and the config has the
+    network's class count."""
+
+    @pytest.fixture(params=[run_federation, run_few_shot], ids=["rounds", "few-shot"])
+    def run(self, request, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the run's shape")
+
+        monkeypatch.setattr(federation, "_train", no_training)
+        return request.param
+
+    @pytest.mark.parametrize("ids", [(0, 0, 2), (5, 6, 7), (1, 2, 3)])
+    def test_client_ids_must_be_0_to_num_clients(self, run, ids):
+        shards, global_test = small_federation()
+        shards = [ClientShard(cid, s.inputs, s.labels) for cid, s in zip(ids, shards)]
+        cfg = FederationConfig(rounds=1, num_clients=3, num_classes=3)
+        with pytest.raises(ValueError, match="num_clients"):
+            run(cfg, shards, small_spec(), global_test)
+
+    @pytest.mark.parametrize("classes", [2, 4])
+    def test_num_classes_must_be_the_networks(self, run, classes):
+        shards, global_test = small_federation()
+        cfg = FederationConfig(rounds=1, num_clients=3, num_classes=classes)
+        with pytest.raises(ValueError, match="num_classes"):
+            run(cfg, shards, small_spec(k=3), global_test)
 
 
 class TestFewShot:

@@ -88,6 +88,15 @@ class TestModelBlob:
         with pytest.raises(CorruptBlobError):
             deserialize_model(serialize_model(params), other_spec)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf])
+    def test_value_not_finite_as_float32_rejected(self, value):
+        # the rule of the feature and prototype blobs holds for model blobs too
+        params, _ = random_params()
+        params.vec[7] = value
+        with pytest.raises(ValueError, match="not finite as float32"):
+            serialize_model(params)
+
 
 def random_batch(n=5, width=4, seed=0, clients=10):
     """Mixed-client batch whose embeddings are exact in float32."""
