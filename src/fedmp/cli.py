@@ -26,7 +26,6 @@ from .config import (
     ExperimentConfig,
     apply_env_overrides,
     check_ranges,
-    config_echo,
     load_config,
 )
 from .data import generate_federation, merge_shards, save_csv
@@ -46,7 +45,7 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(outdir: Path, config: ExperimentConfig, files: list[Path]) -> None:
     manifest = {
-        "config": config_echo(config),
+        "config": dataclasses.asdict(config),
         "files": {p.name: _sha256(p) for p in sorted(files)},
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))

@@ -220,11 +220,3 @@ def load_config(path, environ=None) -> ExperimentConfig:
     with open(path) as fh:
         config = _parse(fh.read(), source=str(path))
     return apply_env_overrides(config, environ)
-
-
-def config_echo(config: ExperimentConfig) -> dict:
-    out = {}
-    for f in fields(config):
-        v = getattr(config, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
-    return out

@@ -550,9 +550,8 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
             "global_test_accuracy":
                 evaluate_accuracy(server, spec, global_test.inputs, global_test.labels),
             **_losses(tallies),
-            "hausdorff_mean": (
-                geometry.mean_to_global(server, spec, shards) if config.track_geometry else None
-            ),
+            "hausdorff_mean": (geometry.manifold_report(server, spec, shards)["mean_to_global"]
+                               if config.track_geometry else None),
             **_traffic(ledger, t),
         })
 

@@ -226,42 +226,19 @@ def _to_global(cloud: np.ndarray, parts: dict) -> dict:
     return dict(zip(parts, _directed_many(g, g, [len(p) for p in parts.values()]).tolist()))
 
 
-def _mean(to_global: dict) -> float:
-    return float(np.mean(list(to_global.values()))) if to_global else 0.0
-
-
-def mean_to_global(params: nn.Parameters, spec: nn.NetworkSpec, shards) -> float:
-    """``manifold_report(...)["mean_to_global"]`` without the fragmentation,
-    holding one class's global cloud at a time: each is built, measured and
-    dropped before the next (every shard is embedded once per class it holds)."""
+def manifold_report(params: nn.Parameters, spec: nn.NetworkSpec, shards) -> dict:
+    """Hausdorff distance of each (client, class) embedding cloud to its global
+    class cloud (``to_global``, in ``class_manifolds``' key order) and their
+    mean, the round loop's ``hausdorff_mean``. One class's global cloud is held
+    at a time: each is built, measured and dropped before the next (every
+    shard is embedded once per class it holds)."""
     dist = {}
     for cls, size in _class_sizes(shards):
         dist.update(_to_global(*_class_cloud(params, spec, shards, cls, size)))
-    # averaged in ``class_manifolds``' key order, which sets the sum's bits
-    return _mean({key: dist[key] for key in _client_keys(shards)})
-
-
-def manifold_report(params: nn.Parameters, spec: nn.NetworkSpec, shards) -> dict:
-    """Hausdorff distance of each (client, class) embedding cloud to its global
-    class cloud (``to_global``) and their mean, plus per-class fragmentation:
-    the mean pairwise distance between client clouds, a diagnostic that the
-    round loop does not compute."""
-    per, global_clouds = class_manifolds(params, spec, shards)
-    dist = {}
-    for cls, cloud in global_clouds.items():
-        dist.update(_to_global(cloud, {key: part for key, part in per.items() if key[1] == cls}))
-    to_global = {key: dist[key] for key in per}
-    fragmentation = {}
-    clients = sorted({cid for cid, _ in per})
-    for cls in sorted(global_clouds):
-        pairs = []
-        for i, ci in enumerate(clients):
-            for cj in clients[i + 1:]:
-                if (ci, cls) in per and (cj, cls) in per:
-                    pairs.append(hausdorff_distance(per[(ci, cls)], per[(cj, cls)]))
-        fragmentation[cls] = float(np.mean(pairs)) if pairs else 0.0
-    return {"to_global": to_global, "fragmentation": fragmentation,
-            "mean_to_global": _mean(to_global)}
+    # the key order sets the mean's bits
+    to_global = {key: dist[key] for key in _client_keys(shards)}
+    mean = float(np.mean(list(to_global.values()))) if to_global else 0.0
+    return {"to_global": to_global, "mean_to_global": mean}
 
 
 def pca_project_2d(cloud) -> np.ndarray:

@@ -202,18 +202,27 @@ class Parameters:
         self.vec += scale * other.vec
 
 
-def init_params(spec: NetworkSpec, seed: int) -> Parameters:
-    """Glorot-uniform initialization, seeded."""
-    rng = np.random.default_rng(seed)
-    values = {}
+def spec_layout(spec: NetworkSpec) -> _Layout:
+    """The layout of ``spec``'s tensors: each affine layer's ``W`` (in, out)
+    and ``b`` (out,), in sorted key order. It is the interned layout that
+    ``Parameters`` builds for the same keys and shapes."""
+    shapes = {}
     for idx, layer in enumerate(spec.layers):
-        if layer[0] != AFFINE:
-            continue
-        _, n_in, n_out = layer
-        a = np.sqrt(6.0 / (n_in + n_out))
-        values[(idx, "W")] = rng.uniform(-a, a, size=(n_in, n_out))
-        values[(idx, "b")] = np.zeros(n_out)
-    return Parameters(values)
+        if layer[0] == AFFINE:
+            shapes[(idx, "W")], shapes[(idx, "b")] = layer[1:], layer[2:]
+    return _layout(tuple((key, shapes[key]) for key in sorted(shapes)))
+
+
+def init_params(spec: NetworkSpec, seed: int) -> Parameters:
+    """Glorot-uniform weights, drawn layer by layer, and zero biases, seeded."""
+    rng, layout = np.random.default_rng(seed), spec_layout(spec)
+    params = Parameters.over(np.zeros(layout.size), layout)
+    for idx, layer in enumerate(spec.layers):
+        if layer[0] == AFFINE:
+            _, n_in, n_out = layer
+            a = np.sqrt(6.0 / (n_in + n_out))
+            params[(idx, "W")] = rng.uniform(-a, a, size=(n_in, n_out))
+    return params
 
 
 def forward(params: Parameters, spec: NetworkSpec, x: np.ndarray,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import NetworkSpec, Parameters
+from .nn import NetworkSpec, Parameters, spec_layout
 
 MODEL_MAGIC = 0x464D5031  # "FMP1"
 
@@ -70,14 +70,27 @@ class CorruptBlobError(ValueError):
     """Raised when a wire blob is truncated or fails validation."""
 
 
+_FLOAT = np.dtype("<f4")
+
+
+def _float32(values, what: str) -> np.ndarray:
+    """``values`` as the blob's float32 (float32 input is not copied), or
+    ``ValueError`` if one is not finite as float32. A value beyond float32's
+    range casts to an infinity, which the check rejects, so NumPy's overflow
+    warning is not raised first."""
+    with np.errstate(over="ignore"):
+        out = np.asarray(values).astype(_FLOAT, copy=False)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} hold a value that is not finite as float32")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # model blobs: 8-byte header (magic, tensor count), then per tensor an 8-byte
 # shape header (rows, cols as u32) and float32 payload in sorted key order.
 
 def serialize_model(params: Parameters) -> bytes:
-    payload = params.vec.astype("<f4")
-    if not np.isfinite(payload).all():
-        raise ValueError("model parameters hold a value that is not finite as float32")
+    payload = _float32(params.vec, "model parameters")
     parts = [struct.pack("<II", MODEL_MAGIC, len(params.layout.keys))]
     for lo, hi, shape in params.layout.spans.values():
         rows, cols = (1, shape[0]) if len(shape) == 1 else shape
@@ -92,12 +105,12 @@ def deserialize_model(blob: bytes, spec: NetworkSpec) -> Parameters:
     magic, count = struct.unpack_from("<II", blob, 0)
     if magic != MODEL_MAGIC:
         raise CorruptBlobError(f"bad model magic {magic:#x}")
-    template = list(_reference_keys(spec))
-    if count != len(template):
-        raise CorruptBlobError(f"tensor count {count} != expected {len(template)}")
+    layout = spec_layout(spec)
+    if count != len(layout.keys):
+        raise CorruptBlobError(f"tensor count {count} != expected {len(layout.keys)}")
+    vec = np.empty(layout.size)
     offset = 8
-    values = {}
-    for key, want_shape in template:
+    for key, (lo, hi, want_shape) in layout.spans.items():
         if offset + 8 > len(blob):
             raise CorruptBlobError("model blob truncated in shape header")
         rows, cols = struct.unpack_from("<II", blob, offset)
@@ -106,24 +119,14 @@ def deserialize_model(blob: bytes, spec: NetworkSpec) -> Parameters:
         end = offset + 4 * n
         if end > len(blob):
             raise CorruptBlobError("model blob truncated in payload")
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).astype(np.float64)
-        offset = end
         shape = (cols,) if rows == 1 and len(want_shape) == 1 else (rows, cols)
         if shape != want_shape:
             raise CorruptBlobError(f"tensor {key}: shape {shape} != spec {want_shape}")
-        values[key] = arr.reshape(shape)
+        vec[lo:hi] = np.frombuffer(blob, dtype=_FLOAT, count=n, offset=offset)
+        offset = end
     if offset != len(blob):
         raise CorruptBlobError("trailing bytes after model payload")
-    return Parameters(values)
-
-
-def _reference_keys(spec: NetworkSpec):
-    for idx, layer in enumerate(spec.layers):
-        if layer[0] != "affine":
-            continue
-        _, n_in, n_out = layer
-        yield (idx, "W"), (n_in, n_out)
-        yield (idx, "b"), (n_out,)
+    return Parameters.over(vec, layout)
 
 
 def model_blob_bytes(params: Parameters) -> int:
@@ -138,7 +141,6 @@ def model_blob_bytes(params: Parameters) -> int:
 # word ``client_id | label << 16``, the round, then the embedding.
 
 _WORD = np.dtype("<u4")
-_FLOAT = np.dtype("<f4")
 _WIRE_IDS = tuple((name, np.dtype(dtype), np.iinfo(dtype).max)
                   for name, dtype in (("client_ids", "<u2"), ("labels", "<u2"), ("rounds", "<u4")))
 
@@ -149,14 +151,13 @@ def serialize_features(batch: FeatureBatch) -> bytes:
         values = getattr(batch, name)
         if n and (values.min() < 0 or values.max() > top):
             raise ValueError(f"feature {name} out of range for {dtype}")
+    embeddings = _float32(batch.embeddings, "feature embeddings")
     words = np.empty(2 + n * (2 + width), _WORD)
     words[:2] = n, width if n else 0
     rows = words[2:].reshape(n, 2 + width)
     rows[:, 0] = batch.client_ids | batch.labels << 16
     rows[:, 1] = batch.rounds
-    rows[:, 2:].view(_FLOAT)[...] = batch.embeddings
-    if not np.isfinite(rows[:, 2:].view(_FLOAT)).all():
-        raise ValueError("feature embeddings hold a value that is not finite as float32")
+    rows[:, 2:].view(_FLOAT)[...] = embeddings
     return words.tobytes()
 
 
@@ -181,11 +182,8 @@ def feature_blob_bytes(num_records: int, width: int) -> int:
 # prototype sets: header (K, width), then K float32 vectors in class order.
 
 def serialize_prototypes(prototypes: np.ndarray) -> bytes:
-    protos = np.asarray(prototypes, dtype=np.float64)
-    payload = protos.astype(_FLOAT)
-    if not np.isfinite(payload).all():
-        raise ValueError("prototypes hold a value that is not finite as float32")
-    return struct.pack("<II", protos.shape[0], protos.shape[1]) + payload.tobytes()
+    payload = _float32(prototypes, "prototypes")
+    return struct.pack("<II", *payload.shape) + payload.tobytes()
 
 
 def deserialize_prototypes(blob: bytes) -> np.ndarray:

@@ -22,7 +22,6 @@ from fedmp.geometry import (
     directed_distance,
     hausdorff_distance,
     manifold_report,
-    mean_to_global,
     pca_project_2d,
 )
 
@@ -305,7 +304,7 @@ def test_gate_sized_clouds_take_one_product(monkeypatch):
         skew_strength=2.0, noise_std=0.1, seed=0))
     spec = nn.mlp_spec(16, (64,), (32, 16), 3)
     calls = spy_settle(monkeypatch)
-    mean_to_global(nn.init_params(spec, 0), spec, shards)
+    manifold_report(nn.init_params(spec, 0), spec, shards)
     sizes = [size for _, size in geometry._class_sizes(shards)]
     assert calls == [(3, size, size) for size in sizes]
     assert all(size * 3 * size <= geometry.DENSE_PAIRS for size in sizes)
@@ -320,7 +319,7 @@ def scale_m_federation():
     return nn.init_params(spec, 0), spec, shards
 
 
-def test_mean_to_global_memory_is_the_clouds_plus_one_block():
+def test_manifold_report_memory_is_the_clouds_plus_one_block():
     """At scale M ``class_manifolds`` holds the class clouds, built one
     shard's embeddings at a time. The geometry phase holds one class's cloud
     at a time: the largest, one shard's embeddings while it is built, then the
@@ -340,7 +339,7 @@ def test_mean_to_global_memory_is_the_clouds_plus_one_block():
     estimates = max(len(cloud) for cloud in global_clouds.values()) * len(shards) * 8
     del per, global_clouds
     assert traced_peak(lambda: class_manifolds(params, spec, shards)) < clouds + 2 * block
-    assert traced_peak(lambda: mean_to_global(params, spec, shards)) \
+    assert traced_peak(lambda: manifold_report(params, spec, shards)) \
         < largest + shard + estimates + 3 * block
 
 
@@ -453,7 +452,6 @@ class TestManifoldReport:
         )
         report = manifold_report(params, spec, [shards[0], twin])
         assert all(v == 0.0 for v in report["to_global"].values())
-        assert all(v == 0.0 for v in report["fragmentation"].values())
         assert report["mean_to_global"] == 0.0
 
     def test_to_global_matches_cdist_reference(self):
@@ -463,17 +461,16 @@ class TestManifoldReport:
         assert report["to_global"] == {
             key: cdist_hausdorff(cloud, global_clouds[key[1]]) for key, cloud in per.items()
         }
-        assert mean_to_global(params, spec, shards) == report["mean_to_global"]
+        # the mean runs in ``class_manifolds``' key order
+        assert list(report["to_global"]) == list(per)
+        assert report["mean_to_global"] == float(np.mean(list(report["to_global"].values())))
 
     @pytest.mark.parametrize("client", [0, 2])
     def test_non_finite_embedding_rejected(self, client):
         params, spec, shards = toy_federation(num_clients=3, seed=5)
         shards[client].inputs[1, 0] = np.inf      # so that row embeds as inf
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite"):
-                mean_to_global(params, spec, shards)
-            with pytest.raises(ValueError, match="non-finite"):
-                manifold_report(params, spec, shards)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            manifold_report(params, spec, shards)
 
     def test_pure_function_of_inputs(self):
         params, spec, shards = toy_federation(num_clients=2, seed=9)

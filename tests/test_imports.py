@@ -43,7 +43,7 @@ privacy.attack_report(nn.init_params(spec, 0), spec, shards, exp.attack_configs(
 rng = np.random.default_rng(0)
 wide = [ClientShard(c, rng.normal(size=(500, 16)), rng.integers(0, 3, size=500))
         for c in range(20)]
-geometry.mean_to_global(nn.init_params(spec, 0), spec, wide)
+geometry.manifold_report(nn.init_params(spec, 0), spec, wide)
 
 print("numpy.ma" in sys.modules)
 """

@@ -13,7 +13,7 @@ PRIMITIVES = {
     "nn.softmax_cross_entropy.batch", "nn.softmax_cross_entropy.head", "nn.adam_step",
     "federation.unit_prototypes", "federation.cpgma_embedding_grad",
     "federation.draw_foreign", "federation.evaluate_accuracy", "protocol.FeatureBank.insert",
-    "protocol.FeatureBank.sample", "geometry._directed_many", "geometry.mean_to_global",
+    "protocol.FeatureBank.sample", "geometry._directed_many", "geometry.manifold_report",
     *(f"protocol.{codec}_features.{blob}" for codec in ("serialize", "deserialize")
       for blob in ("upload", "foreign", "round")),
 }
@@ -37,7 +37,7 @@ def test_one_repeat_prints_one_json_line():
     assert result["results"]["import"]["import fedmp"] > 0
     peaks = result["peak_bytes"]
     assert list(peaks) == ["S", "M"]
-    assert all(list(peaks[scale]) == ["federation.evaluate_accuracy", "geometry.mean_to_global",
+    assert all(list(peaks[scale]) == ["federation.evaluate_accuracy", "geometry.manifold_report",
                                       "protocol.FeatureBank.full"] for scale in peaks)
     # scoring 10,000 rows at M holds one block's activations (1,024 rows
     # through layers 64, 32, 16 and 3 wide), not the 9.3 MB of all rows'
@@ -47,9 +47,9 @@ def test_one_repeat_prints_one_json_line():
     # the geometry phase holds one class cloud at a time: above the
     # smallest (about a third of the 10,000 x 64 float64 rows at M), under
     # the clouds of every class together
-    assert 0 < peaks["S"]["geometry.mean_to_global"] < peaks["M"]["geometry.mean_to_global"]
+    assert 0 < peaks["S"]["geometry.manifold_report"] < peaks["M"]["geometry.manifold_report"]
     clouds = 20 * 500 * 64 * 8
-    assert clouds // 4 < peaks["M"]["geometry.mean_to_global"] < clouds
+    assert clouds // 4 < peaks["M"]["geometry.manifold_report"] < clouds
     # a full bank (20 x 3 x 512 rows of 64 at M) holds float32 embeddings:
     # above their 7.9 MB, under the 15.7 MB the rows take as float64
     rows = 20 * 3 * 512

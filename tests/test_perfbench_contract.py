@@ -47,3 +47,5 @@ def test_tracer_resolves_every_target_and_counts_samples():
     assert trained.counts["samples"] == epochs * rows
     assert trained.calls == (TINY.rounds + len(TINY.stage_epochs)) * TINY.clients
     assert tracer.spans["federation.compute_sfmc_loss"].calls > 0
+    # the round's geometry phase is the span the tracer names; few-shot has none
+    assert tracer.spans["geometry.manifold_report"].calls == TINY.rounds

@@ -6,6 +6,7 @@ independently of the serializers.
 
 import dataclasses
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -88,7 +89,6 @@ class TestModelBlob:
         with pytest.raises(CorruptBlobError):
             deserialize_model(serialize_model(params), other_spec)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
     @pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf])
     def test_value_not_finite_as_float32_rejected(self, value):
         # the rule of the feature and prototype blobs holds for model blobs too
@@ -168,7 +168,6 @@ class TestFeatureBlob:
         )
         assert serialize_features(batch) == expected
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
     @pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf])
     def test_value_not_finite_as_float32_rejected(self, value):
         # 1e39 is finite as float64 but beyond float32's range
@@ -188,7 +187,6 @@ class TestPrototypeBlob:
         # prototypes decode to float64: unit_prototypes and the cosine use them as is
         assert out.dtype == np.float64 and np.array_equal(out, protos.astype(np.float64))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
     @pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf])
     def test_value_not_finite_as_float32_rejected(self, value):
         protos = np.ones((3, 4))
@@ -232,7 +230,8 @@ def structured_serialize(batch):
         if n and (values.min() < 0 or values.max() > np.iinfo(dtype).max):
             raise ValueError(f"feature {name} out of range for {np.dtype(dtype)}")
         rows[name] = values
-    rows["embeddings"] = batch.embeddings
+    with np.errstate(over="ignore"):       # a value beyond float32's range is inf
+        rows["embeddings"] = batch.embeddings
     if not np.isfinite(rows["embeddings"]).all():
         raise ValueError("feature embeddings hold a value that is not finite as float32")
     return struct.pack("<II", n, width if n else 0) + rows.tobytes()
@@ -241,7 +240,6 @@ def structured_serialize(batch):
 ID_TOPS = {"client_ids": 0xFFFF, "labels": 0xFFFF, "rounds": 0xFFFFFFFF}
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 @settings(max_examples=120, deadline=None)
 @given(
     n=st.integers(0, 2000),
@@ -265,17 +263,39 @@ def test_word_view_encoder_matches_structured_encoder(n, width, seed, scale, spe
         name, below = bad
         ids[name][rng.integers(n)] = -1 if below else ID_TOPS[name] + 1
     batch = FeatureBatch(embeddings, ids["labels"], ids["client_ids"], ids["rounds"])
+    with np.errstate(over="ignore"):
+        as_f32 = embeddings.astype(np.float32)
     try:
         want = structured_serialize(batch)
     except ValueError as err:
         with pytest.raises(ValueError, match=f"^{err}$"):
             serialize_features(batch)
-        assert bad is not None or not np.isfinite(embeddings.astype(np.float32)).all()
+        assert bad is not None or not np.isfinite(as_f32).all()
         return
     assert serialize_features(batch) == want
     out = deserialize_features(want)
-    assert out.embeddings.tobytes() == embeddings.astype(np.float32).tobytes()
+    assert out.embeddings.tobytes() == as_f32.tobytes()
     assert all(np.array_equal(getattr(out, name), ids[name]) for name in ID_TOPS)
+
+
+def test_encoders_raise_before_numpy_warns():
+    """With warnings as errors, each encoder still raises its own
+    ``ValueError`` for a value beyond float32's range, and not NumPy's
+    overflow warning from the cast."""
+    params, _ = random_params()
+    params.vec[7] = 1e39
+    batch = random_batch(n=3, width=4)          # float64 embeddings
+    batch.embeddings[1, 2] = 1e39
+    protos = np.ones((3, 4))
+    protos[2, 1] = 1e39
+    cases = [(serialize_model, params, "model parameters"),
+             (serialize_features, batch, "feature embeddings"),
+             (serialize_prototypes, protos, "prototypes")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for encode, value, what in cases:
+            with pytest.raises(ValueError, match=f"^{what} hold a value that is not finite as float32$"):
+                encode(value)
 
 
 def make_records(client_id, n, label=0, width=4):

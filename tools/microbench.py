@@ -36,7 +36,7 @@ float32.
 (3 x 96 = 288 at S, 20 x 500 = 10,000 at M), in blocks of at most 1,025 rows,
 as a round scores its global test set.
 
-``geometry.mean_to_global`` is the round's geometry phase: it embeds every
+``geometry.manifold_report`` is the round's geometry phase: it embeds every
 client's rows (3 x 96 at S, 20 x 500 at M) and takes the directed Hausdorff
 distance of each (client, class) cloud, one class at a time, in one kernel
 call per class. ``geometry._directed_many`` is that call for class 0, from
@@ -48,7 +48,7 @@ trained one.
 Memory is reported under ``peak_bytes``: the ``tracemalloc`` peak of one
 call at each scale, in bytes above what was allocated before the call
 (``tracemalloc`` sees NumPy's arrays), of ``federation.evaluate_accuracy``, of
-``geometry.mean_to_global`` and of ``protocol.FeatureBank.full``, which fills
+``geometry.manifold_report`` and of ``protocol.FeatureBank.full``, which fills
 a new bank until every (client, class) slot holds ``BANK_CAPACITY`` rows: at
 M, 20 x 3 x 512 float32 rows of 64. The latter is a memory figure only and
 is not timed.
@@ -86,7 +86,7 @@ BANK_CAPACITY = 512
 BATCH = 64
 MIN_TIME = 0.01
 IMPORT_PROBES = 5
-PEAK_CASES = ("federation.evaluate_accuracy", "geometry.mean_to_global",
+PEAK_CASES = ("federation.evaluate_accuracy", "geometry.manifold_report",
               "protocol.FeatureBank.full")
 UNTIMED = {"protocol.FeatureBank.full"}
 
@@ -184,7 +184,7 @@ def cases(scale: str) -> dict:
                                                         for b in round_blobs],
         "federation.evaluate_accuracy": lambda: evaluate_accuracy(params, spec, inputs, labels),
         "geometry._directed_many": lambda: geometry._directed_many(cloud, cloud, sizes),
-        "geometry.mean_to_global": lambda: geometry.mean_to_global(params, spec, shards),
+        "geometry.manifold_report": lambda: geometry.manifold_report(params, spec, shards),
     }
 
 
