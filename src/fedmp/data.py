@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 LATENT_RADIUS = 3.0
-MAX_CONDITION = 1e6
 
 
 @dataclass(frozen=True)

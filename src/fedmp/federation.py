@@ -104,17 +104,14 @@ class FewShotResult:
     ensemble_accuracy: float
 
 
-def combine_losses(l_local: float, l_sfmc: float | None,
-                   l_cpgma: float | None) -> tuple[float, float]:
+def combine_losses(l_local: float, l_sfmc: float, l_cpgma: float) -> tuple[float, float]:
     """The self-adaptive weights ``(w_s, w_c)``: the total loss is
     ``l_local + w_s * l_sfmc + w_c * l_cpgma``, each auxiliary term scaled by
     the detached magnitude ratio |local| / (|aux| + eps), so its contribution
     tracks the primary loss without flipping the sign of a negative auxiliary
-    loss. A module that is off passes ``None`` or 0.0 and gets weight 0."""
-    vals = [l_local, l_sfmc or 0.0, l_cpgma or 0.0]
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError(f"non-finite loss inputs {vals}")
-    l_sfmc, l_cpgma = float(vals[1]), float(vals[2])
+    loss. A module that is off passes 0.0 and gets weight 0."""
+    if not all(map(math.isfinite, (l_local, l_sfmc, l_cpgma))):
+        raise ValueError(f"non-finite loss inputs {[l_local, l_sfmc, l_cpgma]}")
     w_s = abs(l_local) / (abs(l_sfmc) + EPS_GUARD) if l_sfmc != 0.0 else 0.0
     w_c = abs(l_local) / (abs(l_cpgma) + EPS_GUARD) if l_cpgma != 0.0 else 0.0
     return w_s, w_c

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import struct
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class FeatureBatch:
         batches = list(batches)
         if not batches:
             return cls(np.zeros((0, 0), np.float32), *(np.zeros(0, np.int64) for _ in range(3)))
-        return cls(*(np.concatenate([getattr(b, c) for b in batches]) for c in _COLUMNS))
+        return cls(*(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(cls)))
 
     def take(self, rows) -> FeatureBatch:
         return FeatureBatch(self.embeddings[rows], self.labels[rows],
@@ -61,9 +61,6 @@ class FeatureBatch:
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
-
-
-_COLUMNS = ("embeddings", "labels", "client_ids", "rounds")
 
 
 class CorruptBlobError(ValueError):
@@ -202,61 +199,56 @@ def prototype_blob_bytes(num_classes: int, width: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(slots=True, eq=False)
+class _Rings:
+    """A client's rows in the bank: a region of ``capacity`` rows per class."""
+    embeddings: np.ndarray      # (regions * capacity, d) float32
+    rounds: np.ndarray          # (regions * capacity,) int64
+    labels: np.ndarray          # (regions,) int64, each region's class, in order of arrival
+    written: list[int]          # rows ever written to each region
+    pool: np.ndarray | None = None      # slots in class order, oldest row first, as buffer rows
+
+
 class FeatureBank:
-    """Server store of uploaded embeddings, FIFO-bounded to
-    ``capacity_per_slot`` rows per (client, class) slot. Each client's rows
-    sit in one buffer, slot by slot in class order, oldest row first; the
-    client's pool is the buffer's filled head and each slot is a view of it,
-    so every row is held once. Embeddings are held as float32, the wire
-    format; rows inserted as float64 are rounded as the encoder rounds them."""
+    """Server store of uploaded embeddings, FIFO-bounded to ``capacity_per_slot``
+    rows per (client, class) slot. A slot is a ring in its client's one buffer:
+    its ``n``-th row goes at ``n % capacity``, over the oldest once full. A row's
+    place fixes its label and client, so neither is stored. Embeddings are held
+    as float32; rows inserted as float64 are rounded as the encoder rounds them."""
 
     def __init__(self, capacity_per_slot: int = 512):
         if capacity_per_slot < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity_per_slot
-        self._buffers: dict[int, FeatureBatch] = {}
-        self._pools: dict[int, FeatureBatch] = {}
-        self._slots: dict[tuple[int, int], FeatureBatch] = {}
+        self._clients: dict[int, _Rings] = {}
 
     def insert(self, batch: FeatureBatch) -> None:
+        cap, width = self.capacity, batch.embeddings.shape[1]
         for cid in np.flatnonzero(np.bincount(batch.client_ids)).tolist():
-            # the client's new rows, stable-sorted so each class is one slice
             idx = np.flatnonzero(batch.client_ids == cid)
-            rows = batch.take(idx[np.argsort(batch.labels[idx], kind="stable")])
-            counts = np.bincount(rows.labels)
-            new = {label: (end - count, end) for label, (count, end)
-                   in enumerate(zip(counts.tolist(), np.cumsum(counts).tolist())) if count}
-            old = {label: len(slot) for (c, label), slot in self._slots.items() if c == cid}
-            # each slot keeps its last ``capacity`` rows: its old rows, then its new ones
-            moves, src_at, dst_at = [], 0, 0
-            for label in sorted(old.keys() | new.keys()):
-                lo, hi = new.get(label, (0, 0))
-                fresh = min(hi - lo, self.capacity)
-                kept = min(old.get(label, 0), self.capacity - fresh)
-                src_at += old.get(label, 0)
-                moves.append((label, src_at - kept, dst_at, kept, hi - fresh, fresh))
-                dst_at += kept + fresh
-            src = dst = self._buffers.get(cid)
-            if src is None or len(src) < dst_at:
-                # a class new to the client: room for every class's full slot
-                size = self.capacity * len(moves)
-                dst = self._buffers[cid] = FeatureBatch(
-                    np.empty((size, rows.embeddings.shape[1]), np.float32),
-                    *(np.empty(size, np.int64) for _ in range(3)))
-            # slots only grow, so moving the last slot first never overwrites
-            # rows still to be moved
-            for _, src_lo, dst_lo, kept, new_lo, fresh in reversed(moves):
-                for c in _COLUMNS:
-                    col = getattr(dst, c)
-                    if kept:
-                        col[dst_lo:dst_lo + kept] = getattr(src, c)[src_lo:src_lo + kept]
-                    col[dst_lo + kept:dst_lo + kept + fresh] = getattr(rows, c)[new_lo:new_lo + fresh]
-            pool = self._pools[cid] = dst.take(slice(0, dst_at))
-            for label, _, lo, kept, _, fresh in moves:
-                self._slots[(cid, label)] = pool.take(slice(lo, lo + kept + fresh))
+            labels = batch.labels[idx]
+            rings = self._clients.get(cid) or _Rings(
+                np.empty((0, width), np.float32), np.empty(0, np.int64), np.empty(0, np.int64), [])
+            added = sorted(set(np.flatnonzero(np.bincount(labels)).tolist())
+                           - set(rings.labels.tolist()))
+            if added:
+                # a class new to the client: a larger buffer, the old one at its head
+                kept, size = len(rings.rounds), cap * (len(rings.labels) + len(added))
+                grown = _Rings(np.empty((size, width), np.float32), np.empty(size, np.int64),
+                               np.append(rings.labels, added), rings.written + [0] * len(added))
+                grown.embeddings[:kept], grown.rounds[:kept] = rings.embeddings, rings.rounds
+                rings = self._clients[cid] = grown
+            for r, label in enumerate(rings.labels.tolist()):
+                rows = idx[labels == label][-cap:]     # the ring would overwrite the rest
+                at = r * cap + np.arange(rings.written[r], rings.written[r] + len(rows)) % cap
+                rings.embeddings[at], rings.rounds[at] = batch.embeddings[rows], batch.rounds[rows]
+                rings.written[r] += len(rows)
+            ends = rings.written
+            rings.pool = np.concatenate([r * cap + np.arange(max(ends[r] - cap, 0), ends[r]) % cap
+                                         for r in np.argsort(rings.labels).tolist()])
 
     def __len__(self) -> int:
-        return sum(len(pool) for pool in self._pools.values())
+        return sum(len(rings.pool) for rings in self._clients.values())
 
     def sample(self, requesting_client: int, per_client_count: int, seed: int) -> FeatureBatch:
         """Up to ``per_client_count`` rows from each other client, without
@@ -266,11 +258,13 @@ class FeatureBank:
             raise ValueError("sample count must be >= 0")
         rng = np.random.default_rng(seed)
         parts = []
-        for cid in sorted(self._pools):
+        for cid, rings in sorted(self._clients.items()):
             if cid != requesting_client:
-                pool = self._pools[cid]
-                size = min(per_client_count, len(pool))
-                parts.append(pool.take(np.sort(rng.choice(len(pool), size=size, replace=False))))
+                size = min(per_client_count, len(rings.pool))
+                rows = rings.pool[np.sort(rng.choice(len(rings.pool), size=size, replace=False))]
+                parts.append(FeatureBatch(rings.embeddings.take(rows, axis=0),
+                                          rings.labels[rows // self.capacity],
+                                          np.full(size, cid, np.int64), rings.rounds[rows]))
         return FeatureBatch.concat(parts)
 
 

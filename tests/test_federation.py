@@ -74,26 +74,26 @@ class TestFederationConfig:
 class TestCombineLosses:
     def test_sfmc_only_hand_value(self):
         # l_local=2, l_sfmc=4 -> w_s = 2/(4+eps), L = 2 + w_s*4, about 4
-        w_s, w_c = combine_losses(2.0, 4.0, None)
+        w_s, w_c = combine_losses(2.0, 4.0, 0.0)
         assert w_s == 2.0 / (4.0 + EPS_GUARD) and w_c == 0.0
         assert 2.0 + w_s * 4.0 == pytest.approx(4.0, abs=1e-8)
         # the scaled auxiliary term's forward value is l_local, less the guard's share
         assert w_s * 4.0 == pytest.approx(2.0, abs=1e-8)
 
     def test_both_disabled_is_local(self):
-        # a module that is off passes None
-        assert combine_losses(1.7, None, None) == (0.0, 0.0)
+        # a module that is off passes 0.0
+        assert combine_losses(1.7, 0.0, 0.0) == (0.0, 0.0)
 
     def test_negative_cpgma_sign_preserved(self):
         # l_local=2, l_cpgma=-0.5 -> w_c = 2/(0.5+eps), about 4, contribution
         # about -2, L about 0
-        w_s, w_c = combine_losses(2.0, None, -0.5)
+        w_s, w_c = combine_losses(2.0, 0.0, -0.5)
         assert w_s == 0.0 and w_c == 2.0 / (0.5 + EPS_GUARD)
         assert 2.0 + w_c * -0.5 == pytest.approx(0.0, abs=1e-7)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match=r"^non-finite loss inputs \[nan, 0.0, 0.0\]$"):
-            combine_losses(float("nan"), None, None)
+            combine_losses(float("nan"), 0.0, 0.0)
         with pytest.raises(ValueError):
             combine_losses(1.0, float("inf"), 1.0)
 
@@ -108,8 +108,8 @@ class TestCombineLosses:
     def test_forward_law(self, l_local, l_aux):
         # whenever both losses are positive, the scaled auxiliary forward value
         # equals l_local up to the epsilon guard, for either module
-        w_s, _ = combine_losses(l_local, l_aux, None)
-        _, w_c = combine_losses(l_local, None, l_aux)
+        w_s, _ = combine_losses(l_local, l_aux, 0.0)
+        _, w_c = combine_losses(l_local, 0.0, l_aux)
         assert w_s == w_c
         assert w_s * l_aux == pytest.approx(l_local, rel=1e-5)
 
@@ -824,12 +824,11 @@ class TestRunFederation:
                 for cls in np.unique(batch.labels):
                     rows = batch.embeddings[batch.labels == cls].astype(np.float64)
                     want[cid, cls] = (1 - mu) * want[cid, cls] + mu * rows.mean(axis=0)
-        assert bank._slots.keys() == reference._slots.keys()
-        for key, slot in reference._slots.items():
-            got = bank._slots[key]
-            assert got.embeddings.dtype == np.float32
-            assert all(np.array_equal(getattr(got, c), getattr(slot, c))
-                       for c in ("embeddings", "labels", "client_ids", "rounds"))
+        # every row of each bank, in pool order
+        got, slots = (b.sample(-1, len(b) + 1, seed=0) for b in (bank, reference))
+        assert got.embeddings.dtype == np.float32
+        assert all(np.array_equal(getattr(got, c), getattr(slots, c))
+                   for c in ("embeddings", "labels", "client_ids", "rounds"))
         assert centers.tobytes() == want.tobytes()
 
     def test_client_order_irrelevant(self):

@@ -372,37 +372,41 @@ class TestFeatureBank:
         assert out.embeddings.shape == (0, 4)
         assert all(getattr(out, c).shape == (0,) for c in ("labels", "client_ids", "rounds"))
 
-    def test_slots_are_views_of_their_client_pool(self):
+    def test_pool_is_slots_in_class_order_oldest_first(self):
         bank = FeatureBank(capacity_per_slot=4)
         for _ in range(3):
             bank.insert(FeatureBatch.concat([make_records(1, n=3, label=2),
                                              make_records(2, n=5, label=0),
                                              make_records(1, n=2, label=0)]))
-            assert_one_copy(bank)
         # slot by slot in class order, oldest row first, trimmed to capacity
-        assert bank._pools[1].labels.tolist() == [0] * 4 + [2] * 4
-        assert bank._pools[1].embeddings[:, 0].tolist() == [0, 1, 0, 1, 2, 0, 1, 2]
+        pool = full_pool(bank)
+        mine = pool.client_ids == 1
+        assert pool.labels[mine].tolist() == [0] * 4 + [2] * 4
+        assert pool.embeddings[mine, 0].tolist() == [0, 1, 0, 1, 2, 0, 1, 2]
+        assert pool.client_ids.tolist() == [1] * 8 + [2] * 4
         assert len(bank) == 12
 
     def test_insert_into_a_full_bank_moves_rows_in_place(self):
-        """Once every slot is full, an insert evicts and appends inside the
-        client's one buffer: the pool keeps its memory, and the insert's
-        allocations peak near the size of the rows it adds, well under the
-        size of a second pool. The rows are float32, as a decoded upload's."""
+        """Once every slot is full, an insert overwrites the oldest rows inside
+        the client's one buffer: the buffer keeps its memory, and the insert's
+        allocations peak near the size of the rows it adds, well under half
+        the buffer. The rows are float32, as a decoded upload's."""
         bank = FeatureBank(capacity_per_slot=256)
         batch = FeatureBatch.concat([make_records(1, n=64, label=c, width=64) for c in range(3)])
         batch = dataclasses.replace(batch, embeddings=batch.embeddings.astype(np.float32))
         for _ in range(5):
             bank.insert(batch)
-        before = bank._pools[1]
-        pool_bytes = sum(getattr(before, c).nbytes
-                         for c in ("embeddings", "labels", "client_ids", "rounds"))
-        peak = traced_peak(lambda: bank.insert(batch))
-        after = bank._pools[1]
-        assert len(after) == len(before) == 3 * 256
-        assert np.shares_memory(before.embeddings, after.embeddings)
-        assert peak < pool_bytes / 2
-        assert_one_copy(bank)
+        newer = dataclasses.replace(batch, rounds=np.full(len(batch), 2))
+        before = bank._clients[1].embeddings
+        peak = traced_peak(lambda: bank.insert(newer))
+        after = bank._clients[1].embeddings
+        assert len(bank) == len(after) == 3 * 256
+        assert after is before
+        assert peak < before.nbytes / 2
+        # the oldest rows went, and each slot ends with the newest
+        pool = full_pool(bank)
+        assert pool.rounds.tolist() == ([1] * 192 + [2] * 64) * 3
+        assert pool.embeddings[:, 0].tolist() == list(range(64)) * 12
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -411,8 +415,8 @@ class TestFeatureBank:
     def test_full_m_bank_holds_float32(self):
         """A bank shaped as at scale M (20 clients, 3 classes, 512 rows per
         slot, 64-d), every slot full: its embeddings are float32, so filling
-        it peaks near 7.9 MB of them plus the int64 id columns, well under
-        the 15.7 MB the same rows take as float64."""
+        it peaks near 7.9 MB of them plus 16 B a row (the row's round and its
+        place in the pool), well under the 15.7 MB the rows take as float64."""
         clients, classes, capacity, width = 20, 3, 512, 64
         uploads = [FeatureBatch.concat([make_records(cid, n=capacity, label=c, width=width)
                                         for c in range(classes)]) for cid in range(clients)]
@@ -422,23 +426,16 @@ class TestFeatureBank:
         peak = traced_peak(lambda: [bank.insert(batch) for batch in uploads])
         rows = clients * classes * capacity
         assert len(bank) == rows
-        assert all(pool.embeddings.dtype == np.float32 for pool in bank._pools.values())
-        float32, ids = rows * width * 4, rows * 3 * 8
-        assert float32 < peak < float32 + ids + (1 << 20) < rows * width * 8
+        assert full_pool(bank).embeddings.dtype == np.float32
+        float32, per_row = rows * width * 4, rows * 16
+        assert float32 < peak < float32 + per_row + (512 << 10) < rows * width * 8
 
 
-def assert_one_copy(bank):
-    """Every slot is a view of its client's pool, and the slots, in class
-    order, make up the whole pool."""
-    for cid, pool in bank._pools.items():
-        keys = sorted(key for key in bank._slots if key[0] == cid)
-        assert sum(len(bank._slots[key]) for key in keys) == len(pool)
-        for key in keys:
-            slot = bank._slots[key]
-            for c in ("embeddings", "labels", "client_ids", "rounds"):
-                assert np.shares_memory(getattr(slot, c), getattr(pool, c)), (key, c)
-        assert_same_batch(FeatureBatch.concat([bank._slots[key] for key in keys]), pool)
-    assert {cid for cid, _ in bank._slots} == set(bank._pools)
+def full_pool(bank):
+    """Every row of the bank in pool order: client by client, each client's
+    slots in class order, oldest row first. It is a draw of more rows than
+    the bank holds, for a requester that has none."""
+    return bank.sample(-1, len(bank) + 1, seed=0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -519,7 +516,7 @@ def test_bank_matches_list_reference(capacity, ops):
             assert as_rows(out) == ref.sample(requester, count, seed)
             assert out.embeddings.dtype == np.float32
         assert len(bank) == sum(len(slot) for slot in ref.slots.values())
-        assert_one_copy(bank)
+        assert as_rows(full_pool(bank)) == ref.sample(-1, len(bank) + 1, 0)
 
 
 class TestCommLedger:

@@ -50,8 +50,10 @@ call at each scale, in bytes above what was allocated before the call
 (``tracemalloc`` sees NumPy's arrays), of ``federation.evaluate_accuracy``, of
 ``geometry.manifold_report`` and of ``protocol.FeatureBank.full``, which fills
 a new bank until every (client, class) slot holds ``BANK_CAPACITY`` rows: at
-M, 20 x 3 x 512 float32 rows of 64. The latter is a memory figure only and
-is not timed.
+M, 20 x 3 x 512 rows of 64. A bank row holds its float32 embedding (256 B at
+width 64), its int64 round and its int64 place in the client's pool, 272 B;
+its label and client id follow from where it sits. The latter is a memory
+figure only and is not timed.
 
 ``import fedmp`` is timed apart from the scales: the median, over
 ``IMPORT_PROBES`` fresh interpreters, of the time the import statement takes
