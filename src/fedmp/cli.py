@@ -3,8 +3,8 @@
 Subcommands: generate (synthetic federation to CSV), run (one of the five
 training modes over all seeds), ablate (the four-row module ablation), attack
 (feature-inversion privacy evaluation of a finished run), report (summarize a
-run directory). All emitted numbers use 17-significant-digit decimals so they
-round-trip exactly.
+run directory). Only this module writes files. All emitted numbers use
+17-significant-digit decimals so they round-trip exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .config import (
     check_ranges,
     load_config,
 )
-from .data import generate_federation, merge_shards, save_csv
+from .data import generate_federation, merge_shards
 from .federation import FederationConfig, run_federation, run_few_shot
 from .protocol import deserialize_model, serialize_model
 
@@ -37,6 +37,16 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
+
+
+def _write_csv(path: Path, header, rows) -> Path:
+    """Write ``header`` (skipped if None), then ``rows``, each cell through ``_fmt``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+    return path
 
 
 def _sha256(path: Path) -> str:
@@ -69,10 +79,9 @@ def cmd_generate(args) -> int:
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     shards, global_test = generate_federation(config.dataset_spec())
-    files = [outdir / f"shard_{shard.client_id}.csv" for shard in shards]
-    files.append(outdir / "global_test.csv")
-    for shard, path in zip([*shards, global_test], files):
-        save_csv(shard, path)
+    names = [f"shard_{shard.client_id}.csv" for shard in shards] + ["global_test.csv"]
+    files = [_write_csv(outdir / name, None, ([*x, y] for x, y in zip(s.inputs, s.labels)))
+             for name, s in zip(names, [*shards, global_test])]
     _write_manifest(outdir, config, files)
     print(f"wrote {len(files)} dataset files to {outdir}")
     return 0
@@ -103,7 +112,6 @@ def _run_one_seed(config: ExperimentConfig, fed: FederationConfig, spec, federat
 def cmd_run(args) -> int:
     config = _load_experiment(args)
     spec = config.network_spec()
-    feds = {seed: config.federation_config(seed) for seed in config.seeds}
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     federation = generate_federation(config.dataset_spec())
@@ -114,7 +122,7 @@ def cmd_run(args) -> int:
 
     for seed in config.seeds:
         final, metrics, ledger, snapshots, models = _run_one_seed(
-            config, feds[seed], spec, federation)
+            config, config.federation_config(seed), spec, federation)
         finals[seed] = final
 
         metrics_path = outdir / f"metrics_seed{seed}.jsonl"
@@ -123,9 +131,8 @@ def cmd_run(args) -> int:
                 fh.write(json.dumps(row) + "\n")
         files.append(metrics_path)
 
-        ledger_path = outdir / f"ledger_seed{seed}.csv"
-        ledger.to_csv(ledger_path)
-        files.append(ledger_path)
+        files.append(_write_csv(outdir / f"ledger_seed{seed}.csv", LEDGER_HEADER,
+                                map(dataclasses.astuple, ledger.entries)))
 
         for name, params in models.items():
             model_path = outdir / f"model_{name}_seed{seed}.bin"
@@ -138,23 +145,16 @@ def cmd_run(args) -> int:
         for rnd, params in snapshots.items():
             u, _ = nn.forward_extractor(params, spec, global_test.inputs)
             proj = geometry.pca_project_2d(u)
-            pca_path = outdir / f"pca_round{rnd}_seed{seed}.csv"
-            with open(pca_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["x", "y", "label"])
-                for p, y in zip(proj, global_test.labels):
-                    writer.writerow([_fmt(float(p[0])), _fmt(float(p[1])), int(y)])
-            files.append(pca_path)
+            files.append(_write_csv(outdir / f"pca_round{rnd}_seed{seed}.csv",
+                                    ["x", "y", "label"],
+                                    ([*p, y] for p, y in zip(proj, global_test.labels))))
 
     if curves:
-        curve_path = outdir / "accuracy_curve.csv"
-        with open(curve_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            seeds = sorted(curves)
-            writer.writerow(["round"] + [f"seed{s}" for s in seeds])
-            for i in range(len(curves[seeds[0]])):
-                writer.writerow([i + 1] + [_fmt(curves[s][i]) for s in seeds])
-        files.append(curve_path)
+        seeds = sorted(curves)
+        rounds = enumerate(zip(*(curves[s] for s in seeds)), start=1)
+        files.append(_write_csv(outdir / "accuracy_curve.csv",
+                                ["round"] + [f"seed{s}" for s in seeds],
+                                ([rnd, *accs] for rnd, accs in rounds)))
 
     values = [finals[s] for s in sorted(finals)]
     report = {
@@ -187,30 +187,21 @@ ABLATION_VARIANTS = (
 def cmd_ablate(args) -> int:
     config = _load_experiment(args)
     spec = config.network_spec()
-    variants = []
-    for name, sfmc, cpgma in ABLATION_VARIANTS:
-        variant = dataclasses.replace(config, mode="fedmp" if (sfmc or cpgma) else "fedavg",
-                                      enable_sfmc=sfmc, enable_cpgma=cpgma)
-        feds = {seed: variant.federation_config(seed) for seed in variant.seeds}
-        variants.append((name, variant, feds))
+    variants = [(name, dataclasses.replace(config, mode="fedmp" if (sfmc or cpgma) else "fedavg",
+                                           enable_sfmc=sfmc, enable_cpgma=cpgma))
+                for name, sfmc, cpgma in ABLATION_VARIANTS]
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     federation = generate_federation(config.dataset_spec())
     rows = []
-    for name, variant, feds in variants:
-        accs = []
-        for seed in variant.seeds:
-            final, _, _, _, _ = _run_one_seed(variant, feds[seed], spec, federation)
-            accs.append(final)
-        rows.append((name, accs, float(np.mean(accs)), float(np.std(accs))))
-    path = outdir / "ablation.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant"] + [f"seed{s}" for s in config.seeds] + ["mean", "std"])
-        for name, accs, mean, std in rows:
-            writer.writerow([name] + [_fmt(a) for a in accs] + [_fmt(mean), _fmt(std)])
+    for name, variant in variants:
+        accs = [_run_one_seed(variant, variant.federation_config(seed), spec, federation)[0]
+                for seed in variant.seeds]
+        rows.append([name, *accs, float(np.mean(accs)), float(np.std(accs))])
+    path = _write_csv(outdir / "ablation.csv",
+                      ["variant"] + [f"seed{s}" for s in config.seeds] + ["mean", "std"], rows)
     _write_manifest(outdir, config, [path])
-    for name, _, mean, std in rows:
+    for name, *_, mean, std in rows:
         print(f"{name}: {mean:.4f} ± {std:.4f}")
     return 0
 
@@ -228,23 +219,22 @@ def cmd_attack(args) -> int:
               f"run `fedmp run` first", file=sys.stderr)
         return 1
     shards, _ = generate_federation(config.dataset_spec())
-    path = outdir / "leakage.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "split_index", "frechet", "max_ssim", "min_l2", "risk"])
-        for seed in config.seeds:
-            params = deserialize_model(
-                (outdir / f"model_server_seed{seed}.bin").read_bytes(), spec
-            )
-            for rep in privacy.attack_report(params, spec, shards, config.attack_configs(seed)):
-                writer.writerow([
-                    seed, rep.split_index, _fmt(rep.frechet),
-                    _fmt(rep.max_ssim), _fmt(rep.min_l2), int(rep.risk),
-                ])
-                print(f"seed {seed} layer {rep.split_index}: "
-                      f"FD {rep.frechet:.2f} maxSSIM {rep.max_ssim:.4f} "
-                      f"minL2 {rep.min_l2:.4f} risk={rep.risk}")
+    rows = []
+    for seed in config.seeds:
+        params = deserialize_model((outdir / f"model_server_seed{seed}.bin").read_bytes(), spec)
+        for rep in privacy.attack_report(params, spec, shards, config.attack_configs(seed)):
+            rows.append([seed, rep.split_index, rep.frechet, rep.max_ssim, rep.min_l2,
+                         int(rep.risk)])
+            print(f"seed {seed} layer {rep.split_index}: "
+                  f"FD {rep.frechet:.2f} maxSSIM {rep.max_ssim:.4f} "
+                  f"minL2 {rep.min_l2:.4f} risk={rep.risk}")
+    _write_csv(outdir / "leakage.csv",
+               ["seed", "split_index", "frechet", "max_ssim", "min_l2", "risk"], rows)
     return 0
+
+
+# the columns of ``ledger_seed<s>.csv``, one row per ``LedgerEntry``; ``cmd_report`` sums ``bytes``
+LEDGER_HEADER = ("round", "direction", "kind", "bytes", "client_id")
 
 
 def cmd_report(args) -> int:
@@ -294,7 +284,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

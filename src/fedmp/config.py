@@ -181,6 +181,7 @@ def _value(key: str, raw: str, origin: str):
 def _parse(text: str, source: str) -> ExperimentConfig:
     values: dict = {}
     origins: dict = {}
+    set_at: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -191,6 +192,9 @@ def _parse(text: str, source: str) -> ExperimentConfig:
         key = key.strip()
         if key not in _PARSERS:
             raise ConfigError(f"{source}: line {lineno}: unknown key {key!r}")
+        if key in set_at:
+            raise ConfigError(f"{source}: line {lineno}: {key} already set at line {set_at[key]}")
+        set_at[key] = lineno
         origins[key] = f"{source}: line {lineno}"
         values[key] = _value(key, value, origins[key])
     config = ExperimentConfig(**values)

@@ -1,4 +1,4 @@
-"""Synthetic feature-skew federation data and its CSV export.
+"""Synthetic feature-skew federation data.
 
 Every client draws labels from the same balanced label distribution, but sees
 inputs through a client-specific affine transform of a shared latent Gaussian
@@ -8,7 +8,6 @@ identity, so 0 gives an IID control federation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,13 +111,6 @@ def generate_federation(spec: DatasetSpec) -> tuple[list[ClientShard], ClientSha
         labels=np.concatenate(test_labels, axis=0),
     )
     return shards, global_test
-
-
-def save_csv(shard: ClientShard, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for x, y in zip(shard.inputs, shard.labels):
-            writer.writerow([format(v, ".17g") for v in x] + [int(y)])
 
 
 def merge_shards(shards: list[ClientShard], client_id: int = 0) -> ClientShard:

@@ -13,7 +13,6 @@ artifacts.
 
 from __future__ import annotations
 
-import csv
 import struct
 from array import array
 from dataclasses import dataclass, fields
@@ -56,8 +55,8 @@ class FeatureBatch:
         return cls(*(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(cls)))
 
     def take(self, rows) -> FeatureBatch:
-        return FeatureBatch(self.embeddings[rows], self.labels[rows],
-                            self.client_ids[rows], self.rounds[rows])
+        return FeatureBatch(self.embeddings.take(rows, axis=0), self.labels.take(rows, axis=0),
+                            self.client_ids.take(rows, axis=0), self.rounds.take(rows, axis=0))
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
@@ -314,14 +313,11 @@ class CommLedger:
         self._log.extend(array("q", (round, _DIRECTIONS.index(direction), _KINDS.index(kind),
                                      byte_count, client_id)))
 
-    def _rows(self):
-        log = self._log
-        for r, d, k, b, c in zip(*(log[i::_FIELDS] for i in range(_FIELDS))):
-            yield r, _DIRECTIONS[d], _KINDS[k], b, c
-
     @property
     def entries(self) -> list[LedgerEntry]:
-        return [LedgerEntry(*row) for row in self._rows()]
+        log = self._log
+        return [LedgerEntry(r, _DIRECTIONS[d], _KINDS[k], b, c)
+                for r, d, k, b, c in zip(*(log[i::_FIELDS] for i in range(_FIELDS)))]
 
     def total(self, round: int | None = None, direction: str | None = None,
               kind: str | None = None, client_id: int | None = None) -> int:
@@ -335,9 +331,3 @@ class CommLedger:
 
     def rounds(self) -> list[int]:
         return sorted(set(self._log[0::_FIELDS]))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "direction", "kind", "bytes", "client_id"])
-            writer.writerows(self._rows())

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line driver on tiny configurations."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -159,6 +160,16 @@ class TestGenerate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["files"]) == {"shard_0.csv", "shard_1.csv", "global_test.csv"}
 
+    def test_csv_round_trip(self, cfg_path, tmp_path):
+        out = tmp_path / "data"
+        assert run_cli("generate", "--config", str(cfg_path), "--out", str(out)) == 0
+        shards, global_test = generate_federation(load_config(cfg_path).dataset_spec())
+        # 17 significant digits round-trip every float64 exactly
+        for name, shard in (("shard_0.csv", shards[0]), ("global_test.csv", global_test)):
+            loaded = np.loadtxt(out / name, delimiter=",", ndmin=2)
+            assert np.array_equal(loaded[:, :-1], shard.inputs)
+            assert np.array_equal(loaded[:, -1].astype(np.int64), shard.labels)
+
     def test_regeneration_byte_identical(self, cfg_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_cli("generate", "--config", str(cfg_path), "--out", str(out_a))
@@ -209,6 +220,22 @@ class TestRun:
         # the blob stores float32 tensors, so compare in serialized form
         got = (out / "model_server_seed0.bin").read_bytes()
         assert got == serialize_model(expected.params)
+
+    def test_ledger_csv_export(self, cfg_path, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("run", "--config", str(cfg_path), "--seed", "0", "--out", str(out)) == 0
+
+        config = load_config(cfg_path)
+        shards, global_test = generate_federation(config.dataset_spec())
+        expected = run_federation(config.federation_config(0), shards, config.network_spec(),
+                                  global_test)
+
+        with open(out / "ledger_seed0.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["round", "direction", "kind", "bytes", "client_id"]
+        assert rows[1:] == [[str(v) for v in dataclasses.astuple(entry)]
+                            for entry in expected.ledger.entries]
+        assert {row[2] for row in rows[1:]} == {"model", "features", "prototypes"}
 
     def test_single_mode_emits_client_models(self, cfg_path, tmp_path):
         out = tmp_path / "single"
@@ -304,6 +331,19 @@ class TestErrors:
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "nope.cfg")) == 1
+
+    @pytest.mark.parametrize("where", ["out is a file", "out under a file", "config is a dir"])
+    def test_file_system_error_prints_an_error(self, cfg_path, tmp_path, capsys, where):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        config, out = {
+            "out is a file": (cfg_path, afile),
+            "out under a file": (cfg_path, afile / "x"),
+            "config is a dir": (tmp_path, tmp_path / "run"),
+        }[where]
+        assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_bad_config_key(self, tmp_path):
         path = tmp_path / "bad.cfg"

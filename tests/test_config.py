@@ -78,6 +78,13 @@ class TestParsing:
             load_config(path, environ={})
         assert parse_config_text("optimizer = SGD\n").optimizer == "sgd"
 
+    def test_key_set_twice_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("rounds = 3\nrounds = 5\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path, environ={})
+        assert str(exc.value) == f"{path}: line 2: rounds already set at line 1"
+
     def test_empty_extractor_rejected(self):
         with pytest.raises(ConfigError, match="line 1: hidden_extractor"):
             parse_config_text("hidden_extractor =\n")
@@ -146,7 +153,7 @@ class TestRangesAtLoad:
     def test_bad_value_named_at_its_line(self, line, key, message):
         pattern = re.escape(f"exp.cfg: line 2: {key}: {message}")
         with pytest.raises(ConfigError, match=pattern):
-            parse_config_text(f"rounds = 3\n{line}\n", source="exp.cfg")
+            parse_config_text(f"mode = fedmp\n{line}\n", source="exp.cfg")
 
     def test_library_check_named_by_env_variable(self):
         with pytest.raises(ConfigError, match=re.escape(

@@ -1,4 +1,4 @@
-"""Synthetic federation generation, CSV export, and shard merging."""
+"""Synthetic federation generation and shard merging."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from fedmp.data import (
     _client_transform,
     generate_federation,
     merge_shards,
-    save_csv,
 )
 
 
@@ -114,17 +113,6 @@ class TestGenerateFederation:
         _, global_test = generate_federation(spec(num_clients=4))
         assert len(global_test) == 4 * 30
         assert global_test.client_id == -1
-
-
-class TestCsvRoundTrip:
-    def test_save_load(self, tmp_path):
-        shards, _ = generate_federation(spec(skew_strength=1.0))
-        path = tmp_path / "shard.csv"
-        save_csv(shards[0], path)
-        # 17 significant digits round-trip every float64 exactly
-        loaded = np.loadtxt(path, delimiter=",", ndmin=2)
-        assert np.array_equal(loaded[:, :-1], shards[0].inputs)
-        assert np.array_equal(loaded[:, -1].astype(np.int64), shards[0].labels)
 
 
 def test_merge_shards_concatenates():

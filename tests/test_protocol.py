@@ -584,12 +584,3 @@ class TestCommLedger:
             ledger.record(1, protocol.UP, "carrier-pigeon", 1, 0)
         with pytest.raises(ValueError):
             ledger.record(1, protocol.UP, protocol.KIND_MODEL, -1, 0)
-
-    def test_csv_export(self, tmp_path):
-        ledger = CommLedger()
-        ledger.record(1, protocol.UP, protocol.KIND_MODEL, 123, 4)
-        path = tmp_path / "ledger.csv"
-        ledger.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "round,direction,kind,bytes,client_id"
-        assert lines[1] == "1,up,model,123,4"
