@@ -53,12 +53,14 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(outdir: Path, config: ExperimentConfig, files: list[Path]) -> None:
-    manifest = {
-        "config": dataclasses.asdict(config),
-        "files": {p.name: _sha256(p) for p in sorted(files)},
-    }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+def _write_manifest(outdir: Path, config: ExperimentConfig, files: list[Path], add=False) -> None:
+    """Write ``config`` and each file's SHA-256. With ``add`` the files join those
+    of the manifest already there, which keeps its config block, the run's."""
+    path = outdir / "manifest.json"
+    manifest = (json.loads(path.read_text()) if add and path.exists()
+                else {"config": dataclasses.asdict(config), "files": {}})
+    manifest["files"].update((p.name, _sha256(p)) for p in sorted(files))
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _load_experiment(args) -> ExperimentConfig:
@@ -228,8 +230,9 @@ def cmd_attack(args) -> int:
             print(f"seed {seed} layer {rep.split_index}: "
                   f"FD {rep.frechet:.2f} maxSSIM {rep.max_ssim:.4f} "
                   f"minL2 {rep.min_l2:.4f} risk={rep.risk}")
-    _write_csv(outdir / "leakage.csv",
-               ["seed", "split_index", "frechet", "max_ssim", "min_l2", "risk"], rows)
+    path = _write_csv(outdir / "leakage.csv",
+                      ["seed", "split_index", "frechet", "max_ssim", "min_l2", "risk"], rows)
+    _write_manifest(outdir, config, [path], add=True)
     return 0
 
 
@@ -249,7 +252,7 @@ def cmd_report(args) -> int:
     for seed, acc in report["per_seed_accuracy"].items():
         print(f"  seed {seed}: accuracy {acc:.4f}")
     print(f"  mean ± std: {report['mean_accuracy']:.4f} ± {report['std_accuracy']:.4f}")
-    for seed in config.seeds:
+    for seed in report["per_seed_accuracy"]:     # the seeds the run wrote
         ledger_path = outdir / f"ledger_seed{seed}.csv"
         if ledger_path.exists():
             with open(ledger_path) as fh:

@@ -502,7 +502,7 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
         raise ValueError("client_order must be a permutation of the client ids")
     prototypes = np.zeros((config.num_classes, d))
     centers = np.zeros((config.num_clients, config.num_classes, d))
-    bank = FeatureBank(config.bank_capacity)
+    bank = FeatureBank(config.bank_capacity, len(by_id), config.num_classes, d)
     ledger = CommLedger()
 
     feature_traffic = config.enable_sfmc or config.enable_cpgma
@@ -586,7 +586,7 @@ def run_few_shot(config: FederationConfig, shards: list[ClientShard],
     d = spec.embedding_dim
     server, by_id = _start(config, shards, spec, global_test)
     ledger = CommLedger()
-    bank = FeatureBank(config.bank_capacity)
+    bank = FeatureBank(config.bank_capacity, len(by_id), config.num_classes, d)
     prototypes = None           # as the clients decoded them
     foreign: dict[int, FeatureBatch | None] = dict.fromkeys(by_id)
     model_bytes = model_blob_bytes(server)

@@ -198,56 +198,43 @@ def prototype_blob_bytes(num_classes: int, width: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True, eq=False)
-class _Rings:
-    """A client's rows in the bank: a region of ``capacity`` rows per class."""
-    embeddings: np.ndarray      # (regions * capacity, d) float32
-    rounds: np.ndarray          # (regions * capacity,) int64
-    labels: np.ndarray          # (regions,) int64, each region's class, in order of arrival
-    written: list[int]          # rows ever written to each region
-    pool: np.ndarray | None = None      # slots in class order, oldest row first, as buffer rows
-
-
 class FeatureBank:
-    """Server store of uploaded embeddings, FIFO-bounded to ``capacity_per_slot``
-    rows per (client, class) slot. A slot is a ring in its client's one buffer:
-    its ``n``-th row goes at ``n % capacity``, over the oldest once full. A row's
-    place fixes its label and client, so neither is stored. Embeddings are held
-    as float32; rows inserted as float64 are rounded as the encoder rounds them."""
+    """Server store of uploaded embeddings, shaped when made. Slot (c, k) is a
+    FIFO ring of ``capacity_per_slot`` rows, client ``c``'s from row
+    ``k * capacity``: its ``n``-th row goes at ``n % capacity``, over the
+    oldest once full, so a row's place fixes its label and client. Embeddings
+    are float32; rows inserted as float64 round as the encoder rounds them."""
 
-    def __init__(self, capacity_per_slot: int = 512):
+    def __init__(self, capacity_per_slot: int, num_clients: int, num_classes: int, width: int):
         if capacity_per_slot < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity_per_slot
-        self._clients: dict[int, _Rings] = {}
+        self._embeddings = np.empty((num_clients, num_classes * capacity_per_slot, width),
+                                    np.float32)
+        self._rounds = np.empty(self._embeddings.shape[:2], np.int64)
+        self._written = np.zeros((num_clients, num_classes), np.int64)  # rows ever written per slot
+        self._pools: dict[int, np.ndarray] = {}     # slots in class order, oldest row first
 
     def insert(self, batch: FeatureBatch) -> None:
-        cap, width = self.capacity, batch.embeddings.shape[1]
+        cap = self.capacity
+        for name, top in zip(("client_ids", "labels"), self._written.shape):
+            values = getattr(batch, name)
+            if len(values) and (values.min() < 0 or values.max() >= top):
+                raise ValueError(f"feature {name} outside the bank's 0..{top - 1}")
         for cid in np.flatnonzero(np.bincount(batch.client_ids)).tolist():
             idx = np.flatnonzero(batch.client_ids == cid)
-            labels = batch.labels[idx]
-            rings = self._clients.get(cid) or _Rings(
-                np.empty((0, width), np.float32), np.empty(0, np.int64), np.empty(0, np.int64), [])
-            added = sorted(set(np.flatnonzero(np.bincount(labels)).tolist())
-                           - set(rings.labels.tolist()))
-            if added:
-                # a class new to the client: a larger buffer, the old one at its head
-                kept, size = len(rings.rounds), cap * (len(rings.labels) + len(added))
-                grown = _Rings(np.empty((size, width), np.float32), np.empty(size, np.int64),
-                               np.append(rings.labels, added), rings.written + [0] * len(added))
-                grown.embeddings[:kept], grown.rounds[:kept] = rings.embeddings, rings.rounds
-                rings = self._clients[cid] = grown
-            for r, label in enumerate(rings.labels.tolist()):
-                rows = idx[labels == label][-cap:]     # the ring would overwrite the rest
-                at = r * cap + np.arange(rings.written[r], rings.written[r] + len(rows)) % cap
-                rings.embeddings[at], rings.rounds[at] = batch.embeddings[rows], batch.rounds[rows]
-                rings.written[r] += len(rows)
-            ends = rings.written
-            rings.pool = np.concatenate([r * cap + np.arange(max(ends[r] - cap, 0), ends[r]) % cap
-                                         for r in np.argsort(rings.labels).tolist()])
+            labels, written = batch.labels[idx], self._written[cid]
+            embeddings, rounds = self._embeddings[cid], self._rounds[cid]
+            for k in np.flatnonzero(np.bincount(labels)).tolist():
+                rows = idx[labels == k][-cap:]     # the ring would overwrite the rest
+                at = k * cap + np.arange(written[k], written[k] + len(rows)) % cap
+                embeddings[at], rounds[at] = batch.embeddings[rows], batch.rounds[rows]
+                written[k] += len(rows)
+            self._pools[cid] = np.concatenate([k * cap + np.arange(max(n - cap, 0), n) % cap
+                                               for k, n in enumerate(written.tolist())])
 
     def __len__(self) -> int:
-        return sum(len(rings.pool) for rings in self._clients.values())
+        return sum(len(pool) for pool in self._pools.values())
 
     def sample(self, requesting_client: int, per_client_count: int, seed: int) -> FeatureBatch:
         """Up to ``per_client_count`` rows from each other client, without
@@ -257,13 +244,13 @@ class FeatureBank:
             raise ValueError("sample count must be >= 0")
         rng = np.random.default_rng(seed)
         parts = []
-        for cid, rings in sorted(self._clients.items()):
+        for cid, pool in sorted(self._pools.items()):
             if cid != requesting_client:
-                size = min(per_client_count, len(rings.pool))
-                rows = rings.pool[np.sort(rng.choice(len(rings.pool), size=size, replace=False))]
-                parts.append(FeatureBatch(rings.embeddings.take(rows, axis=0),
-                                          rings.labels[rows // self.capacity],
-                                          np.full(size, cid, np.int64), rings.rounds[rows]))
+                size = min(per_client_count, len(pool))
+                rows = pool[np.sort(rng.choice(len(pool), size=size, replace=False))]
+                parts.append(FeatureBatch(self._embeddings[cid].take(rows, axis=0),
+                                          rows // self.capacity, np.full(size, cid, np.int64),
+                                          self._rounds[cid].take(rows)))
         return FeatureBatch.concat(parts)
 
 

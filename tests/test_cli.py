@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -245,7 +246,6 @@ class TestRun:
         assert (out / "model_client_1_seed0.bin").exists()
 
     def test_manifest_hashes_match_files(self, cfg_path, tmp_path):
-        import hashlib
         out = tmp_path / "run"
         run_cli("run", "--config", str(cfg_path), "--seed", "0", "--out", str(out))
         manifest = json.loads((out / "manifest.json").read_text())
@@ -303,6 +303,21 @@ class TestAttack:
             assert -1.0 <= float(row["max_ssim"]) <= 1.0
             assert float(row["min_l2"]) >= 0.0
 
+    def test_manifest_lists_the_leakage_file(self, cfg_path, tmp_path):
+        out = tmp_path / "run"
+        run_cli("run", "--config", str(cfg_path), "--seed", "5", "--out", str(out))
+        run_config = json.loads((out / "manifest.json").read_text())["config"]
+        longer = tmp_path / "longer.cfg"
+        longer.write_text(SMALL.replace("attack_epochs = 2", "attack_epochs = 3"))
+        assert run_cli("attack", "--config", str(longer), "--seed", "5", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        # the config block stays the run's; every artifact is listed, with its hash
+        assert manifest["config"] == run_config and run_config["attack_epochs"] == 2
+        assert set(manifest["files"]) == {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert "leakage.csv" in manifest["files"]
+        for name, digest in manifest["files"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
 
 class TestReport:
     def test_missing_report_fails(self, cfg_path, tmp_path):
@@ -318,6 +333,19 @@ class TestReport:
                        "--out", str(out)) == 0
         text = capsys.readouterr().out
         assert "mean" in text and "seed 1" in text
+
+    def test_traffic_of_the_seeds_the_run_wrote(self, cfg_path, tmp_path, capsys):
+        # the file lists seeds 0 and 1; the run wrote seed 5 only
+        out = tmp_path / "run"
+        run_cli("run", "--config", str(cfg_path), "--seed", "5", "--out", str(out))
+        capsys.readouterr()
+        assert run_cli("report", "--config", str(cfg_path), "--out", str(out)) == 0
+        with open(out / "ledger_seed5.csv") as fh:
+            total = sum(int(row["bytes"]) for row in csv.DictReader(fh))
+        lines = capsys.readouterr().out.splitlines()
+        assert "  seed 5: accuracy" in "\n".join(lines)
+        assert [line for line in lines if "traffic" in line] == [
+            f"  seed 5: total traffic {total} bytes"]
 
 
 class TestErrors:

@@ -815,9 +815,9 @@ class TestRunFederation:
                                mu_client=mu)
         shards = {cid: ClientShard(cid, np.zeros((14, 1)), np.zeros(14, dtype=np.int64))
                   for cid in (0, 1)}
-        bank, centers = FeatureBank(4), np.zeros((2, k, d))
+        bank, centers = FeatureBank(4, 2, k, d), np.zeros((2, k, d))
         federation._server_feature_update(bank, centers, np.zeros((k, d)), uploads, shards, cfg)
-        reference, want = FeatureBank(4), np.zeros((2, k, d))
+        reference, want = FeatureBank(4, 2, k, d), np.zeros((2, k, d))
         for cid in (0, 1):
             for batch in batches[cid]:
                 reference.insert(batch)

@@ -306,14 +306,19 @@ def make_records(client_id, n, label=0, width=4):
     )
 
 
+def new_bank(capacity=512):
+    """A bank for clients 0..3, classes 0..2 and rows 4 wide, as ``make_records`` makes."""
+    return FeatureBank(capacity, 4, 3, 4)
+
+
 class TestFeatureBank:
     def test_exclusion_rule(self):
-        bank = FeatureBank()
+        bank = new_bank()
         bank.insert(make_records(client_id=3, n=10))
         assert len(bank.sample(requesting_client=3, per_client_count=5, seed=0)) == 0
 
     def test_per_client_counting(self):
-        bank = FeatureBank()
+        bank = new_bank()
         bank.insert(make_records(client_id=1, n=10))
         bank.insert(make_records(client_id=2, n=10))
         out = bank.sample(requesting_client=0, per_client_count=3, seed=0)
@@ -322,33 +327,33 @@ class TestFeatureBank:
         assert dict(zip(cids.tolist(), counts.tolist())) == {1: 3, 2: 3}
 
     def test_sparse_bank_returns_fewer(self):
-        bank = FeatureBank()
+        bank = new_bank()
         bank.insert(make_records(client_id=1, n=2))
         out = bank.sample(requesting_client=0, per_client_count=5, seed=0)
         assert len(out) == 2
 
     def test_deterministic_in_seed(self):
-        bank = FeatureBank()
+        bank = new_bank()
         bank.insert(make_records(client_id=1, n=50))
         a = bank.sample(0, 10, seed=42)
         b = bank.sample(0, 10, seed=42)
         assert_same_batch(a, b)
 
     def test_without_replacement(self):
-        bank = FeatureBank()
+        bank = new_bank()
         bank.insert(make_records(client_id=1, n=20))
         out = bank.sample(0, 20, seed=7)
         ids = out.embeddings[:, 0]
         assert len(set(ids)) == len(ids) == 20
 
     def test_fifo_eviction(self):
-        bank = FeatureBank(capacity_per_slot=3)
+        bank = new_bank(capacity=3)
         bank.insert(make_records(client_id=1, n=5))
         out = bank.sample(0, 10, seed=0)
         assert sorted(out.embeddings[:, 0]) == [2.0, 3.0, 4.0]
 
     def test_zero_count_gives_empty_rows_of_full_width(self):
-        bank = FeatureBank()
+        bank = new_bank()
         bank.insert(FeatureBatch.concat([make_records(client_id=1, n=4, label=0),
                                          make_records(client_id=1, n=3, label=2)]))
         out = bank.sample(0, per_client_count=0, seed=0)
@@ -356,15 +361,15 @@ class TestFeatureBank:
         assert all(getattr(out, c).shape == (0,) for c in ("labels", "client_ids", "rounds"))
 
     def test_no_other_client_gives_the_empty_batch(self):
-        bank = FeatureBank()
+        bank = new_bank()
         bank.insert(make_records(client_id=3, n=4))
         out = bank.sample(requesting_client=3, per_client_count=5, seed=0)
         assert out.embeddings.shape == (0, 0)
         assert all(getattr(out, c).shape == (0,) for c in ("labels", "client_ids", "rounds"))
-        assert len(FeatureBank().sample(0, 5, seed=0)) == 0
+        assert len(new_bank().sample(0, 5, seed=0)) == 0
 
     def test_zero_count_from_several_clients(self):
-        bank = FeatureBank()
+        bank = new_bank()
         for cid in (1, 2):
             bank.insert(FeatureBatch.concat([make_records(cid, n=4, label=0),
                                              make_records(cid, n=3, label=2)]))
@@ -373,7 +378,7 @@ class TestFeatureBank:
         assert all(getattr(out, c).shape == (0,) for c in ("labels", "client_ids", "rounds"))
 
     def test_pool_is_slots_in_class_order_oldest_first(self):
-        bank = FeatureBank(capacity_per_slot=4)
+        bank = new_bank(capacity=4)
         for _ in range(3):
             bank.insert(FeatureBatch.concat([make_records(1, n=3, label=2),
                                              make_records(2, n=5, label=0),
@@ -388,21 +393,20 @@ class TestFeatureBank:
 
     def test_insert_into_a_full_bank_moves_rows_in_place(self):
         """Once every slot is full, an insert overwrites the oldest rows inside
-        the client's one buffer: the buffer keeps its memory, and the insert's
+        the bank's one array: the array keeps its memory, and the insert's
         allocations peak near the size of the rows it adds, well under half
-        the buffer. The rows are float32, as a decoded upload's."""
-        bank = FeatureBank(capacity_per_slot=256)
+        of one client's rows. The rows are float32, as a decoded upload's."""
+        bank = FeatureBank(256, 2, 3, 64)
         batch = FeatureBatch.concat([make_records(1, n=64, label=c, width=64) for c in range(3)])
         batch = dataclasses.replace(batch, embeddings=batch.embeddings.astype(np.float32))
         for _ in range(5):
             bank.insert(batch)
         newer = dataclasses.replace(batch, rounds=np.full(len(batch), 2))
-        before = bank._clients[1].embeddings
+        before = bank._embeddings
         peak = traced_peak(lambda: bank.insert(newer))
-        after = bank._clients[1].embeddings
-        assert len(bank) == len(after) == 3 * 256
-        assert after is before
-        assert peak < before.nbytes / 2
+        assert len(bank) == len(before[1]) == 3 * 256
+        assert bank._embeddings is before
+        assert peak < before[1].nbytes / 2
         # the oldest rows went, and each slot ends with the newest
         pool = full_pool(bank)
         assert pool.rounds.tolist() == ([1] * 192 + [2] * 64) * 3
@@ -410,20 +414,43 @@ class TestFeatureBank:
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
-            FeatureBank(capacity_per_slot=0)
+            FeatureBank(0, 4, 3, 4)
+
+    @pytest.mark.parametrize("client_id, label", [(-1, 0), (4, 0), (3, -1), (3, 3)])
+    def test_rows_outside_the_shape_are_rejected(self, client_id, label):
+        """A client id or label outside the bank's 4 clients and 3 classes
+        raises before any row is written, also those of a valid client that
+        comes first: a negative id would index another client's rings."""
+        bank = new_bank()
+        bank.insert(make_records(client_id=1, n=3))
+        before = full_pool(bank)
+        batch = FeatureBatch.concat([make_records(client_id=2, n=2),
+                                     make_records(client_id, n=1, label=label)])
+        with pytest.raises(ValueError, match="outside the bank's"):
+            bank.insert(batch)
+        assert len(bank) == 3
+        assert_same_batch(full_pool(bank), before)
 
     def test_full_m_bank_holds_float32(self):
         """A bank shaped as at scale M (20 clients, 3 classes, 512 rows per
-        slot, 64-d), every slot full: its embeddings are float32, so filling
-        it peaks near 7.9 MB of them plus 16 B a row (the row's round and its
-        place in the pool), well under the 15.7 MB the rows take as float64."""
+        slot, 64-d), every slot full: its embeddings are float32, so making
+        and filling it peaks near 7.9 MB of them plus 16 B a row (the row's
+        round and its place in the pool), well under the 15.7 MB the rows
+        take as float64."""
         clients, classes, capacity, width = 20, 3, 512, 64
         uploads = [FeatureBatch.concat([make_records(cid, n=capacity, label=c, width=width)
                                         for c in range(classes)]) for cid in range(clients)]
         uploads = [dataclasses.replace(b, embeddings=b.embeddings.astype(np.float32))
                    for b in uploads]
-        bank = FeatureBank(capacity)
-        peak = traced_peak(lambda: [bank.insert(batch) for batch in uploads])
+        made = []
+
+        def fill():
+            made.append(FeatureBank(capacity, clients, classes, width))
+            for batch in uploads:
+                made[0].insert(batch)
+
+        peak = traced_peak(fill)
+        bank = made[0]
         rows = clients * classes * capacity
         assert len(bank) == rows
         assert full_pool(bank).embeddings.dtype == np.float32
@@ -445,7 +472,7 @@ def full_pool(bank):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_bank_sample_properties(per_client, counts, seed):
-    bank = FeatureBank()
+    bank = FeatureBank(512, len(counts), 1, 4)
     for cid, n in enumerate(counts):
         bank.insert(make_records(client_id=cid, n=n))
     requester = 0
@@ -497,7 +524,7 @@ BANK_OPS = st.one_of(
 def test_bank_matches_list_reference(capacity, ops):
     """Random insert/sample sequences against the list model: FIFO eviction,
     exclusion of the requester, per-client counts and sorted-index order."""
-    bank, ref = FeatureBank(capacity), ListBank(capacity)
+    bank, ref = FeatureBank(capacity, 4, 3, 3), ListBank(capacity)
     next_id = 0
     for rnd, op in enumerate(ops, start=1):
         if op[0] == "insert":

@@ -48,12 +48,13 @@ trained one.
 Memory is reported under ``peak_bytes``: the ``tracemalloc`` peak of one
 call at each scale, in bytes above what was allocated before the call
 (``tracemalloc`` sees NumPy's arrays), of ``federation.evaluate_accuracy``, of
-``geometry.manifold_report`` and of ``protocol.FeatureBank.full``, which fills
-a new bank until every (client, class) slot holds ``BANK_CAPACITY`` rows: at
-M, 20 x 3 x 512 rows of 64. A bank row holds its float32 embedding (256 B at
-width 64), its int64 round and its int64 place in the client's pool, 272 B;
-its label and client id follow from where it sits. The latter is a memory
-figure only and is not timed.
+``geometry.manifold_report`` and of ``protocol.FeatureBank.full``, which makes
+a bank of the scale's shape, its arrays allocated whole, and fills it until
+every (client, class) slot holds ``BANK_CAPACITY`` rows: at M, 20 x 3 x 512
+rows of 64. A bank row holds its float32 embedding (256 B at width 64), its
+int64 round and its int64 place in the client's pool, 272 B; its label and
+client id follow from where it sits. The latter is a memory figure only and
+is not timed.
 
 ``import fedmp`` is timed apart from the scales: the median, over
 ``IMPORT_PROBES`` fresh interpreters, of the time the import statement takes
@@ -134,15 +135,16 @@ def cases(scale: str) -> dict:
         embeddings[c * per_client:(c + 1) * per_client].astype(np.float32),
         rng.integers(0, 3, size=per_client), c, 1) for c in range(clients)]
 
-    def fill(bank):
-        # every (client, class) slot full, so each further insert evicts as
-        # many rows as it adds, as in the later rounds of a run
+    def fill():
+        # a new bank with every (client, class) slot full, so each further
+        # insert evicts as many rows as it adds, as in the later rounds of a run
+        bank = FeatureBank(BANK_CAPACITY, clients, 3, spec.embedding_dim)
         for _ in range(2 * -(-3 * BANK_CAPACITY // per_client)):
             for batch in uploads:
                 bank.insert(batch)
         return bank
 
-    bank = fill(FeatureBank(BANK_CAPACITY))
+    bank = fill()
     foreign = bank.sample(0, SAMPLE_COUNT, 0)
     blobs = {"upload": serialize_features(uploads[0]), "foreign": serialize_features(foreign)}
     round_blobs = [serialize_features(batch) for batch in uploads]
@@ -176,7 +178,7 @@ def cases(scale: str) -> dict:
         "federation.cpgma_embedding_grad": lambda: cpgma_embedding_grad(u, y, units),
         "protocol.FeatureBank.insert": lambda: bank.insert(uploads[0]),
         "protocol.FeatureBank.sample": lambda: bank.sample(0, SAMPLE_COUNT, 0),
-        "protocol.FeatureBank.full": lambda: fill(FeatureBank(BANK_CAPACITY)),
+        "protocol.FeatureBank.full": fill,
         "protocol.serialize_features.upload": lambda: serialize_features(uploads[0]),
         "protocol.serialize_features.foreign": lambda: serialize_features(foreign),
         "protocol.serialize_features.round": lambda: [serialize_features(b) for b in uploads],
