@@ -212,17 +212,21 @@ def cmd_attack(args) -> int:
     config = _load_experiment(args)
     outdir = Path(config.output_dir)
     spec = config.network_spec()
-    missing = [
-        s for s in config.seeds
-        if not (outdir / f"model_server_seed{s}.bin").exists()
-    ]
+    seeds = config.seeds
+    if args.seed is None:       # the seeds the run wrote, not the file's
+        report_path = outdir / "report.json"
+        if not report_path.exists():
+            print(f"no report.json in {outdir}; run `fedmp run` first", file=sys.stderr)
+            return 1
+        seeds = [int(s) for s in json.loads(report_path.read_text())["per_seed_accuracy"]]
+    missing = [s for s in seeds if not (outdir / f"model_server_seed{s}.bin").exists()]
     if missing:
         print(f"missing run artifacts in {outdir} for seeds {missing}; "
               f"run `fedmp run` first", file=sys.stderr)
         return 1
     shards, _ = generate_federation(config.dataset_spec())
     rows = []
-    for seed in config.seeds:
+    for seed in seeds:
         params = deserialize_model((outdir / f"model_server_seed{seed}.bin").read_bytes(), spec)
         for rep in privacy.attack_report(params, spec, shards, config.attack_configs(seed)):
             rows.append([seed, rep.split_index, rep.frechet, rep.max_ssim, rep.min_l2,

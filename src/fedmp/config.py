@@ -1,8 +1,8 @@
 """Flat key = value experiment configuration with a typed schema.
 
-Unknown keys are rejected with the offending key name; every key can be
-overridden through the environment with the ``FEDMP_`` prefix (dots in key
-names are not used, so ``learning_rate`` becomes ``FEDMP_LEARNING_RATE``).
+Unknown keys, and ``FEDMP_`` variables that name no key, are rejected with
+the offending name; every key can be overridden through the environment with
+the ``FEDMP_`` prefix (``learning_rate`` becomes ``FEDMP_LEARNING_RATE``).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 from .data import DatasetSpec
-from .federation import OPTIMIZERS, FederationConfig, TrainingConfig
+from .federation import FederationConfig, TrainingConfig
 from .nn import NetworkSpec, ShapeError, mlp_spec
 from .privacy import AttackConfig
 
@@ -135,7 +135,6 @@ _PARSE_BY_TYPE = {"int": int, "float": _parse_float, "bool": _parse_bool,
                   "tuple": _parse_int_list, "str": str}
 _PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
 _PARSERS["mode"] = _choice(MODES)
-_PARSERS["optimizer"] = _choice(OPTIMIZERS)
 _PARSERS["hidden_extractor"] = lambda value: _parse_positive(value, allow_empty=False)
 _PARSERS["hidden_classifier"] = lambda value: _parse_positive(value, allow_empty=True)
 _PARSERS["stage_epochs"] = _PARSERS["hidden_extractor"]
@@ -209,11 +208,13 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 def apply_env_overrides(config: ExperimentConfig, environ=None) -> ExperimentConfig:
     environ = os.environ if environ is None else environ
     origins = dict(config.origins)
-    for key in _PARSERS:
-        env_key = ENV_PREFIX + key.upper()
-        if env_key in environ:
-            origins[key] = f"env {env_key}"
-            setattr(config, key, _value(key, environ[env_key], origins[key]))
+    env_keys = {ENV_PREFIX + key.upper(): key for key in _PARSERS}
+    for env_key in sorted(k for k in environ if k.startswith(ENV_PREFIX)):
+        if env_key not in env_keys:
+            raise ConfigError(f"env {env_key}: unknown key {env_key[len(ENV_PREFIX):].lower()!r}")
+        key = env_keys[env_key]
+        origins[key] = f"env {env_key}"
+        setattr(config, key, _value(key, environ[env_key], origins[key]))
     config.origins = origins
     return check_ranges(config)
 

@@ -33,7 +33,6 @@ from .protocol import (
 )
 
 
-OPTIMIZERS = ("adam", "sgd")
 EPS_GUARD = 1e-8             # keeps the adaptive weights and unit vectors finite
 EVAL_ROWS = 1024             # rows per forward when a whole set is scored
 
@@ -60,7 +59,6 @@ class TrainingConfig:
     enable_cpgma: bool = True
     sample_count: int = 64
     bank_capacity: int = 512
-    optimizer: str = "adam"
     track_geometry: bool = True
 
 
@@ -80,8 +78,6 @@ class FederationConfig(TrainingConfig):
                           ("learning_rate", 0), ("weight_decay", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer {self.optimizer!r} is not one of {OPTIMIZERS}")
         for name in ("num_clients", "num_classes"):     # u16 fields of feature blobs
             if getattr(self, name) > 0xFFFF:
                 raise ValueError(f"{name} must be <= 65535, got {getattr(self, name)}")
@@ -329,7 +325,6 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
         )
     opt_state = nn.AdamState(learning_rate=config.learning_rate,
                              weight_decay=config.weight_decay)
-    step = nn.adam_step if config.optimizer == "adam" else nn.sgd_step
     tally = [0.0, 0.0, 0.0, 0]
     feature_batches: list[FeatureBatch] = []
     # every batch's local backward rewrites all of it
@@ -364,7 +359,7 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                 if w_c:
                     # 0 while every prototype is cold: no backward to discard
                     total_grads.add_scaled(nn.backward(params, spec, cache_f, grad_u_align), w_c)
-                step(params, total_grads, opt_state)
+                nn.adam_step(params, total_grads, opt_state)
             except ValueError as err:
                 raise DivergenceError(f"epoch {epoch + 1}, batch "
                                       f"{start // config.batch_size + 1}: {err}") from err

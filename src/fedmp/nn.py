@@ -383,27 +383,18 @@ class AdamState:
     m: Parameters | None = None
     v: Parameters | None = None
 
-    def ensure(self, params: Parameters) -> None:
-        if self.m is None:
-            self.m = params.zeros_like()
-            self.v = params.zeros_like()
 
-
-def _checked_gradient(params: Parameters, grads: Parameters) -> np.ndarray:
-    """``grads.vec``, checked to be laid out like ``params`` and finite
-    before anything is updated."""
+def adam_step(params: Parameters, grads: Parameters, state: AdamState) -> None:
+    """One Adam update in place, once ``grads`` is checked to be laid out like
+    ``params`` and finite; weight decay enters as an additive L2 term."""
     if grads.layout is not params.layout:
         raise ShapeError("gradient must be laid out like the model")
     if not np.isfinite(grads.vec).all():
         bad = next(k for k in grads.keys() if not np.isfinite(grads[k]).all())
         raise ValueError(f"non-finite gradient at {bad}")
-    return grads.vec
-
-
-def adam_step(params: Parameters, grads: Parameters, state: AdamState) -> None:
-    """One Adam update in place; weight decay enters as an additive L2 term."""
-    g = _checked_gradient(params, grads)
-    state.ensure(params)
+    g = grads.vec
+    if state.m is None:
+        state.m, state.v = params.zeros_like(), params.zeros_like()
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
@@ -425,12 +416,3 @@ def adam_step(params: Parameters, grads: Parameters, state: AdamState) -> None:
     m_hat /= v_hat
     p -= m_hat
 
-
-def sgd_step(params: Parameters, grads: Parameters, state: AdamState) -> None:
-    """Plain SGD fallback sharing the AdamState hyperparameter container."""
-    g = _checked_gradient(params, grads)
-    state.step += 1
-    p = params.vec
-    if state.weight_decay:
-        g = g + state.weight_decay * p
-    p -= state.learning_rate * g

@@ -278,10 +278,22 @@ class TestAblate:
 
 
 class TestAttack:
-    def test_requires_run_artifacts(self, cfg_path, tmp_path):
+    def test_requires_run_artifacts(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "empty"
         out.mkdir()
         assert run_cli("attack", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert f"no report.json in {out}" in capsys.readouterr().err
+        assert run_cli("attack", "--config", str(cfg_path), "--seed", "0",
+                       "--out", str(out)) == 1
+        assert "missing run artifacts" in capsys.readouterr().err
+
+    def test_attacks_the_seeds_the_run_wrote(self, cfg_path, tmp_path):
+        # the file lists seeds 0 and 1; the run wrote seed 5 only
+        out = tmp_path / "run"
+        run_cli("run", "--config", str(cfg_path), "--seed", "5", "--out", str(out))
+        assert run_cli("attack", "--config", str(cfg_path), "--out", str(out)) == 0
+        with open(out / "leakage.csv") as fh:
+            assert [row["seed"] for row in csv.DictReader(fh)] == ["5"]
 
     def test_attack_layer_outside_network(self, tmp_path, capsys):
         # SMALL's network has 5 layers

@@ -1,7 +1,7 @@
 """The flat parameter vector against the per-tensor code it replaced.
 
 Every model is one contiguous float64 vector with a view per (layer, kind)
-tensor. The optimizers, aggregation, ``add_scaled`` and serialization run over
+tensor. The Adam step, aggregation, ``add_scaled`` and serialization run over
 the whole vector; each must give the same bits as the per-key loops copied
 below as references. Comparisons are on raw bytes, so a -0.0 that turns into
 +0.0 fails them. Every gradient is laid out like the whole model, so
@@ -65,18 +65,6 @@ def reference_adam_step(params: dict, grads: dict, state: RefAdam) -> None:
         params[key] -= hp.learning_rate * m_hat / (np.sqrt(v_hat) + hp.eps)
 
 
-def reference_sgd_step(params: dict, grads: dict, hp: nn.AdamState) -> None:
-    for key in sorted(params):
-        g = grads.get(key)
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient at {key}")
-        if hp.weight_decay:
-            g = g + hp.weight_decay * params[key]
-        params[key] -= hp.learning_rate * g
-
-
 def reference_aggregate(models: list[dict], sizes) -> dict:
     sizes = np.asarray(sizes, dtype=np.float64)
     weights = sizes / sizes.sum()
@@ -133,7 +121,7 @@ def covered_layers(spec: nn.NetworkSpec, cover: str) -> range:
 
 
 # ---------------------------------------------------------------------------
-# optimizers and aggregation
+# Adam and aggregation
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,22 +140,6 @@ def test_adam_step_matches_per_key_reference(net, steps, decay):
     assert same_tensors(params, ref)
     assert same_tensors(state.m, ref_state.m) and same_tensors(state.v, ref_state.v)
     assert state.step == ref_state.step == steps
-
-
-@settings(max_examples=60, deadline=None)
-@given(net=networks(), steps=st.integers(1, 4), decay=st.booleans())
-def test_sgd_step_matches_per_key_reference(net, steps, decay):
-    spec, seed = net
-    rng = np.random.default_rng(seed)
-    params = nn.init_params(spec, seed)
-    ref = {k: params[k].copy() for k in params.keys()}
-    state = nn.AdamState(learning_rate=1e-1, weight_decay=5e-3 if decay else 0.0)
-    for _ in range(steps):
-        tensors = random_tensors(spec, rng, range(len(spec.layers)))
-        nn.sgd_step(params, nn.Parameters(tensors), state)
-        reference_sgd_step(ref, tensors, state)
-    assert same_tensors(params, ref)
-    assert state.step == steps
 
 
 @settings(max_examples=40, deadline=None)
@@ -315,10 +287,10 @@ def assert_unchanged_after_one_step(params, state, snapshot, moments):
     assert same_bits(params.vec, snapshot)
     assert state.step == 1
     for s, before in zip((state.m, state.v), moments):
-        assert (s is None and before is None) or same_bits(s.vec, before)
+        assert same_bits(s.vec, before)
 
 
-@pytest.mark.parametrize("step", [nn.adam_step, nn.sgd_step])
+@pytest.mark.parametrize("step", [nn.adam_step])
 @pytest.mark.parametrize("cover", COVERS)
 def test_non_finite_gradient_changes_nothing(step, cover):
     """A NaN and an inf in the ``cover`` layers of a whole-model gradient."""
@@ -328,21 +300,21 @@ def test_non_finite_gradient_changes_nothing(step, cover):
     tensors[first].flat[-1] = np.nan
     tensors[later].flat[0] = np.inf
     snapshot = params.vec.copy()
-    moments = [None if s is None else s.vec.copy() for s in (state.m, state.v)]
+    moments = [state.m.vec.copy(), state.v.vec.copy()]
     with pytest.raises(ValueError, match="non-finite") as err:
         step(params, nn.Parameters(tensors), state)
     assert str(first) in str(err.value) and str(later) not in str(err.value)
     assert_unchanged_after_one_step(params, state, snapshot, moments)
 
 
-@pytest.mark.parametrize("step", [nn.adam_step, nn.sgd_step])
+@pytest.mark.parametrize("step", [nn.adam_step])
 @pytest.mark.parametrize("cover", ("classifier", "extractor"))
 def test_partial_gradient_changes_nothing(step, cover):
-    """The optimizers take only a gradient laid out like the whole model."""
+    """Adam takes only a gradient laid out like the whole model."""
     spec, params, state, rng = stepped_once(step)
     tensors = random_tensors(spec, rng, covered_layers(spec, cover))
     snapshot = params.vec.copy()
-    moments = [None if s is None else s.vec.copy() for s in (state.m, state.v)]
+    moments = [state.m.vec.copy(), state.v.vec.copy()]
     with pytest.raises(nn.ShapeError, match="laid out like the model"):
         step(params, nn.Parameters(tensors), state)
     assert_unchanged_after_one_step(params, state, snapshot, moments)
@@ -375,7 +347,7 @@ class SliceAdds:
         target += scale * other.vec[lo:hi]
 
 
-def train_client(optimizer, weight_decay, seed, batch_size, slice_adds=None):
+def train_client(weight_decay, seed, batch_size, slice_adds=None):
     """One ``local_train`` call with SFMC and CPGMA both at work; with
     ``slice_adds``, through the slice add it replaced."""
     spec = nn.mlp_spec(4, (6,), (5,), 3)
@@ -387,7 +359,7 @@ def train_client(optimizer, weight_decay, seed, batch_size, slice_adds=None):
     prototypes = rng.normal(size=(3, spec.embedding_dim))
     config = FederationConfig(rounds=1, num_clients=1, local_epochs=2, num_classes=3,
                               batch_size=batch_size, learning_rate=1e-2, seed=seed,
-                              optimizer=optimizer, weight_decay=weight_decay)
+                              weight_decay=weight_decay)
     params = nn.init_params(spec, seed)
     with pytest.MonkeyPatch.context() as patch:
         if slice_adds is not None:
@@ -399,25 +371,23 @@ def train_client(optimizer, weight_decay, seed, batch_size, slice_adds=None):
     return params
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("weight_decay", [0.0, 6e-3])
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), batch_size=st.integers(1, 4))
-def test_whole_vector_adds_give_the_bits_of_slice_adds(optimizer, weight_decay, seed,
-                                                       batch_size):
+def test_whole_vector_adds_give_the_bits_of_slice_adds(weight_decay, seed, batch_size):
     slice_adds = SliceAdds()
-    sliced = train_client(optimizer, weight_decay, seed, batch_size, slice_adds)
+    sliced = train_client(weight_decay, seed, batch_size, slice_adds)
     assert slice_adds.covers
-    whole = train_client(optimizer, weight_decay, seed, batch_size)
+    whole = train_client(weight_decay, seed, batch_size)
     assert same_bits(whole.vec, sliced.vec)
 
 
-@pytest.mark.parametrize("step", [nn.adam_step, nn.sgd_step])
+@pytest.mark.parametrize("step", [nn.adam_step])
 @pytest.mark.parametrize("weight_decay", [0.0, 6e-3])
 def test_sign_of_a_zero_gradient_changes_no_parameter_bit(step, weight_decay):
     """Where the two adds differ, the whole-vector add of a +0.0 may turn a
     -0.0 of ``total_grads`` into +0.0. No parameter is ever -0.0, and for
-    either sign of a zero gradient both optimizers give the same bits."""
+    either sign of a zero gradient Adam gives the same bits."""
     spec = nn.mlp_spec(3, (4,), (5,), 2)
     rng = np.random.default_rng(3)
     states = [nn.AdamState(learning_rate=1e-2, weight_decay=weight_decay) for _ in "ab"]

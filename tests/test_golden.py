@@ -1,5 +1,5 @@
 """Golden digests: pinned SHA-256 of the metrics JSON, the ledger entries and
-the model blobs of five small fixed runs, and of the reports of a feature-
+the model blobs of four small fixed runs, and of the reports of a feature-
 inversion attack on one of them.
 
 Criterion 8 checks determinism inside one process; these digests check it
@@ -80,16 +80,6 @@ def fedmp_run() -> dict:
     return _digests(result.metrics, result.ledger, [result.params])
 
 
-def sgd_run() -> dict:
-    # both modules on, plain SGD over the whole-model gradient
-    shards, global_test = _data(3)
-    cfg = SCALE_S.federation_config(3, mode="fedmp")
-    cfg.optimizer = "sgd"
-    cfg.track_geometry = False
-    result = run_federation(cfg, shards, SCALE_S.network_spec(), global_test)
-    return _digests(result.metrics, result.ledger, [result.params])
-
-
 def cpgma_run() -> dict:
     # CPGMA alone: no foreign sample is sent, so nothing of SFMC runs
     shards, global_test = _data(5)
@@ -133,7 +123,6 @@ RUNS = {
     "cpgma": cpgma_run,
     "fedavg": fedavg_run,
     "fedmp": fedmp_run,
-    "sgd": sgd_run,
     "fewshot": fewshot_run,
 }
 
@@ -165,11 +154,6 @@ GOLDEN = {
             "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
             "models": "0c50c5f079d04f288ef309a5e5f04901698c7b8a7bddc89e62fcb1f3c05313e5",
         },
-        "sgd": {
-            "metrics": "a52cbcf8cee9b056cdd8da43aa8292268572ea988a8343860fbaf1908bdc0027",
-            "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "538866d5ccb1c45f1e87461943c3b03bd0115afec7616f04f4c27aab8844cfd9",
-        },
     },
     "Haswell": {
         "attack": {
@@ -195,11 +179,6 @@ GOLDEN = {
             "metrics": "4ad506ed25369a574beee17c25e2c09cd93cd788580c2c8d691f385386fd2382",
             "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
             "models": "0c50c5f079d04f288ef309a5e5f04901698c7b8a7bddc89e62fcb1f3c05313e5",
-        },
-        "sgd": {
-            "metrics": "a52cbcf8cee9b056cdd8da43aa8292268572ea988a8343860fbaf1908bdc0027",
-            "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "538866d5ccb1c45f1e87461943c3b03bd0115afec7616f04f4c27aab8844cfd9",
         },
     },
     "Sandybridge": {
@@ -227,11 +206,6 @@ GOLDEN = {
             "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
             "models": "0c50c5f079d04f288ef309a5e5f04901698c7b8a7bddc89e62fcb1f3c05313e5",
         },
-        "sgd": {
-            "metrics": "2900303063e70fea20fe778abd6e8ed0661e355d4fa170ccafd6c46e325c866c",
-            "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "538866d5ccb1c45f1e87461943c3b03bd0115afec7616f04f4c27aab8844cfd9",
-        },
     },
     "Katmai": {
         "attack": {
@@ -257,11 +231,6 @@ GOLDEN = {
             "metrics": "67d5ded541633ea6cc23bf74f4b62184134e8f067e91ba60139a15924c710f49",
             "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
             "models": "0c50c5f079d04f288ef309a5e5f04901698c7b8a7bddc89e62fcb1f3c05313e5",
-        },
-        "sgd": {
-            "metrics": "1372dbfd7de0f6f9e72c5b1dbcdd9cd4d894bda9af3c4165af0e668598ea3168",
-            "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "538866d5ccb1c45f1e87461943c3b03bd0115afec7616f04f4c27aab8844cfd9",
         },
     },
 }
@@ -309,6 +278,15 @@ def test_cpgma_alone_never_fills_the_bank():
         fedmp_run()
         assert insert.call_count > 0        # the spy sees a run that samples the bank
     assert digests == expected_digests(blas_kernel())["cpgma"]
+
+
+def test_kernel_tables_pin_the_same_digests():
+    """Only the host's table is compared with a run, so a group or digest
+    left in, or missing from, another kernel's table would pass unnoticed."""
+    for kernel, table in GOLDEN.items():
+        assert set(table) == set(RUNS), kernel
+        for name, digests in table.items():
+            assert set(digests) == set(GOLDEN["SkylakeX"][name]), (kernel, name)
 
 
 def test_unknown_kernel_fails_with_the_pin_command(monkeypatch):

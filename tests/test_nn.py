@@ -1,5 +1,5 @@
 """Unit tests for the dense network substrate: forward/backward passes, the
-extractor/classifier split, the cross-entropy loss, and the optimizers.
+extractor/classifier split, the cross-entropy loss, and the Adam step.
 
 Closed-form expected values were computed by hand (or with a finite-difference
 oracle) before being asserted here.
@@ -313,26 +313,3 @@ class TestAdam:
             return params
 
         assert params_equal(train(), train())
-
-
-class TestSgd:
-    def test_single_step_matches_formula(self):
-        spec = nn.NetworkSpec(
-            layers=(nn.affine(1, 1), nn.affine(1, 1)), split_index=1, num_classes=1
-        )
-        params = params_from(spec, {})
-        grads = params.zeros_like()
-        grads[(0, "W")] = np.array([[2.0]])
-        state = nn.AdamState(learning_rate=0.5, weight_decay=0.0)
-        nn.sgd_step(params, grads, state)
-        assert params[(0, "W")][0, 0] == pytest.approx(1.0 - 0.5 * 2.0)
-
-    def test_weight_decay_enters_gradient(self):
-        spec = nn.NetworkSpec(
-            layers=(nn.affine(1, 1), nn.affine(1, 1)), split_index=1, num_classes=1
-        )
-        params = params_from(spec, {})
-        state = nn.AdamState(learning_rate=0.1, weight_decay=0.5)
-        nn.sgd_step(params, params.zeros_like(), state)
-        # g = 0 + wd * w = 0.5 -> w = 1 - 0.1*0.5
-        assert params[(0, "W")][0, 0] == pytest.approx(0.95)
