@@ -30,7 +30,15 @@ from .config import (
 )
 from .data import generate_federation, merge_shards
 from .federation import FederationConfig, run_federation, run_few_shot
-from .protocol import deserialize_model, serialize_model
+from .protocol import (
+    DOWN,
+    KIND_FEATURES,
+    KIND_MODEL,
+    KIND_PROTOTYPES,
+    UP,
+    deserialize_model,
+    serialize_model,
+)
 
 
 def _fmt(value) -> str:
@@ -259,9 +267,16 @@ def cmd_report(args) -> int:
     for seed in report["per_seed_accuracy"]:     # the seeds the run wrote
         ledger_path = outdir / f"ledger_seed{seed}.csv"
         if ledger_path.exists():
+            sent: dict[tuple, int] = {}       # bytes by (direction, kind)
             with open(ledger_path) as fh:
-                total = sum(int(row["bytes"]) for row in csv.DictReader(fh))
-            print(f"  seed {seed}: total traffic {total} bytes")
+                for row in csv.DictReader(fh):
+                    key = (row["direction"], row["kind"])
+                    sent[key] = sent.get(key, 0) + int(row["bytes"])
+            print(f"  seed {seed}: total traffic {sum(sent.values())} bytes")
+            for direction in (UP, DOWN):
+                for kind in (KIND_MODEL, KIND_FEATURES, KIND_PROTOTYPES):
+                    if (direction, kind) in sent:
+                        print(f"    {direction} {kind}: {sent[direction, kind]} bytes")
     return 0
 
 

@@ -78,7 +78,8 @@ class FederationConfig(TrainingConfig):
                           ("learning_rate", 0), ("weight_decay", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("num_clients", "num_classes"):     # u16 fields of feature blobs
+        # a label is a feature row's u16; client ids keep the same bound
+        for name in ("num_clients", "num_classes"):
             if getattr(self, name) > 0xFFFF:
                 raise ValueError(f"{name} must be <= 65535, got {getattr(self, name)}")
 
@@ -300,14 +301,15 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     """Mini-batch training of ``params`` in place for ``epochs`` epochs.
 
     With ``collect_final_epoch``, every sample's embedding in the final epoch
-    is recorded as the float32 it is uploaded as, one ``FeatureBatch`` per
-    mini-batch, so the caller can upload them. SFMC runs when it is enabled
-    and ``foreign`` has rows, CPGMA when it is enabled and ``prototypes`` are
-    given.
+    is recorded in float64, one ``FeatureBatch`` per mini-batch, so the
+    caller can upload them: the encoder rounds each value to float16 once.
+    SFMC runs when it is enabled and ``foreign`` has rows, CPGMA when it is
+    enabled and ``prototypes`` are given.
 
     SFMC is stochastic: each mini-batch trains the head on ``draw_foreign``
-    of as many foreign rows as it has local rows. The draws come from their
-    own stream, so a run without SFMC draws nothing.
+    of as many foreign rows as it has local rows. The decoded float16 sample
+    is upcast to float64 once per call, so no step pays that cast. The draws
+    come from their own stream, so a run without SFMC draws nothing.
     A non-finite loss or gradient raises ``DivergenceError`` naming the
     epoch and batch, before the step would write it into ``params``.
     Returns (feature_batches, tally): the sums over the mini-batches of the
@@ -320,6 +322,7 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     # the prototypes stay fixed while a client trains
     units = unit_prototypes(prototypes) if config.enable_cpgma and prototypes is not None else None
     if sfmc:
+        foreign = FeatureBatch(foreign.embeddings.astype(np.float64), foreign.labels)
         foreign_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=[config.seed, 4, round_tag, shard.client_id])
         )
@@ -369,8 +372,7 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
             tally[2] += l_cpgma
             tally[3] += 1
             if final_epoch and collect_final_epoch:
-                feature_batches.append(
-                    FeatureBatch.of_client(u.astype(np.float32), yb, shard.client_id, round_tag))
+                feature_batches.append(FeatureBatch(u, yb))
     return feature_batches, tally
 
 
@@ -399,17 +401,21 @@ def _train(server_params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShar
     by ``[seed, stream, t, client]``, stream 1 in rounds and 3 in few-shot
     stages. Returns (params, upload, tally): the upload is the final epoch's
     rows as one feature blob, or None when none were collected. A
-    ``DivergenceError`` names the round or stage, the client and the phase."""
+    ``DivergenceError`` names the round or stage, the client and the phase:
+    local training, or the upload, whose encoder rejects an embedding that
+    is not finite as float16."""
     params = server_params.copy()
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=[config.seed, stream, t, shard.client_id]))
+    where = f"{'round' if stream == 1 else 'few-shot stage'} {t}, client {shard.client_id}"
     try:
         batches, tally = local_train(params, spec, shard, config, epochs, rng, round_tag=t, **kw)
     except DivergenceError as err:
-        where = "round" if stream == 1 else "few-shot stage"
-        raise DivergenceError(f"{where} {t}, client {shard.client_id}, local training, "
-                              f"{err}") from err
-    upload = serialize_features(FeatureBatch.concat(batches)) if batches else None
+        raise DivergenceError(f"{where}, local training, {err}") from err
+    try:
+        upload = serialize_features(FeatureBatch.concat(batches)) if batches else None
+    except ValueError as err:
+        raise DivergenceError(f"{where}, upload: {err}") from err
     return params, upload, tally
 
 
@@ -455,17 +461,18 @@ def _traffic(ledger: CommLedger, t: int) -> dict:
 
 
 def _server_feature_update(bank: FeatureBank, centers: np.ndarray, prototypes: np.ndarray,
-                           uploads: dict, shards: dict, config: FederationConfig) -> None:
+                           uploads: dict, shards: dict, config: FederationConfig, t: int) -> None:
     """Bank insertion plus the two-level EMA of ``centers`` (N, K, d) and
     ``prototypes`` (K, d), in place, in client-id then batch order.
-    ``uploads`` maps each client to its feature blob, decoded here once. Its
-    rows enter the bank in one insert: a FIFO slot keeps the same rows whether
-    it is trimmed after each mini-batch or after all of them. The centers
-    take one EMA step per mini-batch, every ``batch_size`` rows."""
+    ``uploads`` maps each client to its round-``t`` feature blob, decoded
+    here once. Its rows enter the bank in one insert: a FIFO slot keeps the
+    same rows whether it is trimmed after each mini-batch or after all of
+    them. The centers take one EMA step per mini-batch, every ``batch_size``
+    rows."""
     for cid in sorted(uploads):
         rows = deserialize_features(uploads[cid])
         if config.enable_sfmc:          # nothing else samples the bank
-            bank.insert(rows)
+            bank.insert(rows, cid, t)
         for start in range(0, len(rows), config.batch_size):
             stop = start + config.batch_size
             embeddings, labels = rows.embeddings[start:stop], rows.labels[start:stop]
@@ -531,7 +538,7 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
                 ledger.record(t, UP, KIND_FEATURES, len(uploads[cid]), cid)
 
         if feature_traffic:
-            _server_feature_update(bank, centers, prototypes, uploads, by_id, config)
+            _server_feature_update(bank, centers, prototypes, uploads, by_id, config, t)
         server = _aggregate(trained, by_id)
         del trained, uploads, foreign       # the rest of the round reads none of them
         if t in snapshot_rounds:
@@ -604,7 +611,7 @@ def run_few_shot(config: FederationConfig, shards: list[ClientShard],
         if not final_comm:
             flat = {cid: deserialize_features(uploads[cid]) for cid in ordered}
             for cid in ordered:
-                bank.insert(flat[cid])
+                bank.insert(flat[cid], cid, stage)
                 ledger.record(stage, UP, KIND_FEATURES, len(uploads[cid]), cid)
             # prototypes computed at once: mu_client = mu_server = 1
             prototypes, prototype_bytes = _broadcast(one_shot_prototypes(

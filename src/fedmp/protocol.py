@@ -1,11 +1,12 @@
 """Wire formats, the server-side feature bank, and exact byte accounting.
 
-All blobs are little-endian, and every float in them is a 32-bit float.
-Every encoder raises ``ValueError`` for a value that is not finite as
-float32, so no blob carries NaN or an infinity.
+All blobs are little-endian. Model and prototype blobs carry 32-bit floats,
+feature blobs 16-bit ones. Every encoder raises ``ValueError`` for a value
+that is not finite in its blob's float type, so no blob carries NaN or an
+infinity.
 Embeddings and prototypes travel as blobs: a run encodes each upload, foreign
 sample and prototype broadcast, the receiver decodes it, and the ledger bills
-the blob's length. Decoded embeddings stay float32, as the bank stores them;
+the blob's length. Decoded embeddings stay float16, as the bank stores them;
 arithmetic upcasts them to float64 first. Models still move by direct copy,
 so training state stays float64; model blobs serve accounting and on-disk
 artifacts.
@@ -32,31 +33,22 @@ KIND_PROTOTYPES = "prototypes"
 
 @dataclass(frozen=True, eq=False)
 class FeatureBatch:
-    """Labeled embeddings as uploaded to the server, one row per sample.
-    Client id and round are per row because a bank sample mixes both."""
+    """Labeled embeddings, one row per sample: what a feature blob carries.
+    An upload's client and round travel with its transfer, not in its rows."""
 
-    embeddings: np.ndarray      # (n, d) float32, the wire format; math upcasts it
+    embeddings: np.ndarray      # (n, d): float16 as decoded; math upcasts it
     labels: np.ndarray          # (n,) int64
-    client_ids: np.ndarray      # (n,) int64
-    rounds: np.ndarray          # (n,) int64
-
-    @classmethod
-    def of_client(cls, embeddings: np.ndarray, labels, client_id: int, round: int) -> FeatureBatch:
-        n = len(embeddings)
-        return cls(embeddings, np.asarray(labels, dtype=np.int64),
-                   np.full(n, client_id, dtype=np.int64), np.full(n, round, dtype=np.int64))
 
     @classmethod
     def concat(cls, batches) -> FeatureBatch:
         """Rows of ``batches`` in order; no batches give an empty (0, 0) batch."""
         batches = list(batches)
         if not batches:
-            return cls(np.zeros((0, 0), np.float32), *(np.zeros(0, np.int64) for _ in range(3)))
+            return cls(np.zeros((0, 0), np.float16), np.zeros(0, np.int64))
         return cls(*(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(cls)))
 
     def take(self, rows) -> FeatureBatch:
-        return FeatureBatch(self.embeddings.take(rows, axis=0), self.labels.take(rows, axis=0),
-                            self.client_ids.take(rows, axis=0), self.rounds.take(rows, axis=0))
+        return FeatureBatch(self.embeddings.take(rows, axis=0), self.labels.take(rows))
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
@@ -67,6 +59,9 @@ class CorruptBlobError(ValueError):
 
 
 _FLOAT = np.dtype("<f4")
+_HALF = np.dtype("<f2")
+_WORD = np.dtype("<u2")         # a feature blob's row unit: a label or one half
+_EXPONENT = 0x7C00              # a half's exponent bits, all set for inf and NaN
 
 
 def _float32(values, what: str) -> np.ndarray:
@@ -78,6 +73,21 @@ def _float32(values, what: str) -> np.ndarray:
         out = np.asarray(values).astype(_FLOAT, copy=False)
     if not np.isfinite(out).all():
         raise ValueError(f"{what} hold a value that is not finite as float32")
+    return out
+
+
+def _float16(values, what: str) -> np.ndarray:
+    """``values`` rounded once to the blob's float16 (float16 input is not
+    copied), or ``ValueError`` if one is not finite as float16: from 65520
+    up in magnitude a value rounds to an infinity, which the check rejects
+    without NumPy's overflow warning. The check reads the exponent bits of
+    the ``<u2`` view: ``np.isfinite`` on float16 costs about ten times as
+    much."""
+    with np.errstate(over="ignore"):
+        out = np.asarray(values).astype(_HALF, copy=False)
+    words = out.view(_WORD)
+    if words.size and (words & 0x7FFF).max() >= _EXPONENT:
+        raise ValueError(f"{what} hold a value that is not finite as float16")
     return out
 
 
@@ -131,47 +141,40 @@ def model_blob_bytes(params: Parameters) -> int:
 
 
 # ---------------------------------------------------------------------------
-# feature batches: 8-byte header (count, embedding width; width 0 when empty),
-# then per row a header (client_id u16, label u16, round u32) and the float32
-# embedding. So a row is ``2 + width`` little-endian 4-byte words: the ids
-# word ``client_id | label << 16``, the round, then the embedding.
+# feature batches: 8-byte header (count, embedding width as u32; width 0 when
+# empty), then per row its label as u16 and its embedding as ``width``
+# float16 values. So a row is ``1 + width`` little-endian 2-byte words.
 
-_WORD = np.dtype("<u4")
-_WIRE_IDS = tuple((name, np.dtype(dtype), np.iinfo(dtype).max)
-                  for name, dtype in (("client_ids", "<u2"), ("labels", "<u2"), ("rounds", "<u4")))
+_LABEL_TOP = np.iinfo(_WORD).max
 
 
 def serialize_features(batch: FeatureBatch) -> bytes:
     n, width = batch.embeddings.shape
-    for name, dtype, top in _WIRE_IDS:
-        values = getattr(batch, name)
-        if n and (values.min() < 0 or values.max() > top):
-            raise ValueError(f"feature {name} out of range for {dtype}")
-    embeddings = _float32(batch.embeddings, "feature embeddings")
-    words = np.empty(2 + n * (2 + width), _WORD)
-    words[:2] = n, width if n else 0
-    rows = words[2:].reshape(n, 2 + width)
-    rows[:, 0] = batch.client_ids | batch.labels << 16
-    rows[:, 1] = batch.rounds
-    rows[:, 2:].view(_FLOAT)[...] = embeddings
+    labels = batch.labels
+    if n and (labels.min() < 0 or labels.max() > _LABEL_TOP):
+        raise ValueError(f"feature labels out of range for {_WORD}")
+    embeddings = _float16(batch.embeddings, "feature embeddings")
+    words = np.empty(4 + n * (1 + width), _WORD)
+    words[:4].view("<u4")[:] = n, width if n else 0
+    rows = words[4:].reshape(n, 1 + width)
+    rows[:, 0] = labels
+    rows[:, 1:] = embeddings.view(_WORD)
     return words.tobytes()
 
 
 def deserialize_features(blob: bytes) -> FeatureBatch:
-    """The batch a blob holds, its embeddings float32 as sent."""
+    """The batch a blob holds, its embeddings float16 as sent."""
     if len(blob) < 8:
         raise CorruptBlobError("feature blob shorter than header")
     count, width = struct.unpack_from("<II", blob, 0)
     if len(blob) != feature_blob_bytes(count, width):
         raise CorruptBlobError("feature blob length does not match its header")
-    rows = np.frombuffer(blob, _WORD, count=count * (2 + width), offset=8).reshape(count, 2 + width)
-    ids = rows[:, 0]
-    return FeatureBatch(rows[:, 2:].view(_FLOAT).astype(np.float32), (ids >> 16).astype(np.int64),
-                        (ids & 0xFFFF).astype(np.int64), rows[:, 1].astype(np.int64))
+    rows = np.frombuffer(blob, _WORD, count=count * (1 + width), offset=8).reshape(count, 1 + width)
+    return FeatureBatch(rows[:, 1:].view(_HALF).copy(), rows[:, 0].astype(np.int64))
 
 
 def feature_blob_bytes(num_records: int, width: int) -> int:
-    return 8 + num_records * (8 + 4 * width)
+    return 8 + num_records * (2 + 2 * width)
 
 
 # ---------------------------------------------------------------------------
@@ -203,35 +206,36 @@ class FeatureBank:
     FIFO ring of ``capacity_per_slot`` rows, client ``c``'s from row
     ``k * capacity``: its ``n``-th row goes at ``n % capacity``, over the
     oldest once full, so a row's place fixes its label and client. Embeddings
-    are float32; rows inserted as float64 round as the encoder rounds them."""
+    are float16, as the wire carries them; rows inserted as float64 round as
+    the encoder rounds them. Each row's round is kept beside it."""
 
     def __init__(self, capacity_per_slot: int, num_clients: int, num_classes: int, width: int):
         if capacity_per_slot < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity_per_slot
-        self._embeddings = np.empty((num_clients, num_classes * capacity_per_slot, width),
-                                    np.float32)
+        self._embeddings = np.empty((num_clients, num_classes * capacity_per_slot, width), _HALF)
         self._rounds = np.empty(self._embeddings.shape[:2], np.int64)
         self._written = np.zeros((num_clients, num_classes), np.int64)  # rows ever written per slot
         self._pools: dict[int, np.ndarray] = {}     # slots in class order, oldest row first
 
-    def insert(self, batch: FeatureBatch) -> None:
+    def insert(self, batch: FeatureBatch, client_id: int, round: int) -> None:
+        """Client ``client_id``'s upload of round (or stage) ``round``."""
         cap = self.capacity
-        for name, top in zip(("client_ids", "labels"), self._written.shape):
-            values = getattr(batch, name)
-            if len(values) and (values.min() < 0 or values.max() >= top):
-                raise ValueError(f"feature {name} outside the bank's 0..{top - 1}")
-        for cid in np.flatnonzero(np.bincount(batch.client_ids)).tolist():
-            idx = np.flatnonzero(batch.client_ids == cid)
-            labels, written = batch.labels[idx], self._written[cid]
-            embeddings, rounds = self._embeddings[cid], self._rounds[cid]
-            for k in np.flatnonzero(np.bincount(labels)).tolist():
-                rows = idx[labels == k][-cap:]     # the ring would overwrite the rest
-                at = k * cap + np.arange(written[k], written[k] + len(rows)) % cap
-                embeddings[at], rounds[at] = batch.embeddings[rows], batch.rounds[rows]
-                written[k] += len(rows)
-            self._pools[cid] = np.concatenate([k * cap + np.arange(max(n - cap, 0), n) % cap
-                                               for k, n in enumerate(written.tolist())])
+        clients, classes = self._written.shape
+        if not 0 <= client_id < clients:
+            raise ValueError(f"feature client id {client_id} outside the bank's 0..{clients - 1}")
+        labels = batch.labels
+        if len(labels) and (labels.min() < 0 or labels.max() >= classes):
+            raise ValueError(f"feature labels outside the bank's 0..{classes - 1}")
+        written = self._written[client_id]
+        embeddings, rounds = self._embeddings[client_id], self._rounds[client_id]
+        for k in np.flatnonzero(np.bincount(labels)).tolist():
+            rows = np.flatnonzero(labels == k)[-cap:]     # the ring would overwrite the rest
+            at = k * cap + np.arange(written[k], written[k] + len(rows)) % cap
+            embeddings[at], rounds[at] = batch.embeddings[rows], round
+            written[k] += len(rows)
+        self._pools[client_id] = np.concatenate([k * cap + np.arange(max(n - cap, 0), n) % cap
+                                                 for k, n in enumerate(written.tolist())])
 
     def __len__(self) -> int:
         return sum(len(pool) for pool in self._pools.values())
@@ -249,8 +253,7 @@ class FeatureBank:
                 size = min(per_client_count, len(pool))
                 rows = pool[np.sort(rng.choice(len(pool), size=size, replace=False))]
                 parts.append(FeatureBatch(self._embeddings[cid].take(rows, axis=0),
-                                          rows // self.capacity, np.full(size, cid, np.int64),
-                                          self._rounds[cid].take(rows)))
+                                          rows // self.capacity))
         return FeatureBatch.concat(parts)
 
 

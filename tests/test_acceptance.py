@@ -261,7 +261,7 @@ def test_criterion_7_communication_accounting():
         scalars = sum(r * c for r, c in shapes)
         exact &= len(protocol.serialize_model(params)) == model_blob_bytes(params)
         exact &= model_blob_bytes(params) == 8 + 8 * t + 4 * scalars
-        exact &= feature_blob_bytes(n, d) == 8 + n * (8 + 4 * d)
+        exact &= feature_blob_bytes(n, d) == 8 + n * (2 + 2 * d)
         exact &= prototype_blob_bytes(k, d) == 8 + 4 * k * d
 
         ledger = CommLedger()

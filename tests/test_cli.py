@@ -4,6 +4,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +91,24 @@ def test_diverging_run_names_round_client_and_phase(tmp_path, capsys, mode, wher
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}, client 0, local training, epoch ")
     assert "non-finite" in err and "Traceback" not in err
+
+
+def test_exploding_embeddings_fail_at_the_upload_with_warnings_as_errors(tmp_path):
+    """The 1e6 learning-rate probe (mode fedmp, seed 0, 5 rounds, the
+    default network and data): its losses stay finite, but round 1's
+    embeddings outgrow float16. The upload's encoder rejects them, and the
+    error names the round, the client and the phase, also when every
+    warning is an error, so no NumPy overflow warning comes first."""
+    path = tmp_path / "probe.cfg"
+    path.write_text("learning_rate = 1e6\nrounds = 5\nseeds = 0\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "fedmp.cli", "run",
+                           "--config", str(path), "--mode", "fedmp", "--out", str(tmp_path / "run")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: round 1, client 0, upload: feature embeddings hold a value "
+                           "that is not finite as float16\n")
 
 
 @pytest.fixture
@@ -358,6 +380,29 @@ class TestReport:
         assert "  seed 5: accuracy" in "\n".join(lines)
         assert [line for line in lines if "traffic" in line] == [
             f"  seed 5: total traffic {total} bytes"]
+
+    def test_traffic_by_direction_and_kind(self, cfg_path, tmp_path, capsys):
+        # fedmp sends every kind down and models and features up
+        out = tmp_path / "run"
+        run_cli("run", "--config", str(cfg_path), "--seed", "1", "--out", str(out))
+        capsys.readouterr()
+        assert run_cli("report", "--config", str(cfg_path), "--out", str(out)) == 0
+        with open(out / "ledger_seed1.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("  seed 1: total traffic "
+                            f"{sum(int(row['bytes']) for row in rows)} bytes")
+        want = []
+        for direction, kinds in (("up", ("model", "features")),
+                                 ("down", ("model", "features", "prototypes"))):
+            for kind in kinds:
+                sent = sum(int(row["bytes"]) for row in rows
+                           if (row["direction"], row["kind"]) == (direction, kind))
+                assert sent > 0
+                want.append(f"    {direction} {kind}: {sent} bytes")
+        assert lines[start + 1:] == want
+        # a row is a u16 label and 8 float16 values: uploads are 2 x 12 rows a round
+        assert want[1] == f"    up features: {2 * 2 * (8 + 12 * (2 + 2 * 8))} bytes"
 
 
 class TestErrors:

@@ -65,7 +65,7 @@ def small_federation(num_clients=3, n=12, d0=4, k=3, seed=0, skew=1.0):
 class TestFederationConfig:
     @pytest.mark.parametrize("name", ["num_clients", "num_classes"])
     def test_u16_fields_bounded(self, name):
-        # feature blobs pack client ids and labels as u16
+        # feature blobs pack labels as u16; client ids keep the same bound
         FederationConfig(**{name: 0xFFFF})
         with pytest.raises(ValueError, match=name):
             FederationConfig(**{name: 0x10000})
@@ -114,12 +114,14 @@ class TestCombineLosses:
         assert w_s * l_aux == pytest.approx(l_local, rel=1e-5)
 
 
-def float32_rows(rng, n, d, k=3, client_id=1):
-    """Labeled float32 rows, as a decoded blob holds them, and the same rows
-    upcast to float64."""
-    rows = FeatureBatch.of_client(rng.normal(size=(n, d)).astype(np.float32),
-                                  rng.integers(0, k, n), client_id, 1)
+def float32_rows(rng, n, d, k=3, dtype=np.float32):
+    """Labeled rows of ``dtype`` (float16 as a decoded blob holds them), and
+    the same rows upcast to float64."""
+    rows = FeatureBatch(rng.normal(size=(n, d)).astype(dtype), rng.integers(0, k, n))
     return rows, dataclasses.replace(rows, embeddings=rows.embeddings.astype(np.float64))
+
+
+NARROW = (np.float16, np.float32)        # the wire's floats and the model blobs'
 
 
 class TestSfmcLoss:
@@ -130,9 +132,11 @@ class TestSfmcLoss:
         # loss and gradients are those of the rows upcast first
         spec = nn.mlp_spec(16, (64,), (32, 16), 3)
         params = nn.init_params(spec, seed % 1000)
-        rows, upcast = float32_rows(np.random.default_rng(seed), n, spec.embedding_dim)
-        (l32, g32), (l64, g64) = (compute_sfmc_loss(params, spec, b) for b in (rows, upcast))
-        assert l32 == l64 and g32.vec.tobytes() == g64.vec.tobytes()
+        for dtype in NARROW:
+            rows, upcast = float32_rows(np.random.default_rng(seed), n, spec.embedding_dim,
+                                        dtype=dtype)
+            (l32, g32), (l64, g64) = (compute_sfmc_loss(params, spec, b) for b in (rows, upcast))
+            assert l32 == l64 and g32.vec.tobytes() == g64.vec.tobytes()
 
     def test_empty_sample_rejected(self):
         # local_train runs the head pass only on a drawn sample, never empty
@@ -148,7 +152,7 @@ class TestSfmcLoss:
         params = nn.init_params(spec, 0)
         params[(1, "W")][:] = 0.0
         params[(1, "b")][:] = 0.0
-        rec = FeatureBatch.of_client(np.array([[1.0, -2.0, 0.5]]), [0], 1, 1)
+        rec = FeatureBatch(np.array([[1.0, -2.0, 0.5]]), np.array([0]))
         loss, _ = compute_sfmc_loss(params, spec, rec)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -161,10 +165,10 @@ class TestSfmcLoss:
             (0, "W"): np.eye(2), (0, "b"): np.zeros(2),
             (1, "W"): np.eye(2), (1, "b"): np.zeros(2),
         })
-        recs = FeatureBatch.of_client(np.array([
+        recs = FeatureBatch(np.array([
             [1.0, 0.0],     # logits [1,0] -> ln(1+e^-1)
             [0.0, 0.0],     # logits [0,0] -> ln 2
-        ]), [0, 0], 1, 1)
+        ]), np.array([0, 0]))
         loss, _ = compute_sfmc_loss(params, spec, recs)
         expected = 0.5 * (np.log(1 + np.exp(-1.0)) + np.log(2.0))
         assert loss == pytest.approx(expected, abs=1e-9)
@@ -172,7 +176,7 @@ class TestSfmcLoss:
     def test_gradients_classifier_only(self):
         spec = small_spec()
         params = nn.init_params(spec, 1)
-        recs = FeatureBatch.of_client(np.ones((1, spec.embedding_dim)), [0], 1, 1)
+        recs = FeatureBatch(np.ones((1, spec.embedding_dim)), np.array([0]))
         _, grads = compute_sfmc_loss(params, spec, recs)
         assert grads.layout is params.layout
         assert_exactly_zero(grads, range(spec.split_index))
@@ -181,8 +185,7 @@ class TestSfmcLoss:
         # finite-difference check of the gradient-isolation invariant
         spec = small_spec()
         params = nn.init_params(spec, 2)
-        recs = FeatureBatch.of_client(
-            np.arange(spec.embedding_dim, dtype=float)[None, :], [1], 1, 1)
+        recs = FeatureBatch(np.arange(spec.embedding_dim, dtype=float)[None, :], np.array([1]))
         base, _ = compute_sfmc_loss(params, spec, recs)
         params[(0, "W")][0, 0] += 0.37
         after, _ = compute_sfmc_loss(params, spec, recs)
@@ -279,22 +282,24 @@ class TestEmaUpdates:
     @given(n=st.integers(1, 300), d=st.integers(1, 81), seed=st.integers(0, 2**31 - 1))
     def test_float32_rows_average_in_float64(self, n, d, seed):
         rng = np.random.default_rng(seed)
-        rows, upcast = float32_rows(rng, n, d)
         center = rng.normal(size=d)
-        got = update_client_center(center, rows.embeddings, 0.3)
-        assert got.dtype == np.float64
-        assert got.tobytes() == update_client_center(center, upcast.embeddings, 0.3).tobytes()
+        for dtype in NARROW:
+            rows, upcast = float32_rows(rng, n, d, dtype=dtype)
+            got = update_client_center(center, rows.embeddings, 0.3)
+            assert got.dtype == np.float64
+            assert got.tobytes() == update_client_center(center, upcast.embeddings, 0.3).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(sizes=st.lists(st.integers(1, 200), min_size=1, max_size=5),
            d=st.integers(1, 81), seed=st.integers(0, 2**31 - 1))
     def test_one_shot_prototypes_average_float32_rows_in_float64(self, sizes, d, seed):
         rng = np.random.default_rng(seed)
-        pairs = {cid: float32_rows(rng, n, d, client_id=cid) for cid, n in enumerate(sizes)}
         weights = dict(enumerate(sizes))
-        got = one_shot_prototypes({cid: p[0] for cid, p in pairs.items()}, weights, 3, d)
-        want = one_shot_prototypes({cid: p[1] for cid, p in pairs.items()}, weights, 3, d)
-        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        for dtype in NARROW:
+            pairs = {cid: float32_rows(rng, n, d, dtype=dtype) for cid, n in enumerate(sizes)}
+            got = one_shot_prototypes({cid: p[0] for cid, p in pairs.items()}, weights, 3, d)
+            want = one_shot_prototypes({cid: p[1] for cid, p in pairs.items()}, weights, 3, d)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     def test_prototype_weighted_mean(self):
         # mu=1, sizes 100/300, centers [1,0] and [0,1] -> [0.25, 0.75]
@@ -533,7 +538,7 @@ class TestClientUpdate:
         # every sample contributes exactly one final-epoch record, in one blob
         assert len(upload) == feature_blob_bytes(11, spec.embedding_dim)
         rows = deserialize_features(upload)
-        assert len(rows) == 11 and rows.embeddings.dtype == np.float32
+        assert len(rows) == 11 and rows.embeddings.dtype == np.float16
 
     def test_single_step_matches_reference(self):
         # E=1, one batch, modules off: equals one standalone Adam step
@@ -694,13 +699,12 @@ class TestStochasticSfmc:
                            labels=(np.arange(n) % 3).astype(np.int64))
 
     def foreign(self, n, d):
-        # column 0 holds the row's position in the sample, so a drawn row
-        # can be traced back to it
+        # float16, as decoded; column 0 holds the row's position in the
+        # sample, so a drawn row can be traced back to it
         rng = np.random.default_rng(1)
-        embeddings = rng.normal(size=(n, d))
+        embeddings = rng.normal(size=(n, d)).astype(np.float16)
         embeddings[:, 0] = np.arange(n)
-        return FeatureBatch(embeddings, rng.integers(0, 3, size=n),
-                            np.arange(n) % 5 + 1, np.arange(n) % 2 + 1)
+        return FeatureBatch(embeddings, rng.integers(0, 3, size=n))
 
     def sfmc_calls(self, monkeypatch, shard, foreign, **kw):
         calls = []
@@ -725,7 +729,9 @@ class TestStochasticSfmc:
             rows = batch.embeddings[:, 0].astype(np.int64)
             assert np.all(np.diff(rows) > 0)          # distinct, in sample order
             expected = foreign.take(rows)
-            for column in ("embeddings", "labels", "client_ids", "rounds"):
+            # drawn from the sample's one float64 upcast
+            assert batch.embeddings.dtype == np.float64
+            for column in ("embeddings", "labels"):
                 assert np.array_equal(getattr(batch, column), getattr(expected, column))
         # the draws are fresh: the steps do not all see the same rows
         assert len({tuple(b.embeddings[:, 0]) for b in calls}) > 1
@@ -734,7 +740,11 @@ class TestStochasticSfmc:
     def test_sample_no_larger_than_the_batch_is_passed_whole(self, monkeypatch, rows):
         foreign = self.foreign(rows, small_spec().embedding_dim)
         calls = self.sfmc_calls(monkeypatch, self.shard(8), foreign)
-        assert len(calls) == 4 and all(batch is foreign for batch in calls)
+        # every step gets the whole sample, upcast once for the call
+        assert len(calls) == 4 and all(batch is calls[0] for batch in calls)
+        assert calls[0].embeddings.dtype == np.float64
+        assert np.array_equal(calls[0].embeddings, foreign.embeddings)
+        assert calls[0].labels is foreign.labels
 
     def test_same_config_gives_identical_bytes(self):
         shards, global_test = small_federation()
@@ -793,22 +803,27 @@ class TestRunFederation:
     def test_bank_written_once_per_client_and_round(self, monkeypatch):
         inserted = []
         original = FeatureBank.insert
-        monkeypatch.setattr(FeatureBank, "insert",
-                            lambda bank, batch: inserted.append(len(batch)) or original(bank, batch))
+
+        def spy(bank, batch, client_id, round):
+            inserted.append((len(batch), client_id, round))
+            return original(bank, batch, client_id, round)
+
+        monkeypatch.setattr(FeatureBank, "insert", spy)
         shards, global_test = small_federation()
         cfg = FederationConfig(rounds=2, num_clients=3, local_epochs=1, num_classes=3,
                                batch_size=4, seed=0, track_geometry=False)
         run_federation(cfg, shards, small_spec(), global_test)
-        # three 4-row mini-batches per client, inserted together
-        assert inserted == [12] * 6
+        # three 4-row mini-batches per client, inserted together, named by
+        # the transfer's client and round
+        assert inserted == [(12, cid, t) for t in (1, 2) for cid in range(3)]
 
     def test_one_insert_keeps_the_per_batch_bank(self):
         # FIFO slots trimmed once hold the rows that per-batch trimming keeps,
-        # as the float32 the blob carried; the centers step once per batch
+        # as the float16 the blob carried; the centers step once per batch
         rng = np.random.default_rng(0)
         d, k, mu = 3, 2, 0.5
-        batches = {cid: [FeatureBatch.of_client(rng.normal(size=(n, d)).astype(np.float32),
-                                                rng.integers(0, k, n), cid, 1) for n in (5, 5, 4)]
+        batches = {cid: [FeatureBatch(rng.normal(size=(n, d)).astype(np.float16),
+                                      rng.integers(0, k, n)) for n in (5, 5, 4)]
                    for cid in (0, 1)}
         uploads = {cid: serialize_features(FeatureBatch.concat(b)) for cid, b in batches.items()}
         cfg = FederationConfig(num_clients=2, num_classes=k, bank_capacity=4, batch_size=5,
@@ -816,19 +831,19 @@ class TestRunFederation:
         shards = {cid: ClientShard(cid, np.zeros((14, 1)), np.zeros(14, dtype=np.int64))
                   for cid in (0, 1)}
         bank, centers = FeatureBank(4, 2, k, d), np.zeros((2, k, d))
-        federation._server_feature_update(bank, centers, np.zeros((k, d)), uploads, shards, cfg)
+        federation._server_feature_update(bank, centers, np.zeros((k, d)), uploads, shards, cfg, 3)
         reference, want = FeatureBank(4, 2, k, d), np.zeros((2, k, d))
         for cid in (0, 1):
             for batch in batches[cid]:
-                reference.insert(batch)
+                reference.insert(batch, cid, 3)
                 for cls in np.unique(batch.labels):
                     rows = batch.embeddings[batch.labels == cls].astype(np.float64)
                     want[cid, cls] = (1 - mu) * want[cid, cls] + mu * rows.mean(axis=0)
         # every row of each bank, in pool order
         got, slots = (b.sample(-1, len(b) + 1, seed=0) for b in (bank, reference))
-        assert got.embeddings.dtype == np.float32
+        assert got.embeddings.dtype == np.float16
         assert all(np.array_equal(getattr(got, c), getattr(slots, c))
-                   for c in ("embeddings", "labels", "client_ids", "rounds"))
+                   for c in ("embeddings", "labels"))
         assert centers.tobytes() == want.tobytes()
 
     def test_client_order_irrelevant(self):

@@ -354,8 +354,8 @@ def train_client(weight_decay, seed, batch_size, slice_adds=None):
     rng = np.random.default_rng(seed)
     shard = ClientShard(client_id=0, inputs=rng.normal(size=(10, 4)),
                         labels=(np.arange(10) % 3).astype(np.int64))
-    foreign = FeatureBatch.of_client(rng.normal(size=(9, spec.embedding_dim)),
-                                     rng.integers(0, 3, size=9), 1, 1)
+    foreign = FeatureBatch(rng.normal(size=(9, spec.embedding_dim)).astype(np.float16),
+                           rng.integers(0, 3, size=9))
     prototypes = rng.normal(size=(3, spec.embedding_dim))
     config = FederationConfig(rounds=1, num_clients=1, local_epochs=2, num_classes=3,
                               batch_size=batch_size, learning_rate=1e-2, seed=seed,

@@ -9,6 +9,7 @@ SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "microbench.py"
 
 PRIMITIVES = {
     "nn.forward.batch", "nn.backward.batch", "nn.forward.head", "nn.backward.head",
+    "federation.upcast_foreign", "federation.draw_foreign.upcast",
     "nn.backward.extractor", "nn.Parameters.add_scaled",
     "nn.softmax_cross_entropy.batch", "nn.softmax_cross_entropy.head", "nn.adam_step",
     "federation.unit_prototypes", "federation.cpgma_embedding_grad",
@@ -50,9 +51,9 @@ def test_one_repeat_prints_one_json_line():
     assert 0 < peaks["S"]["geometry.manifold_report"] < peaks["M"]["geometry.manifold_report"]
     clouds = 20 * 500 * 64 * 8
     assert clouds // 4 < peaks["M"]["geometry.manifold_report"] < clouds
-    # a full bank (20 x 3 x 512 rows of 64 at M) holds float32 embeddings and
-    # 16 B more a row: above the embeddings' 7.9 MB, within 256 KiB of the rows
+    # a full bank (20 x 3 x 512 rows of 64 at M) holds float16 embeddings and
+    # 16 B more a row: above the embeddings' 3.9 MB, within 256 KiB of the rows
     rows = 20 * 3 * 512
     full = peaks["M"]["protocol.FeatureBank.full"]
-    assert rows * 64 * 4 < full < rows * (64 * 4 + 16) + (256 << 10)
+    assert rows * 64 * 2 < full < rows * (64 * 2 + 16) + (256 << 10)
     assert 0 < peaks["S"]["protocol.FeatureBank.full"] < peaks["M"]["protocol.FeatureBank.full"]

@@ -1,7 +1,7 @@
 """The names and argument positions that ``perfbench/tracing.py`` relies on.
 
 The tracer replaces every function in its ``TARGETS`` by name and reads some
-arguments of ``local_train`` by position. A renamed function or a reordered
+arguments of ``local_train`` and ``FeatureBank.insert`` by position. A renamed function or a reordered
 parameter would otherwise fail only in a traced benchmark run.
 """
 
@@ -47,5 +47,11 @@ def test_tracer_resolves_every_target_and_counts_samples():
     assert trained.counts["samples"] == epochs * rows
     assert trained.calls == (TINY.rounds + len(TINY.stage_epochs)) * TINY.clients
     assert tracer.spans["federation.compute_sfmc_loss"].calls > 0
+    # the tracer counts ``len(args[1])``: the batch must stay insert's first
+    # argument. Every round and every stage but the last uploads each row once
+    inserted = tracer.spans["protocol.FeatureBank.insert"]
+    uploads = TINY.rounds + len(TINY.stage_epochs) - 1
+    assert inserted.counts["records"] == uploads * rows
+    assert inserted.calls == uploads * TINY.clients
     # the round's geometry phase is the span the tracer names; few-shot has none
     assert tracer.spans["geometry.manifold_report"].calls == TINY.rounds

@@ -98,20 +98,18 @@ class TestModelBlob:
             serialize_model(params)
 
 
-def random_batch(n=5, width=4, seed=0, clients=10):
-    """Mixed-client batch whose embeddings are exact in float32."""
+def random_batch(n=5, width=4, seed=0):
+    """A batch whose embeddings are exact in float16."""
     rng = np.random.default_rng(seed)
     return FeatureBatch(
-        embeddings=rng.normal(size=(n, width)).astype(np.float32).astype(np.float64),
+        embeddings=rng.normal(size=(n, width)).astype(np.float16).astype(np.float64),
         labels=rng.integers(0, 3, size=n),
-        client_ids=rng.integers(0, clients, size=n),
-        rounds=rng.integers(1, 100, size=n),
     )
 
 
 def assert_same_batch(a, b):
     assert len(a) == len(b)
-    for name in ("embeddings", "labels", "client_ids", "rounds"):
+    for name in ("embeddings", "labels"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -120,24 +118,33 @@ class TestFeatureBlob:
         batch = random_batch()
         out = deserialize_features(serialize_features(batch))
         assert_same_batch(out, batch)
-        assert out.embeddings.dtype == np.float32
-        assert all(getattr(out, c).dtype == np.int64 for c in ("labels", "client_ids", "rounds"))
+        assert out.embeddings.dtype == np.float16 and out.labels.dtype == np.int64
 
     def test_embeddings_are_rounded_as_astype_rounds(self):
         batch = random_batch(n=6, width=5)
         batch = dataclasses.replace(batch, embeddings=np.random.default_rng(3).normal(size=(6, 5)))
         out = deserialize_features(serialize_features(batch))
-        assert out.embeddings.tobytes() == batch.embeddings.astype(np.float32).tobytes()
+        assert out.embeddings.tobytes() == batch.embeddings.astype(np.float16).tobytes()
+
+    def test_float64_rounds_to_float16_once(self):
+        # 1 + 2**-11 + 2**-30 lies just above the midpoint of two halves; a
+        # float32 step first would drop 2**-30 and round to even, down to 1
+        value = 1 + 2**-11 + 2**-30
+        blob = serialize_features(FeatureBatch(np.array([[value]]), np.array([0])))
+        assert deserialize_features(blob).embeddings[0, 0] == 1 + 2**-10
 
     def test_length_formula(self):
         batch = random_batch(n=7, width=9)
         assert len(serialize_features(batch)) == feature_blob_bytes(7, 9)
-        assert feature_blob_bytes(7, 9) == 8 + 7 * (8 + 4 * 9)
+        assert feature_blob_bytes(7, 9) == 8 + 7 * (2 + 2 * 9)
+        assert feature_blob_bytes(1, 64) - feature_blob_bytes(0, 64) == 130
 
     def test_empty_batch(self):
         blob = serialize_features(FeatureBatch.concat([]))
         assert blob == bytes(8)     # count 0, width 0
         assert len(deserialize_features(blob)) == 0
+        # rows of any width, none of them: the same blob
+        assert serialize_features(random_batch(n=0, width=4)) == blob
 
     def test_mixed_widths_rejected(self):
         with pytest.raises(ValueError):
@@ -151,31 +158,53 @@ class TestFeatureBlob:
             deserialize_features(blob + b"\0")
 
     def test_u16_fields_out_of_range_rejected(self):
+        # the label is a row's only u16 field
         batch = random_batch(n=2)
-        for name in ("client_ids", "labels"):
-            values = getattr(batch, name).copy()
-            values[1] = 0x10000
-            bad = FeatureBatch(**{**batch.__dict__, name: values})
-            with pytest.raises(ValueError, match=name.rstrip("s")):
-                serialize_features(bad)
+        for value in (0x10000, -1):
+            labels = batch.labels.copy()
+            labels[1] = value
+            with pytest.raises(ValueError, match="^feature labels out of range for uint16$"):
+                serialize_features(dataclasses.replace(batch, labels=labels))
+
+    def test_labels_span_u16(self):
+        batch = FeatureBatch(np.zeros((3, 2)), np.array([0, 1, 0xFFFF]))
+        assert deserialize_features(serialize_features(batch)).labels.tolist() == [0, 1, 0xFFFF]
 
     def test_bytes_match_per_record_layout(self):
         # the wire layout written field by field, as a per-record serializer would
         batch = random_batch(n=3, width=2)
         expected = struct.pack("<II", 3, 2) + b"".join(
-            struct.pack("<HHI", int(c), int(y), int(r)) + e.astype("<f4").tobytes()
-            for e, y, c, r in zip(batch.embeddings, batch.labels, batch.client_ids, batch.rounds)
+            struct.pack("<H", int(y)) + e.astype("<f2").tobytes()
+            for e, y in zip(batch.embeddings, batch.labels)
         )
         assert serialize_features(batch) == expected
 
     @pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf])
     def test_value_not_finite_as_float32_rejected(self, value):
-        # 1e39 is finite as float64 but beyond float32's range
+        # what is not finite as float32 is not finite as float16 either
         batch = random_batch(n=3, width=4)
         embeddings = batch.embeddings.astype(np.float64)
         embeddings[1, 2] = value
-        with pytest.raises(ValueError, match="not finite as float32"):
+        with pytest.raises(ValueError, match="not finite as float16"):
             serialize_features(dataclasses.replace(batch, embeddings=embeddings))
+
+    @pytest.mark.parametrize("value", [65520.0, -65520.0, 1e5, -np.inf])
+    def test_value_not_finite_as_float16_rejected(self, value):
+        # from 65520 up in magnitude a value rounds to an infinity
+        batch = random_batch(n=3, width=4)
+        batch.embeddings[2, 3] = value
+        with pytest.raises(ValueError, match="^feature embeddings hold a value that is not "
+                                             "finite as float16$"):
+            serialize_features(batch)
+
+    def test_float16_edges_kept(self):
+        """The largest half, a value that rounds to it, -0.0 and the
+        subnormals round-trip as float16 rounds them."""
+        tiny = 2.0**-24                 # the smallest subnormal half
+        values = np.array([[65504.0, 65519.9, -65519.9, -0.0, tiny, -tiny, 1023 * tiny]])
+        out = deserialize_features(serialize_features(FeatureBatch(values, np.array([2]))))
+        want = [65504.0, 65504.0, -65504.0, -0.0, tiny, -tiny, 1023 * tiny]
+        assert out.embeddings.astype(np.float64).tobytes() == np.array([want]).tobytes()
 
 
 class TestPrototypeBlob:
@@ -204,15 +233,14 @@ class TestPrototypeBlob:
 @given(
     n=st.integers(0, 20),
     width=st.integers(1, 16),
-    clients=st.integers(1, 8),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_feature_round_trip_property(n, width, clients, seed):
-    batch = random_batch(n, width, seed, clients)
+def test_feature_round_trip_property(n, width, seed):
+    batch = random_batch(n, width, seed)
     blob = serialize_features(batch)
     assert len(blob) == feature_blob_bytes(n, width)
     out = deserialize_features(blob)
-    assert out.embeddings.dtype == np.float32
+    assert out.embeddings.dtype == np.float16
     if n:
         assert_same_batch(out, batch)
     else:
@@ -221,89 +249,98 @@ def test_feature_round_trip_property(n, width, clients, seed):
 
 def structured_serialize(batch):
     """The feature encoder written with a structured dtype, one field per
-    wire column: the reference for the word-view encoder's bytes and errors."""
+    wire column: the reference for the encoder's bytes and errors."""
     n, width = batch.embeddings.shape
-    rows = np.empty(n, np.dtype([("client_ids", "<u2"), ("labels", "<u2"), ("rounds", "<u4"),
-                                 ("embeddings", "<f4", (width,))]))
-    for name, dtype in (("client_ids", "<u2"), ("labels", "<u2"), ("rounds", "<u4")):
-        values = getattr(batch, name)
-        if n and (values.min() < 0 or values.max() > np.iinfo(dtype).max):
-            raise ValueError(f"feature {name} out of range for {np.dtype(dtype)}")
-        rows[name] = values
-    with np.errstate(over="ignore"):       # a value beyond float32's range is inf
+    rows = np.empty(n, np.dtype([("labels", "<u2"), ("embeddings", "<f2", (width,))]))
+    if n and (batch.labels.min() < 0 or batch.labels.max() > 0xFFFF):
+        raise ValueError("feature labels out of range for uint16")
+    rows["labels"] = batch.labels
+    with np.errstate(over="ignore"):       # a value beyond float16's range is inf
         rows["embeddings"] = batch.embeddings
     if not np.isfinite(rows["embeddings"]).all():
-        raise ValueError("feature embeddings hold a value that is not finite as float32")
+        raise ValueError("feature embeddings hold a value that is not finite as float16")
     return struct.pack("<II", n, width if n else 0) + rows.tobytes()
 
 
-ID_TOPS = {"client_ids": 0xFFFF, "labels": 0xFFFF, "rounds": 0xFFFFFFFF}
+# finite as float16 (the largest half, one that rounds to it, -0.0,
+# subnormals), and not (from 65520 up, NaN, the infinities)
+EDGES = [65504.0, 65519.9, -65519.9, -0.0, 2.0**-24, -2.0**-25 * 3, 6e-5]
+NOT_FINITE = [65520.0, -65520.0, np.nan, np.inf, -np.inf]
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(0, 2000),
     width=st.integers(1, 81),
     seed=st.integers(0, 2**31 - 1),
-    scale=st.sampled_from([1.0, 1e-40, 1e39, 1e300]),
-    special=st.booleans(),
-    bad=st.one_of(st.none(), st.tuples(st.sampled_from(sorted(ID_TOPS)), st.booleans())),
+    scale=st.sampled_from([1.0, 1e-6, 1e4, 1e39, 1e300]),
+    special=st.sampled_from([None, "edges", "not finite"]),
+    bad=st.sampled_from([None, -1, 0x10000]),
 )
 def test_word_view_encoder_matches_structured_encoder(n, width, seed, scale, special, bad):
-    """Byte for byte, and the same error for an id out of its wire range or
-    an embedding that is not finite as float32. Ids span their whole range;
-    embeddings are float64 at scales that round to float32 subnormals,
-    overflow to inf, or carry NaN and infinities."""
+    """Byte for byte, and the same error for a label outside u16 or an
+    embedding that is not finite as float16. Labels span their whole range;
+    embeddings are float64 at scales that round to float16 subnormals,
+    overflow to inf, or carry the edge values above."""
     rng = np.random.default_rng(seed)
     embeddings = rng.normal(size=(n, width)) * scale
     if special and n:
-        embeddings.flat[rng.integers(embeddings.size, size=3)] = [np.nan, np.inf, -np.inf]
-    ids = {name: rng.integers(0, top, size=n, endpoint=True) for name, top in ID_TOPS.items()}
+        values = EDGES if special == "edges" else NOT_FINITE
+        embeddings.flat[rng.integers(embeddings.size, size=len(values))] = values
+    labels = rng.integers(0, 0xFFFF, size=n, endpoint=True)
     if bad is not None and n:
-        name, below = bad
-        ids[name][rng.integers(n)] = -1 if below else ID_TOPS[name] + 1
-    batch = FeatureBatch(embeddings, ids["labels"], ids["client_ids"], ids["rounds"])
+        labels[rng.integers(n)] = bad
+    batch = FeatureBatch(embeddings, labels)
     with np.errstate(over="ignore"):
-        as_f32 = embeddings.astype(np.float32)
+        as_f16 = embeddings.astype(np.float16)
     try:
         want = structured_serialize(batch)
     except ValueError as err:
         with pytest.raises(ValueError, match=f"^{err}$"):
             serialize_features(batch)
-        assert bad is not None or not np.isfinite(as_f32).all()
+        assert bad is not None or not np.isfinite(as_f16).all()
         return
     assert serialize_features(batch) == want
     out = deserialize_features(want)
-    assert out.embeddings.tobytes() == as_f32.tobytes()
-    assert all(np.array_equal(getattr(out, name), ids[name]) for name in ID_TOPS)
+    assert out.embeddings.tobytes() == as_f16.tobytes()
+    assert np.array_equal(out.labels, labels)
 
 
 def test_encoders_raise_before_numpy_warns():
     """With warnings as errors, each encoder still raises its own
-    ``ValueError`` for a value beyond float32's range, and not NumPy's
-    overflow warning from the cast."""
+    ``ValueError`` for a value beyond its blob's float range, and not
+    NumPy's overflow warning from the cast."""
     params, _ = random_params()
     params.vec[7] = 1e39
     batch = random_batch(n=3, width=4)          # float64 embeddings
-    batch.embeddings[1, 2] = 1e39
+    batch.embeddings[1, 2] = 65520.0            # finite as float32, not as float16
     protos = np.ones((3, 4))
     protos[2, 1] = 1e39
-    cases = [(serialize_model, params, "model parameters"),
-             (serialize_features, batch, "feature embeddings"),
-             (serialize_prototypes, protos, "prototypes")]
+    cases = [(serialize_model, params, "model parameters", "float32"),
+             (serialize_features, batch, "feature embeddings", "float16"),
+             (serialize_prototypes, protos, "prototypes", "float32")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for encode, value, what in cases:
-            with pytest.raises(ValueError, match=f"^{what} hold a value that is not finite as float32$"):
+        for encode, value, what, kind in cases:
+            with pytest.raises(ValueError, match=f"^{what} hold a value that is not finite as {kind}$"):
                 encode(value)
 
 
 def make_records(client_id, n, label=0, width=4):
-    """Rows 0..n-1 of one client and class; row i's embedding is all i."""
-    return FeatureBatch.of_client(
-        np.repeat(np.arange(n, dtype=float)[:, None], width, axis=1),
-        np.full(n, label), client_id, 1,
-    )
+    """Rows 0..n-1 of one client and class, float16 as decoded: row i's
+    embedding is i in column 0 and the client's id, its marker, in the rest."""
+    embeddings = np.full((n, width), client_id, np.float16)
+    embeddings[:, 0] = np.arange(n)
+    return FeatureBatch(embeddings, np.full(n, label))
+
+
+def put(bank, client_id, n, label=0, width=4, round=1):
+    bank.insert(make_records(client_id, n, label, width), client_id, round)
+
+
+def markers(batch):
+    """The client each row came from, as ``make_records`` marks it."""
+    return batch.embeddings[:, -1].astype(np.int64)
 
 
 def new_bank(capacity=512):
@@ -314,103 +351,100 @@ def new_bank(capacity=512):
 class TestFeatureBank:
     def test_exclusion_rule(self):
         bank = new_bank()
-        bank.insert(make_records(client_id=3, n=10))
+        put(bank, client_id=3, n=10)
         assert len(bank.sample(requesting_client=3, per_client_count=5, seed=0)) == 0
 
     def test_per_client_counting(self):
         bank = new_bank()
-        bank.insert(make_records(client_id=1, n=10))
-        bank.insert(make_records(client_id=2, n=10))
+        put(bank, client_id=1, n=10)
+        put(bank, client_id=2, n=10)
         out = bank.sample(requesting_client=0, per_client_count=3, seed=0)
         assert len(out) == 6
-        cids, counts = np.unique(out.client_ids, return_counts=True)
+        cids, counts = np.unique(markers(out), return_counts=True)
         assert dict(zip(cids.tolist(), counts.tolist())) == {1: 3, 2: 3}
 
     def test_sparse_bank_returns_fewer(self):
         bank = new_bank()
-        bank.insert(make_records(client_id=1, n=2))
+        put(bank, client_id=1, n=2)
         out = bank.sample(requesting_client=0, per_client_count=5, seed=0)
         assert len(out) == 2
 
     def test_deterministic_in_seed(self):
         bank = new_bank()
-        bank.insert(make_records(client_id=1, n=50))
+        put(bank, client_id=1, n=50)
         a = bank.sample(0, 10, seed=42)
         b = bank.sample(0, 10, seed=42)
         assert_same_batch(a, b)
 
     def test_without_replacement(self):
         bank = new_bank()
-        bank.insert(make_records(client_id=1, n=20))
+        put(bank, client_id=1, n=20)
         out = bank.sample(0, 20, seed=7)
         ids = out.embeddings[:, 0]
         assert len(set(ids)) == len(ids) == 20
 
     def test_fifo_eviction(self):
         bank = new_bank(capacity=3)
-        bank.insert(make_records(client_id=1, n=5))
+        put(bank, client_id=1, n=5)
         out = bank.sample(0, 10, seed=0)
         assert sorted(out.embeddings[:, 0]) == [2.0, 3.0, 4.0]
 
     def test_zero_count_gives_empty_rows_of_full_width(self):
         bank = new_bank()
         bank.insert(FeatureBatch.concat([make_records(client_id=1, n=4, label=0),
-                                         make_records(client_id=1, n=3, label=2)]))
+                                         make_records(client_id=1, n=3, label=2)]), 1, 1)
         out = bank.sample(0, per_client_count=0, seed=0)
         assert out.embeddings.shape == (0, 4)
-        assert all(getattr(out, c).shape == (0,) for c in ("labels", "client_ids", "rounds"))
+        assert out.labels.shape == (0,)
 
     def test_no_other_client_gives_the_empty_batch(self):
         bank = new_bank()
-        bank.insert(make_records(client_id=3, n=4))
+        put(bank, client_id=3, n=4)
         out = bank.sample(requesting_client=3, per_client_count=5, seed=0)
         assert out.embeddings.shape == (0, 0)
-        assert all(getattr(out, c).shape == (0,) for c in ("labels", "client_ids", "rounds"))
+        assert out.labels.shape == (0,)
         assert len(new_bank().sample(0, 5, seed=0)) == 0
 
     def test_zero_count_from_several_clients(self):
         bank = new_bank()
         for cid in (1, 2):
             bank.insert(FeatureBatch.concat([make_records(cid, n=4, label=0),
-                                             make_records(cid, n=3, label=2)]))
+                                             make_records(cid, n=3, label=2)]), cid, 1)
         out = bank.sample(0, per_client_count=0, seed=0)
         assert out.embeddings.shape == (0, 4)
-        assert all(getattr(out, c).shape == (0,) for c in ("labels", "client_ids", "rounds"))
+        assert out.labels.shape == (0,)
 
     def test_pool_is_slots_in_class_order_oldest_first(self):
         bank = new_bank(capacity=4)
         for _ in range(3):
             bank.insert(FeatureBatch.concat([make_records(1, n=3, label=2),
-                                             make_records(2, n=5, label=0),
-                                             make_records(1, n=2, label=0)]))
+                                             make_records(1, n=2, label=0)]), 1, 1)
+            put(bank, 2, n=5)
         # slot by slot in class order, oldest row first, trimmed to capacity
         pool = full_pool(bank)
-        mine = pool.client_ids == 1
+        mine = markers(pool) == 1
         assert pool.labels[mine].tolist() == [0] * 4 + [2] * 4
         assert pool.embeddings[mine, 0].tolist() == [0, 1, 0, 1, 2, 0, 1, 2]
-        assert pool.client_ids.tolist() == [1] * 8 + [2] * 4
+        assert markers(pool).tolist() == [1] * 8 + [2] * 4
         assert len(bank) == 12
 
     def test_insert_into_a_full_bank_moves_rows_in_place(self):
         """Once every slot is full, an insert overwrites the oldest rows inside
         the bank's one array: the array keeps its memory, and the insert's
         allocations peak near the size of the rows it adds, well under half
-        of one client's rows. The rows are float32, as a decoded upload's."""
+        of one client's rows. The rows are float16, as a decoded upload's."""
         bank = FeatureBank(256, 2, 3, 64)
         batch = FeatureBatch.concat([make_records(1, n=64, label=c, width=64) for c in range(3)])
-        batch = dataclasses.replace(batch, embeddings=batch.embeddings.astype(np.float32))
         for _ in range(5):
-            bank.insert(batch)
-        newer = dataclasses.replace(batch, rounds=np.full(len(batch), 2))
+            bank.insert(batch, 1, 1)
         before = bank._embeddings
-        peak = traced_peak(lambda: bank.insert(newer))
+        peak = traced_peak(lambda: bank.insert(batch, 1, 2))
         assert len(bank) == len(before[1]) == 3 * 256
         assert bank._embeddings is before
         assert peak < before[1].nbytes / 2
         # the oldest rows went, and each slot ends with the newest
-        pool = full_pool(bank)
-        assert pool.rounds.tolist() == ([1] * 192 + [2] * 64) * 3
-        assert pool.embeddings[:, 0].tolist() == list(range(64)) * 12
+        assert pool_rounds(bank, 1).tolist() == ([1] * 192 + [2] * 64) * 3
+        assert full_pool(bank).embeddings[:, 0].tolist() == list(range(64)) * 12
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -419,43 +453,42 @@ class TestFeatureBank:
     @pytest.mark.parametrize("client_id, label", [(-1, 0), (4, 0), (3, -1), (3, 3)])
     def test_rows_outside_the_shape_are_rejected(self, client_id, label):
         """A client id or label outside the bank's 4 clients and 3 classes
-        raises before any row is written, also those of a valid client that
+        raises before any row is written, also those of a valid label that
         comes first: a negative id would index another client's rings."""
         bank = new_bank()
-        bank.insert(make_records(client_id=1, n=3))
+        put(bank, client_id=1, n=3)
         before = full_pool(bank)
-        batch = FeatureBatch.concat([make_records(client_id=2, n=2),
+        batch = FeatureBatch.concat([make_records(client_id, n=2),
                                      make_records(client_id, n=1, label=label)])
         with pytest.raises(ValueError, match="outside the bank's"):
-            bank.insert(batch)
+            bank.insert(batch, client_id, 2)
         assert len(bank) == 3
         assert_same_batch(full_pool(bank), before)
+        assert pool_rounds(bank, 1).tolist() == [1] * 3
 
-    def test_full_m_bank_holds_float32(self):
+    def test_full_m_bank_holds_float16(self):
         """A bank shaped as at scale M (20 clients, 3 classes, 512 rows per
-        slot, 64-d), every slot full: its embeddings are float32, so making
-        and filling it peaks near 7.9 MB of them plus 16 B a row (the row's
-        round and its place in the pool), well under the 15.7 MB the rows
-        take as float64."""
+        slot, 64-d), every slot full: its embeddings are float16, so making
+        and filling it peaks near 3.9 MB of them plus 16 B a row (the row's
+        round and its place in the pool), well under the 7.9 MB the rows
+        take as float32."""
         clients, classes, capacity, width = 20, 3, 512, 64
         uploads = [FeatureBatch.concat([make_records(cid, n=capacity, label=c, width=width)
                                         for c in range(classes)]) for cid in range(clients)]
-        uploads = [dataclasses.replace(b, embeddings=b.embeddings.astype(np.float32))
-                   for b in uploads]
         made = []
 
         def fill():
             made.append(FeatureBank(capacity, clients, classes, width))
-            for batch in uploads:
-                made[0].insert(batch)
+            for cid, batch in enumerate(uploads):
+                made[0].insert(batch, cid, 1)
 
         peak = traced_peak(fill)
         bank = made[0]
         rows = clients * classes * capacity
         assert len(bank) == rows
-        assert full_pool(bank).embeddings.dtype == np.float32
-        float32, per_row = rows * width * 4, rows * 16
-        assert float32 < peak < float32 + per_row + (512 << 10) < rows * width * 8
+        assert full_pool(bank).embeddings.dtype == np.float16
+        float16, per_row = rows * width * 2, rows * 16
+        assert float16 < peak < float16 + per_row + (512 << 10) < rows * width * 4
 
 
 def full_pool(bank):
@@ -463,6 +496,11 @@ def full_pool(bank):
     slots in class order, oldest row first. It is a draw of more rows than
     the bank holds, for a requester that has none."""
     return bank.sample(-1, len(bank) + 1, seed=0)
+
+
+def pool_rounds(bank, client_id):
+    """The round of each row of the client's pool, in pool order."""
+    return bank._rounds[client_id][bank._pools[client_id]]
 
 
 @settings(max_examples=30, deadline=None)
@@ -474,10 +512,10 @@ def full_pool(bank):
 def test_bank_sample_properties(per_client, counts, seed):
     bank = FeatureBank(512, len(counts), 1, 4)
     for cid, n in enumerate(counts):
-        bank.insert(make_records(client_id=cid, n=n))
+        put(bank, client_id=cid, n=n)
     requester = 0
     out = bank.sample(requester, per_client, seed)
-    assert not np.any(out.client_ids == requester)
+    assert not np.any(markers(out) == requester)
     expected = sum(min(per_client, n) for cid, n in enumerate(counts) if cid != requester)
     assert len(out) == expected
 
@@ -507,13 +545,14 @@ class ListBank:
 
 
 def as_rows(batch):
-    return list(zip([int(e[0]) for e in batch.embeddings], batch.labels.tolist(),
-                    batch.client_ids.tolist(), batch.rounds.tolist()))
+    """(row id, label, client, round) of each row; the embedding carries the
+    row id, round and client in its columns."""
+    return [(int(row_id), label, int(cid), int(rnd))
+            for (row_id, rnd, cid), label in zip(batch.embeddings, batch.labels.tolist())]
 
 
 BANK_OPS = st.one_of(
-    st.tuples(st.just("insert"), st.lists(
-        st.tuples(st.integers(0, 2), st.integers(0, 3)), max_size=12)),
+    st.tuples(st.just("insert"), st.integers(0, 3), st.lists(st.integers(0, 2), max_size=12)),
     st.tuples(st.just("sample"), st.integers(0, 4), st.integers(0, 6),
               st.integers(0, 2**31 - 1)),
 )
@@ -523,27 +562,29 @@ BANK_OPS = st.one_of(
 @given(capacity=st.integers(1, 6), ops=st.lists(BANK_OPS, max_size=12))
 def test_bank_matches_list_reference(capacity, ops):
     """Random insert/sample sequences against the list model: FIFO eviction,
-    exclusion of the requester, per-client counts and sorted-index order."""
+    exclusion of the requester, per-client counts and sorted-index order.
+    Each row's embedding marks its row id, round and client, so a drawn row
+    names where it came from; each kept row's round is the insert's."""
     bank, ref = FeatureBank(capacity, 4, 3, 3), ListBank(capacity)
     next_id = 0
     for rnd, op in enumerate(ops, start=1):
         if op[0] == "insert":
-            # mixed clients and classes; row ids make every embedding unique
-            rows = [(next_id + i, label, cid, rnd) for i, (label, cid) in enumerate(op[1])]
+            _, cid, labels = op
+            rows = [(next_id + i, label, cid, rnd) for i, label in enumerate(labels)]
             next_id += len(rows)
-            ids = np.array([r[0] for r in rows], dtype=float).reshape(-1, 1)
-            bank.insert(FeatureBatch(
-                np.repeat(ids, 3, axis=1),
-                *(np.array([r[k] for r in rows], dtype=np.int64) for k in (1, 2, 3)),
-            ))
+            embeddings = np.array([(r[0], rnd, cid) for r in rows], np.float16).reshape(-1, 3)
+            bank.insert(FeatureBatch(embeddings, np.array(labels, dtype=np.int64)), cid, rnd)
             ref.insert(rows)
         else:
             _, requester, count, seed = op
             out = bank.sample(requester, count, seed)
             assert as_rows(out) == ref.sample(requester, count, seed)
-            assert out.embeddings.dtype == np.float32
+            assert out.embeddings.dtype == np.float16
         assert len(bank) == sum(len(slot) for slot in ref.slots.values())
         assert as_rows(full_pool(bank)) == ref.sample(-1, len(bank) + 1, 0)
+        for cid in bank._pools:
+            assert pool_rounds(bank, cid).tolist() == [
+                row[3] for key in sorted(ref.slots) if key[0] == cid for row in ref.slots[key]]
 
 
 class TestCommLedger:

@@ -22,6 +22,15 @@ then takes through the extractor's cache.
 A local step's SFMC pass is ``federation.draw_foreign`` (64 of the sample's
 rows: ``choice``, ``sort``, ``take``) followed by the ``.head`` cases, the
 64-32-16-3 head's forward, cross-entropy and backward on the 64 drawn rows.
+The sample arrives as float16; ``local_train`` upcasts it to float64 once
+per call, ``federation.upcast_foreign``, so each draw is float64 already.
+``federation.draw_foreign.upcast`` is the other way: a draw from the
+float16 sample, upcast after it. NumPy's float16 cast costs per value, and
+more where zeros and nonzeros mix, as in ReLU outputs. A call upcasts
+fewer values once than draw by draw (at M, 1,824 rows once against 32
+draws of 64; at S, 192 rows against 8 draws of 64 or 32), and each draw
+here is a fresh one, so the branch predictor cannot learn one block's
+zeros.
 ``nn.Parameters.add_scaled`` adds that head gradient, scaled, into a
 gradient of the whole model, as ``local_train`` adds each auxiliary one.
 
@@ -29,8 +38,9 @@ The feature codecs, ``protocol.serialize_features`` and
 ``deserialize_features``, are timed on the blobs a round sends: ``.upload``
 is one client's final-epoch rows (96 at S, 500 at M), ``.foreign`` a foreign
 sample (192 at S, 1,824 at M) and ``.round`` every client's upload, one blob
-each (3 x 96 rows at S, 20 x 500 = 10,000 at M). As in a run, the rows are
-float32.
+each (3 x 96 rows at S, 20 x 500 = 10,000 at M). As in a run, uploads are
+encoded from float64 rows, rounding each value to float16 once, and foreign
+samples from the bank's float16 rows.
 
 ``federation.evaluate_accuracy`` scores a test set of every client's rows
 (3 x 96 = 288 at S, 20 x 500 = 10,000 at M), in blocks of at most 1,025 rows,
@@ -51,8 +61,8 @@ call at each scale, in bytes above what was allocated before the call
 ``geometry.manifold_report`` and of ``protocol.FeatureBank.full``, which makes
 a bank of the scale's shape, its arrays allocated whole, and fills it until
 every (client, class) slot holds ``BANK_CAPACITY`` rows: at M, 20 x 3 x 512
-rows of 64. A bank row holds its float32 embedding (256 B at width 64), its
-int64 round and its int64 place in the client's pool, 272 B; its label and
+rows of 64. A bank row holds its float16 embedding (128 B at width 64), its
+int64 round and its int64 place in the client's pool, 144 B; its label and
 client id follow from where it sits. The latter is a memory figure only and
 is not timed.
 
@@ -128,28 +138,30 @@ def cases(scale: str) -> dict:
     units = unit_prototypes(prototypes)
     _, grad_align = cpgma_embedding_grad(u, y, units)
 
-    # every client's final-epoch embeddings, as float32 as they are uploaded
+    # every client's final-epoch embeddings, float64 as they are collected,
+    # and as the server decodes them
     inputs = rng.normal(size=(clients * per_client, 16))
     embeddings, _ = nn.forward_extractor(params, spec, inputs)
-    uploads = [FeatureBatch.of_client(
-        embeddings[c * per_client:(c + 1) * per_client].astype(np.float32),
-        rng.integers(0, 3, size=per_client), c, 1) for c in range(clients)]
+    uploads = [FeatureBatch(embeddings[c * per_client:(c + 1) * per_client],
+                            rng.integers(0, 3, size=per_client)) for c in range(clients)]
+    round_blobs = [serialize_features(batch) for batch in uploads]
+    decoded = [deserialize_features(blob) for blob in round_blobs]
 
     def fill():
         # a new bank with every (client, class) slot full, so each further
         # insert evicts as many rows as it adds, as in the later rounds of a run
         bank = FeatureBank(BANK_CAPACITY, clients, 3, spec.embedding_dim)
-        for _ in range(2 * -(-3 * BANK_CAPACITY // per_client)):
-            for batch in uploads:
-                bank.insert(batch)
+        for t in range(2 * -(-3 * BANK_CAPACITY // per_client)):
+            for c, batch in enumerate(decoded):
+                bank.insert(batch, c, t + 1)
         return bank
 
     bank = fill()
-    foreign = bank.sample(0, SAMPLE_COUNT, 0)
-    blobs = {"upload": serialize_features(uploads[0]), "foreign": serialize_features(foreign)}
-    round_blobs = [serialize_features(batch) for batch in uploads]
+    foreign = bank.sample(0, SAMPLE_COUNT, 0)           # float16, as decoded
+    blobs = {"upload": round_blobs[0], "foreign": serialize_features(foreign)}
+    upcast = FeatureBatch(foreign.embeddings.astype(np.float64), foreign.labels)
     draw_rng = np.random.default_rng(0)
-    drawn = draw_foreign(foreign, BATCH, draw_rng)
+    drawn = draw_foreign(upcast, BATCH, draw_rng)
     head_logits, head_cache = nn.forward_classifier(params, spec, drawn.embeddings)
     _, head_glogits = nn.softmax_cross_entropy(head_logits, drawn.labels)
     head_grads = nn.backward(params, spec, head_cache, head_glogits)
@@ -165,7 +177,10 @@ def cases(scale: str) -> dict:
     return {
         "nn.forward.batch": lambda: nn.forward_full(params, spec, x),
         "nn.backward.batch": lambda: nn.backward(params, spec, cache, glogits),
-        "federation.draw_foreign": lambda: draw_foreign(foreign, BATCH, draw_rng),
+        "federation.upcast_foreign": lambda: foreign.embeddings.astype(np.float64),
+        "federation.draw_foreign": lambda: draw_foreign(upcast, BATCH, draw_rng),
+        "federation.draw_foreign.upcast": lambda: draw_foreign(
+            foreign, BATCH, draw_rng).embeddings.astype(np.float64),
         "nn.forward.head": lambda: nn.forward_classifier(params, spec, drawn.embeddings),
         "nn.backward.head": lambda: nn.backward(params, spec, head_cache, head_glogits),
         "nn.backward.extractor": lambda: nn.backward(params, spec, cache_f, grad_align),
@@ -176,7 +191,7 @@ def cases(scale: str) -> dict:
         "nn.adam_step": lambda: nn.adam_step(params, grads, state),
         "federation.unit_prototypes": lambda: unit_prototypes(prototypes),
         "federation.cpgma_embedding_grad": lambda: cpgma_embedding_grad(u, y, units),
-        "protocol.FeatureBank.insert": lambda: bank.insert(uploads[0]),
+        "protocol.FeatureBank.insert": lambda: bank.insert(decoded[0], 0, 1),
         "protocol.FeatureBank.sample": lambda: bank.sample(0, SAMPLE_COUNT, 0),
         "protocol.FeatureBank.full": fill,
         "protocol.serialize_features.upload": lambda: serialize_features(uploads[0]),
