@@ -131,13 +131,13 @@ RUNS = {
 GOLDEN = {
     "SkylakeX": {
         "attack": {
-            "reports": "6642651665533c200711706e586d1a13179fbff7d75c7bd0f9f70c0f34043b99",
-            "decoder": "6a04382ca2155df23d9f66864133bc3be29d7c27959406973523e0643bf2b320",
+            "reports": "f42b527cfd8e8fd1dc246df17e90577fd939a30b87b3c7be1846709e2dce1c3e",
+            "decoder": "8e7c812c8138071a7ef64b2290dcf9d272c594e7f70f5dd12f14afa7b384ae4d",
         },
         "cpgma": {
-            "metrics": "86743db6b7a3c95b3e69d86d83b4726dce3f5c272397bdd3a800e344053c63ff",
-            "ledger": "0738670b842e2911270050b8ae927369ac592bec6c32a0c7ed55be1550d08bc7",
-            "models": "9bc3b8a5d21e2186a5560502a8e770e626c4c4aae6c47e0ff6495c4c53591bb6",
+            "metrics": "e0fb8cb1a4e057601daa0f5b715cbb768d7b7b5996aede6284496bc1dd3030ab",
+            "ledger": "cefe51952dbaee6082ccf9f984d9b56bd608dd7956c00af45cc75b498d0cc906",
+            "models": "3f55981440b93f9e8fd01a91efa51b2285cd7f5f93f6c0bca2414bb5fa852bed",
         },
         "fedavg": {
             "metrics": "1cef4fce21dad5aad1167ec44442a6cf2132740d91620ded98dca3b9336429c9",
@@ -145,25 +145,25 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "4eda4e590e3389f87afeabc1aa30f0bce1e255577ae50c80210c73009108b35f",
-            "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "94563f7bec0289dba498c991c59c7a54cfca98044cda51b18d79451716edb429",
+            "metrics": "ad4ab120c0494597ef9d845cf2882013bf7e6b6595cf8e96efaf8fd22d9840a9",
+            "ledger": "286f025ceb9d7f0bcdc762a1a065175ad68ff84be80550c7161f55225501909e",
+            "models": "4ffbaeeae6a2eec1afd570ccd394617cd308866fc23fae2f8d395f1834a78641",
         },
         "fewshot": {
-            "metrics": "4ad506ed25369a574beee17c25e2c09cd93cd788580c2c8d691f385386fd2382",
-            "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
-            "models": "0c50c5f079d04f288ef309a5e5f04901698c7b8a7bddc89e62fcb1f3c05313e5",
+            "metrics": "8e043ee4e6d191542f8e82238e5817443c479572a54888b3ba5e705288cb0077",
+            "ledger": "79a6cd9e980258b06791d1d890eea1925cd295afdbf6b17322b5e0159e921eb0",
+            "models": "c95824a8e3345d42bf8d8a8107e93c085643662ebdf65516feb0574db74a74fc",
         },
     },
     "Haswell": {
         "attack": {
-            "reports": "548dbb7f2b262a2c81a556d68f2396dd344c11978b45b60e52fa7101fa262582",
-            "decoder": "6a04382ca2155df23d9f66864133bc3be29d7c27959406973523e0643bf2b320",
+            "reports": "1112f673ef3de74025082713242df94a3edefa0a483f2e9979025869fe0ed110",
+            "decoder": "8e7c812c8138071a7ef64b2290dcf9d272c594e7f70f5dd12f14afa7b384ae4d",
         },
         "cpgma": {
-            "metrics": "1f16c01ba1576b912d7cfd8f8738c60bb4e913a92d2886767111d17a3f41d6e8",
-            "ledger": "0738670b842e2911270050b8ae927369ac592bec6c32a0c7ed55be1550d08bc7",
-            "models": "9bc3b8a5d21e2186a5560502a8e770e626c4c4aae6c47e0ff6495c4c53591bb6",
+            "metrics": "71d5199d12d899c046ad347914cc9a76cd4d6cd976793cc77e25123fc315fbda",
+            "ledger": "cefe51952dbaee6082ccf9f984d9b56bd608dd7956c00af45cc75b498d0cc906",
+            "models": "3f55981440b93f9e8fd01a91efa51b2285cd7f5f93f6c0bca2414bb5fa852bed",
         },
         "fedavg": {
             "metrics": "1cef4fce21dad5aad1167ec44442a6cf2132740d91620ded98dca3b9336429c9",
@@ -171,25 +171,25 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "17b2008d73b575358f9030d472f7ba16198c32048f2a68b080d719e2c8d92350",
-            "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "94563f7bec0289dba498c991c59c7a54cfca98044cda51b18d79451716edb429",
+            "metrics": "4aff56ee9e6de17412a5de1d1db7a9360932b66b921451871b96414e111f309f",
+            "ledger": "286f025ceb9d7f0bcdc762a1a065175ad68ff84be80550c7161f55225501909e",
+            "models": "4ffbaeeae6a2eec1afd570ccd394617cd308866fc23fae2f8d395f1834a78641",
         },
         "fewshot": {
-            "metrics": "4ad506ed25369a574beee17c25e2c09cd93cd788580c2c8d691f385386fd2382",
-            "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
-            "models": "0c50c5f079d04f288ef309a5e5f04901698c7b8a7bddc89e62fcb1f3c05313e5",
+            "metrics": "8e043ee4e6d191542f8e82238e5817443c479572a54888b3ba5e705288cb0077",
+            "ledger": "79a6cd9e980258b06791d1d890eea1925cd295afdbf6b17322b5e0159e921eb0",
+            "models": "c95824a8e3345d42bf8d8a8107e93c085643662ebdf65516feb0574db74a74fc",
         },
     },
     "Sandybridge": {
         "attack": {
-            "reports": "617a3ca20ad3c866cc8b9a150123cfca754eb074898d5dd8d41a11860e244394",
-            "decoder": "6a04382ca2155df23d9f66864133bc3be29d7c27959406973523e0643bf2b320",
+            "reports": "6fe2640210a36a5da63da7b3c831c7579b19c0e5dcf6641d1a0b9d971516e838",
+            "decoder": "8e7c812c8138071a7ef64b2290dcf9d272c594e7f70f5dd12f14afa7b384ae4d",
         },
         "cpgma": {
-            "metrics": "b2fc931e79ff64dbe4db2e470099d75dafc4fbfe3008b953fc0f75eccc3cf977",
-            "ledger": "0738670b842e2911270050b8ae927369ac592bec6c32a0c7ed55be1550d08bc7",
-            "models": "9bc3b8a5d21e2186a5560502a8e770e626c4c4aae6c47e0ff6495c4c53591bb6",
+            "metrics": "47957ee2d6ee7d6f44969f7747b358a0843a7ec1d1af1478a2b6a94c3f0c83f8",
+            "ledger": "cefe51952dbaee6082ccf9f984d9b56bd608dd7956c00af45cc75b498d0cc906",
+            "models": "3f55981440b93f9e8fd01a91efa51b2285cd7f5f93f6c0bca2414bb5fa852bed",
         },
         "fedavg": {
             "metrics": "1cef4fce21dad5aad1167ec44442a6cf2132740d91620ded98dca3b9336429c9",
@@ -197,25 +197,25 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "4583f94072f64449801f07c59a104f2942eb832328d11af1bec350c5eca98fa3",
-            "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "94563f7bec0289dba498c991c59c7a54cfca98044cda51b18d79451716edb429",
+            "metrics": "1d91b796d6b0d5270dcbeb0258facb3f580ca4901c988f5aeb5dbd2a00a54247",
+            "ledger": "286f025ceb9d7f0bcdc762a1a065175ad68ff84be80550c7161f55225501909e",
+            "models": "4ffbaeeae6a2eec1afd570ccd394617cd308866fc23fae2f8d395f1834a78641",
         },
         "fewshot": {
-            "metrics": "67d5ded541633ea6cc23bf74f4b62184134e8f067e91ba60139a15924c710f49",
-            "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
-            "models": "0c50c5f079d04f288ef309a5e5f04901698c7b8a7bddc89e62fcb1f3c05313e5",
+            "metrics": "40a22d6a39ad5c72fdb3ec8d07213b3d26d07412dcf2b883eaba0c06d51a9356",
+            "ledger": "79a6cd9e980258b06791d1d890eea1925cd295afdbf6b17322b5e0159e921eb0",
+            "models": "c95824a8e3345d42bf8d8a8107e93c085643662ebdf65516feb0574db74a74fc",
         },
     },
     "Katmai": {
         "attack": {
-            "reports": "4f66ace4cf5c16b5436f185364149f60d354d4ef7ecad036746880485d6caef6",
-            "decoder": "6a04382ca2155df23d9f66864133bc3be29d7c27959406973523e0643bf2b320",
+            "reports": "57120cc6bce0d971ed067b8666a64552be0f9e3523bb4ccad348dd69a9423d58",
+            "decoder": "8e7c812c8138071a7ef64b2290dcf9d272c594e7f70f5dd12f14afa7b384ae4d",
         },
         "cpgma": {
-            "metrics": "3b44645ceed1c8c923c1f2fadda4a37dbc1ccd1b5ac5e85fae8220cae3cec9aa",
-            "ledger": "0738670b842e2911270050b8ae927369ac592bec6c32a0c7ed55be1550d08bc7",
-            "models": "9bc3b8a5d21e2186a5560502a8e770e626c4c4aae6c47e0ff6495c4c53591bb6",
+            "metrics": "47957ee2d6ee7d6f44969f7747b358a0843a7ec1d1af1478a2b6a94c3f0c83f8",
+            "ledger": "cefe51952dbaee6082ccf9f984d9b56bd608dd7956c00af45cc75b498d0cc906",
+            "models": "3f55981440b93f9e8fd01a91efa51b2285cd7f5f93f6c0bca2414bb5fa852bed",
         },
         "fedavg": {
             "metrics": "1cef4fce21dad5aad1167ec44442a6cf2132740d91620ded98dca3b9336429c9",
@@ -223,14 +223,14 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "cb36539ed4d0d6115b6ed67d568f81da9c6a4985e4c7309b39c9a724df5bdcfc",
-            "ledger": "ad3dc7aabdbfe2085cb32398b99976a37544fc61182b1778f75998f1fe79e03b",
-            "models": "94563f7bec0289dba498c991c59c7a54cfca98044cda51b18d79451716edb429",
+            "metrics": "abd508df9c00afe4194503103cc7ea58580518448ea4b385f05076f9c5448a83",
+            "ledger": "286f025ceb9d7f0bcdc762a1a065175ad68ff84be80550c7161f55225501909e",
+            "models": "4ffbaeeae6a2eec1afd570ccd394617cd308866fc23fae2f8d395f1834a78641",
         },
         "fewshot": {
-            "metrics": "67d5ded541633ea6cc23bf74f4b62184134e8f067e91ba60139a15924c710f49",
-            "ledger": "10b99386b3e6a31b4aef4aadd66b2dc95d21db7511a7c30d5141ee8e9b777bed",
-            "models": "0c50c5f079d04f288ef309a5e5f04901698c7b8a7bddc89e62fcb1f3c05313e5",
+            "metrics": "40a22d6a39ad5c72fdb3ec8d07213b3d26d07412dcf2b883eaba0c06d51a9356",
+            "ledger": "79a6cd9e980258b06791d1d890eea1925cd295afdbf6b17322b5e0159e921eb0",
+            "models": "c95824a8e3345d42bf8d8a8107e93c085643662ebdf65516feb0574db74a74fc",
         },
     },
 }
