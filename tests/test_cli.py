@@ -102,10 +102,12 @@ def test_exploding_embeddings_fail_at_the_upload_with_warnings_as_errors(tmp_pat
     path = tmp_path / "probe.cfg"
     path.write_text("learning_rate = 1e6\nrounds = 5\nseeds = 0\n")
     src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "fedmp.cli", "run",
-                           "--config", str(path), "--mode", "fedmp", "--out", str(tmp_path / "run")],
-                          capture_output=True, text=True, env=env, timeout=120)
+                           "--config", str(path), "--mode", "fedmp",
+                           "--out", str(tmp_path / "run")],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path_var))
     assert proc.returncode == 1
     assert proc.stderr == ("error: round 1, client 0, upload: feature embeddings hold a value "
                            "that is not finite as float16\n")

@@ -540,6 +540,22 @@ class TestClientUpdate:
         rows = deserialize_features(upload)
         assert len(rows) == 11 and rows.embeddings.dtype == np.float16
 
+    @pytest.mark.parametrize("stream, where", [(1, "round 2"), (3, "few-shot stage 2")])
+    def test_upload_not_finite_as_float16_names_round_client_and_phase(
+            self, monkeypatch, stream, where):
+        # finite embeddings from 65520 up round to an infinity in the blob
+        def outgrown(params, spec, shard, *args, **kw):
+            return [FeatureBatch(np.full((len(shard), spec.embedding_dim), 7e4),
+                                 shard.labels)], [0.0, 0.0, 0.0, 1]
+
+        monkeypatch.setattr(federation, "local_train", outgrown)
+        spec = small_spec()
+        with pytest.raises(federation.DivergenceError,
+                           match=f"^{where}, client 0, upload: feature embeddings hold a "
+                                 "value that is not finite as float16$"):
+            federation._train(nn.init_params(spec, 0), spec, self.shard(), self.config(),
+                              1, stream, 2)
+
     def test_single_step_matches_reference(self):
         # E=1, one batch, modules off: equals one standalone Adam step
         spec = small_spec()

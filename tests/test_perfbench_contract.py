@@ -1,8 +1,9 @@
 """The names and argument positions that ``perfbench/tracing.py`` relies on.
 
 The tracer replaces every function in its ``TARGETS`` by name and reads some
-arguments of ``local_train`` and ``FeatureBank.insert`` by position. A renamed function or a reordered
-parameter would otherwise fail only in a traced benchmark run.
+arguments of ``local_train`` and ``FeatureBank.insert`` by position. A
+renamed function or a reordered parameter would otherwise fail only in a
+traced benchmark run.
 """
 
 import importlib.util
