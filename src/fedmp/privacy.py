@@ -42,7 +42,8 @@ class LeakageReport:
     max_ssim: float
     min_l2: float
     risk: bool
-    per_sample: list[dict] = field(default_factory=list)
+    # per attacked client: its id, frechet, max_ssim and min_l2
+    per_client: list[dict] = field(default_factory=list)
 
 
 def intercepted_features(params: nn.Parameters, spec: nn.NetworkSpec,
@@ -163,27 +164,27 @@ def unit_normalizer(shards: list[ClientShard]):
 
 def attack_shard(extractor_params: nn.Parameters, spec: nn.NetworkSpec,
                  shard: ClientShard, config: AttackConfig, normalize) -> dict:
-    """Run the attack on one client; metrics on the held-out half only."""
+    """Run the attack on one client; metrics on the held-out half only. The
+    row keeps each metric's extreme over the held-out samples, not the
+    samples' own scores."""
     dec_params, dec_spec = train_decoder(extractor_params, spec, shard, config)
     n_train = int(len(shard) * config.train_fraction)
     x_held = shard.inputs[n_train:]
     z_held = intercepted_features(extractor_params, spec, x_held, config.split_index)
     recon, _ = nn.forward_full(dec_params, dec_spec, z_held)
 
-    per_sample = []
+    ssims, l2s = [], []
     for j in range(len(x_held)):
         xn, rn = normalize(x_held[j]), normalize(recon[j])
-        s = ssim(xn, rn, dynamic_range=1.0)
-        d = l2_distance(xn, rn)
-        per_sample.append({"sample": j, "ssim": s, "l2": d})
+        ssims.append(ssim(xn, rn, dynamic_range=1.0))
+        l2s.append(l2_distance(xn, rn))
     real_feats, _ = nn.forward_extractor(extractor_params, spec, x_held)
     recon_feats, _ = nn.forward_extractor(extractor_params, spec, recon)
     return {
         "client_id": shard.client_id,
         "frechet": frechet_distance(real_feats, recon_feats),
-        "max_ssim": max(r["ssim"] for r in per_sample),
-        "min_l2": min(r["l2"] for r in per_sample),
-        "per_sample": per_sample,
+        "max_ssim": max(ssims),
+        "min_l2": min(l2s),
     }
 
 
@@ -205,6 +206,6 @@ def attack_report(extractor_params: nn.Parameters, spec: nn.NetworkSpec,
             max_ssim=float(np.mean([r["max_ssim"] for r in rows])),
             min_l2=min_l2,
             risk=is_risk(min_l2),
-            per_sample=rows,
+            per_client=rows,
         ))
     return reports

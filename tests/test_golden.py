@@ -131,7 +131,7 @@ RUNS = {
 GOLDEN = {
     "SkylakeX": {
         "attack": {
-            "reports": "f42b527cfd8e8fd1dc246df17e90577fd939a30b87b3c7be1846709e2dce1c3e",
+            "reports": "bfc680d664874cec43a9036e924abb25d4404957f72891c42fbba59f2ff766b1",
             "decoder": "8e7c812c8138071a7ef64b2290dcf9d272c594e7f70f5dd12f14afa7b384ae4d",
         },
         "cpgma": {
@@ -157,7 +157,7 @@ GOLDEN = {
     },
     "Haswell": {
         "attack": {
-            "reports": "1112f673ef3de74025082713242df94a3edefa0a483f2e9979025869fe0ed110",
+            "reports": "94a2a5606fb979c3d7abea5d8d2a5a924c95182eaad47b06793027a7c654ba4e",
             "decoder": "8e7c812c8138071a7ef64b2290dcf9d272c594e7f70f5dd12f14afa7b384ae4d",
         },
         "cpgma": {
@@ -183,7 +183,7 @@ GOLDEN = {
     },
     "Sandybridge": {
         "attack": {
-            "reports": "6fe2640210a36a5da63da7b3c831c7579b19c0e5dcf6641d1a0b9d971516e838",
+            "reports": "af5688a918cc81853aa3001229c4517d8041df54db5f9372b1210dab1e862bc2",
             "decoder": "8e7c812c8138071a7ef64b2290dcf9d272c594e7f70f5dd12f14afa7b384ae4d",
         },
         "cpgma": {
@@ -209,7 +209,7 @@ GOLDEN = {
     },
     "Katmai": {
         "attack": {
-            "reports": "57120cc6bce0d971ed067b8666a64552be0f9e3523bb4ccad348dd69a9423d58",
+            "reports": "3ab757a9549a837d9c1642a8afbff8eb6a6e5476b64928ade27d3568b83bf9fc",
             "decoder": "8e7c812c8138071a7ef64b2290dcf9d272c594e7f70f5dd12f14afa7b384ae4d",
         },
         "cpgma": {
