@@ -30,6 +30,7 @@ from .protocol import (
     model_blob_bytes,
     serialize_features,
     serialize_prototypes,
+    upcast,
 )
 
 
@@ -114,15 +115,22 @@ def combine_losses(l_local: float, l_sfmc: float, l_cpgma: float) -> tuple[float
     return w_s, w_c
 
 
-def compute_sfmc_loss(params: nn.Parameters, spec: nn.NetworkSpec,
-                      foreign: FeatureBatch):
-    """Mean cross-entropy of the classifier head on sampled foreign embeddings.
-    The gradient is laid out like the whole model with +0.0 in the extractor's
-    tensors; the extractor never sees these rows. An empty ``foreign``
-    raises ``ValueError``."""
-    logits, cache = nn.forward_classifier(params, spec, foreign.embeddings)
-    loss, glogits = nn.softmax_cross_entropy(logits, foreign.labels)
-    return loss, nn.backward(params, spec, cache, glogits)
+def compute_sfmc_loss(params: nn.Parameters, spec: nn.NetworkSpec, foreign: FeatureBatch,
+                      u: np.ndarray, labels: np.ndarray):
+    """The SFMC step's one head pass, over the local embeddings ``u`` (with
+    their ``labels``) stacked on the foreign rows.
+
+    Returns ``(l_local, l_sfmc, glogits, cache)``: the mean cross-entropy of
+    the local rows and of the foreign rows, the gradient of each mean at its
+    own rows of the stacked logits (local rows first), and the head's cache.
+    The caller weights the foreign rows' gradient by ``w_s`` and runs one
+    ``nn.backward`` over ``cache`` with ``input_grad``, whose first
+    ``len(u)`` rows go on into the extractor: the foreign rows reach only
+    the head. An empty ``foreign`` or ``u`` raises ``ValueError``."""
+    logits, cache = nn.forward_classifier(params, spec, np.concatenate((u, foreign.embeddings)))
+    (l_local, l_sfmc), glogits = nn.softmax_cross_entropy(
+        logits, np.concatenate((labels, foreign.labels)), split=len(u))
+    return l_local, l_sfmc, glogits, cache
 
 
 def draw_foreign(foreign: FeatureBatch, rows: int, rng: np.random.Generator) -> FeatureBatch:
@@ -307,9 +315,11 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     enabled and ``prototypes`` are given.
 
     SFMC is stochastic: each mini-batch trains the head on ``draw_foreign``
-    of as many foreign rows as it has local rows. The decoded float16 sample
-    is upcast to float64 once per call, so no step pays that cast. The draws
-    come from their own stream, so a run without SFMC draws nothing.
+    of as many foreign rows as it has local rows, in one head pass over the
+    local rows stacked on the drawn ones (``compute_sfmc_loss``). The
+    decoded float16 sample is upcast to float64 once per call, so no step
+    pays that cast. The draws come from their own stream, so a run without
+    SFMC draws nothing.
     A non-finite loss or gradient raises ``DivergenceError`` naming the
     epoch and batch, before the step would write it into ``params``.
     Returns (feature_batches, tally): the sums over the mini-batches of the
@@ -322,7 +332,7 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     # the prototypes stay fixed while a client trains
     units = unit_prototypes(prototypes) if config.enable_cpgma and prototypes is not None else None
     if sfmc:
-        foreign = FeatureBatch(foreign.embeddings.astype(np.float64), foreign.labels)
+        foreign = FeatureBatch(upcast(foreign.embeddings), foreign.labels)
         foreign_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=[config.seed, 4, round_tag, shard.client_id])
         )
@@ -340,25 +350,33 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
             idx = order[start:start + config.batch_size]
             xb, yb = shard.inputs[idx], shard.labels[idx]
 
-            # two forwards, so ``u`` is the extractor's output for any split;
-            # one backward over both caches does what a head backward and an
-            # extractor backward did, in the same operations and order
             u, cache_f = nn.forward_extractor(params, spec, xb)
-            logits, cache_c = nn.forward_classifier(params, spec, u)
-            l_local, glogits = nn.softmax_cross_entropy(logits, yb)
-            nn.backward(params, spec, cache_f + cache_c, glogits, out=total_grads)
-
-            l_sfmc = l_cpgma = 0.0
             if sfmc:
-                l_sfmc, sfmc_grads = compute_sfmc_loss(
-                    params, spec, draw_foreign(foreign, len(idx), foreign_rng))
+                l_local, l_sfmc, glogits, cache_c = compute_sfmc_loss(
+                    params, spec, draw_foreign(foreign, len(idx), foreign_rng), u, yb)
+            else:
+                # two forwards, so ``u`` is the extractor's output for any
+                # split; one backward over both caches does what a head
+                # backward and an extractor backward did, in the same
+                # operations and order
+                logits, cache_c = nn.forward_classifier(params, spec, u)
+                l_local, glogits = nn.softmax_cross_entropy(logits, yb)
+                nn.backward(params, spec, cache_f + cache_c, glogits, out=total_grads)
+                l_sfmc = 0.0
+            l_cpgma = 0.0
             if units is not None:
                 l_cpgma, grad_u_align = cpgma_embedding_grad(u, yb, units)
 
             try:        # both raise ValueError on a non-finite loss or gradient
                 w_s, w_c = combine_losses(l_local, l_sfmc, l_cpgma)
-                if w_s:         # nonzero only after an SFMC pass
-                    total_grads.add_scaled(sfmc_grads, w_s)
+                if sfmc:
+                    # the head's gradient weighs local rows 1/n and foreign
+                    # rows w_s/m; the local rows' part carries on into the
+                    # extractor. Between them the two write every tensor
+                    glogits[len(idx):] *= w_s
+                    _, grad_in = nn.backward(params, spec, cache_c, glogits,
+                                             out=total_grads, input_grad=True)
+                    nn.backward(params, spec, cache_f, grad_in[:len(idx)], out=total_grads)
                 if w_c:
                     # 0 while every prototype is cold: no backward to discard
                     total_grads.add_scaled(nn.backward(params, spec, cache_f, grad_u_align), w_c)

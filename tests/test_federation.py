@@ -124,28 +124,53 @@ def float32_rows(rng, n, d, k=3, dtype=np.float32):
 NARROW = (np.float16, np.float32)        # the wire's floats and the model blobs'
 
 
+def local_rows(spec, n, seed=0, k=3):
+    """``n`` float64 local embeddings with labels, as the extractor gives them."""
+    rng = np.random.default_rng(seed)
+    return np.maximum(rng.normal(size=(n, spec.embedding_dim)), 0.0), rng.integers(0, k, n)
+
+
+def sfmc_grads(params, spec, foreign, u, labels, w_s=1.0):
+    """The losses, the head's gradient and the gradient at the split of one
+    SFMC head pass, with the foreign rows weighted by ``w_s``."""
+    l_local, l_sfmc, glogits, cache = compute_sfmc_loss(params, spec, foreign, u, labels)
+    glogits[len(u):] *= w_s
+    grads, grad_in = nn.backward(params, spec, cache, glogits, input_grad=True)
+    return l_local, l_sfmc, grads, grad_in[:len(u)]
+
+
 class TestSfmcLoss:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 200), seed=st.integers(0, 2**31 - 1))
     def test_float32_rows_give_the_bits_of_upcast_rows(self, n, seed):
         # the head pass upcasts decoded rows before its first product, so its
-        # loss and gradients are those of the rows upcast first
+        # losses and gradients are those of the rows upcast first
         spec = nn.mlp_spec(16, (64,), (32, 16), 3)
         params = nn.init_params(spec, seed % 1000)
+        u, labels = local_rows(spec, 1 + seed % 64, seed)
         for dtype in NARROW:
             rows, upcast = float32_rows(np.random.default_rng(seed), n, spec.embedding_dim,
                                         dtype=dtype)
-            (l32, g32), (l64, g64) = (compute_sfmc_loss(params, spec, b) for b in (rows, upcast))
-            assert l32 == l64 and g32.vec.tobytes() == g64.vec.tobytes()
+            narrow, wide = (sfmc_grads(params, spec, b, u, labels, 0.7) for b in (rows, upcast))
+            assert narrow[:2] == wide[:2]
+            assert narrow[2].vec.tobytes() == wide[2].vec.tobytes()
+            assert narrow[3].tobytes() == wide[3].tobytes()
 
-    def test_empty_sample_rejected(self):
+    def test_empty_sample_or_batch_rejected(self):
         # local_train runs the head pass only on a drawn sample, never empty
         spec = small_spec()
+        params = nn.init_params(spec, 0)
+        u, labels = local_rows(spec, 3)
+        for empty in (FeatureBatch.concat([]),
+                      FeatureBatch(np.zeros((0, spec.embedding_dim)), np.zeros(0, np.int64))):
+            with pytest.raises(ValueError):
+                compute_sfmc_loss(params, spec, empty, u, labels)
+        foreign = FeatureBatch(u, labels)
         with pytest.raises(ValueError):
-            compute_sfmc_loss(nn.init_params(spec, 0), spec, FeatureBatch.concat([]))
+            compute_sfmc_loss(params, spec, foreign, u[:0], labels[:0])
 
     def test_uniform_logits_ln2(self):
-        # zeroed classifier on K=2 gives uniform logits -> ln 2
+        # zeroed classifier on K=2 gives uniform logits -> ln 2 for both parts
         spec = nn.NetworkSpec(
             layers=(nn.affine(2, 3), nn.affine(3, 2)), split_index=1, num_classes=2
         )
@@ -153,11 +178,13 @@ class TestSfmcLoss:
         params[(1, "W")][:] = 0.0
         params[(1, "b")][:] = 0.0
         rec = FeatureBatch(np.array([[1.0, -2.0, 0.5]]), np.array([0]))
-        loss, _ = compute_sfmc_loss(params, spec, rec)
-        assert loss == pytest.approx(np.log(2.0), abs=1e-12)
+        l_local, l_sfmc, _, _ = compute_sfmc_loss(params, spec, rec, np.ones((2, 3)),
+                                                  np.array([0, 1]))
+        assert l_local == pytest.approx(np.log(2.0), abs=1e-12)
+        assert l_sfmc == pytest.approx(np.log(2.0), abs=1e-12)
 
-    def test_mean_of_closed_forms(self):
-        # two records with per-record losses ln(1+e^-1) and ln 2 -> their mean
+    def test_each_part_is_the_mean_of_its_closed_forms(self):
+        # per-row losses ln(1+e^-1) and ln 2; each part is the mean of its rows
         spec = nn.NetworkSpec(
             layers=(nn.affine(2, 2), nn.affine(2, 2)), split_index=1, num_classes=2
         )
@@ -169,27 +196,122 @@ class TestSfmcLoss:
             [1.0, 0.0],     # logits [1,0] -> ln(1+e^-1)
             [0.0, 0.0],     # logits [0,0] -> ln 2
         ]), np.array([0, 0]))
-        loss, _ = compute_sfmc_loss(params, spec, recs)
-        expected = 0.5 * (np.log(1 + np.exp(-1.0)) + np.log(2.0))
-        assert loss == pytest.approx(expected, abs=1e-9)
+        u = np.array([[1.0, 0.0]] * 3)
+        l_local, l_sfmc, glogits, _ = compute_sfmc_loss(params, spec, recs, u,
+                                                        np.array([0, 0, 0]))
+        assert l_sfmc == pytest.approx(0.5 * (np.log(1 + np.exp(-1.0)) + np.log(2.0)),
+                                       abs=1e-9)
+        assert l_local == pytest.approx(np.log(1 + np.exp(-1.0)), abs=1e-9)
+        # each part's gradient rows are those of its own mean
+        p = 1.0 / (1.0 + np.exp(-1.0))
+        assert np.allclose(glogits[:3], [[(p - 1.0) / 3, (1.0 - p) / 3]] * 3, atol=1e-15)
+        assert np.allclose(glogits[3:], [[(p - 1.0) / 2, (1.0 - p) / 2], [-0.25, 0.25]],
+                           atol=1e-15)
 
     def test_gradients_classifier_only(self):
+        # the head's backward writes no extractor tensor, and the foreign
+        # rows' weight moves no bit of the gradient handed to the extractor
         spec = small_spec()
         params = nn.init_params(spec, 1)
-        recs = FeatureBatch(np.ones((1, spec.embedding_dim)), np.array([0]))
-        _, grads = compute_sfmc_loss(params, spec, recs)
-        assert grads.layout is params.layout
-        assert_exactly_zero(grads, range(spec.split_index))
+        u, labels = local_rows(spec, 5, 1)
+        recs = FeatureBatch(np.ones((4, spec.embedding_dim)), np.array([0, 1, 2, 0]))
+        at_split = []
+        for w_s in (0.0, 1.0, 3.5):
+            _, _, grads, grad_u = sfmc_grads(params, spec, recs, u, labels, w_s)
+            assert grads.layout is params.layout
+            assert_exactly_zero(grads, range(spec.split_index))
+            at_split.append(grad_u.tobytes())
+        assert len(set(at_split)) == 1
 
     def test_extractor_perturbation_leaves_loss(self):
         # finite-difference check of the gradient-isolation invariant
         spec = small_spec()
         params = nn.init_params(spec, 2)
         recs = FeatureBatch(np.arange(spec.embedding_dim, dtype=float)[None, :], np.array([1]))
-        base, _ = compute_sfmc_loss(params, spec, recs)
+        u, labels = local_rows(spec, 2, 2)
+        base = compute_sfmc_loss(params, spec, recs, u, labels)[:2]
         params[(0, "W")][0, 0] += 0.37
-        after, _ = compute_sfmc_loss(params, spec, recs)
+        after = compute_sfmc_loss(params, spec, recs, u, labels)[:2]
         assert base == after
+
+
+def parent_sfmc_step(params, spec, xb, yb, drawn, units=None):
+    """The two-pass step the stacked head pass replaced: a backward over the
+    whole network for the local rows, then a head-only pass over the drawn
+    rows whose gradient is added scaled by ``w_s``. Returns the losses and
+    the step's gradient."""
+    u, cache_f = nn.forward_extractor(params, spec, xb)
+    logits, cache_c = nn.forward_classifier(params, spec, u)
+    l_local, glogits = nn.softmax_cross_entropy(logits, yb)
+    grads = nn.backward(params, spec, cache_f + cache_c, glogits)
+    logits, cache = nn.forward_classifier(params, spec, drawn.embeddings)
+    l_sfmc, glogits = nn.softmax_cross_entropy(logits, drawn.labels)
+    sfmc = nn.backward(params, spec, cache, glogits)
+    l_cpgma = 0.0
+    if units is not None:
+        l_cpgma, grad_u_align = cpgma_embedding_grad(u, yb, units)
+    w_s, w_c = combine_losses(l_local, l_sfmc, l_cpgma)
+    grads.add_scaled(sfmc, w_s)
+    if w_c:
+        grads.add_scaled(nn.backward(params, spec, cache_f, grad_u_align), w_c)
+    return l_local, l_sfmc, grads
+
+
+class TestStackedSfmcStep:
+    """Every step of ``local_train`` with SFMC against ``parent_sfmc_step``
+    on the same parameters, batch and draw."""
+
+    @pytest.mark.parametrize("cpgma", [False, True])
+    @settings(max_examples=20, deadline=None)
+    @given(rows=st.integers(1, 23), batch_size=st.integers(1, 9),
+           sample=st.integers(1, 20), seed=st.integers(0, 2**31 - 1))
+    def test_agrees_with_the_two_pass_step(self, cpgma, rows, batch_size, sample, seed):
+        # random batch and sample sizes: short final batches, and samples
+        # no larger than the batch, which every step then takes whole
+        spec = nn.mlp_spec(5, (8,), (6,), 3)
+        rng = np.random.default_rng(seed)
+        shard = ClientShard(client_id=0, inputs=rng.normal(size=(rows, 5)),
+                            labels=rng.integers(0, 3, rows))
+        foreign = FeatureBatch(np.maximum(rng.normal(size=(sample, spec.embedding_dim)), 0.0)
+                               .astype(np.float16), rng.integers(0, 3, sample))
+        prototypes = rng.normal(size=(3, spec.embedding_dim)) if cpgma else None
+        cfg = FederationConfig(rounds=1, num_clients=1, local_epochs=2, num_classes=3,
+                               batch_size=batch_size, learning_rate=1e-2, seed=seed % 1000,
+                               enable_cpgma=cpgma)
+        steps, draws = [], []
+
+        def spy_sfmc(params, spec, drawn, u, labels):
+            draws.append(drawn)
+            out = original_sfmc(params, spec, drawn, u, labels)
+            steps.append([params.vec.copy(), *out[:2]])
+            return out
+
+        def spy_adam(params, grads, state):
+            steps[-1].append(grads.vec.copy())
+            return original_adam(params, grads, state)
+
+        original_sfmc, original_adam = federation.compute_sfmc_loss, nn.adam_step
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(federation, "compute_sfmc_loss", spy_sfmc)
+            patch.setattr(nn, "adam_step", spy_adam)
+            local_train(nn.init_params(spec, seed % 1000), spec, shard, cfg, 2,
+                        np.random.default_rng(seed), foreign=foreign,
+                        prototypes=prototypes, round_tag=1)
+
+        # the same shuffle, by hand
+        order = np.random.default_rng(seed)
+        batches = [idx for _ in range(2) for perm in [order.permutation(rows)]
+                   for idx in np.array_split(perm, range(batch_size, rows, batch_size))]
+        assert len(steps) == len(draws) == len(batches)
+        units = unit_prototypes(prototypes) if cpgma else None
+        layout = nn.spec_layout(spec)
+        for (vec, l_local, l_sfmc, grads), drawn, idx in zip(steps, draws, batches):
+            assert len(drawn) == min(len(idx), sample)
+            ref = parent_sfmc_step(nn.Parameters.over(vec, layout), spec, shard.inputs[idx],
+                                   shard.labels[idx], drawn, units)
+            assert l_local == pytest.approx(ref[0], rel=1e-12, abs=0)
+            assert l_sfmc == pytest.approx(ref[1], rel=1e-12, abs=0)
+            assert np.abs(grads - ref[2].vec).max() <= 1e-12 * np.abs(ref[2].vec).max()
 
 
 class TestCpgmaLoss:
@@ -606,15 +728,18 @@ class TestClientUpdate:
                                          collect_final_epoch=False)
         assert upload is None
 
+    @pytest.mark.parametrize("sfmc", [False, True])
     @pytest.mark.parametrize("warm", [False, True])
-    def test_backwards_per_mini_batch(self, monkeypatch, warm):
-        # one local backward over the whole network per mini-batch, plus an
-        # extractor-only CPGMA backward only once its weight is nonzero
+    def test_backwards_per_mini_batch(self, monkeypatch, warm, sfmc):
+        # one local backward over the whole network per mini-batch, or with
+        # SFMC one head backward over the local rows stacked on the drawn
+        # ones and one extractor backward; plus an extractor-only CPGMA
+        # backward only once its weight is nonzero
         spec = small_spec()
         calls = []
 
         def spy(params, spec, cache, *args, **kwargs):
-            calls.append((cache[0][0], cache[-1][0] + 1))
+            calls.append((cache[0][0], cache[-1][0] + 1, len(cache[0][1])))
             return original(params, spec, cache, *args, **kwargs)
 
         original = nn.backward
@@ -624,12 +749,17 @@ class TestClientUpdate:
             prototypes[1] = 1.0
         shard = self.shard(12)
         shard.labels[:] = 1                # so every batch holds the warm class
-        cfg = self.config(batch_size=4, enable_sfmc=False, enable_cpgma=True)
+        rng = np.random.default_rng(1)
+        foreign = FeatureBatch(rng.normal(size=(6, spec.embedding_dim)).astype(np.float16),
+                               rng.integers(0, 3, 6)) if sfmc else None
+        cfg = self.config(batch_size=4, enable_sfmc=sfmc, enable_cpgma=True)
         _, tally = local_train(nn.init_params(spec, 0), spec, shard, cfg, 2,
-                               np.random.default_rng(0), prototypes=prototypes)
+                               np.random.default_rng(0), foreign=foreign,
+                               prototypes=prototypes)
         assert tally[3] == 6
-        whole, extractor = (0, len(spec.layers)), (0, spec.split_index)
-        assert calls == ([whole, extractor] * 6 if warm else [whole] * 6)
+        whole, extractor = (0, len(spec.layers), 4), (0, spec.split_index, 4)
+        local = [(spec.split_index, len(spec.layers), 8), extractor] if sfmc else [whole]
+        assert calls == ((local + [extractor]) * 6 if warm else local * 6)
 
     @pytest.mark.parametrize("cpgma", [False, True])
     def test_prototypes_normalized_once_per_call(self, monkeypatch, cpgma):
@@ -723,25 +853,36 @@ class TestStochasticSfmc:
         return FeatureBatch(embeddings, rng.integers(0, 3, size=n))
 
     def sfmc_calls(self, monkeypatch, shard, foreign, **kw):
-        calls = []
+        """The foreign batch and local rows of every head pass, after
+        checking that the call upcast the sample once."""
+        calls, upcasts = [], []
 
-        def spy(params, spec, batch):
-            calls.append(batch)
-            return original(params, spec, batch)
+        def spy(params, spec, batch, u, labels):
+            calls.append((batch, u, labels))
+            return original(params, spec, batch, u, labels)
 
-        original = federation.compute_sfmc_loss
+        def spy_upcast(values):
+            upcasts.append(values)
+            return original_upcast(values)
+
+        original, original_upcast = federation.compute_sfmc_loss, federation.upcast
         monkeypatch.setattr(federation, "compute_sfmc_loss", spy)
+        monkeypatch.setattr(federation, "upcast", spy_upcast)
         spec = small_spec()
         local_train(nn.init_params(spec, 0), spec, shard, self.config(**kw), 2,
                     np.random.default_rng(0), foreign=foreign, round_tag=1)
+        assert len(upcasts) == 1 and upcasts[0] is foreign.embeddings
+        for _, u, labels in calls:
+            assert len(u) == len(labels) and u.dtype == np.float64
         return calls
 
     def test_each_step_draws_one_foreign_row_per_local_row(self, monkeypatch):
         foreign = self.foreign(12, small_spec().embedding_dim)
         calls = self.sfmc_calls(monkeypatch, self.shard(10), foreign)
-        # batches of 4, 4 and 2 rows in each of two epochs
-        assert [len(batch) for batch in calls] == [4, 4, 2] * 2
-        for batch in calls:
+        # batches of 4, 4 and 2 rows in each of two epochs, each stacked on
+        # as many foreign rows
+        assert [(len(batch), len(u)) for batch, u, _ in calls] == [(4, 4), (4, 4), (2, 2)] * 2
+        for batch, _, _ in calls:
             rows = batch.embeddings[:, 0].astype(np.int64)
             assert np.all(np.diff(rows) > 0)          # distinct, in sample order
             expected = foreign.take(rows)
@@ -750,17 +891,20 @@ class TestStochasticSfmc:
             for column in ("embeddings", "labels"):
                 assert np.array_equal(getattr(batch, column), getattr(expected, column))
         # the draws are fresh: the steps do not all see the same rows
-        assert len({tuple(b.embeddings[:, 0]) for b in calls}) > 1
+        assert len({tuple(b.embeddings[:, 0]) for b, _, _ in calls}) > 1
 
     @pytest.mark.parametrize("rows", [3, 4])
     def test_sample_no_larger_than_the_batch_is_passed_whole(self, monkeypatch, rows):
         foreign = self.foreign(rows, small_spec().embedding_dim)
         calls = self.sfmc_calls(monkeypatch, self.shard(8), foreign)
-        # every step gets the whole sample, upcast once for the call
-        assert len(calls) == 4 and all(batch is calls[0] for batch in calls)
-        assert calls[0].embeddings.dtype == np.float64
-        assert np.array_equal(calls[0].embeddings, foreign.embeddings)
-        assert calls[0].labels is foreign.labels
+        # every step gets the whole sample, upcast once for the call, under
+        # its whole batch of 4 local rows
+        batches = [batch for batch, _, _ in calls]
+        assert len(calls) == 4 and all(batch is batches[0] for batch in batches)
+        assert all(len(u) == 4 for _, u, _ in calls)
+        assert batches[0].embeddings.dtype == np.float64
+        assert np.array_equal(batches[0].embeddings, foreign.embeddings)
+        assert batches[0].labels is foreign.labels
 
     def test_same_config_gives_identical_bytes(self):
         shards, global_test = small_federation()

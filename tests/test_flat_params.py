@@ -333,11 +333,12 @@ class SliceAdds:
         self.covers = []            # (gradient, first layer, stop layer)
         self.backward = nn.backward
 
-    def tagged_backward(self, params, spec, cache, upstream, *, out=None):
-        grads = self.backward(params, spec, cache, upstream, out=out)
+    def tagged_backward(self, params, spec, cache, upstream, *, out=None, input_grad=False):
+        result = self.backward(params, spec, cache, upstream, out=out, input_grad=input_grad)
         if out is None:
+            grads = result[0] if input_grad else result
             self.covers.append((grads, cache[0][0], cache[-1][0] + 1))
-        return grads
+        return result
 
     def add_scaled(self, total, other, scale):
         start, stop = next((a, b) for grads, a, b in self.covers if grads is other)

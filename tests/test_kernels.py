@@ -11,7 +11,8 @@ fails them. The kernels must also never write into their callers' arrays.
 """
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedmp import nn
@@ -55,8 +56,8 @@ def reference_forward(params, spec, x, start=0, stop=None):
 
 
 def reference_backward(params, spec, cache, upstream, input_grad=True, out=None):
-    # ``nn.backward`` returns no input gradient; the tests that chain a head
-    # pass into an extractor pass take the head's from here
+    # returns (grads, gradient at the cache's input), the latter None when
+    # not ``input_grad``, as ``nn.backward(..., input_grad=True)`` does
     grad = np.asarray(upstream, dtype=np.float64)
     if out is None:
         out = params.zeros_like()
@@ -205,6 +206,10 @@ def test_forward_backward_match_reference(spec, seed, rows, one_d, use_out, data
     assert grads.layout is ref_grads.layout and same_bits(grads.vec, ref_grads.vec)
     if use_out:
         assert same_bits(out.vec, ref_out.vec)
+    # carried to the cache's input, as a head's backward hands it to the extractor
+    grads, grad_in = nn.backward(params, spec, cache, upstream, input_grad=True)
+    ref_grads, ref_grad_in = reference_backward(params, spec, ref_cache, upstream, True)
+    assert same_bits(grads.vec, ref_grads.vec) and same_bits(grad_in, ref_grad_in)
     assert same_bits(upstream, upstream_before)
     assert unchanged(cache, cache_before)
     assert same_bits(x, x_before)
@@ -307,6 +312,44 @@ def test_softmax_cross_entropy_matches_reference(batch):
     assert same_bits(grad, ref_grad)
     assert same_bits(nn.softmax(logits), reference_softmax(logits))
     assert same_bits(logits, before)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=logit_batches(), data=st.data())
+def test_split_softmax_cross_entropy_gives_each_part_its_own_bits(batch, data):
+    """The SFMC head pass's two batches in one call: each part's loss and
+    gradient rows have the bits of a call on that part alone."""
+    logits, labels = batch
+    assume(len(logits) > 1)
+    split = data.draw(st.integers(1, len(logits) - 1), label="split")
+    check_split(logits, labels, split)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 300), data=st.data())
+def test_split_softmax_cross_entropy_long_batches(seed, n, data):
+    # long enough for NumPy's blocked summation of the picked log-probabilities
+    rng = np.random.default_rng(seed)
+    logits, labels = rng.normal(scale=4.0, size=(n, 3)), rng.integers(0, 3, n)
+    check_split(logits, labels, data.draw(st.integers(1, n - 1), label="split"))
+
+
+def check_split(logits, labels, split):
+    before = logits.copy()
+    losses, grad = nn.softmax_cross_entropy(logits, labels, split=split)
+    parts = [nn.softmax_cross_entropy(logits[rows], labels[rows])
+             for rows in (slice(None, split), slice(split, None))]
+    for loss, (part_loss, _) in zip(losses, parts):
+        assert type(loss) is float and same_bits(np.float64(loss), np.float64(part_loss))
+    assert same_bits(grad, np.concatenate([part_grad for _, part_grad in parts]))
+    assert same_bits(logits, before)
+
+
+def test_split_must_leave_both_parts_rows():
+    logits, labels = np.zeros((3, 2)), np.array([0, 1, 0])
+    for split in (0, 3, -1):
+        with pytest.raises(ValueError, match="empty part"):
+            nn.softmax_cross_entropy(logits, labels, split=split)
 
 
 # ---------------------------------------------------------------------------

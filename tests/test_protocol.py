@@ -207,6 +207,33 @@ class TestFeatureBlob:
         assert out.embeddings.astype(np.float64).tobytes() == np.array([want]).tobytes()
 
 
+class TestUpcast:
+    def test_every_float16_pattern_matches_numpys_cast(self):
+        # all 65,536 patterns: both zeros, the subnormals, the normals, both
+        # infinities and every NaN; a NaN need only stay a NaN
+        half = np.arange(1 << 16, dtype=np.uint16).view(np.float16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # as under ``python -W error``
+            got, want = protocol.upcast(half), half.astype(np.float64)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan) and nan.sum() == 2 * 1023
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        words = half.view(np.uint16)
+        for pattern in (0x0000, 0x8000, 0x0001, 0x83FF):     # +-0 and subnormals
+            assert got[words == pattern].tobytes() == want[words == pattern].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_batch_shapes_and_other_dtypes(self, dtype):
+        # a decoded sample's (n, d) rows, a strided view of them, and wider
+        # floats, which are cast as they are
+        rows = np.random.default_rng(0).normal(size=(7, 5)).astype(dtype)
+        for values in (rows, rows[::2, 1:]):
+            got = protocol.upcast(values)
+            assert got.dtype == np.float64
+            assert got.tobytes() == values.astype(np.float64).tobytes()
+
+
 class TestPrototypeBlob:
     def test_round_trip_and_length(self):
         protos = np.random.default_rng(1).normal(size=(3, 8)).astype(np.float32)
