@@ -131,7 +131,7 @@ RUNS = {
 GOLDEN = {
     "SkylakeX": {
         "attack": {
-            "reports": "bfc680d664874cec43a9036e924abb25d4404957f72891c42fbba59f2ff766b1",
+            "reports": "4a1f76a8cdbbf62c422b6a2324a9510745d63d8cfa55fc191833c7bdf4d0e963",
             "decoder": "8e7c812c8138071a7ef64b2290dcf9d272c594e7f70f5dd12f14afa7b384ae4d",
         },
         "cpgma": {
@@ -145,19 +145,19 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "ad4ab120c0494597ef9d845cf2882013bf7e6b6595cf8e96efaf8fd22d9840a9",
+            "metrics": "265752b869def9c49b54e12e05c25f7a03a1868a5f83610115ed1e9c498bf421",
             "ledger": "286f025ceb9d7f0bcdc762a1a065175ad68ff84be80550c7161f55225501909e",
             "models": "4ffbaeeae6a2eec1afd570ccd394617cd308866fc23fae2f8d395f1834a78641",
         },
         "fewshot": {
-            "metrics": "8e043ee4e6d191542f8e82238e5817443c479572a54888b3ba5e705288cb0077",
+            "metrics": "40a22d6a39ad5c72fdb3ec8d07213b3d26d07412dcf2b883eaba0c06d51a9356",
             "ledger": "79a6cd9e980258b06791d1d890eea1925cd295afdbf6b17322b5e0159e921eb0",
             "models": "c95824a8e3345d42bf8d8a8107e93c085643662ebdf65516feb0574db74a74fc",
         },
     },
     "Haswell": {
         "attack": {
-            "reports": "94a2a5606fb979c3d7abea5d8d2a5a924c95182eaad47b06793027a7c654ba4e",
+            "reports": "5ea7f926eb810f6c95c5c06f3d3f7449e6d5d4b4d5a5c597d947c07f5e265d0b",
             "decoder": "8e7c812c8138071a7ef64b2290dcf9d272c594e7f70f5dd12f14afa7b384ae4d",
         },
         "cpgma": {
@@ -171,7 +171,7 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "4aff56ee9e6de17412a5de1d1db7a9360932b66b921451871b96414e111f309f",
+            "metrics": "26e33e3aeef6e6e7c0bbec9e746987978d22880588a98d378b0bae07642bd234",
             "ledger": "286f025ceb9d7f0bcdc762a1a065175ad68ff84be80550c7161f55225501909e",
             "models": "4ffbaeeae6a2eec1afd570ccd394617cd308866fc23fae2f8d395f1834a78641",
         },
@@ -183,7 +183,7 @@ GOLDEN = {
     },
     "Sandybridge": {
         "attack": {
-            "reports": "af5688a918cc81853aa3001229c4517d8041df54db5f9372b1210dab1e862bc2",
+            "reports": "1771b32a45354b08f2dc3c08fa24f36d5420e8b1d6f1c9adf058c105215a5a36",
             "decoder": "8e7c812c8138071a7ef64b2290dcf9d272c594e7f70f5dd12f14afa7b384ae4d",
         },
         "cpgma": {
@@ -197,19 +197,19 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "1d91b796d6b0d5270dcbeb0258facb3f580ca4901c988f5aeb5dbd2a00a54247",
+            "metrics": "648f26d0adfeda4c8566fb34585324422d6ea11ed3a2d1ee80982cbca71b0c84",
             "ledger": "286f025ceb9d7f0bcdc762a1a065175ad68ff84be80550c7161f55225501909e",
             "models": "4ffbaeeae6a2eec1afd570ccd394617cd308866fc23fae2f8d395f1834a78641",
         },
         "fewshot": {
-            "metrics": "40a22d6a39ad5c72fdb3ec8d07213b3d26d07412dcf2b883eaba0c06d51a9356",
+            "metrics": "8e043ee4e6d191542f8e82238e5817443c479572a54888b3ba5e705288cb0077",
             "ledger": "79a6cd9e980258b06791d1d890eea1925cd295afdbf6b17322b5e0159e921eb0",
             "models": "c95824a8e3345d42bf8d8a8107e93c085643662ebdf65516feb0574db74a74fc",
         },
     },
     "Katmai": {
         "attack": {
-            "reports": "3ab757a9549a837d9c1642a8afbff8eb6a6e5476b64928ade27d3568b83bf9fc",
+            "reports": "8026b4d1a729d9e8d0982c6d6959eb0373478098b4a11302a4f7187a3dddd9ad",
             "decoder": "8e7c812c8138071a7ef64b2290dcf9d272c594e7f70f5dd12f14afa7b384ae4d",
         },
         "cpgma": {
@@ -223,12 +223,12 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "abd508df9c00afe4194503103cc7ea58580518448ea4b385f05076f9c5448a83",
+            "metrics": "b1a139d540d1389d153765f9a63bc7e5d5f6306d1bab253de189abc4cca8a5a0",
             "ledger": "286f025ceb9d7f0bcdc762a1a065175ad68ff84be80550c7161f55225501909e",
             "models": "4ffbaeeae6a2eec1afd570ccd394617cd308866fc23fae2f8d395f1834a78641",
         },
         "fewshot": {
-            "metrics": "40a22d6a39ad5c72fdb3ec8d07213b3d26d07412dcf2b883eaba0c06d51a9356",
+            "metrics": "8e043ee4e6d191542f8e82238e5817443c479572a54888b3ba5e705288cb0077",
             "ledger": "79a6cd9e980258b06791d1d890eea1925cd295afdbf6b17322b5e0159e921eb0",
             "models": "c95824a8e3345d42bf8d8a8107e93c085643662ebdf65516feb0574db74a74fc",
         },
