@@ -17,22 +17,20 @@ mini-batch's embeddings with the unit prototypes already computed:
 timed on its own), since the prototypes stay fixed while a client trains.
 
 ``nn.backward.extractor`` is the backward that CPGMA's embedding gradient
-then takes through the extractor's cache.
+then takes through the extractor's cache, as does the SFMC pass's.
 
 A local step's SFMC pass is ``federation.draw_foreign`` (64 of the sample's
-rows: ``choice``, ``sort``, ``take``) followed by the ``.head`` cases, the
-64-32-16-3 head's forward, cross-entropy and backward on the 64 drawn rows.
+rows: ``choice``, ``sort``, ``take``) followed by one head pass over the
+64 local embeddings stacked on the 64 drawn rows:
+``federation.compute_sfmc_loss`` (the stacked forward and the split
+cross-entropy), whose parts are timed as the ``.head`` cases: the
+64-32-16-3 head's forward, the two-part cross-entropy and the backward
+that carries the gradient to the split, all on the 128 stacked rows.
 The sample arrives as float16; ``local_train`` upcasts it to float64 once
-per call, ``federation.upcast_foreign``, so each draw is float64 already.
-``federation.draw_foreign.upcast`` is the other way: a draw from the
-float16 sample, upcast after it. NumPy's float16 cast costs per value, and
-more where zeros and nonzeros mix, as in ReLU outputs. A call upcasts
-fewer values once than draw by draw (at M, 1,824 rows once against 32
-draws of 64; at S, 192 rows against 8 draws of 64 or 32), and each draw
-here is a fresh one, so the branch predictor cannot learn one block's
-zeros.
-``nn.Parameters.add_scaled`` adds that head gradient, scaled, into a
-gradient of the whole model, as ``local_train`` adds each auxiliary one.
+per call, ``federation.upcast_foreign``, through ``protocol.upcast``'s
+float16 -> float32 table, so each draw is float64 already.
+``nn.Parameters.add_scaled`` adds the CPGMA backward's gradient, scaled,
+into a gradient of the whole model, as ``local_train`` does.
 
 The feature codecs, ``protocol.serialize_features`` and
 ``deserialize_features``, are timed on the blobs a round sends: ``.upload``
@@ -111,6 +109,7 @@ def cases(scale: str) -> dict:
     from fedmp import geometry, nn
     from fedmp.data import ClientShard
     from fedmp.federation import (
+        compute_sfmc_loss,
         cpgma_embedding_grad,
         draw_foreign,
         evaluate_accuracy,
@@ -121,6 +120,7 @@ def cases(scale: str) -> dict:
         FeatureBatch,
         deserialize_features,
         serialize_features,
+        upcast,
     )
 
     clients, per_client = SCALES[scale]
@@ -159,12 +159,14 @@ def cases(scale: str) -> dict:
     bank = fill()
     foreign = bank.sample(0, SAMPLE_COUNT, 0)           # float16, as decoded
     blobs = {"upload": round_blobs[0], "foreign": serialize_features(foreign)}
-    upcast = FeatureBatch(foreign.embeddings.astype(np.float64), foreign.labels)
+    upcast_foreign = FeatureBatch(upcast(foreign.embeddings), foreign.labels)
     draw_rng = np.random.default_rng(0)
-    drawn = draw_foreign(upcast, BATCH, draw_rng)
-    head_logits, head_cache = nn.forward_classifier(params, spec, drawn.embeddings)
-    _, head_glogits = nn.softmax_cross_entropy(head_logits, drawn.labels)
-    head_grads = nn.backward(params, spec, head_cache, head_glogits)
+    drawn = draw_foreign(upcast_foreign, BATCH, draw_rng)
+    stacked = np.concatenate((u, drawn.embeddings))
+    stacked_labels = np.concatenate((y, drawn.labels))
+    _, _, head_glogits, head_cache = compute_sfmc_loss(params, spec, drawn, u, y)
+    head_logits = nn.forward_classifier(params, spec, stacked)[0]
+    align_grads = nn.backward(params, spec, cache_f, grad_align)
     total_grads = grads.copy()
 
     labels = np.concatenate([batch.labels for batch in uploads])
@@ -177,17 +179,17 @@ def cases(scale: str) -> dict:
     return {
         "nn.forward.batch": lambda: nn.forward_full(params, spec, x),
         "nn.backward.batch": lambda: nn.backward(params, spec, cache, glogits),
-        "federation.upcast_foreign": lambda: foreign.embeddings.astype(np.float64),
-        "federation.draw_foreign": lambda: draw_foreign(upcast, BATCH, draw_rng),
-        "federation.draw_foreign.upcast": lambda: draw_foreign(
-            foreign, BATCH, draw_rng).embeddings.astype(np.float64),
-        "nn.forward.head": lambda: nn.forward_classifier(params, spec, drawn.embeddings),
-        "nn.backward.head": lambda: nn.backward(params, spec, head_cache, head_glogits),
+        "federation.upcast_foreign": lambda: upcast(foreign.embeddings),
+        "federation.draw_foreign": lambda: draw_foreign(upcast_foreign, BATCH, draw_rng),
+        "federation.compute_sfmc_loss": lambda: compute_sfmc_loss(params, spec, drawn, u, y),
+        "nn.forward.head": lambda: nn.forward_classifier(params, spec, stacked),
+        "nn.backward.head": lambda: nn.backward(params, spec, head_cache, head_glogits,
+                                                input_grad=True),
         "nn.backward.extractor": lambda: nn.backward(params, spec, cache_f, grad_align),
-        "nn.Parameters.add_scaled": lambda: total_grads.add_scaled(head_grads, 0.37),
+        "nn.Parameters.add_scaled": lambda: total_grads.add_scaled(align_grads, 0.37),
         "nn.softmax_cross_entropy.batch": lambda: nn.softmax_cross_entropy(logits, y),
         "nn.softmax_cross_entropy.head": lambda: nn.softmax_cross_entropy(
-            head_logits, drawn.labels),
+            head_logits, stacked_labels, split=BATCH),
         "nn.adam_step": lambda: nn.adam_step(params, grads, state),
         "federation.unit_prototypes": lambda: unit_prototypes(prototypes),
         "federation.cpgma_embedding_grad": lambda: cpgma_embedding_grad(u, y, units),
