@@ -156,7 +156,7 @@ class TestSfmcLoss:
             assert narrow[2].vec.tobytes() == wide[2].vec.tobytes()
             assert narrow[3].tobytes() == wide[3].tobytes()
 
-    def test_empty_sample_or_batch_rejected(self):
+    def test_empty_sample_rejected(self):
         # local_train runs the head pass only on a drawn sample, never empty
         spec = small_spec()
         params = nn.init_params(spec, 0)
@@ -183,7 +183,7 @@ class TestSfmcLoss:
         assert l_local == pytest.approx(np.log(2.0), abs=1e-12)
         assert l_sfmc == pytest.approx(np.log(2.0), abs=1e-12)
 
-    def test_each_part_is_the_mean_of_its_closed_forms(self):
+    def test_mean_of_closed_forms(self):
         # per-row losses ln(1+e^-1) and ln 2; each part is the mean of its rows
         spec = nn.NetworkSpec(
             layers=(nn.affine(2, 2), nn.affine(2, 2)), split_index=1, num_classes=2
@@ -728,13 +728,9 @@ class TestClientUpdate:
                                          collect_final_epoch=False)
         assert upload is None
 
-    @pytest.mark.parametrize("sfmc", [False, True])
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_backwards_per_mini_batch(self, monkeypatch, warm, sfmc):
-        # one local backward over the whole network per mini-batch, or with
-        # SFMC one head backward over the local rows stacked on the drawn
-        # ones and one extractor backward; plus an extractor-only CPGMA
-        # backward only once its weight is nonzero
+    def backward_calls(self, monkeypatch, warm, sfmc):
+        """(first layer, stop layer, rows) of each backward over two epochs
+        of 4-row batches, and the head-pass and extractor entries."""
         spec = small_spec()
         calls = []
 
@@ -757,9 +753,24 @@ class TestClientUpdate:
                                np.random.default_rng(0), foreign=foreign,
                                prototypes=prototypes)
         assert tally[3] == 6
-        whole, extractor = (0, len(spec.layers), 4), (0, spec.split_index, 4)
-        local = [(spec.split_index, len(spec.layers), 8), extractor] if sfmc else [whole]
-        assert calls == ((local + [extractor]) * 6 if warm else local * 6)
+        return calls, (0, len(spec.layers), 4), (0, spec.split_index, 4)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_backwards_per_mini_batch(self, monkeypatch, warm):
+        # one local backward over the whole network per mini-batch, plus an
+        # extractor-only CPGMA backward only once its weight is nonzero
+        calls, whole, extractor = self.backward_calls(monkeypatch, warm, sfmc=False)
+        assert calls == ([whole, extractor] * 6 if warm else [whole] * 6)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_sfmc_backwards_per_mini_batch(self, monkeypatch, warm):
+        # with SFMC, one head backward over the 4 local rows stacked on the 4
+        # drawn ones and one extractor backward for the local rows, then the
+        # CPGMA backward as without it
+        calls, _, extractor = self.backward_calls(monkeypatch, warm, sfmc=True)
+        spec = small_spec()
+        step = [(spec.split_index, len(spec.layers), 8), extractor]
+        assert calls == ((step + [extractor]) * 6 if warm else step * 6)
 
     @pytest.mark.parametrize("cpgma", [False, True])
     def test_prototypes_normalized_once_per_call(self, monkeypatch, cpgma):
