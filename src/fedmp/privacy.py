@@ -165,8 +165,7 @@ def unit_normalizer(shards: list[ClientShard]):
 def attack_shard(extractor_params: nn.Parameters, spec: nn.NetworkSpec,
                  shard: ClientShard, config: AttackConfig, normalize) -> dict:
     """Run the attack on one client; metrics on the held-out half only. The
-    row keeps each metric's extreme over the held-out samples, not the
-    samples' own scores."""
+    row holds each metric's extreme over the held-out samples."""
     dec_params, dec_spec = train_decoder(extractor_params, spec, shard, config)
     n_train = int(len(shard) * config.train_fraction)
     x_held = shard.inputs[n_train:]
