@@ -299,9 +299,10 @@ class TestStackedSfmcStep:
                         prototypes=prototypes, round_tag=1)
 
         # the same shuffle, by hand
-        order = np.random.default_rng(seed)
-        batches = [idx for _ in range(2) for perm in [order.permutation(rows)]
-                   for idx in np.array_split(perm, range(batch_size, rows, batch_size))]
+        shuffle, batches = np.random.default_rng(seed), []
+        for _ in range(2):
+            perm = shuffle.permutation(rows)
+            batches += [perm[i:i + batch_size] for i in range(0, rows, batch_size)]
         assert len(steps) == len(draws) == len(batches)
         units = unit_prototypes(prototypes) if cpgma else None
         layout = nn.spec_layout(spec)
@@ -730,7 +731,8 @@ class TestClientUpdate:
 
     def backward_calls(self, monkeypatch, warm, sfmc):
         """(first layer, stop layer, rows) of each backward over two epochs
-        of 4-row batches, and the head-pass and extractor entries."""
+        of 4-row batches, then the entries of a whole-network and of an
+        extractor backward of one batch."""
         spec = small_spec()
         calls = []
 
