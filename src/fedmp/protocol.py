@@ -285,7 +285,11 @@ class LedgerEntry:
 
 _DIRECTIONS = (UP, DOWN)
 _KINDS = (KIND_MODEL, KIND_FEATURES, KIND_PROTOTYPES)
-_FIELDS = 5                     # round, direction, kind, byte_count, client_id
+# an entry's key packs, from the low bit up: kind (2 bits), direction (1),
+# client id (28) and round (the signed rest)
+_CLIENT_BITS = 28
+_ROUND_SHIFT = 3 + _CLIENT_BITS
+_ROUND_LIMIT = 1 << (63 - _ROUND_SHIFT)     # a round lies in [-limit, limit)
 
 
 def _index(names: tuple, name: str | None) -> int | None:
@@ -298,16 +302,17 @@ def _index(names: tuple, name: str | None) -> int | None:
 class CommLedger:
     """Append-only exact byte log of every client/server transfer.
 
-    The log is one array of 64-bit integers, five per entry (direction and
-    kind as indices into their constants): 40 bytes an entry, where a
-    ``LedgerEntry`` with its list slot and byte count costs about 110. A run's results keep
+    An entry is two 64-bit integers, 16 bytes, where a ``LedgerEntry`` with
+    its list slot and byte count costs about 110: a key packing its round,
+    direction, kind and client id, and its byte count. A run's results keep
     their ledgers, so a run of many rounds keeps thousands of entries.
     ``entries`` builds the ``LedgerEntry`` objects on each read."""
 
-    __slots__ = ("_log",)
+    __slots__ = ("_keys", "_bytes")
 
     def __init__(self) -> None:
-        self._log = array("q")
+        self._keys = array("q")
+        self._bytes = array("q")
 
     def record(self, round: int, direction: str, kind: str, byte_count: int, client_id: int) -> None:
         if direction not in _DIRECTIONS:
@@ -316,25 +321,35 @@ class CommLedger:
             raise ValueError(f"bad kind {kind!r}")
         if byte_count < 0:
             raise ValueError("byte_count must be >= 0")
-        # built whole first, so a value that is not a 64-bit integer logs nothing
-        self._log.extend(array("q", (round, _DIRECTIONS.index(direction), _KINDS.index(kind),
-                                     byte_count, client_id)))
+        if not (-_ROUND_LIMIT <= round < _ROUND_LIMIT and 0 <= client_id < 1 << _CLIENT_BITS):
+            raise OverflowError(f"round {round} or client id {client_id} out of the ledger's range")
+        key = (round << _ROUND_SHIFT | client_id << 3
+               | _DIRECTIONS.index(direction) << 2 | _KINDS.index(kind))
+        # the byte count goes first: one that is not a 64-bit integer logs nothing
+        self._bytes.append(byte_count)
+        self._keys.append(key)
 
     @property
     def entries(self) -> list[LedgerEntry]:
-        log = self._log
-        return [LedgerEntry(r, _DIRECTIONS[d], _KINDS[k], b, c)
-                for r, d, k, b, c in zip(*(log[i::_FIELDS] for i in range(_FIELDS)))]
+        mask = (1 << _CLIENT_BITS) - 1
+        return [LedgerEntry(key >> _ROUND_SHIFT, _DIRECTIONS[key >> 2 & 1], _KINDS[key & 3], b,
+                            key >> 3 & mask)
+                for key, b in zip(self._keys, self._bytes)]
 
     def total(self, round: int | None = None, direction: str | None = None,
               kind: str | None = None, client_id: int | None = None) -> int:
-        rows = np.array(self._log, dtype=np.int64).reshape(-1, _FIELDS)    # a copy
-        keep = np.ones(len(rows), dtype=bool)
-        for col, value in ((0, round), (1, _index(_DIRECTIONS, direction)),
-                           (2, _index(_KINDS, kind)), (4, client_id)):
+        keys = np.array(self._keys, dtype=np.int64)     # a copy
+        keep = np.ones(len(keys), dtype=bool)
+        for value, shift, bits in ((round, _ROUND_SHIFT, None),
+                                   (client_id, 3, _CLIENT_BITS),
+                                   (_index(_DIRECTIONS, direction), 2, 1),
+                                   (_index(_KINDS, kind), 0, 2)):
             if value is not None:
-                keep &= rows[:, col] == value
-        return sum(rows[keep, 3].tolist())     # Python ints: exact at any size
+                field = keys >> shift
+                if bits is not None:
+                    field &= (1 << bits) - 1
+                keep &= field == value
+        return sum(np.array(self._bytes, dtype=np.int64)[keep].tolist())   # exact at any size
 
     def rounds(self) -> list[int]:
-        return sorted(set(self._log[0::_FIELDS]))
+        return sorted({key >> _ROUND_SHIFT for key in self._keys})

@@ -659,6 +659,35 @@ class TestCommLedger:
             ledger.record(2, protocol.UP, protocol.KIND_MODEL, 2**63, 0)
         assert ledger.entries == [protocol.LedgerEntry(1, protocol.UP, protocol.KIND_MODEL, 100, 0)]
 
+    def test_fields_read_back_at_the_ends_of_their_ranges(self):
+        # an entry's key packs round, direction, kind and client id
+        rows = [(-(2**32), protocol.UP, protocol.KIND_MODEL, 2**63 - 1, 0),
+                (2**32 - 1, protocol.DOWN, protocol.KIND_PROTOTYPES, 0, 2**28 - 1),
+                (0, protocol.DOWN, protocol.KIND_FEATURES, 7, 5),
+                (-1, protocol.UP, protocol.KIND_PROTOTYPES, 3, 2**28 - 1)]
+        ledger = CommLedger()
+        for row in rows:
+            ledger.record(*row)
+        assert [dataclasses.astuple(e) for e in ledger.entries] == rows
+        assert ledger.rounds() == [-(2**32), -1, 0, 2**32 - 1]
+        for i, field in enumerate(("round", "direction", "kind", "byte_count", "client_id")):
+            if field != "byte_count":
+                for row in rows:
+                    want = sum(r[3] for r in rows if r[i] == row[i])
+                    assert ledger.total(**{field: row[i]}) == want, (field, row[i])
+        assert ledger.total(round=-1, client_id=2**28 - 1, kind=protocol.KIND_PROTOTYPES) == 3
+        assert ledger.total(client_id=2**28) == 0
+
+    @pytest.mark.parametrize("round_, client_id", [(2**32, 0), (-(2**32) - 1, 0),
+                                                   (1, 2**28), (1, -1)])
+    def test_field_out_of_range_logs_nothing(self, round_, client_id):
+        ledger = CommLedger()
+        ledger.record(1, protocol.UP, protocol.KIND_MODEL, 100, 0)
+        with pytest.raises(OverflowError):
+            ledger.record(round_, protocol.UP, protocol.KIND_MODEL, 10, client_id)
+        assert ledger.entries == [protocol.LedgerEntry(1, protocol.UP, protocol.KIND_MODEL, 100, 0)]
+        assert ledger.total() == 100
+
     def test_entries_are_kept_compactly(self):
         # results keep their ledgers: an S gate unit holds about 4,000 entries
         ledger = CommLedger()
@@ -667,8 +696,9 @@ class TestCommLedger:
             for i in range(4000):
                 ledger.record(1 + i // 150, protocol.UP, protocol.KIND_FEATURES, 10**6 + i, i % 3)
 
-        # a LedgerEntry object with its list slot and byte count took about 120 B
-        assert traced_peak(fill) < 4000 * 64
+        # a LedgerEntry object with its list slot and byte count took about
+        # 120 B; an entry is two 64-bit integers
+        assert traced_peak(fill) < 4000 * 24
         assert len(ledger.entries) == 4000
 
     def test_invalid_entries_rejected(self):
