@@ -305,7 +305,7 @@ def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
             a, b, shape = spans[(idx, "W")]
             np.matmul(x.T, grad, out=vec[a:b].reshape(shape))
             a, b, _ = spans[(idx, "b")]
-            grad.sum(axis=0, out=vec[a:b])
+            np.add.reduce(grad, axis=0, out=vec[a:b])     # grad.sum, without its wrapper
             if idx == first:
                 return out
             grad = grad @ w.T
@@ -359,8 +359,9 @@ def softmax_cross_entropy(logits: np.ndarray, labels, *, split: int | None = Non
     if np.maximum.reduce(labels.view(np.uint64)) >= k:
         raise ValueError(f"label out of range [0, {k})")
     z = logits - _row_max(logits)[:, None]
-    # the row sum keeps its own reduction: its summation order sets the bits
-    lse = np.exp(z).sum(axis=1, keepdims=True)
+    # the row sum keeps its own reduction: its summation order sets the bits.
+    # np.add.reduce is what .sum() calls, without its Python wrapper
+    lse = np.add.reduce(np.exp(z), axis=1, keepdims=True)
     np.log(lse, out=lse)
     z -= lse                                    # log-probabilities
     rows = np.arange(n)
@@ -369,11 +370,12 @@ def softmax_cross_entropy(logits: np.ndarray, labels, *, split: int | None = Non
     grad[rows, labels] -= 1.0
     if split is None:
         grad /= n
-        return float(-(picked.sum() / n)), grad     # what -picked.mean() computes
+        return float(-(np.add.reduce(picked) / n)), grad     # what -picked.mean() computes
     m = n - split
     grad[:split] /= split
     grad[split:] /= m
-    return (float(-(picked[:split].sum() / split)), float(-(picked[split:].sum() / m))), grad
+    return ((float(-(np.add.reduce(picked[:split]) / split)),
+             float(-(np.add.reduce(picked[split:]) / m))), grad)
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
