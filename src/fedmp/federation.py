@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -141,74 +140,46 @@ def draw_foreign(foreign: FeatureBatch, rows: int, rng: np.random.Generator) -> 
     return foreign.take(np.sort(rng.choice(len(foreign), rows, replace=False)))
 
 
-class UnitPrototypes(NamedTuple):
-    """The prototypes at unit length, as ``cpgma_embedding_grad`` reads them."""
-
-    vectors: list          # per class its own (d,) array, or None while cold
-    rows: np.ndarray       # (K, d): the same values, zero rows for cold classes
-
-
-def unit_prototypes(prototypes: np.ndarray) -> UnitPrototypes:
-    """Each class's prototype scaled to unit length; a prototype whose norm is
-    below ``EPS_GUARD`` is cold. Every unit vector is its own ``p / p_norm``
-    array: on some OpenBLAS kernels a product's bits depend on where its
-    vector starts, so a row of one 2-D array would not reproduce them."""
-    vectors = []
-    rows = np.zeros(np.shape(prototypes))
-    for cls, p in enumerate(prototypes):
-        p_norm = np.linalg.norm(p)
-        if p_norm < EPS_GUARD:
-            vectors.append(None)
-            continue
-        vectors.append(p / p_norm)
-        rows[cls] = vectors[-1]
-    return UnitPrototypes(vectors, rows)
+def unit_prototypes(prototypes: np.ndarray) -> np.ndarray:
+    """Each class's prototype scaled to unit length, as
+    ``cpgma_embedding_grad`` reads them; a prototype whose norm is below
+    ``EPS_GUARD`` is cold and gets a zero row."""
+    prototypes = np.asarray(prototypes, dtype=np.float64)
+    norms = np.sqrt(np.add.reduce(prototypes * prototypes, axis=1))
+    warm = norms >= EPS_GUARD
+    rows = np.zeros(prototypes.shape)
+    rows[warm] = prototypes[warm] / norms[warm, None]
+    return rows
 
 
-def cpgma_embedding_grad(u: np.ndarray, labels: np.ndarray, units: UnitPrototypes):
+def cpgma_embedding_grad(u: np.ndarray, labels: np.ndarray, units: np.ndarray):
     """Negated per-class mean cosine between embeddings and their prototype,
     plus the gradient with respect to the embeddings.
 
     ``units`` is ``unit_prototypes`` of the prototypes, which stay fixed while
     a client trains. Classes absent from the batch, or whose prototype is
-    still (near) zero, contribute nothing (cold-start guard).
+    still (near) zero, contribute nothing (cold-start guard): a cold class's
+    unit row is zero, and so are its rows' cosines and gradient.
     """
     labels = np.asarray(labels)
-    counts = np.bincount(labels, minlength=len(units.vectors))
-    ends = np.cumsum(counts).tolist()
-    warm, cold = [], []
-    for cls, (count, end) in enumerate(zip(counts.tolist(), ends)):
-        if count:
-            (cold if units.vectors[cls] is None else warm).append((cls, end - count, end))
-    if not warm:
-        return 0.0, np.zeros_like(u)
-    # rows stable-sorted by label, so each class is one contiguous slice in
-    # its batch order; a product over such a slice has the bits of one over
-    # the class's gathered rows. In C order a row's norm does not depend on
-    # which other rows are reduced with it.
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    u_hat = u.take(order, axis=0)
-    # what np.linalg.norm(u_hat, axis=1, keepdims=True) computes
-    norms = np.sqrt(np.add.reduce(u_hat * u_hat, axis=1, keepdims=True))
+    p = units.take(labels, axis=0)
+    # in C order each row's sums run over its own values alone, so a row's
+    # bits do not depend on the layout of ``u`` or on the rows beside it
+    u = np.ascontiguousarray(u)
+    # what np.linalg.norm(u, axis=1) computes
+    norms = np.sqrt(np.add.reduce(u * u, axis=1))
     np.maximum(norms, EPS_GUARD, out=norms)
-    u_hat /= norms
-    cos = np.zeros(len(labels))
-    loss = 0.0
-    for cls, lo, hi in warm:
-        np.matmul(u_hat[lo:hi], units.vectors[cls], out=cos[lo:hi])
-        loss -= float(cos[lo:hi].sum() / (hi - lo))     # what cos.mean() computes
-    # d(-cos)/du = -(p_hat - cos * u_hat) / ||u||, averaged within the class
-    g = units.rows[sorted_labels]
-    g -= cos[:, None] * u_hat
-    np.negative(g, out=g)
-    g /= norms
-    g /= counts[sorted_labels][:, None]
-    for _, lo, hi in cold:
-        g[lo:hi] = 0.0
-    grad_u = np.empty_like(u)
-    grad_u[order] = g
-    return loss, grad_u
+    cos = np.add.reduce(u * p, axis=1)
+    cos /= norms
+    counts = np.bincount(labels, minlength=len(units))
+    means = np.bincount(labels, cos, len(units)) / np.maximum(counts, 1)
+    # 0.0 - x: an all-cold batch's loss is +0.0
+    loss = 0.0 - float(np.add.reduce(means))
+    # d(-cos)/du = (cos * u / ||u|| - p_hat) / ||u||, averaged within the class
+    g = u * (cos / norms)[:, None]
+    g -= p
+    g /= (norms * counts.take(labels))[:, None]
+    return loss, g
 
 
 def update_client_center(center: np.ndarray, batch_class_features: np.ndarray,
@@ -320,6 +291,10 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     decoded float16 sample is upcast to float64 once per call, so no step
     pays that cast. The draws come from their own stream, so a run without
     SFMC draws nothing.
+    Each step runs one extractor backward. While SFMC runs or CPGMA's
+    weight ``w_c`` is nonzero, the head's backward hands it the local rows'
+    gradient at the split, with ``w_c`` times ``cpgma_embedding_grad``'s
+    added in; otherwise one backward runs over the whole network.
     A non-finite loss or gradient raises ``DivergenceError`` naming the
     epoch and batch, before the step would write it into ``params``.
     Returns (feature_batches, tally): the sums over the mini-batches of the
@@ -355,13 +330,9 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                 l_local, l_sfmc, glogits, cache_c = compute_sfmc_loss(
                     params, spec, draw_foreign(foreign, len(idx), foreign_rng), u, yb)
             else:
-                # two forwards, so ``u`` is the extractor's output for any
-                # split; one backward over both caches does what a head
-                # backward and an extractor backward did, in the same
-                # operations and order
+                # two forwards, so ``u`` is the extractor's output for any split
                 logits, cache_c = nn.forward_classifier(params, spec, u)
                 l_local, glogits = nn.softmax_cross_entropy(logits, yb)
-                nn.backward(params, spec, cache_f + cache_c, glogits, out=total_grads)
                 l_sfmc = 0.0
             l_cpgma = 0.0
             if units is not None:
@@ -369,17 +340,25 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
 
             try:        # both raise ValueError on a non-finite loss or gradient
                 w_s, w_c = combine_losses(l_local, l_sfmc, l_cpgma)
-                if sfmc:
+                if sfmc or w_c:
                     # the head's gradient weighs local rows 1/n and foreign
-                    # rows w_s/m; the local rows' part carries on into the
+                    # rows w_s/m; at the split the local rows' part, plus
+                    # w_c times CPGMA's gradient, carries on into the
                     # extractor. Between them the two write every tensor
-                    glogits[len(idx):] *= w_s
+                    if sfmc:
+                        glogits[len(idx):] *= w_s
                     _, grad_in = nn.backward(params, spec, cache_c, glogits,
                                              out=total_grads, input_grad=True)
-                    nn.backward(params, spec, cache_f, grad_in[:len(idx)], out=total_grads)
-                if w_c:
-                    # 0 while every prototype is cold: no backward to discard
-                    total_grads.add_scaled(nn.backward(params, spec, cache_f, grad_u_align), w_c)
+                    grad_u = grad_in[:len(idx)]
+                    if w_c:     # 0 while every prototype is cold
+                        grad_u_align *= w_c
+                        grad_u += grad_u_align
+                    nn.backward(params, spec, cache_f, grad_u, out=total_grads)
+                else:
+                    # one backward over both caches does what a head backward
+                    # and an extractor backward would, in the same operations
+                    # and order
+                    nn.backward(params, spec, cache_f + cache_c, glogits, out=total_grads)
                 nn.adam_step(params, total_grads, opt_state)
             except ValueError as err:
                 raise DivergenceError(f"epoch {epoch + 1}, batch "

@@ -196,11 +196,6 @@ class Parameters:
     def count(self) -> int:
         return self.layout.size
 
-    def add_scaled(self, other: "Parameters", scale: float) -> None:
-        if other.layout is not self.layout:
-            raise ShapeError("add_scaled needs a vector laid out like this one")
-        self.vec += scale * other.vec
-
 
 def spec_layout(spec: NetworkSpec) -> _Layout:
     """The layout of ``spec``'s tensors: each affine layer's ``W`` (in, out)

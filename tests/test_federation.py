@@ -251,9 +251,9 @@ def parent_sfmc_step(params, spec, xb, yb, drawn, units=None):
     if units is not None:
         l_cpgma, grad_u_align = cpgma_embedding_grad(u, yb, units)
     w_s, w_c = combine_losses(l_local, l_sfmc, l_cpgma)
-    grads.add_scaled(sfmc, w_s)
+    grads.vec += w_s * sfmc.vec
     if w_c:
-        grads.add_scaled(nn.backward(params, spec, cache_f, grad_u_align), w_c)
+        grads.vec += w_c * nn.backward(params, spec, cache_f, grad_u_align).vec
     return l_local, l_sfmc, grads
 
 
@@ -313,6 +313,103 @@ class TestStackedSfmcStep:
             assert l_local == pytest.approx(ref[0], rel=1e-12, abs=0)
             assert l_sfmc == pytest.approx(ref[1], rel=1e-12, abs=0)
             assert np.abs(grads - ref[2].vec).max() <= 1e-12 * np.abs(ref[2].vec).max()
+
+
+def parent_step(params, spec, xb, yb, drawn, units):
+    """The three-backward step that one extractor backward replaced: the
+    local backward (over the whole network, or with SFMC the stacked head
+    pass's backward and an extractor backward), then, while CPGMA's weight is
+    nonzero, an extractor backward of its embedding gradient whose result is
+    added scaled by ``w_c``. ``drawn`` is None without SFMC, ``units`` None
+    without CPGMA. Returns the three losses and the step's gradient."""
+    u, cache_f = nn.forward_extractor(params, spec, xb)
+    if drawn is not None:
+        l_local, l_sfmc, glogits, cache_c = compute_sfmc_loss(params, spec, drawn, u, yb)
+    else:
+        logits, cache_c = nn.forward_classifier(params, spec, u)
+        (l_local, glogits), l_sfmc = nn.softmax_cross_entropy(logits, yb), 0.0
+    l_cpgma, grad_u_align = (0.0, None) if units is None else cpgma_embedding_grad(u, yb, units)
+    w_s, w_c = combine_losses(l_local, l_sfmc, l_cpgma)
+    if drawn is not None:
+        glogits[len(yb):] *= w_s
+        grads, grad_in = nn.backward(params, spec, cache_c, glogits, input_grad=True)
+        nn.backward(params, spec, cache_f, grad_in[:len(yb)], out=grads)
+    else:
+        grads = nn.backward(params, spec, cache_f + cache_c, glogits)
+    if w_c:
+        grads.vec += w_c * nn.backward(params, spec, cache_f, grad_u_align).vec
+    return l_local, l_sfmc, l_cpgma, grads
+
+
+class TestOneExtractorBackward:
+    """Every step of ``local_train`` against ``parent_step`` on the same
+    parameters, batch and draw."""
+
+    @pytest.mark.parametrize("sfmc", [False, True])
+    @pytest.mark.parametrize("prototypes", ["off", "cold", "mixed", "warm"])
+    @settings(max_examples=15, deadline=None)
+    @given(rows=st.integers(1, 23), batch_size=st.integers(1, 9),
+           sample=st.integers(1, 20), seed=st.integers(0, 2**31 - 1))
+    def test_agrees_with_the_three_backward_step(self, sfmc, prototypes, rows, batch_size,
+                                                 sample, seed):
+        # random batch and sample sizes: short final batches, and samples
+        # no larger than the batch, which every step then takes whole;
+        # "mixed" has one cold class, "cold" only cold ones
+        spec = nn.mlp_spec(5, (8,), (6,), 3)
+        rng = np.random.default_rng(seed)
+        shard = ClientShard(client_id=0, inputs=rng.normal(size=(rows, 5)),
+                            labels=rng.integers(0, 3, rows))
+        foreign = FeatureBatch(np.maximum(rng.normal(size=(sample, spec.embedding_dim)), 0.0)
+                               .astype(np.float16), rng.integers(0, 3, sample))
+        protos = rng.normal(size=(3, spec.embedding_dim)) * {
+            "off": 1.0, "cold": 0.0, "mixed": np.array([[1.0], [0.0], [1.0]]), "warm": 1.0,
+        }[prototypes]
+        cfg = FederationConfig(rounds=1, num_clients=1, local_epochs=2, num_classes=3,
+                               batch_size=batch_size, learning_rate=1e-2, seed=seed % 1000,
+                               enable_sfmc=sfmc, enable_cpgma=prototypes != "off")
+        losses, draws, steps = [], [], []
+
+        def spy_losses(*args):
+            losses.append(args)
+            return original_losses(*args)
+
+        def spy_sfmc(params, spec, drawn, u, labels):
+            draws.append(drawn)
+            return original_sfmc(params, spec, drawn, u, labels)
+
+        def spy_adam(params, grads, state):
+            steps.append((params.vec.copy(), grads.vec.copy()))
+            return original_adam(params, grads, state)
+
+        original_losses, original_sfmc = federation.combine_losses, federation.compute_sfmc_loss
+        original_adam = nn.adam_step
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(federation, "combine_losses", spy_losses)
+            patch.setattr(federation, "compute_sfmc_loss", spy_sfmc)
+            patch.setattr(nn, "adam_step", spy_adam)
+            local_train(nn.init_params(spec, seed % 1000), spec, shard, cfg, 2,
+                        np.random.default_rng(seed), foreign=foreign,
+                        prototypes=protos, round_tag=1)
+
+        # the same shuffle, by hand
+        shuffle, batches = np.random.default_rng(seed), []
+        for _ in range(2):
+            perm = shuffle.permutation(rows)
+            batches += [perm[i:i + batch_size] for i in range(0, rows, batch_size)]
+        assert len(steps) == len(losses) == len(batches)
+        assert len(draws) == (len(batches) if sfmc else 0)
+        units = None if prototypes == "off" else unit_prototypes(protos)
+        layout = nn.spec_layout(spec)
+        for k, ((vec, grads), got, idx) in enumerate(zip(steps, losses, batches)):
+            drawn = draws[k] if sfmc else None
+            ref = parent_step(nn.Parameters.over(vec, layout), spec, shard.inputs[idx],
+                              shard.labels[idx], drawn, units)
+            for value, want in zip(got, ref[:3]):
+                assert value == pytest.approx(want, rel=1e-12, abs=0)
+            if prototypes in ("off", "cold"):
+                # no CPGMA term: the parent's operations, bit for bit
+                assert grads.tobytes() == ref[3].vec.tobytes()
+            assert np.abs(grads - ref[3].vec).max() <= 1e-12 * np.abs(ref[3].vec).max()
 
 
 class TestCpgmaLoss:
@@ -730,14 +827,15 @@ class TestClientUpdate:
         assert upload is None
 
     def backward_calls(self, monkeypatch, warm, sfmc):
-        """(first layer, stop layer, rows) of each backward over two epochs
-        of 4-row batches, then the entries of a whole-network and of an
-        extractor backward of one batch."""
+        """(first layer, stop layer, rows, input_grad) of each backward over
+        two epochs of 4-row batches, then the entries of a whole-network and
+        of an extractor backward of one batch."""
         spec = small_spec()
         calls = []
 
         def spy(params, spec, cache, *args, **kwargs):
-            calls.append((cache[0][0], cache[-1][0] + 1, len(cache[0][1])))
+            calls.append((cache[0][0], cache[-1][0] + 1, len(cache[0][1]),
+                          kwargs.get("input_grad", False)))
             return original(params, spec, cache, *args, **kwargs)
 
         original = nn.backward
@@ -755,24 +853,26 @@ class TestClientUpdate:
                                np.random.default_rng(0), foreign=foreign,
                                prototypes=prototypes)
         assert tally[3] == 6
-        return calls, (0, len(spec.layers), 4), (0, spec.split_index, 4)
+        return calls, (0, len(spec.layers), 4, False), (0, spec.split_index, 4, False)
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_backwards_per_mini_batch(self, monkeypatch, warm):
-        # one local backward over the whole network per mini-batch, plus an
-        # extractor-only CPGMA backward only once its weight is nonzero
+        # one local backward over the whole network per mini-batch; once
+        # CPGMA's weight is nonzero, a head backward that hands the gradient
+        # at the split, CPGMA's added in, to one extractor backward
         calls, whole, extractor = self.backward_calls(monkeypatch, warm, sfmc=False)
-        assert calls == ([whole, extractor] * 6 if warm else [whole] * 6)
+        spec = small_spec()
+        step = [(spec.split_index, len(spec.layers), 4, True), extractor]
+        assert calls == (step * 6 if warm else [whole] * 6)
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_sfmc_backwards_per_mini_batch(self, monkeypatch, warm):
         # with SFMC, one head backward over the 4 local rows stacked on the 4
-        # drawn ones and one extractor backward for the local rows, then the
-        # CPGMA backward as without it
+        # drawn ones and one extractor backward for the local rows, which
+        # takes CPGMA's gradient too: no backward of its own
         calls, _, extractor = self.backward_calls(monkeypatch, warm, sfmc=True)
         spec = small_spec()
-        step = [(spec.split_index, len(spec.layers), 8), extractor]
-        assert calls == ((step + [extractor]) * 6 if warm else step * 6)
+        assert calls == [(spec.split_index, len(spec.layers), 8, True), extractor] * 6
 
     @pytest.mark.parametrize("cpgma", [False, True])
     def test_prototypes_normalized_once_per_call(self, monkeypatch, cpgma):
@@ -826,12 +926,12 @@ class TestClientUpdate:
         spec = small_spec()
         calls = []
 
-        def overflowing(params, spec, cache, upstream, *, out=None):
-            grads = original(params, spec, cache, upstream, out=out)
+        def overflowing(params, spec, cache, upstream, *, out=None, input_grad=False):
+            result = original(params, spec, cache, upstream, out=out, input_grad=input_grad)
             calls.append(None)
             if len(calls) >= 4:
-                grads[(0, "W")][0, 0] = np.inf
-            return grads
+                (result[0] if input_grad else result)[(0, "W")][0, 0] = np.inf
+            return result
 
         original = nn.backward
         monkeypatch.setattr(nn, "backward", overflowing)

@@ -1,13 +1,10 @@
 """The flat parameter vector against the per-tensor code it replaced.
 
 Every model is one contiguous float64 vector with a view per (layer, kind)
-tensor. The Adam step, aggregation, ``add_scaled`` and serialization run over
-the whole vector; each must give the same bits as the per-key loops copied
-below as references. Comparisons are on raw bytes, so a -0.0 that turns into
-+0.0 fails them. Every gradient is laid out like the whole model, so
-``local_train`` adds an auxiliary gradient over the whole vector where it
-once added only the slice of the layers the gradient covered; both give the
-same parameter bits.
+tensor. The Adam step, aggregation and serialization run over the whole
+vector; each must give the same bits as the per-key loops copied below as
+references. Comparisons are on raw bytes, so a -0.0 that turns into +0.0
+fails them. Every gradient is laid out like the whole model.
 """
 
 import struct
@@ -18,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmp import nn
-from fedmp.data import ClientShard
-from fedmp.federation import FederationConfig, aggregate_models, local_train
-from fedmp.protocol import MODEL_MAGIC, FeatureBatch, deserialize_model, serialize_model
+from fedmp.federation import aggregate_models
+from fedmp.protocol import MODEL_MAGIC, deserialize_model, serialize_model
 
 
 def same_bits(a, b) -> bool:
@@ -150,33 +146,6 @@ def test_aggregate_matches_per_key_reference(net, sizes):
     models = [random_tensors(spec, rng, range(len(spec.layers))) for _ in sizes]
     got = aggregate_models([nn.Parameters(m) for m in models], sizes)
     assert same_tensors(got, reference_aggregate(models, sizes))
-
-
-@settings(max_examples=40, deadline=None)
-@given(net=networks(), scale=st.floats(-2, 2))
-def test_add_scaled_matches_per_key_reference(net, scale):
-    spec, seed = net
-    rng = np.random.default_rng(seed)
-    every = range(len(spec.layers))
-    base = random_tensors(spec, rng, every)
-    tensors = random_tensors(spec, rng, every)
-    params = nn.Parameters(base)
-    params.add_scaled(nn.Parameters(tensors), scale)
-    ref = {k: v.copy() for k, v in base.items()}
-    for k in tensors:
-        ref[k] += scale * tensors[k]
-    assert same_tensors(params, ref)
-
-
-@pytest.mark.parametrize("cover", ("classifier", "extractor"))
-def test_add_scaled_rejects_another_layout(cover):
-    spec = nn.mlp_spec(3, (4,), (5,), 2)
-    params = nn.init_params(spec, 0)
-    before = params.vec.copy()
-    part = random_tensors(spec, np.random.default_rng(0), covered_layers(spec, cover))
-    with pytest.raises(nn.ShapeError, match="laid out like"):
-        params.add_scaled(nn.Parameters(part), 1.0)
-    assert same_bits(params.vec, before)
 
 
 # ---------------------------------------------------------------------------
@@ -321,74 +290,15 @@ def test_partial_gradient_changes_nothing(step, cover):
 
 
 # ---------------------------------------------------------------------------
-# whole-vector gradient adds in local training
-
-
-class SliceAdds:
-    """``backward`` and ``add_scaled`` as they were when a gradient held only
-    the tensors of the cached layers, so an auxiliary gradient was added into
-    its own slice of ``total_grads`` alone."""
-
-    def __init__(self):
-        self.covers = []            # (gradient, first layer, stop layer)
-        self.backward = nn.backward
-
-    def tagged_backward(self, params, spec, cache, upstream, *, out=None, input_grad=False):
-        result = self.backward(params, spec, cache, upstream, out=out, input_grad=input_grad)
-        if out is None:
-            grads = result[0] if input_grad else result
-            self.covers.append((grads, cache[0][0], cache[-1][0] + 1))
-        return result
-
-    def add_scaled(self, total, other, scale):
-        start, stop = next((a, b) for grads, a, b in self.covers if grads is other)
-        spans = [total.layout.spans[k] for k in total.keys() if start <= k[0] < stop]
-        lo, hi = spans[0][0], spans[-1][1]
-        target = total.vec[lo:hi]
-        target += scale * other.vec[lo:hi]
-
-
-def train_client(weight_decay, seed, batch_size, slice_adds=None):
-    """One ``local_train`` call with SFMC and CPGMA both at work; with
-    ``slice_adds``, through the slice add it replaced."""
-    spec = nn.mlp_spec(4, (6,), (5,), 3)
-    rng = np.random.default_rng(seed)
-    shard = ClientShard(client_id=0, inputs=rng.normal(size=(10, 4)),
-                        labels=(np.arange(10) % 3).astype(np.int64))
-    foreign = FeatureBatch(rng.normal(size=(9, spec.embedding_dim)).astype(np.float16),
-                           rng.integers(0, 3, size=9))
-    prototypes = rng.normal(size=(3, spec.embedding_dim))
-    config = FederationConfig(rounds=1, num_clients=1, local_epochs=2, num_classes=3,
-                              batch_size=batch_size, learning_rate=1e-2, seed=seed,
-                              weight_decay=weight_decay)
-    params = nn.init_params(spec, seed)
-    with pytest.MonkeyPatch.context() as patch:
-        if slice_adds is not None:
-            patch.setattr(nn, "backward", slice_adds.tagged_backward)
-            patch.setattr(nn.Parameters, "add_scaled",
-                          lambda total, other, scale: slice_adds.add_scaled(total, other, scale))
-        local_train(params, spec, shard, config, 2, np.random.default_rng(seed),
-                    foreign=foreign, prototypes=prototypes, round_tag=1)
-    return params
-
-
-@pytest.mark.parametrize("weight_decay", [0.0, 6e-3])
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), batch_size=st.integers(1, 4))
-def test_whole_vector_adds_give_the_bits_of_slice_adds(weight_decay, seed, batch_size):
-    slice_adds = SliceAdds()
-    sliced = train_client(weight_decay, seed, batch_size, slice_adds)
-    assert slice_adds.covers
-    whole = train_client(weight_decay, seed, batch_size)
-    assert same_bits(whole.vec, sliced.vec)
+# signed zeros
 
 
 @pytest.mark.parametrize("step", [nn.adam_step])
 @pytest.mark.parametrize("weight_decay", [0.0, 6e-3])
 def test_sign_of_a_zero_gradient_changes_no_parameter_bit(step, weight_decay):
-    """Where the two adds differ, the whole-vector add of a +0.0 may turn a
-    -0.0 of ``total_grads`` into +0.0. No parameter is ever -0.0, and for
-    either sign of a zero gradient Adam gives the same bits."""
+    """How a gradient was summed can set the sign of its zeros: adding a
+    +0.0 turns a -0.0 into +0.0. No parameter is ever -0.0, and for either
+    sign of a zero gradient Adam gives the same bits."""
     spec = nn.mlp_spec(3, (4,), (5,), 2)
     rng = np.random.default_rng(3)
     states = [nn.AdamState(learning_rate=1e-2, weight_decay=weight_decay) for _ in "ab"]

@@ -3,11 +3,13 @@
 ``nn.forward`` adds the bias into the matmul result and applies ReLU in place
 on arrays it made, ``nn.backward`` multiplies the ReLU mask in place into
 gradients it made, ``nn.softmax_cross_entropy`` takes the row maximum column
-by column, and ``federation.cpgma_embedding_grad`` normalizes the batch once
-and works on it sorted by label, one contiguous slice per class.
-Each must give the same bits as the reference copies below, the code as it
-was before; comparisons are on raw bytes, so a -0.0 that turns into +0.0
-fails them. The kernels must also never write into their callers' arrays.
+by column, and ``federation.cpgma_embedding_grad`` works on the whole batch
+at once: each row's norm and cosine, per-class sums of the cosines, and one
+elementwise gradient. Each must give the same bits as the reference copies
+below: the first three are the code as it was before, the last works one
+class and one row at a time in the kernel's order of operations.
+Comparisons are on raw bytes, so a -0.0 that turns into +0.0 fails them.
+The kernels must also never write into their callers' arrays.
 """
 
 import numpy as np
@@ -105,22 +107,26 @@ def reference_softmax(logits):
 
 
 def reference_cpgma_embedding_grad(u, labels, prototypes, eps_guard=1e-8):
-    loss = 0.0
-    grad_u = np.zeros_like(u)
-    for cls in np.unique(labels):
+    # one class and one row at a time, in the kernel's order of operations:
+    # each row's norm and cosine, each class's cosines summed in row order,
+    # then the loss as the sum of the class means
+    labels = np.asarray(labels)
+    k = len(prototypes)
+    counts = np.bincount(labels, minlength=k)
+    means = np.zeros(k)
+    grad_u = np.zeros(u.shape)
+    for cls in range(k):
         p = prototypes[cls]
-        p_norm = np.linalg.norm(p)
-        if p_norm < eps_guard:
-            continue
-        p_hat = p / p_norm
-        idx = np.flatnonzero(labels == cls)
-        uc = u[idx]
-        norms = np.maximum(np.linalg.norm(uc, axis=1, keepdims=True), eps_guard)
-        u_hat = uc / norms
-        cos = u_hat @ p_hat
-        loss -= float(cos.mean())
-        grad_u[idx] = -(p_hat[None, :] - cos[:, None] * u_hat) / norms / len(idx)
-    return loss, grad_u
+        p_norm = np.sqrt(np.add.reduce(p * p))
+        p_hat = p / p_norm if p_norm >= eps_guard else np.zeros_like(p)
+        total = 0.0
+        for i in np.flatnonzero(labels == cls):
+            norm = np.maximum(np.sqrt(np.add.reduce(u[i] * u[i])), eps_guard)
+            cos = np.add.reduce(u[i] * p_hat) / norm
+            total += cos
+            grad_u[i] = (u[i] * (cos / norm) - p_hat) / (norm * counts[cls])
+        means[cls] = total / max(counts[cls], 1)
+    return 0.0 - float(np.add.reduce(means)), grad_u
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +407,14 @@ def test_cpgma_embedding_grad_fortran_order_input():
 @given(batch=alignment_batches(), half_width=st.integers(0, 40), cuts=st.integers(1, 4))
 def test_cpgma_units_made_once_match_units_made_per_call(batch, half_width, cuts):
     """``local_train`` makes the unit prototypes once and passes them to every
-    mini-batch's call. At odd widths a unit prototype that is a row of a 2-D
-    array gives other bits on some kernels, so each must be its own array."""
+    mini-batch's call; at any width, each call gets the bits of one that
+    made them itself."""
     u, labels, prototypes = batch
     d = 2 * half_width + 1
     rng = np.random.default_rng(d)
     u = signed_normal(rng, (len(u), d))
     prototypes = signed_normal(rng, (len(prototypes), d))
     units = unit_prototypes(prototypes)
-    assert all(v is None or (v.base is None and v.flags.c_contiguous) for v in units.vectors)
     for rows in np.array_split(np.arange(len(u)), cuts):
         once = cpgma_embedding_grad(u[rows], labels[rows], units)
         per_call = cpgma_embedding_grad(u[rows], labels[rows], unit_prototypes(prototypes))
@@ -417,3 +422,15 @@ def test_cpgma_units_made_once_match_units_made_per_call(batch, half_width, cuts
         for got in (once, per_call):
             assert same_bits(np.float64(got[0]), np.float64(ref[0]))
             assert same_bits(got[1], ref[1])
+
+
+def test_cpgma_all_cold_batch_is_a_positive_zero_loss():
+    # every prototype below the guard: no class is warm, so the weight
+    # ``combine_losses`` gives CPGMA is 0 and the step runs no CPGMA term
+    rng = np.random.default_rng(4)
+    u = signed_normal(rng, (9, 5))
+    prototypes = signed_normal(rng, (3, 5)) * 1e-10
+    assert not unit_prototypes(prototypes).any()
+    loss, grad = cpgma_embedding_grad(u, rng.integers(0, 3, 9), unit_prototypes(prototypes))
+    assert same_bits(np.float64(loss), np.float64(0.0))
+    assert not grad.any()

@@ -10,7 +10,7 @@ SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "microbench.py"
 PRIMITIVES = {
     "nn.forward.batch", "nn.backward.batch", "nn.forward.head", "nn.backward.head",
     "federation.upcast_foreign", "federation.compute_sfmc_loss",
-    "nn.backward.extractor", "nn.Parameters.add_scaled",
+    "nn.backward.extractor",
     "nn.softmax_cross_entropy.batch", "nn.softmax_cross_entropy.head", "nn.adam_step",
     "federation.unit_prototypes", "federation.cpgma_embedding_grad",
     "federation.draw_foreign", "federation.evaluate_accuracy", "protocol.FeatureBank.insert",

@@ -15,9 +15,12 @@ A local step's CPGMA pass is ``federation.cpgma_embedding_grad`` on the
 mini-batch's embeddings with the unit prototypes already computed:
 ``local_train`` computes them once per call (``federation.unit_prototypes``,
 timed on its own), since the prototypes stay fixed while a client trains.
+The kernel makes no BLAS call: row norms and cosines, per-class sums and
+one elementwise gradient over the 64 x 64 batch.
 
-``nn.backward.extractor`` is the backward that CPGMA's embedding gradient
-then takes through the extractor's cache, as does the SFMC pass's.
+``nn.backward.extractor`` is the step's one extractor backward, which takes
+the gradient at the split: the local rows' part of the head's, plus CPGMA's
+embedding gradient scaled by its weight.
 
 A local step's SFMC pass is ``federation.draw_foreign`` (64 of the sample's
 rows: ``choice``, ``sort``, ``take``) followed by one head pass over the
@@ -29,8 +32,6 @@ that carries the gradient to the split, all on the 128 stacked rows.
 The sample arrives as float16; ``local_train`` upcasts it to float64 once
 per call, ``federation.upcast_foreign``, through ``protocol.upcast``'s
 float16 -> float32 table, so each draw is float64 already.
-``nn.Parameters.add_scaled`` adds the CPGMA backward's gradient, scaled,
-into a gradient of the whole model, as ``local_train`` does.
 
 The feature codecs, ``protocol.serialize_features`` and
 ``deserialize_features``, are timed on the blobs a round sends: ``.upload``
@@ -166,8 +167,6 @@ def cases(scale: str) -> dict:
     stacked_labels = np.concatenate((y, drawn.labels))
     _, _, head_glogits, head_cache = compute_sfmc_loss(params, spec, drawn, u, y)
     head_logits = nn.forward_classifier(params, spec, stacked)[0]
-    align_grads = nn.backward(params, spec, cache_f, grad_align)
-    total_grads = grads.copy()
 
     labels = np.concatenate([batch.labels for batch in uploads])
     shards = [ClientShard(c, inputs[c * per_client:(c + 1) * per_client], batch.labels)
@@ -186,7 +185,6 @@ def cases(scale: str) -> dict:
         "nn.backward.head": lambda: nn.backward(params, spec, head_cache, head_glogits,
                                                 input_grad=True),
         "nn.backward.extractor": lambda: nn.backward(params, spec, cache_f, grad_align),
-        "nn.Parameters.add_scaled": lambda: total_grads.add_scaled(align_grads, 0.37),
         "nn.softmax_cross_entropy.batch": lambda: nn.softmax_cross_entropy(logits, y),
         "nn.softmax_cross_entropy.head": lambda: nn.softmax_cross_entropy(
             head_logits, stacked_labels, split=BATCH),
