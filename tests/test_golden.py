@@ -131,11 +131,11 @@ RUNS = {
 GOLDEN = {
     "SkylakeX": {
         "attack": {
-            "reports": "4a1f76a8cdbbf62c422b6a2324a9510745d63d8cfa55fc191833c7bdf4d0e963",
+            "reports": "bd87fa2eaf6f117d83e68f404e3e4547c88958c2ae10e8472c140a6b815fe20f",
             "decoder": "8e7c812c8138071a7ef64b2290dcf9d272c594e7f70f5dd12f14afa7b384ae4d",
         },
         "cpgma": {
-            "metrics": "e0fb8cb1a4e057601daa0f5b715cbb768d7b7b5996aede6284496bc1dd3030ab",
+            "metrics": "d15c905b59c23e2e27d29d406b2453d5b571e28353b6ef1422a463a29cc3b7ef",
             "ledger": "cefe51952dbaee6082ccf9f984d9b56bd608dd7956c00af45cc75b498d0cc906",
             "models": "3f55981440b93f9e8fd01a91efa51b2285cd7f5f93f6c0bca2414bb5fa852bed",
         },
@@ -145,7 +145,7 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "265752b869def9c49b54e12e05c25f7a03a1868a5f83610115ed1e9c498bf421",
+            "metrics": "93694c628523ef01ad4d20073cc2c4845baee8062c10db5f91edd591f25e34d6",
             "ledger": "286f025ceb9d7f0bcdc762a1a065175ad68ff84be80550c7161f55225501909e",
             "models": "4ffbaeeae6a2eec1afd570ccd394617cd308866fc23fae2f8d395f1834a78641",
         },
@@ -157,11 +157,11 @@ GOLDEN = {
     },
     "Haswell": {
         "attack": {
-            "reports": "5ea7f926eb810f6c95c5c06f3d3f7449e6d5d4b4d5a5c597d947c07f5e265d0b",
+            "reports": "d760e80f496773b699153b5bf8bbd1cd616800cd6a953f8eb9f5776188f72022",
             "decoder": "8e7c812c8138071a7ef64b2290dcf9d272c594e7f70f5dd12f14afa7b384ae4d",
         },
         "cpgma": {
-            "metrics": "71d5199d12d899c046ad347914cc9a76cd4d6cd976793cc77e25123fc315fbda",
+            "metrics": "136da27c6fe72107beb35220efcb2e32fec86b1c17b11efe9513421200766a38",
             "ledger": "cefe51952dbaee6082ccf9f984d9b56bd608dd7956c00af45cc75b498d0cc906",
             "models": "3f55981440b93f9e8fd01a91efa51b2285cd7f5f93f6c0bca2414bb5fa852bed",
         },
@@ -171,23 +171,23 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "26e33e3aeef6e6e7c0bbec9e746987978d22880588a98d378b0bae07642bd234",
+            "metrics": "b16c0b7caf53fc5b2332819f980e887301a18f6c674b6628cbae16e144a40398",
             "ledger": "286f025ceb9d7f0bcdc762a1a065175ad68ff84be80550c7161f55225501909e",
             "models": "4ffbaeeae6a2eec1afd570ccd394617cd308866fc23fae2f8d395f1834a78641",
         },
         "fewshot": {
-            "metrics": "8e043ee4e6d191542f8e82238e5817443c479572a54888b3ba5e705288cb0077",
+            "metrics": "40a22d6a39ad5c72fdb3ec8d07213b3d26d07412dcf2b883eaba0c06d51a9356",
             "ledger": "79a6cd9e980258b06791d1d890eea1925cd295afdbf6b17322b5e0159e921eb0",
             "models": "c95824a8e3345d42bf8d8a8107e93c085643662ebdf65516feb0574db74a74fc",
         },
     },
     "Sandybridge": {
         "attack": {
-            "reports": "1771b32a45354b08f2dc3c08fa24f36d5420e8b1d6f1c9adf058c105215a5a36",
+            "reports": "522078a3c68a6bc161fde7717d4a57b57201ab57436439e21d4136761320d452",
             "decoder": "8e7c812c8138071a7ef64b2290dcf9d272c594e7f70f5dd12f14afa7b384ae4d",
         },
         "cpgma": {
-            "metrics": "47957ee2d6ee7d6f44969f7747b358a0843a7ec1d1af1478a2b6a94c3f0c83f8",
+            "metrics": "81b753239e4c449968e48fc61e245d667fd6761f5e8837514c8847d3789b0165",
             "ledger": "cefe51952dbaee6082ccf9f984d9b56bd608dd7956c00af45cc75b498d0cc906",
             "models": "3f55981440b93f9e8fd01a91efa51b2285cd7f5f93f6c0bca2414bb5fa852bed",
         },
@@ -197,23 +197,23 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "648f26d0adfeda4c8566fb34585324422d6ea11ed3a2d1ee80982cbca71b0c84",
+            "metrics": "05b04e1531bf83fb15b33b5a96157227ec559923733175f4dcc4512ba0a9ac49",
             "ledger": "286f025ceb9d7f0bcdc762a1a065175ad68ff84be80550c7161f55225501909e",
             "models": "4ffbaeeae6a2eec1afd570ccd394617cd308866fc23fae2f8d395f1834a78641",
         },
         "fewshot": {
-            "metrics": "8e043ee4e6d191542f8e82238e5817443c479572a54888b3ba5e705288cb0077",
+            "metrics": "40a22d6a39ad5c72fdb3ec8d07213b3d26d07412dcf2b883eaba0c06d51a9356",
             "ledger": "79a6cd9e980258b06791d1d890eea1925cd295afdbf6b17322b5e0159e921eb0",
             "models": "c95824a8e3345d42bf8d8a8107e93c085643662ebdf65516feb0574db74a74fc",
         },
     },
     "Katmai": {
         "attack": {
-            "reports": "8026b4d1a729d9e8d0982c6d6959eb0373478098b4a11302a4f7187a3dddd9ad",
+            "reports": "20a3ceea7eb04b06f5db1333a127358603cfe9cf7a1aa745a6fd75f10d05f8b6",
             "decoder": "8e7c812c8138071a7ef64b2290dcf9d272c594e7f70f5dd12f14afa7b384ae4d",
         },
         "cpgma": {
-            "metrics": "47957ee2d6ee7d6f44969f7747b358a0843a7ec1d1af1478a2b6a94c3f0c83f8",
+            "metrics": "81b753239e4c449968e48fc61e245d667fd6761f5e8837514c8847d3789b0165",
             "ledger": "cefe51952dbaee6082ccf9f984d9b56bd608dd7956c00af45cc75b498d0cc906",
             "models": "3f55981440b93f9e8fd01a91efa51b2285cd7f5f93f6c0bca2414bb5fa852bed",
         },
@@ -223,12 +223,12 @@ GOLDEN = {
             "models": "39451f1f5a7a578155157bc5adf6c33da314b3a48942c41749c14f479d2d93a2",
         },
         "fedmp": {
-            "metrics": "b1a139d540d1389d153765f9a63bc7e5d5f6306d1bab253de189abc4cca8a5a0",
+            "metrics": "05b04e1531bf83fb15b33b5a96157227ec559923733175f4dcc4512ba0a9ac49",
             "ledger": "286f025ceb9d7f0bcdc762a1a065175ad68ff84be80550c7161f55225501909e",
             "models": "4ffbaeeae6a2eec1afd570ccd394617cd308866fc23fae2f8d395f1834a78641",
         },
         "fewshot": {
-            "metrics": "8e043ee4e6d191542f8e82238e5817443c479572a54888b3ba5e705288cb0077",
+            "metrics": "40a22d6a39ad5c72fdb3ec8d07213b3d26d07412dcf2b883eaba0c06d51a9356",
             "ledger": "79a6cd9e980258b06791d1d890eea1925cd295afdbf6b17322b5e0159e921eb0",
             "models": "c95824a8e3345d42bf8d8a8107e93c085643662ebdf65516feb0574db74a74fc",
         },
