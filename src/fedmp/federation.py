@@ -351,8 +351,7 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                                              out=total_grads, input_grad=True)
                     grad_u = grad_in[:len(idx)]
                     if w_c:     # 0 while every prototype is cold
-                        grad_u_align *= w_c
-                        grad_u += grad_u_align
+                        grad_u += w_c * grad_u_align
                     nn.backward(params, spec, cache_f, grad_u, out=total_grads)
                 else:
                     # one backward over both caches does what a head backward

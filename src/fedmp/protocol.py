@@ -287,9 +287,9 @@ _DIRECTIONS = (UP, DOWN)
 _KINDS = (KIND_MODEL, KIND_FEATURES, KIND_PROTOTYPES)
 # an entry's key packs, from the low bit up: kind (2 bits), direction (1),
 # client id (28) and round (the signed rest)
-_CLIENT_BITS = 28
-_ROUND_SHIFT = 3 + _CLIENT_BITS
-_ROUND_LIMIT = 1 << (63 - _ROUND_SHIFT)     # a round lies in [-limit, limit)
+_CLIENT_MASK = (1 << 28) - 1
+_ROUND_SHIFT = 31
+_ROUND_LIMIT = 1 << 32          # a round lies in [-limit, limit)
 
 
 def _index(names: tuple, name: str | None) -> int | None:
@@ -321,8 +321,8 @@ class CommLedger:
             raise ValueError(f"bad kind {kind!r}")
         if byte_count < 0:
             raise ValueError("byte_count must be >= 0")
-        if not (-_ROUND_LIMIT <= round < _ROUND_LIMIT and 0 <= client_id < 1 << _CLIENT_BITS):
-            raise OverflowError(f"round {round} or client id {client_id} out of the ledger's range")
+        if not (-_ROUND_LIMIT <= round < _ROUND_LIMIT and 0 <= client_id <= _CLIENT_MASK):
+            raise OverflowError(f"round {round} or client id {client_id} out of the ledger range")
         key = (round << _ROUND_SHIFT | client_id << 3
                | _DIRECTIONS.index(direction) << 2 | _KINDS.index(kind))
         # the byte count goes first: one that is not a 64-bit integer logs nothing
@@ -331,24 +331,19 @@ class CommLedger:
 
     @property
     def entries(self) -> list[LedgerEntry]:
-        mask = (1 << _CLIENT_BITS) - 1
         return [LedgerEntry(key >> _ROUND_SHIFT, _DIRECTIONS[key >> 2 & 1], _KINDS[key & 3], b,
-                            key >> 3 & mask)
+                            key >> 3 & _CLIENT_MASK)
                 for key, b in zip(self._keys, self._bytes)]
 
     def total(self, round: int | None = None, direction: str | None = None,
               kind: str | None = None, client_id: int | None = None) -> int:
         keys = np.array(self._keys, dtype=np.int64)     # a copy
         keep = np.ones(len(keys), dtype=bool)
-        for value, shift, bits in ((round, _ROUND_SHIFT, None),
-                                   (client_id, 3, _CLIENT_BITS),
+        for value, shift, mask in ((round, _ROUND_SHIFT, -1), (client_id, 3, _CLIENT_MASK),
                                    (_index(_DIRECTIONS, direction), 2, 1),
-                                   (_index(_KINDS, kind), 0, 2)):
+                                   (_index(_KINDS, kind), 0, 3)):
             if value is not None:
-                field = keys >> shift
-                if bits is not None:
-                    field &= (1 << bits) - 1
-                keep &= field == value
+                keep &= (keys >> shift & mask) == value
         return sum(np.array(self._bytes, dtype=np.int64)[keep].tolist())   # exact at any size
 
     def rounds(self) -> list[int]:
