@@ -185,7 +185,9 @@ def cpgma_embedding_grad(u: np.ndarray, labels: np.ndarray, units: np.ndarray):
 def update_client_center(center: np.ndarray, batch_class_features: np.ndarray,
                          mu_client: float) -> np.ndarray:
     """EMA of a client's per-class batch means; empty batches are a no-op.
-    The mean runs in float64 whatever the rows' dtype."""
+    The mean runs in float64 whatever the rows' dtype. The round passes it
+    float64 rows, each upload upcast once (``protocol.upcast``); float16
+    rows reduced with ``dtype=float64`` give the same bits."""
     if not 0 < mu_client <= 1:
         raise ValueError("mu_client must be in (0, 1]")
     if batch_class_features.size == 0:
@@ -319,16 +321,18 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     total_grads = params.zeros_like()
     n = len(shard)
     for epoch in range(epochs):
+        # one gather per epoch; each batch is a slice of its rows
         order = rng.permutation(n)
+        inputs, labels = shard.inputs[order], shard.labels[order]
         final_epoch = epoch == epochs - 1
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = shard.inputs[idx], shard.labels[idx]
+            xb = inputs[start:start + config.batch_size]
+            yb = labels[start:start + config.batch_size]
 
             u, cache_f = nn.forward_extractor(params, spec, xb)
             if sfmc:
                 l_local, l_sfmc, glogits, cache_c = compute_sfmc_loss(
-                    params, spec, draw_foreign(foreign, len(idx), foreign_rng), u, yb)
+                    params, spec, draw_foreign(foreign, len(yb), foreign_rng), u, yb)
             else:
                 # two forwards, so ``u`` is the extractor's output for any split
                 logits, cache_c = nn.forward_classifier(params, spec, u)
@@ -346,10 +350,10 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                     # w_c times CPGMA's gradient, carries on into the
                     # extractor. Between them the two write every tensor
                     if sfmc:
-                        glogits[len(idx):] *= w_s
+                        glogits[len(yb):] *= w_s
                     _, grad_in = nn.backward(params, spec, cache_c, glogits,
                                              out=total_grads, input_grad=True)
-                    grad_u = grad_in[:len(idx)]
+                    grad_u = grad_in[:len(yb)]
                     if w_c:     # 0 while every prototype is cold
                         grad_u += w_c * grad_u_align
                     nn.backward(params, spec, cache_f, grad_u, out=total_grads)
@@ -456,6 +460,19 @@ def _traffic(ledger: CommLedger, t: int) -> dict:
             "down_bytes": ledger.total(round=t, direction=DOWN)}
 
 
+def _update_centers(centers: np.ndarray, rows: FeatureBatch, config: FederationConfig) -> None:
+    """One upload's EMA of its client's ``centers`` (K, d), in place: one
+    step per mini-batch, every ``batch_size`` rows, over the rows upcast to
+    float64 once."""
+    embeddings = upcast(rows.embeddings)
+    for start in range(0, len(rows), config.batch_size):
+        batch = embeddings[start:start + config.batch_size]
+        labels = rows.labels[start:start + config.batch_size]
+        for cls in np.flatnonzero(np.bincount(labels)):
+            centers[cls] = update_client_center(centers[cls], batch[labels == cls],
+                                                config.mu_client)
+
+
 def _server_feature_update(bank: FeatureBank, centers: np.ndarray, prototypes: np.ndarray,
                            uploads: dict, shards: dict, config: FederationConfig, t: int) -> None:
     """Bank insertion plus the two-level EMA of ``centers`` (N, K, d) and
@@ -463,19 +480,12 @@ def _server_feature_update(bank: FeatureBank, centers: np.ndarray, prototypes: n
     ``uploads`` maps each client to its round-``t`` feature blob, decoded
     here once. Its rows enter the bank in one insert: a FIFO slot keeps the
     same rows whether it is trimmed after each mini-batch or after all of
-    them. The centers take one EMA step per mini-batch, every ``batch_size``
-    rows."""
+    them."""
     for cid in sorted(uploads):
         rows = deserialize_features(uploads[cid])
         if config.enable_sfmc:          # nothing else samples the bank
             bank.insert(rows, cid, t)
-        for start in range(0, len(rows), config.batch_size):
-            stop = start + config.batch_size
-            embeddings, labels = rows.embeddings[start:stop], rows.labels[start:stop]
-            for cls in np.flatnonzero(np.bincount(labels)):
-                centers[cid, cls] = update_client_center(
-                    centers[cid, cls], embeddings[labels == cls], config.mu_client,
-                )
+        _update_centers(centers[cid], rows, config)
     ordered = sorted(shards)
     for cls in range(config.num_classes):
         prototypes[cls] = update_global_prototype(

@@ -1,92 +1,80 @@
 """Minimal dense neural-network substrate.
 
-Layered feed-forward models made of affine / relu / flatten layers, split at a
-configurable index into a feature extractor and a classifier head. Forward and
-backward passes are explicit so that gradients can be started or stopped at the
-split point, which the federation losses rely on. Everything is float64 and
-fully deterministic given a seed.
+A network is a split MLP given by its widths: affine layers, each but the
+last followed by a ReLU, split at a configurable layer into a feature
+extractor and a classifier head. Forward and backward passes are explicit so
+that gradients can be started or stopped at the split point, which the
+federation losses rely on. Everything is float64 and fully deterministic
+given a seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-AFFINE = "affine"
-RELU = "relu"
-FLATTEN = "flatten"
+AFFINE = "affine"           # the kind of an affine entry of ``NetworkSpec.layers``
 
 
 class ShapeError(ValueError):
     """Raised when an input or parameter shape does not match the network spec."""
 
 
-def affine(n_in: int, n_out: int) -> tuple:
-    return (AFFINE, int(n_in), int(n_out))
-
-
-def relu() -> tuple:
-    return (RELU,)
-
-
-def flatten() -> tuple:
-    return (FLATTEN,)
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Layer list plus the extractor/classifier split.
+    """A split MLP given by its widths.
 
-    Layers ``[0, split_index)`` form the feature extractor; layers from
-    ``split_index`` onward form the classifier head. The last layer must be an
-    affine layer whose output width equals ``num_classes``.
+    ``widths`` runs from the input width through the hidden widths to the
+    output width; each pair of neighbours is one affine layer, and every
+    affine layer but the last is followed by a ReLU. Layers are numbered in
+    that order: affine layer ``j`` is layer ``2j`` and its ReLU ``2j + 1``.
+    Layers ``[0, split_index)`` form the feature extractor and the rest the
+    classifier head; a plain MLP, such as the attack's decoder, has no split.
+
+    ``layers`` spells the same network out as ``(AFFINE, n_in, n_out)`` and
+    ``("relu",)`` entries, for code that counts work per layer (perfbench's
+    tracer reads it), and ``layout`` is where the tensors sit in
+    ``Parameters.vec``: each affine layer's ``W`` (in, out) and ``b`` (out,),
+    in sorted key order.
     """
 
-    layers: tuple
-    split_index: int
-    num_classes: int
+    widths: tuple
+    split_index: int | None = None
+    layers: tuple = field(init=False, repr=False, compare=False)
+    layout: _Layout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.layers:
+        widths = tuple(int(w) for w in self.widths)
+        if len(widths) < 2:
             raise ShapeError("network needs at least one layer")
-        if not 0 < self.split_index < len(self.layers):
-            raise ShapeError(
-                f"split_index {self.split_index} outside (0, {len(self.layers)})"
-            )
-        last = self.layers[-1]
-        if last[0] != AFFINE or last[2] != self.num_classes:
-            raise ShapeError("last layer must be affine with width num_classes")
-        width = None
-        for idx, layer in enumerate(self.layers):
-            if layer[0] == AFFINE:
-                if min(layer[1], layer[2]) < 1:
-                    raise ShapeError(
-                        f"layer {idx}: affine widths must be positive, got {layer[1]} -> {layer[2]}"
-                    )
-                if width is not None and layer[1] != width:
-                    raise ShapeError(
-                        f"layer {idx}: expects input width {layer[1]}, got {width}"
-                    )
-                width = layer[2]
-            elif layer[0] not in (RELU, FLATTEN):
-                raise ShapeError(f"layer {idx}: unknown kind {layer[0]!r}")
+        layers, signature = [], []
+        for j, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
+            if min(n_in, n_out) < 1:
+                raise ShapeError(
+                    f"layer {2 * j}: affine widths must be positive, got {n_in} -> {n_out}"
+                )
+            layers += [(AFFINE, n_in, n_out), ("relu",)]
+            signature += [((2 * j, "W"), (n_in, n_out)), ((2 * j, "b"), (n_out,))]
+        del layers[-1]
+        if self.split_index is not None and not 0 < self.split_index < len(layers):
+            raise ShapeError(f"split_index {self.split_index} outside (0, {len(layers)})")
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "layers", tuple(layers))
+        object.__setattr__(self, "layout", _layout(tuple(signature)))
 
     @property
     def input_dim(self) -> int:
-        for layer in self.layers:
-            if layer[0] == AFFINE:
-                return layer[1]
-        raise ShapeError("network has no affine layer")
+        return self.widths[0]
+
+    @property
+    def num_classes(self) -> int:
+        return self.widths[-1]
 
     def width_after(self, stop: int) -> int:
         """Output width of the sub-network formed by layers ``[0, stop)``."""
-        width = self.input_dim
-        for layer in self.layers[:stop]:
-            if layer[0] == AFFINE:
-                width = layer[2]
-        return width
+        return self.widths[(stop + 1) // 2]
 
     @property
     def embedding_dim(self) -> int:
@@ -94,20 +82,12 @@ class NetworkSpec:
 
 
 def mlp_spec(input_dim: int, extractor_hidden, classifier_hidden, num_classes: int) -> NetworkSpec:
-    """Build the default split MLP: affine-relu blocks, then the class head."""
-    layers = []
-    width = input_dim
-    for h in extractor_hidden:
-        layers += [affine(width, h), relu()]
-        width = h
-    split = len(layers)
-    if split == 0:
+    """The default split MLP: the extractor's affine-ReLU blocks, then the
+    head's, then the class layer."""
+    if not extractor_hidden:
         raise ShapeError("extractor needs at least one hidden layer")
-    for h in classifier_hidden:
-        layers += [affine(width, h), relu()]
-        width = h
-    layers.append(affine(width, num_classes))
-    return NetworkSpec(layers=tuple(layers), split_index=split, num_classes=num_classes)
+    return NetworkSpec((input_dim, *extractor_hidden, *classifier_hidden, num_classes),
+                       2 * len(extractor_hidden))
 
 
 class _Layout:
@@ -151,7 +131,7 @@ class Parameters:
     vectors are only ever used whole.
     """
 
-    __slots__ = ("vec", "layout", "_views")
+    __slots__ = ("vec", "layout", "_views", "_pairs")
 
     def __init__(self, values: dict[tuple[int, str], np.ndarray]):
         keys = sorted(values)
@@ -163,7 +143,7 @@ class Parameters:
     def _bind(self, vec: np.ndarray, layout: _Layout) -> None:
         self.vec = vec
         self.layout = layout
-        self._views = None
+        self._views = self._pairs = None
 
     @classmethod
     def over(cls, vec: np.ndarray, layout: _Layout) -> "Parameters":
@@ -184,6 +164,15 @@ class Parameters:
             raise ShapeError(f"{key}: shape {value.shape} != {view.shape}")
         view[...] = value
 
+    @property
+    def pairs(self) -> list:
+        """Each affine layer's ``(W, b)`` views, in layer order, made once
+        from the views ``params[key]`` returns."""
+        if self._pairs is None:
+            keys = self.layout.keys
+            self._pairs = [(self[w], self[b]) for w, b in zip(keys[::2], keys[1::2])]
+        return self._pairs
+
     def keys(self):
         return list(self.layout.keys)
 
@@ -197,26 +186,13 @@ class Parameters:
         return self.layout.size
 
 
-def spec_layout(spec: NetworkSpec) -> _Layout:
-    """The layout of ``spec``'s tensors: each affine layer's ``W`` (in, out)
-    and ``b`` (out,), in sorted key order. It is the interned layout that
-    ``Parameters`` builds for the same keys and shapes."""
-    shapes = {}
-    for idx, layer in enumerate(spec.layers):
-        if layer[0] == AFFINE:
-            shapes[(idx, "W")], shapes[(idx, "b")] = layer[1:], layer[2:]
-    return _layout(tuple((key, shapes[key]) for key in sorted(shapes)))
-
-
 def init_params(spec: NetworkSpec, seed: int) -> Parameters:
     """Glorot-uniform weights, drawn layer by layer, and zero biases, seeded."""
-    rng, layout = np.random.default_rng(seed), spec_layout(spec)
-    params = Parameters.over(np.zeros(layout.size), layout)
-    for idx, layer in enumerate(spec.layers):
-        if layer[0] == AFFINE:
-            _, n_in, n_out = layer
-            a = np.sqrt(6.0 / (n_in + n_out))
-            params[(idx, "W")] = rng.uniform(-a, a, size=(n_in, n_out))
+    rng, widths = np.random.default_rng(seed), spec.widths
+    params = Parameters.over(np.zeros(spec.layout.size), spec.layout)
+    for (w, _), n_in, n_out in zip(params.pairs, widths, widths[1:]):
+        a = np.sqrt(6.0 / (n_in + n_out))
+        w[...] = rng.uniform(-a, a, size=(n_in, n_out))
     return params
 
 
@@ -224,40 +200,38 @@ def forward(params: Parameters, spec: NetworkSpec, x: np.ndarray,
             start: int = 0, stop: int | None = None):
     """Run layers ``[start, stop)``; returns (output, cache) for backward.
 
-    An affine entry of the cache holds the layer's input, a ReLU entry its
-    output (``h > 0`` exactly where ``z > 0``) and a flatten entry the input
-    shape. Arrays made here are reused in place: the bias is added into the
-    matmul result, and ReLU overwrites an array made by an earlier layer of
-    this call (never ``x``). So the returned output may itself be a cache
-    entry; callers must not write into it before ``backward`` has run.
+    The cache lists ``(layer index, array)`` for each layer run: an affine
+    layer's input, or a ReLU's output (``h > 0`` exactly where ``z > 0``).
+    Arrays made here are reused in place: the bias is added into the matmul
+    result, and ReLU overwrites an array made by an earlier layer of this
+    call (never ``x``). So the returned output may itself be a cache entry;
+    callers must not write into it before ``backward`` has run.
     """
     if stop is None:
         stop = len(spec.layers)
+    if params.layout is not spec.layout:
+        raise ShapeError("params must be laid out like the network")
     out = np.asarray(x, dtype=np.float64)
     if out.ndim == 1:
         out = out[None, :]
-    owned = False           # is ``out`` an array this call made?
+    if out.shape[1] != spec.width_after(start):
+        raise ShapeError(
+            f"layer {start}: input width {out.shape[1]}, expected {spec.width_after(start)}"
+        )
+    pairs = params.pairs
     cache = []
-    for idx in range(start, stop):
-        layer = spec.layers[idx]
-        kind = layer[0]
-        if kind == AFFINE:
-            _, n_in, n_out = layer
-            if out.shape[1] != n_in:
-                raise ShapeError(
-                    f"layer {idx}: input width {out.shape[1]}, expected {n_in}"
-                )
-            cache.append((idx, out))
-            out = out @ params[(idx, "W")]
-            out += params[(idx, "b")]
-            owned = True
-        elif kind == RELU:
-            out = np.maximum(out, 0.0, out=out if owned else None)
-            owned = True
-            cache.append((idx, out))
-        else:  # flatten
-            cache.append((idx, out.shape))
-            out = out.reshape(out.shape[0], -1)
+    if start & 1 and start < stop:      # a ReLU first: it must not write into ``x``
+        out = np.maximum(out, 0.0)
+        cache.append((start, out))
+        start += 1
+    for idx in range(start, stop, 2):   # an affine layer, then its ReLU if run
+        cache.append((idx, out))
+        w, b = pairs[idx >> 1]
+        out = out @ w
+        out += b
+        if idx + 1 < stop:
+            np.maximum(out, 0.0, out=out)
+            cache.append((idx + 1, out))
     return out, cache
 
 
@@ -280,36 +254,30 @@ def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
     into gradients this call made.
     """
     grad = np.asarray(upstream, dtype=np.float64)
-    owned = False           # is ``grad`` an array this call made?
     if out is None:
         out = params.zeros_like()
     elif out.layout is not params.layout:
         raise ShapeError("out must be laid out like params")
-    # each tensor is written through a slice of ``vec``, with no views dict
-    vec, spans = out.vec, params.layout.spans
-    first = None if input_grad else next(
-        (idx for idx, _ in cache if spec.layers[idx][0] == AFFINE), None)
-    for entry in reversed(cache):
-        idx, saved = entry
-        kind = spec.layers[idx][0]
-        if kind == AFFINE:
-            x = saved
-            w = params[(idx, "W")]
-            if grad.shape != (x.shape[0], w.shape[1]):
-                raise ShapeError(f"layer {idx}: upstream gradient shape mismatch")
-            a, b, shape = spans[(idx, "W")]
-            np.matmul(x.T, grad, out=vec[a:b].reshape(shape))
-            a, b, _ = spans[(idx, "b")]
-            np.add.reduce(grad, axis=0, out=vec[a:b])     # grad.sum, without its wrapper
+    last, saved = cache[-1]
+    want = (len(saved), spec.width_after(last + 1))
+    if grad.shape != want:
+        raise ShapeError(f"upstream gradient shape {grad.shape}, expected {want} "
+                         f"at layer {last}'s output")
+    pairs, grads = params.pairs, out.pairs
+    start = cache[0][0]
+    first = None if input_grad else start + (start & 1)      # the first affine layer
+    owned = False           # is ``grad`` an array this call made?
+    for idx, saved in reversed(cache):
+        if idx & 1:         # ReLU
+            grad = np.multiply(grad, saved > 0.0, out=grad if owned else None)
+        else:
+            grad_w, grad_b = grads[idx >> 1]
+            np.matmul(saved.T, grad, out=grad_w)
+            np.add.reduce(grad, axis=0, out=grad_b)     # grad.sum, without its wrapper
             if idx == first:
                 return out
-            grad = grad @ w.T
-            owned = True
-        elif kind == RELU:
-            grad = np.multiply(grad, saved > 0.0, out=grad if owned else None)
-            owned = True
-        else:  # flatten
-            grad = grad.reshape(saved)
+            grad = grad @ pairs[idx >> 1][0].T
+        owned = True
     return (out, grad) if input_grad else out
 
 
@@ -322,10 +290,8 @@ def forward_classifier(params: Parameters, spec: NetworkSpec, u: np.ndarray):
 
 
 def forward_full(params: Parameters, spec: NetworkSpec, x: np.ndarray):
-    """Extractor then classifier; bit-for-bit the composition of the two."""
-    u, cache_f = forward_extractor(params, spec, x)
-    logits, cache_c = forward_classifier(params, spec, u)
-    return logits, cache_f + cache_c
+    """Every layer in one walk; bit for bit the extractor then the classifier."""
+    return forward(params, spec, x)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -359,10 +325,13 @@ def softmax_cross_entropy(logits: np.ndarray, labels, *, split: int | None = Non
     lse = np.add.reduce(np.exp(z), axis=1, keepdims=True)
     np.log(lse, out=lse)
     z -= lse                                    # log-probabilities
-    rows = np.arange(n)
-    picked = z[rows, labels]
+    # each row's label entry through one flat index, in any memory order
+    flat = labels + np.arange(0, n * k, k)
+    picked = z.take(flat)
     grad = np.exp(z, out=z)
-    grad[rows, labels] -= 1.0
+    hit = grad.take(flat)
+    hit -= 1.0
+    grad.put(flat, hit)
     if split is None:
         grad /= n
         return float(-(np.add.reduce(picked) / n)), grad     # what -picked.mean() computes
@@ -377,9 +346,9 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     """``a.max(axis=1)``, taken column by column, since a few long column
     passes beat many short row reductions. A maximum is exact in any order (a
     tie of 0.0 and -0.0 may keep either, which changes no bit of
-    ``exp(a - max)``)."""
-    top = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
+    ``exp(a - max)``). A single column is returned as it is, not copied."""
+    top = a[:, 0] if a.shape[1] == 1 else np.maximum(a[:, 0], a[:, 1])
+    for j in range(2, a.shape[1]):
         np.maximum(top, a[:, j], out=top)
     return top
 

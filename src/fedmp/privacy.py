@@ -54,20 +54,9 @@ def intercepted_features(params: nn.Parameters, spec: nn.NetworkSpec,
 
 
 def mirror_decoder_spec(spec: nn.NetworkSpec, split_index: int) -> nn.NetworkSpec:
-    """Decoder that walks the encoder's affine widths in reverse."""
-    widths = [spec.input_dim]
-    for layer in spec.layers[:split_index]:
-        if layer[0] == nn.AFFINE:
-            widths.append(layer[2])
-    # leading flatten is a no-op that satisfies the spec's split constraint
-    layers = [nn.flatten()]
-    w = widths[-1]
-    for h in reversed(widths[1:-1]):
-        layers += [nn.affine(w, h), nn.relu()]
-        w = h
-    layers.append(nn.affine(w, spec.input_dim))
-    return nn.NetworkSpec(layers=tuple(layers), split_index=1,
-                          num_classes=spec.input_dim)
+    """Decoder that walks the encoder's widths up to ``split_index`` in
+    reverse: a plain MLP with no split."""
+    return nn.NetworkSpec(spec.widths[(split_index + 1) // 2::-1])
 
 
 def train_decoder(extractor_params: nn.Parameters, spec: nn.NetworkSpec,
@@ -84,13 +73,15 @@ def train_decoder(extractor_params: nn.Parameters, spec: nn.NetworkSpec,
     dec_params = nn.init_params(dec_spec, config.seed)
     state = nn.AdamState(learning_rate=config.learning_rate, weight_decay=0.0)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.seed, 7]))
+    grads = dec_params.zeros_like()         # every backward rewrites all of it
     for _ in range(config.epochs):
         order = rng.permutation(n_train)
         for start in range(0, n_train, BATCH_SIZE):
             idx = order[start:start + BATCH_SIZE]
             out, cache = nn.forward_full(dec_params, dec_spec, z_train[idx])
             grad = 2.0 * (out - x_train[idx]) / out.size
-            nn.adam_step(dec_params, nn.backward(dec_params, dec_spec, cache, grad), state)
+            nn.backward(dec_params, dec_spec, cache, grad, out=grads)
+            nn.adam_step(dec_params, grads, state)
     return dec_params, dec_spec
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .nn import NetworkSpec, Parameters, spec_layout
+from .nn import NetworkSpec, Parameters
 
 MODEL_MAGIC = 0x464D5031  # "FMP1"
 
@@ -128,7 +128,7 @@ def deserialize_model(blob: bytes, spec: NetworkSpec) -> Parameters:
     magic, count = struct.unpack_from("<II", blob, 0)
     if magic != MODEL_MAGIC:
         raise CorruptBlobError(f"bad model magic {magic:#x}")
-    layout = spec_layout(spec)
+    layout = spec.layout
     if count != len(layout.keys):
         raise CorruptBlobError(f"tensor count {count} != expected {len(layout.keys)}")
     vec = np.empty(layout.size)

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 
+from fedmp import nn
+
 
 def params_equal(a, b) -> bool:
     """Two models with the same layout and equal values in every tensor."""
@@ -51,3 +53,57 @@ def one_blas_thread():
                 put(threads)
             return
     yield
+
+
+# ---------------------------------------------------------------------------
+# the layer-list walk ``nn.forward`` and ``nn.backward`` replaced: a dispatch
+# on the kind of each entry of ``spec.layers``, with a width check and two
+# tensor lookups per affine layer, allocating every array it makes
+
+
+def reference_forward(params, spec, x, start=0, stop=None):
+    if stop is None:
+        stop = len(spec.layers)
+    out = np.asarray(x, dtype=np.float64)
+    if out.ndim == 1:
+        out = out[None, :]
+    cache = []
+    for idx in range(start, stop):
+        layer = spec.layers[idx]
+        if layer[0] == nn.AFFINE:
+            _, n_in, n_out = layer
+            if out.shape[1] != n_in:
+                raise nn.ShapeError(
+                    f"layer {idx}: input width {out.shape[1]}, expected {n_in}"
+                )
+            cache.append((idx, out))
+            out = out @ params[(idx, "W")] + params[(idx, "b")]
+        else:
+            cache.append((idx, out))
+            out = np.maximum(out, 0.0)
+    return out, cache
+
+
+def reference_backward(params, spec, cache, upstream, input_grad=True, out=None):
+    """Returns (grads, gradient at the cache's input), the latter None when
+    not ``input_grad``, as ``nn.backward(..., input_grad=True)`` does."""
+    grad = np.asarray(upstream, dtype=np.float64)
+    if out is None:
+        out = params.zeros_like()
+    elif out.layout is not params.layout:
+        raise nn.ShapeError("out must be laid out like params")
+    affine = [idx for idx, _ in cache if spec.layers[idx][0] == nn.AFFINE]
+    first = affine[0] if affine else None
+    for idx, saved in reversed(cache):
+        if spec.layers[idx][0] == nn.AFFINE:
+            w = params[(idx, "W")]
+            if grad.shape != (saved.shape[0], w.shape[1]):
+                raise nn.ShapeError(f"layer {idx}: upstream gradient shape mismatch")
+            np.matmul(saved.T, grad, out=out[(idx, "W")])
+            grad.sum(axis=0, out=out[(idx, "b")])
+            if idx == first and not input_grad:
+                return out, None
+            grad = grad @ w.T
+        else:
+            grad = grad * (saved > 0.0)
+    return out, grad

@@ -38,6 +38,7 @@ from fedmp.protocol import (
     feature_blob_bytes,
     serialize_features,
     serialize_model,
+    upcast,
 )
 
 from helpers import one_blas_thread, params_equal, traced_peak
@@ -171,12 +172,10 @@ class TestSfmcLoss:
 
     def test_uniform_logits_ln2(self):
         # zeroed classifier on K=2 gives uniform logits -> ln 2 for both parts
-        spec = nn.NetworkSpec(
-            layers=(nn.affine(2, 3), nn.affine(3, 2)), split_index=1, num_classes=2
-        )
+        spec = nn.NetworkSpec((2, 3, 2), split_index=2)
         params = nn.init_params(spec, 0)
-        params[(1, "W")][:] = 0.0
-        params[(1, "b")][:] = 0.0
+        params[(2, "W")][:] = 0.0
+        params[(2, "b")][:] = 0.0
         rec = FeatureBatch(np.array([[1.0, -2.0, 0.5]]), np.array([0]))
         l_local, l_sfmc, _, _ = compute_sfmc_loss(params, spec, rec, np.ones((2, 3)),
                                                   np.array([0, 1]))
@@ -185,12 +184,10 @@ class TestSfmcLoss:
 
     def test_mean_of_closed_forms(self):
         # per-row losses ln(1+e^-1) and ln 2; each part is the mean of its rows
-        spec = nn.NetworkSpec(
-            layers=(nn.affine(2, 2), nn.affine(2, 2)), split_index=1, num_classes=2
-        )
+        spec = nn.NetworkSpec((2, 2, 2), split_index=2)
         params = nn.Parameters({
             (0, "W"): np.eye(2), (0, "b"): np.zeros(2),
-            (1, "W"): np.eye(2), (1, "b"): np.zeros(2),
+            (2, "W"): np.eye(2), (2, "b"): np.zeros(2),
         })
         recs = FeatureBatch(np.array([
             [1.0, 0.0],     # logits [1,0] -> ln(1+e^-1)
@@ -305,7 +302,7 @@ class TestStackedSfmcStep:
             batches += [perm[i:i + batch_size] for i in range(0, rows, batch_size)]
         assert len(steps) == len(draws) == len(batches)
         units = unit_prototypes(prototypes) if cpgma else None
-        layout = nn.spec_layout(spec)
+        layout = spec.layout
         for (vec, l_local, l_sfmc, grads), drawn, idx in zip(steps, draws, batches):
             assert len(drawn) == min(len(idx), sample)
             ref = parent_sfmc_step(nn.Parameters.over(vec, layout), spec, shard.inputs[idx],
@@ -399,7 +396,7 @@ class TestOneExtractorBackward:
         assert len(steps) == len(losses) == len(batches)
         assert len(draws) == (len(batches) if sfmc else 0)
         units = None if prototypes == "off" else unit_prototypes(protos)
-        layout = nn.spec_layout(spec)
+        layout = spec.layout
         for k, ((vec, grads), got, idx) in enumerate(zip(steps, losses, batches)):
             drawn = draws[k] if sfmc else None
             ref = parent_step(nn.Parameters.over(vec, layout), spec, shard.inputs[idx],
@@ -509,6 +506,34 @@ class TestEmaUpdates:
             assert got.dtype == np.float64
             assert got.tobytes() == update_client_center(center, upcast.embeddings, 0.3).tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, FederationConfig.batch_size), d=st.integers(1, 128),
+           seed=st.integers(0, 2**31 - 1),
+           kind=st.sampled_from(["bits", "zeros", "subnormal", "near_max", "normal"]))
+    def test_upcast_rows_have_the_float16_reduce_bits(self, n, d, seed, kind):
+        """The round upcasts each decoded upload once (``protocol.upcast``)
+        and passes the center EMA float64 rows: a class's rows of one
+        mini-batch, 1 to ``batch_size`` of them. Their reduce has the bits of
+        the float16 rows' reduce with ``dtype=float64``, which the float16
+        path still computes."""
+        rng = np.random.default_rng(seed)
+        sign = rng.integers(0, 2, (n, d), dtype=np.uint16) << 15
+        magnitude = {                   # as float16 bit patterns
+            "bits": rng.integers(0, 0x7C00, (n, d)),                # every finite half
+            "zeros": np.zeros((n, d), np.int64),                    # +0.0 and -0.0
+            "subnormal": rng.integers(0, 0x400, (n, d)),
+            "near_max": rng.integers(0x7B00, 0x7C00, (n, d)),       # up to 65504
+            "normal": np.zeros((n, d), np.int64),
+        }[kind]
+        halves = (magnitude.astype(np.uint16) | sign).view(np.float16)
+        if kind == "normal":
+            halves = rng.normal(scale=4.0, size=(n, d)).astype(np.float16)
+        center = rng.normal(size=d)
+        got = update_client_center(center, upcast(halves), 0.7)
+        from_halves = update_client_center(center, halves, 0.7)
+        mean = np.add.reduce(halves, axis=0, dtype=np.float64) / n
+        assert got.tobytes() == from_halves.tobytes() == ((1 - 0.7) * center + 0.7 * mean).tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(sizes=st.lists(st.integers(1, 200), min_size=1, max_size=5),
            d=st.integers(1, 81), seed=st.integers(0, 2**31 - 1))
@@ -590,15 +615,13 @@ class TestEnsemble:
     def test_mean_softmax_hand_case(self):
         # two 1-layer models with logits chosen so softmaxes average to
         # favour class 0: [0.9,0.1] and [0.2,0.8] -> mean [0.55,0.45]
-        spec = nn.NetworkSpec(
-            layers=(nn.affine(2, 2), nn.affine(2, 2)), split_index=1, num_classes=2
-        )
+        spec = nn.NetworkSpec((2, 2, 2), split_index=2)
 
         def model_with_probs(p):
             logit = np.log(p / (1 - p))
             return nn.Parameters({
                 (0, "W"): np.eye(2), (0, "b"): np.zeros(2),
-                (1, "W"): np.zeros((2, 2)), (1, "b"): np.array([logit, 0.0]),
+                (2, "W"): np.zeros((2, 2)), (2, "b"): np.array([logit, 0.0]),
             })
 
         models = [model_with_probs(0.9), model_with_probs(0.2)]
@@ -614,12 +637,10 @@ class TestEnsemble:
         assert np.array_equal(single, triple)
 
     def test_tie_breaks_to_smallest_class(self):
-        spec = nn.NetworkSpec(
-            layers=(nn.affine(2, 2), nn.affine(2, 2)), split_index=1, num_classes=2
-        )
+        spec = nn.NetworkSpec((2, 2, 2), split_index=2)
         params = nn.Parameters({
             (0, "W"): np.eye(2), (0, "b"): np.zeros(2),
-            (1, "W"): np.zeros((2, 2)), (1, "b"): np.zeros(2),
+            (2, "W"): np.zeros((2, 2)), (2, "b"): np.zeros(2),
         })
         pred = ensemble_predict([params], spec, np.zeros((1, 2)))
         assert pred[0] == 0

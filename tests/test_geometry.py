@@ -494,10 +494,7 @@ def collection_distance(clouds_a: dict, clouds_b: dict) -> float:
 def _train_classifier_on_clouds(clouds: dict, num_classes: int, dim: int,
                                 seed: int, steps: int, learning_rate: float) -> tuple:
     # small fixed head trained with full-batch Adam
-    head = nn.NetworkSpec(
-        layers=(nn.affine(dim, 16), nn.relu(), nn.affine(16, num_classes)),
-        split_index=2, num_classes=num_classes,
-    )
+    head = nn.NetworkSpec((dim, 16, num_classes))
     params = nn.init_params(head, seed)
     state = nn.AdamState(learning_rate=learning_rate, weight_decay=0.0)
     x = np.concatenate([clouds[c] for c in sorted(clouds)], axis=0)

@@ -1,13 +1,16 @@
 """The in-place training-step kernels against the code they replaced.
 
-``nn.forward`` adds the bias into the matmul result and applies ReLU in place
-on arrays it made, ``nn.backward`` multiplies the ReLU mask in place into
-gradients it made, ``nn.softmax_cross_entropy`` takes the row maximum column
-by column, and ``federation.cpgma_embedding_grad`` works on the whole batch
-at once: each row's norm and cosine, per-class sums of the cosines, and one
-elementwise gradient. Each must give the same bits as the reference copies
-below: the first three are the code as it was before, the last works one
-class and one row at a time in the kernel's order of operations.
+``nn.forward`` walks each affine layer's ``(W, b)`` views, adds the bias into
+the matmul result and applies ReLU in place on arrays it made,
+``nn.backward`` multiplies the ReLU mask in place into gradients it made,
+``nn.softmax_cross_entropy`` takes the row maximum column by column and
+reads and writes each row's label entry through one flat index, and
+``federation.cpgma_embedding_grad`` works on the whole batch at once: each
+row's norm and cosine, per-class sums of the cosines, and one elementwise
+gradient. Each must give the same bits as the reference copies: the first
+three are the code as it was before (the layer-list walk of the first two is
+in ``helpers``), the last works one class and one row at a time in the
+kernel's order of operations.
 Comparisons are on raw bytes, so a -0.0 that turns into +0.0 fails them.
 The kernels must also never write into their callers' arrays.
 """
@@ -20,6 +23,8 @@ from hypothesis import strategies as st
 from fedmp import nn
 from fedmp.federation import cpgma_embedding_grad, unit_prototypes
 
+from helpers import reference_backward, reference_forward
+
 
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
@@ -27,64 +32,8 @@ def same_bits(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# references: the allocating code the in-place kernels replaced
-
-
-def reference_forward(params, spec, x, start=0, stop=None):
-    if stop is None:
-        stop = len(spec.layers)
-    out = np.asarray(x, dtype=np.float64)
-    if out.ndim == 1:
-        out = out[None, :]
-    cache = []
-    for idx in range(start, stop):
-        layer = spec.layers[idx]
-        kind = layer[0]
-        if kind == nn.AFFINE:
-            _, n_in, n_out = layer
-            if out.shape[1] != n_in:
-                raise nn.ShapeError(
-                    f"layer {idx}: input width {out.shape[1]}, expected {n_in}"
-                )
-            cache.append((idx, out))
-            out = out @ params[(idx, "W")] + params[(idx, "b")]
-        elif kind == nn.RELU:
-            cache.append((idx, out))
-            out = np.maximum(out, 0.0)
-        else:  # flatten
-            cache.append((idx, out.shape))
-            out = out.reshape(out.shape[0], -1)
-    return out, cache
-
-
-def reference_backward(params, spec, cache, upstream, input_grad=True, out=None):
-    # returns (grads, gradient at the cache's input), the latter None when
-    # not ``input_grad``, as ``nn.backward(..., input_grad=True)`` does
-    grad = np.asarray(upstream, dtype=np.float64)
-    if out is None:
-        out = params.zeros_like()
-    elif out.layout is not params.layout:
-        raise nn.ShapeError("out must be laid out like params")
-    affine = [idx for idx, _ in cache if spec.layers[idx][0] == nn.AFFINE]
-    first = affine[0] if affine else None
-    for entry in reversed(cache):
-        idx, saved = entry
-        kind = spec.layers[idx][0]
-        if kind == nn.AFFINE:
-            x = saved
-            w = params[(idx, "W")]
-            if grad.shape != (x.shape[0], w.shape[1]):
-                raise nn.ShapeError(f"layer {idx}: upstream gradient shape mismatch")
-            np.matmul(x.T, grad, out=out[(idx, "W")])
-            grad.sum(axis=0, out=out[(idx, "b")])
-            if idx == first and not input_grad:
-                return out, None
-            grad = grad @ w.T
-        elif kind == nn.RELU:
-            grad = grad * (saved > 0.0)
-        else:  # flatten
-            grad = grad.reshape(saved)
-    return out, grad
+# references: the allocating code the in-place kernels replaced; the
+# layer-list walk of ``nn.forward`` and ``nn.backward`` is in ``helpers``
 
 
 def reference_softmax_cross_entropy(logits, labels):
@@ -98,6 +47,44 @@ def reference_softmax_cross_entropy(logits, labels):
     grad[np.arange(n), labels] -= 1.0
     grad /= n
     return float(loss), grad
+
+
+def parent_softmax_cross_entropy(logits, labels, *, split=None):
+    # the kernel before the flat label index and the copy-free row maximum
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n, k = logits.shape
+    if n < 1:
+        raise ValueError("batch must be nonempty")
+    if split is not None and not 0 < split < n:
+        raise ValueError(f"split {split} leaves a batch of {n} rows an empty part")
+    if labels.shape != (n,):
+        raise nn.ShapeError(f"labels shape {labels.shape} does not match batch {n}")
+    if np.maximum.reduce(labels.view(np.uint64)) >= k:
+        raise ValueError(f"label out of range [0, {k})")
+    z = logits - parent_row_max(logits)[:, None]
+    lse = np.add.reduce(np.exp(z), axis=1, keepdims=True)
+    np.log(lse, out=lse)
+    z -= lse
+    rows = np.arange(n)
+    picked = z[rows, labels]
+    grad = np.exp(z, out=z)
+    grad[rows, labels] -= 1.0
+    if split is None:
+        grad /= n
+        return float(-(np.add.reduce(picked) / n)), grad
+    m = n - split
+    grad[:split] /= split
+    grad[split:] /= m
+    return ((float(-(np.add.reduce(picked[:split]) / split)),
+             float(-(np.add.reduce(picked[split:]) / m))), grad)
+
+
+def parent_row_max(a):
+    top = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(top, a[:, j], out=top)
+    return top
 
 
 def reference_softmax(logits):
@@ -142,22 +129,12 @@ def signed_normal(rng, shape, zeros=0.15) -> np.ndarray:
 
 
 @st.composite
-def specs(draw):
-    """Affine layers with ReLU and flatten layers around them, including a
-    leading ReLU or flatten that acts on the caller's input."""
-    width = st.integers(1, 6)
-    extras = st.lists(st.sampled_from([nn.relu(), nn.flatten()]), max_size=2)
-    num_classes = draw(st.integers(1, 4))
-    layers = list(draw(extras))
-    n_in = draw(width)
-    for n_out in draw(st.lists(width, min_size=0, max_size=3)):
-        layers += [nn.affine(n_in, n_out), *draw(extras)]
-        n_in = n_out
-    layers.append(nn.affine(n_in, num_classes))
-    if len(layers) < 2:
-        layers.insert(0, nn.flatten())
-    split = draw(st.integers(1, len(layers) - 1))
-    return nn.NetworkSpec(layers=tuple(layers), split_index=split, num_classes=num_classes)
+def specs(draw, max_widths=5):
+    """Random widths and any split, odd ones included: after an affine
+    layer and before its ReLU, so the head starts with a ReLU."""
+    widths = draw(st.lists(st.integers(1, 6), min_size=3, max_size=max_widths))
+    split = draw(st.integers(1, 2 * len(widths) - 4))
+    return nn.NetworkSpec(tuple(widths), split_index=split)
 
 
 def random_params(spec, rng) -> nn.Parameters:
@@ -167,15 +144,11 @@ def random_params(spec, rng) -> nn.Parameters:
 
 
 def snapshot(cache) -> list:
-    return [(idx, saved.copy() if isinstance(saved, np.ndarray) else saved)
-            for idx, saved in cache]
+    return [(idx, saved.copy()) for idx, saved in cache]
 
 
 def unchanged(cache, saved_copies) -> bool:
-    return all(
-        same_bits(saved, copy) if isinstance(saved, np.ndarray) else saved == copy
-        for (_, saved), (_, copy) in zip(cache, saved_copies)
-    )
+    return all(same_bits(saved, copy) for (_, saved), (_, copy) in zip(cache, saved_copies))
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +218,9 @@ def test_two_backwards_over_one_extractor_cache(spec, seed, rows):
     assert same_bits(second.vec, fresh_second.vec)
 
 
-# heads that start with a ReLU or a flatten, so the boundary between the two
-# caches falls right before a layer that is not affine
-RELU_HEAD = nn.NetworkSpec(
-    layers=(nn.affine(3, 4), nn.relu(), nn.affine(4, 2)), split_index=1, num_classes=2)
-FLATTEN_HEAD = nn.NetworkSpec(
-    layers=(nn.affine(3, 4), nn.relu(), nn.flatten(), nn.affine(4, 2)),
-    split_index=2, num_classes=2)
+# a head that starts with a ReLU, so the boundary between the two caches
+# falls right before a layer that is not affine
+RELU_HEAD = nn.NetworkSpec((3, 4, 2), split_index=1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,8 +228,6 @@ FLATTEN_HEAD = nn.NetworkSpec(
        use_out=st.booleans())
 @example(spec=RELU_HEAD, seed=0, rows=3, use_out=False)
 @example(spec=RELU_HEAD, seed=1, rows=3, use_out=True)
-@example(spec=FLATTEN_HEAD, seed=0, rows=3, use_out=False)
-@example(spec=FLATTEN_HEAD, seed=1, rows=3, use_out=True)
 def test_one_backward_over_both_caches(spec, seed, rows, use_out):
     """``local_train``'s local backward: one call over ``cache_f + cache_c``
     gives the bits of a head backward followed by an extractor backward."""
@@ -279,6 +246,34 @@ def test_one_backward_over_both_caches(spec, seed, rows, use_out):
     nn.backward(params, spec, cache_f, grad_u, out=two)
     assert one.layout is params.layout
     assert same_bits(one.vec, two.vec)
+
+
+@pytest.mark.parametrize("split", [1, 2, 3, 4, 5])
+@settings(max_examples=30, deadline=None)
+@given(widths=st.lists(st.integers(1, 6), min_size=4, max_size=5),
+       seed=st.integers(0, 2**31 - 1), rows=st.integers(1, 6))
+def test_attack_splits_match_the_layer_list_walk(split, widths, seed, rows):
+    """What the inversion attack runs: the layers before ``split``, the odd
+    splits ending on an affine layer's output before its ReLU, then a
+    backward from there, each with the bits and the cache of the walk."""
+    rng = np.random.default_rng(seed)
+    spec = nn.NetworkSpec(tuple(widths), split_index=2)
+    params = random_params(spec, rng)
+    x = signed_normal(rng, (rows, spec.input_dim))
+    got, cache = nn.forward(params, spec, x, 0, split)
+    want, ref_cache = reference_forward(params, spec, x, 0, split)
+    assert same_bits(got, want) and got.shape[1] == spec.width_after(split)
+    assert [idx for idx, _ in cache] == [idx for idx, _ in ref_cache] == list(range(split))
+    # an affine entry is the layer's input; a ReLU entry is its output here
+    # and its input in the walk, which are positive in the same places
+    assert all(same_bits(a, b) if idx % 2 == 0 else same_bits(a > 0.0, b > 0.0)
+               for (idx, a), (_, b) in zip(cache, ref_cache))
+    upstream = signed_normal(rng, got.shape)
+    grads = nn.backward(params, spec, cache, upstream)
+    assert same_bits(grads.vec, reference_backward(params, spec, ref_cache, upstream, False)[0].vec)
+    grads, grad_in = nn.backward(params, spec, cache, upstream, input_grad=True)
+    ref_grads, ref_grad_in = reference_backward(params, spec, ref_cache, upstream, True)
+    assert same_bits(grads.vec, ref_grads.vec) and same_bits(grad_in, ref_grad_in)
 
 
 def test_forward_output_is_the_last_relu_entry():
@@ -356,6 +351,52 @@ def test_split_must_leave_both_parts_rows():
     for split in (0, 3, -1):
         with pytest.raises(ValueError, match="empty part"):
             nn.softmax_cross_entropy(logits, labels, split=split)
+
+
+EXTREME = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 709.8, -745.1,
+           1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf)
+
+
+@st.composite
+def extreme_logit_batches(draw):
+    """Up to 200 rows of up to 5 logits at any scale, a share of them
+    replaced by extreme values (signed zeros, subnormals, the float64 limits,
+    infinities), in C or Fortran order, with a split or none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n, k = draw(st.integers(1, 200)), draw(st.integers(1, 5))
+    logits = rng.normal(scale=draw(st.sampled_from([1.0, 40.0, 1e3, 1e300])), size=(n, k))
+    extreme = rng.random((n, k)) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    logits[extreme] = rng.choice(EXTREME, size=int(extreme.sum()))
+    if draw(st.booleans()):
+        logits = np.asfortranarray(logits)
+    split = draw(st.none() | st.integers(1, n - 1)) if n > 1 else None
+    return logits, rng.integers(0, k, n), split
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=extreme_logit_batches())
+def test_softmax_cross_entropy_matches_the_parent_kernel(batch):
+    logits, labels, split = batch
+    before = logits.copy()
+    with np.errstate(all="ignore"):
+        loss, grad = nn.softmax_cross_entropy(logits, labels, split=split)
+        want_loss, want_grad = parent_softmax_cross_entropy(logits, labels, split=split)
+        probs = nn.softmax(logits)
+        e = np.exp(logits - parent_row_max(logits)[:, None])
+        want_probs = e / e.sum(axis=1, keepdims=True)
+    assert same_bits(np.float64(loss), np.float64(want_loss))
+    assert same_bits(grad, want_grad)
+    assert same_bits(probs, want_probs)
+    assert same_bits(logits, before)
+
+
+@pytest.mark.parametrize("bad", [-1, -(2**62), 3, 4, 2**62])
+@pytest.mark.parametrize("split", [None, 2])
+def test_negative_and_out_of_range_labels_rejected(bad, split):
+    logits, labels = np.zeros((5, 3)), np.array([0, 1, 2, 0, 1])
+    labels[3] = bad
+    with pytest.raises(ValueError, match="out of range"):
+        nn.softmax_cross_entropy(logits, labels, split=split)
 
 
 # ---------------------------------------------------------------------------

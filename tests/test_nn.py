@@ -13,21 +13,16 @@ from fedmp import nn
 from helpers import params_equal
 
 
-def single_affine_spec(n_in, n_out, split_before_last=True):
-    """affine | split | affine(identity-susceptible) helper used repeatedly."""
-    return nn.NetworkSpec(
-        layers=(nn.affine(n_in, n_out), nn.affine(n_out, n_out)),
-        split_index=1,
-        num_classes=n_out,
-    )
+def single_affine_spec(n_in, n_out):
+    """affine, ReLU | split | affine(identity-susceptible) helper used repeatedly."""
+    return nn.NetworkSpec((n_in, n_out, n_out), split_index=2)
 
 
 def params_from(spec, mapping):
+    """Each affine layer's (W, b) from ``mapping`` by layer index, else (I, 0)."""
     values = {}
-    for idx, layer in enumerate(spec.layers):
-        if layer[0] != nn.AFFINE:
-            continue
-        _, n_in, n_out = layer
+    for j, (n_in, n_out) in enumerate(zip(spec.widths, spec.widths[1:])):
+        idx = 2 * j
         w, b = mapping.get(idx, (np.eye(n_in, n_out), np.zeros(n_out)))
         values[(idx, "W")] = np.asarray(w, dtype=np.float64)
         values[(idx, "b")] = np.asarray(b, dtype=np.float64)
@@ -36,33 +31,35 @@ def params_from(spec, mapping):
 
 class TestNetworkSpec:
     def test_split_index_bounds_rejected(self):
-        with pytest.raises(nn.ShapeError):
-            nn.NetworkSpec(layers=(nn.affine(2, 2),), split_index=1, num_classes=2)
-        with pytest.raises(nn.ShapeError):
-            nn.NetworkSpec(
-                layers=(nn.affine(2, 2), nn.affine(2, 2)), split_index=0, num_classes=2
-            )
+        with pytest.raises(nn.ShapeError, match="split_index 1 outside"):
+            nn.NetworkSpec((2, 2), split_index=1)
+        for split in (0, 3, -1):
+            with pytest.raises(nn.ShapeError, match=f"split_index {split} outside"):
+                nn.NetworkSpec((2, 2, 2), split_index=split)
 
     def test_last_layer_must_match_classes(self):
-        with pytest.raises(nn.ShapeError):
-            nn.NetworkSpec(
-                layers=(nn.affine(2, 3), nn.affine(3, 4)), split_index=1, num_classes=2
-            )
+        # the class count is the last width, which the last (affine) layer maps onto
+        spec = nn.NetworkSpec((2, 3, 4), split_index=1)
+        assert spec.num_classes == 4 and spec.input_dim == 2
+        assert spec.layers == ((nn.AFFINE, 2, 3), ("relu",), (nn.AFFINE, 3, 4))
+        assert [spec.width_after(stop) for stop in range(4)] == [2, 3, 3, 4]
+        assert nn.NetworkSpec((2, 3, 4)).split_index is None
+        with pytest.raises(nn.ShapeError, match="at least one layer"):
+            nn.NetworkSpec((3,))
 
     def test_adjacent_width_mismatch_rejected(self):
-        with pytest.raises(nn.ShapeError):
-            nn.NetworkSpec(
-                layers=(nn.affine(2, 3), nn.affine(5, 2)), split_index=1, num_classes=2
-            )
+        # neighbouring layers share a width by construction; a model made for
+        # other widths is rejected before any product
+        params = nn.init_params(nn.NetworkSpec((2, 5, 2), split_index=2), 0)
+        spec = nn.NetworkSpec((2, 3, 2), split_index=2)
+        with pytest.raises(nn.ShapeError, match="laid out like the network"):
+            nn.forward_full(params, spec, np.ones((1, 2)))
 
     def test_non_positive_affine_width_rejected(self):
         with pytest.raises(nn.ShapeError, match="layer 0"):
             nn.mlp_spec(16, (0,), (), 3)
         with pytest.raises(nn.ShapeError, match="layer 2"):
-            nn.NetworkSpec(
-                layers=(nn.affine(2, 3), nn.relu(), nn.affine(3, -1)),
-                split_index=1, num_classes=-1,
-            )
+            nn.NetworkSpec((2, 3, -1), split_index=1)
 
     def test_mlp_spec_default_shape(self):
         spec = nn.mlp_spec(16, (64, 32), (16,), 3)
@@ -81,11 +78,7 @@ class TestForward:
         assert np.array_equal(out, [[1.0, 2.0]])
 
     def test_zero_weights_annihilate(self):
-        spec = nn.NetworkSpec(
-            layers=(nn.affine(3, 4), nn.relu(), nn.affine(4, 2)),
-            split_index=2,
-            num_classes=2,
-        )
+        spec = nn.NetworkSpec((3, 4, 2), split_index=2)
         params = params_from(spec, {0: (np.zeros((3, 4)), np.zeros(4))})
         out, _ = nn.forward_extractor(params, spec, np.array([5.0, -2.0, 7.0]))
         assert np.array_equal(out, np.zeros((1, 4)))
@@ -93,11 +86,7 @@ class TestForward:
     def test_hand_computed_affine_relu(self):
         # x @ W + b with W=[[1,0],[1,1]], b=[0.5,-3], x=[1,1]:
         # pre-activation [2.5, -2] -> relu gives [2.5, 0]
-        spec = nn.NetworkSpec(
-            layers=(nn.affine(2, 2), nn.relu(), nn.affine(2, 2)),
-            split_index=2,
-            num_classes=2,
-        )
+        spec = nn.NetworkSpec((2, 2, 2), split_index=2)
         params = params_from(spec, {0: ([[1.0, 0.0], [1.0, 1.0]], [0.5, -3.0])})
         out, _ = nn.forward_extractor(params, spec, np.array([1.0, 1.0]))
         assert np.allclose(out, [[2.5, 0.0]], atol=1e-12)
@@ -112,7 +101,7 @@ class TestForward:
     def test_classifier_hand_computed(self):
         # W=2I, b=[1,1], u=[1,2] -> [3,5]
         spec = single_affine_spec(2, 2)
-        params = params_from(spec, {1: (2.0 * np.eye(2), [1.0, 1.0])})
+        params = params_from(spec, {2: (2.0 * np.eye(2), [1.0, 1.0])})
         out, _ = nn.forward_classifier(params, spec, np.array([1.0, 2.0]))
         assert np.allclose(out, [[3.0, 5.0]], atol=1e-12)
 
@@ -177,9 +166,7 @@ class TestBackward:
 
     def test_scalar_affine_hand_derivative(self):
         # y = w x + b with x=2, upstream=1 -> dw=2, db=1
-        spec = nn.NetworkSpec(
-            layers=(nn.affine(1, 1), nn.affine(1, 1)), split_index=1, num_classes=1
-        )
+        spec = nn.NetworkSpec((1, 1, 1), split_index=2)
         params = params_from(spec, {})
         _, cache = nn.forward_extractor(params, spec, np.array([2.0]))
         grads = nn.backward(params, spec, cache, np.array([[1.0]]))
@@ -277,9 +264,7 @@ class TestAdam:
 
     def test_hand_evaluated_first_step(self):
         # scalar w=1, g=1, lr=0.1, wd=0 -> m_hat=1, v_hat=1, w = 1 - 0.1/(1+eps)
-        spec = nn.NetworkSpec(
-            layers=(nn.affine(1, 1), nn.affine(1, 1)), split_index=1, num_classes=1
-        )
+        spec = nn.NetworkSpec((1, 1, 1), split_index=2)
         params = params_from(spec, {})
         grads = params.zeros_like()
         grads[(0, "W")] = np.array([[1.0]])

@@ -1,15 +1,19 @@
 """The names and argument positions that ``perfbench/tracing.py`` relies on.
 
 The tracer replaces every function in its ``TARGETS`` by name and reads some
-arguments of ``local_train`` and ``FeatureBank.insert`` by position. A
-renamed function or a reordered parameter would otherwise fail only in a
-traced benchmark run.
+arguments of ``local_train`` and ``FeatureBank.insert`` by position. It
+counts ``nn.forward``'s and ``nn.backward``'s flops from ``spec.layers``,
+``nn.AFFINE``, ``forward``'s ``start`` and ``stop`` (fourth and fifth
+positional arguments) and the cache's ``(layer index, array)`` entries. A
+renamed function, a reordered parameter or a changed cache would otherwise
+fail, or count wrong, only in a traced benchmark run.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+from fedmp import nn, privacy
 from fedmp.config import ExperimentConfig
 from fedmp.data import generate_federation
 from fedmp.federation import run_federation, run_few_shot
@@ -56,3 +60,44 @@ def test_tracer_resolves_every_target_and_counts_samples():
     assert inserted.calls == uploads * TINY.clients
     # the round's geometry phase is the span the tracer names; few-shot has none
     assert tracer.spans["geometry.manifold_report"].calls == TINY.rounds
+
+
+def test_tracer_counts_the_flops_the_widths_give(monkeypatch):
+    """Each traced ``nn.forward`` counts 2 flops per row per multiply-add of
+    the affine layers it runs, and each ``nn.backward`` 4 per cached row of
+    each affine layer in its cache: the counts derived here from the widths
+    and each call's rows, over every kind of call a run and an attack make
+    (extractor, head, whole network, odd attack splits, the decoder)."""
+    tracing = load_tracing()
+    shards, global_test = generate_federation(TINY.dataset_spec())
+    spec = TINY.network_spec()
+    real_forward, real_backward = nn.forward, nn.backward
+    want = {"forward": [0, 0], "backward": [0, 0]}       # calls, flops
+
+    def macs(widths, layer):            # multiply-adds per row of affine ``layer``
+        return widths[layer // 2] * widths[layer // 2 + 1]
+
+    def forward(params, spec, x, start=0, stop=None):
+        out, cache = real_forward(params, spec, x, start, stop)
+        stop = 2 * len(spec.widths) - 3 if stop is None else stop
+        affine = range(start + start % 2, stop, 2)
+        want["forward"][0] += 1
+        want["forward"][1] += 2 * len(out) * sum(macs(spec.widths, idx) for idx in affine)
+        return out, cache
+
+    def backward(params, spec, cache, upstream, **kwargs):
+        want["backward"][0] += 1
+        want["backward"][1] += sum(4 * len(saved) * macs(spec.widths, idx)
+                                   for idx, saved in cache if idx % 2 == 0)
+        return real_backward(params, spec, cache, upstream, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", forward)
+    monkeypatch.setattr(nn, "backward", backward)
+    attacks = [privacy.AttackConfig(split_index=split, epochs=2) for split in (1, 2, 3)]
+    with tracing.Tracer() as tracer:
+        result = run_federation(TINY.federation_config(0), shards, spec, global_test)
+        privacy.attack_report(result.params, spec, shards, attacks)
+    for name in ("forward", "backward"):
+        span = tracer.spans[f"nn.{name}"]
+        assert span.calls > 0
+        assert [span.calls, span.counts["flops"]] == want[name]

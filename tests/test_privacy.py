@@ -120,13 +120,10 @@ def make_shard(n=40, dim=6, seed=0):
 
 class TestDecoder:
     def identity_network(self, dim):
-        spec = nn.NetworkSpec(
-            layers=(nn.affine(dim, dim), nn.affine(dim, dim)),
-            split_index=1,
-            num_classes=dim,
-        )
+        # attacked at layer 1, the first affine layer's output, before its ReLU
+        spec = nn.NetworkSpec((dim, dim, dim), split_index=2)
         values = {}
-        for idx in (0, 1):
+        for idx in (0, 2):
             values[(idx, "W")] = np.eye(dim)
             values[(idx, "b")] = np.zeros(dim)
         return nn.Parameters(values), spec
@@ -134,10 +131,11 @@ class TestDecoder:
     def test_mirror_spec_widths(self):
         spec = nn.mlp_spec(16, (64, 32), (16,), 3)
         dec = mirror_decoder_spec(spec, spec.split_index)
-        affines = [l for l in dec.layers if l[0] == nn.AFFINE]
-        assert affines[0][1] == 32        # embedding width in
-        assert affines[-1][2] == 16       # input dim out
-        assert [a[2] for a in affines[:-1]] == [64]
+        assert dec.widths == (32, 64, 16)     # embedding width in, input dim out
+        assert dec.split_index is None
+        # an odd split, after an affine layer and before its ReLU, reads the same widths
+        assert mirror_decoder_spec(spec, 3) == dec
+        assert mirror_decoder_spec(spec, 1).widths == (64, 16)
 
     def test_zero_epochs_is_initialization(self):
         params, spec = self.identity_network(4)
@@ -166,14 +164,12 @@ class TestDecoder:
     def test_rank_deficient_floor(self):
         # encoder projects 2-d inputs to their first coordinate; no decoder can
         # recover the second coordinate better than predicting its mean.
-        enc_spec = nn.NetworkSpec(
-            layers=(nn.affine(2, 1), nn.affine(1, 2)), split_index=1, num_classes=2
-        )
+        enc_spec = nn.NetworkSpec((2, 1, 2), split_index=2)
         enc = nn.Parameters({
             (0, "W"): np.array([[1.0], [0.0]]),
             (0, "b"): np.zeros(1),
-            (1, "W"): np.zeros((1, 2)),
-            (1, "b"): np.zeros(2),
+            (2, "W"): np.zeros((1, 2)),
+            (2, "b"): np.zeros(2),
         })
         rng = np.random.default_rng(11)
         inputs = rng.normal(size=(80, 2))

@@ -20,7 +20,8 @@ one elementwise gradient over the 64 x 64 batch.
 
 ``nn.backward.extractor`` is the step's one extractor backward, which takes
 the gradient at the split: the local rows' part of the head's, plus CPGMA's
-embedding gradient scaled by its weight.
+embedding gradient scaled by its weight. Every ``nn.backward`` case writes
+into one gradient buffer, as ``local_train`` does.
 
 A local step's SFMC pass is ``federation.draw_foreign`` (64 of the sample's
 rows: ``choice``, ``sort``, ``take``) followed by one head pass over the
@@ -40,6 +41,11 @@ sample (192 at S, 1,824 at M) and ``.round`` every client's upload, one blob
 each (3 x 96 rows at S, 20 x 500 = 10,000 at M). As in a run, uploads are
 encoded from float64 rows, rounding each value to float16 once, and foreign
 samples from the bank's float16 rows.
+
+``federation.update_centers.upload`` is the server's center pass for one
+client's upload, as decoded: the rows upcast to float64 once, then one
+``update_client_center`` EMA step per class present in each 64-row
+mini-batch, 8 batches x 3 classes at M (500 rows) and 96 rows at S.
 
 ``federation.evaluate_accuracy`` scores a test set of every client's rows
 (3 x 96 = 288 at S, 20 x 500 = 10,000 at M), in blocks of at most 1,025 rows,
@@ -110,6 +116,8 @@ def cases(scale: str) -> dict:
     from fedmp import geometry, nn
     from fedmp.data import ClientShard
     from fedmp.federation import (
+        FederationConfig,
+        _update_centers,
         compute_sfmc_loss,
         cpgma_embedding_grad,
         draw_foreign,
@@ -126,7 +134,7 @@ def cases(scale: str) -> dict:
 
     clients, per_client = SCALES[scale]
     rng = np.random.default_rng(0)
-    spec = nn.mlp_spec(16, (64,), (32, 16), 3)
+    spec = nn.NetworkSpec((16, 64, 32, 16, 3), split_index=2)      # widths, then the split
     params = nn.init_params(spec, 0)
 
     x = rng.normal(size=(BATCH, 16))
@@ -134,6 +142,7 @@ def cases(scale: str) -> dict:
     logits, cache = nn.forward_full(params, spec, x)
     _, glogits = nn.softmax_cross_entropy(logits, y)
     grads = nn.backward(params, spec, cache, glogits)
+    out = params.zeros_like()           # as ``local_train`` reuses one buffer
     u, cache_f = nn.forward_extractor(params, spec, x)
     prototypes = rng.normal(size=(3, spec.embedding_dim))
     units = unit_prototypes(prototypes)
@@ -175,22 +184,27 @@ def cases(scale: str) -> dict:
     sizes = [len(part) for part in parts.values()]
 
     state = nn.AdamState(learning_rate=3e-3, weight_decay=6e-3)
+    center_config = FederationConfig(batch_size=BATCH)
+    centers = np.zeros((3, spec.embedding_dim))
     return {
         "nn.forward.batch": lambda: nn.forward_full(params, spec, x),
-        "nn.backward.batch": lambda: nn.backward(params, spec, cache, glogits),
+        "nn.backward.batch": lambda: nn.backward(params, spec, cache, glogits, out=out),
         "federation.upcast_foreign": lambda: upcast(foreign.embeddings),
         "federation.draw_foreign": lambda: draw_foreign(upcast_foreign, BATCH, draw_rng),
         "federation.compute_sfmc_loss": lambda: compute_sfmc_loss(params, spec, drawn, u, y),
         "nn.forward.head": lambda: nn.forward_classifier(params, spec, stacked),
         "nn.backward.head": lambda: nn.backward(params, spec, head_cache, head_glogits,
-                                                input_grad=True),
-        "nn.backward.extractor": lambda: nn.backward(params, spec, cache_f, grad_align),
+                                                out=out, input_grad=True),
+        "nn.backward.extractor": lambda: nn.backward(params, spec, cache_f, grad_align,
+                                                     out=out),
         "nn.softmax_cross_entropy.batch": lambda: nn.softmax_cross_entropy(logits, y),
         "nn.softmax_cross_entropy.head": lambda: nn.softmax_cross_entropy(
             head_logits, stacked_labels, split=BATCH),
         "nn.adam_step": lambda: nn.adam_step(params, grads, state),
         "federation.unit_prototypes": lambda: unit_prototypes(prototypes),
         "federation.cpgma_embedding_grad": lambda: cpgma_embedding_grad(u, y, units),
+        "federation.update_centers.upload": lambda: _update_centers(centers, decoded[0],
+                                                                    center_config),
         "protocol.FeatureBank.insert": lambda: bank.insert(decoded[0], 0, 1),
         "protocol.FeatureBank.sample": lambda: bank.sample(0, SAMPLE_COUNT, 0),
         "protocol.FeatureBank.full": fill,
