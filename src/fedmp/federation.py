@@ -115,7 +115,7 @@ def combine_losses(l_local: float, l_sfmc: float, l_cpgma: float) -> tuple[float
 
 
 def compute_sfmc_loss(params: nn.Parameters, spec: nn.NetworkSpec, foreign: FeatureBatch,
-                      u: np.ndarray, labels: np.ndarray):
+                      u: np.ndarray, labels: np.ndarray, *, head: nn.Pass | None = None):
     """The SFMC step's one head pass, over the local embeddings ``u`` (with
     their ``labels``) stacked on the foreign rows.
 
@@ -125,19 +125,20 @@ def compute_sfmc_loss(params: nn.Parameters, spec: nn.NetworkSpec, foreign: Feat
     The caller weights the foreign rows' gradient by ``w_s`` and runs one
     ``nn.backward`` over ``cache`` with ``input_grad``, whose first
     ``len(u)`` rows go on into the extractor: the foreign rows reach only
-    the head. An empty ``foreign`` or ``u`` raises ``ValueError``."""
+    the head. An empty ``foreign`` or ``u`` raises ``ValueError``.
+
+    ``local_train`` passes its per-call head pass as ``head``, whose
+    ``input`` and ``labels`` rows already hold ``u`` and ``labels``, then
+    ``foreign``'s rows; the pass runs over them unchecked and is returned
+    in place of the cache."""
+    if head is not None:
+        head.forward(head.input[:len(u) + len(foreign)])
+        (l_local, l_sfmc), glogits = head.cross_entropy(len(u))
+        return l_local, l_sfmc, glogits, head
     logits, cache = nn.forward_classifier(params, spec, np.concatenate((u, foreign.embeddings)))
     (l_local, l_sfmc), glogits = nn.softmax_cross_entropy(
         logits, np.concatenate((labels, foreign.labels)), split=len(u))
     return l_local, l_sfmc, glogits, cache
-
-
-def draw_foreign(foreign: FeatureBatch, rows: int, rng: np.random.Generator) -> FeatureBatch:
-    """``rows`` distinct rows of ``foreign``, kept in sample order, or all of
-    ``foreign`` when it has no more rows than that."""
-    if len(foreign) <= rows:
-        return foreign
-    return foreign.take(np.sort(rng.choice(len(foreign), rows, replace=False)))
 
 
 def unit_prototypes(prototypes: np.ndarray) -> np.ndarray:
@@ -273,6 +274,41 @@ def ensemble_predict(models: list[nn.Parameters], spec: nn.NetworkSpec,
     return probs.argmax(axis=1)
 
 
+def _class_labels(values, rows: int, k: int) -> np.ndarray:
+    """``values`` as int64, checked to be ``rows`` labels in ``[0, k)``."""
+    values = np.asarray(values, dtype=np.int64)
+    if values.shape != (rows,):
+        raise nn.ShapeError(f"labels shape {values.shape} does not match {rows} rows")
+    # one unsigned max: as uint64 a negative label reads as a huge one
+    if np.maximum.reduce(values.view(np.uint64)) >= k:
+        raise ValueError(f"label out of range [0, {k})")
+    return values
+
+
+def _training_rows(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
+                   foreign: FeatureBatch | None):
+    """(inputs, labels, foreign labels): the shard's inputs as float64 and
+    its labels as int64, and the foreign sample's labels as int64 (None
+    without a sample), once each is checked to fit the network; these are
+    every value a step used to check per mini-batch."""
+    if params.layout is not spec.layout:
+        raise nn.ShapeError("params must be laid out like the network")
+    if spec.split_index is None:
+        raise nn.ShapeError("local training needs a network split into extractor and head")
+    inputs = np.asarray(shard.inputs, dtype=np.float64)
+    if inputs.ndim != 2 or inputs.shape[1] != spec.input_dim:
+        raise nn.ShapeError(f"layer 0: inputs of shape {inputs.shape}, "
+                            f"expected (rows, {spec.input_dim})")
+    k = spec.num_classes
+    labels = _class_labels(shard.labels, len(inputs), k)
+    if foreign is None:
+        return inputs, labels, None
+    if foreign.embeddings.ndim != 2 or foreign.embeddings.shape[1] != spec.embedding_dim:
+        raise nn.ShapeError(f"layer {spec.split_index}: foreign rows of shape "
+                            f"{foreign.embeddings.shape}, expected (rows, {spec.embedding_dim})")
+    return inputs, labels, _class_labels(foreign.labels, len(foreign), k)
+
+
 def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                 config: FederationConfig, epochs: int, rng: np.random.Generator,
                 foreign: FeatureBatch | None = None,
@@ -282,61 +318,96 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     """Mini-batch training of ``params`` in place for ``epochs`` epochs.
 
     With ``collect_final_epoch``, every sample's embedding in the final epoch
-    is recorded in float64, one ``FeatureBatch`` per mini-batch, so the
-    caller can upload them: the encoder rounds each value to float16 once.
-    SFMC runs when it is enabled and ``foreign`` has rows, CPGMA when it is
-    enabled and ``prototypes`` are given.
+    is recorded in float64, in one ``FeatureBatch`` in the order the epoch
+    trained them, so the caller can upload them: the encoder rounds each
+    value to float16 once. SFMC runs when it is enabled and ``foreign`` has
+    rows, CPGMA when it is enabled and ``prototypes`` are given and not all
+    cold: while every prototype is cold, CPGMA's loss is 0 and so is its
+    weight ``w_c``, so the step is the one it is without CPGMA.
 
-    SFMC is stochastic: each mini-batch trains the head on ``draw_foreign``
-    of as many foreign rows as it has local rows, in one head pass over the
-    local rows stacked on the drawn ones (``compute_sfmc_loss``). The
+    SFMC is stochastic: each mini-batch trains the head on as many foreign
+    rows as it has local rows, drawn without replacement and kept in sample
+    order (the whole sample when it is no larger), in one head pass over
+    the local rows stacked on the drawn ones (``compute_sfmc_loss``). The
     decoded float16 sample is upcast to float64 once per call, so no step
     pays that cast. The draws come from their own stream, so a run without
     SFMC draws nothing.
-    Each step runs one extractor backward. While SFMC runs or CPGMA's
-    weight ``w_c`` is nonzero, the head's backward hands it the local rows'
-    gradient at the split, with ``w_c`` times ``cpgma_embedding_grad``'s
-    added in; otherwise one backward runs over the whole network.
+
+    Each mini-batch is one fused pass over buffers made once per call
+    (``nn.Pass``): the extractor writes its output into the first rows of
+    the head's input and the draw gathers the foreign rows behind it; one
+    head forward and one softmax pass score both parts, and one head
+    backward hands the local rows' gradient at the split, with ``w_c``
+    times ``cpgma_embedding_grad``'s added in, to one extractor backward.
+    The inputs, widths and labels are checked once per call, and each step
+    runs the operations of ``nn.forward``, ``nn.backward`` and
+    ``nn.softmax_cross_entropy`` in their order, so it gets their bits.
     A non-finite loss or gradient raises ``DivergenceError`` naming the
     epoch and batch, before the step would write it into ``params``.
     Returns (feature_batches, tally): the sums over the mini-batches of the
     local, SFMC and CPGMA losses (0.0 where a module did not run), then the
     number of mini-batches, as ``[l_local, l_sfmc, l_cpgma, batches]``.
     """
-    if len(shard) == 0:
+    n = len(shard)
+    if n == 0:
         raise ValueError("client shard is empty")
     sfmc = config.enable_sfmc and bool(foreign)
+    inputs, labels, foreign_labels = _training_rows(params, spec, shard,
+                                                    foreign if sfmc else None)
     # the prototypes stay fixed while a client trains
     units = unit_prototypes(prototypes) if config.enable_cpgma and prototypes is not None else None
+    if units is not None and not units.any():
+        units = None            # every prototype is cold
+    batch = min(config.batch_size, n)
+    sample = 0
     if sfmc:
-        foreign = FeatureBatch(upcast(foreign.embeddings), foreign.labels)
+        foreign_rows = upcast(foreign.embeddings)
+        sample = len(foreign_rows)
         foreign_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=[config.seed, 4, round_tag, shard.client_id])
         )
     opt_state = nn.AdamState(learning_rate=config.learning_rate,
                              weight_decay=config.weight_decay)
     tally = [0.0, 0.0, 0.0, 0]
-    feature_batches: list[FeatureBatch] = []
-    # every batch's local backward rewrites all of it
+    # every step's head and extractor backwards rewrite all of it
     total_grads = params.zeros_like()
-    n = len(shard)
+    head = nn.Pass(params, total_grads, spec, spec.split_index, None,
+                   batch + min(batch, sample), input_grad=True, loss=True)
+    extractor = nn.Pass(params, total_grads, spec, 0, spec.split_index, batch, out=head.input)
+    drawn = {}                  # local rows -> where that many drawn rows go
+    features = final = None
     for epoch in range(epochs):
         # one gather per epoch; each batch is a slice of its rows
         order = rng.permutation(n)
-        inputs, labels = shard.inputs[order], shard.labels[order]
-        final_epoch = epoch == epochs - 1
+        epoch_inputs, epoch_labels = inputs[order], labels[order]
+        if epoch == epochs - 1 and collect_final_epoch:
+            features, final = np.empty((n, spec.embedding_dim)), epoch_labels
         for start in range(0, n, config.batch_size):
-            xb = inputs[start:start + config.batch_size]
-            yb = labels[start:start + config.batch_size]
+            xb = epoch_inputs[start:start + config.batch_size]
+            yb = epoch_labels[start:start + config.batch_size]
+            rows = len(yb)
 
-            u, cache_f = nn.forward_extractor(params, spec, xb)
+            u = extractor.forward(xb)           # the first rows of head.input
+            head.labels[:rows] = yb
             if sfmc:
-                l_local, l_sfmc, glogits, cache_c = compute_sfmc_loss(
-                    params, spec, draw_foreign(foreign, len(yb), foreign_rng), u, yb)
+                into = drawn.get(rows)
+                if into is None:
+                    end = rows + min(rows, sample)
+                    into = drawn[rows] = FeatureBatch(head.input[rows:end], head.labels[rows:end])
+                if sample <= rows:
+                    into.embeddings[...] = foreign_rows
+                    into.labels[...] = foreign_labels
+                else:
+                    picks = foreign_rng.choice(sample, rows, replace=False)
+                    picks.sort()
+                    # the picks are in range: "clip" writes into ``out`` unbuffered
+                    foreign_rows.take(picks, axis=0, out=into.embeddings, mode="clip")
+                    foreign_labels.take(picks, out=into.labels, mode="clip")
+                l_local, l_sfmc, glogits, _ = compute_sfmc_loss(
+                    params, spec, into, u, head.labels[:rows], head=head)
             else:
-                # two forwards, so ``u`` is the extractor's output for any split
-                logits, cache_c = nn.forward_classifier(params, spec, u)
-                l_local, glogits = nn.softmax_cross_entropy(logits, yb)
+                head.forward(u)
+                l_local, glogits = head.cross_entropy()
                 l_sfmc = 0.0
             l_cpgma = 0.0
             if units is not None:
@@ -344,24 +415,16 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
 
             try:        # both raise ValueError on a non-finite loss or gradient
                 w_s, w_c = combine_losses(l_local, l_sfmc, l_cpgma)
-                if sfmc or w_c:
-                    # the head's gradient weighs local rows 1/n and foreign
-                    # rows w_s/m; at the split the local rows' part, plus
-                    # w_c times CPGMA's gradient, carries on into the
-                    # extractor. Between them the two write every tensor
-                    if sfmc:
-                        glogits[len(yb):] *= w_s
-                    _, grad_in = nn.backward(params, spec, cache_c, glogits,
-                                             out=total_grads, input_grad=True)
-                    grad_u = grad_in[:len(yb)]
-                    if w_c:     # 0 while every prototype is cold
-                        grad_u += w_c * grad_u_align
-                    nn.backward(params, spec, cache_f, grad_u, out=total_grads)
-                else:
-                    # one backward over both caches does what a head backward
-                    # and an extractor backward would, in the same operations
-                    # and order
-                    nn.backward(params, spec, cache_f + cache_c, glogits, out=total_grads)
+                # the head's gradient weighs local rows 1/n and foreign rows
+                # w_s/m; at the split the local rows' part, plus w_c times
+                # CPGMA's gradient, carries on into the extractor. Between
+                # them the two backwards write every tensor
+                if sfmc:
+                    glogits[rows:] *= w_s
+                grad_u = head.backward(glogits)[:rows]
+                if w_c:
+                    grad_u += w_c * grad_u_align
+                extractor.backward(grad_u)
                 nn.adam_step(params, total_grads, opt_state)
             except ValueError as err:
                 raise DivergenceError(f"epoch {epoch + 1}, batch "
@@ -371,9 +434,9 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
             tally[1] += l_sfmc
             tally[2] += l_cpgma
             tally[3] += 1
-            if final_epoch and collect_final_epoch:
-                feature_batches.append(FeatureBatch(u, yb))
-    return feature_batches, tally
+            if features is not None:
+                features[start:start + rows] = u
+    return ([FeatureBatch(features, final)] if features is not None else []), tally
 
 
 def _derive_seed(seed: int, tag: int) -> int:

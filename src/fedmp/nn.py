@@ -111,6 +111,11 @@ class _Layout:
     def views(self, vec: np.ndarray) -> dict:
         return {key: vec[a:b].reshape(shape) for key, (a, b, shape) in self.spans.items()}
 
+    def pairs(self, vec: np.ndarray) -> list:
+        """Each consecutive ``(W, b)`` span of ``vec`` as a pair of views."""
+        views = [vec[a:b].reshape(shape) for a, b, shape in self.spans.values()]
+        return list(zip(views[::2], views[1::2]))
+
 
 _LAYOUTS: dict[tuple, _Layout] = {}
 
@@ -167,10 +172,9 @@ class Parameters:
     @property
     def pairs(self) -> list:
         """Each affine layer's ``(W, b)`` views, in layer order, made once
-        from the views ``params[key]`` returns."""
+        from the layout's spans."""
         if self._pairs is None:
-            keys = self.layout.keys
-            self._pairs = [(self[w], self[b]) for w, b in zip(keys[::2], keys[1::2])]
+            self._pairs = self.layout.pairs(self.vec)
         return self._pairs
 
     def keys(self):
@@ -194,6 +198,70 @@ def init_params(spec: NetworkSpec, seed: int) -> Parameters:
         a = np.sqrt(6.0 / (n_in + n_out))
         w[...] = rng.uniform(-a, a, size=(n_in, n_out))
     return params
+
+
+# ---------------------------------------------------------------------------
+# The kernels. ``forward``, ``backward`` and ``softmax_cross_entropy`` check
+# their arguments and run these on arrays they allocate (``out=None``);
+# ``Pass`` runs them on buffers it made once. Either way each value is made
+# by the same NumPy operations in the same order, so it gets the same bits.
+
+
+def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray, out) -> np.ndarray:
+    """``h @ w + b``, the bias added into the product."""
+    out = np.matmul(h, w, out=out)
+    out += b
+    return out
+
+
+def _relu(h: np.ndarray, out) -> np.ndarray:
+    return np.maximum(h, 0.0, out=out)
+
+
+def _affine_grad(saved: np.ndarray, grad: np.ndarray, w_grad: np.ndarray,
+                 b_grad: np.ndarray) -> None:
+    """An affine layer's tensor gradients, from its input ``saved``."""
+    np.matmul(saved.T, grad, out=w_grad)
+    np.add.reduce(grad, axis=0, out=b_grad)     # grad.sum, without its wrapper
+
+
+def _carry(grad: np.ndarray, w: np.ndarray, out) -> np.ndarray:
+    """The gradient at an affine layer's input."""
+    return np.matmul(grad, w.T, out=out)
+
+
+def _relu_grad(grad: np.ndarray, saved: np.ndarray, mask, out) -> np.ndarray:
+    """``grad`` where the ReLU's output ``saved`` is positive, else 0."""
+    return np.multiply(grad, np.greater(saved, 0.0, out=mask), out=out)
+
+
+def _cross_entropy(logits: np.ndarray, flat: np.ndarray, split: int | None,
+                   top, z, e, lse, picked, hit):
+    """``softmax_cross_entropy`` of checked arguments, with each row's label
+    as the flat index ``flat`` of its entry; the other arguments are where
+    its arrays go (``None``: allocated), and ``z`` holds the gradient."""
+    n = len(logits)
+    z = np.subtract(logits, _row_max(logits, top)[:, None], out=z)
+    # the row sum keeps its own reduction: its summation order sets the bits.
+    # np.add.reduce is what .sum() calls, without its Python wrapper
+    lse = np.add.reduce(np.exp(z, out=e), axis=1, keepdims=True, out=lse)
+    np.log(lse, out=lse)
+    z -= lse                                    # log-probabilities
+    # the labels are checked, so every index is in range: "clip" writes
+    # into ``out`` unbuffered
+    picked = z.take(flat, out=picked, mode="clip")
+    grad = np.exp(z, out=z)
+    hit = grad.take(flat, out=hit, mode="clip")
+    hit -= 1.0
+    grad.put(flat, hit)
+    if split is None:
+        grad /= n
+        return float(-(np.add.reduce(picked) / n)), grad     # what -picked.mean() computes
+    m = n - split
+    grad[:split] /= split
+    grad[split:] /= m
+    return ((float(-(np.add.reduce(picked[:split]) / split)),
+             float(-(np.add.reduce(picked[split:]) / m))), grad)
 
 
 def forward(params: Parameters, spec: NetworkSpec, x: np.ndarray,
@@ -221,16 +289,14 @@ def forward(params: Parameters, spec: NetworkSpec, x: np.ndarray,
     pairs = params.pairs
     cache = []
     if start & 1 and start < stop:      # a ReLU first: it must not write into ``x``
-        out = np.maximum(out, 0.0)
+        out = _relu(out, None)
         cache.append((start, out))
         start += 1
     for idx in range(start, stop, 2):   # an affine layer, then its ReLU if run
         cache.append((idx, out))
-        w, b = pairs[idx >> 1]
-        out = out @ w
-        out += b
+        out = _affine(out, *pairs[idx >> 1], None)
         if idx + 1 < stop:
-            np.maximum(out, 0.0, out=out)
+            _relu(out, out)
             cache.append((idx + 1, out))
     return out, cache
 
@@ -269,14 +335,12 @@ def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
     owned = False           # is ``grad`` an array this call made?
     for idx, saved in reversed(cache):
         if idx & 1:         # ReLU
-            grad = np.multiply(grad, saved > 0.0, out=grad if owned else None)
+            grad = _relu_grad(grad, saved, None, grad if owned else None)
         else:
-            grad_w, grad_b = grads[idx >> 1]
-            np.matmul(saved.T, grad, out=grad_w)
-            np.add.reduce(grad, axis=0, out=grad_b)     # grad.sum, without its wrapper
+            _affine_grad(saved, grad, *grads[idx >> 1])
             if idx == first:
                 return out
-            grad = grad @ pairs[idx >> 1][0].T
+            grad = _carry(grad, pairs[idx >> 1][0], None)
         owned = True
     return (out, grad) if input_grad else out
 
@@ -319,38 +383,136 @@ def softmax_cross_entropy(logits: np.ndarray, labels, *, split: int | None = Non
     # one unsigned max: as uint64 a negative label reads as a huge one
     if np.maximum.reduce(labels.view(np.uint64)) >= k:
         raise ValueError(f"label out of range [0, {k})")
-    z = logits - _row_max(logits)[:, None]
-    # the row sum keeps its own reduction: its summation order sets the bits.
-    # np.add.reduce is what .sum() calls, without its Python wrapper
-    lse = np.add.reduce(np.exp(z), axis=1, keepdims=True)
-    np.log(lse, out=lse)
-    z -= lse                                    # log-probabilities
     # each row's label entry through one flat index, in any memory order
     flat = labels + np.arange(0, n * k, k)
-    picked = z.take(flat)
-    grad = np.exp(z, out=z)
-    hit = grad.take(flat)
-    hit -= 1.0
-    grad.put(flat, hit)
-    if split is None:
-        grad /= n
-        return float(-(np.add.reduce(picked) / n)), grad     # what -picked.mean() computes
-    m = n - split
-    grad[:split] /= split
-    grad[split:] /= m
-    return ((float(-(np.add.reduce(picked[:split]) / split)),
-             float(-(np.add.reduce(picked[split:]) / m))), grad)
+    return _cross_entropy(logits, flat, split, None, None, None, None, None, None)
 
 
-def _row_max(a: np.ndarray) -> np.ndarray:
+def _row_max(a: np.ndarray, out=None) -> np.ndarray:
     """``a.max(axis=1)``, taken column by column, since a few long column
     passes beat many short row reductions. A maximum is exact in any order (a
     tie of 0.0 and -0.0 may keep either, which changes no bit of
-    ``exp(a - max)``). A single column is returned as it is, not copied."""
-    top = a[:, 0] if a.shape[1] == 1 else np.maximum(a[:, 0], a[:, 1])
+    ``exp(a - max)``). A single column is returned as it is, not copied;
+    otherwise the maximum goes into ``out`` (``None``: allocated)."""
+    top = a[:, 0] if a.shape[1] == 1 else np.maximum(a[:, 0], a[:, 1], out=out)
     for j in range(2, a.shape[1]):
         np.maximum(top, a[:, j], out=top)
     return top
+
+
+class Pass:
+    """Layers ``[start, stop)`` of a network, forward and backward, over at
+    most ``rows`` rows at a time, on buffers made once: each layer's output,
+    and per row count each ReLU's mask and the gradient at each layer's
+    input. A training loop makes one per call and checks its inputs once;
+    each step then runs the kernels ``forward`` and ``backward`` run, in the
+    same order, and gets their bits, without their checks, caches or
+    allocations. Nothing here is checked: the caller passes rows of the
+    input width, no more than ``rows`` of them.
+
+    ``forward(x)`` returns a view of the last layer's output, valid until
+    the next ``forward`` of as many rows; ``backward(grad)`` then writes these
+    layers' tensors of ``grads`` and, with ``input_grad``, returns the
+    gradient at ``x``, else None. With ``out``, a ``(rows, width)`` array,
+    the last layer's output goes into its first rows, so it can be the start
+    of the next pass's ``input``: a ``(rows, width)`` buffer the caller may
+    fill and pass to ``forward``. With ``loss``, the pass also keeps a
+    ``labels`` buffer and ``cross_entropy`` scores the last forward's
+    output against its first rows.
+    """
+
+    __slots__ = ("start", "stop", "input_grad", "input", "labels", "_layers", "_first",
+                 "_classes", "_plans", "_plan", "_x")
+
+    def __init__(self, params: Parameters, grads: Parameters, spec: NetworkSpec,
+                 start: int, stop: int | None, rows: int, *, out: np.ndarray | None = None,
+                 input_grad: bool = False, loss: bool = False):
+        stop = len(spec.layers) if stop is None else stop
+        self.start, self.stop, self.input_grad = start, stop, input_grad
+        pairs, grad_pairs = params.pairs, grads.pairs
+        self.input = np.empty((rows, spec.width_after(start)))
+        # (idx, output buffer, (W, b), their gradients) per layer: an affine
+        # layer's output is a buffer of its own, a ReLU's the one it runs on
+        # in place, unless it comes first
+        self._layers = []
+        for idx in range(start, stop):
+            buffer = (self._layers[-1][1] if idx & 1 and idx > start
+                      else np.empty((rows, spec.width_after(idx + 1))))
+            self._layers.append((idx, buffer, pairs[idx >> 1], grad_pairs[idx >> 1]))
+        if out is not None:
+            final = self._layers[-1][1]
+            self._layers = [(idx, out if buffer is final else buffer, *rest)
+                            for idx, buffer, *rest in self._layers]
+        # backward runs down to the first affine layer, or with input_grad
+        # to the input
+        self._first = 0 if input_grad else start & 1
+        self._classes = None
+        if loss:
+            self.labels = np.empty(rows, np.int64)
+            self._classes = spec.width_after(stop)
+        self._plans = {}
+        self._plan = self._x = None
+
+    def _views(self, n: int) -> tuple:
+        """The forward and backward steps over ``n`` rows, on each output
+        buffer's first ``n`` rows and arrays of their own, and the loss's
+        arrays: each label's flat offset, then ``_cross_entropy``'s."""
+        forward_steps, backward_steps = [], []
+        first, last = self._first, len(self._layers) - 1
+        saved = None                    # a layer's input; None is ``x``
+        for pos, (idx, buffer, (w, b), (w_grad, b_grad)) in enumerate(self._layers):
+            view = buffer[:n]
+            if idx & 1:
+                forward_steps.append((True, None, None, view))
+                if pos >= first:
+                    # the first ReLU in backward order gets a gradient
+                    # array of its own; the others multiply in place into
+                    # one this pass made
+                    own = np.empty(view.shape) if pos == last else None
+                    backward_steps.append((True, view, np.empty(view.shape, bool), own,
+                                           None, None))
+            else:
+                forward_steps.append((False, w, b, view))
+                carry = np.empty((n, w.shape[0])) if pos > first or self.input_grad else None
+                backward_steps.append((False, saved, w, w_grad, b_grad, carry))
+            saved = view
+        backward_steps.reverse()
+        loss, k = None, self._classes
+        if k is not None:
+            loss = (np.arange(0, n * k, k), np.empty(n, np.int64), np.empty(n),
+                    np.empty((n, k)), np.empty((n, k)), np.empty((n, 1)), np.empty(n),
+                    np.empty(n))
+        return forward_steps, backward_steps, loss
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        n = len(x)
+        plan = self._plans.get(n)
+        if plan is None:
+            plan = self._plans[n] = self._views(n)
+        self._plan, self._x = plan, x
+        h = x
+        for relu, w, b, out in plan[0]:
+            h = _relu(h, out) if relu else _affine(h, w, b, out)
+        return h
+
+    def backward(self, grad: np.ndarray):
+        x = self._x
+        for relu, saved, a, b, c, carry in self._plan[1]:
+            if relu:                    # a: the mask, b: its own gradient, if any
+                grad = _relu_grad(grad, saved, a, grad if b is None else b)
+            else:                       # a: W; b, c: the tensor gradients
+                _affine_grad(x if saved is None else saved, grad, b, c)
+                if carry is None:
+                    return None
+                grad = _carry(grad, a, carry)
+        return grad
+
+    def cross_entropy(self, split: int | None = None):
+        """``softmax_cross_entropy(output, labels[:n], split=split)`` of the
+        last forward's ``n`` rows; the gradient is a view of a buffer."""
+        offsets, flat, *arrays = self._plan[2]
+        np.add(self.labels[:len(flat)], offsets, out=flat)
+        return _cross_entropy(self._plan[0][-1][3], flat, split, *arrays)
 
 
 @dataclass

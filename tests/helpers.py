@@ -9,6 +9,14 @@ import tracemalloc
 import numpy as np
 
 from fedmp import nn
+from fedmp.federation import (
+    DivergenceError,
+    combine_losses,
+    compute_sfmc_loss,
+    cpgma_embedding_grad,
+    unit_prototypes,
+)
+from fedmp.protocol import FeatureBatch, upcast
 
 
 def params_equal(a, b) -> bool:
@@ -107,3 +115,90 @@ def reference_backward(params, spec, cache, upstream, input_grad=True, out=None)
         else:
             grad = grad * (saved > 0.0)
     return out, grad
+
+
+# ---------------------------------------------------------------------------
+# the local step that ``federation.local_train`` fused into one pass over
+# per-call buffers: the path through the checked ``nn.forward``,
+# ``nn.backward``, ``compute_sfmc_loss`` and ``draw_foreign``, allocating
+# every array it makes and checking every call's arguments
+
+
+def draw_foreign(foreign, rows, rng):
+    """``rows`` distinct rows of ``foreign``, kept in sample order, or all of
+    ``foreign`` when it has no more rows than that."""
+    if len(foreign) <= rows:
+        return foreign
+    return foreign.take(np.sort(rng.choice(len(foreign), rows, replace=False)))
+
+
+def reference_step(params, spec, xb, yb, drawn, units, grads):
+    """One step's embeddings and losses ``(l_local, l_sfmc, l_cpgma)``, its
+    gradient written into ``grads``. ``drawn`` is the SFMC draw (None
+    without SFMC), ``units`` the unit prototypes (None without CPGMA).
+    While SFMC runs or CPGMA's weight is nonzero, a head backward hands the
+    gradient at the split, CPGMA's added in, to an extractor backward;
+    otherwise one backward runs over both caches."""
+    u, cache_f = nn.forward_extractor(params, spec, xb)
+    if drawn is not None:
+        l_local, l_sfmc, glogits, cache_c = compute_sfmc_loss(params, spec, drawn, u, yb)
+    else:
+        logits, cache_c = nn.forward_classifier(params, spec, u)
+        l_local, glogits = nn.softmax_cross_entropy(logits, yb)
+        l_sfmc = 0.0
+    l_cpgma = 0.0
+    if units is not None:
+        l_cpgma, grad_u_align = cpgma_embedding_grad(u, yb, units)
+    w_s, w_c = combine_losses(l_local, l_sfmc, l_cpgma)
+    if drawn is not None or w_c:
+        if drawn is not None:
+            glogits[len(yb):] *= w_s
+        _, grad_in = nn.backward(params, spec, cache_c, glogits, out=grads, input_grad=True)
+        grad_u = grad_in[:len(yb)]
+        if w_c:
+            grad_u += w_c * grad_u_align
+        nn.backward(params, spec, cache_f, grad_u, out=grads)
+    else:
+        nn.backward(params, spec, cache_f + cache_c, glogits, out=grads)
+    return u, (l_local, l_sfmc, l_cpgma)
+
+
+def reference_local_train(params, spec, shard, config, epochs, rng, foreign=None,
+                          prototypes=None, round_tag=0, collect_final_epoch=True):
+    """``local_train`` step by step through ``reference_step``, with the same
+    shuffle, draws and Adam steps. Returns (feature_batches, tally, steps):
+    one batch per mini-batch of the final epoch, and per step the
+    parameters before it, its three losses and its gradient."""
+    if len(shard) == 0:
+        raise ValueError("client shard is empty")
+    sfmc = config.enable_sfmc and bool(foreign)
+    units = unit_prototypes(prototypes) if config.enable_cpgma and prototypes is not None else None
+    if sfmc:
+        foreign = FeatureBatch(upcast(foreign.embeddings), foreign.labels)
+        foreign_rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=[config.seed, 4, round_tag, shard.client_id]))
+    state = nn.AdamState(learning_rate=config.learning_rate, weight_decay=config.weight_decay)
+    tally, batches, steps = [0.0, 0.0, 0.0, 0], [], []
+    grads = params.zeros_like()
+    n = len(shard)
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        inputs, labels = shard.inputs[order], shard.labels[order]
+        for start in range(0, n, config.batch_size):
+            xb = inputs[start:start + config.batch_size]
+            yb = labels[start:start + config.batch_size]
+            drawn = draw_foreign(foreign, len(yb), foreign_rng) if sfmc else None
+            before = params.vec.copy()
+            try:
+                u, losses = reference_step(params, spec, xb, yb, drawn, units, grads)
+                nn.adam_step(params, grads, state)
+            except ValueError as err:
+                raise DivergenceError(f"epoch {epoch + 1}, batch "
+                                      f"{start // config.batch_size + 1}: {err}") from err
+            steps.append((before, losses, grads.vec.copy()))
+            for i, loss in enumerate(losses):
+                tally[i] += loss
+            tally[3] += 1
+            if epoch == epochs - 1 and collect_final_epoch:
+                batches.append(FeatureBatch(u, yb))
+    return batches, tally, steps

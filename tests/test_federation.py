@@ -4,6 +4,7 @@ training from a broadcast model, the round loop, and the few-shot schedule."""
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from fedmp.protocol import (
     upcast,
 )
 
-from helpers import one_blas_thread, params_equal, traced_peak
+from helpers import one_blas_thread, params_equal, reference_local_train, traced_peak
 
 
 def small_spec(d0=4, k=3):
@@ -277,9 +278,10 @@ class TestStackedSfmcStep:
                                enable_cpgma=cpgma)
         steps, draws = [], []
 
-        def spy_sfmc(params, spec, drawn, u, labels):
-            draws.append(drawn)
-            out = original_sfmc(params, spec, drawn, u, labels)
+        def spy_sfmc(params, spec, drawn, u, labels, **kw):
+            # the drawn rows live in the step's buffers: keep a copy
+            draws.append(FeatureBatch(drawn.embeddings.copy(), drawn.labels.copy()))
+            out = original_sfmc(params, spec, drawn, u, labels, **kw)
             steps.append([params.vec.copy(), *out[:2]])
             return out
 
@@ -370,9 +372,10 @@ class TestOneExtractorBackward:
             losses.append(args)
             return original_losses(*args)
 
-        def spy_sfmc(params, spec, drawn, u, labels):
-            draws.append(drawn)
-            return original_sfmc(params, spec, drawn, u, labels)
+        def spy_sfmc(params, spec, drawn, u, labels, **kw):
+            # the drawn rows live in the step's buffers: keep a copy
+            draws.append(FeatureBatch(drawn.embeddings.copy(), drawn.labels.copy()))
+            return original_sfmc(params, spec, drawn, u, labels, **kw)
 
         def spy_adam(params, grads, state):
             steps.append((params.vec.copy(), grads.vec.copy()))
@@ -407,6 +410,131 @@ class TestOneExtractorBackward:
                 # no CPGMA term: the parent's operations, bit for bit
                 assert grads.tobytes() == ref[3].vec.tobytes()
             assert np.abs(grads - ref[3].vec).max() <= 1e-12 * np.abs(ref[3].vec).max()
+
+
+@st.composite
+def split_networks(draw):
+    """A split MLP of 1-3 extractor and 1-3 head affine layers with widths
+    1-7 and 2-4 classes, split after the extractor's last ReLU (even) or
+    before it (odd: the head starts with that ReLU)."""
+    extractor, head = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 7), min_size=extractor + head,
+                           max_size=extractor + head))
+    split = 2 * extractor - draw(st.integers(0, 1))
+    return nn.NetworkSpec((*widths, draw(st.integers(2, 4))), split)
+
+
+class TestFusedStep:
+    """Every step of ``local_train`` against the step it fused
+    (``helpers.reference_local_train``: the checked ``nn`` functions,
+    ``compute_sfmc_loss`` and ``draw_foreign``), bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=split_networks(), rows=st.integers(1, 23), batch_size=st.integers(1, 9),
+           sample=st.integers(1, 20), sfmc=st.booleans(),
+           prototypes=st.sampled_from(["off", "cold", "mixed", "warm"]),
+           seed=st.integers(0, 2**31 - 1))
+    def test_every_step_keeps_every_bit(self, spec, rows, batch_size, sample, sfmc,
+                                        prototypes, seed):
+        # random batch and sample sizes: short final batches, and samples
+        # no larger than the batch, which every step then takes whole;
+        # "mixed" has one cold class, "cold" only cold ones
+        k, d = spec.num_classes, spec.embedding_dim
+        rng = np.random.default_rng(seed)
+        shard = ClientShard(client_id=seed % 5, inputs=rng.normal(size=(rows, spec.input_dim)),
+                            labels=rng.integers(0, k, rows))
+        foreign = FeatureBatch(np.maximum(rng.normal(size=(sample, d)), 0.0).astype(np.float16),
+                               rng.integers(0, k, sample))
+        protos = rng.normal(size=(k, d)) * (prototypes != "cold")
+        if prototypes == "mixed":
+            protos[0] = 0.0
+        cfg = FederationConfig(rounds=1, num_clients=1, local_epochs=2, num_classes=k,
+                               batch_size=batch_size, learning_rate=1e-2, seed=seed % 1000,
+                               enable_sfmc=sfmc, enable_cpgma=prototypes != "off")
+        start = nn.init_params(spec, seed % 1000)
+        ref_params = start.copy()
+        ref_batches, ref_tally, ref_steps = reference_local_train(
+            ref_params, spec, shard, cfg, 2, np.random.default_rng(seed), foreign=foreign,
+            prototypes=protos, round_tag=3)
+
+        losses, steps = [], []
+
+        def spy_losses(*args):
+            losses.append(args)
+            return original_losses(*args)
+
+        def spy_adam(params, grads, state):
+            steps.append((params.vec.copy(), grads.vec.copy()))
+            return original_adam(params, grads, state)
+
+        original_losses, original_adam = federation.combine_losses, nn.adam_step
+        params = start.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(federation, "combine_losses", spy_losses)
+            patch.setattr(nn, "adam_step", spy_adam)
+            batches, tally = local_train(params, spec, shard, cfg, 2,
+                                         np.random.default_rng(seed), foreign=foreign,
+                                         prototypes=protos, round_tag=3)
+
+        assert len(steps) == len(losses) == len(ref_steps) == tally[3]
+        for (vec, grads), got, (ref_vec, ref_losses, ref_grads) in zip(steps, losses,
+                                                                       ref_steps):
+            assert vec.tobytes() == ref_vec.tobytes()
+            assert got == ref_losses
+            assert grads.tobytes() == ref_grads.tobytes()
+        assert params.vec.tobytes() == ref_params.vec.tobytes()
+        assert tally == ref_tally
+        uploads = [FeatureBatch.concat(b) for b in (batches, ref_batches)]
+        assert uploads[0].embeddings.tobytes() == uploads[1].embeddings.tobytes()
+        assert np.array_equal(uploads[0].labels, uploads[1].labels)
+
+
+class TestColdStart:
+    """While every prototype is cold, CPGMA's loss is 0 and its weight 0, so
+    ``local_train`` makes no CPGMA pass; one warm class is enough for it to
+    run on every step."""
+
+    def run(self, monkeypatch, prototypes, sfmc):
+        spec = small_spec()
+        rng = np.random.default_rng(4)
+        shard = ClientShard(client_id=1, inputs=rng.normal(size=(10, 4)),
+                            labels=(np.arange(10) % 3).astype(np.int64))
+        foreign = FeatureBatch(rng.normal(size=(6, spec.embedding_dim)).astype(np.float16),
+                               rng.integers(0, 3, 6)) if sfmc else None
+        cfg = FederationConfig(rounds=1, num_clients=2, local_epochs=2, num_classes=3,
+                               batch_size=4, learning_rate=1e-2, seed=3, enable_sfmc=sfmc)
+        ref = nn.init_params(spec, 0)
+        ref_batches, ref_tally, _ = reference_local_train(
+            ref, spec, shard, cfg, 2, np.random.default_rng(0), foreign=foreign,
+            prototypes=prototypes, round_tag=1)
+        passes = []
+
+        def spy(*args):
+            passes.append(args)
+            return original(*args)
+
+        original = federation.cpgma_embedding_grad
+        monkeypatch.setattr(federation, "cpgma_embedding_grad", spy)
+        params = nn.init_params(spec, 0)
+        batches, tally = local_train(params, spec, shard, cfg, 2, np.random.default_rng(0),
+                                     foreign=foreign, prototypes=prototypes, round_tag=1)
+        assert params.vec.tobytes() == ref.vec.tobytes()
+        assert tally == ref_tally
+        assert (serialize_features(FeatureBatch.concat(batches))
+                == serialize_features(FeatureBatch.concat(ref_batches)))
+        return len(passes), tally
+
+    @pytest.mark.parametrize("sfmc", [False, True])
+    def test_all_cold_makes_no_cpgma_pass(self, monkeypatch, sfmc):
+        passes, tally = self.run(monkeypatch, np.zeros((3, small_spec().embedding_dim)), sfmc)
+        assert passes == 0 and tally[2] == 0.0
+
+    @pytest.mark.parametrize("sfmc", [False, True])
+    def test_one_cold_class_among_warm_still_runs_every_step(self, monkeypatch, sfmc):
+        prototypes = np.random.default_rng(5).normal(size=(3, small_spec().embedding_dim))
+        prototypes[2] = 0.0
+        passes, tally = self.run(monkeypatch, prototypes, sfmc)
+        assert passes == tally[3] == 6
 
 
 class TestCpgmaLoss:
@@ -847,20 +975,45 @@ class TestClientUpdate:
                                          collect_final_epoch=False)
         assert upload is None
 
+    @pytest.mark.parametrize("collect", [False, True])
+    def test_no_buffer_outlives_the_call(self, collect):
+        # after the call only what it returns is still allocated: the final
+        # epoch's float64 embeddings when collecting, nothing of the
+        # per-call buffers, the gradient or the optimizer state
+        spec = nn.mlp_spec(16, (64,), (32, 16), 3)
+        rng = np.random.default_rng(0)
+        shard = ClientShard(client_id=0, inputs=rng.normal(size=(200, 16)),
+                            labels=(np.arange(200) % 3).astype(np.int64))
+        foreign = FeatureBatch(rng.normal(size=(150, 64)).astype(np.float16),
+                               rng.integers(0, 3, 150))
+        params = nn.init_params(spec, 0)
+        cfg = self.config(batch_size=64, local_epochs=1)
+        kept = []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept.append(local_train(params, spec, shard, cfg, 2, np.random.default_rng(0),
+                                    foreign=foreign, prototypes=rng.normal(size=(3, 64)),
+                                    collect_final_epoch=collect))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        features = 200 * 64 * 8 if collect else 0
+        assert features <= retained < features + 16 * 1024
+
     def backward_calls(self, monkeypatch, warm, sfmc):
-        """(first layer, stop layer, rows, input_grad) of each backward over
-        two epochs of 4-row batches, then the entries of a whole-network and
-        of an extractor backward of one batch."""
+        """(first layer, stop layer, rows, input_grad) of each backward pass
+        (``nn.Pass.backward``) over two epochs of 4-row batches, then the
+        entries of a head and of an extractor backward of one batch."""
         spec = small_spec()
         calls = []
 
-        def spy(params, spec, cache, *args, **kwargs):
-            calls.append((cache[0][0], cache[-1][0] + 1, len(cache[0][1]),
-                          kwargs.get("input_grad", False)))
-            return original(params, spec, cache, *args, **kwargs)
+        def spy(self, grad):
+            calls.append((self.start, self.stop, len(grad), self.input_grad))
+            return original(self, grad)
 
-        original = nn.backward
-        monkeypatch.setattr(nn, "backward", spy)
+        original = nn.Pass.backward
+        monkeypatch.setattr(nn.Pass, "backward", spy)
         prototypes = np.zeros((3, spec.embedding_dim))
         if warm:
             prototypes[1] = 1.0
@@ -874,17 +1027,15 @@ class TestClientUpdate:
                                np.random.default_rng(0), foreign=foreign,
                                prototypes=prototypes)
         assert tally[3] == 6
-        return calls, (0, len(spec.layers), 4, False), (0, spec.split_index, 4, False)
+        return calls, (spec.split_index, len(spec.layers), 4, True), (0, spec.split_index, 4, False)
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_backwards_per_mini_batch(self, monkeypatch, warm):
-        # one local backward over the whole network per mini-batch; once
-        # CPGMA's weight is nonzero, a head backward that hands the gradient
-        # at the split, CPGMA's added in, to one extractor backward
-        calls, whole, extractor = self.backward_calls(monkeypatch, warm, sfmc=False)
-        spec = small_spec()
-        step = [(spec.split_index, len(spec.layers), 4, True), extractor]
-        assert calls == (step * 6 if warm else [whole] * 6)
+        # per mini-batch, one head backward that hands the gradient at the
+        # split, CPGMA's added in once its weight is nonzero, to one
+        # extractor backward, whether the prototypes are cold or warm
+        calls, head, extractor = self.backward_calls(monkeypatch, warm, sfmc=False)
+        assert calls == [head, extractor] * 6
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_sfmc_backwards_per_mini_batch(self, monkeypatch, warm):
@@ -930,6 +1081,42 @@ class TestClientUpdate:
                         np.random.default_rng(0))
 
 
+    @pytest.mark.parametrize("fault, error", [
+        ("shard label", "label out of range"), ("negative label", "label out of range"),
+        ("foreign label", "label out of range"), ("labels shape", "labels shape"),
+        ("input width", "layer 0: inputs of shape"), ("foreign width", "layer 2: foreign rows"),
+        ("layout", "laid out like the network"),
+    ])
+    def test_bad_inputs_rejected_before_any_step(self, fault, error):
+        # what each step's forward and cross-entropy used to check, checked
+        # once per call, before the first step writes into params
+        spec = small_spec()
+        shard = self.shard(12)
+        rng = np.random.default_rng(3)
+        foreign = FeatureBatch(rng.normal(size=(6, spec.embedding_dim)).astype(np.float16),
+                               rng.integers(0, 3, 6))
+        params = nn.init_params(spec, 0)
+        if fault == "shard label":
+            shard.labels[5] = 3
+        elif fault == "negative label":
+            shard.labels[0] = -1
+        elif fault == "foreign label":
+            foreign.labels[2] = 3
+        elif fault == "labels shape":
+            shard = ClientShard(0, shard.inputs, shard.labels[:-1])
+        elif fault == "input width":
+            shard = ClientShard(0, shard.inputs[:, :3], shard.labels)
+        elif fault == "foreign width":
+            foreign = FeatureBatch(foreign.embeddings[:, 1:], foreign.labels)
+        else:
+            params = nn.init_params(nn.mlp_spec(4, (6,), (4,), 3), 0)
+        before = params.vec.copy()
+        with pytest.raises(ValueError, match=error):
+            local_train(params, spec, shard, self.config(batch_size=4), 2,
+                        np.random.default_rng(0), foreign=foreign,
+                        prototypes=rng.normal(size=(3, spec.embedding_dim)))
+        assert before.tobytes() == params.vec.tobytes()
+
     def test_non_finite_loss_names_epoch_and_batch(self):
         spec = small_spec()
         params = nn.init_params(spec, 0)
@@ -943,19 +1130,21 @@ class TestClientUpdate:
         assert before.tobytes() == params.vec.tobytes()
 
     def test_non_finite_gradient_names_epoch_and_batch(self, monkeypatch):
-        # a finite loss whose gradient overflows from the fourth batch on
+        # a finite loss whose gradient overflows from the fourth batch on:
+        # the kernel that writes the first layer's weight gradient, which
+        # each step's extractor backward calls once, writes inf from then on
         spec = small_spec()
         calls = []
 
-        def overflowing(params, spec, cache, upstream, *, out=None, input_grad=False):
-            result = original(params, spec, cache, upstream, out=out, input_grad=input_grad)
-            calls.append(None)
-            if len(calls) >= 4:
-                (result[0] if input_grad else result)[(0, "W")][0, 0] = np.inf
-            return result
+        def overflowing(saved, grad, w_grad, b_grad):
+            original(saved, grad, w_grad, b_grad)
+            if w_grad.shape == spec.layout.spans[(0, "W")][2]:
+                calls.append(None)
+                if len(calls) >= 4:
+                    w_grad[0, 0] = np.inf
 
-        original = nn.backward
-        monkeypatch.setattr(nn, "backward", overflowing)
+        original = nn._affine_grad
+        monkeypatch.setattr(nn, "_affine_grad", overflowing)
         cfg = self.config(batch_size=4, enable_sfmc=False, enable_cpgma=False)
         with pytest.raises(federation.DivergenceError,
                            match=r"^epoch 2, batch 1: non-finite gradient at \(0, 'W'\)"):
@@ -991,9 +1180,11 @@ class TestStochasticSfmc:
         checking that the call upcast the sample once."""
         calls, upcasts = [], []
 
-        def spy(params, spec, batch, u, labels):
-            calls.append((batch, u, labels))
-            return original(params, spec, batch, u, labels)
+        def spy(params, spec, batch, u, labels, **kw):
+            # every argument is a view of the step's buffers: keep copies
+            calls.append((FeatureBatch(batch.embeddings.copy(), batch.labels.copy()),
+                          u.copy(), labels.copy()))
+            return original(params, spec, batch, u, labels, **kw)
 
         def spy_upcast(values):
             upcasts.append(values)
@@ -1031,14 +1222,14 @@ class TestStochasticSfmc:
     def test_sample_no_larger_than_the_batch_is_passed_whole(self, monkeypatch, rows):
         foreign = self.foreign(rows, small_spec().embedding_dim)
         calls = self.sfmc_calls(monkeypatch, self.shard(8), foreign)
-        # every step gets the whole sample, upcast once for the call, under
-        # its whole batch of 4 local rows
-        batches = [batch for batch, _, _ in calls]
-        assert len(calls) == 4 and all(batch is batches[0] for batch in batches)
+        # every step gets the whole sample in sample order, upcast once for
+        # the call, under its whole batch of 4 local rows
+        assert len(calls) == 4
         assert all(len(u) == 4 for _, u, _ in calls)
-        assert batches[0].embeddings.dtype == np.float64
-        assert np.array_equal(batches[0].embeddings, foreign.embeddings)
-        assert batches[0].labels is foreign.labels
+        for batch, _, _ in calls:
+            assert batch.embeddings.dtype == np.float64
+            assert np.array_equal(batch.embeddings, foreign.embeddings)
+            assert np.array_equal(batch.labels, foreign.labels)
 
     def test_same_config_gives_identical_bytes(self):
         shards, global_test = small_federation()

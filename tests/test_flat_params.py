@@ -181,8 +181,50 @@ def test_backward_writes_into_out_slices():
         nn.backward(params, spec, cache_c, np.ones_like(logits), out=head_only)
 
 
+@settings(max_examples=40, deadline=None)
+@given(net=networks(), rows=st.integers(1, 9), start=st.integers(0, 5), input_grad=st.booleans())
+def test_backward_without_out_equals_backward_into_zeros(net, rows, start, input_grad):
+    """A fresh gradient is a zeroed ``out``: the same bits in the cached
+    layers' tensors, +0.0 in the others, and the same gradient at the input."""
+    spec, seed = net
+    start %= len(spec.layers)
+    params = nn.init_params(spec, seed)
+    rng = np.random.default_rng(seed)
+    out, cache = nn.forward(params, spec, rng.normal(size=(rows, spec.width_after(start))),
+                            start)
+    upstream = rng.normal(size=out.shape)
+    fresh = nn.backward(params, spec, cache, upstream, input_grad=input_grad)
+    zeroed = nn.backward(params, spec, cache, upstream, out=params.zeros_like(),
+                         input_grad=input_grad)
+    if input_grad:
+        assert same_bits(fresh[1], zeroed[1])
+        fresh, zeroed = fresh[0], zeroed[0]
+    assert same_bits(fresh.vec, zeroed.vec)
+
+
 # ---------------------------------------------------------------------------
 # the vector and its views
+
+
+@settings(max_examples=30, deadline=None)
+@given(net=networks())
+def test_pairs_are_views_of_vec_in_layout_order(net):
+    """``params.pairs`` holds each affine layer's ``(W, b)``, in layer order:
+    views of ``vec`` at the layout's spans, so a write through one reaches
+    ``vec`` and the views ``params[key]`` returns."""
+    spec, seed = net
+    params = nn.init_params(spec, seed)
+    keys = params.keys()
+    assert len(params.pairs) == len(keys) // 2 == len(spec.widths) - 1
+    for (w, b), w_key, b_key in zip(params.pairs, keys[::2], keys[1::2]):
+        assert (w_key[1], b_key[1]) == ("W", "b") and w_key[0] == b_key[0]
+        for view, key in ((w, w_key), (b, b_key)):
+            lo, hi, shape = params.layout.spans[key]
+            assert view.shape == shape and view.ctypes.data == params.vec[lo:hi].ctypes.data
+            view[...] = -3.5
+            assert same_bits(params.vec[lo:hi], np.full(hi - lo, -3.5))
+            assert same_bits(params[key], np.full(shape, -3.5))
+    assert params.pairs is params.pairs             # made once
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,7 +13,8 @@ PRIMITIVES = {
     "nn.backward.extractor",
     "nn.softmax_cross_entropy.batch", "nn.softmax_cross_entropy.head", "nn.adam_step",
     "federation.unit_prototypes", "federation.cpgma_embedding_grad",
-    "federation.draw_foreign", "federation.evaluate_accuracy", "federation.update_centers.upload",
+    "federation.evaluate_accuracy", "federation.update_centers.upload",
+    "federation.local_train.warm", "federation.local_train.cold",
     "protocol.FeatureBank.insert",
     "protocol.FeatureBank.sample", "geometry._directed_many", "geometry.manifold_report",
     *(f"protocol.{codec}_features.{blob}" for codec in ("serialize", "deserialize")

@@ -21,18 +21,26 @@ one elementwise gradient over the 64 x 64 batch.
 ``nn.backward.extractor`` is the step's one extractor backward, which takes
 the gradient at the split: the local rows' part of the head's, plus CPGMA's
 embedding gradient scaled by its weight. Every ``nn.backward`` case writes
-into one gradient buffer, as ``local_train`` does.
+into one gradient buffer, as a training loop reuses one.
 
-A local step's SFMC pass is ``federation.draw_foreign`` (64 of the sample's
-rows: ``choice``, ``sort``, ``take``) followed by one head pass over the
-64 local embeddings stacked on the 64 drawn rows:
-``federation.compute_sfmc_loss`` (the stacked forward and the split
-cross-entropy), whose parts are timed as the ``.head`` cases: the
-64-32-16-3 head's forward, the two-part cross-entropy and the backward
-that carries the gradient to the split, all on the 128 stacked rows.
-The sample arrives as float16; ``local_train`` upcasts it to float64 once
-per call, ``federation.upcast_foreign``, through ``protocol.upcast``'s
-float16 -> float32 table, so each draw is float64 already.
+A local step's SFMC pass is one head pass over the 64 local embeddings
+stacked on 64 rows drawn from the foreign sample:
+``federation.compute_sfmc_loss`` (the checked path: the stacking, the
+stacked forward and the split cross-entropy), whose parts are timed as the
+``.head`` cases: the 64-32-16-3 head's forward, the two-part cross-entropy
+and the backward that carries the gradient to the split, all on the 128
+stacked rows. The sample arrives as float16; ``local_train`` upcasts it to
+float64 once per call, ``federation.upcast_foreign``, through
+``protocol.upcast``'s float16 -> float32 table, so each draw is float64
+already.
+
+``local_train`` runs those steps fused, on buffers made once per call, so
+its steps call none of the checked functions above; its whole calls are
+timed on one client's shard (96 rows at S, 500 at M) for the benchmark's 4
+epochs of 64-row batches, from a copy of the same model each call:
+``.warm`` with SFMC on the scale's foreign sample and CPGMA on warm
+prototypes, as in a later round, and ``.cold`` as round 1 runs, with no
+foreign sample and every prototype cold, so neither module runs.
 
 The feature codecs, ``protocol.serialize_features`` and
 ``deserialize_features``, are timed on the blobs a round sends: ``.upload``
@@ -102,6 +110,7 @@ SCALES = {"S": (3, 96), "M": (20, 500)}       # clients, samples per client
 SAMPLE_COUNT = 96
 BANK_CAPACITY = 512
 BATCH = 64
+EPOCHS = 4
 MIN_TIME = 0.01
 IMPORT_PROBES = 5
 PEAK_CASES = ("federation.evaluate_accuracy", "geometry.manifold_report",
@@ -120,8 +129,8 @@ def cases(scale: str) -> dict:
         _update_centers,
         compute_sfmc_loss,
         cpgma_embedding_grad,
-        draw_foreign,
         evaluate_accuracy,
+        local_train,
         unit_prototypes,
     )
     from fedmp.protocol import (
@@ -169,9 +178,9 @@ def cases(scale: str) -> dict:
     bank = fill()
     foreign = bank.sample(0, SAMPLE_COUNT, 0)           # float16, as decoded
     blobs = {"upload": round_blobs[0], "foreign": serialize_features(foreign)}
-    upcast_foreign = FeatureBatch(upcast(foreign.embeddings), foreign.labels)
-    draw_rng = np.random.default_rng(0)
-    drawn = draw_foreign(upcast_foreign, BATCH, draw_rng)
+    upcast_foreign = upcast(foreign.embeddings)
+    picks = np.sort(np.random.default_rng(0).choice(len(foreign), BATCH, replace=False))
+    drawn = FeatureBatch(upcast_foreign.take(picks, axis=0), foreign.labels.take(picks))
     stacked = np.concatenate((u, drawn.embeddings))
     stacked_labels = np.concatenate((y, drawn.labels))
     _, _, head_glogits, head_cache = compute_sfmc_loss(params, spec, drawn, u, y)
@@ -185,12 +194,18 @@ def cases(scale: str) -> dict:
 
     state = nn.AdamState(learning_rate=3e-3, weight_decay=6e-3)
     center_config = FederationConfig(batch_size=BATCH)
+    train_config = FederationConfig(num_clients=clients, batch_size=BATCH, learning_rate=3e-3,
+                                    weight_decay=6e-3, sample_count=SAMPLE_COUNT)
+
+    def train(foreign, prototypes):
+        return local_train(params.copy(), spec, shards[0], train_config, EPOCHS,
+                           np.random.default_rng(0), foreign=foreign, prototypes=prototypes,
+                           round_tag=2)
     centers = np.zeros((3, spec.embedding_dim))
     return {
         "nn.forward.batch": lambda: nn.forward_full(params, spec, x),
         "nn.backward.batch": lambda: nn.backward(params, spec, cache, glogits, out=out),
         "federation.upcast_foreign": lambda: upcast(foreign.embeddings),
-        "federation.draw_foreign": lambda: draw_foreign(upcast_foreign, BATCH, draw_rng),
         "federation.compute_sfmc_loss": lambda: compute_sfmc_loss(params, spec, drawn, u, y),
         "nn.forward.head": lambda: nn.forward_classifier(params, spec, stacked),
         "nn.backward.head": lambda: nn.backward(params, spec, head_cache, head_glogits,
@@ -218,6 +233,8 @@ def cases(scale: str) -> dict:
         "federation.evaluate_accuracy": lambda: evaluate_accuracy(params, spec, inputs, labels),
         "geometry._directed_many": lambda: geometry._directed_many(cloud, cloud, sizes),
         "geometry.manifold_report": lambda: geometry.manifold_report(params, spec, shards),
+        "federation.local_train.warm": lambda: train(foreign, prototypes),
+        "federation.local_train.cold": lambda: train(None, np.zeros_like(prototypes)),
     }
 
 
