@@ -274,17 +274,6 @@ def ensemble_predict(models: list[nn.Parameters], spec: nn.NetworkSpec,
     return probs.argmax(axis=1)
 
 
-def _class_labels(values, rows: int, k: int) -> np.ndarray:
-    """``values`` as int64, checked to be ``rows`` labels in ``[0, k)``."""
-    values = np.asarray(values, dtype=np.int64)
-    if values.shape != (rows,):
-        raise nn.ShapeError(f"labels shape {values.shape} does not match {rows} rows")
-    # one unsigned max: as uint64 a negative label reads as a huge one
-    if np.maximum.reduce(values.view(np.uint64)) >= k:
-        raise ValueError(f"label out of range [0, {k})")
-    return values
-
-
 def _training_rows(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                    foreign: FeatureBatch | None):
     """(inputs, labels, foreign labels): the shard's inputs as float64 and
@@ -300,13 +289,13 @@ def _training_rows(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientSha
         raise nn.ShapeError(f"layer 0: inputs of shape {inputs.shape}, "
                             f"expected (rows, {spec.input_dim})")
     k = spec.num_classes
-    labels = _class_labels(shard.labels, len(inputs), k)
+    labels = nn.check_labels(shard.labels, len(inputs), k)
     if foreign is None:
         return inputs, labels, None
     if foreign.embeddings.ndim != 2 or foreign.embeddings.shape[1] != spec.embedding_dim:
         raise nn.ShapeError(f"layer {spec.split_index}: foreign rows of shape "
                             f"{foreign.embeddings.shape}, expected (rows, {spec.embedding_dim})")
-    return inputs, labels, _class_labels(foreign.labels, len(foreign), k)
+    return inputs, labels, nn.check_labels(foreign.labels, len(foreign), k)
 
 
 def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,

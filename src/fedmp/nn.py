@@ -372,20 +372,27 @@ def softmax_cross_entropy(logits: np.ndarray, labels, *, split: int | None = Non
     A row's values do not depend on the rows around it, so each batch gets
     the bits it would get alone."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     n, k = logits.shape
     if n < 1:
         raise ValueError("batch must be nonempty")
     if split is not None and not 0 < split < n:
         raise ValueError(f"split {split} leaves a batch of {n} rows an empty part")
-    if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
-    # one unsigned max: as uint64 a negative label reads as a huge one
-    if np.maximum.reduce(labels.view(np.uint64)) >= k:
-        raise ValueError(f"label out of range [0, {k})")
+    labels = check_labels(labels, n, k)
     # each row's label entry through one flat index, in any memory order
     flat = labels + np.arange(0, n * k, k)
     return _cross_entropy(logits, flat, split, None, None, None, None, None, None)
+
+
+def check_labels(labels, rows: int, classes: int) -> np.ndarray:
+    """``labels`` as int64, checked to be ``rows`` class indices in
+    ``[0, classes)``."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (rows,):
+        raise ShapeError(f"labels shape {labels.shape} does not match batch {rows}")
+    # one unsigned max: as uint64 a negative label reads as a huge one
+    if np.maximum.reduce(labels.view(np.uint64)) >= classes:
+        raise ValueError(f"label out of range [0, {classes})")
+    return labels
 
 
 def _row_max(a: np.ndarray, out=None) -> np.ndarray:
@@ -402,16 +409,17 @@ def _row_max(a: np.ndarray, out=None) -> np.ndarray:
 
 class Pass:
     """Layers ``[start, stop)`` of a network, forward and backward, over at
-    most ``rows`` rows at a time, on buffers made once: each layer's output,
-    and per row count each ReLU's mask and the gradient at each layer's
-    input. A training loop makes one per call and checks its inputs once;
-    each step then runs the kernels ``forward`` and ``backward`` run, in the
-    same order, and gets their bits, without their checks, caches or
-    allocations. Nothing here is checked: the caller passes rows of the
-    input width, no more than ``rows`` of them.
+    most ``rows`` rows at a time, on arrays made once: each layer's output,
+    each ReLU's mask, the gradient at each layer's input and the
+    cross-entropy's arrays; fewer rows run on their first rows. A training
+    loop makes one per call and checks its inputs once; each step then runs
+    the kernels ``forward`` and ``backward`` run, in the same order, and gets
+    their bits, without their checks, caches or allocations. Nothing here is
+    checked: the caller passes rows of the input width, no more than
+    ``rows`` of them.
 
     ``forward(x)`` returns a view of the last layer's output, valid until
-    the next ``forward`` of as many rows; ``backward(grad)`` then writes these
+    the next ``forward``; ``backward(grad)`` then writes these
     layers' tensors of ``grads`` and, with ``input_grad``, returns the
     gradient at ``x``, else None. With ``out``, a ``(rows, width)`` array,
     the last layer's output goes into its first rows, so it can be the start
@@ -421,8 +429,8 @@ class Pass:
     output against its first rows.
     """
 
-    __slots__ = ("start", "stop", "input_grad", "input", "labels", "_layers", "_first",
-                 "_classes", "_plans", "_plan", "_x")
+    __slots__ = ("start", "stop", "input_grad", "input", "labels", "_rows", "_plans", "_plan",
+                 "_x")
 
     def __init__(self, params: Parameters, grads: Parameters, spec: NetworkSpec,
                  start: int, stop: int | None, rows: int, *, out: np.ndarray | None = None,
@@ -431,37 +439,21 @@ class Pass:
         self.start, self.stop, self.input_grad = start, stop, input_grad
         pairs, grad_pairs = params.pairs, grads.pairs
         self.input = np.empty((rows, spec.width_after(start)))
-        # (idx, output buffer, (W, b), their gradients) per layer: an affine
-        # layer's output is a buffer of its own, a ReLU's the one it runs on
-        # in place, unless it comes first
-        self._layers = []
+        # each layer's output: an affine layer's is a buffer of its own, a
+        # ReLU's the one it runs on in place, unless it comes first
+        outputs = []
         for idx in range(start, stop):
-            buffer = (self._layers[-1][1] if idx & 1 and idx > start
-                      else np.empty((rows, spec.width_after(idx + 1))))
-            self._layers.append((idx, buffer, pairs[idx >> 1], grad_pairs[idx >> 1]))
+            outputs.append(outputs[-1] if idx & 1 and idx > start
+                           else np.empty((rows, spec.width_after(idx + 1))))
         if out is not None:
-            final = self._layers[-1][1]
-            self._layers = [(idx, out if buffer is final else buffer, *rest)
-                            for idx, buffer, *rest in self._layers]
+            outputs = [out[:rows] if buffer is outputs[-1] else buffer for buffer in outputs]
         # backward runs down to the first affine layer, or with input_grad
         # to the input
-        self._first = 0 if input_grad else start & 1
-        self._classes = None
-        if loss:
-            self.labels = np.empty(rows, np.int64)
-            self._classes = spec.width_after(stop)
-        self._plans = {}
-        self._plan = self._x = None
-
-    def _views(self, n: int) -> tuple:
-        """The forward and backward steps over ``n`` rows, on each output
-        buffer's first ``n`` rows and arrays of their own, and the loss's
-        arrays: each label's flat offset, then ``_cross_entropy``'s."""
+        first, last = (0 if input_grad else start & 1), len(outputs) - 1
         forward_steps, backward_steps = [], []
-        first, last = self._first, len(self._layers) - 1
         saved = None                    # a layer's input; None is ``x``
-        for pos, (idx, buffer, (w, b), (w_grad, b_grad)) in enumerate(self._layers):
-            view = buffer[:n]
+        for pos, (idx, view) in enumerate(zip(range(start, stop), outputs)):
+            (w, b), (w_grad, b_grad) = pairs[idx >> 1], grad_pairs[idx >> 1]
             if idx & 1:
                 forward_steps.append((True, None, None, view))
                 if pos >= first:
@@ -473,16 +465,37 @@ class Pass:
                                            None, None))
             else:
                 forward_steps.append((False, w, b, view))
-                carry = np.empty((n, w.shape[0])) if pos > first or self.input_grad else None
+                carry = np.empty((rows, w.shape[0])) if pos > first or input_grad else None
                 backward_steps.append((False, saved, w, w_grad, b_grad, carry))
             saved = view
         backward_steps.reverse()
-        loss, k = None, self._classes
-        if k is not None:
-            loss = (np.arange(0, n * k, k), np.empty(n, np.int64), np.empty(n),
-                    np.empty((n, k)), np.empty((n, k)), np.empty((n, 1)), np.empty(n),
-                    np.empty(n))
-        return forward_steps, backward_steps, loss
+        # each label's flat offset, then the arrays of ``_cross_entropy``
+        arrays = None
+        if loss:
+            k = spec.width_after(stop)
+            self.labels = np.empty(rows, np.int64)
+            arrays = (np.arange(0, rows * k, k), np.empty(rows, np.int64), np.empty(rows),
+                      np.empty((rows, k)), np.empty((rows, k)), np.empty((rows, 1)),
+                      np.empty(rows), np.empty(rows))
+        self._rows = rows
+        self._plans = {rows: (forward_steps, backward_steps, arrays)}
+        self._plan = self._x = None
+
+    def _views(self, n: int) -> tuple:
+        """The plan over ``n`` rows: the first ``n`` rows of every array of
+        the plan over ``rows``."""
+        def cut(a):
+            return None if a is None else a[:n]
+
+        forward_steps, backward_steps, arrays = self._plans[self._rows]
+        backward = []
+        for relu, saved, a, b, c, carry in backward_steps:
+            if relu:                    # a: the mask, b: its own gradient, if any
+                backward.append((True, saved[:n], a[:n], cut(b), None, None))
+            else:                       # a: W; b, c: the tensor gradients
+                backward.append((False, cut(saved), a, b, c, cut(carry)))
+        return ([(relu, w, b, out[:n]) for relu, w, b, out in forward_steps], backward,
+                None if arrays is None else tuple(a[:n] for a in arrays))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n = len(x)
@@ -505,7 +518,7 @@ class Pass:
                 if carry is None:
                     return None
                 grad = _carry(grad, a, carry)
-        return grad
+        return grad if self.input_grad else None
 
     def cross_entropy(self, split: int | None = None):
         """``softmax_cross_entropy(output, labels[:n], split=split)`` of the

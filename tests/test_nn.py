@@ -7,6 +7,8 @@ oracle) before being asserted here.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmp import nn
 
@@ -238,6 +240,41 @@ def test_gradient_check_random_networks():
             rel = np.abs(grads[key] - num[key]) / denom
             worst = max(worst, float(rel.max()))
     assert worst < 1e-4, f"worst relative gradient error {worst}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=6), data=st.data(),
+       input_grad=st.booleans(), seed=st.integers(0, 2**31 - 1))
+def test_pass_matches_forward_and_backward(widths, data, input_grad, seed):
+    """``nn.Pass`` over any layer range gives ``forward``'s output and
+    ``backward``'s gradients bit for bit, at its full row count and at
+    fewer rows, its buffers reused between the two."""
+    spec = nn.NetworkSpec(widths)
+    layers = len(spec.layers)
+    start = data.draw(st.integers(0, layers - 1))
+    stop = data.draw(st.integers(start + 1, layers))
+    rows = data.draw(st.integers(1, 9))
+    rng = np.random.default_rng(seed)
+    params = nn.init_params(spec, seed % 1000)
+    grads = params.zeros_like()
+    step = nn.Pass(params, grads, spec, start, stop, rows, input_grad=input_grad)
+    for n in (rows, data.draw(st.integers(1, rows)), rows):
+        x = rng.normal(size=(n, spec.width_after(start)))
+        upstream = rng.normal(size=(n, spec.width_after(stop)))
+        want, cache = nn.forward(params, spec, x, start, stop)
+        ref = nn.backward(params, spec, cache, upstream, out=params.zeros_like(),
+                          input_grad=input_grad)
+        assert step.forward(x).tobytes() == want.tobytes()
+        got = step.backward(upstream)
+        if input_grad:
+            ref, at_input = ref
+            assert got.tobytes() == at_input.tobytes()
+        else:
+            assert got is None
+        cached = [idx >> 1 for idx, _ in cache if not idx & 1]
+        for j in cached:
+            for a, b in zip(grads.pairs[j], ref.pairs[j]):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestAdam:
