@@ -252,10 +252,18 @@ def _logit_blocks(params: nn.Parameters, spec: nn.NetworkSpec, x: np.ndarray):
         start = stop
 
 
+def _row_labels(labels, rows: int) -> np.ndarray:
+    """``labels`` as an array, checked to be one label per row."""
+    labels = np.asarray(labels)
+    if labels.shape != (rows,):
+        raise ValueError(f"labels of shape {labels.shape} for {rows} rows")
+    return labels
+
+
 def evaluate_accuracy(params: nn.Parameters, spec: nn.NetworkSpec,
                       inputs: np.ndarray, labels: np.ndarray) -> float:
     """The fraction of rows whose largest logit is their label."""
-    labels = np.asarray(labels)
+    labels = _row_labels(labels, len(np.atleast_2d(inputs)))
     correct = 0
     for rows, logits in _logit_blocks(params, spec, inputs):
         correct += int(np.count_nonzero(logits.argmax(axis=1) == labels[rows]))
@@ -274,16 +282,11 @@ def ensemble_predict(models: list[nn.Parameters], spec: nn.NetworkSpec,
     return probs.argmax(axis=1)
 
 
-def _training_rows(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
-                   foreign: FeatureBatch | None):
+def _training_rows(spec: nn.NetworkSpec, shard: ClientShard, foreign: FeatureBatch | None):
     """(inputs, labels, foreign labels): the shard's inputs as float64 and
     its labels as int64, and the foreign sample's labels as int64 (None
     without a sample), once each is checked to fit the network; these are
     every value a step used to check per mini-batch."""
-    if params.layout is not spec.layout:
-        raise nn.ShapeError("params must be laid out like the network")
-    if spec.split_index is None:
-        raise nn.ShapeError("local training needs a network split into extractor and head")
     inputs = np.asarray(shard.inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != spec.input_dim:
         raise nn.ShapeError(f"layer 0: inputs of shape {inputs.shape}, "
@@ -298,12 +301,50 @@ def _training_rows(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientSha
     return inputs, labels, nn.check_labels(foreign.labels, len(foreign), k)
 
 
+class Workspace:
+    """What ``local_train`` reuses from call to call, one per run: the
+    model ``params`` it trains, the gradient, Adam's moments, the extractor
+    pass over at most ``rows`` rows and the head pass over twice as many,
+    with their plans and the draws' views. A call overwrites each buffer
+    before reading it; nothing is sized by a foreign sample. ``units``
+    keeps the last prototypes array's unit prototypes, since a round hands
+    every client the same array and nothing writes into it."""
+
+    __slots__ = ("params", "spec", "rows", "grads", "moments", "extractor", "head", "drawn",
+                 "_units")
+
+    def __init__(self, params: nn.Parameters, spec: nn.NetworkSpec, rows: int):
+        if params.layout is not spec.layout:
+            raise nn.ShapeError("params must be laid out like the network")
+        if spec.split_index is None:
+            raise nn.ShapeError("local training needs a network split into extractor and head")
+        self.params, self.spec, self.rows = params, spec, rows
+        # every step's head and extractor backwards rewrite all of it
+        self.grads = params.zeros_like()
+        self.moments = (params.zeros_like(), params.zeros_like())
+        self.head = nn.Pass(params, self.grads, spec, spec.split_index, None, 2 * rows,
+                            input_grad=True, loss=True)
+        self.extractor = nn.Pass(params, self.grads, spec, 0, spec.split_index, rows,
+                                 out=self.head.input)
+        self.drawn = {}         # (local rows, drawn rows) -> where the drawn rows go
+        self._units = (None, None)
+
+    def units(self, prototypes: np.ndarray) -> np.ndarray | None:
+        """``unit_prototypes(prototypes)``, or None while every prototype is
+        cold, made once per prototypes array."""
+        if self._units[0] is not prototypes:
+            units = unit_prototypes(prototypes)
+            self._units = (prototypes, units if units.any() else None)
+        return self._units[1]
+
+
 def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                 config: FederationConfig, epochs: int, rng: np.random.Generator,
                 foreign: FeatureBatch | None = None,
                 prototypes: np.ndarray | None = None,
                 round_tag: int = 0,
-                collect_final_epoch: bool = True):
+                collect_final_epoch: bool = True, *,
+                workspace: Workspace | None = None):
     """Mini-batch training of ``params`` in place for ``epochs`` epochs.
 
     With ``collect_final_epoch``, every sample's embedding in the final epoch
@@ -322,12 +363,13 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     pays that cast. The draws come from their own stream, so a run without
     SFMC draws nothing.
 
-    Each mini-batch is one fused pass over buffers made once per call
-    (``nn.Pass``): the extractor writes its output into the first rows of
-    the head's input and the draw gathers the foreign rows behind it; one
-    head forward and one softmax pass score both parts, and one head
-    backward hands the local rows' gradient at the split, with ``w_c``
-    times ``cpgma_embedding_grad``'s added in, to one extractor backward.
+    Each mini-batch is one fused pass over the buffers of ``workspace``,
+    which must train ``params`` (``None``: one made for the call): the
+    extractor writes its output into the first rows of the head's input
+    and the draw gathers the foreign rows behind it; one head forward and
+    one softmax pass score both parts, and one head backward hands the local
+    rows' gradient at the split, with ``w_c`` times
+    ``cpgma_embedding_grad``'s added in, to one extractor backward.
     The inputs, widths and labels are checked once per call, and each step
     runs the operations of ``nn.forward``, ``nn.backward`` and
     ``nn.softmax_cross_entropy`` in their order, so it gets their bits.
@@ -340,14 +382,15 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     n = len(shard)
     if n == 0:
         raise ValueError("client shard is empty")
-    sfmc = config.enable_sfmc and bool(foreign)
-    inputs, labels, foreign_labels = _training_rows(params, spec, shard,
-                                                    foreign if sfmc else None)
-    # the prototypes stay fixed while a client trains
-    units = unit_prototypes(prototypes) if config.enable_cpgma and prototypes is not None else None
-    if units is not None and not units.any():
-        units = None            # every prototype is cold
     batch = min(config.batch_size, n)
+    if workspace is None:
+        workspace = Workspace(params, spec, batch)
+    elif workspace.params is not params or workspace.spec != spec or workspace.rows < batch:
+        raise ValueError("the workspace was made for another model, network or batch size")
+    sfmc = config.enable_sfmc and bool(foreign)
+    inputs, labels, foreign_labels = _training_rows(spec, shard, foreign if sfmc else None)
+    # the prototypes stay fixed while a client trains
+    units = workspace.units(prototypes) if config.enable_cpgma and prototypes is not None else None
     sample = 0
     if sfmc:
         foreign_rows = upcast(foreign.embeddings)
@@ -355,15 +398,14 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
         foreign_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=[config.seed, 4, round_tag, shard.client_id])
         )
+    m, v = workspace.moments
+    m.vec.fill(0.0)
+    v.vec.fill(0.0)
     opt_state = nn.AdamState(learning_rate=config.learning_rate,
-                             weight_decay=config.weight_decay)
+                             weight_decay=config.weight_decay, m=m, v=v)
     tally = [0.0, 0.0, 0.0, 0]
-    # every step's head and extractor backwards rewrite all of it
-    total_grads = params.zeros_like()
-    head = nn.Pass(params, total_grads, spec, spec.split_index, None,
-                   batch + min(batch, sample), input_grad=True, loss=True)
-    extractor = nn.Pass(params, total_grads, spec, 0, spec.split_index, batch, out=head.input)
-    drawn = {}                  # local rows -> where that many drawn rows go
+    head, extractor, drawn = workspace.head, workspace.extractor, workspace.drawn
+    total_grads = workspace.grads
     features = final = None
     for epoch in range(epochs):
         # one gather per epoch; each batch is a slice of its rows
@@ -379,10 +421,11 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
             u = extractor.forward(xb)           # the first rows of head.input
             head.labels[:rows] = yb
             if sfmc:
-                into = drawn.get(rows)
+                key = rows, min(rows, sample)
+                into = drawn.get(key)
                 if into is None:
-                    end = rows + min(rows, sample)
-                    into = drawn[rows] = FeatureBatch(head.input[rows:end], head.labels[rows:end])
+                    end = sum(key)
+                    into = drawn[key] = FeatureBatch(head.input[rows:end], head.labels[rows:end])
                 if sample <= rows:
                     into.embeddings[...] = foreign_rows
                     into.labels[...] = foreign_labels
@@ -444,31 +487,43 @@ def _start(config: FederationConfig, shards: list[ClientShard], spec: nn.Network
                          f"but the network has {spec.num_classes} classes")
     if len(global_test) == 0:
         raise ValueError("global_test is empty: there is nothing to score the model on")
+    _row_labels(global_test.labels, len(global_test))
     return nn.init_params(spec, _derive_seed(config.seed, 0)), {s.client_id: s for s in shards}
 
 
+def _workspace(server: nn.Parameters, spec: nn.NetworkSpec, config: FederationConfig,
+               shards) -> Workspace:
+    """A workspace for training copies of ``server`` on any of ``shards``."""
+    return Workspace(server.copy(), spec, min(config.batch_size, max(map(len, shards))))
+
+
 def _train(server_params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
-           config: FederationConfig, epochs: int, stream: int, t: int, **kw):
-    """A copy of the server model trained on ``shard``; the shuffle is seeded
-    by ``[seed, stream, t, client]``, stream 1 in rounds and 3 in few-shot
-    stages. Returns (params, upload, tally): the upload is the final epoch's
+           config: FederationConfig, epochs: int, stream: int, t: int,
+           workspace: Workspace | None = None, **kw):
+    """A copy of the server model trained on ``shard`` in ``workspace``
+    (``None``: one for the call), shuffled by ``[seed, stream, t, client]``,
+    stream 1 in rounds and 3 in few-shot stages. Returns (params, upload, tally): the upload is the final epoch's
     rows as one feature blob, or None when none were collected. A
     ``DivergenceError`` names the round or stage, the client and the phase:
     local training, or the upload, whose encoder rejects an embedding that
     is not finite as float16."""
-    params = server_params.copy()
+    if workspace is None:
+        workspace = _workspace(server_params, spec, config, [shard])
+    params = workspace.params
+    params.vec[...] = server_params.vec
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=[config.seed, stream, t, shard.client_id]))
     where = f"{'round' if stream == 1 else 'few-shot stage'} {t}, client {shard.client_id}"
     try:
-        batches, tally = local_train(params, spec, shard, config, epochs, rng, round_tag=t, **kw)
+        batches, tally = local_train(params, spec, shard, config, epochs, rng, round_tag=t,
+                                     workspace=workspace, **kw)
     except DivergenceError as err:
         raise DivergenceError(f"{where}, local training, {err}") from err
     try:
         upload = serialize_features(FeatureBatch.concat(batches)) if batches else None
     except ValueError as err:
         raise DivergenceError(f"{where}, upload: {err}") from err
-    return params, upload, tally
+    return params.copy(), upload, tally
 
 
 def _foreign(bank: FeatureBank, config: FederationConfig, t: int,
@@ -514,15 +569,20 @@ def _traffic(ledger: CommLedger, t: int) -> dict:
 
 def _update_centers(centers: np.ndarray, rows: FeatureBatch, config: FederationConfig) -> None:
     """One upload's EMA of its client's ``centers`` (K, d), in place: one
-    step per mini-batch, every ``batch_size`` rows, over the rows upcast to
-    float64 once."""
-    embeddings = upcast(rows.embeddings)
-    for start in range(0, len(rows), config.batch_size):
-        batch = embeddings[start:start + config.batch_size]
-        labels = rows.labels[start:start + config.batch_size]
-        for cls in np.flatnonzero(np.bincount(labels)):
-            centers[cls] = update_client_center(centers[cls], batch[labels == cls],
-                                                config.mu_client)
+    step per class in each mini-batch of ``batch_size`` rows, over the rows
+    upcast to float64 once and stably sorted by (batch, class), so each
+    step reads one contiguous slice, its rows in upload order."""
+    k = len(centers)
+    keys = np.arange(len(rows)) // config.batch_size * k + rows.labels
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    embeddings = upcast(rows.embeddings.take(order, axis=0))
+    # each group's first row, then the end; an empty upload has no group
+    bounds = [*np.flatnonzero(np.diff(keys, prepend=-1)).tolist(), len(keys)]
+    for start, stop in zip(bounds, bounds[1:]):
+        cls = int(keys[start]) % k
+        centers[cls] = update_client_center(centers[cls], embeddings[start:stop],
+                                            config.mu_client)
 
 
 def _server_feature_update(bank: FeatureBank, centers: np.ndarray, prototypes: np.ndarray,
@@ -560,6 +620,7 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
     order = list(client_order) if client_order is not None else sorted(by_id)
     if sorted(order) != sorted(by_id):
         raise ValueError("client_order must be a permutation of the client ids")
+    workspace = _workspace(server, spec, config, shards)
     prototypes = np.zeros((config.num_classes, d))
     centers = np.zeros((config.num_clients, config.num_classes, d))
     bank = FeatureBank(config.bank_capacity, len(by_id), config.num_classes, d)
@@ -579,7 +640,7 @@ def run_federation(config: FederationConfig, shards: list[ClientShard],
             if config.enable_sfmc:
                 foreign, foreign_bytes[cid] = _foreign(bank, config, t, cid)
             trained[cid], uploads[cid], tallies[cid] = _train(
-                server, spec, by_id[cid], config, config.local_epochs, 1, t,
+                server, spec, by_id[cid], config, config.local_epochs, 1, t, workspace,
                 foreign=foreign, prototypes=received, collect_final_epoch=feature_traffic,
             )
 
@@ -645,6 +706,7 @@ def run_few_shot(config: FederationConfig, shards: list[ClientShard],
         raise ValueError("stage_epochs must be a nonempty list of positive ints")
     d = spec.embedding_dim
     server, by_id = _start(config, shards, spec, global_test)
+    workspace = _workspace(server, spec, config, shards)
     ledger = CommLedger()
     bank = FeatureBank(config.bank_capacity, len(by_id), config.num_classes, d)
     prototypes = None           # as the clients decoded them
@@ -657,7 +719,7 @@ def run_few_shot(config: FederationConfig, shards: list[ClientShard],
         trained, uploads, tallies = {}, {}, {}
         for cid in sorted(by_id):
             trained[cid], uploads[cid], tallies[cid] = _train(
-                server, spec, by_id[cid], config, epochs, 3, stage,
+                server, spec, by_id[cid], config, epochs, 3, stage, workspace,
                 foreign=foreign[cid], prototypes=prototypes,
                 collect_final_epoch=not final_comm,
             )

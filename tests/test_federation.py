@@ -3,6 +3,7 @@ combination, both auxiliary losses, the EMA updates, aggregation, local
 training from a broadcast model, the round loop, and the few-shot schedule."""
 
 import dataclasses
+import gc
 import json
 import tracemalloc
 
@@ -1500,3 +1501,271 @@ class TestBlobLedger:
         result = run_few_shot(cfg, shards, small_spec(), global_test, stage_epochs=(2, 3, 3))
         self.check(result.ledger, decoded, [1, 2])
         assert len(decoded[KIND_FEATURES]) == 2 * 3 * 2
+
+
+class TestLabelCount:
+    """A label vector that is not one label per scored row is rejected,
+    naming both lengths, where it used to be read short or broadcast."""
+
+    def test_accuracy_rejects_more_labels_than_rows(self):
+        spec = small_spec()
+        params = nn.init_params(spec, 0)
+        x = np.random.default_rng(0).normal(size=(10, 4))
+        with pytest.raises(ValueError, match=r"^labels of shape \(20,\) for 10 rows$"):
+            federation.evaluate_accuracy(params, spec, x, np.zeros(20, np.int64))
+        with pytest.raises(ValueError, match=r"^labels of shape \(9,\) for 10 rows$"):
+            federation.evaluate_accuracy(params, spec, x, np.zeros(9, np.int64))
+
+    @pytest.mark.parametrize("run", [run_federation, run_few_shot])
+    @pytest.mark.parametrize("labels", [1, 2])      # one label broadcast, or twice as many
+    def test_runs_reject_the_test_sets_label_count_before_training(self, run, labels,
+                                                                   monkeypatch):
+        shards, global_test = small_federation()
+        n = len(global_test)
+        bad = ClientShard(global_test.client_id, global_test.inputs,
+                          np.resize(global_test.labels, 1 if labels == 1 else 2 * n))
+        cfg = FederationConfig(rounds=1, num_clients=3, num_classes=3, track_geometry=False)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the test set")
+
+        monkeypatch.setattr(federation, "_train", no_training)
+        shape = (1,) if labels == 1 else (2 * n,)
+        with pytest.raises(ValueError, match=rf"^labels of shape \({shape[0]},\) for {n} rows$"):
+            run(cfg, shards, small_spec(), bad)
+
+
+def per_class_centers(centers, rows, config):
+    """``_update_centers`` as it was: a boolean-mask copy per (batch, class)."""
+    embeddings = upcast(rows.embeddings)
+    for start in range(0, len(rows), config.batch_size):
+        batch = embeddings[start:start + config.batch_size]
+        labels = rows.labels[start:start + config.batch_size]
+        for cls in np.flatnonzero(np.bincount(labels)):
+            centers[cls] = update_client_center(centers[cls], batch[labels == cls],
+                                                config.mu_client)
+
+
+class TestGroupedServerUpdate:
+    """The client-center EMA over rows grouped by (batch, class) keeps the
+    bits of the boolean-mask copy per (batch, class) it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(0, 300), d=st.integers(1, 70), k=st.integers(1, 6),
+           batch_size=st.integers(1, 80), seed=st.integers(0, 2**31 - 1))
+    def test_centers_keep_the_per_class_bits(self, n, d, k, batch_size, seed):
+        rng = np.random.default_rng(seed)
+        rows = FeatureBatch(rng.normal(scale=3.0, size=(n, d)).astype(np.float16),
+                            rng.integers(0, k, n))
+        cfg = FederationConfig(num_classes=k, batch_size=batch_size, mu_client=0.37)
+        start = rng.normal(size=(k, d))
+        got, want = start.copy(), start.copy()
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1].shape)
+            return original(*args)
+
+        original = federation.update_client_center
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(federation, "update_client_center", spy)
+            federation._update_centers(got, rows, cfg)
+        grouped = len(calls)
+        per_class_centers(want, rows, cfg)
+        assert got.tobytes() == want.tobytes()
+        # one EMA step per class present in each mini-batch, as before
+        assert grouped == sum(len(np.unique(rows.labels[s:s + batch_size]))
+                              for s in range(0, n, batch_size))
+
+    def test_round_update_keeps_the_per_class_bits(self):
+        # the whole server phase at scale M's shapes: 20 uploads of 500
+        # rows of 64, 3 classes, 64-row batches
+        rng = np.random.default_rng(5)
+        clients, n, d, k = 20, 500, 64, 3
+        cfg = FederationConfig(num_clients=clients, num_classes=k, batch_size=64)
+        batches = {cid: FeatureBatch(np.maximum(rng.normal(size=(n, d)), 0.0).astype(np.float16),
+                                     rng.integers(0, k, n)) for cid in range(clients)}
+        uploads = {cid: serialize_features(b) for cid, b in batches.items()}
+        shards = {cid: ClientShard(cid, np.zeros((n - cid, 1)), np.zeros(n - cid, np.int64))
+                  for cid in range(clients)}
+        centers, prototypes = np.zeros((clients, k, d)), np.zeros((k, d))
+        bank = FeatureBank(cfg.bank_capacity, clients, k, d)
+        with one_blas_thread():
+            for t in (1, 2):
+                want_centers, want = centers.copy(), prototypes.copy()
+                federation._server_feature_update(bank, centers, prototypes, uploads, shards,
+                                                  cfg, t)
+                for cid in range(clients):
+                    per_class_centers(want_centers[cid], deserialize_features(uploads[cid]),
+                                      cfg)
+                for cls in range(k):
+                    want[cls] = update_global_prototype(
+                        want[cls], [want_centers[cid, cls] for cid in range(clients)],
+                        [len(shards[cid]) for cid in range(clients)], cfg.mu_server)
+                assert centers.tobytes() == want_centers.tobytes()
+                assert prototypes.tobytes() == want.tobytes()
+
+
+def workspace_arrays(workspace) -> list:
+    """Every array of a workspace's buffers, views included; the passes'
+    label-index constants are left out, as nothing writes them."""
+    found = [workspace.params.vec, workspace.grads.vec, *(p.vec for p in workspace.moments)]
+    for pass_ in (workspace.extractor, workspace.head):
+        found += [pass_.input, getattr(pass_, "labels", None)]
+        for forward_steps, backward_steps, arrays in pass_._plans.values():
+            for step in (*forward_steps, *backward_steps):
+                found += step[1:]
+            if arrays is not None:
+                found += arrays[1:]             # arrays[0]: each row's label offset
+    for batch in workspace.drawn.values():
+        found += [batch.embeddings, batch.labels]
+    return [a for a in found if isinstance(a, np.ndarray)]
+
+
+def poison(workspace) -> None:
+    """Every buffer of ``workspace`` filled with values no call may read."""
+    for array in workspace_arrays(workspace):
+        if array.dtype.kind == "f":
+            array.fill(np.nan)
+        elif array.dtype == bool:
+            array.fill(True)
+        else:
+            array.fill(2**40)                   # a label no network has
+
+
+class TestWorkspace:
+    """``run_federation`` and ``run_few_shot`` train every client in one
+    workspace per run, with the bits of a workspace made for each call."""
+
+    def shards(self):
+        # unequal shards, none a multiple of the 4-row batch but one: short
+        # final batches of 3 and 2 rows
+        shards, global_test = small_federation(n=12)
+        return ([ClientShard(s.client_id, s.inputs[:n], s.labels[:n])
+                 for s, n in zip(shards, (12, 7, 10))], global_test)
+
+    def config(self, **kw):
+        # 3-row foreign samples: each 4-row batch takes a sample whole, a
+        # 2-row one draws from it
+        base = dict(rounds=3, num_clients=3, local_epochs=2, num_classes=3, batch_size=4,
+                    learning_rate=1e-2, seed=3, bank_capacity=2, sample_count=3,
+                    track_geometry=False)
+        base.update(kw)
+        return FederationConfig(**base)
+
+    def run(self, kind, cfg, wrap=None):
+        """(metrics, ledger entries, model bits) of one run, with ``wrap``
+        applied to ``federation._train`` and the workspaces it was given."""
+        shards, global_test = self.shards()
+        seen = []
+        original = federation._train
+
+        def train(*args, **kw):
+            workspace = args[7] if len(args) > 7 else kw.get("workspace")
+            seen.append(workspace)
+            return wrap(original, *args, **kw) if wrap else original(*args, **kw)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(federation, "_train", train)
+            if kind == "few-shot":
+                result = run_few_shot(cfg, shards, small_spec(), global_test,
+                                      stage_epochs=(2, 1, 2))
+                models = [*result.client_params, result.server_params]
+                extra = result.ensemble_accuracy
+            else:
+                order = [2, 0, 1] if kind == "permuted" else None
+                result = run_federation(cfg, shards, small_spec(), global_test,
+                                        client_order=order, snapshot_rounds=(1, 2))
+                models = [result.params, *result.snapshots.values()]
+                extra = sorted(result.snapshots)
+        bits = [params.vec.tobytes() for params in models]
+        return (result.metrics, result.ledger.entries, bits, extra), seen
+
+    @staticmethod
+    def fresh(original, *args, **kw):
+        """``_train`` with no workspace, so ``local_train`` makes one per call."""
+        return original(*args[:7], **kw)
+
+    @pytest.mark.parametrize("kind", ["rounds", "permuted", "few-shot"])
+    @pytest.mark.parametrize("sfmc,cpgma", [(False, False), (True, False), (False, True),
+                                            (True, True)])
+    def test_one_workspace_keeps_every_bit(self, kind, sfmc, cpgma):
+        cfg = self.config(enable_sfmc=sfmc, enable_cpgma=cpgma)
+        shared, seen = self.run(kind, cfg)
+        fresh, unseen = self.run(kind, cfg, self.fresh)
+        assert shared == fresh
+        # one workspace for all nine calls, passed on to every local_train
+        assert len(seen) == 9 and all(w is seen[0] for w in seen)
+        assert isinstance(seen[0], federation.Workspace)
+
+    @pytest.mark.parametrize("kind", ["rounds", "few-shot"])
+    def test_no_call_reads_what_the_last_left(self, kind):
+        cfg = self.config()
+
+        def poisoned(original, *args, **kw):
+            poison(args[7])
+            return original(*args, **kw)
+
+        assert self.run(kind, cfg, poisoned)[0] == self.run(kind, cfg, self.fresh)[0]
+
+    def test_poison_reaches_every_buffer(self):
+        # the poisoned runs prove nothing if the walk misses a buffer: the
+        # arrays it finds hold all but a few KB of what a workspace
+        # allocates for the benchmark network (the rest is Python objects
+        # and the passes' label offsets)
+        spec = nn.mlp_spec(16, (64,), (32, 16), 3)
+        params = nn.init_params(spec, 0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            workspace = federation.Workspace(params, spec, 64)
+            allocated = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        bases = {id(base): base for base in (a if a.base is None else a.base
+                                             for a in workspace_arrays(workspace))}
+        found = sum(base.nbytes for base in bases.values()) - params.vec.nbytes
+        assert allocated - 8192 < found <= allocated
+
+    @pytest.mark.parametrize("kind", ["rounds", "few-shot"])
+    def test_nothing_but_the_result_outlives_the_run(self, kind):
+        # the benchmark network and batch, whose workspace holds about
+        # 420 KB: nothing of it, nor of any call, is left once the result goes
+        shards, global_test = generate_federation(DatasetSpec(
+            input_dim=16, num_classes=3, samples_per_client=96, num_clients=3,
+            skew_strength=1.0, noise_std=0.1, seed=0))
+        spec = nn.mlp_spec(16, (64,), (32, 16), 3)
+        cfg = FederationConfig(rounds=2, num_clients=3, local_epochs=1, num_classes=3,
+                               batch_size=64, seed=0, sample_count=96, track_geometry=False)
+
+        def go():
+            if kind == "few-shot":
+                return run_few_shot(cfg, shards, spec, global_test, stage_epochs=(1, 1, 1))
+            return run_federation(cfg, shards, spec, global_test)
+
+        go()                    # first-call imports and caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = go()
+            held = tracemalloc.get_traced_memory()[0] - before
+            del result
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert 0 < held < 256 << 10 and left < 8 << 10
+
+    def test_a_workspace_trains_its_own_model_only(self):
+        spec = small_spec()
+        shard = ClientShard(0, np.zeros((8, 4)), np.zeros(8, np.int64))
+        cfg = self.config(batch_size=4)
+        workspace = federation.Workspace(nn.init_params(spec, 0), spec, 4)
+        for params, network, batch in ((nn.init_params(spec, 0), spec, 4),
+                                       (workspace.params, small_spec(k=2), 4),
+                                       (workspace.params, spec, 5)):
+            with pytest.raises(ValueError, match="^the workspace was made for another"):
+                local_train(params, network, shard, self.config(batch_size=batch), 1,
+                            np.random.default_rng(0), workspace=workspace)
+        local_train(workspace.params, spec, shard, cfg, 1, np.random.default_rng(0),
+                    workspace=workspace)

@@ -1,6 +1,7 @@
 """Smoke test of the primitive microbenchmark, ``tools/microbench.py``."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ PRIMITIVES = {
     "federation.unit_prototypes", "federation.cpgma_embedding_grad",
     "federation.evaluate_accuracy", "federation.update_centers.upload",
     "federation.local_train.warm", "federation.local_train.cold",
+    "federation.local_train.reused",
     "protocol.FeatureBank.insert",
     "protocol.FeatureBank.sample", "geometry._directed_many", "geometry.manifold_report",
     *(f"protocol.{codec}_features.{blob}" for codec in ("serialize", "deserialize")
@@ -22,10 +24,14 @@ PRIMITIVES = {
 }
 
 
-def test_one_repeat_prints_one_json_line():
+def run_once(env=None):
     # about a second on a 2-core host; the timeout only guards against a hang
-    proc = subprocess.run([sys.executable, str(SCRIPT), "--repeats", "1"],
+    return subprocess.run([sys.executable, str(SCRIPT), "--repeats", "1"], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
+
+
+def test_one_repeat_prints_one_json_line():
+    proc = run_once()
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
     result = json.loads(lines[0])
@@ -59,3 +65,16 @@ def test_one_repeat_prints_one_json_line():
     full = peaks["M"]["protocol.FeatureBank.full"]
     assert rows * 64 * 2 < full < rows * (64 * 2 + 16) + (256 << 10)
     assert 0 < peaks["S"]["protocol.FeatureBank.full"] < peaks["M"]["protocol.FeatureBank.full"]
+
+
+def test_runs_without_scipy(tmp_path):
+    # fedmp does not need SciPy, and neither does the tool's record of the
+    # host: a ``scipy`` that fails to import comes first on the path
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("raise ImportError('no scipy here')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")])))
+    machine = json.loads(run_once(env).stdout)["machine"]
+    assert "scipy" not in machine
+    assert set(machine) == {"nproc", "python", "numpy", "blas", "blas_thread_cap",
+                            "blas_threads", "loadavg_start"}

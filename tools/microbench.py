@@ -13,8 +13,9 @@ network (16-d input, extractor (64), head (32, 16), 3 classes):
 
 A local step's CPGMA pass is ``federation.cpgma_embedding_grad`` on the
 mini-batch's embeddings with the unit prototypes already computed:
-``local_train`` computes them once per call (``federation.unit_prototypes``,
-timed on its own), since the prototypes stay fixed while a client trains.
+``local_train`` computes them once per prototypes array
+(``federation.unit_prototypes``, timed on its own), since the prototypes
+stay fixed while a round's clients train.
 The kernel makes no BLAS call: row norms and cosines, per-class sums and
 one elementwise gradient over the 64 x 64 batch.
 
@@ -34,13 +35,16 @@ float64 once per call, ``federation.upcast_foreign``, through
 ``protocol.upcast``'s float16 -> float32 table, so each draw is float64
 already.
 
-``local_train`` runs those steps fused, on buffers made once per call, so
-its steps call none of the checked functions above; its whole calls are
-timed on one client's shard (96 rows at S, 500 at M) for the benchmark's 4
-epochs of 64-row batches, from a copy of the same model each call:
-``.warm`` with SFMC on the scale's foreign sample and CPGMA on warm
-prototypes, as in a later round, and ``.cold`` as round 1 runs, with no
-foreign sample and every prototype cold, so neither module runs.
+``local_train`` runs those steps fused, on the buffers of a
+``federation.Workspace``, so its steps call none of the checked functions
+above; its whole calls are timed on one client's shard (96 rows at S, 500
+at M) for the benchmark's 4 epochs of 64-row batches, from a copy of the
+same model each call: ``.warm`` with SFMC on the scale's foreign sample and
+CPGMA on warm prototypes, as in a later round, and ``.cold`` as round 1
+runs, with no foreign sample and every prototype cold, so neither module
+runs. Both make a workspace per call, as a run's first call does;
+``.reused`` is ``.warm`` in one workspace made before timing, the model
+copied into it each call, as a run's later calls are.
 
 The feature codecs, ``protocol.serialize_features`` and
 ``deserialize_features``, are timed on the blobs a round sends: ``.upload``
@@ -87,10 +91,12 @@ in each, as ``perfbench`` times its ``import`` step. It is reported under
 One warm-up call sets how many calls make up one timed repeat (at least
 ``MIN_TIME`` seconds), and each figure is the median over ``--repeats``
 repeats of the time per call, in microseconds, measured with
-``time.perf_counter``. OpenBLAS is capped at one thread, as in ``perfbench``,
-whose ``machine_record`` describes the host; ``blas_kernel`` names the
-OpenBLAS kernel the products ran on. The result is printed as one JSON line.
-Tracing slows every allocation, so the peaks are taken after all timing.
+``time.perf_counter``. OpenBLAS is capped at one thread, as in ``perfbench``;
+``machine`` describes the host with the fields of ``perfbench``'s record
+but SciPy's version, which fedmp does not import, and ``blas_kernel``
+names the OpenBLAS kernel the products ran on. The result is printed as one
+JSON line. Tracing slows every allocation, so the peaks are taken after all
+timing.
 """
 
 from __future__ import annotations
@@ -98,6 +104,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -126,6 +133,7 @@ def cases(scale: str) -> dict:
     from fedmp.data import ClientShard
     from fedmp.federation import (
         FederationConfig,
+        Workspace,
         _update_centers,
         compute_sfmc_loss,
         cpgma_embedding_grad,
@@ -197,10 +205,17 @@ def cases(scale: str) -> dict:
     train_config = FederationConfig(num_clients=clients, batch_size=BATCH, learning_rate=3e-3,
                                     weight_decay=6e-3, sample_count=SAMPLE_COUNT)
 
-    def train(foreign, prototypes):
-        return local_train(params.copy(), spec, shards[0], train_config, EPOCHS,
+    reused = Workspace(params.copy(), spec, BATCH)
+
+    def train(foreign, prototypes, workspace=None):
+        if workspace is None:
+            model = params.copy()
+        else:                   # as ``federation._train`` copies the server model in
+            model = workspace.params
+            model.vec[...] = params.vec
+        return local_train(model, spec, shards[0], train_config, EPOCHS,
                            np.random.default_rng(0), foreign=foreign, prototypes=prototypes,
-                           round_tag=2)
+                           round_tag=2, workspace=workspace)
     centers = np.zeros((3, spec.embedding_dim))
     return {
         "nn.forward.batch": lambda: nn.forward_full(params, spec, x),
@@ -235,6 +250,7 @@ def cases(scale: str) -> dict:
         "geometry.manifold_report": lambda: geometry.manifold_report(params, spec, shards),
         "federation.local_train.warm": lambda: train(foreign, prototypes),
         "federation.local_train.cold": lambda: train(None, np.zeros_like(prototypes)),
+        "federation.local_train.reused": lambda: train(foreign, prototypes, reused),
     }
 
 
@@ -276,6 +292,23 @@ def import_time(probes: int) -> float:
         for _ in range(probes))
 
 
+def machine_record(loadavg) -> dict:
+    """``perfbench/run.py``'s ``machine_record`` without its SciPy version."""
+    import numpy
+    from run import BLAS_THREADS, blas_threads     # perfbench's; neither imports SciPy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_thread_cap": BLAS_THREADS,
+        "blas_threads": blas_threads(),
+        "loadavg_start": list(loadavg),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=7)
@@ -286,8 +319,6 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from run import machine_record           # perfbench's record of the host
-
     from blas_kernel import blas_kernel
 
     results = {"import": {"import fedmp": round(import_time(IMPORT_PROBES) * 1e6, 2)}}
