@@ -252,18 +252,19 @@ def _logit_blocks(params: nn.Parameters, spec: nn.NetworkSpec, x: np.ndarray):
         start = stop
 
 
-def _row_labels(labels, rows: int) -> np.ndarray:
-    """``labels`` as an array, checked to be one label per row."""
+def _row_labels(labels, rows: int, classes: int) -> np.ndarray:
+    """``labels`` as int64, checked to be one label per row, each a class
+    index in ``[0, classes)``."""
     labels = np.asarray(labels)
     if labels.shape != (rows,):
         raise ValueError(f"labels of shape {labels.shape} for {rows} rows")
-    return labels
+    return nn.check_labels(labels, rows, classes)
 
 
 def evaluate_accuracy(params: nn.Parameters, spec: nn.NetworkSpec,
                       inputs: np.ndarray, labels: np.ndarray) -> float:
     """The fraction of rows whose largest logit is their label."""
-    labels = _row_labels(labels, len(np.atleast_2d(inputs)))
+    labels = _row_labels(labels, len(np.atleast_2d(inputs)), spec.num_classes)
     correct = 0
     for rows, logits in _logit_blocks(params, spec, inputs):
         correct += int(np.count_nonzero(logits.argmax(axis=1) == labels[rows]))
@@ -487,7 +488,7 @@ def _start(config: FederationConfig, shards: list[ClientShard], spec: nn.Network
                          f"but the network has {spec.num_classes} classes")
     if len(global_test) == 0:
         raise ValueError("global_test is empty: there is nothing to score the model on")
-    _row_labels(global_test.labels, len(global_test))
+    _row_labels(global_test.labels, len(global_test), spec.num_classes)
     return nn.init_params(spec, _derive_seed(config.seed, 0)), {s.client_id: s for s in shards}
 
 

@@ -201,10 +201,11 @@ def init_params(spec: NetworkSpec, seed: int) -> Parameters:
 
 
 # ---------------------------------------------------------------------------
-# The kernels. ``forward``, ``backward`` and ``softmax_cross_entropy`` check
-# their arguments and run these on arrays they allocate (``out=None``);
-# ``Pass`` runs them on buffers it made once. Either way each value is made
-# by the same NumPy operations in the same order, so it gets the same bits.
+# The walk: ``_forward_steps`` and ``_backward_steps`` lay out a pass over a
+# range of layers as steps, and ``_forward`` and ``_backward`` run them
+# through the kernels below. ``forward`` and ``backward`` run steps made for
+# the call and ``Pass`` steps made once per row count, so both get the same
+# bits.
 
 
 def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray, out) -> np.ndarray:
@@ -233,6 +234,77 @@ def _carry(grad: np.ndarray, w: np.ndarray, out) -> np.ndarray:
 def _relu_grad(grad: np.ndarray, saved: np.ndarray, mask, out) -> np.ndarray:
     """``grad`` where the ReLU's output ``saved`` is positive, else 0."""
     return np.multiply(grad, np.greater(saved, 0.0, out=mask), out=out)
+
+
+def _forward_steps(pairs: list, start: int, stop: int, x, rows: int, last) -> tuple:
+    """(steps, cache) of layers ``[start, stop)`` over ``rows`` rows from
+    ``x``: an affine layer's ``(W, b, output)`` or a ReLU's ``(None, None,
+    output)``, and the cache's ``(layer index, array)``. Each output is a
+    new array, but an affine layer's ReLU runs in place on its output and
+    the last layer's output is ``last``: if None, a last affine layer makes
+    it at each run."""
+    steps, cache, h = [], [], x
+    if start & 1 and start < stop:      # a ReLU first: it must not write into ``x``
+        h = last if start + 1 == stop else np.empty((rows, len(pairs[start >> 1][1])))
+        steps.append((None, None, h))
+        cache.append((start, h))
+        start += 1
+    for idx in range(start, stop, 2):
+        cache.append((idx, h))
+        w, b = pairs[idx >> 1]
+        h = last if idx + 2 >= stop else np.empty((rows, len(b)))
+        steps.append((w, b, h))
+        if idx + 1 < stop:
+            steps.append((None, None, h))
+            cache.append((idx + 1, h))
+    return steps, cache
+
+
+def _forward(steps: list, h: np.ndarray) -> np.ndarray:
+    for w, b, out in steps:
+        h = _relu(h, out) if w is None else _affine(h, w, b, out)
+    return h
+
+
+def _backward_steps(pairs: list, grad_pairs: list, cache: list, input_grad: bool,
+                    rows: int | None = None) -> list:
+    """The backward steps over the layers of ``cache``, last layer first,
+    into the tensors of ``grad_pairs``: an affine layer's ``(input, W, W's
+    gradient, b's gradient, carried)``, whose ``W`` is None at the first
+    affine layer unless ``input_grad``, where the pass stops, and a ReLU's
+    ``(output, None, mask, None, own)``. A ReLU that comes last writes into
+    ``own``; the others multiply in place into a gradient the pass made.
+    Each mask and carried gradient is made here for ``rows`` rows, or with
+    ``rows`` None by its kernel at each run."""
+    steps = []
+    last = len(cache) - 1
+    first = 0 if input_grad else cache[0][0] & 1       # a leading ReLU runs only then
+    for pos in range(last, first - 1, -1):
+        idx, saved = cache[pos]
+        if idx & 1:
+            mask = None if rows is None else np.empty(saved.shape, bool)
+            steps.append((saved, None, mask, None, np.empty(saved.shape) if pos == last else None))
+            continue
+        w = pairs[idx >> 1][0] if pos > first or input_grad else None
+        w_grad, b_grad = grad_pairs[idx >> 1]
+        carried = None if rows is None or w is None else np.empty((rows, len(w)))
+        steps.append((saved, w, w_grad, b_grad, carried))
+    return steps
+
+
+def _backward(steps: list, grad: np.ndarray, x) -> np.ndarray | None:
+    """Run ``steps`` from the gradient at the last layer's output, with
+    ``x`` as a None input; returns the gradient at the input, or None where
+    the steps stop at the first affine layer."""
+    for saved, w, a, b, out in steps:
+        if b is None:                   # a ReLU; a: its mask
+            grad = _relu_grad(grad, saved, a, grad if out is None else out)
+        else:                           # a, b: the tensor gradients
+            _affine_grad(x if saved is None else saved, grad, a, b)
+            if w is None:
+                return None
+            grad = _carry(grad, w, out)
+    return grad
 
 
 def _cross_entropy(logits: np.ndarray, flat: np.ndarray, split: int | None,
@@ -279,26 +351,17 @@ def forward(params: Parameters, spec: NetworkSpec, x: np.ndarray,
         stop = len(spec.layers)
     if params.layout is not spec.layout:
         raise ShapeError("params must be laid out like the network")
-    out = np.asarray(x, dtype=np.float64)
-    if out.ndim == 1:
-        out = out[None, :]
-    if out.shape[1] != spec.width_after(start):
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.shape[1] != spec.width_after(start):
         raise ShapeError(
-            f"layer {start}: input width {out.shape[1]}, expected {spec.width_after(start)}"
+            f"layer {start}: input width {x.shape[1]}, expected {spec.width_after(start)}"
         )
-    pairs = params.pairs
-    cache = []
-    if start & 1 and start < stop:      # a ReLU first: it must not write into ``x``
-        out = _relu(out, None)
-        cache.append((start, out))
-        start += 1
-    for idx in range(start, stop, 2):   # an affine layer, then its ReLU if run
-        cache.append((idx, out))
-        out = _affine(out, *pairs[idx >> 1], None)
-        if idx + 1 < stop:
-            _relu(out, out)
-            cache.append((idx + 1, out))
-    return out, cache
+    # a last ReLU's output is cached, so it is made here; _affine makes a last affine one
+    last = None if stop & 1 else np.empty((len(x), spec.width_after(stop)))
+    steps, cache = _forward_steps(params.pairs, start, stop, x, len(x), last)
+    return _forward(steps, x), cache
 
 
 def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray, *,
@@ -329,20 +392,8 @@ def backward(params: Parameters, spec: NetworkSpec, cache, upstream: np.ndarray,
     if grad.shape != want:
         raise ShapeError(f"upstream gradient shape {grad.shape}, expected {want} "
                          f"at layer {last}'s output")
-    pairs, grads = params.pairs, out.pairs
-    start = cache[0][0]
-    first = None if input_grad else start + (start & 1)      # the first affine layer
-    owned = False           # is ``grad`` an array this call made?
-    for idx, saved in reversed(cache):
-        if idx & 1:         # ReLU
-            grad = _relu_grad(grad, saved, None, grad if owned else None)
-        else:
-            _affine_grad(saved, grad, *grads[idx >> 1])
-            if idx == first:
-                return out
-            grad = _carry(grad, pairs[idx >> 1][0], None)
-        owned = True
-    return (out, grad) if input_grad else out
+    at_input = _backward(_backward_steps(params.pairs, out.pairs, cache, input_grad), grad, None)
+    return (out, at_input) if input_grad else out
 
 
 def forward_extractor(params: Parameters, spec: NetworkSpec, x: np.ndarray):
@@ -390,7 +441,7 @@ def check_labels(labels, rows: int, classes: int) -> np.ndarray:
     if labels.shape != (rows,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {rows}")
     # one unsigned max: as uint64 a negative label reads as a huge one
-    if np.maximum.reduce(labels.view(np.uint64)) >= classes:
+    if np.maximum.reduce(labels.view(np.uint64), initial=0) >= classes:
         raise ValueError(f"label out of range [0, {classes})")
     return labels
 
@@ -409,27 +460,25 @@ def _row_max(a: np.ndarray, out=None) -> np.ndarray:
 
 class Pass:
     """Layers ``[start, stop)`` of a network, forward and backward, over at
-    most ``rows`` rows at a time, on arrays made once: each layer's output,
-    each ReLU's mask, the gradient at each layer's input and the
-    cross-entropy's arrays; fewer rows run on their first rows. A training
-    loop makes one per call and checks its inputs once; each step then runs
-    the kernels ``forward`` and ``backward`` run, in the same order, and gets
-    their bits, without their checks, caches or allocations. Nothing here is
-    checked: the caller passes rows of the input width, no more than
-    ``rows`` of them.
+    most ``rows`` rows at a time, on arrays made once per row count: each
+    layer's output, each ReLU's mask, the gradient at each layer's input and
+    the cross-entropy's arrays. Each step runs the walk of ``forward`` and
+    ``backward`` and gets their bits, without their checks or allocations:
+    the caller checks its inputs once and passes rows of the input width, no
+    more than ``rows`` of them.
 
     ``forward(x)`` returns a view of the last layer's output, valid until
-    the next ``forward``; ``backward(grad)`` then writes these
-    layers' tensors of ``grads`` and, with ``input_grad``, returns the
-    gradient at ``x``, else None. With ``out``, a ``(rows, width)`` array,
-    the last layer's output goes into its first rows, so it can be the start
-    of the next pass's ``input``: a ``(rows, width)`` buffer the caller may
-    fill and pass to ``forward``. With ``loss``, the pass also keeps a
-    ``labels`` buffer and ``cross_entropy`` scores the last forward's
-    output against its first rows.
+    the next ``forward``; ``backward(grad)`` then writes these layers'
+    tensors of ``grads`` and, with ``input_grad``, returns the gradient at
+    ``x``, else None. With ``out``, a ``(rows, width)`` array, the last
+    layer's output goes into its first rows, so it can be the start of the
+    next pass's ``input``: a ``(rows, width)`` buffer the caller may fill
+    and pass to ``forward``. With ``loss``, the pass also keeps a ``labels``
+    buffer and ``cross_entropy`` scores the last forward's output against
+    its first rows.
     """
 
-    __slots__ = ("start", "stop", "input_grad", "input", "labels", "_rows", "_plans", "_plan",
+    __slots__ = ("start", "stop", "input_grad", "input", "labels", "_make", "_plans", "_plan",
                  "_x")
 
     def __init__(self, params: Parameters, grads: Parameters, spec: NetworkSpec,
@@ -437,87 +486,34 @@ class Pass:
                  input_grad: bool = False, loss: bool = False):
         stop = len(spec.layers) if stop is None else stop
         self.start, self.stop, self.input_grad = start, stop, input_grad
-        pairs, grad_pairs = params.pairs, grads.pairs
         self.input = np.empty((rows, spec.width_after(start)))
-        # each layer's output: an affine layer's is a buffer of its own, a
-        # ReLU's the one it runs on in place, unless it comes first
-        outputs = []
-        for idx in range(start, stop):
-            outputs.append(outputs[-1] if idx & 1 and idx > start
-                           else np.empty((rows, spec.width_after(idx + 1))))
-        if out is not None:
-            outputs = [out[:rows] if buffer is outputs[-1] else buffer for buffer in outputs]
-        # backward runs down to the first affine layer, or with input_grad
-        # to the input
-        first, last = (0 if input_grad else start & 1), len(outputs) - 1
-        forward_steps, backward_steps = [], []
-        saved = None                    # a layer's input; None is ``x``
-        for pos, (idx, view) in enumerate(zip(range(start, stop), outputs)):
-            (w, b), (w_grad, b_grad) = pairs[idx >> 1], grad_pairs[idx >> 1]
-            if idx & 1:
-                forward_steps.append((True, None, None, view))
-                if pos >= first:
-                    # the first ReLU in backward order gets a gradient
-                    # array of its own; the others multiply in place into
-                    # one this pass made
-                    own = np.empty(view.shape) if pos == last else None
-                    backward_steps.append((True, view, np.empty(view.shape, bool), own,
-                                           None, None))
-            else:
-                forward_steps.append((False, w, b, view))
-                carry = np.empty((rows, w.shape[0])) if pos > first or input_grad else None
-                backward_steps.append((False, saved, w, w_grad, b_grad, carry))
-            saved = view
-        backward_steps.reverse()
-        # each label's flat offset, then the arrays of ``_cross_entropy``
-        arrays = None
+        k = spec.width_after(stop)
         if loss:
-            k = spec.width_after(stop)
             self.labels = np.empty(rows, np.int64)
-            arrays = (np.arange(0, rows * k, k), np.empty(rows, np.int64), np.empty(rows),
-                      np.empty((rows, k)), np.empty((rows, k)), np.empty((rows, 1)),
-                      np.empty(rows), np.empty(rows))
-        self._rows = rows
-        self._plans = {rows: (forward_steps, backward_steps, arrays)}
+
+        def plan(n: int) -> tuple:
+            # the steps over n rows from a None input, ``x`` at each call;
+            # with ``loss``, each label's flat offset and _cross_entropy's arrays
+            last = np.empty((n, k)) if out is None else out[:n]
+            steps, cache = _forward_steps(params.pairs, start, stop, None, n, last)
+            arrays = None if not loss else (
+                np.arange(0, n * k, k), np.empty(n, np.int64), np.empty(n), np.empty((n, k)),
+                np.empty((n, k)), np.empty((n, 1)), np.empty(n), np.empty(n))
+            return steps, _backward_steps(params.pairs, grads.pairs, cache, input_grad, n), arrays
+
+        self._make = plan
+        self._plans = {rows: plan(rows)}
         self._plan = self._x = None
 
-    def _views(self, n: int) -> tuple:
-        """The plan over ``n`` rows: the first ``n`` rows of every array of
-        the plan over ``rows``."""
-        def cut(a):
-            return None if a is None else a[:n]
-
-        forward_steps, backward_steps, arrays = self._plans[self._rows]
-        backward = []
-        for relu, saved, a, b, c, carry in backward_steps:
-            if relu:                    # a: the mask, b: its own gradient, if any
-                backward.append((True, saved[:n], a[:n], cut(b), None, None))
-            else:                       # a: W; b, c: the tensor gradients
-                backward.append((False, cut(saved), a, b, c, cut(carry)))
-        return ([(relu, w, b, out[:n]) for relu, w, b, out in forward_steps], backward,
-                None if arrays is None else tuple(a[:n] for a in arrays))
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n = len(x)
-        plan = self._plans.get(n)
+        plan = self._plans.get(len(x))
         if plan is None:
-            plan = self._plans[n] = self._views(n)
+            plan = self._plans[len(x)] = self._make(len(x))
         self._plan, self._x = plan, x
-        h = x
-        for relu, w, b, out in plan[0]:
-            h = _relu(h, out) if relu else _affine(h, w, b, out)
-        return h
+        return _forward(plan[0], x)
 
     def backward(self, grad: np.ndarray):
-        x = self._x
-        for relu, saved, a, b, c, carry in self._plan[1]:
-            if relu:                    # a: the mask, b: its own gradient, if any
-                grad = _relu_grad(grad, saved, a, grad if b is None else b)
-            else:                       # a: W; b, c: the tensor gradients
-                _affine_grad(x if saved is None else saved, grad, b, c)
-                if carry is None:
-                    return None
-                grad = _carry(grad, a, carry)
+        grad = _backward(self._plan[1], grad, self._x)
         return grad if self.input_grad else None
 
     def cross_entropy(self, split: int | None = None):
@@ -525,7 +521,11 @@ class Pass:
         last forward's ``n`` rows; the gradient is a view of a buffer."""
         offsets, flat, *arrays = self._plan[2]
         np.add(self.labels[:len(flat)], offsets, out=flat)
-        return _cross_entropy(self._plan[0][-1][3], flat, split, *arrays)
+        return _cross_entropy(self._plan[0][-1][2], flat, split, *arrays)
+
+
+# Adam's moment decay rates, and the guard added to its denominator
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -533,9 +533,6 @@ class AdamState:
     """Adam accumulators plus hyperparameters; one instance per model."""
 
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 5e-4
     step: int = 0
     m: Parameters | None = None
@@ -547,7 +544,8 @@ def adam_step(params: Parameters, grads: Parameters, state: AdamState) -> None:
     ``params`` and finite; weight decay enters as an additive L2 term."""
     if grads.layout is not params.layout:
         raise ShapeError("gradient must be laid out like the model")
-    if not np.isfinite(grads.vec).all():
+    # np.logical_and.reduce is what .all() calls, without its Python wrapper
+    if not np.logical_and.reduce(np.isfinite(grads.vec)):
         bad = next(k for k in grads.keys() if not np.isfinite(grads[k]).all())
         raise ValueError(f"non-finite gradient at {bad}")
     g = grads.vec
@@ -555,7 +553,7 @@ def adam_step(params: Parameters, grads: Parameters, state: AdamState) -> None:
         state.m, state.v = params.zeros_like(), params.zeros_like()
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _BETA1, _BETA2
     p, m, v = params.vec, state.m.vec, state.v.vec
     if state.weight_decay:
         g = g + state.weight_decay * p
@@ -569,8 +567,7 @@ def adam_step(params: Parameters, grads: Parameters, state: AdamState) -> None:
     m_hat = m / (1 - b1**t)
     v_hat = v / (1 - b2**t)
     np.sqrt(v_hat, out=v_hat)
-    v_hat += state.eps
+    v_hat += _EPS
     m_hat *= state.learning_rate
     m_hat /= v_hat
     p -= m_hat
-

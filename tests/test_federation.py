@@ -1505,7 +1505,8 @@ class TestBlobLedger:
 
 class TestLabelCount:
     """A label vector that is not one label per scored row is rejected,
-    naming both lengths, where it used to be read short or broadcast."""
+    naming both lengths, where it used to be read short or broadcast; one
+    that holds a label outside the classes is rejected too."""
 
     def test_accuracy_rejects_more_labels_than_rows(self):
         spec = small_spec()
@@ -1532,6 +1533,34 @@ class TestLabelCount:
         monkeypatch.setattr(federation, "_train", no_training)
         shape = (1,) if labels == 1 else (2 * n,)
         with pytest.raises(ValueError, match=rf"^labels of shape \({shape[0]},\) for {n} rows$"):
+            run(cfg, shards, small_spec(), bad)
+
+    @pytest.mark.parametrize("label", [3, 7, -1])
+    def test_accuracy_rejects_labels_outside_the_classes(self, label):
+        # such labels never match a logit, so they used to lower the accuracy
+        spec = small_spec()
+        params = nn.init_params(spec, 0)
+        x = np.random.default_rng(0).normal(size=(10, 4))
+        labels = np.zeros(10, np.int64)
+        labels[::2] = label
+        with pytest.raises(ValueError, match=r"^label out of range \[0, 3\)$"):
+            federation.evaluate_accuracy(params, spec, x, labels)
+
+    @pytest.mark.parametrize("run", [run_federation, run_few_shot])
+    @pytest.mark.parametrize("label", [7, -1])
+    def test_runs_reject_test_labels_outside_the_classes_before_training(self, run, label,
+                                                                         monkeypatch):
+        shards, global_test = small_federation()
+        labels = global_test.labels.copy()
+        labels[::2] = label
+        bad = ClientShard(global_test.client_id, global_test.inputs, labels)
+        cfg = FederationConfig(rounds=1, num_clients=3, num_classes=3, track_geometry=False)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the test set")
+
+        monkeypatch.setattr(federation, "_train", no_training)
+        with pytest.raises(ValueError, match=r"^label out of range \[0, 3\)$"):
             run(cfg, shards, small_spec(), bad)
 
 

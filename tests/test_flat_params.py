@@ -46,7 +46,7 @@ def reference_adam_step(params: dict, grads: dict, state: RefAdam) -> None:
         state.v = {k: np.zeros_like(v) for k, v in params.items()}
     state.step += 1
     t = state.step
-    b1, b2 = hp.beta1, hp.beta2
+    b1, b2 = nn._BETA1, nn._BETA2
     for key in sorted(params):
         g = grads.get(key)
         g = np.zeros_like(params[key]) if g is None else g
@@ -58,7 +58,7 @@ def reference_adam_step(params: dict, grads: dict, state: RefAdam) -> None:
         state.v[key] = b2 * state.v[key] + (1 - b2) * g * g
         m_hat = state.m[key] / (1 - b1**t)
         v_hat = state.v[key] / (1 - b2**t)
-        params[key] -= hp.learning_rate * m_hat / (np.sqrt(v_hat) + hp.eps)
+        params[key] -= hp.learning_rate * m_hat / (np.sqrt(v_hat) + nn._EPS)
 
 
 def reference_aggregate(models: list[dict], sizes) -> dict:

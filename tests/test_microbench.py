@@ -13,6 +13,7 @@ PRIMITIVES = {
     "federation.upcast_foreign", "federation.compute_sfmc_loss",
     "nn.backward.extractor",
     "nn.softmax_cross_entropy.batch", "nn.softmax_cross_entropy.head", "nn.adam_step",
+    "privacy.decoder_step.layer2", "privacy.decoder_step.layer4",
     "federation.unit_prototypes", "federation.cpgma_embedding_grad",
     "federation.evaluate_accuracy", "federation.update_centers.upload",
     "federation.local_train.warm", "federation.local_train.cold",

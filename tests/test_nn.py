@@ -244,27 +244,48 @@ def test_gradient_check_random_networks():
 
 @settings(max_examples=60, deadline=None)
 @given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=6), data=st.data(),
-       input_grad=st.booleans(), seed=st.integers(0, 2**31 - 1))
-def test_pass_matches_forward_and_backward(widths, data, input_grad, seed):
+       input_grad=st.booleans(), loss=st.booleans(), out=st.booleans(),
+       seed=st.integers(0, 2**31 - 1))
+def test_pass_matches_forward_and_backward(widths, data, input_grad, loss, out, seed):
     """``nn.Pass`` over any layer range gives ``forward``'s output and
     ``backward``'s gradients bit for bit, at its full row count and at
-    fewer rows, its buffers reused between the two."""
+    fewer rows, its buffers reused between the two. With ``out`` the output
+    lands in the first rows of that array, and with ``loss``
+    ``cross_entropy`` gives ``softmax_cross_entropy``'s bits, with and
+    without a split."""
     spec = nn.NetworkSpec(widths)
     layers = len(spec.layers)
     start = data.draw(st.integers(0, layers - 1))
     stop = data.draw(st.integers(start + 1, layers))
     rows = data.draw(st.integers(1, 9))
+    k = spec.width_after(stop)
     rng = np.random.default_rng(seed)
     params = nn.init_params(spec, seed % 1000)
     grads = params.zeros_like()
-    step = nn.Pass(params, grads, spec, start, stop, rows, input_grad=input_grad)
+    # two spare rows, which no pass may write
+    target = np.full((rows + 2, k), np.nan) if out else None
+    step = nn.Pass(params, grads, spec, start, stop, rows, out=target, input_grad=input_grad,
+                   loss=loss)
     for n in (rows, data.draw(st.integers(1, rows)), rows):
         x = rng.normal(size=(n, spec.width_after(start)))
-        upstream = rng.normal(size=(n, spec.width_after(stop)))
+        upstream = rng.normal(size=(n, k))
         want, cache = nn.forward(params, spec, x, start, stop)
         ref = nn.backward(params, spec, cache, upstream, out=params.zeros_like(),
                           input_grad=input_grad)
-        assert step.forward(x).tobytes() == want.tobytes()
+        got = step.forward(x)
+        assert got.tobytes() == want.tobytes()
+        if out:
+            assert np.shares_memory(got, target)
+            assert target[:n].tobytes() == want.tobytes()
+            assert np.isnan(target[rows:]).all()
+        if loss:
+            labels = rng.integers(0, k, size=n)
+            step.labels[:n] = labels
+            for split in (None, *([data.draw(st.integers(1, n - 1))] if n > 1 else [])):
+                got_loss, got_grad = step.cross_entropy(split)
+                want_loss, want_grad = nn.softmax_cross_entropy(want, labels, split=split)
+                assert np.array(got_loss).tobytes() == np.array(want_loss).tobytes()
+                assert got_grad.tobytes() == want_grad.tobytes()
         got = step.backward(upstream)
         if input_grad:
             ref, at_input = ref
@@ -307,7 +328,7 @@ class TestAdam:
         grads[(0, "W")] = np.array([[1.0]])
         state = nn.AdamState(learning_rate=0.1, weight_decay=0.0)
         nn.adam_step(params, grads, state)
-        expected = 1.0 - 0.1 * 1.0 / (1.0 + state.eps)
+        expected = 1.0 - 0.1 * 1.0 / (1.0 + nn._EPS)
         assert params[(0, "W")][0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_non_finite_gradient_rejected(self):

@@ -59,6 +59,14 @@ client's upload, as decoded: the rows upcast to float64 once, then one
 ``update_client_center`` EMA step per class present in each 64-row
 mini-batch, 8 batches x 3 classes at M (500 rows) and 96 rows at S.
 
+``privacy.decoder_step.layer2`` and ``.layer4`` are one step of the
+inversion attack's decoder fit, ``privacy.train_decoder``, at each layer
+the benchmark attacks: ``nn.forward_full``, ``nn.backward`` into one
+gradient buffer and ``nn.adam_step``, on the 48 rows a 96-row shard trains
+the decoder on, at the decoder's widths, (64, 16) and (32, 64, 16). These
+are the only ``nn.backward`` calls a benchmark run makes; the case is the
+same at both scales.
+
 ``federation.evaluate_accuracy`` scores a test set of every client's rows
 (3 x 96 = 288 at S, 20 x 500 = 10,000 at M), in blocks of at most 1,025 rows,
 as a round scores its global test set.
@@ -117,6 +125,7 @@ SCALES = {"S": (3, 96), "M": (20, 500)}       # clients, samples per client
 SAMPLE_COUNT = 96
 BANK_CAPACITY = 512
 BATCH = 64
+DECODER_ROWS = 48           # the attack's training half of a 96-row shard
 EPOCHS = 4
 MIN_TIME = 0.01
 IMPORT_PROBES = 5
@@ -148,6 +157,7 @@ def cases(scale: str) -> dict:
         serialize_features,
         upcast,
     )
+    from fedmp.privacy import intercepted_features, mirror_decoder_spec
 
     clients, per_client = SCALES[scale]
     rng = np.random.default_rng(0)
@@ -217,6 +227,22 @@ def cases(scale: str) -> dict:
                            np.random.default_rng(0), foreign=foreign, prototypes=prototypes,
                            round_tag=2, workspace=workspace)
     centers = np.zeros((3, spec.embedding_dim))
+
+    def decoder_step(split: int):
+        # as ``privacy.train_decoder`` steps on a shard's training rows
+        dec_spec = mirror_decoder_spec(spec, split)
+        dec_params = nn.init_params(dec_spec, 0)
+        dec_grads = dec_params.zeros_like()
+        dec_state = nn.AdamState(learning_rate=1e-3, weight_decay=0.0)
+        target = inputs[:DECODER_ROWS]
+        z = intercepted_features(params, spec, target, split)
+
+        def step():
+            out, cache = nn.forward_full(dec_params, dec_spec, z)
+            nn.backward(dec_params, dec_spec, cache, 2.0 * (out - target) / out.size,
+                        out=dec_grads)
+            nn.adam_step(dec_params, dec_grads, dec_state)
+        return step
     return {
         "nn.forward.batch": lambda: nn.forward_full(params, spec, x),
         "nn.backward.batch": lambda: nn.backward(params, spec, cache, glogits, out=out),
@@ -231,6 +257,8 @@ def cases(scale: str) -> dict:
         "nn.softmax_cross_entropy.head": lambda: nn.softmax_cross_entropy(
             head_logits, stacked_labels, split=BATCH),
         "nn.adam_step": lambda: nn.adam_step(params, grads, state),
+        "privacy.decoder_step.layer2": decoder_step(2),
+        "privacy.decoder_step.layer4": decoder_step(4),
         "federation.unit_prototypes": lambda: unit_prototypes(prototypes),
         "federation.cpgma_embedding_grad": lambda: cpgma_embedding_grad(u, y, units),
         "federation.update_centers.upload": lambda: _update_centers(centers, decoded[0],
