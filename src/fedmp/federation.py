@@ -114,31 +114,21 @@ def combine_losses(l_local: float, l_sfmc: float, l_cpgma: float) -> tuple[float
     return w_s, w_c
 
 
-def compute_sfmc_loss(params: nn.Parameters, spec: nn.NetworkSpec, foreign: FeatureBatch,
-                      u: np.ndarray, labels: np.ndarray, *, head: nn.Pass | None = None):
-    """The SFMC step's one head pass, over the local embeddings ``u`` (with
-    their ``labels``) stacked on the foreign rows.
+def compute_sfmc_loss(head: nn.Pass, u: np.ndarray, foreign: np.ndarray):
+    """A local step's one head pass, over the local embeddings ``u`` stacked
+    on the ``foreign`` rows: the first rows of ``head.input``, then the rows
+    behind them, with their labels in the same rows of ``head.labels``.
+    Without SFMC, ``foreign`` has no rows.
 
-    Returns ``(l_local, l_sfmc, glogits, cache)``: the mean cross-entropy of
-    the local rows and of the foreign rows, the gradient of each mean at its
-    own rows of the stacked logits (local rows first), and the head's cache.
-    The caller weights the foreign rows' gradient by ``w_s`` and runs one
-    ``nn.backward`` over ``cache`` with ``input_grad``, whose first
-    ``len(u)`` rows go on into the extractor: the foreign rows reach only
-    the head. An empty ``foreign`` or ``u`` raises ``ValueError``.
-
-    ``local_train`` passes its per-call head pass as ``head``, whose
-    ``input`` and ``labels`` rows already hold ``u`` and ``labels``, then
-    ``foreign``'s rows; the pass runs over them unchecked and is returned
-    in place of the cache."""
-    if head is not None:
-        head.forward(head.input[:len(u) + len(foreign)])
-        (l_local, l_sfmc), glogits = head.cross_entropy(len(u))
-        return l_local, l_sfmc, glogits, head
-    logits, cache = nn.forward_classifier(params, spec, np.concatenate((u, foreign.embeddings)))
-    (l_local, l_sfmc), glogits = nn.softmax_cross_entropy(
-        logits, np.concatenate((labels, foreign.labels)), split=len(u))
-    return l_local, l_sfmc, glogits, cache
+    Returns ``(l_local, l_sfmc, glogits)``: the mean cross-entropy of the
+    local rows and of the foreign rows (0.0 for none), and the gradient of
+    each mean at its own rows of the stacked logits (local rows first). The
+    caller weights the foreign rows' gradient by ``w_s`` and runs
+    ``head.backward``, whose first ``len(u)`` rows go on into the extractor:
+    the foreign rows reach only the head."""
+    head.forward(head.input[:len(u) + len(foreign)])
+    (l_local, l_sfmc), glogits = head.cross_entropy(len(u))
+    return l_local, l_sfmc, glogits
 
 
 def unit_prototypes(prototypes: np.ndarray) -> np.ndarray:
@@ -306,13 +296,12 @@ class Workspace:
     """What ``local_train`` reuses from call to call, one per run: the
     model ``params`` it trains, the gradient, Adam's moments, the extractor
     pass over at most ``rows`` rows and the head pass over twice as many,
-    with their plans and the draws' views. A call overwrites each buffer
-    before reading it; nothing is sized by a foreign sample. ``units``
-    keeps the last prototypes array's unit prototypes, since a round hands
-    every client the same array and nothing writes into it."""
+    with their plans. A call overwrites each buffer before reading it;
+    nothing is sized by a foreign sample. ``units`` keeps the last
+    prototypes array's unit prototypes, since a round hands every client
+    the same array and nothing writes into it."""
 
-    __slots__ = ("params", "spec", "rows", "grads", "moments", "extractor", "head", "drawn",
-                 "_units")
+    __slots__ = ("params", "spec", "rows", "grads", "moments", "extractor", "head", "_units")
 
     def __init__(self, params: nn.Parameters, spec: nn.NetworkSpec, rows: int):
         if params.layout is not spec.layout:
@@ -327,7 +316,6 @@ class Workspace:
                             input_grad=True, loss=True)
         self.extractor = nn.Pass(params, self.grads, spec, 0, spec.split_index, rows,
                                  out=self.head.input)
-        self.drawn = {}         # (local rows, drawn rows) -> where the drawn rows go
         self._units = (None, None)
 
     def units(self, prototypes: np.ndarray) -> np.ndarray | None:
@@ -356,13 +344,14 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     cold: while every prototype is cold, CPGMA's loss is 0 and so is its
     weight ``w_c``, so the step is the one it is without CPGMA.
 
-    SFMC is stochastic: each mini-batch trains the head on as many foreign
-    rows as it has local rows, drawn without replacement and kept in sample
-    order (the whole sample when it is no larger), in one head pass over
-    the local rows stacked on the drawn ones (``compute_sfmc_loss``). The
-    decoded float16 sample is upcast to float64 once per call, so no step
-    pays that cast. The draws come from their own stream, so a run without
-    SFMC draws nothing.
+    Every mini-batch, whatever the modules, runs one head pass
+    (``compute_sfmc_loss``) over its local rows stacked on its foreign
+    rows. With SFMC those are as many rows as the batch has, drawn without
+    replacement and kept in sample order (the whole sample when it is no
+    larger); without SFMC there are none, and the pass is the batch's own.
+    The decoded float16 sample is upcast to float64 once per call, so no
+    step pays that cast. The draws come from their own stream, so a run
+    without SFMC draws nothing.
 
     Each mini-batch is one fused pass over the buffers of ``workspace``,
     which must train ``params`` (``None``: one made for the call): the
@@ -405,7 +394,7 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     opt_state = nn.AdamState(learning_rate=config.learning_rate,
                              weight_decay=config.weight_decay, m=m, v=v)
     tally = [0.0, 0.0, 0.0, 0]
-    head, extractor, drawn = workspace.head, workspace.extractor, workspace.drawn
+    head, extractor = workspace.head, workspace.extractor
     total_grads = workspace.grads
     features = final = None
     for epoch in range(epochs):
@@ -421,27 +410,18 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
 
             u = extractor.forward(xb)           # the first rows of head.input
             head.labels[:rows] = yb
-            if sfmc:
-                key = rows, min(rows, sample)
-                into = drawn.get(key)
-                if into is None:
-                    end = sum(key)
-                    into = drawn[key] = FeatureBatch(head.input[rows:end], head.labels[rows:end])
-                if sample <= rows:
-                    into.embeddings[...] = foreign_rows
-                    into.labels[...] = foreign_labels
-                else:
-                    picks = foreign_rng.choice(sample, rows, replace=False)
-                    picks.sort()
-                    # the picks are in range: "clip" writes into ``out`` unbuffered
-                    foreign_rows.take(picks, axis=0, out=into.embeddings, mode="clip")
-                    foreign_labels.take(picks, out=into.labels, mode="clip")
-                l_local, l_sfmc, glogits, _ = compute_sfmc_loss(
-                    params, spec, into, u, head.labels[:rows], head=head)
-            else:
-                head.forward(u)
-                l_local, glogits = head.cross_entropy()
-                l_sfmc = 0.0
+            end = rows + min(rows, sample)
+            drawn = head.input[rows:end]        # the foreign rows go behind u
+            if sample > rows:
+                picks = foreign_rng.choice(sample, rows, replace=False)
+                picks.sort()
+                # the picks are in range: "clip" writes into ``out`` unbuffered
+                foreign_rows.take(picks, axis=0, out=drawn, mode="clip")
+                foreign_labels.take(picks, out=head.labels[rows:end], mode="clip")
+            elif sample:
+                drawn[...] = foreign_rows
+                head.labels[rows:end] = foreign_labels
+            l_local, l_sfmc, glogits = compute_sfmc_loss(head, u, drawn)
             l_cpgma = 0.0
             if units is not None:
                 l_cpgma, grad_u_align = cpgma_embedding_grad(u, yb, units)
@@ -452,8 +432,7 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
                 # w_s/m; at the split the local rows' part, plus w_c times
                 # CPGMA's gradient, carries on into the extractor. Between
                 # them the two backwards write every tensor
-                if sfmc:
-                    glogits[rows:] *= w_s
+                glogits[rows:] *= w_s
                 grad_u = head.backward(glogits)[:rows]
                 if w_c:
                     grad_u += w_c * grad_u_align

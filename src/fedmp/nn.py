@@ -307,12 +307,14 @@ def _backward(steps: list, grad: np.ndarray, x) -> np.ndarray | None:
     return grad
 
 
-def _cross_entropy(logits: np.ndarray, flat: np.ndarray, split: int | None,
+def _cross_entropy(logits: np.ndarray, flat: np.ndarray, split: int,
                    top, z, e, lse, picked, hit):
-    """``softmax_cross_entropy`` of checked arguments, with each row's label
-    as the flat index ``flat`` of its entry; the other arguments are where
-    its arrays go (``None``: allocated), and ``z`` holds the gradient."""
-    n = len(logits)
+    """``softmax_cross_entropy(..., split=split)`` of checked arguments, with
+    each row's label as the flat index ``flat`` of its entry; the other
+    arguments are where its arrays go (``None``: allocated), and ``z`` holds
+    the gradient. A second part of no rows scores 0.0, and the first then
+    gets the bits of a call without a split."""
+    m = len(logits) - split
     z = np.subtract(logits, _row_max(logits, top)[:, None], out=z)
     # the row sum keeps its own reduction: its summation order sets the bits.
     # np.add.reduce is what .sum() calls, without its Python wrapper
@@ -326,14 +328,12 @@ def _cross_entropy(logits: np.ndarray, flat: np.ndarray, split: int | None,
     hit = grad.take(flat, out=hit, mode="clip")
     hit -= 1.0
     grad.put(flat, hit)
-    if split is None:
-        grad /= n
-        return float(-(np.add.reduce(picked) / n)), grad     # what -picked.mean() computes
-    m = n - split
     grad[:split] /= split
+    first = float(-(np.add.reduce(picked[:split]) / split))     # what -picked.mean() computes
+    if not m:
+        return (first, 0.0), grad
     grad[split:] /= m
-    return ((float(-(np.add.reduce(picked[:split]) / split)),
-             float(-(np.add.reduce(picked[split:]) / m))), grad)
+    return (first, float(-(np.add.reduce(picked[split:]) / m))), grad
 
 
 def forward(params: Parameters, spec: NetworkSpec, x: np.ndarray,
@@ -400,10 +400,6 @@ def forward_extractor(params: Parameters, spec: NetworkSpec, x: np.ndarray):
     return forward(params, spec, x, 0, spec.split_index)
 
 
-def forward_classifier(params: Parameters, spec: NetworkSpec, u: np.ndarray):
-    return forward(params, spec, u, spec.split_index, None)
-
-
 def forward_full(params: Parameters, spec: NetworkSpec, x: np.ndarray):
     """Every layer in one walk; bit for bit the extractor then the classifier."""
     return forward(params, spec, x)
@@ -431,13 +427,18 @@ def softmax_cross_entropy(logits: np.ndarray, labels, *, split: int | None = Non
     labels = check_labels(labels, n, k)
     # each row's label entry through one flat index, in any memory order
     flat = labels + np.arange(0, n * k, k)
-    return _cross_entropy(logits, flat, split, None, None, None, None, None, None)
+    losses, grad = _cross_entropy(logits, flat, n if split is None else split,
+                                  None, None, None, None, None, None)
+    return (losses[0] if split is None else losses), grad
 
 
 def check_labels(labels, rows: int, classes: int) -> np.ndarray:
     """``labels`` as int64, checked to be ``rows`` class indices in
-    ``[0, classes)``."""
-    labels = np.asarray(labels, dtype=np.int64)
+    ``[0, classes)``: integers, so none is cast away from its value."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu" and labels.size:
+        raise ValueError(f"labels must be integers, got {labels.dtype}")
+    labels = labels.astype(np.int64, copy=False)
     if labels.shape != (rows,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {rows}")
     # one unsigned max: as uint64 a negative label reads as a huge one
@@ -521,7 +522,9 @@ class Pass:
         last forward's ``n`` rows; the gradient is a view of a buffer."""
         offsets, flat, *arrays = self._plan[2]
         np.add(self.labels[:len(flat)], offsets, out=flat)
-        return _cross_entropy(self._plan[0][-1][2], flat, split, *arrays)
+        losses, grad = _cross_entropy(self._plan[0][-1][2], flat,
+                                      len(flat) if split is None else split, *arrays)
+        return (losses[0] if split is None else losses), grad
 
 
 # Adam's moment decay rates, and the guard added to its denominator

@@ -12,7 +12,6 @@ from fedmp import nn
 from fedmp.federation import (
     DivergenceError,
     combine_losses,
-    compute_sfmc_loss,
     cpgma_embedding_grad,
     unit_prototypes,
 )
@@ -66,7 +65,8 @@ def one_blas_thread():
 # ---------------------------------------------------------------------------
 # the layer-list walk ``nn.forward`` and ``nn.backward`` replaced: a dispatch
 # on the kind of each entry of ``spec.layers``, with a width check and two
-# tensor lookups per affine layer, allocating every array it makes
+# tensor lookups per affine layer, allocating every array it makes; and the
+# plain cross-entropy ``nn.softmax_cross_entropy`` replaced
 
 
 def reference_forward(params, spec, x, start=0, stop=None):
@@ -117,11 +117,26 @@ def reference_backward(params, spec, cache, upstream, input_grad=True, out=None)
     return out, grad
 
 
+def reference_softmax_cross_entropy(logits, labels):
+    """The mean cross-entropy of ``logits`` and its gradient, as
+    ``nn.softmax_cross_entropy`` computed it before its in-place kernel."""
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n, k = logits.shape
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    loss = -log_probs[np.arange(n), labels].mean()
+    grad = np.exp(log_probs)
+    grad[np.arange(n), labels] -= 1.0
+    grad /= n
+    return float(loss), grad
+
+
 # ---------------------------------------------------------------------------
 # the local step that ``federation.local_train`` fused into one pass over
-# per-call buffers: the path through the checked ``nn.forward``,
-# ``nn.backward``, ``compute_sfmc_loss`` and ``draw_foreign``, allocating
-# every array it makes and checking every call's arguments
+# per-call buffers, on the walk above and ``reference_softmax_cross_entropy``
+# (none of them shares a kernel with ``nn``), with ``draw_foreign``,
+# allocating every array it makes
 
 
 def draw_foreign(foreign, rows, rng):
@@ -132,34 +147,38 @@ def draw_foreign(foreign, rows, rng):
     return foreign.take(np.sort(rng.choice(len(foreign), rows, replace=False)))
 
 
+def reference_head_pass(params, spec, u, yb, drawn):
+    """``(l_local, l_sfmc, glogits, head cache)`` of one head pass over the
+    local embeddings ``u`` (labels ``yb``) stacked on ``drawn``'s rows, each
+    part scored on its own; no drawn rows score ``l_sfmc`` 0.0."""
+    logits, cache = reference_forward(params, spec, np.concatenate((u, drawn.embeddings)),
+                                      spec.split_index)
+    rows = len(yb)
+    l_local, g_local = reference_softmax_cross_entropy(logits[:rows], yb)
+    if not len(drawn):
+        return l_local, 0.0, g_local, cache
+    l_sfmc, g_sfmc = reference_softmax_cross_entropy(logits[rows:], drawn.labels)
+    return l_local, l_sfmc, np.concatenate((g_local, g_sfmc)), cache
+
+
 def reference_step(params, spec, xb, yb, drawn, units, grads):
     """One step's embeddings and losses ``(l_local, l_sfmc, l_cpgma)``, its
-    gradient written into ``grads``. ``drawn`` is the SFMC draw (None
-    without SFMC), ``units`` the unit prototypes (None without CPGMA).
-    While SFMC runs or CPGMA's weight is nonzero, a head backward hands the
-    gradient at the split, CPGMA's added in, to an extractor backward;
-    otherwise one backward runs over both caches."""
-    u, cache_f = nn.forward_extractor(params, spec, xb)
-    if drawn is not None:
-        l_local, l_sfmc, glogits, cache_c = compute_sfmc_loss(params, spec, drawn, u, yb)
-    else:
-        logits, cache_c = nn.forward_classifier(params, spec, u)
-        l_local, glogits = nn.softmax_cross_entropy(logits, yb)
-        l_sfmc = 0.0
+    gradient written into ``grads``. ``drawn`` is the SFMC draw (no rows
+    without SFMC), ``units`` the unit prototypes (None without CPGMA). A
+    head backward hands the gradient at the split, CPGMA's added in, to an
+    extractor backward."""
+    u, cache_f = reference_forward(params, spec, xb, 0, spec.split_index)
+    l_local, l_sfmc, glogits, cache_c = reference_head_pass(params, spec, u, yb, drawn)
     l_cpgma = 0.0
     if units is not None:
         l_cpgma, grad_u_align = cpgma_embedding_grad(u, yb, units)
     w_s, w_c = combine_losses(l_local, l_sfmc, l_cpgma)
-    if drawn is not None or w_c:
-        if drawn is not None:
-            glogits[len(yb):] *= w_s
-        _, grad_in = nn.backward(params, spec, cache_c, glogits, out=grads, input_grad=True)
-        grad_u = grad_in[:len(yb)]
-        if w_c:
-            grad_u += w_c * grad_u_align
-        nn.backward(params, spec, cache_f, grad_u, out=grads)
-    else:
-        nn.backward(params, spec, cache_f + cache_c, glogits, out=grads)
+    glogits[len(yb):] *= w_s
+    _, grad_in = reference_backward(params, spec, cache_c, glogits, out=grads)
+    grad_u = grad_in[:len(yb)]
+    if w_c:
+        grad_u += w_c * grad_u_align
+    reference_backward(params, spec, cache_f, grad_u, False, grads)
     return u, (l_local, l_sfmc, l_cpgma)
 
 
@@ -177,6 +196,7 @@ def reference_local_train(params, spec, shard, config, epochs, rng, foreign=None
         foreign = FeatureBatch(upcast(foreign.embeddings), foreign.labels)
         foreign_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=[config.seed, 4, round_tag, shard.client_id]))
+    no_rows = FeatureBatch(np.zeros((0, spec.embedding_dim)), np.zeros(0, np.int64))
     state = nn.AdamState(learning_rate=config.learning_rate, weight_decay=config.weight_decay)
     tally, batches, steps = [0.0, 0.0, 0.0, 0], [], []
     grads = params.zeros_like()
@@ -187,7 +207,7 @@ def reference_local_train(params, spec, shard, config, epochs, rng, foreign=None
         for start in range(0, n, config.batch_size):
             xb = inputs[start:start + config.batch_size]
             yb = labels[start:start + config.batch_size]
-            drawn = draw_foreign(foreign, len(yb), foreign_rng) if sfmc else None
+            drawn = draw_foreign(foreign, len(yb), foreign_rng) if sfmc else no_rows
             before = params.vec.copy()
             try:
                 u, losses = reference_step(params, spec, xb, yb, drawn, units, grads)

@@ -43,7 +43,16 @@ from fedmp.protocol import (
     upcast,
 )
 
-from helpers import one_blas_thread, params_equal, reference_local_train, traced_peak
+from helpers import (
+    one_blas_thread,
+    params_equal,
+    reference_backward,
+    reference_forward,
+    reference_head_pass,
+    reference_local_train,
+    reference_softmax_cross_entropy,
+    traced_peak,
+)
 
 
 def small_spec(d0=4, k=3):
@@ -133,44 +142,99 @@ def local_rows(spec, n, seed=0, k=3):
     return np.maximum(rng.normal(size=(n, spec.embedding_dim)), 0.0), rng.integers(0, k, n)
 
 
+def head_pass(params, grads, spec, u, labels, foreign):
+    """An ``nn.Pass`` over the head of ``spec`` whose input and label rows
+    hold ``u`` and ``labels``, then ``foreign``'s rows, as ``local_train``
+    fills them, and its views of the two parts' input rows."""
+    rows, end = len(u), len(u) + len(foreign)
+    head = nn.Pass(params, grads, spec, spec.split_index, None, end, input_grad=True, loss=True)
+    head.input[:rows], head.labels[:rows] = u, labels
+    head.input[rows:end], head.labels[rows:end] = foreign.embeddings, foreign.labels
+    return head, head.input[:rows], head.input[rows:end]
+
+
 def sfmc_grads(params, spec, foreign, u, labels, w_s=1.0):
     """The losses, the head's gradient and the gradient at the split of one
-    SFMC head pass, with the foreign rows weighted by ``w_s``."""
-    l_local, l_sfmc, glogits, cache = compute_sfmc_loss(params, spec, foreign, u, labels)
+    head pass (``compute_sfmc_loss``) over ``u`` stacked on ``foreign``,
+    with the foreign rows weighted by ``w_s``."""
+    grads = params.zeros_like()
+    head, local, drawn = head_pass(params, grads, spec, u, labels, foreign)
+    l_local, l_sfmc, glogits = compute_sfmc_loss(head, local, drawn)
     glogits[len(u):] *= w_s
-    grads, grad_in = nn.backward(params, spec, cache, glogits, input_grad=True)
+    return l_local, l_sfmc, grads, head.backward(glogits)[:len(u)]
+
+
+def reference_sfmc_grads(params, spec, foreign, u, labels, w_s=1.0):
+    """``sfmc_grads`` on the tests' own walk and cross-entropy."""
+    l_local, l_sfmc, glogits, cache = reference_head_pass(params, spec, u, labels, foreign)
+    glogits[len(u):] *= w_s
+    grads, grad_in = reference_backward(params, spec, cache, glogits)
     return l_local, l_sfmc, grads, grad_in[:len(u)]
+
+
+def no_rows(spec):
+    return FeatureBatch(np.zeros((0, spec.embedding_dim)), np.zeros(0, np.int64))
 
 
 class TestSfmcLoss:
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 200), seed=st.integers(0, 2**31 - 1))
-    def test_float32_rows_give_the_bits_of_upcast_rows(self, n, seed):
-        # the head pass upcasts decoded rows before its first product, so its
-        # losses and gradients are those of the rows upcast first
+    @given(n=st.integers(0, 200), seed=st.integers(0, 2**31 - 1),
+           w_s=st.sampled_from([0.0, 0.7, 3.5]))
+    def test_float32_rows_give_the_bits_of_upcast_rows(self, n, seed, w_s):
+        # the head pass over decoded narrow rows, written into its float64
+        # input, gets the bits of the tests' walk over the rows upcast
+        # first; with no foreign rows, those of the local rows alone
         spec = nn.mlp_spec(16, (64,), (32, 16), 3)
         params = nn.init_params(spec, seed % 1000)
         u, labels = local_rows(spec, 1 + seed % 64, seed)
-        for dtype in NARROW:
-            rows, upcast = float32_rows(np.random.default_rng(seed), n, spec.embedding_dim,
-                                        dtype=dtype)
-            narrow, wide = (sfmc_grads(params, spec, b, u, labels, 0.7) for b in (rows, upcast))
-            assert narrow[:2] == wide[:2]
-            assert narrow[2].vec.tobytes() == wide[2].vec.tobytes()
-            assert narrow[3].tobytes() == wide[3].tobytes()
+        for dtype in (*NARROW, np.float64):
+            rows, wide = float32_rows(np.random.default_rng(seed), n, spec.embedding_dim,
+                                      dtype=dtype)
+            got = sfmc_grads(params, spec, rows, u, labels, w_s)
+            want = reference_sfmc_grads(params, spec, wide, u, labels, w_s)
+            assert got[:2] == want[:2]
+            assert got[2].vec.tobytes() == want[2].vec.tobytes()
+            assert got[3].tobytes() == want[3].tobytes()
 
-    def test_empty_sample_rejected(self):
-        # local_train runs the head pass only on a drawn sample, never empty
+    @pytest.mark.parametrize("foreign", [None, "off"])
+    def test_no_foreign_rows_is_the_batch_alone(self, monkeypatch, foreign):
+        # no foreign rows: l_sfmc is 0.0, and l_local and the gradient have
+        # the bits of the pass's cross-entropy without a split
         spec = small_spec()
-        params = nn.init_params(spec, 0)
-        u, labels = local_rows(spec, 3)
-        for empty in (FeatureBatch.concat([]),
-                      FeatureBatch(np.zeros((0, spec.embedding_dim)), np.zeros(0, np.int64))):
-            with pytest.raises(ValueError):
-                compute_sfmc_loss(params, spec, empty, u, labels)
-        foreign = FeatureBatch(u, labels)
-        with pytest.raises(ValueError):
-            compute_sfmc_loss(params, spec, foreign, u[:0], labels[:0])
+        params = nn.init_params(spec, 3)
+        u, labels = local_rows(spec, 5, 3)
+        head, local, drawn = head_pass(params, params.zeros_like(), spec, u, labels,
+                                       no_rows(spec))
+        l_local, l_sfmc, glogits = compute_sfmc_loss(head, local, drawn)
+        alone = nn.Pass(params, params.zeros_like(), spec, spec.split_index, None, 5, loss=True)
+        alone.labels[:] = labels
+        alone.forward(u)
+        want_loss, want_grad = alone.cross_entropy()
+        assert type(l_sfmc) is float and np.float64(l_sfmc).tobytes() == bytes(8)
+        assert np.float64(l_local).tobytes() == np.float64(want_loss).tobytes()
+        assert glogits.tobytes() == want_grad.tobytes()
+
+        # a FedAvg call, without a sample (round 1) or with SFMC off, makes
+        # one head pass per step, each with no foreign rows
+        calls = []
+
+        def spy(head, u, foreign):
+            calls.append((len(u), len(foreign)))
+            return original(head, u, foreign)
+
+        original = federation.compute_sfmc_loss
+        monkeypatch.setattr(federation, "compute_sfmc_loss", spy)
+        rng = np.random.default_rng(3)
+        shard = ClientShard(client_id=0, inputs=rng.normal(size=(10, 4)),
+                            labels=(np.arange(10) % 3).astype(np.int64))
+        sample = FeatureBatch(rng.normal(size=(6, spec.embedding_dim)).astype(np.float16),
+                              rng.integers(0, 3, 6)) if foreign else None
+        cfg = FederationConfig(rounds=1, num_clients=1, num_classes=3, batch_size=4,
+                               enable_sfmc=foreign is None, enable_cpgma=False)
+        _, tally = local_train(nn.init_params(spec, 0), spec, shard, cfg, 2, rng,
+                               foreign=sample)
+        assert calls == [(4, 0), (4, 0), (2, 0)] * 2
+        assert tally[1] == 0.0 and tally[3] == len(calls)
 
     def test_uniform_logits_ln2(self):
         # zeroed classifier on K=2 gives uniform logits -> ln 2 for both parts
@@ -179,8 +243,7 @@ class TestSfmcLoss:
         params[(2, "W")][:] = 0.0
         params[(2, "b")][:] = 0.0
         rec = FeatureBatch(np.array([[1.0, -2.0, 0.5]]), np.array([0]))
-        l_local, l_sfmc, _, _ = compute_sfmc_loss(params, spec, rec, np.ones((2, 3)),
-                                                  np.array([0, 1]))
+        l_local, l_sfmc, _, _ = sfmc_grads(params, spec, rec, np.ones((2, 3)), np.array([0, 1]))
         assert l_local == pytest.approx(np.log(2.0), abs=1e-12)
         assert l_sfmc == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -196,8 +259,9 @@ class TestSfmcLoss:
             [0.0, 0.0],     # logits [0,0] -> ln 2
         ]), np.array([0, 0]))
         u = np.array([[1.0, 0.0]] * 3)
-        l_local, l_sfmc, glogits, _ = compute_sfmc_loss(params, spec, recs, u,
-                                                        np.array([0, 0, 0]))
+        head, local, drawn = head_pass(params, params.zeros_like(), spec, u,
+                                       np.array([0, 0, 0]), recs)
+        l_local, l_sfmc, glogits = compute_sfmc_loss(head, local, drawn)
         assert l_sfmc == pytest.approx(0.5 * (np.log(1 + np.exp(-1.0)) + np.log(2.0)),
                                        abs=1e-9)
         assert l_local == pytest.approx(np.log(1 + np.exp(-1.0)), abs=1e-9)
@@ -228,32 +292,40 @@ class TestSfmcLoss:
         params = nn.init_params(spec, 2)
         recs = FeatureBatch(np.arange(spec.embedding_dim, dtype=float)[None, :], np.array([1]))
         u, labels = local_rows(spec, 2, 2)
-        base = compute_sfmc_loss(params, spec, recs, u, labels)[:2]
+        base = sfmc_grads(params, spec, recs, u, labels)[:2]
         params[(0, "W")][0, 0] += 0.37
-        after = compute_sfmc_loss(params, spec, recs, u, labels)[:2]
+        after = sfmc_grads(params, spec, recs, u, labels)[:2]
         assert base == after
 
 
 def parent_sfmc_step(params, spec, xb, yb, drawn, units=None):
-    """The two-pass step the stacked head pass replaced: a backward over the
-    whole network for the local rows, then a head-only pass over the drawn
-    rows whose gradient is added scaled by ``w_s``. Returns the losses and
-    the step's gradient."""
-    u, cache_f = nn.forward_extractor(params, spec, xb)
-    logits, cache_c = nn.forward_classifier(params, spec, u)
-    l_local, glogits = nn.softmax_cross_entropy(logits, yb)
-    grads = nn.backward(params, spec, cache_f + cache_c, glogits)
-    logits, cache = nn.forward_classifier(params, spec, drawn.embeddings)
-    l_sfmc, glogits = nn.softmax_cross_entropy(logits, drawn.labels)
-    sfmc = nn.backward(params, spec, cache, glogits)
+    """The two-pass step the stacked head pass replaced, on the tests' own
+    walk: a backward over the whole network for the local rows, then a
+    head-only pass over the drawn rows whose gradient is added scaled by
+    ``w_s``. Returns the losses and the step's gradient."""
+    split = spec.split_index
+    u, cache_f = reference_forward(params, spec, xb, 0, split)
+    logits, cache_c = reference_forward(params, spec, u, split)
+    l_local, glogits = reference_softmax_cross_entropy(logits, yb)
+    grads, _ = reference_backward(params, spec, cache_f + cache_c, glogits, False)
+    logits, cache = reference_forward(params, spec, drawn.embeddings, split)
+    l_sfmc, glogits = reference_softmax_cross_entropy(logits, drawn.labels)
+    sfmc, _ = reference_backward(params, spec, cache, glogits, False)
     l_cpgma = 0.0
     if units is not None:
         l_cpgma, grad_u_align = cpgma_embedding_grad(u, yb, units)
     w_s, w_c = combine_losses(l_local, l_sfmc, l_cpgma)
     grads.vec += w_s * sfmc.vec
     if w_c:
-        grads.vec += w_c * nn.backward(params, spec, cache_f, grad_u_align).vec
+        grads.vec += w_c * reference_backward(params, spec, cache_f, grad_u_align, False)[0].vec
     return l_local, l_sfmc, grads
+
+
+def spied_draw(draws, head, u, foreign):
+    """Keep a copy of a head pass's foreign rows and their labels, which
+    live in the step's buffers."""
+    rows = len(u)
+    draws.append(FeatureBatch(foreign.copy(), head.labels[rows:rows + len(foreign)].copy()))
 
 
 class TestStackedSfmcStep:
@@ -279,15 +351,14 @@ class TestStackedSfmcStep:
                                enable_cpgma=cpgma)
         steps, draws = [], []
 
-        def spy_sfmc(params, spec, drawn, u, labels, **kw):
-            # the drawn rows live in the step's buffers: keep a copy
-            draws.append(FeatureBatch(drawn.embeddings.copy(), drawn.labels.copy()))
-            out = original_sfmc(params, spec, drawn, u, labels, **kw)
-            steps.append([params.vec.copy(), *out[:2]])
+        def spy_sfmc(head, u, foreign):
+            spied_draw(draws, head, u, foreign)
+            out = original_sfmc(head, u, foreign)
+            steps.append(list(out[:2]))
             return out
 
         def spy_adam(params, grads, state):
-            steps[-1].append(grads.vec.copy())
+            steps[-1] += [params.vec.copy(), grads.vec.copy()]
             return original_adam(params, grads, state)
 
         original_sfmc, original_adam = federation.compute_sfmc_loss, nn.adam_step
@@ -306,7 +377,7 @@ class TestStackedSfmcStep:
         assert len(steps) == len(draws) == len(batches)
         units = unit_prototypes(prototypes) if cpgma else None
         layout = spec.layout
-        for (vec, l_local, l_sfmc, grads), drawn, idx in zip(steps, draws, batches):
+        for (l_local, l_sfmc, vec, grads), drawn, idx in zip(steps, draws, batches):
             assert len(drawn) == min(len(idx), sample)
             ref = parent_sfmc_step(nn.Parameters.over(vec, layout), spec, shard.inputs[idx],
                                    shard.labels[idx], drawn, units)
@@ -316,28 +387,29 @@ class TestStackedSfmcStep:
 
 
 def parent_step(params, spec, xb, yb, drawn, units):
-    """The three-backward step that one extractor backward replaced: the
-    local backward (over the whole network, or with SFMC the stacked head
-    pass's backward and an extractor backward), then, while CPGMA's weight is
-    nonzero, an extractor backward of its embedding gradient whose result is
-    added scaled by ``w_c``. ``drawn`` is None without SFMC, ``units`` None
-    without CPGMA. Returns the three losses and the step's gradient."""
-    u, cache_f = nn.forward_extractor(params, spec, xb)
+    """The three-backward step that one extractor backward replaced, on the
+    tests' own walk: the local backward (over the whole network, or with
+    SFMC the stacked head pass's backward and an extractor backward), then,
+    while CPGMA's weight is nonzero, an extractor backward of its embedding
+    gradient whose result is added scaled by ``w_c``. ``drawn`` is None
+    without SFMC, ``units`` None without CPGMA. Returns the three losses and
+    the step's gradient."""
+    u, cache_f = reference_forward(params, spec, xb, 0, spec.split_index)
     if drawn is not None:
-        l_local, l_sfmc, glogits, cache_c = compute_sfmc_loss(params, spec, drawn, u, yb)
+        l_local, l_sfmc, glogits, cache_c = reference_head_pass(params, spec, u, yb, drawn)
     else:
-        logits, cache_c = nn.forward_classifier(params, spec, u)
-        (l_local, glogits), l_sfmc = nn.softmax_cross_entropy(logits, yb), 0.0
+        logits, cache_c = reference_forward(params, spec, u, spec.split_index)
+        (l_local, glogits), l_sfmc = reference_softmax_cross_entropy(logits, yb), 0.0
     l_cpgma, grad_u_align = (0.0, None) if units is None else cpgma_embedding_grad(u, yb, units)
     w_s, w_c = combine_losses(l_local, l_sfmc, l_cpgma)
     if drawn is not None:
         glogits[len(yb):] *= w_s
-        grads, grad_in = nn.backward(params, spec, cache_c, glogits, input_grad=True)
-        nn.backward(params, spec, cache_f, grad_in[:len(yb)], out=grads)
+        grads, grad_in = reference_backward(params, spec, cache_c, glogits)
+        reference_backward(params, spec, cache_f, grad_in[:len(yb)], False, grads)
     else:
-        grads = nn.backward(params, spec, cache_f + cache_c, glogits)
+        grads, _ = reference_backward(params, spec, cache_f + cache_c, glogits, False)
     if w_c:
-        grads.vec += w_c * nn.backward(params, spec, cache_f, grad_u_align).vec
+        grads.vec += w_c * reference_backward(params, spec, cache_f, grad_u_align, False)[0].vec
     return l_local, l_sfmc, l_cpgma, grads
 
 
@@ -373,10 +445,9 @@ class TestOneExtractorBackward:
             losses.append(args)
             return original_losses(*args)
 
-        def spy_sfmc(params, spec, drawn, u, labels, **kw):
-            # the drawn rows live in the step's buffers: keep a copy
-            draws.append(FeatureBatch(drawn.embeddings.copy(), drawn.labels.copy()))
-            return original_sfmc(params, spec, drawn, u, labels, **kw)
+        def spy_sfmc(head, u, foreign):
+            spied_draw(draws, head, u, foreign)
+            return original_sfmc(head, u, foreign)
 
         def spy_adam(params, grads, state):
             steps.append((params.vec.copy(), grads.vec.copy()))
@@ -398,7 +469,9 @@ class TestOneExtractorBackward:
             perm = shuffle.permutation(rows)
             batches += [perm[i:i + batch_size] for i in range(0, rows, batch_size)]
         assert len(steps) == len(losses) == len(batches)
-        assert len(draws) == (len(batches) if sfmc else 0)
+        # one head pass per step; without SFMC it has no foreign rows
+        assert len(draws) == len(batches)
+        assert sfmc or not any(map(len, draws))
         units = None if prototypes == "off" else unit_prototypes(protos)
         layout = spec.layout
         for k, ((vec, grads), got, idx) in enumerate(zip(steps, losses, batches)):
@@ -427,8 +500,9 @@ def split_networks(draw):
 
 class TestFusedStep:
     """Every step of ``local_train`` against the step it fused
-    (``helpers.reference_local_train``: the checked ``nn`` functions,
-    ``compute_sfmc_loss`` and ``draw_foreign``), bit for bit."""
+    (``helpers.reference_local_train``: the tests' own layer walk and
+    cross-entropy, which share no kernel with ``nn.Pass``, and
+    ``draw_foreign``), bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(spec=split_networks(), rows=st.integers(1, 23), batch_size=st.integers(1, 9),
@@ -1181,11 +1255,12 @@ class TestStochasticSfmc:
         checking that the call upcast the sample once."""
         calls, upcasts = [], []
 
-        def spy(params, spec, batch, u, labels, **kw):
+        def spy(head, u, foreign):
             # every argument is a view of the step's buffers: keep copies
-            calls.append((FeatureBatch(batch.embeddings.copy(), batch.labels.copy()),
-                          u.copy(), labels.copy()))
-            return original(params, spec, batch, u, labels, **kw)
+            draws = []
+            spied_draw(draws, head, u, foreign)
+            calls.append((draws[0], u.copy(), head.labels[:len(u)].copy()))
+            return original(head, u, foreign)
 
         def spy_upcast(values):
             upcasts.append(values)
@@ -1563,6 +1638,28 @@ class TestLabelCount:
         with pytest.raises(ValueError, match=r"^label out of range \[0, 3\)$"):
             run(cfg, shards, small_spec(), bad)
 
+    def label_fit(self, labels):
+        """(params, spec, inputs, shard, config) for 3 rows with ``labels``."""
+        spec = small_spec()
+        x = np.random.default_rng(0).normal(size=(3, 4))
+        cfg = FederationConfig(rounds=1, num_clients=1, num_classes=3, batch_size=2)
+        return nn.init_params(spec, 0), spec, x, ClientShard(0, x, labels), cfg
+
+    @pytest.mark.parametrize("labels", [[1.5, 2.9, 0.2], np.array([1.0, 2.0, 0.0])])
+    def test_labels_that_are_not_integers_are_rejected(self, labels):
+        # an int64 cast would truncate 1.5 to 1 without a word, so float
+        # labels are rejected, even where every value is whole
+        params, spec, x, shard, cfg = self.label_fit(labels)
+        with pytest.raises(ValueError, match=r"^labels must be integers, got float64$"):
+            local_train(params, spec, shard, cfg, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"^labels must be integers, got float64$"):
+            federation.evaluate_accuracy(params, spec, x, labels)
+
+    def test_integer_label_lists_are_read(self):
+        params, spec, x, shard, cfg = self.label_fit([1, 2, 0])
+        assert local_train(params, spec, shard, cfg, 1, np.random.default_rng(0))[1][3] == 2
+        assert federation.evaluate_accuracy(params, spec, x, [1, 2, 0]) in (0.0, 1 / 3, 2 / 3, 1.0)
+
 
 def per_class_centers(centers, rows, config):
     """``_update_centers`` as it was: a boolean-mask copy per (batch, class)."""
@@ -1646,8 +1743,6 @@ def workspace_arrays(workspace) -> list:
                 found += step[1:]
             if arrays is not None:
                 found += arrays[1:]             # arrays[0]: each row's label offset
-    for batch in workspace.drawn.values():
-        found += [batch.embeddings, batch.labels]
     return [a for a in found if isinstance(a, np.ndarray)]
 
 

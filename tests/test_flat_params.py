@@ -159,7 +159,7 @@ def test_backward_writes_into_out_slices():
     params = nn.init_params(spec, 1)
     x = np.random.default_rng(1).normal(size=(3, 4))
     u, cache_f = nn.forward_extractor(params, spec, x)
-    logits, cache_c = nn.forward_classifier(params, spec, u)
+    logits, cache_c = nn.forward(params, spec, u, spec.split_index)
     head = nn.backward(params, spec, cache_c, np.ones_like(logits))
     extractor = nn.backward(params, spec, cache_f, np.ones_like(u))
     sentinel = np.full(params.count(), -7.25)

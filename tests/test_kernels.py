@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from fedmp import nn
 from fedmp.federation import cpgma_embedding_grad, unit_prototypes
 
-from helpers import reference_backward, reference_forward
+from helpers import reference_backward, reference_forward, reference_softmax_cross_entropy
 
 
 def same_bits(a, b) -> bool:
@@ -33,20 +33,8 @@ def same_bits(a, b) -> bool:
 
 # ---------------------------------------------------------------------------
 # references: the allocating code the in-place kernels replaced; the
-# layer-list walk of ``nn.forward`` and ``nn.backward`` is in ``helpers``
-
-
-def reference_softmax_cross_entropy(logits, labels):
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n, k = logits.shape
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = -log_probs[np.arange(n), labels].mean()
-    grad = np.exp(log_probs)
-    grad[np.arange(n), labels] -= 1.0
-    grad /= n
-    return float(loss), grad
+# layer-list walk of ``nn.forward`` and ``nn.backward`` and the plain
+# cross-entropy are in ``helpers``
 
 
 def parent_softmax_cross_entropy(logits, labels, *, split=None):
@@ -203,7 +191,7 @@ def test_two_backwards_over_one_extractor_cache(spec, seed, rows):
     params = random_params(spec, rng)
     x = signed_normal(rng, (rows, spec.input_dim))
     u, cache_f = nn.forward_extractor(params, spec, x)
-    logits, cache_c = nn.forward_classifier(params, spec, u)
+    logits, cache_c = nn.forward(params, spec, u, spec.split_index)
     head, grad_u = reference_backward(params, spec, cache_c, signed_normal(rng, logits.shape))
     total = head.copy()
     nn.backward(params, spec, cache_f, grad_u, out=total)
@@ -235,7 +223,7 @@ def test_one_backward_over_both_caches(spec, seed, rows, use_out):
     params = random_params(spec, rng)
     x = signed_normal(rng, (rows, spec.input_dim))
     u, cache_f = nn.forward_extractor(params, spec, x)
-    logits, cache_c = nn.forward_classifier(params, spec, u)
+    logits, cache_c = nn.forward(params, spec, u, spec.split_index)
     glogits = signed_normal(rng, logits.shape)
     base = signed_normal(rng, params.vec.shape)
 

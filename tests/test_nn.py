@@ -97,14 +97,14 @@ class TestForward:
         # classifier = single affine W=I, b=0: u=[3,-1] -> [3,-1]
         spec = single_affine_spec(2, 2)
         params = params_from(spec, {})
-        out, _ = nn.forward_classifier(params, spec, np.array([3.0, -1.0]))
+        out, _ = nn.forward(params, spec, np.array([3.0, -1.0]), spec.split_index)
         assert np.array_equal(out, [[3.0, -1.0]])
 
     def test_classifier_hand_computed(self):
         # W=2I, b=[1,1], u=[1,2] -> [3,5]
         spec = single_affine_spec(2, 2)
         params = params_from(spec, {2: (2.0 * np.eye(2), [1.0, 1.0])})
-        out, _ = nn.forward_classifier(params, spec, np.array([1.0, 2.0]))
+        out, _ = nn.forward(params, spec, np.array([1.0, 2.0]), spec.split_index)
         assert np.allclose(out, [[3.0, 5.0]], atol=1e-12)
 
     def test_split_composition_bitwise(self):
@@ -112,7 +112,7 @@ class TestForward:
         params = nn.init_params(spec, 3)
         x = np.random.default_rng(0).normal(size=(11, 5))
         u, _ = nn.forward_extractor(params, spec, x)
-        via_split, _ = nn.forward_classifier(params, spec, u)
+        via_split, _ = nn.forward(params, spec, u, spec.split_index)
         full, _ = nn.forward_full(params, spec, x)
         assert np.array_equal(via_split, full)
 
@@ -179,7 +179,7 @@ class TestBackward:
         spec = nn.mlp_spec(4, (6,), (5,), 3)
         params = nn.init_params(spec, 2)
         u = np.random.default_rng(1).normal(size=(3, 6))
-        out, cache = nn.forward_classifier(params, spec, u)
+        out, cache = nn.forward(params, spec, u, spec.split_index)
         grads = nn.backward(params, spec, cache, np.ones_like(out))
         assert grads.layout is params.layout
         for key in grads.keys():

@@ -1,19 +1,20 @@
 """The names and argument positions that ``perfbench/tracing.py`` relies on.
 
 The tracer replaces every function in its ``TARGETS`` by name and reads some
-arguments of ``local_train`` and ``FeatureBank.insert`` by position. It
-counts ``nn.forward``'s and ``nn.backward``'s flops from ``spec.layers``,
-``nn.AFFINE``, ``forward``'s ``start`` and ``stop`` (fourth and fifth
-positional arguments) and the cache's ``(layer index, array)`` entries. A
-renamed function, a reordered parameter or a changed cache would otherwise
-fail, or count wrong, only in a traced benchmark run.
+arguments of ``local_train``, ``compute_sfmc_loss`` and ``FeatureBank.insert``
+by position. It counts ``nn.forward``'s and ``nn.backward``'s flops from
+``spec.layers``, ``nn.AFFINE``, ``forward``'s ``start`` and ``stop`` (fourth
+and fifth positional arguments) and the cache's ``(layer index, array)``
+entries. A renamed function, a reordered parameter or a changed cache would
+otherwise fail, or count wrong, only in a traced benchmark run.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
-from fedmp import nn, privacy
+from fedmp import federation, nn, privacy
 from fedmp.config import ExperimentConfig
 from fedmp.data import generate_federation
 from fedmp.federation import run_federation, run_few_shot
@@ -38,11 +39,22 @@ def load_tracing():
     return module
 
 
-def test_tracer_resolves_every_target_and_counts_samples():
+def test_tracer_resolves_every_target_and_counts_samples(monkeypatch):
     tracing = load_tracing()
     shards, global_test = generate_federation(TINY.dataset_spec())
     spec = TINY.network_spec()
     rows = sum(len(shard) for shard in shards)
+    drawn = []          # per local_train call, the rows its steps draw
+
+    def spy(params, spec, shard, config, epochs, rng, foreign=None, *args, **kwargs):
+        sample = len(foreign) if config.enable_sfmc and foreign else 0
+        batches = [min(config.batch_size, len(shard) - start)
+                   for start in range(0, len(shard), config.batch_size)]
+        drawn.append(epochs * sum(min(batch, sample) for batch in batches))
+        return original(params, spec, shard, config, epochs, rng, foreign, *args, **kwargs)
+
+    original = federation.local_train
+    monkeypatch.setattr(federation, "local_train", spy)
     with tracing.Tracer() as tracer:            # resolves every TARGETS entry
         run_federation(TINY.federation_config(0), shards, spec, global_test)
         run_few_shot(TINY.federation_config(0, mode="fewshot"), shards, spec, global_test,
@@ -51,7 +63,13 @@ def test_tracer_resolves_every_target_and_counts_samples():
     epochs = TINY.rounds * TINY.local_epochs + sum(TINY.stage_epochs)
     assert trained.counts["samples"] == epochs * rows
     assert trained.calls == (TINY.rounds + len(TINY.stage_epochs)) * TINY.clients
-    assert tracer.spans["federation.compute_sfmc_loss"].calls > 0
+    # every local step makes one head pass, with or without foreign rows;
+    # the tracer counts ``len(args[2])``: they must stay its third argument
+    steps = epochs * sum(-(-len(shard) // TINY.batch_size) for shard in shards)
+    head = tracer.spans["federation.compute_sfmc_loss"]
+    assert head.calls == steps
+    assert list(inspect.signature(federation.compute_sfmc_loss).parameters)[2] == "foreign"
+    assert 0 < head.counts["rows"] == sum(drawn)
     # the tracer counts ``len(args[1])``: the batch must stay insert's first
     # argument. Every round and every stage but the last uploads each row once
     inserted = tracer.spans["protocol.FeatureBank.insert"]

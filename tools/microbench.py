@@ -24,20 +24,22 @@ the gradient at the split: the local rows' part of the head's, plus CPGMA's
 embedding gradient scaled by its weight. Every ``nn.backward`` case writes
 into one gradient buffer, as a training loop reuses one.
 
-A local step's SFMC pass is one head pass over the 64 local embeddings
+A local step's head pass with SFMC runs over the 64 local embeddings
 stacked on 64 rows drawn from the foreign sample:
-``federation.compute_sfmc_loss`` (the checked path: the stacking, the
-stacked forward and the split cross-entropy), whose parts are timed as the
-``.head`` cases: the 64-32-16-3 head's forward, the two-part cross-entropy
-and the backward that carries the gradient to the split, all on the 128
-stacked rows. The sample arrives as float16; ``local_train`` upcasts it to
-float64 once per call, ``federation.upcast_foreign``, through
+``federation.compute_sfmc_loss`` times it as ``local_train`` makes it, on
+a ``federation.Workspace`` head whose input and labels already hold the
+stacked rows (the stacked forward and the split cross-entropy). Its parts
+are timed through the checked ``nn`` functions as the ``.head`` cases: the
+64-32-16-3 head's forward (``nn.forward`` from the split), the two-part
+cross-entropy and the backward that carries the gradient to the split, all
+on the 128 stacked rows. The sample arrives as float16; ``local_train``
+upcasts it to float64 once per call, ``federation.upcast_foreign``, through
 ``protocol.upcast``'s float16 -> float32 table, so each draw is float64
 already.
 
 ``local_train`` runs those steps fused, on the buffers of a
-``federation.Workspace``, so its steps call none of the checked functions
-above; its whole calls are timed on one client's shard (96 rows at S, 500
+``federation.Workspace``, so its steps call none of the checked ``nn``
+functions above; its whole calls are timed on one client's shard (96 rows at S, 500
 at M) for the benchmark's 4 epochs of 64-row batches, from a copy of the
 same model each call: ``.warm`` with SFMC on the scale's foreign sample and
 CPGMA on warm prototypes, as in a later round, and ``.cold`` as round 1
@@ -198,11 +200,14 @@ def cases(scale: str) -> dict:
     blobs = {"upload": round_blobs[0], "foreign": serialize_features(foreign)}
     upcast_foreign = upcast(foreign.embeddings)
     picks = np.sort(np.random.default_rng(0).choice(len(foreign), BATCH, replace=False))
-    drawn = FeatureBatch(upcast_foreign.take(picks, axis=0), foreign.labels.take(picks))
-    stacked = np.concatenate((u, drawn.embeddings))
-    stacked_labels = np.concatenate((y, drawn.labels))
-    _, _, head_glogits, head_cache = compute_sfmc_loss(params, spec, drawn, u, y)
-    head_logits = nn.forward_classifier(params, spec, stacked)[0]
+    stacked = np.concatenate((u, upcast_foreign.take(picks, axis=0)))
+    stacked_labels = np.concatenate((y, foreign.labels.take(picks)))
+    head_logits, head_cache = nn.forward(params, spec, stacked, spec.split_index)
+    _, head_glogits = nn.softmax_cross_entropy(head_logits, stacked_labels, split=BATCH)
+    # the head pass as ``local_train`` makes it: the workspace head's input
+    # and labels hold the local rows, then the drawn ones
+    head = Workspace(params, spec, BATCH).head
+    head.input[:2 * BATCH], head.labels[:2 * BATCH] = stacked, stacked_labels
 
     labels = np.concatenate([batch.labels for batch in uploads])
     shards = [ClientShard(c, inputs[c * per_client:(c + 1) * per_client], batch.labels)
@@ -247,8 +252,9 @@ def cases(scale: str) -> dict:
         "nn.forward.batch": lambda: nn.forward_full(params, spec, x),
         "nn.backward.batch": lambda: nn.backward(params, spec, cache, glogits, out=out),
         "federation.upcast_foreign": lambda: upcast(foreign.embeddings),
-        "federation.compute_sfmc_loss": lambda: compute_sfmc_loss(params, spec, drawn, u, y),
-        "nn.forward.head": lambda: nn.forward_classifier(params, spec, stacked),
+        "federation.compute_sfmc_loss": lambda: compute_sfmc_loss(
+            head, head.input[:BATCH], head.input[BATCH:2 * BATCH]),
+        "nn.forward.head": lambda: nn.forward(params, spec, stacked, spec.split_index),
         "nn.backward.head": lambda: nn.backward(params, spec, head_cache, head_glogits,
                                                 out=out, input_grad=True),
         "nn.backward.extractor": lambda: nn.backward(params, spec, cache_f, grad_align,
