@@ -228,7 +228,6 @@ def _logit_blocks(params: nn.Parameters, spec: nn.NetworkSpec, x: np.ndarray):
     the whole set: OpenBLAS's SkylakeX kernel has a small-matrix path for
     products of at most 10^6 multiply-adds, and with more than one thread a
     product may be split at a row that is not a multiple of the row tile."""
-    x = np.atleast_2d(x)
     n = len(x)
     if n == 0:
         raise ValueError("cannot score an empty set of rows")
@@ -242,19 +241,10 @@ def _logit_blocks(params: nn.Parameters, spec: nn.NetworkSpec, x: np.ndarray):
         start = stop
 
 
-def _row_labels(labels, rows: int, classes: int) -> np.ndarray:
-    """``labels`` as int64, checked to be one label per row, each a class
-    index in ``[0, classes)``."""
-    labels = np.asarray(labels)
-    if labels.shape != (rows,):
-        raise ValueError(f"labels of shape {labels.shape} for {rows} rows")
-    return nn.check_labels(labels, rows, classes)
-
-
 def evaluate_accuracy(params: nn.Parameters, spec: nn.NetworkSpec,
                       inputs: np.ndarray, labels: np.ndarray) -> float:
     """The fraction of rows whose largest logit is their label."""
-    labels = _row_labels(labels, len(np.atleast_2d(inputs)), spec.num_classes)
+    labels = nn.check_labels(labels, len(inputs), spec.num_classes)
     correct = 0
     for rows, logits in _logit_blocks(params, spec, inputs):
         correct += int(np.count_nonzero(logits.argmax(axis=1) == labels[rows]))
@@ -266,7 +256,7 @@ def ensemble_predict(models: list[nn.Parameters], spec: nn.NetworkSpec,
     """Argmax of the mean per-model softmax; ties go to the smallest class."""
     if not models:
         raise ValueError("ensemble needs at least one model")
-    probs = np.zeros((np.atleast_2d(x).shape[0], spec.num_classes))
+    probs = np.zeros((len(x), spec.num_classes))
     for params in models:
         for rows, logits in _logit_blocks(params, spec, x):
             probs[rows] += nn.softmax(logits)
@@ -296,12 +286,11 @@ class Workspace:
     """What ``local_train`` reuses from call to call, one per run: the
     model ``params`` it trains, the gradient, Adam's moments, the extractor
     pass over at most ``rows`` rows and the head pass over twice as many,
-    with their plans. A call overwrites each buffer before reading it;
-    nothing is sized by a foreign sample. ``units`` keeps the last
-    prototypes array's unit prototypes, since a round hands every client
-    the same array and nothing writes into it."""
+    with their plans. A call overwrites each buffer before reading it, so
+    nothing passes from one call to the next; nothing is sized by a
+    foreign sample."""
 
-    __slots__ = ("params", "spec", "rows", "grads", "moments", "extractor", "head", "_units")
+    __slots__ = ("params", "spec", "rows", "grads", "moments", "extractor", "head")
 
     def __init__(self, params: nn.Parameters, spec: nn.NetworkSpec, rows: int):
         if params.layout is not spec.layout:
@@ -316,15 +305,6 @@ class Workspace:
                             input_grad=True, loss=True)
         self.extractor = nn.Pass(params, self.grads, spec, 0, spec.split_index, rows,
                                  out=self.head.input)
-        self._units = (None, None)
-
-    def units(self, prototypes: np.ndarray) -> np.ndarray | None:
-        """``unit_prototypes(prototypes)``, or None while every prototype is
-        cold, made once per prototypes array."""
-        if self._units[0] is not prototypes:
-            units = unit_prototypes(prototypes)
-            self._units = (prototypes, units if units.any() else None)
-        return self._units[1]
 
 
 def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
@@ -342,7 +322,8 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
     value to float16 once. SFMC runs when it is enabled and ``foreign`` has
     rows, CPGMA when it is enabled and ``prototypes`` are given and not all
     cold: while every prototype is cold, CPGMA's loss is 0 and so is its
-    weight ``w_c``, so the step is the one it is without CPGMA.
+    weight ``w_c``, so the step is the one it is without CPGMA. The unit
+    prototypes are made once per call, from what ``prototypes`` holds then.
 
     Every mini-batch, whatever the modules, runs one head pass
     (``compute_sfmc_loss``) over its local rows stacked on its foreign
@@ -379,8 +360,10 @@ def local_train(params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShard,
         raise ValueError("the workspace was made for another model, network or batch size")
     sfmc = config.enable_sfmc and bool(foreign)
     inputs, labels, foreign_labels = _training_rows(spec, shard, foreign if sfmc else None)
-    # the prototypes stay fixed while a client trains
-    units = workspace.units(prototypes) if config.enable_cpgma and prototypes is not None else None
+    # the prototypes stay fixed while a client trains; all cold, CPGMA adds nothing
+    units = unit_prototypes(prototypes) if config.enable_cpgma and prototypes is not None else None
+    if units is not None and not units.any():
+        units = None
     sample = 0
     if sfmc:
         foreign_rows = upcast(foreign.embeddings)
@@ -467,7 +450,7 @@ def _start(config: FederationConfig, shards: list[ClientShard], spec: nn.Network
                          f"but the network has {spec.num_classes} classes")
     if len(global_test) == 0:
         raise ValueError("global_test is empty: there is nothing to score the model on")
-    _row_labels(global_test.labels, len(global_test), spec.num_classes)
+    nn.check_labels(global_test.labels, len(global_test), spec.num_classes)
     return nn.init_params(spec, _derive_seed(config.seed, 0)), {s.client_id: s for s in shards}
 
 
@@ -500,7 +483,7 @@ def _train(server_params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShar
     except DivergenceError as err:
         raise DivergenceError(f"{where}, local training, {err}") from err
     try:
-        upload = serialize_features(FeatureBatch.concat(batches)) if batches else None
+        upload = serialize_features(batches[0]) if batches else None
     except ValueError as err:
         raise DivergenceError(f"{where}, upload: {err}") from err
     return params.copy(), upload, tally

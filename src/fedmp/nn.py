@@ -338,7 +338,8 @@ def _cross_entropy(logits: np.ndarray, flat: np.ndarray, split: int,
 
 def forward(params: Parameters, spec: NetworkSpec, x: np.ndarray,
             start: int = 0, stop: int | None = None):
-    """Run layers ``[start, stop)``; returns (output, cache) for backward.
+    """Run layers ``[start, stop)`` on ``(rows, width)`` rows ``x``; returns
+    (output, cache) for backward.
 
     The cache lists ``(layer index, array)`` for each layer run: an affine
     layer's input, or a ReLU's output (``h > 0`` exactly where ``z > 0``).
@@ -352,12 +353,9 @@ def forward(params: Parameters, spec: NetworkSpec, x: np.ndarray,
     if params.layout is not spec.layout:
         raise ShapeError("params must be laid out like the network")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != spec.width_after(start):
-        raise ShapeError(
-            f"layer {start}: input width {x.shape[1]}, expected {spec.width_after(start)}"
-        )
+    if x.ndim != 2 or x.shape[1] != spec.width_after(start):
+        raise ShapeError(f"layer {start}: input of shape {x.shape}, "
+                         f"expected (rows, {spec.width_after(start)})")
     # a last ReLU's output is cached, so it is made here; _affine makes a last affine one
     last = None if stop & 1 else np.empty((len(x), spec.width_after(stop)))
     steps, cache = _forward_steps(params.pairs, start, stop, x, len(x), last)

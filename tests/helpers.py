@@ -73,8 +73,6 @@ def reference_forward(params, spec, x, start=0, stop=None):
     if stop is None:
         stop = len(spec.layers)
     out = np.asarray(x, dtype=np.float64)
-    if out.ndim == 1:
-        out = out[None, :]
     cache = []
     for idx in range(start, stop):
         layer = spec.layers[idx]

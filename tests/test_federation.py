@@ -1587,9 +1587,9 @@ class TestLabelCount:
         spec = small_spec()
         params = nn.init_params(spec, 0)
         x = np.random.default_rng(0).normal(size=(10, 4))
-        with pytest.raises(ValueError, match=r"^labels of shape \(20,\) for 10 rows$"):
+        with pytest.raises(ValueError, match=r"^labels shape \(20,\) does not match batch 10$"):
             federation.evaluate_accuracy(params, spec, x, np.zeros(20, np.int64))
-        with pytest.raises(ValueError, match=r"^labels of shape \(9,\) for 10 rows$"):
+        with pytest.raises(ValueError, match=r"^labels shape \(9,\) does not match batch 10$"):
             federation.evaluate_accuracy(params, spec, x, np.zeros(9, np.int64))
 
     @pytest.mark.parametrize("run", [run_federation, run_few_shot])
@@ -1607,7 +1607,7 @@ class TestLabelCount:
 
         monkeypatch.setattr(federation, "_train", no_training)
         shape = (1,) if labels == 1 else (2 * n,)
-        with pytest.raises(ValueError, match=rf"^labels of shape \({shape[0]},\) for {n} rows$"):
+        with pytest.raises(ValueError, match=rf"^labels shape \({shape[0]},\) does not match batch {n}$"):
             run(cfg, shards, small_spec(), bad)
 
     @pytest.mark.parametrize("label", [3, 7, -1])
@@ -1879,6 +1879,27 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert 0 < held < 256 << 10 and left < 8 << 10
+
+    @pytest.mark.parametrize("first", ["cold", "warm"])
+    def test_prototypes_written_in_place_are_read_anew(self, first):
+        # a caller may write the next prototypes into the array it passed
+        # last: the second call in a reused workspace trains as a fresh one
+        spec = nn.mlp_spec(16, (64,), (32, 16), 3)
+        rng = np.random.default_rng(0)
+        shard = ClientShard(0, rng.normal(size=(24, 16)), rng.integers(0, 3, 24))
+        cfg = self.config(batch_size=8, enable_sfmc=False, enable_cpgma=True)
+        prototypes = np.zeros((3, spec.embedding_dim))
+        if first == "warm":
+            prototypes[...] = rng.normal(size=prototypes.shape)
+        workspace = federation.Workspace(nn.init_params(spec, 0), spec, 8)
+        local_train(workspace.params, spec, shard, cfg, 1, np.random.default_rng(1),
+                    prototypes=prototypes, workspace=workspace)
+        prototypes[...] = rng.normal(size=prototypes.shape)
+        fresh = workspace.params.copy()
+        local_train(workspace.params, spec, shard, cfg, 1, np.random.default_rng(2),
+                    prototypes=prototypes, workspace=workspace)
+        local_train(fresh, spec, shard, cfg, 1, np.random.default_rng(2), prototypes=prototypes)
+        assert workspace.params.vec.tobytes() == fresh.vec.tobytes()
 
     def test_a_workspace_trains_its_own_model_only(self):
         spec = small_spec()

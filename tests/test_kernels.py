@@ -145,15 +145,15 @@ def unchanged(cache, saved_copies) -> bool:
 
 @settings(max_examples=150, deadline=None)
 @given(spec=specs(), seed=st.integers(0, 2**31 - 1), rows=st.integers(1, 5),
-       one_d=st.booleans(), use_out=st.booleans(), data=st.data())
-def test_forward_backward_match_reference(spec, seed, rows, one_d, use_out, data):
+       one_row=st.booleans(), use_out=st.booleans(), data=st.data())
+def test_forward_backward_match_reference(spec, seed, rows, one_row, use_out, data):
     rng = np.random.default_rng(seed)
     n = len(spec.layers)
     start = data.draw(st.integers(0, n - 1), label="start")
     stop = data.draw(st.integers(start + 1, n), label="stop")
     params = random_params(spec, rng)
     width = spec.width_after(start)
-    x = signed_normal(rng, (width,) if one_d else (rows, width))
+    x = signed_normal(rng, (1 if one_row else rows, width))
     x_before = x.copy()
 
     got, cache = nn.forward(params, spec, x, start, stop)

@@ -5,6 +5,8 @@ Closed-form expected values were computed by hand (or with a finite-difference
 oracle) before being asserted here.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,13 +78,13 @@ class TestForward:
         # W=I, b=0, x=[1,2] -> [1,2]
         spec = single_affine_spec(2, 2)
         params = params_from(spec, {})
-        out, _ = nn.forward_extractor(params, spec, np.array([1.0, 2.0]))
+        out, _ = nn.forward_extractor(params, spec, np.array([[1.0, 2.0]]))
         assert np.array_equal(out, [[1.0, 2.0]])
 
     def test_zero_weights_annihilate(self):
         spec = nn.NetworkSpec((3, 4, 2), split_index=2)
         params = params_from(spec, {0: (np.zeros((3, 4)), np.zeros(4))})
-        out, _ = nn.forward_extractor(params, spec, np.array([5.0, -2.0, 7.0]))
+        out, _ = nn.forward_extractor(params, spec, np.array([[5.0, -2.0, 7.0]]))
         assert np.array_equal(out, np.zeros((1, 4)))
 
     def test_hand_computed_affine_relu(self):
@@ -90,21 +92,21 @@ class TestForward:
         # pre-activation [2.5, -2] -> relu gives [2.5, 0]
         spec = nn.NetworkSpec((2, 2, 2), split_index=2)
         params = params_from(spec, {0: ([[1.0, 0.0], [1.0, 1.0]], [0.5, -3.0])})
-        out, _ = nn.forward_extractor(params, spec, np.array([1.0, 1.0]))
+        out, _ = nn.forward_extractor(params, spec, np.array([[1.0, 1.0]]))
         assert np.allclose(out, [[2.5, 0.0]], atol=1e-12)
 
     def test_classifier_identity(self):
         # classifier = single affine W=I, b=0: u=[3,-1] -> [3,-1]
         spec = single_affine_spec(2, 2)
         params = params_from(spec, {})
-        out, _ = nn.forward(params, spec, np.array([3.0, -1.0]), spec.split_index)
+        out, _ = nn.forward(params, spec, np.array([[3.0, -1.0]]), spec.split_index)
         assert np.array_equal(out, [[3.0, -1.0]])
 
     def test_classifier_hand_computed(self):
         # W=2I, b=[1,1], u=[1,2] -> [3,5]
         spec = single_affine_spec(2, 2)
         params = params_from(spec, {2: (2.0 * np.eye(2), [1.0, 1.0])})
-        out, _ = nn.forward(params, spec, np.array([1.0, 2.0]), spec.split_index)
+        out, _ = nn.forward(params, spec, np.array([[1.0, 2.0]]), spec.split_index)
         assert np.allclose(out, [[3.0, 5.0]], atol=1e-12)
 
     def test_split_composition_bitwise(self):
@@ -121,6 +123,18 @@ class TestForward:
         params = nn.init_params(spec, 0)
         with pytest.raises(nn.ShapeError, match="layer 0"):
             nn.forward_full(params, spec, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("start, shape", [(0, (4,)), (0, (2, 4, 7)), (0, (1, 2, 4)),
+                                              (2, (2, 5, 3))])
+    def test_rows_must_be_two_dimensional(self, start, shape):
+        # one check names the layer; a (2, 4, 7) input, whose second axis
+        # is the input width, must not reach matmul
+        spec = nn.mlp_spec(4, (5,), (7,), 2)
+        params = nn.init_params(spec, 0)
+        want = (rf"^layer {start}: input of shape {re.escape(str(shape))}, "
+                rf"expected \(rows, {spec.width_after(start)}\)$")
+        with pytest.raises(nn.ShapeError, match=want):
+            nn.forward(params, spec, np.ones(shape), start)
 
 
 class TestCrossEntropy:
@@ -170,7 +184,7 @@ class TestBackward:
         # y = w x + b with x=2, upstream=1 -> dw=2, db=1
         spec = nn.NetworkSpec((1, 1, 1), split_index=2)
         params = params_from(spec, {})
-        _, cache = nn.forward_extractor(params, spec, np.array([2.0]))
+        _, cache = nn.forward_extractor(params, spec, np.array([[2.0]]))
         grads = nn.backward(params, spec, cache, np.array([[1.0]]))
         assert grads[(0, "W")] == pytest.approx(2.0)
         assert grads[(0, "b")] == pytest.approx(1.0)

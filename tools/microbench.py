@@ -13,9 +13,9 @@ network (16-d input, extractor (64), head (32, 16), 3 classes):
 
 A local step's CPGMA pass is ``federation.cpgma_embedding_grad`` on the
 mini-batch's embeddings with the unit prototypes already computed:
-``local_train`` computes them once per prototypes array
+``local_train`` computes them once per call
 (``federation.unit_prototypes``, timed on its own), since the prototypes
-stay fixed while a round's clients train.
+stay fixed while a client trains.
 The kernel makes no BLAS call: row norms and cosines, per-class sums and
 one elementwise gradient over the 64 x 64 batch.
 
@@ -33,9 +33,10 @@ are timed through the checked ``nn`` functions as the ``.head`` cases: the
 64-32-16-3 head's forward (``nn.forward`` from the split), the two-part
 cross-entropy and the backward that carries the gradient to the split, all
 on the 128 stacked rows. The sample arrives as float16; ``local_train``
-upcasts it to float64 once per call, ``federation.upcast_foreign``, through
-``protocol.upcast``'s float16 -> float32 table, so each draw is float64
-already.
+upcasts it to float64 once per call with ``protocol.upcast`` (its float16
+-> float32 table), so each draw is float64 already. The case
+``federation.upcast_foreign`` times that call; it names no function of
+``federation``.
 
 ``local_train`` runs those steps fused, on the buffers of a
 ``federation.Workspace``, so its steps call none of the checked ``nn``
@@ -44,9 +45,10 @@ at M) for the benchmark's 4 epochs of 64-row batches, from a copy of the
 same model each call: ``.warm`` with SFMC on the scale's foreign sample and
 CPGMA on warm prototypes, as in a later round, and ``.cold`` as round 1
 runs, with no foreign sample and every prototype cold, so neither module
-runs. Both make a workspace per call, as a run's first call does;
+runs. Both make a workspace per call, as a direct ``local_train`` call
+without one does (a run makes its one workspace before its first call);
 ``.reused`` is ``.warm`` in one workspace made before timing, the model
-copied into it each call, as a run's later calls are.
+copied into it each call, as every call of a run is.
 
 The feature codecs, ``protocol.serialize_features`` and
 ``deserialize_features``, are timed on the blobs a round sends: ``.upload``
