@@ -26,6 +26,7 @@ from .protocol import (
     FeatureBatch,
     deserialize_features,
     deserialize_prototypes,
+    feature_blob,
     model_blob_bytes,
     serialize_features,
     serialize_prototypes,
@@ -244,6 +245,7 @@ def _logit_blocks(params: nn.Parameters, spec: nn.NetworkSpec, x: np.ndarray):
 def evaluate_accuracy(params: nn.Parameters, spec: nn.NetworkSpec,
                       inputs: np.ndarray, labels: np.ndarray) -> float:
     """The fraction of rows whose largest logit is their label."""
+    nn.check_rows(inputs, spec)         # before the label count, which reads its rows
     labels = nn.check_labels(labels, len(inputs), spec.num_classes)
     correct = 0
     for rows, logits in _logit_blocks(params, spec, inputs):
@@ -269,16 +271,12 @@ def _training_rows(spec: nn.NetworkSpec, shard: ClientShard, foreign: FeatureBat
     without a sample), once each is checked to fit the network; these are
     every value a step used to check per mini-batch."""
     inputs = np.asarray(shard.inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != spec.input_dim:
-        raise nn.ShapeError(f"layer 0: inputs of shape {inputs.shape}, "
-                            f"expected (rows, {spec.input_dim})")
+    nn.check_rows(inputs, spec, 0, "inputs")
     k = spec.num_classes
     labels = nn.check_labels(shard.labels, len(inputs), k)
     if foreign is None:
         return inputs, labels, None
-    if foreign.embeddings.ndim != 2 or foreign.embeddings.shape[1] != spec.embedding_dim:
-        raise nn.ShapeError(f"layer {spec.split_index}: foreign rows of shape "
-                            f"{foreign.embeddings.shape}, expected (rows, {spec.embedding_dim})")
+    nn.check_rows(foreign.embeddings, spec, spec.split_index, "foreign rows")
     return inputs, labels, nn.check_labels(foreign.labels, len(foreign), k)
 
 
@@ -491,10 +489,10 @@ def _train(server_params: nn.Parameters, spec: nn.NetworkSpec, shard: ClientShar
 
 def _foreign(bank: FeatureBank, config: FederationConfig, t: int,
              cid: int) -> tuple[FeatureBatch, int]:
-    """Client ``cid``'s foreign sample for round or stage ``t``, as the
-    client decodes it, and the length of its blob."""
+    """Client ``cid``'s foreign sample for round or stage ``t``, as the client
+    decodes it, and the length of its blob: bank rows behind a header."""
     seq = np.random.SeedSequence(entropy=[config.seed, 2, t, cid])
-    blob = serialize_features(bank.sample(cid, config.sample_count, int(seq.generate_state(1)[0])))
+    blob = feature_blob(bank.sample(cid, config.sample_count, int(seq.generate_state(1)[0])))
     return deserialize_features(blob), len(blob)
 
 

@@ -353,9 +353,7 @@ def forward(params: Parameters, spec: NetworkSpec, x: np.ndarray,
     if params.layout is not spec.layout:
         raise ShapeError("params must be laid out like the network")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.width_after(start):
-        raise ShapeError(f"layer {start}: input of shape {x.shape}, "
-                         f"expected (rows, {spec.width_after(start)})")
+    check_rows(x, spec, start)
     # a last ReLU's output is cached, so it is made here; _affine makes a last affine one
     last = None if stop & 1 else np.empty((len(x), spec.width_after(stop)))
     steps, cache = _forward_steps(params.pairs, start, stop, x, len(x), last)
@@ -428,6 +426,13 @@ def softmax_cross_entropy(logits: np.ndarray, labels, *, split: int | None = Non
     losses, grad = _cross_entropy(logits, flat, n if split is None else split,
                                   None, None, None, None, None, None)
     return (losses[0] if split is None else losses), grad
+
+
+def check_rows(x, spec: NetworkSpec, start: int = 0, what: str = "input") -> None:
+    """``ShapeError`` naming ``what`` unless ``x`` is rows for layer ``start``."""
+    shape, width = np.shape(x), spec.width_after(start)
+    if len(shape) != 2 or shape[1] != width:
+        raise ShapeError(f"layer {start}: {what} of shape {shape}, expected (rows, {width})")
 
 
 def check_labels(labels, rows: int, classes: int) -> np.ndarray:

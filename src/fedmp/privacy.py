@@ -31,8 +31,9 @@ class AttackConfig:
     def __post_init__(self):
         if not 0 < self.train_fraction < 1:
             raise ValueError("train_fraction must be in (0, 1)")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name in ("epochs", "learning_rate"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -59,14 +60,20 @@ def mirror_decoder_spec(spec: nn.NetworkSpec, split_index: int) -> nn.NetworkSpe
     return nn.NetworkSpec(spec.widths[(split_index + 1) // 2::-1])
 
 
+def _split_rows(shard: ClientShard, config: AttackConfig) -> int:
+    """How many first rows train the decoder; the Frechet distance needs 2 held out."""
+    n, n_train = len(shard), int(len(shard) * config.train_fraction)
+    if n_train < 1 or n - n_train < 2:
+        raise ValueError(f"client {shard.client_id}: {n} rows at train_fraction "
+                         f"{config.train_fraction} leave {n_train} to train the decoder and "
+                         f"{n - n_train} held out; the attack needs at least 1 and 2")
+    return n_train
+
+
 def train_decoder(extractor_params: nn.Parameters, spec: nn.NetworkSpec,
                   shard: ClientShard, config: AttackConfig) -> tuple[nn.Parameters, nn.NetworkSpec]:
     """Fit the decoder by MSE on the training half; the encoder is never touched."""
-    if len(shard) < 2:
-        raise ValueError("shard too small to split for the attack")
-    n_train = int(len(shard) * config.train_fraction)
-    if n_train < 1 or n_train >= len(shard):
-        raise ValueError("degenerate train/held-out split")
+    n_train = _split_rows(shard, config)
     x_train = shard.inputs[:n_train]
     z_train = intercepted_features(extractor_params, spec, x_train, config.split_index)
     dec_spec = mirror_decoder_spec(spec, config.split_index)
@@ -158,8 +165,7 @@ def attack_shard(extractor_params: nn.Parameters, spec: nn.NetworkSpec,
     """Run the attack on one client; metrics on the held-out half only. The
     row holds each metric's extreme over the held-out samples."""
     dec_params, dec_spec = train_decoder(extractor_params, spec, shard, config)
-    n_train = int(len(shard) * config.train_fraction)
-    x_held = shard.inputs[n_train:]
+    x_held = shard.inputs[_split_rows(shard, config):]
     z_held = intercepted_features(extractor_params, spec, x_held, config.split_index)
     recon, _ = nn.forward_full(dec_params, dec_spec, z_held)
 
@@ -185,6 +191,8 @@ def attack_report(extractor_params: nn.Parameters, spec: nn.NetworkSpec,
         if not 1 <= cfg.split_index <= len(spec.layers):
             raise ValueError(f"split_index {cfg.split_index} outside 1..{len(spec.layers)}, "
                              f"the network's layers")
+        for shard in shards:        # before any decoder trains
+            _split_rows(shard, cfg)
     normalize = unit_normalizer(shards)
     reports = []
     for cfg in configs:

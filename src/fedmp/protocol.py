@@ -4,19 +4,19 @@ All blobs are little-endian. Model and prototype blobs carry 32-bit floats,
 feature blobs 16-bit ones. Every encoder raises ``ValueError`` for a value
 that is not finite in its blob's float type, so no blob carries NaN or an
 infinity.
-Embeddings and prototypes travel as blobs: a run encodes each upload, foreign
-sample and prototype broadcast, the receiver decodes it, and the ledger bills
-the blob's length. Decoded embeddings stay float16, as the bank stores them;
-arithmetic upcasts them to float64 first. Models still move by direct copy,
-so training state stays float64; model blobs serve accounting and on-disk
-artifacts.
+Embeddings and prototypes travel as blobs: a run encodes each upload and
+prototype broadcast, the receiver decodes it, and the ledger bills the blob's
+length. The feature bank keeps blob rows, so a foreign sample is one gather
+of them, never re-encoded. Decoded embeddings are read-only float16 views of
+a blob; arithmetic upcasts them to float64 first. Models move by direct
+copy; model blobs serve accounting and on-disk artifacts.
 """
 
 from __future__ import annotations
 
 import struct
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,19 +36,8 @@ class FeatureBatch:
     """Labeled embeddings, one row per sample: what a feature blob carries.
     An upload's client and round travel with its transfer, not in its rows."""
 
-    embeddings: np.ndarray      # (n, d): float16 as decoded; math upcasts it
+    embeddings: np.ndarray      # (n, d): float16 as decoded, a read-only view; math upcasts it
     labels: np.ndarray          # (n,) int64
-
-    @classmethod
-    def concat(cls, batches) -> FeatureBatch:
-        """Rows of ``batches`` in order; no batches give an empty (0, 0) batch."""
-        batches = list(batches)
-        if not batches:
-            return cls(np.zeros((0, 0), np.float16), np.zeros(0, np.int64))
-        return cls(*(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(cls)))
-
-    def take(self, rows) -> FeatureBatch:
-        return FeatureBatch(self.embeddings.take(rows, axis=0), self.labels.take(rows))
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
@@ -66,28 +55,12 @@ _EXPONENT = 0x7C00              # a half's exponent bits, all set for inf and Na
 
 def _float32(values, what: str) -> np.ndarray:
     """``values`` as the blob's float32 (float32 input is not copied), or
-    ``ValueError`` if one is not finite as float32. A value beyond float32's
-    range casts to an infinity, which the check rejects, so NumPy's overflow
-    warning is not raised first."""
+    ``ValueError`` if one is not finite as float32, also one beyond float32's
+    range, which casts to an infinity without NumPy's overflow warning."""
     with np.errstate(over="ignore"):
         out = np.asarray(values).astype(_FLOAT, copy=False)
     if not np.isfinite(out).all():
         raise ValueError(f"{what} hold a value that is not finite as float32")
-    return out
-
-
-def _float16(values, what: str) -> np.ndarray:
-    """``values`` rounded once to the blob's float16 (float16 input is not
-    copied), or ``ValueError`` if one is not finite as float16: from 65520
-    up in magnitude a value rounds to an infinity, which the check rejects
-    without NumPy's overflow warning. The check reads the exponent bits of
-    the ``<u2`` view: ``np.isfinite`` on float16 costs about ten times as
-    much."""
-    with np.errstate(over="ignore"):
-        out = np.asarray(values).astype(_HALF, copy=False)
-    words = out.view(_WORD)
-    if words.size and (words & 0x7FFF).max() >= _EXPONENT:
-        raise ValueError(f"{what} hold a value that is not finite as float16")
     return out
 
 
@@ -97,11 +70,10 @@ _HALF_AS_FLOAT = np.arange(1 << 16, dtype=_WORD).view(_HALF).astype(np.float32)
 
 def upcast(values: np.ndarray) -> np.ndarray:
     """``values`` as float64, with the bits of ``values.astype(np.float64)``
-    (a NaN stays a NaN). Float16 values are looked up in ``_HALF_AS_FLOAT``
-    by their ``<u2`` pattern, then cast: float32 holds every float16 value
-    exactly, and the float32 cast does not branch per value as NumPy's
-    float16 cast does (about 3.5 times as fast on ReLU outputs). A
-    signaling NaN is quieted without NumPy's invalid-value warning."""
+    (a NaN stays a NaN, quieted without NumPy's warning). Float16 values are
+    looked up in ``_HALF_AS_FLOAT`` by their ``<u2`` pattern, then cast:
+    float32 holds every float16 value exactly, and its cast does not branch
+    per value as NumPy's float16 cast does (3.5 times as fast on ReLUs)."""
     if values.dtype != _HALF:
         return values.astype(np.float64)
     with np.errstate(invalid="ignore"):
@@ -158,36 +130,51 @@ def model_blob_bytes(params: Parameters) -> int:
 
 
 # ---------------------------------------------------------------------------
-# feature batches: 8-byte header (count, embedding width as u32; width 0 when
+# feature blobs: 8-byte header (count, embedding width as u32; width 0 when
 # empty), then per row its label as u16 and its embedding as ``width``
 # float16 values. So a row is ``1 + width`` little-endian 2-byte words.
 
 _LABEL_TOP = np.iinfo(_WORD).max
 
 
-def serialize_features(batch: FeatureBatch) -> bytes:
+def feature_rows(batch: FeatureBatch) -> np.ndarray:
+    """``batch`` as a feature blob's ``(n, 1 + width)`` ``<u2`` rows: each
+    row's label, then its embedding rounded once to float16. ``ValueError``
+    for a label outside u16 or a value not finite as float16 (from 65520 up
+    in magnitude), without NumPy's overflow warning. The check reads the
+    halves' exponent bits: ``np.isfinite`` on float16 costs ten times more."""
     n, width = batch.embeddings.shape
-    labels = batch.labels
-    if n and (labels.min() < 0 or labels.max() > _LABEL_TOP):
+    if n and (batch.labels.min() < 0 or batch.labels.max() > _LABEL_TOP):
         raise ValueError(f"feature labels out of range for {_WORD}")
-    embeddings = _float16(batch.embeddings, "feature embeddings")
-    words = np.empty(4 + n * (1 + width), _WORD)
-    words[:4].view("<u4")[:] = n, width if n else 0
-    rows = words[4:].reshape(n, 1 + width)
-    rows[:, 0] = labels
-    rows[:, 1:] = embeddings.view(_WORD)
-    return words.tobytes()
+    with np.errstate(over="ignore"):       # float16 input is not copied
+        halves = np.asarray(batch.embeddings).astype(_HALF, copy=False).view(_WORD)
+    if halves.size and (halves & 0x7FFF).max() >= _EXPONENT:
+        raise ValueError("feature embeddings hold a value that is not finite as float16")
+    rows = np.empty((n, 1 + width), _WORD)
+    rows[:, 0] = batch.labels
+    rows[:, 1:] = halves
+    return rows
+
+
+def feature_blob(rows: np.ndarray) -> bytes:
+    """The blob of ``feature_rows``' or ``FeatureBank.sample``'s rows, as they are."""
+    n, words = rows.shape
+    return struct.pack("<II", n, words - 1 if n else 0) + rows.tobytes()
+
+
+def serialize_features(batch: FeatureBatch) -> bytes:
+    return feature_blob(feature_rows(batch))
 
 
 def deserialize_features(blob: bytes) -> FeatureBatch:
-    """The batch a blob holds, its embeddings float16 as sent."""
+    """The batch a blob holds, its embeddings a read-only float16 view of it."""
     if len(blob) < 8:
         raise CorruptBlobError("feature blob shorter than header")
     count, width = struct.unpack_from("<II", blob, 0)
     if len(blob) != feature_blob_bytes(count, width):
         raise CorruptBlobError("feature blob length does not match its header")
     rows = np.frombuffer(blob, _WORD, count=count * (1 + width), offset=8).reshape(count, 1 + width)
-    return FeatureBatch(rows[:, 1:].view(_HALF).copy(), rows[:, 0].astype(np.int64))
+    return FeatureBatch(rows[:, 1:].view(_HALF), rows[:, 0].astype(np.int64))
 
 
 def feature_blob_bytes(num_records: int, width: int) -> int:
@@ -219,59 +206,59 @@ def prototype_blob_bytes(num_classes: int, width: int) -> int:
 
 
 class FeatureBank:
-    """Server store of uploaded embeddings, shaped when made. Slot (c, k) is a
-    FIFO ring of ``capacity_per_slot`` rows, client ``c``'s from row
+    """Server store of uploaded embeddings, shaped when made, as the
+    ``(clients, classes * capacity, 1 + width)`` ``<u2`` rows of feature
+    blobs, made by ``feature_rows`` with its checks. Slot (c, k) is a FIFO
+    ring of ``capacity_per_slot`` rows, client ``c``'s from row
     ``k * capacity``: its ``n``-th row goes at ``n % capacity``, over the
-    oldest once full, so a row's place fixes its label and client. Embeddings
-    are float16, as the wire carries them; rows inserted as float64 round as
-    the encoder rounds them. Each row's round is kept beside it."""
+    oldest once full, so a row's place fixes its label and client. A sample
+    is one gather of rows, sent as they are, never re-encoded. Each row's
+    round is kept beside it."""
 
     def __init__(self, capacity_per_slot: int, num_clients: int, num_classes: int, width: int):
         if capacity_per_slot < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity_per_slot
-        self._embeddings = np.empty((num_clients, num_classes * capacity_per_slot, width), _HALF)
-        self._rounds = np.empty(self._embeddings.shape[:2], np.int64)
+        self._rows = np.empty((num_clients, num_classes * capacity_per_slot, 1 + width), _WORD)
+        self._rounds = np.empty(self._rows.shape[:2], np.int64)
         self._written = np.zeros((num_clients, num_classes), np.int64)  # rows ever written per slot
         self._pools: dict[int, np.ndarray] = {}     # slots in class order, oldest row first
 
     def insert(self, batch: FeatureBatch, client_id: int, round: int) -> None:
         """Client ``client_id``'s upload of round (or stage) ``round``."""
-        cap = self.capacity
-        clients, classes = self._written.shape
+        cap, (clients, classes) = self.capacity, self._written.shape
         if not 0 <= client_id < clients:
             raise ValueError(f"feature client id {client_id} outside the bank's 0..{clients - 1}")
         labels = batch.labels
         if len(labels) and (labels.min() < 0 or labels.max() >= classes):
             raise ValueError(f"feature labels outside the bank's 0..{classes - 1}")
-        written = self._written[client_id]
-        embeddings, rounds = self._embeddings[client_id], self._rounds[client_id]
+        made, written = feature_rows(batch), self._written[client_id]
+        rows, rounds = self._rows[client_id], self._rounds[client_id]
         for k in np.flatnonzero(np.bincount(labels)).tolist():
-            rows = np.flatnonzero(labels == k)[-cap:]     # the ring would overwrite the rest
-            at = k * cap + np.arange(written[k], written[k] + len(rows)) % cap
-            embeddings[at], rounds[at] = batch.embeddings[rows], round
-            written[k] += len(rows)
+            picks = np.flatnonzero(labels == k)[-cap:]    # the ring would overwrite the rest
+            at = k * cap + np.arange(written[k], written[k] + len(picks)) % cap
+            rows[at], rounds[at] = made[picks], round
+            written[k] += len(picks)
         self._pools[client_id] = np.concatenate([k * cap + np.arange(max(n - cap, 0), n) % cap
                                                  for k, n in enumerate(written.tolist())])
 
     def __len__(self) -> int:
         return sum(len(pool) for pool in self._pools.values())
 
-    def sample(self, requesting_client: int, per_client_count: int, seed: int) -> FeatureBatch:
+    def sample(self, requesting_client: int, per_client_count: int, seed: int) -> np.ndarray:
         """Up to ``per_client_count`` rows from each other client, without
-        replacement, never the requester's own uploads. Deterministic in seed.
-        The drawn pool indices are sorted, so rows keep their pool order."""
+        replacement, never the requester's own uploads, as blob rows taken in
+        one gather. Deterministic in seed. The drawn pool indices are sorted,
+        so rows keep their pool order."""
         if per_client_count < 0:
             raise ValueError("sample count must be >= 0")
-        rng = np.random.default_rng(seed)
-        parts = []
+        rng, (slots, words) = np.random.default_rng(seed), self._rows.shape[1:]
+        picks = [np.zeros(0, np.intp)]
         for cid, pool in sorted(self._pools.items()):
             if cid != requesting_client:
-                size = min(per_client_count, len(pool))
-                rows = pool[np.sort(rng.choice(len(pool), size=size, replace=False))]
-                parts.append(FeatureBatch(self._embeddings[cid].take(rows, axis=0),
-                                          rows // self.capacity))
-        return FeatureBatch.concat(parts)
+                drawn = rng.choice(len(pool), size=min(per_client_count, len(pool)), replace=False)
+                picks.append(cid * slots + pool[np.sort(drawn)])
+        return self._rows.reshape(-1, words).take(np.concatenate(picks), axis=0)
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,6 +23,26 @@ def params_equal(a, b) -> bool:
     return a.layout is b.layout and bool(np.array_equal(a.vec, b.vec))
 
 
+def concat_batches(batches) -> FeatureBatch:
+    """The rows of ``batches`` in order; no batches give an empty (0, 0) batch."""
+    batches = list(batches)
+    if not batches:
+        return FeatureBatch(np.zeros((0, 0), np.float16), np.zeros(0, np.int64))
+    return FeatureBatch(np.concatenate([b.embeddings for b in batches]),
+                        np.concatenate([b.labels for b in batches]))
+
+
+def take_rows(batch, rows) -> FeatureBatch:
+    """The given rows of ``batch``, in that order."""
+    return FeatureBatch(batch.embeddings.take(rows, axis=0), batch.labels.take(rows))
+
+
+def as_batch(rows) -> FeatureBatch:
+    """``FeatureBank.sample``'s ``(n, 1 + width)`` blob rows as the batch a
+    blob of them decodes to, width kept when there are no rows."""
+    return FeatureBatch(rows[:, 1:].view(np.float16), rows[:, 0].astype(np.int64))
+
+
 def traced_peak(fn) -> int:
     """``tracemalloc`` peak of one call, above what was allocated before it."""
     tracing = tracemalloc.is_tracing()
@@ -142,7 +162,7 @@ def draw_foreign(foreign, rows, rng):
     ``foreign`` when it has no more rows than that."""
     if len(foreign) <= rows:
         return foreign
-    return foreign.take(np.sort(rng.choice(len(foreign), rows, replace=False)))
+    return take_rows(foreign, np.sort(rng.choice(len(foreign), rows, replace=False)))
 
 
 def reference_head_pass(params, spec, u, yb, drawn):

@@ -328,6 +328,20 @@ class TestAttack:
         assert "deep.cfg: line 16: attack_layers: layer 9 outside 1..5" in err
         assert "Traceback" not in err
 
+    def test_held_out_part_of_one_row_is_named(self, tmp_path, capsys):
+        # 10 rows at 0.9 leave 1 held out, whose covariance is not defined
+        path = tmp_path / "tiny.cfg"
+        path.write_text(SMALL.replace("samples_per_client = 12", "samples_per_client = 10")
+                        + "attack_train_fraction = 0.9\n")
+        out = tmp_path / "run"
+        assert run_cli("run", "--config", str(path), "--seed", "0", "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("attack", "--config", str(path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: client 0: 10 rows at train_fraction 0.9 leave 9 to train the "
+                       "decoder and 1 held out; the attack needs at least 1 and 2\n")
+        assert not (out / "leakage.csv").exists()
+
     def test_rows_per_seed_and_layer(self, cfg_path, tmp_path):
         out = tmp_path / "run"
         run_cli("run", "--config", str(cfg_path), "--out", str(out))

@@ -146,6 +146,8 @@ class TestRangesAtLoad:
         ("attack_train_fraction = 1.5", "attack_train_fraction",
          "train_fraction must be in (0, 1)"),
         ("attack_epochs = -1", "attack_epochs", "epochs must be >= 0"),
+        ("attack_learning_rate = -0.01", "attack_learning_rate",
+         "learning_rate must be >= 0, got -0.01"),
         ("seeds =", "seeds", "needs distinct non-negative integers, got []"),
         ("seeds = 1, 1", "seeds", "needs distinct non-negative integers, got [1, 1]"),
         ("seeds = 0, -1", "seeds", "needs distinct non-negative integers, got [0, -1]"),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmp import federation, nn
+from fedmp import federation, nn, protocol
 from fedmp.data import ClientShard, DatasetSpec, generate_federation
 from fedmp.federation import (
     EPS_GUARD,
@@ -44,6 +44,8 @@ from fedmp.protocol import (
 )
 
 from helpers import (
+    as_batch,
+    concat_batches,
     one_blas_thread,
     params_equal,
     reference_backward,
@@ -51,6 +53,7 @@ from helpers import (
     reference_head_pass,
     reference_local_train,
     reference_softmax_cross_entropy,
+    take_rows,
     traced_peak,
 )
 
@@ -559,7 +562,7 @@ class TestFusedStep:
             assert grads.tobytes() == ref_grads.tobytes()
         assert params.vec.tobytes() == ref_params.vec.tobytes()
         assert tally == ref_tally
-        uploads = [FeatureBatch.concat(b) for b in (batches, ref_batches)]
+        uploads = [concat_batches(b) for b in (batches, ref_batches)]
         assert uploads[0].embeddings.tobytes() == uploads[1].embeddings.tobytes()
         assert np.array_equal(uploads[0].labels, uploads[1].labels)
 
@@ -595,8 +598,8 @@ class TestColdStart:
                                      foreign=foreign, prototypes=prototypes, round_tag=1)
         assert params.vec.tobytes() == ref.vec.tobytes()
         assert tally == ref_tally
-        assert (serialize_features(FeatureBatch.concat(batches))
-                == serialize_features(FeatureBatch.concat(ref_batches)))
+        assert (serialize_features(concat_batches(batches))
+                == serialize_features(concat_batches(ref_batches)))
         return len(passes), tally
 
     @pytest.mark.parametrize("sfmc", [False, True])
@@ -1286,7 +1289,7 @@ class TestStochasticSfmc:
         for batch, _, _ in calls:
             rows = batch.embeddings[:, 0].astype(np.int64)
             assert np.all(np.diff(rows) > 0)          # distinct, in sample order
-            expected = foreign.take(rows)
+            expected = take_rows(foreign, rows)
             # drawn from the sample's one float64 upcast
             assert batch.embeddings.dtype == np.float64
             for column in ("embeddings", "labels"):
@@ -1386,7 +1389,7 @@ class TestRunFederation:
         batches = {cid: [FeatureBatch(rng.normal(size=(n, d)).astype(np.float16),
                                       rng.integers(0, k, n)) for n in (5, 5, 4)]
                    for cid in (0, 1)}
-        uploads = {cid: serialize_features(FeatureBatch.concat(b)) for cid, b in batches.items()}
+        uploads = {cid: serialize_features(concat_batches(b)) for cid, b in batches.items()}
         cfg = FederationConfig(num_clients=2, num_classes=k, bank_capacity=4, batch_size=5,
                                mu_client=mu)
         shards = {cid: ClientShard(cid, np.zeros((14, 1)), np.zeros(14, dtype=np.int64))
@@ -1401,11 +1404,47 @@ class TestRunFederation:
                     rows = batch.embeddings[batch.labels == cls].astype(np.float64)
                     want[cid, cls] = (1 - mu) * want[cid, cls] + mu * rows.mean(axis=0)
         # every row of each bank, in pool order
-        got, slots = (b.sample(-1, len(b) + 1, seed=0) for b in (bank, reference))
+        got, slots = (as_batch(b.sample(-1, len(b) + 1, seed=0)) for b in (bank, reference))
         assert got.embeddings.dtype == np.float16
         assert all(np.array_equal(getattr(got, c), getattr(slots, c))
                    for c in ("embeddings", "labels"))
         assert centers.tobytes() == want.tobytes()
+
+    def test_foreign_sample_is_one_gather_and_no_encode(self, monkeypatch):
+        """A client's foreign sample is one gather of the bank's rows, sent
+        behind the blob's header: nothing encodes it again."""
+        class Rows(np.ndarray):
+            takes = 0
+
+            def take(self, *args, **kwargs):
+                Rows.takes += 1
+                return np.asarray(super().take(*args, **kwargs))
+
+        rng = np.random.default_rng(0)
+        d, k, clients = 5, 3, 4
+        bank = FeatureBank(6, clients, k, d)
+        for t in (1, 2):
+            for cid in range(clients):
+                bank.insert(FeatureBatch(rng.normal(size=(9, d)).astype(np.float16),
+                                         rng.integers(0, k, 9)), cid, t)
+        bank._rows = bank._rows.view(Rows)
+        encoded = []
+
+        def spy(batch):
+            encoded.append(len(batch))
+            return original(batch)
+
+        original = protocol.feature_rows
+        monkeypatch.setattr(protocol, "feature_rows", spy)
+        monkeypatch.setattr(federation, "serialize_features", spy)
+        cfg = FederationConfig(num_clients=clients, num_classes=k, sample_count=5, seed=3)
+        foreign, nbytes = federation._foreign(bank, cfg, 2, 1)
+        assert Rows.takes == 1 and encoded == []
+        assert len(foreign) == 3 * 5 and nbytes == feature_blob_bytes(15, d)
+        seed = int(np.random.SeedSequence(entropy=[3, 2, 2, 1]).generate_state(1)[0])
+        rows = np.asarray(bank.sample(1, 5, seed))
+        assert foreign.embeddings.tobytes() == rows[:, 1:].tobytes()
+        assert foreign.labels.tolist() == rows[:, 0].tolist()
 
     def test_client_order_irrelevant(self):
         shards, global_test = small_federation()
@@ -1591,6 +1630,16 @@ class TestLabelCount:
             federation.evaluate_accuracy(params, spec, x, np.zeros(20, np.int64))
         with pytest.raises(ValueError, match=r"^labels shape \(9,\) does not match batch 10$"):
             federation.evaluate_accuracy(params, spec, x, np.zeros(9, np.int64))
+
+    @pytest.mark.parametrize("labels", [1, 4, 10])
+    def test_accuracy_names_one_dimensional_rows_before_the_label_count(self, labels):
+        # the rows are what is wrong, whatever the label count: it used to
+        # be checked first, against the row width as the batch
+        spec = small_spec()                         # 4 inputs
+        params = nn.init_params(spec, 0)
+        with pytest.raises(nn.ShapeError,
+                           match=r"^layer 0: input of shape \(4,\), expected \(rows, 4\)$"):
+            federation.evaluate_accuracy(params, spec, np.ones(4), np.zeros(labels, np.int64))
 
     @pytest.mark.parametrize("run", [run_federation, run_few_shot])
     @pytest.mark.parametrize("labels", [1, 2])      # one label broadcast, or twice as many

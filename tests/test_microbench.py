@@ -17,11 +17,11 @@ PRIMITIVES = {
     "federation.unit_prototypes", "federation.cpgma_embedding_grad",
     "federation.evaluate_accuracy", "federation.update_centers.upload",
     "federation.local_train.warm", "federation.local_train.cold",
-    "federation.local_train.reused",
+    "federation.local_train.reused", "federation._foreign",
     "protocol.FeatureBank.insert",
     "protocol.FeatureBank.sample", "geometry._directed_many", "geometry.manifold_report",
-    *(f"protocol.{codec}_features.{blob}" for codec in ("serialize", "deserialize")
-      for blob in ("upload", "foreign", "round")),
+    "protocol.serialize_features.upload", "protocol.serialize_features.round",
+    *(f"protocol.deserialize_features.{blob}" for blob in ("upload", "foreign", "round")),
 }
 
 
@@ -60,11 +60,12 @@ def test_one_repeat_prints_one_json_line():
     assert 0 < peaks["S"]["geometry.manifold_report"] < peaks["M"]["geometry.manifold_report"]
     clouds = 20 * 500 * 64 * 8
     assert clouds // 4 < peaks["M"]["geometry.manifold_report"] < clouds
-    # a full bank (20 x 3 x 512 rows of 64 at M) holds float16 embeddings and
-    # 16 B more a row: above the embeddings' 3.9 MB, within 256 KiB of the rows
+    # a full bank (20 x 3 x 512 rows of 64 at M) holds blob rows, a u16 label
+    # and 64 float16 values, and 16 B more a row: above the blob rows' 4.0 MB,
+    # within 256 KiB of the rows
     rows = 20 * 3 * 512
     full = peaks["M"]["protocol.FeatureBank.full"]
-    assert rows * 64 * 2 < full < rows * (64 * 2 + 16) + (256 << 10)
+    assert rows * 65 * 2 < full < rows * (65 * 2 + 16) + (256 << 10)
     assert 0 < peaks["S"]["protocol.FeatureBank.full"] < peaks["M"]["protocol.FeatureBank.full"]
 
 

@@ -193,6 +193,12 @@ class TestDecoder:
         with pytest.raises(ValueError):
             train_decoder(params, spec, tiny, AttackConfig(split_index=1))
 
+    def test_negative_learning_rate_rejected(self):
+        # the decoder would climb its loss and report no risk
+        with pytest.raises(ValueError, match=r"^learning_rate must be >= 0, got -0.01$"):
+            AttackConfig(split_index=1, learning_rate=-0.01)
+        assert AttackConfig(split_index=1, learning_rate=0.0).learning_rate == 0.0
+
     def test_train_fraction_validated(self):
         with pytest.raises(ValueError):
             AttackConfig(split_index=1, train_fraction=0.0)
@@ -219,6 +225,35 @@ class TestAttackReport:
         configs = [AttackConfig(split_index=1, epochs=2), AttackConfig(split_index=split)]
         with pytest.raises(ValueError, match=rf"split_index {split} outside 1\.\.5"):
             attack_report(nn.init_params(spec, 0), spec, shards, configs)
+
+    @pytest.mark.parametrize("n, fraction", [(10, 0.9), (4, 0.75), (2, 0.5), (1, 0.5)])
+    def test_held_out_part_under_two_rows_rejected_before_training(self, n, fraction,
+                                                                   monkeypatch):
+        """The Frechet distance needs the covariance of the held-out rows,
+        which one row does not have; it used to fail in ``eigh`` after the
+        decoders of the clients before had trained."""
+        spec = nn.mlp_spec(6, (8,), (5,), 3)
+        small = make_shard(n=n, dim=6, seed=1)
+        shards = [make_shard(n=24, dim=6), ClientShard(1, small.inputs, small.labels)]
+
+        def no_training(*args):
+            raise AssertionError("a decoder trained before every split was checked")
+
+        monkeypatch.setattr(privacy, "train_decoder", no_training)
+        n_train = int(n * fraction)
+        message = (rf"^client 1: {n} rows at train_fraction {fraction} leave {n_train} to "
+                   rf"train the decoder and {n - n_train} held out; the attack needs at "
+                   rf"least 1 and 2$")
+        with pytest.raises(ValueError, match=message):
+            attack_report(nn.init_params(spec, 0), spec, shards,
+                          [AttackConfig(split_index=1, epochs=2, train_fraction=fraction)])
+
+    def test_two_held_out_rows_are_enough(self):
+        spec = nn.mlp_spec(6, (8,), (5,), 3)
+        shards = [make_shard(n=12, dim=6)]          # 10 train the decoder, 2 held out
+        (report,) = attack_report(nn.init_params(spec, 0), spec, shards,
+                                  [AttackConfig(split_index=1, epochs=2, train_fraction=0.9)])
+        assert np.isfinite(report.frechet)
 
     def test_perfect_reconstruction_flags_risk(self):
         # feed originals through a normalizer as their own "reconstruction"

@@ -22,7 +22,9 @@ from fedmp.protocol import (
     deserialize_features,
     deserialize_model,
     deserialize_prototypes,
+    feature_blob,
     feature_blob_bytes,
+    feature_rows,
     model_blob_bytes,
     prototype_blob_bytes,
     serialize_features,
@@ -30,7 +32,7 @@ from fedmp.protocol import (
     serialize_prototypes,
 )
 
-from helpers import params_equal, traced_peak
+from helpers import as_batch, concat_batches, params_equal, traced_peak
 
 
 def random_params(seed=0):
@@ -140,7 +142,7 @@ class TestFeatureBlob:
         assert feature_blob_bytes(1, 64) - feature_blob_bytes(0, 64) == 130
 
     def test_empty_batch(self):
-        blob = serialize_features(FeatureBatch.concat([]))
+        blob = serialize_features(concat_batches([]))
         assert blob == bytes(8)     # count 0, width 0
         assert len(deserialize_features(blob)) == 0
         # rows of any width, none of them: the same blob
@@ -148,7 +150,7 @@ class TestFeatureBlob:
 
     def test_mixed_widths_rejected(self):
         with pytest.raises(ValueError):
-            FeatureBatch.concat([random_batch(n=2, width=3), random_batch(n=1, width=4)])
+            concat_batches([random_batch(n=2, width=3), random_batch(n=1, width=4)])
 
     def test_truncation_rejected(self):
         blob = serialize_features(random_batch())
@@ -385,7 +387,7 @@ class TestFeatureBank:
         bank = new_bank()
         put(bank, client_id=1, n=10)
         put(bank, client_id=2, n=10)
-        out = bank.sample(requesting_client=0, per_client_count=3, seed=0)
+        out = as_batch(bank.sample(requesting_client=0, per_client_count=3, seed=0))
         assert len(out) == 6
         cids, counts = np.unique(markers(out), return_counts=True)
         assert dict(zip(cids.tolist(), counts.tolist())) == {1: 3, 2: 3}
@@ -399,35 +401,39 @@ class TestFeatureBank:
     def test_deterministic_in_seed(self):
         bank = new_bank()
         put(bank, client_id=1, n=50)
-        a = bank.sample(0, 10, seed=42)
-        b = bank.sample(0, 10, seed=42)
+        a = as_batch(bank.sample(0, 10, seed=42))
+        b = as_batch(bank.sample(0, 10, seed=42))
         assert_same_batch(a, b)
 
     def test_without_replacement(self):
         bank = new_bank()
         put(bank, client_id=1, n=20)
-        out = bank.sample(0, 20, seed=7)
+        out = as_batch(bank.sample(0, 20, seed=7))
         ids = out.embeddings[:, 0]
         assert len(set(ids)) == len(ids) == 20
 
     def test_fifo_eviction(self):
         bank = new_bank(capacity=3)
         put(bank, client_id=1, n=5)
-        out = bank.sample(0, 10, seed=0)
+        out = as_batch(bank.sample(0, 10, seed=0))
         assert sorted(out.embeddings[:, 0]) == [2.0, 3.0, 4.0]
 
     def test_zero_count_gives_empty_rows_of_full_width(self):
         bank = new_bank()
-        bank.insert(FeatureBatch.concat([make_records(client_id=1, n=4, label=0),
-                                         make_records(client_id=1, n=3, label=2)]), 1, 1)
-        out = bank.sample(0, per_client_count=0, seed=0)
+        bank.insert(concat_batches([make_records(client_id=1, n=4, label=0),
+                                    make_records(client_id=1, n=3, label=2)]), 1, 1)
+        out = as_batch(bank.sample(0, per_client_count=0, seed=0))
         assert out.embeddings.shape == (0, 4)
         assert out.labels.shape == (0,)
 
     def test_no_other_client_gives_the_empty_batch(self):
         bank = new_bank()
         put(bank, client_id=3, n=4)
-        out = bank.sample(requesting_client=3, per_client_count=5, seed=0)
+        rows = bank.sample(requesting_client=3, per_client_count=5, seed=0)
+        assert rows.shape == (0, 5) and rows.dtype == np.uint16
+        # its blob is the empty batch's: the header alone, width 0
+        assert feature_blob(rows) == bytes(8)
+        out = deserialize_features(feature_blob(rows))
         assert out.embeddings.shape == (0, 0)
         assert out.labels.shape == (0,)
         assert len(new_bank().sample(0, 5, seed=0)) == 0
@@ -435,17 +441,17 @@ class TestFeatureBank:
     def test_zero_count_from_several_clients(self):
         bank = new_bank()
         for cid in (1, 2):
-            bank.insert(FeatureBatch.concat([make_records(cid, n=4, label=0),
-                                             make_records(cid, n=3, label=2)]), cid, 1)
-        out = bank.sample(0, per_client_count=0, seed=0)
+            bank.insert(concat_batches([make_records(cid, n=4, label=0),
+                                        make_records(cid, n=3, label=2)]), cid, 1)
+        out = as_batch(bank.sample(0, per_client_count=0, seed=0))
         assert out.embeddings.shape == (0, 4)
         assert out.labels.shape == (0,)
 
     def test_pool_is_slots_in_class_order_oldest_first(self):
         bank = new_bank(capacity=4)
         for _ in range(3):
-            bank.insert(FeatureBatch.concat([make_records(1, n=3, label=2),
-                                             make_records(1, n=2, label=0)]), 1, 1)
+            bank.insert(concat_batches([make_records(1, n=3, label=2),
+                                        make_records(1, n=2, label=0)]), 1, 1)
             put(bank, 2, n=5)
         # slot by slot in class order, oldest row first, trimmed to capacity
         pool = full_pool(bank)
@@ -461,13 +467,13 @@ class TestFeatureBank:
         allocations peak near the size of the rows it adds, well under half
         of one client's rows. The rows are float16, as a decoded upload's."""
         bank = FeatureBank(256, 2, 3, 64)
-        batch = FeatureBatch.concat([make_records(1, n=64, label=c, width=64) for c in range(3)])
+        batch = concat_batches([make_records(1, n=64, label=c, width=64) for c in range(3)])
         for _ in range(5):
             bank.insert(batch, 1, 1)
-        before = bank._embeddings
+        before = bank._rows
         peak = traced_peak(lambda: bank.insert(batch, 1, 2))
         assert len(bank) == len(before[1]) == 3 * 256
-        assert bank._embeddings is before
+        assert bank._rows is before
         assert peak < before[1].nbytes / 2
         # the oldest rows went, and each slot ends with the newest
         assert pool_rounds(bank, 1).tolist() == ([1] * 192 + [2] * 64) * 3
@@ -477,7 +483,7 @@ class TestFeatureBank:
         with pytest.raises(ValueError):
             FeatureBank(0, 4, 3, 4)
 
-    @pytest.mark.parametrize("client_id, label", [(-1, 0), (4, 0), (3, -1), (3, 3)])
+    @pytest.mark.parametrize("client_id, label", [(-1, 0), (4, 0), (3, -1), (3, 3), (3, 0x10000)])
     def test_rows_outside_the_shape_are_rejected(self, client_id, label):
         """A client id or label outside the bank's 4 clients and 3 classes
         raises before any row is written, also those of a valid label that
@@ -485,8 +491,8 @@ class TestFeatureBank:
         bank = new_bank()
         put(bank, client_id=1, n=3)
         before = full_pool(bank)
-        batch = FeatureBatch.concat([make_records(client_id, n=2),
-                                     make_records(client_id, n=1, label=label)])
+        batch = concat_batches([make_records(client_id, n=2),
+                                make_records(client_id, n=1, label=label)])
         with pytest.raises(ValueError, match="outside the bank's"):
             bank.insert(batch, client_id, 2)
         assert len(bank) == 3
@@ -495,13 +501,13 @@ class TestFeatureBank:
 
     def test_full_m_bank_holds_float16(self):
         """A bank shaped as at scale M (20 clients, 3 classes, 512 rows per
-        slot, 64-d), every slot full: its embeddings are float16, so making
-        and filling it peaks near 3.9 MB of them plus 16 B a row (the row's
-        round and its place in the pool), well under the 7.9 MB the rows
-        take as float32."""
+        slot, 64-d), every slot full: its rows are a feature blob's, a label
+        word and float16 embeddings, so making and filling it peaks near
+        4.0 MB of them plus 16 B a row (the row's round and its place in the
+        pool), well under the 7.9 MB the embeddings take as float32."""
         clients, classes, capacity, width = 20, 3, 512, 64
-        uploads = [FeatureBatch.concat([make_records(cid, n=capacity, label=c, width=width)
-                                        for c in range(classes)]) for cid in range(clients)]
+        uploads = [concat_batches([make_records(cid, n=capacity, label=c, width=width)
+                                   for c in range(classes)]) for cid in range(clients)]
         made = []
 
         def fill():
@@ -514,15 +520,15 @@ class TestFeatureBank:
         rows = clients * classes * capacity
         assert len(bank) == rows
         assert full_pool(bank).embeddings.dtype == np.float16
-        float16, per_row = rows * width * 2, rows * 16
-        assert float16 < peak < float16 + per_row + (512 << 10) < rows * width * 4
+        words, per_row = rows * (1 + width) * 2, rows * 16
+        assert words < peak < words + per_row + (512 << 10) < rows * width * 4
 
 
 def full_pool(bank):
     """Every row of the bank in pool order: client by client, each client's
     slots in class order, oldest row first. It is a draw of more rows than
     the bank holds, for a requester that has none."""
-    return bank.sample(-1, len(bank) + 1, seed=0)
+    return as_batch(bank.sample(-1, len(bank) + 1, seed=0))
 
 
 def pool_rounds(bank, client_id):
@@ -541,7 +547,7 @@ def test_bank_sample_properties(per_client, counts, seed):
     for cid, n in enumerate(counts):
         put(bank, client_id=cid, n=n)
     requester = 0
-    out = bank.sample(requester, per_client, seed)
+    out = as_batch(bank.sample(requester, per_client, seed))
     assert not np.any(markers(out) == requester)
     expected = sum(min(per_client, n) for cid, n in enumerate(counts) if cid != requester)
     assert len(out) == expected
@@ -604,7 +610,7 @@ def test_bank_matches_list_reference(capacity, ops):
             ref.insert(rows)
         else:
             _, requester, count, seed = op
-            out = bank.sample(requester, count, seed)
+            out = as_batch(bank.sample(requester, count, seed))
             assert as_rows(out) == ref.sample(requester, count, seed)
             assert out.embeddings.dtype == np.float16
         assert len(bank) == sum(len(slot) for slot in ref.slots.values())
@@ -613,6 +619,96 @@ def test_bank_matches_list_reference(capacity, ops):
             assert pool_rounds(bank, cid).tolist() == [
                 row[3] for key in sorted(ref.slots) if key[0] == cid for row in ref.slots[key]]
 
+
+
+def per_peer_sample(bank, requesting_client, per_client_count, seed):
+    """The sample as the bank drew it when it kept float16 embeddings apart
+    from their labels: the same draws, one ``take`` of each peer's rows,
+    each row's label its slot's, then one concatenation (no peer: the empty
+    (0, 0) batch)."""
+    rng = np.random.default_rng(seed)
+    embeddings = bank._rows[:, :, 1:].view(np.float16)
+    parts = []
+    for cid, pool in sorted(bank._pools.items()):
+        if cid != requesting_client:
+            size = min(per_client_count, len(pool))
+            rows = pool[np.sort(rng.choice(len(pool), size=size, replace=False))]
+            parts.append(FeatureBatch(embeddings[cid].take(rows, axis=0), rows // bank.capacity))
+    return concat_batches(parts)
+
+
+UPLOADS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 15), st.integers(0, 2**31 - 1)),
+                   max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.integers(1, 6), classes=st.integers(1, 3), width=st.integers(1, 5),
+       uploads=UPLOADS, requester=st.integers(-1, 4), count=st.integers(0, 8),
+       seed=st.integers(0, 2**31 - 1))
+def test_one_gather_sample_matches_the_per_peer_takes(capacity, classes, width, uploads,
+                                                       requester, count, seed):
+    """Bit for bit, the one-gather sample and its blob are those of the
+    per-peer takes with labels from the slot position, over capacities that
+    evict, uneven uploads, requesters with rows and without (client 3 may
+    never upload; -1 and 4 are no client), and a count of 0."""
+    bank = FeatureBank(capacity, 4, classes, width)
+    for rnd, (cid, n, data_seed) in enumerate(uploads, start=1):
+        rng = np.random.default_rng(data_seed)
+        embeddings = rng.normal(scale=100.0, size=(n, width)).astype(np.float16)
+        bank.insert(FeatureBatch(embeddings, rng.integers(0, classes, n)), cid, rnd)
+    rows = bank.sample(requester, count, seed)
+    want = per_peer_sample(bank, requester, count, seed)
+    assert rows.dtype == np.uint16 and rows.shape == (len(want), 1 + width)
+    assert feature_blob(rows) == serialize_features(want)
+    got = as_batch(rows)
+    assert got.embeddings.tobytes() == want.embeddings.astype(np.float16).tobytes()
+    assert np.array_equal(got.labels, want.labels)
+
+
+class TestBankRowsPassTheEncoder:
+    """Every bank row is made by ``feature_rows``, the encoder's own row
+    builder, so a row the encoder would reject never enters the bank."""
+
+    @pytest.mark.parametrize("value", [65520.0, -1e5, np.inf, np.nan])
+    def test_insert_rejects_a_value_not_finite_as_float16(self, value):
+        bank = new_bank()
+        put(bank, client_id=1, n=3)
+        before = full_pool(bank)
+        embeddings = np.ones((3, 4))                # float64, as a client collects them
+        embeddings[1, 2] = value
+        with pytest.raises(ValueError, match="^feature embeddings hold a value that is not "
+                                             "finite as float16$"):
+            bank.insert(FeatureBatch(embeddings, np.array([0, 1, 2])), 1, 2)
+        assert len(bank) == 3
+        assert_same_batch(full_pool(bank), before)
+        assert pool_rounds(bank, 1).tolist() == [1] * 3
+
+    def test_each_insert_builds_its_rows_with_the_encoder(self, monkeypatch):
+        made = []
+
+        def spy(batch):
+            made.append(len(batch))
+            return original(batch)
+
+        original = protocol.feature_rows
+        monkeypatch.setattr(protocol, "feature_rows", spy)
+        bank = new_bank()
+        put(bank, client_id=1, n=3)
+        put(bank, client_id=2, n=5, label=1)
+        assert made == [3, 5]
+        # a row is its blob row: the label word, then the float16 halves
+        rows = bank.sample(0, 8, seed=0)
+        assert rows.tobytes() == original(concat_batches(
+            [make_records(1, n=3), make_records(2, n=5, label=1)])).tobytes()
+
+    def test_decoded_embeddings_are_read_only_views_of_the_blob(self):
+        blob = serialize_features(random_batch(n=6, width=3))
+        out = deserialize_features(blob)
+        assert out.embeddings.dtype == np.float16 and not out.embeddings.flags.writeable
+        assert np.shares_memory(out.embeddings, np.frombuffer(blob, np.uint8))
+        with pytest.raises(ValueError, match="read-only"):
+            out.embeddings[0, 0] = 1.0
+        assert feature_rows(out).tobytes() == blob[8:]
 
 class TestCommLedger:
     def test_empty_total_zero(self):

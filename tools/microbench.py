@@ -52,11 +52,14 @@ copied into it each call, as every call of a run is.
 
 The feature codecs, ``protocol.serialize_features`` and
 ``deserialize_features``, are timed on the blobs a round sends: ``.upload``
-is one client's final-epoch rows (96 at S, 500 at M), ``.foreign`` a foreign
-sample (192 at S, 1,824 at M) and ``.round`` every client's upload, one blob
-each (3 x 96 rows at S, 20 x 500 = 10,000 at M). As in a run, uploads are
-encoded from float64 rows, rounding each value to float16 once, and foreign
-samples from the bank's float16 rows.
+is one client's final-epoch rows (96 at S, 500 at M) and ``.round`` every
+client's upload, one blob each (3 x 96 rows at S, 20 x 500 = 10,000 at M),
+encoded from float64 rows as in a run, rounding each value to float16 once;
+the decoder's ``.foreign`` is a foreign sample's blob (192 rows at S, 1,824
+at M). A run never encodes a foreign sample: ``federation._foreign`` times
+one as a round makes it, from a full bank: the draw and its one gather of
+the bank's blob rows (``protocol.FeatureBank.sample``, also timed alone),
+the header (``protocol.feature_blob``) and the client's decode.
 
 ``federation.update_centers.upload`` is the server's center pass for one
 client's upload, as decoded: the rows upcast to float64 once, then one
@@ -90,10 +93,10 @@ call at each scale, in bytes above what was allocated before the call
 ``geometry.manifold_report`` and of ``protocol.FeatureBank.full``, which makes
 a bank of the scale's shape, its arrays allocated whole, and fills it until
 every (client, class) slot holds ``BANK_CAPACITY`` rows: at M, 20 x 3 x 512
-rows of 64. A bank row holds its float16 embedding (128 B at width 64), its
-int64 round and its int64 place in the client's pool, 144 B; its label and
-client id follow from where it sits. The latter is a memory figure only and
-is not timed.
+rows of 64. A bank row holds its blob row, the u16 label and the float16
+embedding (130 B at width 64), its int64 round and its int64 place in the
+client's pool, 146 B; its client id follows from where it sits. The latter
+is a memory figure only and is not timed.
 
 ``import fedmp`` is timed apart from the scales: the median, over
 ``IMPORT_PROBES`` fresh interpreters, of the time the import statement takes
@@ -147,6 +150,7 @@ def cases(scale: str) -> dict:
     from fedmp.federation import (
         FederationConfig,
         Workspace,
+        _foreign,
         _update_centers,
         compute_sfmc_loss,
         cpgma_embedding_grad,
@@ -158,6 +162,7 @@ def cases(scale: str) -> dict:
         FeatureBank,
         FeatureBatch,
         deserialize_features,
+        feature_blob,
         serialize_features,
         upcast,
     )
@@ -198,8 +203,9 @@ def cases(scale: str) -> dict:
         return bank
 
     bank = fill()
-    foreign = bank.sample(0, SAMPLE_COUNT, 0)           # float16, as decoded
-    blobs = {"upload": round_blobs[0], "foreign": serialize_features(foreign)}
+    # client 0's foreign sample: the bank's rows behind a header, float16 as decoded
+    blobs = {"upload": round_blobs[0], "foreign": feature_blob(bank.sample(0, SAMPLE_COUNT, 0))}
+    foreign = deserialize_features(blobs["foreign"])
     upcast_foreign = upcast(foreign.embeddings)
     picks = np.sort(np.random.default_rng(0).choice(len(foreign), BATCH, replace=False))
     stacked = np.concatenate((u, upcast_foreign.take(picks, axis=0)))
@@ -274,8 +280,8 @@ def cases(scale: str) -> dict:
         "protocol.FeatureBank.insert": lambda: bank.insert(decoded[0], 0, 1),
         "protocol.FeatureBank.sample": lambda: bank.sample(0, SAMPLE_COUNT, 0),
         "protocol.FeatureBank.full": fill,
+        "federation._foreign": lambda: _foreign(bank, train_config, 1, 0),
         "protocol.serialize_features.upload": lambda: serialize_features(uploads[0]),
-        "protocol.serialize_features.foreign": lambda: serialize_features(foreign),
         "protocol.serialize_features.round": lambda: [serialize_features(b) for b in uploads],
         "protocol.deserialize_features.upload": lambda: deserialize_features(blobs["upload"]),
         "protocol.deserialize_features.foreign": lambda: deserialize_features(blobs["foreign"]),
