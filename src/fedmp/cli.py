@@ -1,10 +1,10 @@
 """Batch experiment driver.
 
 Subcommands: generate (synthetic federation to CSV), run (one of the five
-training modes over all seeds), ablate (the four-row module ablation), attack
-(feature-inversion privacy evaluation of a finished run), report (summarize a
-run directory). Only this module writes files. All emitted numbers use
-17-significant-digit decimals so they round-trip exactly.
+training modes over all seeds), attack (feature-inversion privacy evaluation
+of a finished run), report (summarize a run directory). Only this module
+writes files. All emitted numbers use 17-significant-digit decimals so they
+round-trip exactly. The module ablation is ``tools/attribution.py``.
 """
 
 from __future__ import annotations
@@ -186,36 +186,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-ABLATION_VARIANTS = (
-    ("off/off", False, False),
-    ("sfmc-only", True, False),
-    ("cpgma-only", False, True),
-    ("both", True, True),
-)
-
-
-def cmd_ablate(args) -> int:
-    config = _load_experiment(args)
-    spec = config.network_spec()
-    variants = [(name, dataclasses.replace(config, mode="fedmp" if (sfmc or cpgma) else "fedavg",
-                                           enable_sfmc=sfmc, enable_cpgma=cpgma))
-                for name, sfmc, cpgma in ABLATION_VARIANTS]
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    federation = generate_federation(config.dataset_spec())
-    rows = []
-    for name, variant in variants:
-        accs = [_run_one_seed(variant, variant.federation_config(seed), spec, federation)[0]
-                for seed in variant.seeds]
-        rows.append([name, *accs, float(np.mean(accs)), float(np.std(accs))])
-    path = _write_csv(outdir / "ablation.csv",
-                      ["variant"] + [f"seed{s}" for s in config.seeds] + ["mean", "std"], rows)
-    _write_manifest(outdir, config, [path])
-    for name, *_, mean, std in rows:
-        print(f"{name}: {mean:.4f} ± {std:.4f}")
-    return 0
-
-
 def cmd_attack(args) -> int:
     config = _load_experiment(args)
     outdir = Path(config.output_dir)
@@ -289,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (
         ("generate", cmd_generate),
         ("run", cmd_run),
-        ("ablate", cmd_ablate),
         ("attack", cmd_attack),
         ("report", cmd_report),
     ):

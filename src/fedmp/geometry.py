@@ -35,19 +35,15 @@ def _as_points(cloud) -> np.ndarray:
     return pts
 
 
-def directed_distance(a, b) -> float:
-    """Exact directed Hausdorff distance: the largest distance from a point of
-    ``a`` to its nearest point of ``b``, bit for bit as scipy's
-    ``directed_hausdorff`` returns it (see ``_directed_many``)."""
+def hausdorff_distance(a, b) -> float:
+    """Exact symmetric Hausdorff distance: the larger of the two directed
+    distances, each the largest distance from a point of one cloud to its
+    nearest point of the other, bit for bit as scipy's ``directed_hausdorff``
+    returns it (see ``_directed_many``)."""
     pa, pb = _as_points(a), _as_points(b)
     if pa.shape[1] != pb.shape[1]:
         raise ValueError(f"dimension mismatch {pa.shape[1]} vs {pb.shape[1]}")
-    return float(_directed_many(pa, pb, [len(pb)])[0])
-
-
-def hausdorff_distance(a, b) -> float:
-    """Exact symmetric Hausdorff distance (max of both directed distances)."""
-    return max(directed_distance(a, b), directed_distance(b, a))
+    return float(max(_directed_many(pa, pb, [len(pb)])[0], _directed_many(pb, pa, [len(pa)])[0]))
 
 
 def _exact_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -142,8 +142,11 @@ def feature_rows(batch: FeatureBatch) -> np.ndarray:
     row's label, then its embedding rounded once to float16. ``ValueError``
     for a label outside u16 or a value not finite as float16 (from 65520 up
     in magnitude), without NumPy's overflow warning. The check reads the
-    halves' exponent bits: ``np.isfinite`` on float16 costs ten times more."""
+    halves' exponent bits: ``np.isfinite`` on float16 costs ten times more.
+    ``ValueError`` too for labels not of shape ``(n,)``."""
     n, width = batch.embeddings.shape
+    if batch.labels.shape != (n,):
+        raise ValueError(f"feature labels of shape {batch.labels.shape}, expected ({n},)")
     if n and (batch.labels.min() < 0 or batch.labels.max() > _LABEL_TOP):
         raise ValueError(f"feature labels out of range for {_WORD}")
     with np.errstate(over="ignore"):       # float16 input is not copied
@@ -225,10 +228,15 @@ class FeatureBank:
         self._pools: dict[int, np.ndarray] = {}     # slots in class order, oldest row first
 
     def insert(self, batch: FeatureBatch, client_id: int, round: int) -> None:
-        """Client ``client_id``'s upload of round (or stage) ``round``."""
+        """Client ``client_id``'s upload of round (or stage) ``round``. An
+        empty upload may have any width: its blob's header says 0."""
         cap, (clients, classes) = self.capacity, self._written.shape
         if not 0 <= client_id < clients:
             raise ValueError(f"feature client id {client_id} outside the bank's 0..{clients - 1}")
+        shape, width = batch.embeddings.shape, self._rows.shape[2] - 1
+        if len(batch) and shape[1:] != (width,):
+            raise ValueError(f"feature embeddings of shape {shape}, expected (n, {width}), "
+                             f"the bank's width")
         labels = batch.labels
         if len(labels) and (labels.min() < 0 or labels.max() >= classes):
             raise ValueError(f"feature labels outside the bank's 0..{classes - 1}")

@@ -170,11 +170,6 @@ def test_run_generates_once_for_all_seeds(cfg_path, tmp_path, generations):
         "metrics_seed0.jsonl", "metrics_seed1.jsonl"]
 
 
-def test_ablate_generates_once(cfg_path, tmp_path, generations):
-    assert run_cli("ablate", "--config", str(cfg_path), "--out", str(tmp_path / "a")) == 0
-    assert len(generations) == 1
-
-
 class TestGenerate:
     def test_writes_shards_and_manifest(self, cfg_path, tmp_path):
         out = tmp_path / "data"
@@ -216,6 +211,20 @@ class TestRun:
         values = list(report["per_seed_accuracy"].values())
         assert report["mean_accuracy"] == pytest.approx(np.mean(values))
         assert report["std_accuracy"] == pytest.approx(np.std(values))
+
+    def test_fedmp_with_both_modules_off_writes_fedavgs_files(self, cfg_path, tmp_path):
+        off = tmp_path / "off.cfg"
+        off.write_text(SMALL + "mode = fedmp\nenable_sfmc = false\nenable_cpgma = false\n")
+        assert run_cli("run", "--config", str(off), "--seed", "0",
+                       "--out", str(tmp_path / "off")) == 0
+        assert run_cli("run", "--config", str(cfg_path), "--mode", "fedavg", "--seed", "0",
+                       "--out", str(tmp_path / "fedavg")) == 0
+        names = ["metrics_seed0.jsonl", "ledger_seed0.csv", "model_server_seed0.bin",
+                 *sorted(p.name for p in (tmp_path / "fedavg").glob("pca_*.csv"))]
+        assert len(names) > 3
+        for name in names:
+            assert (tmp_path / "off" / name).read_bytes() == \
+                (tmp_path / "fedavg" / name).read_bytes(), name
 
     def test_accuracy_curve_rows(self, cfg_path, tmp_path):
         out = tmp_path / "run"
@@ -282,23 +291,6 @@ class TestRun:
         run_cli("run", "--config", str(cfg_path), "--seed", "0", "--out", str(out_b))
         for name in ("metrics_seed0.jsonl", "ledger_seed0.csv", "model_server_seed0.bin"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
-
-class TestAblate:
-    def test_four_rows_and_off_off_matches_fedavg(self, cfg_path, tmp_path):
-        out = tmp_path / "abl"
-        assert run_cli("ablate", "--config", str(cfg_path), "--seed", "0",
-                       "--out", str(out)) == 0
-        with open(out / "ablation.csv") as fh:
-            rows = {row["variant"]: row for row in csv.DictReader(fh)}
-        assert set(rows) == {"off/off", "sfmc-only", "cpgma-only", "both"}
-
-        run_out = tmp_path / "fedavg"
-        run_cli("run", "--config", str(cfg_path), "--mode", "fedavg",
-                "--seed", "0", "--out", str(run_out))
-        report = json.loads((run_out / "report.json").read_text())
-        # bitwise: the decimal strings round-trip exactly
-        assert float(rows["off/off"]["seed0"]) == report["per_seed_accuracy"]["0"]
 
 
 class TestAttack:
@@ -429,6 +421,13 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "invalid choice: 'bogus'" in err
         assert all(repr(mode) in err for mode in MODES)
+
+    def test_ablate_is_not_a_command(self, cfg_path, capsys):
+        # the module ablation is tools/attribution.py
+        with pytest.raises(SystemExit) as exc:
+            run_cli("ablate", "--config", str(cfg_path))
+        assert exc.value.code == 2
+        assert "invalid choice: 'ablate'" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "nope.cfg")) == 1

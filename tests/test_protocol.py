@@ -5,6 +5,7 @@ independently of the serializers.
 """
 
 import dataclasses
+import re
 import struct
 import warnings
 
@@ -167,6 +168,14 @@ class TestFeatureBlob:
             labels[1] = value
             with pytest.raises(ValueError, match="^feature labels out of range for uint16$"):
                 serialize_features(dataclasses.replace(batch, labels=labels))
+
+    @pytest.mark.parametrize("labels", [np.array([0, 1]), np.array([0, 1, 2, 0]),
+                                        np.zeros((3, 1), np.int64)],
+                             ids=["short", "long", "column"])
+    def test_labels_not_one_per_row_rejected(self, labels):
+        message = rf"^feature labels of shape {re.escape(str(labels.shape))}, expected \(3,\)$"
+        with pytest.raises(ValueError, match=message):
+            serialize_features(FeatureBatch(np.ones((3, 5)), labels))
 
     def test_labels_span_u16(self):
         batch = FeatureBatch(np.zeros((3, 2)), np.array([0, 1, 0xFFFF]))
@@ -483,21 +492,33 @@ class TestFeatureBank:
         with pytest.raises(ValueError):
             FeatureBank(0, 4, 3, 4)
 
-    @pytest.mark.parametrize("client_id, label", [(-1, 0), (4, 0), (3, -1), (3, 3), (3, 0x10000)])
-    def test_rows_outside_the_shape_are_rejected(self, client_id, label):
-        """A client id or label outside the bank's 4 clients and 3 classes
-        raises before any row is written, also those of a valid label that
-        comes first: a negative id would index another client's rings."""
+    @pytest.mark.parametrize("client_id, label, width, message", [
+        *(pytest.param(c, k, 4, "outside the bank's", id=f"{c}-{k}")
+          for c, k in [(-1, 0), (4, 0), (3, -1), (3, 3), (3, 0x10000)]),
+        *(pytest.param(3, 0, w, rf"^feature embeddings of shape \(3, {w}\), expected \(n, 4\)",
+                       id=f"width {w}") for w in (3, 5)),
+    ])
+    def test_rows_outside_the_shape_are_rejected(self, client_id, label, width, message):
+        """A client id or label outside the bank's 4 clients and 3 classes,
+        or embeddings of another width than its 4, raise before any row is
+        written, also those of a valid label that comes first: a negative id
+        would index another client's rings."""
         bank = new_bank()
         put(bank, client_id=1, n=3)
         before = full_pool(bank)
-        batch = concat_batches([make_records(client_id, n=2),
-                                make_records(client_id, n=1, label=label)])
-        with pytest.raises(ValueError, match="outside the bank's"):
+        batch = concat_batches([make_records(client_id, n=2, width=width),
+                                make_records(client_id, n=1, label=label, width=width)])
+        with pytest.raises(ValueError, match=message):
             bank.insert(batch, client_id, 2)
         assert len(bank) == 3
         assert_same_batch(full_pool(bank), before)
         assert pool_rounds(bank, 1).tolist() == [1] * 3
+
+    def test_empty_upload_of_width_0_is_accepted(self):
+        # an empty blob's header says width 0, whatever the sender's width
+        bank = new_bank()
+        bank.insert(deserialize_features(serialize_features(make_records(1, n=0))), 1, 1)
+        assert len(bank) == 0 and len(bank.sample(0, 5, seed=0)) == 0
 
     def test_full_m_bank_holds_float16(self):
         """A bank shaped as at scale M (20 clients, 3 classes, 512 rows per

@@ -1,13 +1,15 @@
-"""Module attribution over a seed sweep, on the acceptance gate's config.
+"""Module attribution over a seed sweep, on an experiment config (by
+default the acceptance gate's).
 
-    python3 tools/attribution.py [--seeds 0-11] [--rounds 30]
+    python3 tools/attribution.py [--config exp.cfg] [--seeds 0-11] [--rounds 30]
 
 Run it from the root of a source checkout; it imports ``fedmp`` from
-``src/``. For each seed it builds that seed's federation as the gate does
-(the gate's dataset spec with ``seed`` set to it) and runs the gate's
-variants on it: FedAvg, FedMP, SFMC alone and CPGMA alone for ``--rounds``
-rounds, and the few-shot schedule with the gate's stage epochs. It prints
-one JSON line:
+``src/``. For each seed it builds that seed's federation from the config's
+dataset values with ``dataset_seed`` set to the seed, as the gate does, and
+runs the variants on it with the config's network and training values:
+FedAvg, FedMP, SFMC alone and CPGMA alone for ``--rounds`` rounds (default:
+the config's ``rounds``) without geometry, and the few-shot schedule with
+the config's ``stage_epochs`` and module switches. It prints one JSON line:
 
 - ``accuracy``: per variant, the final accuracy of each seed in order (the
   last round's global test accuracy; the ensemble's for few-shot);
@@ -15,9 +17,13 @@ one JSON line:
 - ``vs_fedavg``: per variant but FedAvg, the paired per-seed difference from
   FedAvg: its ``mean`` and standard error ``se`` (null for one seed).
 
-The sweep is a second view of the gate's verdict over more draws of the
-same noise; the gate keeps its own seeds and bounds. OpenBLAS is capped at
-one thread, as in ``perfbench``.
+``--config`` reads a ``key = value`` file as ``fedmp run`` does, ``FEDMP_``
+variables included; a bad line exits 2 with ``error: <file>: line N: ...``.
+The file's ``mode``, ``seeds``, ``dataset_seed``, ``output_dir`` and attack
+keys play no part. Without ``--config`` the sweep runs the gate's config,
+which no ``FEDMP_`` variable changes. The sweep is a second view of the
+gate's verdict over more draws of the same noise; the gate keeps its own
+seeds and bounds. OpenBLAS is capped at one thread, as in ``perfbench``.
 """
 
 from __future__ import annotations
@@ -51,24 +57,24 @@ def gate_config():
     )
 
 
-def seed_accuracies(seed: int, rounds: int) -> dict:
-    """Each variant's final accuracy on ``seed``'s federation."""
+def seed_accuracies(config, seed: int, rounds: int) -> dict:
+    """Each variant's final accuracy on ``seed``'s federation under ``config``."""
     from fedmp.data import generate_federation
     from fedmp.federation import run_federation, run_few_shot
 
-    gate = gate_config()
-    spec = gate.network_spec()
-    shards, global_test = generate_federation(dataclasses.replace(gate.dataset_spec(), seed=seed))
+    spec = config.network_spec()
+    shards, global_test = generate_federation(
+        dataclasses.replace(config.dataset_spec(), seed=seed))
     out = {}
     for name, (sfmc, cpgma) in VARIANTS.items():
-        cfg = gate.federation_config(seed, mode="fedmp")
+        cfg = config.federation_config(seed, mode="fedmp")
         cfg.enable_sfmc, cfg.enable_cpgma = sfmc, cpgma
         cfg.track_geometry = False
         cfg.rounds = rounds
         out[name] = run_federation(cfg, shards, spec, global_test).metrics[-1][
             "global_test_accuracy"]
-    few = run_few_shot(gate.federation_config(seed, mode="fedmp"), shards, spec, global_test,
-                       stage_epochs=gate.stage_epochs)
+    few = run_few_shot(config.federation_config(seed, mode="fedmp"), shards, spec, global_test,
+                       stage_epochs=config.stage_epochs)
     out["fewshot"] = few.ensemble_accuracy
     return out
 
@@ -83,8 +89,8 @@ def paired(diffs: list) -> dict:
     return {"mean": mean, "se": math.sqrt(var / n)}
 
 
-def sweep(seeds: list, rounds: int) -> dict:
-    per_seed = [seed_accuracies(seed, rounds) for seed in seeds]
+def sweep(config, seeds: list, rounds: int) -> dict:
+    per_seed = [seed_accuracies(config, seed, rounds) for seed in seeds]
     accuracy = {name: [acc[name] for acc in per_seed] for name in per_seed[0]}
     return {
         "seeds": seeds,
@@ -107,15 +113,28 @@ def seed_range(text: str) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--config", help="key = value experiment config to sweep, read as "
+                                         "`fedmp run` reads it, FEDMP_ variables included "
+                                         "(default: the gate's config)")
     parser.add_argument("--seeds", type=seed_range, default=seed_range("0-11"),
                         help="inclusive seed range A-B (default 0-11)")
     parser.add_argument("--rounds", type=int, help="rounds of each round-loop variant "
-                                                    "(default: the gate's 30)")
+                                                    "(default: the config's rounds)")
     args = parser.parse_args(argv)
-    rounds = gate_config().rounds if args.rounds is None else args.rounds
-    if rounds < 1:
+    if args.rounds is not None and args.rounds < 1:
         parser.error("--rounds must be >= 1")
-    print(json.dumps(sweep(args.seeds, rounds)))
+    if args.config is None:
+        config = gate_config()
+    else:
+        from fedmp.config import ConfigError, load_config
+
+        try:
+            config = load_config(args.config)
+        except (ConfigError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    rounds = config.rounds if args.rounds is None else args.rounds
+    print(json.dumps(sweep(config, args.seeds, rounds)))
     return 0
 
 
